@@ -6,6 +6,17 @@
 // the paper's subject is what happens *after* the optimizer picked a plan,
 // so plan choice is deliberately simple and predictable.
 //
+// Join width: one walk over the statement (statementColumns) collects every
+// column name it mentions, and each inner or left-outer hash join emits only
+// the child columns whose name is in that set (all of them under SELECT *).
+// Expressions bind by name against whatever schema is below them, so nothing
+// above a join can tell; and since the paper counts GetNext calls, not
+// bytes, every node's counts, bounds and estimates are the same as with
+// full-width rows — only the copying per joined row shrinks. The rule is by
+// name, not per-join liveness: a column kept for one clause is kept through
+// every join. Scans still hand out references into the base relation, and
+// semi/anti joins already emit the probe row as is.
+//
 // Limitations (documented, erroring cleanly): self-joins of a table with
 // itself via aliases, non-equi join conditions in ON, correlated
 // subqueries beyond a single correlation equality, and NOT IN's
@@ -29,7 +40,7 @@ import (
 // Compile parses nothing: it takes an AST and a catalog and returns an
 // executable plan.
 func Compile(cat *catalog.Catalog, sel *sqlparse.Select) (exec.Operator, error) {
-	c := &compiler{cat: cat, b: plan.NewBuilder(cat)}
+	c := &compiler{cat: cat, b: plan.NewBuilder(cat), keep: statementColumns(sel)}
 	n, err := c.compileSelect(sel)
 	if err != nil {
 		return nil, err
@@ -50,6 +61,7 @@ type compiler struct {
 	cat     *catalog.Catalog
 	b       *plan.Builder
 	aliases map[string]string // alias (lower) -> base table name
+	keep    plan.Columns      // names the statement reads; nil = all (SELECT *)
 }
 
 // fromEntry is one flattened FROM element.
@@ -243,7 +255,7 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 			if err != nil {
 				return plan.Node{}, err
 			}
-			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.LeftOuterJoin)
+			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.LeftOuterJoin, c.keep)
 			placed[tl] = true
 			continue
 		}
@@ -269,7 +281,7 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 			// No connecting predicate: cross join via nested loops.
 			cur = c.b.Cross(cur, build)
 		} else {
-			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.InnerJoin)
+			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.InnerJoin, c.keep)
 		}
 		placed[tl] = true
 	}
@@ -361,50 +373,11 @@ func (c *compiler) flattenFrom(sel *sqlparse.Select) ([]fromEntry, error) {
 // two-table equality usable as a join predicate.
 func (c *compiler) classify(n sqlparse.Node, entries []fromEntry) (map[string]bool, bool) {
 	tables := map[string]bool{}
-	var walk func(sqlparse.Node)
-	walk = func(n sqlparse.Node) {
-		switch t := n.(type) {
-		case *sqlparse.ColNode:
-			if tbl := c.resolveTable(t); tbl != "" {
-				tables[strings.ToLower(tbl)] = true
-			}
-		case *sqlparse.BinNode:
-			walk(t.L)
-			walk(t.R)
-		case *sqlparse.NotNode:
-			walk(t.E)
-		case *sqlparse.LikeNode:
-			walk(t.E)
-		case *sqlparse.InNode:
-			walk(t.E)
-			for _, e := range t.List {
-				walk(e)
-			}
-		case *sqlparse.BetweenNode:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlparse.IsNullNode:
-			walk(t.E)
-		case *sqlparse.CaseNode:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		case *sqlparse.AggNode:
-			if t.Arg != nil {
-				walk(t.Arg)
-			}
-		case *sqlparse.FuncNode:
-			for _, a := range t.Args {
-				walk(a)
-			}
+	walkExpr(n, func(col *sqlparse.ColNode) {
+		if tbl := c.resolveTable(col); tbl != "" {
+			tables[strings.ToLower(tbl)] = true
 		}
-	}
-	walk(n)
+	}, nil)
 	if b, ok := n.(*sqlparse.BinNode); ok && b.Op == "=" && len(tables) == 2 {
 		_, lIsCol := b.L.(*sqlparse.ColNode)
 		_, rIsCol := b.R.(*sqlparse.ColNode)
@@ -413,6 +386,100 @@ func (c *compiler) classify(n sqlparse.Node, entries []fromEntry) (map[string]bo
 		}
 	}
 	return tables, false
+}
+
+// walkExpr calls col on every column reference in the expression and, when
+// sub is non-nil, sub on every nested EXISTS / IN sub-select.
+func walkExpr(n sqlparse.Node, col func(*sqlparse.ColNode), sub func(*sqlparse.Select)) {
+	walk := func(n sqlparse.Node) { walkExpr(n, col, sub) }
+	switch t := n.(type) {
+	case *sqlparse.ColNode:
+		col(t)
+	case *sqlparse.BinNode:
+		walk(t.L)
+		walk(t.R)
+	case *sqlparse.NotNode:
+		walk(t.E)
+	case *sqlparse.LikeNode:
+		walk(t.E)
+	case *sqlparse.InNode:
+		walk(t.E)
+		for _, e := range t.List {
+			walk(e)
+		}
+		if t.Sub != nil && sub != nil {
+			sub(t.Sub)
+		}
+	case *sqlparse.ExistsNode:
+		if sub != nil {
+			sub(t.Sub)
+		}
+	case *sqlparse.BetweenNode:
+		walk(t.E)
+		walk(t.Lo)
+		walk(t.Hi)
+	case *sqlparse.IsNullNode:
+		walk(t.E)
+	case *sqlparse.CaseNode:
+		for _, w := range t.Whens {
+			walk(w.Cond)
+			walk(w.Result)
+		}
+		if t.Else != nil {
+			walk(t.Else)
+		}
+	case *sqlparse.AggNode:
+		if t.Arg != nil {
+			walk(t.Arg)
+		}
+	case *sqlparse.FuncNode:
+		for _, a := range t.Args {
+			walk(a)
+		}
+	}
+}
+
+// statementColumns returns the lower-cased name of every column the
+// statement mentions anywhere — select list, ON, WHERE, GROUP BY, HAVING,
+// ORDER BY, and the same clauses of nested sub-selects, so a correlated
+// reference to an outer column is covered — or nil when the select list has
+// a * item. Joins keep a child column iff its name is in the set: binding is
+// by name, so every expression above a join still resolves exactly as it
+// would against the full-width row. A * inside a sub-select ranges over the
+// sub-select's own table and does not widen the outer joins.
+func statementColumns(sel *sqlparse.Select) plan.Columns {
+	for _, item := range sel.Items {
+		if item.Star {
+			return nil
+		}
+	}
+	keep := plan.Columns{}
+	var visit func(*sqlparse.Select)
+	add := func(n sqlparse.Node) {
+		if n != nil {
+			walkExpr(n, func(col *sqlparse.ColNode) { keep[strings.ToLower(col.Name)] = true }, visit)
+		}
+	}
+	visit = func(sel *sqlparse.Select) {
+		for _, item := range sel.Items {
+			add(item.Expr)
+		}
+		for _, ref := range sel.From {
+			for _, j := range ref.Joins {
+				add(j.On)
+			}
+		}
+		add(sel.Where)
+		for _, g := range sel.GroupBy {
+			add(g)
+		}
+		add(sel.Having)
+		for _, o := range sel.OrderBy {
+			add(o.Expr)
+		}
+	}
+	visit(sel)
+	return keep
 }
 
 // resolveTable finds the base table a column reference belongs to. It

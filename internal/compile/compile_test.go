@@ -8,6 +8,7 @@ import (
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
+	"sqlprogress/internal/tpch"
 )
 
 // testCatalog: dept(dkey unique, dname), emp(ekey, edept FK->dept, sal),
@@ -369,5 +370,86 @@ func TestScalarFunctionsInSQL(t *testing.T) {
 	}
 	if _, err := CompileSQL(testCatalog(), "SELECT NOSUCH(ekey) FROM emp"); err == nil {
 		t.Error("unknown function should fail compilation")
+	}
+}
+
+// hashJoins returns the plan's hash joins, root first.
+func hashJoins(op exec.Operator) []*exec.HashJoin {
+	var out []*exec.HashJoin
+	exec.Walk(op, func(o exec.Operator) {
+		if j, ok := o.(*exec.HashJoin); ok {
+			out = append(out, j)
+		}
+	})
+	return out
+}
+
+// TestJoinsEmitOnlyNamedColumns pins the width rule: a join keeps a child
+// column iff the statement names it, * keeps everything in FROM order, and a
+// left-outer miss NULL-pads the kept build columns only.
+func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
+	tp := tpch.Generate(tpch.Config{SF: 0.001, Z: 1, Seed: 1})
+	op, err := CompileSQL(tp, `SELECT c_mktsegment, COUNT(*) FROM customer, orders, lineitem
+		WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice > 950 GROUP BY c_mktsegment`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := hashJoins(op)
+	if len(joins) != 2 {
+		t.Fatalf("join3 has %d hash joins, want 2", len(joins))
+	}
+	if top, bottom := joins[0].Schema().Len(), joins[1].Schema().Len(); top > 6 || bottom > 4 {
+		t.Errorf("join3 join widths = %d (top), %d (bottom); want <= 6, <= 4\n top: %s\n bottom: %s",
+			top, bottom, joins[0].Schema(), joins[1].Schema())
+	}
+
+	op, err = CompileSQL(tp, `SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, table := range []string{"orders", "lineitem"} {
+		for _, c := range tp.MustRelation(table).Sch.Columns {
+			want = append(want, c.Name)
+		}
+	}
+	var got []string
+	for _, c := range op.Schema().Columns {
+		got = append(got, c.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("SELECT * columns = %v\n want the %d of orders then lineitem: %v", got, len(want), want)
+	}
+
+	cat := testCatalog()
+	cat.MustRelation("dept").Append(schema.Row{sqlval.Int(99), sqlval.String("empty")})
+	op, err = CompileSQL(cat, `SELECT d.dname, e.sal FROM dept d LEFT JOIN emp e ON d.dkey = e.edept`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := hashJoins(op)[0]
+	if names := join.Schema().String(); names != "(dept.dkey BIGINT, dept.dname VARCHAR, emp.edept BIGINT, emp.sal BIGINT)" {
+		t.Errorf("left join schema = %s", names)
+	}
+	for _, run := range []func(*exec.Ctx, exec.Operator) ([]schema.Row, error){exec.Run, exec.RunBatch} {
+		rows, err := run(exec.NewCtx(), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var missed int
+		for _, r := range rows {
+			if len(r) != 4 {
+				t.Fatalf("row width %d, want 4: %v", len(r), r)
+			}
+			if r[0].AsInt() == 99 {
+				missed++
+				if r[1].AsString() != "empty" || !r[2].IsNull() || !r[3].IsNull() {
+					t.Errorf("missed row = %v, want (99, empty, NULL, NULL)", r)
+				}
+			}
+		}
+		if len(rows) != 61 || missed != 1 {
+			t.Errorf("rows = %d (want 61), padded = %d (want 1)", len(rows), missed)
+		}
 	}
 }

@@ -101,17 +101,13 @@ func (m *AsyncMonitor) Stop() {
 	m.stop = nil
 	calls := m.ctx.Calls()
 	m.SetTotal(calls)
-	before := len(m.Samples)
-	m.finalSample(m.tracker, calls)
-	if m.OnSample != nil && len(m.Samples) > before {
-		m.OnSample(m.Samples[len(m.Samples)-1])
-	}
+	m.observe(calls)
 }
 
-// observe records one sample and streams it to OnSample.
+// observe records one sample, unless it repeats the last one's instant, and
+// streams it to OnSample.
 func (m *AsyncMonitor) observe(calls int64) {
-	m.capture(m.tracker, calls)
-	if m.OnSample != nil {
+	if m.capture(m.tracker, calls) && m.OnSample != nil {
 		m.OnSample(m.Samples[len(m.Samples)-1])
 	}
 }

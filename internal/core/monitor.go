@@ -32,7 +32,12 @@ type SampleSet struct {
 	total int64
 }
 
-func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
+// capture records one sample and reports whether it did: an observation whose
+// anchored call count is not past the last stored sample's is the same
+// instant seen twice and is dropped, so every sampler — inline, async
+// wall-clock or call-count, session — produces a series strictly increasing
+// in Calls.
+func (ss *SampleSet) capture(tracker *Tracker, calls int64) bool {
 	s := tracker.Capture()
 	// Anchor the sample to the ledger total its own capture read, not the
 	// triggering call count: under parallel plans other workers advance the
@@ -42,22 +47,15 @@ func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
 	if s.Curr > calls {
 		calls = s.Curr
 	}
+	if n := len(ss.Samples); n > 0 && calls <= ss.Samples[n-1].Calls {
+		return false
+	}
 	sample := Sample{Calls: calls, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: make([]float64, len(ss.Estimators))}
 	for i, e := range ss.Estimators {
 		sample.Estimates[i] = e.Estimate(s)
 	}
 	ss.Samples = append(ss.Samples, sample)
-}
-
-// finalSample records the at-completion observation unless the last sample
-// already captured that instant, so series always end at progress 1.0 for
-// completed runs (the periodic hook only fires on multiples of the period
-// and usually misses the final call).
-func (ss *SampleSet) finalSample(tracker *Tracker, calls int64) {
-	if n := len(ss.Samples); n > 0 && ss.Samples[n-1].Calls == calls {
-		return
-	}
-	ss.capture(tracker, calls)
+	return true
 }
 
 // SetTotal records total(Q) when the plan was executed outside Run.
@@ -187,7 +185,7 @@ func (m *Monitor) Observe(calls int64) {
 // callers invoke it once the plan is drained.
 func (m *Monitor) Finish(total int64) {
 	m.SetTotal(total)
-	m.finalSample(m.tracker, total)
+	m.capture(m.tracker, total)
 }
 
 // Run executes the plan to completion under this monitor and returns the

@@ -53,7 +53,8 @@ func corpusCatalog() *catalog.Catalog {
 // the operator shapes whose bounds derivations differ — index nested
 // loops, hash join + aggregation, embedded-predicate scans under sort/top,
 // rescan-heavy nested loops (whose bounds legitimately never pin), merge
-// join, and scalar aggregation. CheckProgressInvariants holds on every
+// join, scalar aggregation, and a hash join emitting a subset of its
+// columns. CheckProgressInvariants holds on every
 // entry; the chaos harness replays them under fault schedules.
 func Corpus() []CorpusEntry {
 	lt := func(col string, v int64) plan.PredFn {
@@ -87,6 +88,11 @@ func Corpus() []CorpusEntry {
 		{Label: "scalar-agg", Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.Scan("r2").ScalarAgg(count).Op
+		}},
+		{Label: "pruned-left-join", Build: func() exec.Operator {
+			// A width-pruned join: only r2.b leaves it, NULL on a miss.
+			b := plan.NewBuilder(corpusCatalog())
+			return b.Scan("r1").HashJoin(b.Scan("r2"), "a", "b", exec.LeftOuterJoin, plan.Columns{"b": true}).Op
 		}},
 		{Label: "parallel-scan-agg", Parallel: true, Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sqlprogress/internal/expr"
@@ -73,6 +74,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 	if err := a.child.Open(ctx); err != nil {
 		return err
 	}
+	key := make([]sqlval.Value, len(a.GroupBy))
 	if ctx.fastPath() {
 		// Blocking drain, chunk-at-a-time (see Sort.Open).
 		var in Batch
@@ -84,7 +86,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 				break
 			}
 			for _, row := range in.Rows {
-				a.fold(row)
+				foldInto(a.groups, key, a.GroupBy, a.Aggs, row)
 			}
 		}
 	} else {
@@ -96,7 +98,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			if !ok {
 				break
 			}
-			a.fold(row)
+			foldInto(a.groups, key, a.GroupBy, a.Aggs, row)
 		}
 	}
 	// Deterministic emission order: sort groups by key.
@@ -110,15 +112,12 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 	return nil
 }
 
-func (a *HashAgg) fold(row schema.Row) {
-	foldInto(a.groups, a.GroupBy, a.Aggs, row)
-}
-
 // foldInto folds one row into a group table — HashAgg's accumulation step,
 // shared with ParallelHashAgg's per-worker pre-aggregation (each worker owns
-// a private table, so the function needs no synchronization).
-func foldInto(groups map[uint64][]*aggGroup, groupBy []expr.Expr, aggs []expr.Agg, row schema.Row) {
-	key := make([]sqlval.Value, len(groupBy))
+// a private table, so the function needs no synchronization). key is the
+// caller's scratch of len(groupBy) values, overwritten per row and copied
+// only when the row opens a new group.
+func foldInto(groups map[uint64][]*aggGroup, key []sqlval.Value, groupBy []expr.Expr, aggs []expr.Agg, row schema.Row) {
 	var h uint64 = 1469598103934665603
 	for i, g := range groupBy {
 		key[i] = g.Eval(row)
@@ -132,7 +131,7 @@ func foldInto(groups map[uint64][]*aggGroup, groupBy []expr.Expr, aggs []expr.Ag
 		}
 	}
 	if grp == nil {
-		grp = &aggGroup{key: key, states: make([]*expr.AggState, len(aggs))}
+		grp = &aggGroup{key: slices.Clone(key), states: make([]*expr.AggState, len(aggs))}
 		for i, ag := range aggs {
 			grp.states[i] = expr.NewAggState(ag)
 		}

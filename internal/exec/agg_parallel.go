@@ -126,6 +126,7 @@ func (a *ParallelHashAgg) foldWorker(ctx *Ctx, w int) error {
 		return err
 	}
 	table := make(map[uint64][]*aggGroup)
+	key := make([]sqlval.Value, len(a.GroupBy))
 	var in Batch
 	for {
 		if err := nextBatch(ctx, part, &in); err != nil {
@@ -135,7 +136,7 @@ func (a *ParallelHashAgg) foldWorker(ctx *Ctx, w int) error {
 			break
 		}
 		for _, row := range in.Rows {
-			foldInto(table, a.GroupBy, a.Aggs, row)
+			foldInto(table, key, a.GroupBy, a.Aggs, row)
 		}
 	}
 	a.tables[w] = table
@@ -156,6 +157,7 @@ func (a *ParallelHashAgg) foldLockstep(ctx *Ctx) error {
 	}
 	done := make([]bool, len(a.parts))
 	remaining := len(a.parts)
+	key := make([]sqlval.Value, len(a.GroupBy))
 	var in Batch
 	for remaining > 0 {
 		for w := range a.parts {
@@ -171,7 +173,7 @@ func (a *ParallelHashAgg) foldLockstep(ctx *Ctx) error {
 				continue
 			}
 			for _, row := range in.Rows {
-				foldInto(a.tables[w], a.GroupBy, a.Aggs, row)
+				foldInto(a.tables[w], key, a.GroupBy, a.Aggs, row)
 			}
 		}
 	}

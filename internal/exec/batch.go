@@ -303,19 +303,17 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 
 // resultCapHint sizes the result slice from the plan's cardinality bounds:
 // the root's final call upper bound also caps the rows it can deliver.
-// Bounds can be loose or unbounded, so the hint is clamped to a modest
-// window — a wrong hint costs one growth cycle or some slack capacity, not
-// correctness.
+// Bounds can be loose (an aggregate's is its input count), so a root that
+// carries a plan-time estimate is sized at twice the estimate when that is
+// smaller, and the hint is clamped to a modest window — a wrong hint costs
+// one growth cycle or some slack capacity, not correctness.
 func resultCapHint(op Operator, batchSize int) int {
 	const maxHint = 1 << 17
-	ub := finalBoundsOf(op).UB
-	switch {
-	case ub <= int64(batchSize):
-		return batchSize
-	case ub > maxHint:
-		return maxHint
+	hint := finalBoundsOf(op).UB
+	if est := op.EstimatedCard(); est >= 0 && est < hint/2 {
+		hint = 2 * est
 	}
-	return int(ub)
+	return int(min(max(hint, int64(batchSize)), maxHint))
 }
 
 // finalBoundsOf computes the root's final call bounds bottom-up (the exec

@@ -205,7 +205,7 @@ func TestExchangeRescan(t *testing.T) {
 // simulation: actual I/O latency and buffer-pool contention instead of
 // sleeps.
 func TestExchangePagedIOStillCorrect(t *testing.T) {
-	rel := seqRel("r", 4000)
+	rel := seqRel("r", 40000)
 	path := filepath.Join(t.TempDir(), "r.heap")
 	if err := pager.WriteRelation(path, rel); err != nil {
 		t.Fatal(err)
@@ -215,12 +215,18 @@ func TestExchangePagedIOStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hf.Close()
-	pr := pager.NewPagedRelation(hf, pager.NewPool(2))
+	// One frame per worker (each partition cursor pins a page: fewer is
+	// ErrPoolExhausted by design), still smaller than the file.
+	const maxWorkers = 8
+	if hf.DataPages() <= maxWorkers {
+		t.Fatalf("file has %d data pages: the pool would hold all of it", hf.DataPages())
+	}
+	pr := pager.NewPagedRelation(hf, pager.NewPool(maxWorkers))
 	want, err := Run(NewCtx(), NewScan(rel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 8} {
+	for _, workers := range []int{1, 3, maxWorkers} {
 		ctx := NewCtx()
 		got, err := Run(ctx, NewParallelStoreScan(pr, workers))
 		if err != nil {

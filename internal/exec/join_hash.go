@@ -30,8 +30,9 @@ func (m JoinMode) String() string {
 // canonical "scan-based" join (Section 5.4): both inputs are scanned exactly
 // once, so total work is tightly bounded.
 //
-// Output: probe columns followed by build columns (probe-only for semi/anti).
-// For LeftOuterJoin the probe side is preserved.
+// Output: probe columns followed by build columns (probe-only for semi/anti),
+// all of them unless SetOutput narrowed the list. For LeftOuterJoin the probe
+// side is preserved.
 type HashJoin struct {
 	base
 	build, probe         Operator
@@ -40,6 +41,9 @@ type HashJoin struct {
 	// Linear is set by the builder when the join is known to produce at
 	// most max(|build|, |probe|) rows (e.g. key–foreign-key joins).
 	Linear bool
+	// outProbe/outBuild list the child columns an inner or left-outer join
+	// emits, in output order; nil means every column of that side.
+	outProbe, outBuild []int
 
 	table      map[uint64][]schema.Row
 	buildRows  []schema.Row // build side, drained during Open
@@ -52,7 +56,7 @@ type HashJoin struct {
 
 	in      Batch    // reused probe-batch scratch (vectorized path)
 	drained bool     // probe EOF seen while output was in hand
-	arena   rowArena // chunked backing storage for concatenated outputs
+	arena   rowArena // chunked backing storage for joined output rows
 
 	pessimistic
 }
@@ -77,6 +81,52 @@ func NewHashJoin(build, probe Operator, buildKeys, probeKeys []expr.Expr, mode J
 	}
 	j.init(sch)
 	return j
+}
+
+// SetOutput narrows an inner or left-outer join's output to the given probe
+// columns followed by the given build columns (indexes into the child
+// schemas); nil keeps the whole side. Row width is invisible to the paper's
+// model of work — every node's GetNext counts, and so every bound and
+// estimate, are unchanged — it only shrinks the bytes copied per output row.
+// Call it before the join is composed into a parent: the schema changes.
+func (j *HashJoin) SetOutput(probeCols, buildCols []int) {
+	if j.Mode == SemiJoin || j.Mode == AntiJoin {
+		panic("hashjoin: semi/anti joins emit the probe row as is")
+	}
+	j.outProbe, j.outBuild = probeCols, buildCols
+	j.sch = pickColumns(j.probe.Schema(), probeCols).Concat(pickColumns(j.build.Schema(), buildCols))
+}
+
+func pickColumns(sch *schema.Schema, idx []int) *schema.Schema {
+	if idx == nil {
+		return sch
+	}
+	cols := make([]schema.Column, len(idx))
+	for i, c := range idx {
+		cols[i] = sch.Columns[c]
+	}
+	return schema.New(cols...)
+}
+
+// joined carves the output row for one (probe, build) pair — build is the
+// NULL pad on a left-outer miss — from the arena.
+func (j *HashJoin) joined(probe, build schema.Row) schema.Row {
+	out := j.arena.row(j.sch.Len())
+	n := pick(out, probe, j.outProbe)
+	pick(out[n:], build, j.outBuild)
+	return out
+}
+
+// pick copies src's columns idx (nil: all of them) to the front of dst and
+// returns how many it wrote.
+func pick(dst, src schema.Row, idx []int) int {
+	if idx == nil {
+		return copy(dst, src)
+	}
+	for i, c := range idx {
+		dst[i] = src[c]
+	}
+	return len(idx)
 }
 
 func hashKeys(keys []expr.Expr, row schema.Row) (uint64, bool) {
@@ -175,10 +225,10 @@ func (j *HashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			b := j.matches[j.matchIdx]
 			j.matchIdx++
 			j.emittedCur = true
-			return j.emit(ctx, schema.ConcatRows(j.curProbe, b))
+			return j.emit(ctx, j.joined(j.curProbe, b))
 		}
 		if j.Mode == LeftOuterJoin && j.curProbe != nil && !j.emittedCur {
-			row := schema.ConcatRows(j.curProbe, j.pad)
+			row := j.joined(j.curProbe, j.pad)
 			j.curProbe = nil
 			return j.emit(ctx, row)
 		}
@@ -277,17 +327,17 @@ func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 				}
 			case LeftOuterJoin:
 				if len(found) == 0 {
-					b.Append(j.arena.concat(probe, j.pad))
+					b.Append(j.joined(probe, j.pad))
 					emitted++
 				} else {
 					for _, m := range found {
-						b.Append(j.arena.concat(probe, m))
+						b.Append(j.joined(probe, m))
 						emitted++
 					}
 				}
 			default:
 				for _, m := range found {
-					b.Append(j.arena.concat(probe, m))
+					b.Append(j.joined(probe, m))
 					emitted++
 				}
 			}

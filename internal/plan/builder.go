@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 
 	"sqlprogress/internal/catalog"
 	"sqlprogress/internal/exec"
@@ -334,18 +335,39 @@ func (b *Builder) joinLinear(aSch *schema.Schema, aCol string, bSch *schema.Sche
 	return b.cat.JoinIsLinear(at, ac, bt, bc)
 }
 
+// Columns is a set of lower-cased column names. Passed to HashJoin or
+// HashJoinMulti it is the set of names the statement reads: the join emits
+// only the child columns whose name is in it. A nil set keeps every column.
+type Columns map[string]bool
+
+// indexes returns the positions of sch's columns named in the set, in
+// schema order, or nil (every column) when none is dropped.
+func (c Columns) indexes(sch *schema.Schema) []int {
+	if c == nil {
+		return nil
+	}
+	idx := make([]int, 0, sch.Len())
+	for i, col := range sch.Columns {
+		if c[strings.ToLower(col.Name)] {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == sch.Len() {
+		return nil
+	}
+	return idx
+}
+
 // HashJoin joins n (probe side) with build on probeCol = buildCol. Linearity
-// is detected from catalog key declarations.
-func (n Node) HashJoin(build Node, probeCol, buildCol string, mode exec.JoinMode) Node {
-	op := exec.NewHashJoin(build.Op, n.Op,
-		cols(build.Schema(), buildCol), cols(n.Schema(), probeCol), mode)
-	op.Linear = n.b.joinLinear(n.Schema(), probeCol, build.Schema(), buildCol)
-	n.b.setLpJoinBound(op, mode, n.Op, n.Schema(), probeCol, build.Op, build.Schema(), buildCol)
-	return n.finish(op, joinEstimate(mode, n.est, build.est, op.Linear))
+// is detected from catalog key declarations. An optional keep set narrows
+// the output of an inner or left-outer join (see Columns); without one the
+// join emits every probe column followed by every build column.
+func (n Node) HashJoin(build Node, probeCol, buildCol string, mode exec.JoinMode, keep ...Columns) Node {
+	return n.HashJoinMulti(build, []string{probeCol}, []string{buildCol}, mode, keep...)
 }
 
 // HashJoinMulti is HashJoin with composite keys.
-func (n Node) HashJoinMulti(build Node, probeCols, buildCols []string, mode exec.JoinMode) Node {
+func (n Node) HashJoinMulti(build Node, probeCols, buildCols []string, mode exec.JoinMode, keep ...Columns) Node {
 	op := exec.NewHashJoin(build.Op, n.Op,
 		cols(build.Schema(), buildCols...), cols(n.Schema(), probeCols...), mode)
 	op.Linear = len(probeCols) > 0 &&
@@ -355,6 +377,9 @@ func (n Node) HashJoinMulti(build Node, probeCols, buildCols []string, mode exec
 	// single-column norm bound stays sound.
 	if len(probeCols) > 0 {
 		n.b.setLpJoinBound(op, mode, n.Op, n.Schema(), probeCols[0], build.Op, build.Schema(), buildCols[0])
+	}
+	if len(keep) > 0 && (mode == exec.InnerJoin || mode == exec.LeftOuterJoin) {
+		op.SetOutput(keep[0].indexes(n.Schema()), keep[0].indexes(build.Schema()))
 	}
 	return n.finish(op, joinEstimate(mode, n.est, build.est, op.Linear))
 }

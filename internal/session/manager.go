@@ -334,7 +334,12 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 		if len(rows) > s.keepRows {
 			rows = rows[:s.keepRows]
 		}
-		s.rows = rows
+		// Deep copy: the result's backing array and the operators' arena
+		// slabs must not stay reachable through the few kept rows.
+		s.rows = make([]schema.Row, len(rows))
+		for i, r := range rows {
+			s.rows[i] = schema.CloneRow(r)
+		}
 		m.c.completed.Add(1)
 	case errors.Is(runErr, exec.ErrCanceled):
 		s.state = StateCanceled
@@ -369,6 +374,16 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 	}
 	final.State = s.state
 	s.publishLocked(final)
+
+	// Let go of the plan: a finished session answers Info, Samples and a late
+	// Subscribe from the summary above, so the operator tree (hash tables,
+	// sort buffers, batch scratch), its ledger and the monitor need not
+	// outlive the run.
+	if s.mon != nil {
+		s.samples = s.mon.Samples
+	}
+	s.root, s.mon, s.execCtx, s.instrument = nil, nil, nil, nil
+	s.shape, s.led, s.nodeScratch, s.nodePrev = nil, nil, nil, nil
 }
 
 // onDone frees a run slot and starts queued work.

@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -351,4 +352,60 @@ func TestNodeProgressParallelPlan(t *testing.T) {
 	if nodes[1].Delivered != card {
 		t.Fatalf("scan delivered %d, want %d", nodes[1].Delivered, card)
 	}
+}
+
+// TestFinishedSessionsReleaseTheirPlan holds finished join sessions alive
+// and checks they pin only their summary: the operator tree (hash tables,
+// arena slabs behind batch scratch), the result's backing array and the
+// monitor must be collectable, while Info, Samples and a late Subscribe
+// still answer.
+func TestFinishedSessionsReleaseTheirPlan(t *testing.T) {
+	m := New(testCatalog(t), Config{SampleInterval: time.Millisecond, KeepRows: 3})
+	defer m.Close()
+	const sql = `SELECT c_mktsegment, COUNT(*) FROM customer, orders, lineitem
+		WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice > 950 GROUP BY c_mktsegment`
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = 20
+	sessions := make([]*Session, 0, n)
+	before := heap()
+	for i := 0; i < n; i++ {
+		s, err := m.Submit(sql, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, s); st != StateFinished {
+			t.Fatalf("state = %s, err = %v", st, s.Err())
+		}
+		sessions = append(sessions, s)
+	}
+	after := heap()
+	if grown := int64(after) - int64(before); grown > n*64<<10 {
+		t.Errorf("%d finished sessions retain %d KB, want < 64 KB each", n, grown>>10)
+	}
+	for _, s := range sessions {
+		in := s.Info()
+		if in.RowCount != 5 || len(in.Rows) != 3 || len(in.Rows[0]) != 2 || in.Rows[0][0] == "" {
+			t.Fatalf("%s: rows = %d / %v", s.ID(), in.RowCount, in.Rows)
+		}
+		smps := s.Samples()
+		if len(smps) == 0 || smps[len(smps)-1].Calls != in.Calls {
+			t.Fatalf("%s: %d samples, last not at total %d", s.ID(), len(smps), in.Calls)
+		}
+		ch, unsub := s.Subscribe()
+		p, ok := <-ch
+		if !ok || !p.Final || p.Estimates["pmax"] != 1.0 {
+			t.Fatalf("%s: late subscribe got %+v (ok=%v)", s.ID(), p, ok)
+		}
+		if _, open := <-ch; open {
+			t.Fatalf("%s: late subscribe channel not closed after the final event", s.ID())
+		}
+		unsub()
+	}
+	runtime.KeepAlive(sessions)
 }

@@ -96,8 +96,10 @@ type NodeProgress struct {
 }
 
 // Session is one submitted query: its compiled plan, lifecycle state,
-// execution context, monitor, and result summary. All fields are guarded by
-// mu; exported accessors are safe from any goroutine.
+// execution context, monitor, and result summary. The plan, context, monitor
+// and ledger binding are released at the terminal transition; the summary
+// stays. All fields are guarded by mu; exported accessors are safe from any
+// goroutine.
 type Session struct {
 	id      string
 	text    string
@@ -108,6 +110,7 @@ type Session struct {
 	root         exec.Operator
 	execCtx      *exec.Ctx
 	mon          *core.AsyncMonitor
+	samples      []core.Sample // the monitor's series, kept past the run
 	estNames     []string
 	keepRows     int
 	deadline     time.Duration
@@ -263,16 +266,14 @@ func (s *Session) Info() Info {
 	return in
 }
 
-// Samples returns the monitor's recorded sample series. Valid only once the
+// Samples returns the monitor's recorded sample series: nil until the
 // session is terminal (the monitor goroutine is joined before the terminal
-// transition); nil for sessions canceled before running.
+// transition hands the series over), and for sessions canceled before
+// running.
 func (s *Session) Samples() []core.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.state.Terminal() || s.mon == nil {
-		return nil
-	}
-	return s.mon.Samples
+	return s.samples
 }
 
 // Subscribe registers a progress listener. The returned channel receives
