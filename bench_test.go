@@ -174,25 +174,6 @@ func BenchmarkBoundsPass(b *testing.B) {
 	}
 }
 
-// BenchmarkBoundsPassFullWalk measures the non-incremental reference
-// implementation (rebuilds maps and slices per pass) for the trajectory
-// record; the incremental/full ratio is the tentpole speedup.
-func BenchmarkBoundsPassFullWalk(b *testing.B) {
-	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	op, err := tpch.BuildQuery(cat, 21)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := exec.Run(exec.NewCtx(), op); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ComputeBounds(op)
-	}
-}
-
 // BenchmarkCompileSQL measures SQL front-end latency.
 func BenchmarkCompileSQL(b *testing.B) {
 	db := OpenTPCH(0.001, 2, 1)

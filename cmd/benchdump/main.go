@@ -611,12 +611,6 @@ func main() {
 			ev.Compute()
 		}
 	})
-	results = record("bounds_pass_full_walk", results, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.ComputeBounds(op)
-		}
-	})
 
 	const rows = 20_000
 	results = record("exec_inl_join_no_monitor", results, func(b *testing.B) {

@@ -21,11 +21,6 @@
 // demonstrably tighten something, or it has silently stopped attaching).
 // -perturb name=factor deliberately breaks an estimator first — CI uses it
 // as the gate's negative self-test.
-//
-// With -par the gate validates the whole-plan parallelism artifact
-// (BENCH_6.json): every parallel join/agg and snapshot row must be present
-// and the checked-in 8-worker speedups must meet their floors (-minjoin,
-// -minagg).
 package main
 
 import (
@@ -49,10 +44,9 @@ import (
 // dump mirrors cmd/benchdump's file layout (only the fields the gate needs).
 type dump struct {
 	Results []struct {
-		Name            string  `json:"name"`
-		NsPerOp         float64 `json:"ns_per_op"`
-		AllocsOp        int64   `json:"allocs_per_op"`
-		SpeedupVsSerial float64 `json:"speedup_vs_serial"`
+		Name     string  `json:"name"`
+		NsPerOp  float64 `json:"ns_per_op"`
+		AllocsOp int64   `json:"allocs_per_op"`
 	} `json:"results"`
 }
 
@@ -218,82 +212,13 @@ func minF(a, b float64) float64 {
 	return b
 }
 
-// gatePar is the parallel-speedup gate: it validates the checked-in
-// BENCH_6.json artifact — every expected parallel join/agg and snapshot row
-// present, and the 8-worker speedups over the serial batch engine at or
-// above their floors. Like ns/op in the allocation gate, the speedups are
-// not re-timed in CI: the artifact is regenerated by cmd/benchdump on a
-// developer machine, where the stall-overlap design makes the ratio a
-// property of the partitioned operators rather than of the host.
-func gatePar(path string, minJoin, minAgg float64) int {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(1)
-	}
-	var d dump
-	if err := json.Unmarshal(buf, &d); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	speedup := map[string]float64{}
-	present := map[string]bool{}
-	for _, r := range d.Results {
-		speedup[r.Name] = r.SpeedupVsSerial
-		present[r.Name] = true
-	}
-	bad := 0
-	fail := func(format string, args ...any) {
-		bad++
-		fmt.Fprintf(os.Stderr, "benchgate: "+format+"\n", args...)
-	}
-	required := []string{
-		"phash_join_serial_batch", "pagg_serial_batch",
-		"sample_snapshot_flat_64", "sample_snapshot_subslot_64x8",
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		required = append(required,
-			fmt.Sprintf("phash_join_workers_%d", w), fmt.Sprintf("pagg_workers_%d", w))
-	}
-	for _, name := range required {
-		if !present[name] {
-			fail("%s: missing row %q", path, name)
-		}
-	}
-	for row, floor := range map[string]float64{
-		"phash_join_workers_8": minJoin,
-		"pagg_workers_8":       minAgg,
-	} {
-		if got := speedup[row]; present[row] && got < floor {
-			fail("%s: %s speedup %.2fx below the %.2fx floor", path, row, got, floor)
-		}
-	}
-	fmt.Printf("parallel gate: %s: join 8w %.2fx (floor %.2fx), agg 8w %.2fx (floor %.2fx): %d violation(s)\n",
-		path, speedup["phash_join_workers_8"], minJoin, speedup["pagg_workers_8"], minAgg, bad)
-	return bad
-}
-
 func main() {
 	file := flag.String("f", "", "benchmark artifact to gate against (default: newest BENCH_*.json holding the row)")
 	row := flag.String("row", "exec_inl_join_batch", "artifact row holding the baseline")
 	slack := flag.Float64("slack", 1.10, "allowed allocs/op growth factor")
 	acc := flag.Bool("acc", false, "gate the estimator accuracy matrix against BENCH_ACC.json instead")
 	perturbFlag := flag.String("perturb", "", "acc mode: multiply named estimators' outputs, e.g. dne=0.7 (negative self-test)")
-	par := flag.Bool("par", false, "validate the parallel join/agg artifact (BENCH_6.json) speedup floors instead")
-	minJoin := flag.Float64("minjoin", 2.5, "par mode: minimum 8-worker partitioned hash-join speedup vs serial batch")
-	minAgg := flag.Float64("minagg", 1.5, "par mode: minimum 8-worker parallel aggregation speedup vs serial batch")
 	flag.Parse()
-
-	if *par {
-		baseline := *file
-		if baseline == "" {
-			baseline = "BENCH_6.json"
-		}
-		if bad := gatePar(baseline, *minJoin, *minAgg); bad > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *acc {
 		perturb, err := parsePerturb(*perturbFlag)

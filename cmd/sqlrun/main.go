@@ -31,7 +31,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "generation seed")
 		rows      = flag.Int64("rows", 40000, "SkyServer photoobj rows")
 		tpchQuery = flag.Int("tpch-query", 0, "run a built-in TPC-H query plan (1-21) instead of SQL")
-		estimator = flag.String("estimator", "safe", "headline estimator: dne | pmax | safe | lp-safe | combiner | trivial | hybrid-mu | hybrid-var")
+		estimator = flag.String("estimator", "safe", fmt.Sprintf("headline estimator, one of %v", sqlprogress.EstimatorKinds()))
 		explain   = flag.Bool("explain", false, "print the physical plan and exit")
 		maxRows   = flag.Int("max-rows", 10, "result rows to print")
 		paged     = flag.Bool("paged", false, "spill the database to disk-backed paged storage before running")

@@ -782,6 +782,84 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 	}
 }
 
+// runMonitored executes op with dne/pmax/safe sampled as densely as the
+// engine allows — every call on the row engine, every quiesce point (16-row
+// batches) on the batch engine — and returns the finished monitor.
+func runMonitored(t *testing.T, op exec.Operator, batch bool) (*core.Monitor, []schema.Row) {
+	t.Helper()
+	mon := core.NewMonitor(op, 1, core.Dne{}, core.Pmax{}, core.Safe{})
+	if !batch {
+		rows, err := mon.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon, rows
+	}
+	ctx := exec.NewCtx()
+	ctx.BatchSize = 16
+	rows, err := exec.RunBatchObserved(ctx, op, mon.Observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.Finish(ctx.Calls())
+	return mon, rows
+}
+
+// fuzzLimit puts LIMIT k over every filter and join shape the compiler
+// emits — pushed-down predicates, hash/left/cross joins, a residual filter,
+// semi/anti joins, DISTINCT, and the blocking shapes (GROUP BY, HAVING,
+// ORDER BY) — with k from 0 to past the result size. A LIMIT abandons
+// whatever streams beneath it at a data-dependent point, which is where a
+// static lower bound goes wrong: each query runs monitored at every call on
+// the row engine and at every quiesce point on the batch engine, and both
+// recorded series must pass coretest.Series.Check. The rows returned must be
+// min(k, n) of the unlimited query's n.
+func fuzzLimit(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	db := newFuzzDB(r)
+	p := randPred(r).sql()
+	shapes := []string{
+		"SELECT a, c FROM t1 WHERE " + p,
+		"SELECT a, e FROM t1, t2 WHERE a = d AND " + p,
+		"SELECT a, e FROM t1 LEFT JOIN t2 ON a = d WHERE " + p,
+		"SELECT a, e FROM t1, t2 WHERE " + p,
+		"SELECT a, e FROM t1, t2 WHERE a = d AND b < e AND " + p,
+		"SELECT a, c FROM t1 WHERE " + p + " AND EXISTS (SELECT 1 FROM t2 WHERE t2.d = t1.a)",
+		"SELECT a, c FROM t1 WHERE " + p + " AND NOT EXISTS (SELECT 1 FROM t2 WHERE t2.d = t1.a)",
+		"SELECT DISTINCT b FROM t1 WHERE " + p,
+		"SELECT b, COUNT(*) FROM t1 WHERE " + p + " GROUP BY b",
+		"SELECT b, COUNT(*) FROM t1 WHERE " + p + " GROUP BY b HAVING COUNT(*) > 2",
+		"SELECT a, c FROM t1 WHERE " + p + " ORDER BY c",
+	}
+	for _, shape := range shapes {
+		full := canon(runFuzzSQL(t, db, shape))
+		k := []int{0, 1, 2 + r.Intn(8), len(full) + 1}[r.Intn(4)]
+		sql := fmt.Sprintf("%s LIMIT %d", shape, k)
+		for _, batch := range []bool{false, true} {
+			op, err := CompileSQL(db.cat, sql)
+			if err != nil {
+				t.Fatalf("compile %q: %v", sql, err)
+			}
+			mon, rows := runMonitored(t, op, batch)
+			if want := min(k, len(full)); len(rows) != want {
+				t.Fatalf("%s (batch=%v): %d rows, want %d", sql, batch, len(rows), want)
+			}
+			for _, row := range canon(resultToInts(t, rows)) {
+				if _, ok := slices.BinarySearch(full, row); !ok {
+					t.Fatalf("%s (batch=%v): row %s is not in the unlimited result", sql, batch, row)
+				}
+			}
+			if mon.Total() == 0 {
+				continue // LIMIT 0 over a streaming plan: nothing ran, nothing to bound
+			}
+			label := fmt.Sprintf("%s (batch=%v)", sql, batch)
+			if err := coretest.SeriesOf(label, &mon.SampleSet, op).Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // fuzzFamilies dispatches a fuzz input's kind byte to one query family.
 var fuzzFamilies = []func(*testing.T, int64){
 	fuzzFilterProjection,
@@ -796,9 +874,10 @@ var fuzzFamilies = []func(*testing.T, int64){
 	fuzzOrderInvariance,
 	fuzzParallelJoinAgg,
 	fuzzJoinPrune,
+	fuzzLimit,
 }
 
-// FuzzDifferential is the native-fuzzing entry point over all twelve
+// FuzzDifferential is the native-fuzzing entry point over all thirteen
 // differential families: the fuzzer explores (seed, family) pairs, every
 // one of which must produce results identical to the naive evaluator (and
 // clean progress invariants for the invariant families). The checked-in
@@ -881,5 +960,11 @@ func TestFuzzParallelJoinAgg(t *testing.T) {
 func TestFuzzJoinPrune(t *testing.T) {
 	for seed := int64(1100); seed < 1160; seed++ {
 		fuzzJoinPrune(t, seed)
+	}
+}
+
+func TestFuzzLimit(t *testing.T) {
+	for seed := int64(1200); seed < 1230; seed++ {
+		fuzzLimit(t, seed)
 	}
 }

@@ -1,0 +1,127 @@
+package core_test
+
+import (
+	"testing"
+	"time"
+
+	"sqlprogress/internal/core"
+	"sqlprogress/internal/coretest"
+	"sqlprogress/internal/datagen"
+	"sqlprogress/internal/exec"
+	"sqlprogress/internal/expr"
+	"sqlprogress/internal/index"
+	"sqlprogress/internal/tpch"
+)
+
+// checkSeries holds a concurrently-captured series of a completed run to the
+// one definition of a valid series, coretest.Series.Check: Calls strictly
+// increasing, hard bounds straddling total(Q) at every sample (the soundness
+// claim for sampling against live atomic counters), monotone LB/UB, every
+// estimate within [0, 1], and the series ending with the at-EOF sample.
+func checkSeries(t *testing.T, label string, m *core.AsyncMonitor, root exec.Operator) {
+	t.Helper()
+	if len(m.Samples) == 0 {
+		t.Fatalf("%s: no samples", label)
+	}
+	if err := coretest.SeriesOf(label, &m.SampleSet, root).Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAsyncMonitorSamplesRunningTPCHPlan is the acceptance test for the
+// off-thread sampler: an AsyncMonitor concurrently samples a running TPC-H
+// plan (run under -race in CI). Q21 exercises the worst of the plan zoo —
+// semi/anti joins and rescans — while the sampler races the executor.
+func TestAsyncMonitorSamplesRunningTPCHPlan(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
+	op, err := tpch.BuildQuery(cat, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewAsyncMonitor(op, 50*time.Microsecond, core.Dne{}, core.Pmax{}, core.Safe{})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkSeries(t, "tpch-q21", m, op)
+}
+
+// TestAsyncMonitorCallCountMode exercises the call-count sampling
+// discipline: the sampler polls the atomic global counter and fires on
+// threshold crossings, giving series comparable to the inline Monitor's.
+func TestAsyncMonitorCallCountMode(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
+	op, err := tpch.BuildQuery(cat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewAsyncMonitorCalls(op, 500, core.Dne{}, core.Pmax{}, core.Safe{})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkSeries(t, "tpch-q1-calls", m, op)
+}
+
+// TestAsyncMonitorFinalSampleAlways: with an interval far longer than the
+// query, no periodic tick ever fires — Stop must still record the at-EOF
+// observation so the series ends at progress 1.0 (and Series reads it back).
+func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
+	j := example1INLJoin(50)
+	m := core.NewAsyncMonitor(j, time.Hour, core.Dne{}, core.Safe{})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Samples) != 1 {
+		t.Fatalf("samples = %d, want exactly the final one", len(m.Samples))
+	}
+	checkSeries(t, "final-only", m, j)
+	pts, err := m.Series("safe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pts[len(pts)-1]; got.Actual != 1 || got.Est != 1 {
+		t.Fatalf("final point = %+v, want (1,1)", got)
+	}
+}
+
+// example1INLJoin is the paper's Example 1 plan, R1(a) ⋈INL R2(b) over a hash
+// index on R2.b, with both relations holding 0..n-1: core_test.go's
+// example1Plan rebuilt from exported pieces for this external package.
+func example1INLJoin(n int64) *exec.INLJoin {
+	r1 := datagen.IntRelation("r1", "a", datagen.Sequence(n))
+	r2 := datagen.IntRelation("r2", "b", datagen.Sequence(n))
+	scan := exec.NewScanWithOrder(r1, nil)
+	return exec.NewINLJoin(scan, index.BuildHash("hx", r2, 0), expr.NewCol(scan.Schema(), "r1", "a"), exec.InnerJoin)
+}
+
+// TestAsyncMonitorStopEndsSampler: Stop must join the sampler goroutine, in
+// both sampling modes, whether the plan ran to completion or never started.
+func TestAsyncMonitorStopEndsSampler(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
+	for _, mode := range []struct {
+		name string
+		mk   func(exec.Operator) *core.AsyncMonitor
+	}{
+		{"wall-clock", func(op exec.Operator) *core.AsyncMonitor {
+			return core.NewAsyncMonitor(op, 50*time.Microsecond, core.Safe{})
+		}},
+		{"call-count", func(op exec.Operator) *core.AsyncMonitor {
+			return core.NewAsyncMonitorCalls(op, 500, core.Safe{})
+		}},
+	} {
+		for _, run := range []bool{true, false} {
+			op, err := tpch.BuildQuery(cat, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := mode.mk(op)
+			coretest.CheckNoGoroutineLeak(t, func() {
+				if !run {
+					m.Start(exec.NewCtx())
+					m.Stop()
+				} else if _, err := m.Run(); err != nil {
+					t.Fatalf("%s: %v", mode.name, err)
+				}
+			})
+		}
+	}
+}

@@ -8,111 +8,9 @@ import (
 	"sqlprogress/internal/tpch"
 )
 
-// checkAsyncSamples asserts the invariants every concurrently-captured
-// series must satisfy: Calls strictly increasing, every sample's hard bounds
-// straddle total(Q) (the soundness claim for sampling against live atomic
-// counters), every estimate within [0, 1], LB never decreasing and UB never
-// increasing, and the series ending with the at-EOF sample.
-func checkAsyncSamples(t *testing.T, label string, m *AsyncMonitor) {
-	t.Helper()
-	total := m.Total()
-	if total <= 0 {
-		t.Fatalf("%s: total = %d", label, total)
-	}
-	if len(m.Samples) == 0 {
-		t.Fatalf("%s: no samples", label)
-	}
-	for i, s := range m.Samples {
-		if i > 0 {
-			prev := m.Samples[i-1]
-			if s.Calls <= prev.Calls {
-				t.Fatalf("%s: sample %d calls %d not after %d", label, i, s.Calls, prev.Calls)
-			}
-			if s.LB < prev.LB {
-				t.Fatalf("%s: LB decreased at sample %d (%d -> %d)", label, i, prev.LB, s.LB)
-			}
-			if s.UB > prev.UB {
-				t.Fatalf("%s: UB increased at sample %d (%d -> %d)", label, i, prev.UB, s.UB)
-			}
-		}
-		if s.LB > total || s.UB < total {
-			t.Fatalf("%s: sample %d bounds [%d,%d] miss total %d", label, i, s.LB, s.UB, total)
-		}
-		for j, est := range s.Estimates {
-			if est < 0 || est > 1 {
-				t.Fatalf("%s: sample %d estimator %d = %f out of [0,1]", label, i, j, est)
-			}
-		}
-	}
-	last := m.Samples[len(m.Samples)-1]
-	if last.Calls != total {
-		t.Fatalf("%s: series ends at %d calls, want the at-EOF sample at %d", label, last.Calls, total)
-	}
-	// At EOF Curr = total >= LB, so pmax clamps to exactly 1.0. (safe and
-	// dne may read slightly below 1 when UB has not fully pinned.)
-	for j, est := range last.Estimates {
-		if m.Estimators[j].Name() == "pmax" && est != 1 {
-			t.Fatalf("%s: final pmax = %v, want exactly 1 at EOF", label, est)
-		}
-	}
-}
-
-// TestAsyncMonitorSamplesRunningTPCHPlan is the acceptance test for the
-// off-thread sampler: an AsyncMonitor concurrently samples a running TPC-H
-// plan (run under -race in CI). Q21 exercises the worst of the plan zoo —
-// semi/anti joins and rescans — while the sampler races the executor.
-func TestAsyncMonitorSamplesRunningTPCHPlan(t *testing.T) {
-	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	op, err := tpch.BuildQuery(cat, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewAsyncMonitor(op, 50*time.Microsecond, Dne{}, Pmax{}, Safe{})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	checkAsyncSamples(t, "tpch-q21", m)
-}
-
-// TestAsyncMonitorCallCountMode exercises the call-count sampling
-// discipline: the sampler polls the atomic global counter and fires on
-// threshold crossings, giving series comparable to the inline Monitor's.
-func TestAsyncMonitorCallCountMode(t *testing.T) {
-	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	op, err := tpch.BuildQuery(cat, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewAsyncMonitorCalls(op, 500, Dne{}, Pmax{}, Safe{})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	checkAsyncSamples(t, "tpch-q1-calls", m)
-}
-
-// TestAsyncMonitorFinalSampleAlways: with an interval far longer than the
-// query, no periodic tick ever fires — Stop must still record the at-EOF
-// observation so the series ends at progress 1.0 (and Series reads it back).
-func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
-	r1 := intRel("r1", "a", seq(50))
-	r2 := intRel("r2", "b", seq(50))
-	j, _ := example1Plan(r1, r2, nil, nil, false)
-	m := NewAsyncMonitor(j, time.Hour, Dne{}, Safe{})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Samples) != 1 {
-		t.Fatalf("samples = %d, want exactly the final one", len(m.Samples))
-	}
-	checkAsyncSamples(t, "final-only", m)
-	pts, err := m.Series("safe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pts[len(pts)-1]; got.Actual != 1 || got.Est != 1 {
-		t.Fatalf("final point = %+v, want (1,1)", got)
-	}
-}
+// The tests that judge a whole recorded series live in async_series_test.go
+// (package core_test): they share coretest.Series.Check with every other
+// test path, and coretest imports this package.
 
 // TestAsyncMonitorStopWithoutStart: Stop before Start must be a no-op.
 func TestAsyncMonitorStopWithoutStart(t *testing.T) {

@@ -231,24 +231,3 @@ func ests2(e float64) float64 {
 	}
 	return e
 }
-
-// RegisteredEstimators returns one fresh instance of every estimator the
-// package ships, in a stable order. It is the single source of truth the
-// documentation lint (cmd/doclint) checks ESTIMATORS.md against, and a
-// convenient way to monitor a run with the full suite; stateful estimators
-// are freshly constructed on every call, so the slice is safe to use for
-// one monitored execution.
-func RegisteredEstimators() []Estimator {
-	return []Estimator{
-		Trivial{},
-		Dne{},
-		DneDynamic{},
-		ConstrainedDne{},
-		Pmax{},
-		Safe{},
-		LpSafe{},
-		MuSwitch{},
-		&VarSwitch{},
-		&Combiner{},
-	}
-}

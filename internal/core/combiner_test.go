@@ -176,7 +176,11 @@ func TestCombinerSegmentTagging(t *testing.T) {
 func TestRegisteredEstimatorsUniqueAndFresh(t *testing.T) {
 	a, b := RegisteredEstimators(), RegisteredEstimators()
 	names := map[string]bool{}
-	for _, e := range a {
+	for i, e := range a {
+		// The table's name column is the constructed value's Name.
+		if got := EstimatorNames()[i]; got != e.Name() {
+			t.Fatalf("table entry %d is named %q, constructs %q", i, got, e.Name())
+		}
 		if names[e.Name()] {
 			t.Fatalf("duplicate registered estimator %q", e.Name())
 		}
@@ -192,5 +196,13 @@ func TestRegisteredEstimatorsUniqueAndFresh(t *testing.T) {
 		if _, ok := a[i].(*Combiner); ok && a[i] == b[i] {
 			t.Fatalf("RegisteredEstimators shares stateful combiner across calls")
 		}
+	}
+	// Lookup by name goes through the same table, in the order asked for.
+	picked, err := NewEstimators("combiner", "dne")
+	if err != nil || len(picked) != 2 || picked[0].Name() != "combiner" || picked[1].Name() != "dne" {
+		t.Fatalf("NewEstimators(combiner, dne) = %v, %v", picked, err)
+	}
+	if _, err := NewEstimators("dne", "nope"); err == nil {
+		t.Fatal("NewEstimators accepted an unregistered name")
 	}
 }

@@ -339,6 +339,58 @@ func TestScannedLeafCardinality(t *testing.T) {
 	if got := ScannedLeafCardinality(nl); got != 100 {
 		t.Errorf("NL leaf card = %d, want 100", got)
 	}
+	// Merge join: it stops at the shorter input's EOF, so neither streamed
+	// leaf is promised in full; a leaf drained by a blocking Sort is.
+	mergeOf := func(l, r exec.Operator) *exec.MergeJoin {
+		return exec.NewMergeJoin(l, r,
+			[]expr.Expr{expr.NewCol(l.Schema(), "r1", "a")},
+			[]expr.Expr{expr.NewCol(r.Schema(), "r2", "b")})
+	}
+	if got := ScannedLeafCardinality(mergeOf(exec.NewScan(r1), exec.NewScan(r2))); got != 0 {
+		t.Errorf("merge join leaf card = %d, want 0", got)
+	}
+	sorted := func(rel *schema.Relation, col string) exec.Operator {
+		sc := exec.NewScan(rel)
+		return exec.NewSort(sc, []exec.SortKey{{Expr: expr.NewCol(sc.Schema(), rel.Name, col)}})
+	}
+	if got := ScannedLeafCardinality(mergeOf(sorted(r1, "a"), sorted(r2, "b"))); got != 150 {
+		t.Errorf("merge join over sorts leaf card = %d, want 150", got)
+	}
+	// LIMIT: the Top abandons its streaming chain, so the leaf beneath it
+	// drops out whether the cap reaches it (plain scan) or not (filtered);
+	// a hash join's build side is still drained in full. With no leaf left
+	// mu is total(Q) itself.
+	top := exec.NewTop(exec.NewScan(r1), 5)
+	if got := ScannedLeafCardinality(top); got != 0 {
+		t.Errorf("LIMIT over scan leaf card = %d, want 0", got)
+	}
+	sc := exec.NewScan(r1)
+	filtered := exec.NewTop(exec.NewFilter(sc, expr.Compare(expr.GE, expr.NewCol(sc.Schema(), "r1", "a"), expr.Literal(sqlval.Int(10)))), 5)
+	if got := ScannedLeafCardinality(filtered); got != 0 {
+		t.Errorf("LIMIT over filtered scan leaf card = %d, want 0", got)
+	}
+	b, p = exec.NewScan(r1), exec.NewScan(r2)
+	topJoin := exec.NewTop(exec.NewHashJoin(b, p,
+		[]expr.Expr{expr.NewCol(b.Schema(), "r1", "a")},
+		[]expr.Expr{expr.NewCol(p.Schema(), "r2", "b")}, exec.InnerJoin), 5)
+	if got := ScannedLeafCardinality(topJoin); got != 100 {
+		t.Errorf("LIMIT over hash join leaf card = %d, want 100 (build side only)", got)
+	}
+	for _, c := range []struct {
+		op   exec.Operator
+		want float64
+	}{
+		{top, 10},       // 5 scan + 5 top, no counted leaf
+		{filtered, 25},  // 15 scan + 5 filter + 5 top, no counted leaf
+		{topJoin, 1.15}, // (100 build + 5 probe + 5 join + 5 top) / 100
+	} {
+		if _, err := exec.Run(exec.NewCtx(), c.op); err != nil {
+			t.Fatal(err)
+		}
+		if got := Mu(c.op); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: mu = %v, want %v", c.op.Name(), got, c.want)
+		}
+	}
 }
 
 func TestMuMatchesPaperDefinition(t *testing.T) {

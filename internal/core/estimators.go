@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Estimator maps an execution State to a progress estimate in [0, 1].
 // Estimators may keep internal history across calls within one execution
@@ -11,6 +14,68 @@ type Estimator interface {
 	Name() string
 	// Estimate returns the estimated fraction of total(Q) performed.
 	Estimate(s *State) float64
+}
+
+// estimatorTable is the registry: one (name, constructor) entry per
+// estimator the package ships, in the stable order reports list them. It is
+// the only place a name maps to a constructor — sessions, the public
+// EstimatorKind surface, sqlrun's help text, the evaluation matrix, the
+// benchmark and the documentation lint all go through the three functions
+// below. The name is the constructed value's Name (held by
+// TestRegisteredEstimatorsUniqueAndFresh), so looking one up constructs
+// nothing. Constructors return a fresh value every call: stateful
+// estimators (VarSwitch, Combiner) must never be shared across executions.
+var estimatorTable = []struct {
+	name string
+	mk   func() Estimator
+}{
+	{"trivial", func() Estimator { return Trivial{} }},
+	{"dne", func() Estimator { return Dne{} }},
+	{"dne-dynamic", func() Estimator { return DneDynamic{} }},
+	{"dne-constrained", func() Estimator { return ConstrainedDne{} }},
+	{"pmax", func() Estimator { return Pmax{} }},
+	{"safe", func() Estimator { return Safe{} }},
+	{"lp-safe", func() Estimator { return LpSafe{} }},
+	{"hybrid-mu", func() Estimator { return MuSwitch{} }},
+	{"hybrid-var", func() Estimator { return &VarSwitch{} }},
+	{"combiner", func() Estimator { return &Combiner{} }},
+}
+
+// RegisteredEstimators returns one fresh instance of every registered
+// estimator, in table order — the full suite for one monitored execution,
+// and what cmd/doclint checks ESTIMATORS.md against.
+func RegisteredEstimators() []Estimator {
+	out := make([]Estimator, len(estimatorTable))
+	for i, e := range estimatorTable {
+		out[i] = e.mk()
+	}
+	return out
+}
+
+// EstimatorNames lists the registered names, in table order.
+func EstimatorNames() []string {
+	names := make([]string, len(estimatorTable))
+	for i, e := range estimatorTable {
+		names[i] = e.name
+	}
+	return names
+}
+
+// NewEstimators returns a fresh instance of each named estimator, in the
+// order given; an unregistered name is an error.
+func NewEstimators(names ...string) ([]Estimator, error) {
+	out := make([]Estimator, len(names))
+names:
+	for i, name := range names {
+		for _, e := range estimatorTable {
+			if e.name == name {
+				out[i] = e.mk()
+				continue names
+			}
+		}
+		return nil, fmt.Errorf("unknown estimator %q (registered: %v)", name, EstimatorNames())
+	}
+	return out, nil
 }
 
 // Trivial is the degenerate estimator the paper uses as the baseline of

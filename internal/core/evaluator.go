@@ -5,15 +5,36 @@ import (
 	"sqlprogress/internal/ledger"
 )
 
-// BoundsEvaluator is the incremental form of the bounds pass. The plan's
-// static structure — child lists, rescan and demand-cap topology, bounds
-// rules, the snapshot layout — comes from the PlanShape once at
-// construction; each Compute call then only folds the ledger counters into
-// preallocated buffers. One Compute is an allocation-free sweep of the
-// shape instead of the full walk's per-node map and slice rebuilding, which
-// is what lets a monitor sample frequently (and off-thread) without
-// throttling the executor. No exec.Operator is touched on the sample path:
-// the evaluator reads cached ledger slot pointers and static rule closures.
+// BoundsEvaluator is the bounds pass: the one implementation of the
+// per-node bounds arithmetic (Section 5.1). The plan's static structure —
+// child lists, rescan, demand-cap and early-stop topology, bounds rules, the
+// snapshot layout — comes from the PlanShape once at construction; each
+// Compute call then only folds the ledger counters into preallocated
+// buffers, an allocation-free sweep, which is what lets a monitor sample
+// frequently (and off-thread) without throttling the executor. No
+// exec.Operator is touched on the sample path: the evaluator reads cached
+// ledger slot pointers and static rule closures. One-shot callers
+// (ComputeBounds) build a fresh evaluator and Compute once.
+//
+// Every node's bounds combine its operator's static rule (FinalBounds over
+// the children's delivered-row bounds) with runtime feedback:
+//
+//   - every node has produced Returned rows already, so LB >= Returned;
+//   - a node at EOF (not subject to rescans) is pinned: LB = UB = Returned;
+//   - nodes inside a rescanned nested-loops inner have their per-run bounds
+//     scaled by a bound on the number of rescans (the driving side's UB),
+//     and are never pinned at EOF;
+//   - every node's emission is bounded by its parent's demand where that
+//     demand is itself bounded (Top/Project chains);
+//   - nodes an ancestor may stop pulling early (ShapeNode.earlyStops) keep
+//     no static lower bound: the query may finish with them short of EOF,
+//     so only rows already returned bound them from below.
+//
+// The arithmetic runs twice per node: the classic track, and a tight track
+// that additionally intersects each node's pessimistic degree-norm bound
+// (ShapeNode.PessimisticUB) and propagates the tightened child bounds
+// upward. The tight track's result is the per-node UBTight; with no
+// pessimistic bounds in the plan both tracks are identical.
 //
 // Compute reads runtime counters through ledger.View.Snapshot, so it is
 // safe to call from a goroutine other than the ones executing the plan; the
@@ -28,8 +49,7 @@ type BoundsEvaluator struct {
 	idx  []int // NodeID -> position in snap.Nodes
 }
 
-// evalNode caches the per-node static structure the full walk re-derives
-// every pass.
+// evalNode caches one node's static structure.
 type evalNode struct {
 	view      ledger.View
 	rule      FinalBounder
@@ -67,7 +87,6 @@ func NewBoundsEvaluatorOpt(root exec.Operator, opts BoundsOptions) *BoundsEvalua
 func NewShapeEvaluator(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions) *BoundsEvaluator {
 	ev := &BoundsEvaluator{opts: opts, idx: make([]int, shape.Len())}
 	ev.root = ev.build(shape, led, shape.Root().ID, -1, false)
-	ev.snap.opts = opts
 	ev.snap.Nodes = make([]NodeBounds, ev.n)
 	var index func(n *evalNode)
 	index = func(n *evalNode) {
@@ -81,10 +100,11 @@ func NewShapeEvaluator(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions)
 	return ev
 }
 
-// build mirrors walkBounds' traversal once, assigning each node its slot in
-// the snapshot in the exact emission order of the full walk (non-rescanned
-// subtrees, then rescanned subtrees, then the node itself), so snapshots
-// from both implementations are comparable element-wise.
+// build derives the cached structure, assigning each node its slot in the
+// snapshot in evaluation order (non-rescanned subtrees, then rescanned
+// subtrees, then the node itself). demandCap bounds how many rows ancestors
+// will ever pull from this node (-1 = unbounded); mayStop marks nodes an
+// ancestor may abandon before EOF, voiding their static lower bounds.
 func (ev *BoundsEvaluator) build(shape *PlanShape, led *ledger.Ledger, id ledger.NodeID, demandCap int64, mayStop bool) *evalNode {
 	sn := shape.Node(id)
 	n := &evalNode{
@@ -103,7 +123,7 @@ func (ev *BoundsEvaluator) build(shape *PlanShape, led *ledger.Ledger, id ledger
 		id:          id,
 	}
 	caps := sn.demandCaps(demandCap, ev.opts, make([]int64, len(sn.Children)))
-	stops := sn.earlyStops(mayStop, make([]bool, len(sn.Children)))
+	stops := sn.earlyStops(mayStop, demandCap, caps, make([]bool, len(sn.Children)))
 	for i, c := range sn.Children {
 		if !sn.Rescanned[i] {
 			n.children[i] = ev.build(shape, led, c, caps[i], stops[i])
@@ -134,21 +154,21 @@ func (ev *BoundsEvaluator) IndexOf(op exec.Operator) int {
 	return ev.IndexOfID(op.LedgerID())
 }
 
-// Compute performs one incremental bounds pass, equivalent to
-// ComputeShapeBounds over the same shape and ledger at the same instant.
-// The returned snapshot is owned by the evaluator and overwritten by the
-// next Compute call.
+// Compute performs one bounds pass over the ledger's current counters. The
+// returned snapshot is owned by the evaluator and overwritten by the next
+// Compute call.
 func (ev *BoundsEvaluator) Compute() *BoundsSnapshot {
 	ev.snap.LB, ev.snap.UB, ev.snap.UBTight = 0, 0, 0
 	ev.eval(ev.root, 1, 1)
 	return &ev.snap
 }
 
-// eval is walkBounds over the cached structure: same arithmetic, no
-// allocations, with the plan-total LB/UB/UBTight accumulated in-line (the
-// totals fold node bounds in post-order instead of a second sweep over the
-// snapshot). mult bounds how many times this subtree may be re-opened;
-// multT is the tight track's rescan multiplier.
+// eval returns per-run bounds on a node's *delivered* rows (what the
+// parent's bounds rule expects) while recording bounds on its GetNext count
+// in the snapshot and folding them into the plan totals. The two differ only
+// for scans with embedded predicates. mult bounds how many times this
+// subtree may be re-opened (1 outside nested loops); multT is the tight
+// track's rescan multiplier (tight drive bounds can be smaller).
 func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT exec.CardBounds) {
 	if !n.hasRescan {
 		for i, c := range n.children {
@@ -176,6 +196,10 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 	rule := n.rule.FinalBounds(n.childBounds)
 	ruleT := n.rule.FinalBounds(n.childTight)
 	if n.pessUB >= 0 {
+		// The pessimistic bound caps delivered rows; for the operators that
+		// carry one, counted calls equal delivered rows, so it caps both
+		// (capping the static LB too: two sound intervals cannot truly be
+		// disjoint, so the cap only bites where the LB was not).
 		ruleT = capBounds(ruleT, n.pessUB)
 	}
 	deliveredRule, deliveredRuleT := rule, ruleT
@@ -187,20 +211,17 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 		sameEmissionT = deliveredRuleT == ruleT
 	}
 	if n.mayStop {
+		// An ancestor may stop pulling before this node reaches EOF: the
+		// static rules' lower bounds assume a full drain and are unsound
+		// here. refineWithRuntime restores LB = rows already returned.
 		rule.LB, deliveredRule.LB = 0, 0
 		ruleT.LB, deliveredRuleT.LB = 0, 0
 	}
 	if n.demandCap >= 0 && mult == 1 {
-		deliveredRule = capBounds(deliveredRule, n.demandCap)
-		if sameEmission {
-			rule = capBounds(rule, n.demandCap)
-		}
+		deliveredRule, rule = capToDemand(deliveredRule, rule, sameEmission, n.demandCap)
 	}
 	if n.demandCap >= 0 && multT == 1 {
-		deliveredRuleT = capBounds(deliveredRuleT, n.demandCap)
-		if sameEmissionT {
-			ruleT = capBounds(ruleT, n.demandCap)
-		}
+		deliveredRuleT, ruleT = capToDemand(deliveredRuleT, ruleT, sameEmissionT, n.demandCap)
 	}
 	rt := n.view.Snapshot()
 
@@ -210,6 +231,8 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 		total = refineWithRuntime(rule, rt.Returned, pinned)
 		perRun = refineWithRuntime(deliveredRule, rt.Delivered, pinned)
 	} else {
+		// Under a rescanned subtree: per-run bounds stay static, totals
+		// accumulate across runs.
 		perRun = deliveredRule
 		total = exec.CardBounds{LB: rt.Returned, UB: exec.SatMul(rule.UB, mult)}
 		if total.UB < total.LB {
@@ -227,6 +250,8 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 			totalT.UB = totalT.LB
 		}
 	}
+	// The tight track never reports looser than the classic one (defensive
+	// against non-monotone bounds rules).
 	if totalT.UB > total.UB {
 		totalT.UB = total.UB
 	}
@@ -239,4 +264,48 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 	ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
 	ev.snap.UBTight = exec.SatAdd(ev.snap.UBTight, totalT.UB)
 	return perRun, perRunT
+}
+
+// capToDemand applies a demand cap: the parent will never pull more than
+// cap rows, and the truncating chain above stops early only at child EOF,
+// so the node delivers exactly min(natural, cap) rows — the cap applies to
+// the delivered lower bound too. Where counting equals delivery the same
+// holds for the GetNext count; where it does not (a scan with an embedded
+// predicate) the cap says nothing about how many rows are scanned to find
+// those deliveries, so the count keeps its static UB and only
+// rows-already-returned as its LB.
+func capToDemand(delivered, rule exec.CardBounds, sameEmission bool, cap int64) (exec.CardBounds, exec.CardBounds) {
+	delivered = capBounds(delivered, cap)
+	if sameEmission {
+		rule = capBounds(rule, cap)
+	} else {
+		rule.LB = 0
+	}
+	return delivered, rule
+}
+
+// capBounds clamps both ends of b at cap.
+func capBounds(b exec.CardBounds, cap int64) exec.CardBounds {
+	if b.LB > cap {
+		b.LB = cap
+	}
+	if b.UB > cap {
+		b.UB = cap
+	}
+	return b
+}
+
+// refineWithRuntime tightens static bounds with execution feedback: at
+// least the observed count; exactly the observed count at EOF.
+func refineWithRuntime(b exec.CardBounds, observed int64, pinned bool) exec.CardBounds {
+	if observed > b.LB {
+		b.LB = observed
+	}
+	if pinned {
+		b.LB, b.UB = observed, observed
+	}
+	if b.UB < b.LB {
+		b.UB = b.LB
+	}
+	return b
 }

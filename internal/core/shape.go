@@ -50,7 +50,7 @@ type ShapeNode struct {
 
 	// PessimisticUB is the node's statistics-derived pessimistic bound on
 	// delivered rows (exec.PessimisticBounder), folded into the tight upper
-	// bound UBTight by the bounds passes; -1 when the operator carries none.
+	// bound UBTight by the bounds pass; -1 when the operator carries none.
 	PessimisticUB int64
 
 	// Rule bounds the node's final GetNext-call count given bounds on its
@@ -98,19 +98,35 @@ func (n *ShapeNode) demandCaps(selfCap int64, opts BoundsOptions, caps []int64) 
 }
 
 // earlyStops fills stops (length len(n.Children)) with the per-child
-// may-stop flags: a child is at risk of being abandoned before EOF when
-// this node declares it, or when this node itself may stop early and pulls
-// the child on demand.
-func (n *ShapeNode) earlyStops(selfMayStop bool, stops []bool) []bool {
+// may-stop flags: whether the child may be abandoned before EOF at a point
+// no demand cap describes, which voids its static lower bound. Three
+// sources: this node declares it (exec.EarlyStopper); this node may itself
+// be stopped so and pulls the child on demand; or — the LIMIT rule — a Top
+// may abandon its input before EOF, so every node in the streaming chain
+// beneath it keeps only rows-already-returned as its LB, except where the
+// demand cap (caps, as filled by demandCaps) pins a same-emission node's
+// count to min(static, cap): a Top, or a node a Top's cap reaches, stops
+// pulling at the cap, and that is a stop at an unknown point for each
+// on-demand child the cap is not passed on to.
+func (n *ShapeNode) earlyStops(selfMayStop bool, selfCap int64, caps []int64, stops []bool) []bool {
 	for i := range stops {
 		stops[i] = false
 	}
 	for _, i := range n.EarlyStops {
 		stops[i] = true
 	}
-	if selfMayStop {
-		for _, i := range n.Stream {
+	stopsAtCap := n.demand == demandTop || selfCap >= 0
+	onDemand := func(i int) {
+		if selfMayStop || (stopsAtCap && caps[i] < 0) {
 			stops[i] = true
+		}
+	}
+	for _, i := range n.Stream {
+		onDemand(i)
+	}
+	for i, rescanned := range n.Rescanned {
+		if rescanned {
+			onDemand(i)
 		}
 	}
 	return stops
@@ -118,7 +134,7 @@ func (n *ShapeNode) earlyStops(selfMayStop bool, stops []bool) []bool {
 
 // PlanShape is the compile-time skeleton of a plan: one ShapeNode per plan
 // node, indexed by NodeID. Together with the plan's ledger it is everything
-// the bounds passes, pipeline decomposition, and estimators consume — the
+// the bounds pass, pipeline decomposition, and estimators consume — the
 // operator tree never appears on the sample path.
 type PlanShape struct {
 	Nodes []ShapeNode

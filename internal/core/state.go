@@ -239,17 +239,18 @@ func (t *Tracker) Capture() *State {
 	return s
 }
 
-// estimateNodeTotal estimates a node's final GetNext count: exact when the
-// node finished or its bounds pin it, otherwise the plan-time estimate
-// clamped into the current hard bounds (falling back to the bounds midpoint
-// or lower bound).
+// estimateNodeTotal estimates a node's final GetNext count: exact — zero
+// included, for a node that never runs — when the node finished or its
+// bounds pin it, otherwise the plan-time estimate clamped into the current
+// hard bounds (falling back to the bounds midpoint or lower bound), at
+// least 1.
 func estimateNodeTotal(est int64, rt exec.StatsSnapshot, b exec.CardBounds) float64 {
 	var total float64
 	switch {
 	case rt.Done && rt.Rescans == 0:
-		total = float64(rt.Returned)
+		return float64(rt.Returned)
 	case b.LB == b.UB:
-		total = float64(b.LB)
+		return float64(b.LB)
 	default:
 		switch {
 		case est >= 0:

@@ -53,8 +53,9 @@ func corpusCatalog() *catalog.Catalog {
 // the operator shapes whose bounds derivations differ — index nested
 // loops, hash join + aggregation, embedded-predicate scans under sort/top,
 // rescan-heavy nested loops (whose bounds legitimately never pin), merge
-// join, scalar aggregation, and a hash join emitting a subset of its
-// columns. CheckProgressInvariants holds on every
+// join, scalar aggregation, a hash join emitting a subset of its columns,
+// and LIMIT abandoning a filtered scan directly and through a join.
+// CheckProgressInvariants holds on every
 // entry; the chaos harness replays them under fault schedules.
 func Corpus() []CorpusEntry {
 	lt := func(col string, v int64) plan.PredFn {
@@ -93,6 +94,19 @@ func Corpus() []CorpusEntry {
 			// A width-pruned join: only r2.b leaves it, NULL on a miss.
 			b := plan.NewBuilder(corpusCatalog())
 			return b.Scan("r1").HashJoin(b.Scan("r2"), "a", "b", exec.LeftOuterJoin, plan.Columns{"b": true}).Op
+		}},
+		{Label: "limit-filtered-scan", Build: func() exec.Operator {
+			// LIMIT over a pushed-down predicate: the scan is abandoned after
+			// an unknown number of calls, so its static LB must not stand.
+			b := plan.NewBuilder(corpusCatalog())
+			return b.ScanFiltered("r2", 0.5, lt("b", 3)).Top(5).Op
+		}},
+		{Label: "limit-filtered-join", Build: func() exec.Operator {
+			// The same through a join: the Top's cap stops at the join, the
+			// abandoned probe scan is one level further down.
+			b := plan.NewBuilder(corpusCatalog())
+			return b.ScanFiltered("r2", 0.5, lt("b", 3)).
+				HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Top(5).Op
 		}},
 		{Label: "parallel-scan-agg", Parallel: true, Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())

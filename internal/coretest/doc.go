@@ -9,8 +9,8 @@
 //   - progress <= pmax (Property 4) and pmax's ratio error <= mu (Thm 5);
 //   - safe's ratio error <= sqrt(UB/LB) at each instant (Definition 5);
 //   - every estimate within [0, 1];
-//   - the incremental BoundsEvaluator agrees exactly with the full-walk
-//     bounds computation at every sample point.
+//   - a BoundsEvaluator reused across the run agrees exactly with a freshly
+//     built one at every sample point.
 //
 // The package also carries the engine-equivalence corpus: the same logical
 // plan run by the row engine, the batch engine, in parallel, and over paged

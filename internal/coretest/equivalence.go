@@ -7,12 +7,13 @@ import (
 	"sqlprogress/internal/exec"
 )
 
-// equivChecker compares the incremental BoundsEvaluator against the
-// full-walk ComputeBoundsOpt on one plan, for both the default options and
-// the demand-cap-disabled variant. The two implementations must agree
-// exactly — same LB/UB and the same per-node bounds in the same emission
-// order — at every instant, since the evaluator is advertised as a drop-in
-// replacement for the walk.
+// equivChecker compares a long-lived BoundsEvaluator — built once before
+// the run, its buffers reused by every Compute — against a freshly built one
+// (core.ComputeBoundsOpt) on one plan, for both the default options and the
+// demand-cap-disabled variant. The two must agree exactly — same totals and
+// the same per-node bounds in the same order — at every instant: anything
+// else means a Compute leaked state into the next, which is the one risk
+// the evaluator's buffer reuse introduces.
 type equivChecker struct {
 	op       exec.Operator
 	variants []equivVariant
@@ -44,30 +45,26 @@ func (c *equivChecker) check(t testing.TB, label string, calls int64) {
 	for _, v := range c.variants {
 		got := v.ev.Compute()
 		want := core.ComputeBoundsOpt(c.op, v.opts)
-		if got.LB != want.LB || got.UB != want.UB {
-			t.Fatalf("%s: [%s] at call %d evaluator bounds [%d,%d] != full walk [%d,%d]",
-				label, v.name, calls, got.LB, got.UB, want.LB, want.UB)
+		if got.LB != want.LB || got.UB != want.UB || got.UBTight != want.UBTight {
+			t.Fatalf("%s: [%s] at call %d reused evaluator bounds [%d,%d,%d] != fresh [%d,%d,%d]",
+				label, v.name, calls, got.LB, got.UB, got.UBTight, want.LB, want.UB, want.UBTight)
 		}
 		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("%s: [%s] at call %d evaluator has %d nodes, full walk %d",
+			t.Fatalf("%s: [%s] at call %d reused evaluator has %d nodes, fresh %d",
 				label, v.name, calls, len(got.Nodes), len(want.Nodes))
 		}
 		for j := range want.Nodes {
-			if got.Nodes[j].ID != want.Nodes[j].ID {
-				t.Fatalf("%s: [%s] at call %d node %d id mismatch (emission order diverged)",
-					label, v.name, calls, j)
-			}
-			if got.Nodes[j].Bounds != want.Nodes[j].Bounds {
-				t.Fatalf("%s: [%s] at call %d node %d (id %d) evaluator bounds %+v != full walk %+v",
-					label, v.name, calls, j, want.Nodes[j].ID, got.Nodes[j].Bounds, want.Nodes[j].Bounds)
+			if got.Nodes[j] != want.Nodes[j] {
+				t.Fatalf("%s: [%s] at call %d node %d reused evaluator %+v != fresh %+v",
+					label, v.name, calls, j, got.Nodes[j], want.Nodes[j])
 			}
 		}
 	}
 }
 
 // CheckBoundsEquivalence executes op and asserts, every `every` GetNext
-// calls and once more at EOF, that the incremental BoundsEvaluator and the
-// full-walk ComputeBoundsOpt produce identical BoundsSnapshots (for both
+// calls and once more at EOF, that a BoundsEvaluator reused across the run
+// and a freshly built one produce identical BoundsSnapshots (for both
 // default and demand-cap-disabled options). CheckProgressInvariants performs
 // the same comparison at its sample points; this entry point is for plans
 // that only need the equivalence statement.

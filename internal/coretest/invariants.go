@@ -17,9 +17,9 @@ import (
 //   - progress <= pmax (Property 4) and pmax's ratio error <= mu (Thm 5),
 //   - safe's ratio error <= sqrt(UB/LB) at each instant (Definition 5),
 //   - every estimate within [0, 1],
-//   - the incremental BoundsEvaluator agrees exactly with the full-walk
-//     ComputeBoundsOpt at every sample point (and at EOF), for both the
-//     default and demand-cap-disabled options.
+//   - a BoundsEvaluator reused across the run agrees exactly with a freshly
+//     built one at every sample point (and at EOF), for both the default
+//     and demand-cap-disabled options.
 //
 // It returns total(Q) so callers can chain further assertions.
 func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every int64) int64 {
@@ -31,9 +31,9 @@ func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every
 // Exchange: GetNext calls fire concurrently from worker goroutines, so
 // sampling is serialized behind a mutex and each sample anchors to the
 // ledger total its own capture read (the paper's Curr) rather than the
-// triggering worker's call count. The evaluator-vs-full-walk equivalence is
-// asserted only at quiescence — mid-run the two passes read live counters at
-// different instants, so element-wise equality is not defined for them.
+// triggering worker's call count. The reused-vs-fresh evaluator equivalence
+// is asserted only at quiescence — mid-run the two passes read live counters
+// at different instants, so element-wise equality is not defined for them.
 // Every per-instant guarantee (hard bounds, monotonicity, pmax, safe) is
 // still asserted at every sample.
 func CheckParallelInvariants(t testing.TB, label string, op exec.Operator, every int64) int64 {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sqlprogress/internal/core"
+	"sqlprogress/internal/exec"
 )
 
 // Series is a recorded progress series plus the run facts needed to judge
@@ -29,6 +30,16 @@ type Series struct {
 	Mu float64
 }
 
+// SeriesOf wraps the samples a monitor recorded over a run of root that
+// reached EOF (ss.Total is total(Q)), ready for Check.
+func SeriesOf(label string, ss *core.SampleSet, root exec.Operator) *Series {
+	names := make([]string, len(ss.Estimators))
+	for i, e := range ss.Estimators {
+		names[i] = e.Name()
+	}
+	return &Series{Label: label, Names: names, Samples: ss.Samples, Completed: true, Total: ss.Total(), Mu: core.Mu(root)}
+}
+
 // estIndex returns the sample index of the named estimator, or -1.
 func (s *Series) estIndex(name string) int {
 	for i, n := range s.Names {
@@ -43,8 +54,9 @@ func (s *Series) estIndex(name string) int {
 // returns the first violation:
 //
 //   - structural, at every sample (even of killed runs): 1 <= LB <= UB,
-//     Calls <= UB, Calls/LB non-decreasing, UB non-increasing, every
-//     estimate within [0, 1];
+//     Calls <= UB, Calls strictly increasing (every sampler drops an
+//     instant it has already recorded), LB non-decreasing, UB
+//     non-increasing, every estimate within [0, 1];
 //   - for aborted runs: UB >= Total at every sample (the abort-time call
 //     count lower-bounds the run's true total, which UB must dominate);
 //   - when Completed, at every sample: LB <= Total <= UB (hard bounds),
@@ -72,8 +84,8 @@ func (s *Series) Check() error {
 		}
 		if i > 0 {
 			prev := s.Samples[i-1]
-			if sm.Calls < prev.Calls {
-				return fail(i, "Calls decreased %d -> %d", prev.Calls, sm.Calls)
+			if sm.Calls <= prev.Calls {
+				return fail(i, "Calls %d not after %d", sm.Calls, prev.Calls)
 			}
 			if sm.LB < prev.LB {
 				return fail(i, "LB decreased %d -> %d", prev.LB, sm.LB)

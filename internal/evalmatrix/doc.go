@@ -25,11 +25,11 @@
 //
 // # Invariants the matrix itself asserts
 //
-//   - Determinism: all generation and mutation is seeded, the parallel
-//     families use the lockstep operator variants, and batch cells sample
-//     at quiesce points. Two back-to-back runs produce byte-identical
-//     artifacts (TestMatrixDeterministic, and CI proves it on its own
-//     machine before gating).
+//   - Determinism: all generation and mutation is seeded, every plan runs
+//     under exec.Lockstep (parallel workers scheduled round-robin on the
+//     reader), and batch cells sample at quiesce points. Two back-to-back
+//     runs produce byte-identical artifacts (TestMatrixDeterministic, and
+//     CI proves it on its own machine before gating).
 //   - Soundness: zero violations of LB <= total <= UBTight <= UB and zero
 //     bound regressions (LB falling, UB or UBTight rising) in any cell.
 //   - Ordering: safe <= dne and combiner <= min(dne, safe) by max ratio

@@ -216,6 +216,9 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 	if err != nil {
 		return nil, err
 	}
+	// Parallel operators run their workers in lockstep: the interleaving,
+	// and so every sampled instant, must be the same run after run.
+	exec.Lockstep(dry)
 	dctx := exec.NewCtx()
 	if _, err := exec.Run(dctx, dry); err != nil {
 		return nil, err
@@ -230,6 +233,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 	if err != nil {
 		return nil, err
 	}
+	exec.Lockstep(root)
 	ests := estimators(opts)
 	m := core.NewMonitor(root, every, ests...)
 	switch engine {

@@ -109,16 +109,16 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
 			familySpec{"parallel", func() (exec.Operator, error) {
-				return lockstepScan(cat, "lineitem", matrixWorkers), nil
+				return plan.NewBuilder(cat).ParallelScan("lineitem", matrixWorkers).Op, nil
 			}},
 			familySpec{"pjoin", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelHashJoinLockstep("lineitem", matrixWorkers,
+				return b.ParallelHashJoin("lineitem", matrixWorkers,
 					b.Scan("supplier"), "l_suppkey", "s_suppkey", exec.InnerJoin).Op, nil
 			}},
 			familySpec{"pagg", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelAggLockstep("lineitem", matrixWorkers, 0, []string{"l_suppkey"},
+				return b.ParallelAgg("lineitem", matrixWorkers, 0, []string{"l_suppkey"},
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
 		)
@@ -152,16 +152,16 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
 			familySpec{"parallel", func() (exec.Operator, error) {
-				return lockstepScan(cat, "photoobj", matrixWorkers), nil
+				return plan.NewBuilder(cat).ParallelScan("photoobj", matrixWorkers).Op, nil
 			}},
 			familySpec{"pjoin", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelHashJoinLockstep("photoobj", matrixWorkers,
+				return b.ParallelHashJoin("photoobj", matrixWorkers,
 					b.Scan("field"), "fieldid", "fieldid", exec.InnerJoin).Op, nil
 			}},
 			familySpec{"pagg", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelAggLockstep("photoobj", matrixWorkers, 4, []string{"type"},
+				return b.ParallelAgg("photoobj", matrixWorkers, 4, []string{"type"},
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
 		)
@@ -202,16 +202,16 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
 			familySpec{"parallel", func() (exec.Operator, error) {
-				return lockstepScan(cat, "r2", matrixWorkers), nil
+				return plan.NewBuilder(cat).ParallelScan("r2", matrixWorkers).Op, nil
 			}},
 			familySpec{"pjoin", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelHashJoinLockstep("r2", matrixWorkers,
+				return b.ParallelHashJoin("r2", matrixWorkers,
 					b.Scan("r1"), "b", "a", exec.InnerJoin).Op, nil
 			}},
 			familySpec{"pagg", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelAggLockstep("r2", matrixWorkers, float64(opts.AdvKeys), []string{"b"},
+				return b.ParallelAgg("r2", matrixWorkers, float64(opts.AdvKeys), []string{"b"},
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
 		)
@@ -313,14 +313,6 @@ func skewLastOrder(cat *catalog.Catalog, driver, driverKey, fact, factKey string
 		return fan[drel.Rows[order[a]][dk].AsInt()] < fan[drel.Rows[order[b]][dk].AsInt()]
 	})
 	return order
-}
-
-// lockstepScan is the parallel scan family's plan: the morsel-driven
-// ParallelScan in its lockstep (reader-driven) variant. Same rows, bounds
-// and ledger counts as plan.Builder.ParallelScan — but reproducible sample
-// instants, which the byte-identical-artifact requirement demands.
-func lockstepScan(cat *catalog.Catalog, table string, workers int) exec.Operator {
-	return plan.NewBuilder(cat).ParallelScanLockstep(table, workers).Op
 }
 
 // pagedFamily writes rel to a temp heap file and returns a build function

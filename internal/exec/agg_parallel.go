@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/schema"
@@ -27,22 +26,19 @@ import (
 // The merge is exact for every supported aggregate (COUNT/SUM/AVG/MIN/MAX);
 // SUM/AVG stay in int64 arithmetic while every partial did. Merging in
 // worker-index order makes float accumulation deterministic for a fixed
-// partitioning; the lockstep variant additionally folds the partitions
-// round-robin on the reader's goroutine for byte-deterministic runs.
+// partitioning, whichever schedule folded it.
 type ParallelHashAgg struct {
 	base
 	parts      []Operator
 	GroupBy    []expr.Expr
 	Aggs       []expr.Agg
 	groupNames []string
-	lockstep   bool
 
-	tables   []map[uint64][]*aggGroup // per-worker fold tables
-	out      []*aggGroup
-	pos      int
-	arena    rowArena // chunked backing storage for emitted group rows
-	errMu    sync.Mutex
-	firstErr error
+	g      gather                   // fold workers: they ship nothing to the reader
+	tables []map[uint64][]*aggGroup // per-worker fold tables
+	out    []*aggGroup
+	pos    int
+	arena  rowArena // chunked backing storage for emitted group rows
 }
 
 // NewParallelHashAgg builds a parallel hash aggregation over same-schema
@@ -67,117 +63,49 @@ func NewParallelHashAgg(parts []Operator, groupBy []expr.Expr, groupNames []stri
 	return a
 }
 
-// NewParallelHashAggLockstep is NewParallelHashAgg with deterministic
-// reader-driven folding.
-func NewParallelHashAggLockstep(parts []Operator, groupBy []expr.Expr, groupNames []string, groupTypes []sqlval.Kind, aggs []expr.Agg) *ParallelHashAgg {
-	a := NewParallelHashAgg(parts, groupBy, groupNames, groupTypes, aggs)
-	a.lockstep = true
-	return a
-}
+func (a *ParallelHashAgg) transport() *gather { return &a.g }
 
-// fail records a worker's error; first non-cancellation error wins.
-func (a *ParallelHashAgg) fail(err error) {
-	a.errMu.Lock()
-	if a.firstErr == nil || (a.firstErr == ErrCanceled && err != ErrCanceled) {
-		a.firstErr = err
-	}
-	a.errMu.Unlock()
-}
-
-// Open implements Operator: folds all partitions (concurrently or in
-// lockstep), merges the partial tables, and sorts the merged groups.
+// Open implements Operator: folds all partitions, merges the partial tables,
+// and sorts the merged groups.
 func (a *ParallelHashAgg) Open(ctx *Ctx) error {
 	a.reopen()
 	a.out, a.pos = nil, 0
 	a.tables = make([]map[uint64][]*aggGroup, len(a.parts))
-	if a.lockstep {
-		if err := a.foldLockstep(ctx); err != nil {
-			return err
-		}
-	} else {
-		a.firstErr = nil
-		var wg sync.WaitGroup
-		for w := range a.parts {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := a.foldWorker(ctx, w); err != nil {
-					a.fail(err)
-				}
-			}(w)
-		}
-		wg.Wait()
-		a.errMu.Lock()
-		err := a.firstErr
-		a.errMu.Unlock()
-		if err != nil {
-			return err
-		}
+	if err := a.g.start(len(a.parts), func(w int) (workerStep, error) { return a.foldStep(ctx, w) }); err != nil {
+		return err
+	}
+	// The fold steps emit no rows, so the first receive is the end of the
+	// stream: every worker has finished (or one failed).
+	_, err := a.g.recv()
+	a.g.stop()
+	if err != nil {
+		return err
 	}
 	a.merge()
 	return nil
 }
 
-// foldWorker opens and drains partition w into its private group table.
-// Only index w of a.tables is touched, so workers share nothing.
-func (a *ParallelHashAgg) foldWorker(ctx *Ctx, w int) error {
+// foldStep opens partition w and returns the step that folds its next chunk
+// into the worker's private group table. Only index w of a.tables is
+// touched, so workers share nothing.
+func (a *ParallelHashAgg) foldStep(ctx *Ctx, w int) (workerStep, error) {
 	part := a.parts[w]
 	if err := part.Open(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	table := make(map[uint64][]*aggGroup)
+	a.tables[w] = table
 	key := make([]sqlval.Value, len(a.GroupBy))
 	var in Batch
-	for {
-		if err := nextBatch(ctx, part, &in); err != nil {
-			return err
-		}
-		if in.Len() == 0 {
-			break
+	return func(*Batch) (turn, error) {
+		if err := nextBatch(ctx, part, &in); err != nil || in.Len() == 0 {
+			return turnLast, err
 		}
 		for _, row := range in.Rows {
 			foldInto(table, key, a.GroupBy, a.Aggs, row)
 		}
-	}
-	a.tables[w] = table
-	return nil
-}
-
-// foldLockstep drains the partitions round-robin on the caller's goroutine,
-// one chunk at a time, into the same per-partition tables a concurrent fold
-// fills.
-func (a *ParallelHashAgg) foldLockstep(ctx *Ctx) error {
-	for w := range a.tables {
-		a.tables[w] = make(map[uint64][]*aggGroup)
-	}
-	for _, p := range a.parts {
-		if err := p.Open(ctx); err != nil {
-			return err
-		}
-	}
-	done := make([]bool, len(a.parts))
-	remaining := len(a.parts)
-	key := make([]sqlval.Value, len(a.GroupBy))
-	var in Batch
-	for remaining > 0 {
-		for w := range a.parts {
-			if done[w] {
-				continue
-			}
-			if err := nextBatch(ctx, a.parts[w], &in); err != nil {
-				return err
-			}
-			if in.Len() == 0 {
-				done[w] = true
-				remaining--
-				continue
-			}
-			for _, row := range in.Rows {
-				foldInto(a.tables[w], key, a.GroupBy, a.Aggs, row)
-			}
-		}
-	}
-	return nil
+		return turnOver, nil
+	}, nil
 }
 
 // merge combines the per-worker tables into worker 0's (adopting its groups
@@ -262,14 +190,9 @@ func (a *ParallelHashAgg) NextBatch(ctx *Ctx, b *Batch) error {
 
 // Close implements Operator.
 func (a *ParallelHashAgg) Close() error {
+	a.g.stop()
 	a.tables, a.out = nil, nil
-	var first error
-	for _, p := range a.parts {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeAll(a.parts...)
 }
 
 // Children implements Operator.

@@ -2,51 +2,28 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"sqlprogress/internal/schema"
 )
 
-// Workers hand the reader whole Batches over a channel, recycling spent
-// batches through a free list: steady-state transport does zero allocation
-// and zero row copying (the reader swaps slice backings instead of copying
-// windows). Batch size follows Ctx.BatchSize, amortizing channel
-// synchronization without letting per-partition progress lag far behind the
-// counters.
-
-// Exchange runs N same-schema children on N worker goroutines and merges
-// their output into one stream — the classic exchange (gather) operator
-// that unlocks intra-query parallelism under the iterator model. It is the
-// proof of the progress ledger's decoupling: each worker writes only its
-// own subtree's ledger slots (the single-writer-per-slot discipline the
-// snapshot protocol relies on), the reader writes only the exchange's own
-// slot, and samplers on other goroutines read the flat ledger without
-// caring which goroutine produced which counter.
+// Exchange runs N same-schema children on N workers and merges their output
+// into one stream — the classic exchange (gather) operator that unlocks
+// intra-query parallelism under the iterator model. It is the proof of the
+// progress ledger's decoupling: each worker writes only its own subtree's
+// ledger slots (the single-writer-per-slot discipline the snapshot protocol
+// relies on), the reader writes only the exchange's own slot, and samplers
+// on other goroutines read the flat ledger without caring which goroutine
+// produced which counter. Batches travel over the shared gather transport;
+// their size follows Ctx.BatchSize, amortizing channel synchronization
+// without letting per-partition progress lag far behind the counters.
 //
-// Row order across partitions is nondeterministic; everything else about
-// the run — the rows produced, every node's final counts — is not.
+// Row order across partitions is nondeterministic (unless the plan runs in
+// lockstep); everything else about the run — the rows produced, every node's
+// final counts — is not.
 type Exchange struct {
 	base
 	parts []Operator
-
-	ch       chan *Batch
-	free     chan *Batch
-	quit     chan struct{}
-	wg       *sync.WaitGroup
-	errMu    sync.Mutex
-	firstErr error
-	buf      *Batch
-	pos      int
-
-	// Lockstep mode: no worker goroutines. The reader drains the partitions
-	// itself, one batch at a time, round-robin over the unfinished ones. Same
-	// rows, same counts, same ledger slots — but a fixed interleaving, so a
-	// sampler observes identical instants run after run. The evaluation
-	// matrix uses it to keep parallel-plan cells byte-deterministic.
-	lockstep bool
-	lsDone   []bool
-	lsIdx    int
-	lsBuf    Batch
+	g     gather
 }
 
 // NewExchange builds an exchange over the given partitions (at least one;
@@ -57,17 +34,6 @@ func NewExchange(parts ...Operator) *Exchange {
 	}
 	e := &Exchange{parts: parts}
 	e.init(parts[0].Schema())
-	return e
-}
-
-// NewExchangeLockstep builds an exchange that drains its partitions on the
-// caller's goroutine in deterministic round-robin order instead of spawning
-// workers. The plan shape, schema, ledger slots, and aggregate counts are
-// identical to NewExchange over the same partitions; only the interleaving
-// (and therefore the sequence of sampled instants) becomes reproducible.
-func NewExchangeLockstep(parts ...Operator) *Exchange {
-	e := NewExchange(parts...)
-	e.lockstep = true
 	return e
 }
 
@@ -88,209 +54,61 @@ func NewParallelStoreScan(st schema.Store, workers int) *Exchange {
 	return NewExchange(parts...)
 }
 
-// Open implements Operator: it launches one worker per partition. Workers
-// open, drain, and (at Close) close their partition themselves, so every
-// counted call of a subtree happens on that subtree's worker goroutine.
+func (e *Exchange) transport() *gather { return &e.g }
+
+// Open implements Operator: it starts one worker per partition. Workers
+// open and drain their partition themselves, so every counted call of a
+// subtree happens on that subtree's worker.
 func (e *Exchange) Open(ctx *Ctx) error {
 	e.reopen()
-	if e.lockstep {
-		e.buf, e.pos = nil, 0
-		e.firstErr = nil
-		e.lsDone = make([]bool, len(e.parts))
-		e.lsIdx = 0
-		for _, c := range e.parts {
-			if err := c.Open(ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	e.ch = make(chan *Batch, len(e.parts))
-	e.free = make(chan *Batch, 2*len(e.parts))
-	e.quit = make(chan struct{})
-	e.firstErr = nil
-	e.buf, e.pos = nil, 0
-	wg := &sync.WaitGroup{}
-	e.wg = wg
-	for _, c := range e.parts {
-		wg.Add(1)
-		go e.worker(ctx, c, wg)
-	}
-	ch := e.ch
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	return nil
+	return e.g.start(len(e.parts), func(w int) (workerStep, error) {
+		return partitionStep(ctx, e.parts[w])
+	})
 }
 
-// fail records a worker's error. The first non-cancellation error wins:
-// when a fault injector aborts one worker while cancellation sweeps the
-// others, the run must surface the injected error, exactly as the serial
-// executor would.
-func (e *Exchange) fail(err error) {
-	e.errMu.Lock()
-	if e.firstErr == nil || (e.firstErr == ErrCanceled && err != ErrCanceled) {
-		e.firstErr = err
-	}
-	e.errMu.Unlock()
-}
-
-// getBatch takes a recycled batch off the free list, or allocates one.
-func (e *Exchange) getBatch() *Batch {
-	select {
-	case b := <-e.free:
-		b.Reset()
-		return b
-	default:
-		return &Batch{}
-	}
-}
-
-// putBatch returns a spent batch to the free list (dropping it if full).
-// Only the batch's Rows slice backing is reused — the rows it carried remain
-// valid wherever the reader handed them.
-func (e *Exchange) putBatch(b *Batch) {
-	select {
-	case e.free <- b:
-	default:
-	}
-}
-
-func (e *Exchange) worker(ctx *Ctx, part Operator, wg *sync.WaitGroup) {
-	defer wg.Done()
+// partitionStep opens a partition subtree and returns the step that pulls
+// its next batch, finishing at the empty one. nextBatch keeps each regime's
+// accounting: a vectorized run takes the partition's native bulk-credit
+// path, a hooked or row run drives exact row-at-a-time pulls.
+func partitionStep(ctx *Ctx, part Operator) (workerStep, error) {
 	if err := part.Open(ctx); err != nil {
-		e.fail(err)
-		return
+		return nil, err
 	}
-	for {
-		wb := e.getBatch()
-		// nextBatch keeps each regime's accounting: a vectorized run takes
-		// the partition's native bulk-credit path, a hooked or row run
-		// drives exact row-at-a-time pulls via FillFromNext.
-		if err := nextBatch(ctx, part, wb); err != nil {
-			e.putBatch(wb)
-			e.fail(err)
-			return
+	return func(out *Batch) (turn, error) {
+		if err := nextBatch(ctx, part, out); err != nil || out.Len() > 0 {
+			return turnOver, err
 		}
-		if wb.Len() == 0 {
-			e.putBatch(wb)
-			return
-		}
-		select {
-		case e.ch <- wb:
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// lockstepNext refills e.buf with the next non-empty batch from the
-// partitions, visiting them round-robin and retiring each at its EOF. It
-// reports false once every partition is drained. Runs entirely on the
-// caller's goroutine.
-func (e *Exchange) lockstepNext(ctx *Ctx) (bool, error) {
-	for {
-		allDone := true
-		for range e.parts {
-			i := e.lsIdx
-			e.lsIdx = (e.lsIdx + 1) % len(e.parts)
-			if e.lsDone[i] {
-				continue
-			}
-			allDone = false
-			e.lsBuf.Reset()
-			if err := nextBatch(ctx, e.parts[i], &e.lsBuf); err != nil {
-				return false, err
-			}
-			if e.lsBuf.Len() == 0 {
-				e.lsDone[i] = true
-				continue
-			}
-			e.buf, e.pos = &e.lsBuf, 0
-			return true, nil
-		}
-		if allDone {
-			return false, nil
-		}
-	}
+		return turnLast, nil
+	}, nil
 }
 
 // Next implements Operator: it merges worker batches into one counted
 // stream. Only the reader goroutine touches the exchange's own ledger slot.
 func (e *Exchange) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		if e.buf != nil && e.pos < e.buf.Len() {
-			row := e.buf.Rows[e.pos]
-			e.pos++
-			return e.emit(ctx, row)
-		}
-		if e.lockstep {
-			e.buf = nil
-			ok, err := e.lockstepNext(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return e.eof()
-			}
-			continue
-		}
-		if e.buf != nil {
-			e.putBatch(e.buf)
-			e.buf = nil
-		}
-		batch, ok := <-e.ch
-		if !ok {
-			e.errMu.Lock()
-			err := e.firstErr
-			e.errMu.Unlock()
-			if err != nil {
-				return nil, false, err
-			}
-			return e.eof()
-		}
-		e.buf, e.pos = batch, 0
+	row, ok, err := e.g.nextRow()
+	if err != nil {
+		return nil, false, err
 	}
+	if !ok {
+		return e.eof()
+	}
+	return e.emit(ctx, row)
 }
 
 // NextBatch implements BatchOperator: the reader takes one worker window per
-// pull and appends its row headers into the caller's batch — row values are
-// never copied, and the worker's buffer cycles back through the free list.
-// The caller's buffer must not be donated to the pool (RunBatch may alias it
-// to the result slice's spare capacity), so this is an append, not a swap.
+// pull and appends its row headers into the caller's batch.
 func (e *Exchange) NextBatch(ctx *Ctx, b *Batch) error {
 	if !ctx.fastPath() {
 		return FillFromNext(ctx, e, b, ctx.batchSize())
 	}
 	b.Reset()
-	if e.lockstep {
-		e.buf = nil
-		ok, err := e.lockstepNext(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			e.markDone()
-			return nil
-		}
-		b.Rows = append(b.Rows, e.buf.Rows...)
-		e.buf = nil
-		return e.creditRows(ctx, b.Len())
+	if err := e.g.nextRows(b); err != nil {
+		return err
 	}
-	wb, ok := <-e.ch
-	if !ok {
-		e.errMu.Lock()
-		err := e.firstErr
-		e.errMu.Unlock()
-		if err != nil {
-			return err
-		}
+	if b.Len() == 0 {
 		e.markDone()
 		return nil
 	}
-	b.Rows = append(b.Rows, wb.Rows...)
-	e.putBatch(wb)
 	return e.creditRows(ctx, b.Len())
 }
 
@@ -298,14 +116,15 @@ func (e *Exchange) NextBatch(ctx *Ctx, b *Batch) error {
 // and closes the partitions (quiesced by then, so the reader goroutine may
 // touch them).
 func (e *Exchange) Close() error {
-	if e.quit != nil {
-		close(e.quit)
-		e.wg.Wait()
-		e.quit = nil
-	}
+	e.g.stop()
+	return closeAll(e.parts...)
+}
+
+// closeAll closes every operator, returning the first error.
+func closeAll(ops ...Operator) error {
 	var first error
-	for _, c := range e.parts {
-		if err := c.Close(); err != nil && first == nil {
+	for _, op := range ops {
+		if err := op.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

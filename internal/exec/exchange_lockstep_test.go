@@ -10,12 +10,9 @@ import (
 // 4-way partition scans of the same relation.
 func lockstepPair(n int) (conc, lock *Exchange) {
 	rel := seqRel("r", n)
-	return NewParallelStoreScan(rel, 4), NewExchangeLockstep(
-		NewScanPartition(rel, 0, 4),
-		NewScanPartition(rel, 1, 4),
-		NewScanPartition(rel, 2, 4),
-		NewScanPartition(rel, 3, 4),
-	)
+	conc, lock = NewParallelStoreScan(rel, 4), NewParallelStoreScan(rel, 4)
+	Lockstep(lock)
+	return conc, lock
 }
 
 // TestExchangeLockstepMatchesConcurrent: lockstep drain must produce the same

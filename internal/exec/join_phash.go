@@ -19,9 +19,7 @@ import (
 // build and probe both scale with cores.
 //
 // Output: probe columns followed by build columns (probe-only for semi/anti),
-// in nondeterministic cross-partition order. The lockstep variant probes the
-// partitions round-robin on the reader's goroutine, crediting partition i's
-// output to sub-slot i, for byte-deterministic runs.
+// in nondeterministic cross-partition order unless the plan runs in lockstep.
 type ParallelHashJoin struct {
 	base
 	build                Operator
@@ -37,17 +35,7 @@ type ParallelHashJoin struct {
 	buildRows []schema.Row
 	pad       schema.Row // NULL padding for left outer
 
-	g   gather
-	buf *Batch
-	pos int
-
-	lockstep   bool
-	lsDone     []bool
-	lsIdx      int
-	lsIn       Batch
-	lsOut      Batch
-	lsArena    rowArena
-	lsMatchBuf []schema.Row
+	g gather
 
 	pessimistic
 }
@@ -81,24 +69,16 @@ func NewParallelHashJoin(build Operator, parts []Operator, buildKeys, probeKeys 
 	return j
 }
 
-// NewParallelHashJoinLockstep is NewParallelHashJoin with deterministic
-// reader-driven probing.
-func NewParallelHashJoinLockstep(build Operator, parts []Operator, buildKeys, probeKeys []expr.Expr, mode JoinMode) *ParallelHashJoin {
-	j := NewParallelHashJoin(build, parts, buildKeys, probeKeys, mode)
-	j.lockstep = true
-	return j
-}
-
 func (j *ParallelHashJoin) workerCount() int             { return len(j.parts) }
 func (j *ParallelHashJoin) fallbackSlots() []ledger.Slot { return j.fallback }
+func (j *ParallelHashJoin) transport() *gather           { return &j.g }
 
 // Open implements Operator: drains the build side (on the reader — the
 // build subtree is a serial pipeline), partitions the hash table across
-// workers, then launches the probe workers.
+// workers, then starts the probe workers.
 func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	j.reopen()
 	reopenWorkerSlots(j)
-	j.buf, j.pos = nil, 0
 	if err := j.build.Open(ctx); err != nil {
 		return err
 	}
@@ -128,18 +108,7 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	}
 	j.buildTables()
 	j.pad = make(schema.Row, j.build.Schema().Len()) // zero Values are NULL
-	if j.lockstep {
-		j.lsDone = make([]bool, len(j.parts))
-		j.lsIdx = 0
-		for _, p := range j.parts {
-			if err := p.Open(ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	j.g.start(len(j.parts), func(w int) error { return j.runWorker(ctx, w) })
-	return nil
+	return j.g.start(len(j.parts), func(w int) (workerStep, error) { return j.probeStep(ctx, w) })
 }
 
 // buildTables constructs W hash sub-tables, sub-table w holding the build
@@ -252,117 +221,39 @@ func (j *ParallelHashJoin) probeBatch(in *Batch, out *Batch, arena *rowArena, ma
 	return emitted
 }
 
-// runWorker opens and drains probe partition w, probing each chunk and
-// crediting emitted rows to sub-slot w. Partition-subtree counts land on
-// this goroutine too — the partition nodes are separate plan nodes with
-// their own (single-writer) slots.
-func (j *ParallelHashJoin) runWorker(ctx *Ctx, w int) error {
-	part := j.parts[w]
-	slot := workerSlot(j, w)
+// probeStep opens probe partition w and returns the step that pulls its next
+// chunk, probes it and credits the emitted rows to sub-slot w, marking the
+// sub-slot done at the partition's EOF. Partition-subtree counts land on the
+// same worker — the partition nodes are separate plan nodes with their own
+// (single-writer) slots.
+func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
+	part, slot := j.parts[w], workerSlot(j, w)
 	if err := part.Open(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	var in Batch
 	var arena rowArena
 	var matchBuf []schema.Row
-	for {
+	return func(out *Batch) (turn, error) {
 		if err := nextBatch(ctx, part, &in); err != nil {
-			return err
+			return turnOver, err
 		}
 		if in.Len() == 0 {
 			slot.MarkDone()
-			return nil
+			return turnLast, nil
 		}
-		wb := j.g.getBatch()
-		emitted := j.probeBatch(&in, wb, &arena, &matchBuf)
-		if err := creditWorker(ctx, slot, int64(emitted), int64(emitted)); err != nil {
-			j.g.putBatch(wb)
-			return err
-		}
-		if wb.Len() == 0 {
-			j.g.putBatch(wb)
-			continue
-		}
-		if !j.g.send(wb) {
-			return nil
-		}
-	}
-}
-
-// lockstepFill refills j.buf by probing the partitions round-robin on the
-// caller's goroutine, retiring each partition's sub-slot at its EOF.
-func (j *ParallelHashJoin) lockstepFill(ctx *Ctx) (bool, error) {
-	for {
-		allDone := true
-		for range j.parts {
-			i := j.lsIdx
-			j.lsIdx = (j.lsIdx + 1) % len(j.parts)
-			if j.lsDone[i] {
-				continue
-			}
-			allDone = false
-			if err := nextBatch(ctx, j.parts[i], &j.lsIn); err != nil {
-				return false, err
-			}
-			slot := workerSlot(j, i)
-			if j.lsIn.Len() == 0 {
-				j.lsDone[i] = true
-				slot.MarkDone()
-				continue
-			}
-			j.lsOut.Reset()
-			emitted := j.probeBatch(&j.lsIn, &j.lsOut, &j.lsArena, &j.lsMatchBuf)
-			if err := creditWorker(ctx, slot, int64(emitted), int64(emitted)); err != nil {
-				return false, err
-			}
-			if j.lsOut.Len() == 0 {
-				continue
-			}
-			j.buf, j.pos = &j.lsOut, 0
-			return true, nil
-		}
-		if allDone {
-			return false, nil
-		}
-	}
+		emitted := int64(j.probeBatch(&in, out, &arena, &matchBuf))
+		return turnOver, creditWorker(ctx, slot, emitted, emitted)
+	}, nil
 }
 
 // Next implements Operator: hands out rows from worker batches with no
 // additional accounting (workers credited their sub-slots at probe time).
 func (j *ParallelHashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		if j.buf != nil && j.pos < j.buf.Len() {
-			if ctx.canceled.Load() {
-				return nil, false, ErrCanceled
-			}
-			row := j.buf.Rows[j.pos]
-			j.pos++
-			return row, true, nil
-		}
-		if j.lockstep {
-			j.buf = nil
-			ok, err := j.lockstepFill(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, false, nil
-			}
-			continue
-		}
-		if j.buf != nil {
-			j.g.putBatch(j.buf)
-			j.buf = nil
-		}
-		wb, ok := <-j.g.ch
-		if !ok {
-			if err := j.g.err(); err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
-		}
-		j.buf, j.pos = wb, 0
+	if ctx.canceled.Load() {
+		return nil, false, ErrCanceled
 	}
+	return j.g.nextRow()
 }
 
 // NextBatch implements BatchOperator: one worker batch per pull.
@@ -371,56 +262,15 @@ func (j *ParallelHashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	if j.lockstep {
-		if j.buf != nil && j.pos < j.buf.Len() {
-			b.Rows = append(b.Rows, j.buf.Rows[j.pos:]...)
-			j.buf = nil
-			return nil
-		}
-		j.buf = nil
-		ok, err := j.lockstepFill(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Rows = append(b.Rows, j.buf.Rows...)
-		j.buf = nil
-		return nil
-	}
-	if j.buf != nil {
-		if j.pos < j.buf.Len() {
-			b.Rows = append(b.Rows, j.buf.Rows[j.pos:]...)
-		}
-		j.g.putBatch(j.buf)
-		j.buf = nil
-		if b.Len() > 0 {
-			return nil
-		}
-	}
-	wb, ok := <-j.g.ch
-	if !ok {
-		return j.g.err()
-	}
-	b.Rows = append(b.Rows, wb.Rows...)
-	j.g.putBatch(wb)
-	return nil
+	return j.g.nextRows(b)
 }
 
 // Close implements Operator: stops the workers (quiescing the partitions),
 // then closes all children.
 func (j *ParallelHashJoin) Close() error {
 	j.g.stop()
-	j.buf = nil
 	j.tables, j.buildRows = nil, nil
-	first := j.build.Close()
-	for _, p := range j.parts {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeAll(j.Children()...)
 }
 
 // Children implements Operator: build side first, then the probe partitions.

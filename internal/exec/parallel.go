@@ -9,20 +9,20 @@ import (
 	"sqlprogress/internal/schema"
 )
 
-// This file holds the machinery shared by the parallel pipeline operators
-// (ParallelScan, ParallelHashJoin, ParallelHashAgg): the worker→reader batch
-// transport, per-worker ledger crediting, and the morsel-driven parallel
-// scan itself.
+// This file holds the machinery shared by the parallel operators (Exchange,
+// ParallelScan, ParallelHashJoin, ParallelHashAgg): the worker→reader batch
+// transport and its two schedules, per-worker ledger crediting, and the
+// morsel-driven parallel scan itself.
 //
 // Unlike Exchange — which parallelizes by running whole partition *subtrees*
-// on workers, one plan node per partition — these operators are single plan
-// nodes whose own counters are split across per-worker ledger sub-slots
-// (ledger.EnsureWorkers). Each worker writes only its own padded sub-slot,
-// preserving the single-writer discipline the snapshot ordering protocol
-// relies on, and every reader aggregates the group through ledger.View. The
-// node's FinalBounds therefore stay those of the logical operator: a
-// parallel scan of n rows is bounded [n, n+units] no matter how many
-// workers share the work.
+// on workers, one plan node per partition — ParallelScan and
+// ParallelHashJoin are single plan nodes whose own counters are split across
+// per-worker ledger sub-slots (ledger.EnsureWorkers). Each worker writes only
+// its own padded sub-slot, preserving the single-writer discipline the
+// snapshot ordering protocol relies on, and every reader aggregates the
+// group through ledger.View. The node's FinalBounds therefore stay those of
+// the logical operator: a parallel scan of n rows is bounded [n, n+units] no
+// matter how many workers share the work.
 
 // creditWorker credits `calls` counted GetNext calls (of which `delivered`
 // rows were handed upward) against one worker's sub-slot. On the fast path
@@ -85,43 +85,126 @@ func reopenWorkerSlots(op workerSlotted) {
 	}
 }
 
-// gather is the worker→reader transport shared by the parallel operators:
-// workers hand the reader whole batches over a channel, recycling spent
-// batches through a free list (zero steady-state allocation, no row
-// copying), with first-error-wins failure and quit-based teardown — the
-// Exchange transport, factored out for operators that are single plan nodes.
+// gather is the worker→reader transport under every parallel operator
+// (Exchange, ParallelScan, ParallelHashJoin, ParallelHashAgg). An operator
+// describes one worker as a resumable step; gather schedules the steps and
+// hands their output to the reader:
+//
+//   - concurrently (the default): one goroutine per worker loops its step,
+//     shipping whole batches to the reader over a channel and recycling
+//     spent ones through a free list (zero steady-state allocation, no row
+//     copying), with first-error-wins failure and quit-based teardown;
+//   - in lockstep (see Lockstep): no goroutines — the reader runs the steps
+//     itself, one at a time, round-robin over the unfinished workers. Same
+//     rows, same counts, same ledger slots, but a fixed interleaving, so a
+//     sampler observes identical instants run after run.
+//
+// The reader side is nextRow/nextRows over the current batch; the caller
+// does any accounting.
 type gather struct {
+	lockstep bool
+
+	// Concurrent mode.
 	ch       chan *Batch
 	free     chan *Batch
 	quit     chan struct{}
-	wg       *sync.WaitGroup
+	wg       sync.WaitGroup
+	live     atomic.Int32 // workers still running; the last one closes ch
 	errMu    sync.Mutex
 	firstErr error
+
+	// Lockstep mode: steps[w] is nil once worker w is done.
+	steps []workerStep
+	idx   int
+	ls    Batch
+
+	// Reader side: the batch being handed out and the next unread row.
+	buf *Batch
+	pos int
 }
 
-// start launches one goroutine per worker running run(w); a closer goroutine
-// closes the output channel when the last worker exits.
-func (g *gather) start(workers int, run func(w int) error) {
-	g.ch = make(chan *Batch, workers)
-	g.free = make(chan *Batch, 2*workers)
-	g.quit = make(chan struct{})
-	g.firstErr = nil
-	wg := &sync.WaitGroup{}
-	g.wg = wg
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := run(w); err != nil {
-				g.fail(err)
+// workerStep is one worker's resumable unit of work: it appends the worker's
+// next rows for the reader to out (possibly none) and reports where that
+// leaves the worker. Steps of different workers run concurrently unless the
+// gather is in lockstep; one worker's steps never overlap.
+type workerStep func(out *Batch) (turn, error)
+
+// turn is a step's report. Only the lockstep schedule tells turnOver from
+// turnHeld; a concurrent worker just steps again after either.
+type turn int
+
+const (
+	turnOver turn = iota // more to do; in lockstep the next worker steps next
+	turnHeld             // more to do, mid-unit; in lockstep this worker steps again
+	turnLast             // the worker is finished
+)
+
+// Lockstep switches every parallel operator under root to the reader-driven
+// deterministic schedule (see gather). Call it on a built plan before Open;
+// the evaluation matrix does, to keep parallel cells byte-reproducible.
+func Lockstep(root Operator) {
+	Walk(root, func(op Operator) {
+		if g, ok := op.(interface{ transport() *gather }); ok {
+			g.transport().lockstep = true
+		}
+	})
+}
+
+// start begins a run of `workers` workers. open(w) prepares worker w — it
+// runs on the worker's own goroutine, or for lockstep on the caller's, in
+// worker order, before any step — and returns its step. In lockstep mode an
+// open error is returned here; concurrently it surfaces from the reader.
+func (g *gather) start(workers int, open func(w int) (workerStep, error)) error {
+	g.stop()
+	g.buf, g.pos, g.firstErr = nil, 0, nil
+	if g.lockstep {
+		g.steps, g.idx = make([]workerStep, workers), 0
+		for w := range g.steps {
+			step, err := open(w)
+			if err != nil {
+				return err
 			}
-		}(w)
+			g.steps[w] = step
+		}
+		return nil
 	}
-	ch := g.ch
-	go func() {
-		wg.Wait()
-		close(ch)
+	g.ch = make(chan *Batch, workers)     // one batch in flight per worker
+	g.free = make(chan *Batch, 2*workers) // in flight + being filled
+	g.quit = make(chan struct{})
+	g.live.Store(int32(workers))
+	g.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go g.run(w, open)
+	}
+	return nil
+}
+
+// run is a concurrent worker's goroutine: open, then step until done, an
+// error, or quit.
+func (g *gather) run(w int, open func(w int) (workerStep, error)) {
+	defer g.wg.Done()
+	defer func() {
+		if g.live.Add(-1) == 0 {
+			close(g.ch)
+		}
 	}()
+	step, err := open(w)
+	for t := turnOver; err == nil && t != turnLast; {
+		wb := g.getBatch()
+		t, err = step(wb)
+		if err != nil || wb.Len() == 0 {
+			g.putBatch(wb)
+			continue
+		}
+		select {
+		case g.ch <- wb:
+		case <-g.quit:
+			return
+		}
+	}
+	if err != nil {
+		g.fail(err)
+	}
 }
 
 // fail records a worker's error; the first non-cancellation error wins, so
@@ -135,13 +218,6 @@ func (g *gather) fail(err error) {
 	g.errMu.Unlock()
 }
 
-// err returns the recorded worker error, if any.
-func (g *gather) err() error {
-	g.errMu.Lock()
-	defer g.errMu.Unlock()
-	return g.firstErr
-}
-
 // getBatch takes a recycled batch off the free list, or allocates one.
 func (g *gather) getBatch() *Batch {
 	select {
@@ -153,7 +229,9 @@ func (g *gather) getBatch() *Batch {
 	}
 }
 
-// putBatch returns a spent batch to the free list (dropping it if full).
+// putBatch returns a spent batch to the free list (dropping it if full, and
+// always in lockstep mode, which has no list). Only the batch's Rows backing
+// is reused — the rows it carried remain valid wherever they were handed.
 func (g *gather) putBatch(b *Batch) {
 	select {
 	case g.free <- b:
@@ -161,26 +239,92 @@ func (g *gather) putBatch(b *Batch) {
 	}
 }
 
-// send delivers a worker batch to the reader; false means the operator is
-// shutting down and the worker should exit without error.
-func (g *gather) send(wb *Batch) bool {
-	select {
-	case g.ch <- wb:
-		return true
-	case <-g.quit:
-		return false
+// recv returns the next non-empty worker batch, or nil once every worker has
+// finished — with the run's error, if one failed.
+func (g *gather) recv() (*Batch, error) {
+	if !g.lockstep {
+		if wb, ok := <-g.ch; ok {
+			return wb, nil
+		}
+		g.errMu.Lock()
+		defer g.errMu.Unlock()
+		return nil, g.firstErr
 	}
+	for idle := 0; idle < len(g.steps); {
+		w := g.idx
+		if g.steps[w] == nil {
+			g.idx = (w + 1) % len(g.steps)
+			idle++
+			continue
+		}
+		idle = 0
+		g.ls.Reset()
+		t, err := g.steps[w](&g.ls)
+		if err != nil {
+			return nil, err
+		}
+		if t != turnHeld {
+			g.idx = (w + 1) % len(g.steps)
+		}
+		if t == turnLast {
+			g.steps[w] = nil
+		}
+		if g.ls.Len() > 0 {
+			return &g.ls, nil
+		}
+	}
+	return nil, nil
 }
 
-// stop tears the transport down: signals quit and waits for the workers, so
-// the children are quiesced when the caller closes them. Safe to call when
-// never started.
+// fill makes the current batch hold an unread row, fetching the next batch
+// (and recycling the spent one) when needed; false means end of stream.
+func (g *gather) fill() (bool, error) {
+	if g.buf == nil || g.pos >= g.buf.Len() {
+		if g.buf != nil {
+			g.putBatch(g.buf)
+		}
+		var err error
+		if g.buf, err = g.recv(); g.buf == nil {
+			return false, err
+		}
+		g.pos = 0
+	}
+	return true, nil
+}
+
+// nextRow hands out the next row; ok is false at end of stream.
+func (g *gather) nextRow() (row schema.Row, ok bool, err error) {
+	if ok, err := g.fill(); !ok {
+		return nil, false, err
+	}
+	g.pos++
+	return g.buf.Rows[g.pos-1], true, nil
+}
+
+// nextRows appends the unread rest of the current batch, or else the whole
+// next batch, to b (row headers only — values are never copied, and the
+// caller's buffer is never donated to the free list: RunBatch may alias it
+// to the result slice). b is left as it was at end of stream.
+func (g *gather) nextRows(b *Batch) error {
+	if ok, err := g.fill(); !ok {
+		return err
+	}
+	b.Rows = append(b.Rows, g.buf.Rows[g.pos:]...)
+	g.putBatch(g.buf)
+	g.buf = nil
+	return nil
+}
+
+// stop tears a concurrent run down: signals quit and waits for every worker
+// goroutine to exit, so the children are quiesced when the caller closes
+// them. Safe to call when never started, already stopped, or in lockstep.
 func (g *gather) stop() {
 	if g.quit != nil {
 		close(g.quit)
 		g.wg.Wait()
 		g.quit = nil
 	}
+	g.buf = nil
 }
 
 // morselRows is the nominal morsel size: enough rows that claiming one
@@ -197,11 +341,9 @@ const morselRows = 4096
 // recounting, so the node's aggregate counters — and its final bounds
 // [n, n+MaxReadUnits] — are exactly a serial scan's.
 //
-// Row order across morsels is nondeterministic in concurrent mode; the
-// lockstep variant drains morsels on the reader's goroutine in fixed order
-// for byte-deterministic runs (the evaluation matrix's parallel cells).
-// Predicates and permutations are not supported — partition them under an
-// Exchange instead.
+// Row order across morsels is nondeterministic unless the plan runs in
+// lockstep. Predicates and permutations are not supported — partition them
+// under an Exchange instead.
 type ParallelScan struct {
 	base
 	Src      schema.Store
@@ -211,14 +353,8 @@ type ParallelScan struct {
 	morsels    int
 	nextMorsel atomic.Int64
 
-	g   gather
-	buf *Batch
-	pos int
-
-	lockstep bool
-	lsBuf    Batch
-	lsCur    schema.Cursor
-	lsSlot   *ledger.Slot
+	g    gather
+	curs []schema.Cursor // worker w's open morsel cursor, if any
 }
 
 // NewParallelScan builds a morsel-driven parallel scan of st with the given
@@ -227,7 +363,7 @@ func NewParallelScan(st schema.Store, workers int) *ParallelScan {
 	if workers < 1 {
 		panic("exec: parallel scan needs at least one worker")
 	}
-	p := &ParallelScan{Src: st, workers: workers}
+	p := &ParallelScan{Src: st, workers: workers, curs: make([]schema.Cursor, workers)}
 	n := int(st.Cardinality())
 	p.morsels = (n + morselRows - 1) / morselRows
 	if p.morsels < workers {
@@ -240,191 +376,75 @@ func NewParallelScan(st schema.Store, workers int) *ParallelScan {
 	return p
 }
 
-// NewParallelScanLockstep builds a parallel scan that drains its morsels on
-// the caller's goroutine in deterministic order: same rows, same sub-slot
-// counts, reproducible interleaving.
-func NewParallelScanLockstep(st schema.Store, workers int) *ParallelScan {
-	p := NewParallelScan(st, workers)
-	p.lockstep = true
-	return p
-}
-
 func (p *ParallelScan) workerCount() int             { return p.workers }
 func (p *ParallelScan) fallbackSlots() []ledger.Slot { return p.fallback }
+func (p *ParallelScan) transport() *gather           { return &p.g }
 
-// Open implements Operator: resets the morsel counter and, in concurrent
-// mode, launches the workers.
+// Open implements Operator: resets the morsel counter and starts the
+// workers.
 func (p *ParallelScan) Open(ctx *Ctx) error {
+	if err := p.Close(); err != nil {
+		return err
+	}
 	p.reopen()
 	reopenWorkerSlots(p)
 	p.nextMorsel.Store(0)
-	p.buf, p.pos = nil, 0
-	if p.lockstep {
-		if p.lsCur != nil {
-			p.lsCur.Close()
-			p.lsCur = nil
-		}
-		return nil
-	}
-	p.g.start(p.workers, func(w int) error { return p.runWorker(ctx, w) })
-	return nil
+	return p.g.start(p.workers, func(w int) (workerStep, error) {
+		slot := workerSlot(p, w)
+		return func(out *Batch) (turn, error) { return p.scanStep(ctx, w, slot, out) }, nil
+	})
 }
 
-// runWorker claims morsels until they run out, marking the worker's
-// sub-slot done at exhaustion (the node is done when all workers are).
-func (p *ParallelScan) runWorker(ctx *Ctx, w int) error {
-	slot := workerSlot(p, w)
-	for {
+// scanStep fills out with worker w's next batch: rows of its current morsel
+// (a batch never spans morsels), credited — with any weighted read units —
+// to the worker's sub-slot. A worker holds its turn until its morsel is
+// drained, so in lockstep morsel m is scanned whole, by worker m mod W,
+// before morsel m+1 is touched. Out of morsels, it marks the sub-slot done
+// (the node is done when all are).
+func (p *ParallelScan) scanStep(ctx *Ctx, w int, slot *ledger.Slot, out *Batch) (turn, error) {
+	if p.curs[w] == nil {
 		m := int(p.nextMorsel.Add(1)) - 1
 		if m >= p.morsels {
 			slot.MarkDone()
-			return nil
+			return turnLast, nil
 		}
-		stopped, err := p.scanMorsel(ctx, m, slot)
-		if err != nil || stopped {
-			return err
+		lo, hi := p.Src.AlignWindow(m, p.morsels)
+		if lo >= hi {
+			return turnOver, nil
 		}
+		cur, err := p.Src.OpenCursor(lo, hi)
+		if err != nil {
+			return turnOver, err
+		}
+		p.curs[w] = cur
 	}
-}
-
-// scanMorsel drains morsel m through a store cursor, crediting rows plus
-// weighted read units to slot and shipping batches to the reader. stopped
-// reports a quit-initiated exit (reader closed early).
-func (p *ParallelScan) scanMorsel(ctx *Ctx, m int, slot *ledger.Slot) (stopped bool, err error) {
-	lo, hi := p.Src.AlignWindow(m, p.morsels)
-	if lo >= hi {
-		return false, nil
+	t := turnHeld
+	var units int64
+	for want := ctx.batchSize(); out.Len() < want; {
+		rows, u, err := p.curs[w].NextChunk(want - out.Len())
+		if err != nil {
+			return t, err
+		}
+		units += u
+		if len(rows) == 0 {
+			p.curs[w].Close() // read-only cursor: nothing to lose
+			p.curs[w] = nil
+			t = turnOver
+			break
+		}
+		out.Rows = append(out.Rows, rows...)
 	}
-	cur, err := p.Src.OpenCursor(lo, hi)
-	if err != nil {
-		return false, err
-	}
-	defer cur.Close()
-	want := ctx.batchSize()
-	for {
-		wb := p.g.getBatch()
-		var units int64
-		eof := false
-		for wb.Len() < want {
-			rows, u, err := cur.NextChunk(want - wb.Len())
-			if err != nil {
-				p.g.putBatch(wb)
-				return false, err
-			}
-			units += u
-			if len(rows) == 0 {
-				eof = true
-				break
-			}
-			wb.Rows = append(wb.Rows, rows...)
-		}
-		if err := creditWorker(ctx, slot, int64(wb.Len())+units, int64(wb.Len())); err != nil {
-			p.g.putBatch(wb)
-			return false, err
-		}
-		if wb.Len() == 0 {
-			p.g.putBatch(wb)
-			return false, nil
-		}
-		if !p.g.send(wb) {
-			return true, nil
-		}
-		if eof {
-			return false, nil
-		}
-	}
-}
-
-// lockstepFill refills p.buf with the next non-empty batch, claiming and
-// draining morsels on the caller's goroutine. Morsel m's rows are credited
-// to sub-slot m % workers — the same slot occupancy a perfectly balanced
-// concurrent run produces. It reports false once every morsel is drained,
-// after marking all worker sub-slots done (the reader owns every slot in
-// lockstep mode).
-func (p *ParallelScan) lockstepFill(ctx *Ctx) (bool, error) {
-	want := ctx.batchSize()
-	for {
-		if p.lsCur == nil {
-			m := int(p.nextMorsel.Add(1)) - 1
-			if m >= p.morsels {
-				for w := 0; w < p.workers; w++ {
-					workerSlot(p, w).MarkDone()
-				}
-				return false, nil
-			}
-			lo, hi := p.Src.AlignWindow(m, p.morsels)
-			if lo >= hi {
-				continue
-			}
-			cur, err := p.Src.OpenCursor(lo, hi)
-			if err != nil {
-				return false, err
-			}
-			p.lsCur = cur
-			p.lsSlot = workerSlot(p, m%p.workers)
-		}
-		p.lsBuf.Reset()
-		var units int64
-		for p.lsBuf.Len() < want {
-			rows, u, err := p.lsCur.NextChunk(want - p.lsBuf.Len())
-			if err != nil {
-				return false, err
-			}
-			units += u
-			if len(rows) == 0 {
-				p.lsCur.Close()
-				p.lsCur = nil
-				break
-			}
-			p.lsBuf.Rows = append(p.lsBuf.Rows, rows...)
-		}
-		if err := creditWorker(ctx, p.lsSlot, int64(p.lsBuf.Len())+units, int64(p.lsBuf.Len())); err != nil {
-			return false, err
-		}
-		if p.lsBuf.Len() > 0 {
-			p.buf, p.pos = &p.lsBuf, 0
-			return true, nil
-		}
-	}
+	return t, creditWorker(ctx, slot, int64(out.Len())+units, int64(out.Len()))
 }
 
 // Next implements Operator: hands out rows from worker batches with no
 // additional accounting — the workers credited their sub-slots when the
 // rows were scanned.
 func (p *ParallelScan) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		if p.buf != nil && p.pos < p.buf.Len() {
-			if ctx.canceled.Load() {
-				return nil, false, ErrCanceled
-			}
-			row := p.buf.Rows[p.pos]
-			p.pos++
-			return row, true, nil
-		}
-		if p.lockstep {
-			p.buf = nil
-			ok, err := p.lockstepFill(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, false, nil
-			}
-			continue
-		}
-		if p.buf != nil {
-			p.g.putBatch(p.buf)
-			p.buf = nil
-		}
-		wb, ok := <-p.g.ch
-		if !ok {
-			if err := p.g.err(); err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
-		}
-		p.buf, p.pos = wb, 0
+	if ctx.canceled.Load() {
+		return nil, false, ErrCanceled
 	}
+	return p.g.nextRow()
 }
 
 // NextBatch implements BatchOperator: one worker batch per pull, appended
@@ -435,53 +455,23 @@ func (p *ParallelScan) NextBatch(ctx *Ctx, b *Batch) error {
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	if p.lockstep {
-		if p.buf != nil && p.pos < p.buf.Len() {
-			b.Rows = append(b.Rows, p.buf.Rows[p.pos:]...)
-			p.buf = nil
-			return nil
-		}
-		p.buf = nil
-		ok, err := p.lockstepFill(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.Rows = append(b.Rows, p.buf.Rows...)
-		p.buf = nil
-		return nil
-	}
-	if p.buf != nil {
-		if p.pos < p.buf.Len() {
-			b.Rows = append(b.Rows, p.buf.Rows[p.pos:]...)
-		}
-		p.g.putBatch(p.buf)
-		p.buf = nil
-		if b.Len() > 0 {
-			return nil
-		}
-	}
-	wb, ok := <-p.g.ch
-	if !ok {
-		return p.g.err()
-	}
-	b.Rows = append(b.Rows, wb.Rows...)
-	p.g.putBatch(wb)
-	return nil
+	return p.g.nextRows(b)
 }
 
-// Close implements Operator.
+// Close implements Operator: stops the workers, then closes any morsel
+// cursor one of them left open.
 func (p *ParallelScan) Close() error {
 	p.g.stop()
-	p.buf = nil
-	if p.lsCur != nil {
-		err := p.lsCur.Close()
-		p.lsCur = nil
-		return err
+	var first error
+	for w, cur := range p.curs {
+		if cur != nil {
+			if err := cur.Close(); err != nil && first == nil {
+				first = err
+			}
+			p.curs[w] = nil
+		}
 	}
-	return nil
+	return first
 }
 
 // Children implements Operator: the morsel scan is a leaf.

@@ -35,10 +35,11 @@ func parallelJoinOf(probe, build *schema.Relation, workers int, mode JoinMode, l
 	sb := NewScan(build)
 	bk := []expr.Expr{col(sb, "b", "k")}
 	pk := []expr.Expr{col(parts[0], "p", "a")}
+	j := NewParallelHashJoin(sb, parts, bk, pk, mode)
 	if lockstep {
-		return NewParallelHashJoinLockstep(sb, parts, bk, pk, mode)
+		Lockstep(j)
 	}
-	return NewParallelHashJoin(sb, parts, bk, pk, mode)
+	return j
 }
 
 func serialJoinOf(probe, build *schema.Relation, mode JoinMode) *HashJoin {
@@ -103,7 +104,8 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 	var firstRows []schema.Row
 	var firstSlots []int64
 	for i := 0; i < 2; i++ {
-		p := NewParallelScanLockstep(rel, 3)
+		p := NewParallelScan(rel, 3)
+		Lockstep(p)
 		led := EnsureLedger(p)
 		rows, err := Run(NewCtx(), p)
 		if err != nil {
@@ -135,7 +137,8 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 	if _, err := Run(NewCtx(), p); err != nil {
 		t.Fatal(err)
 	}
-	ls := NewParallelScanLockstep(rel, 3)
+	ls := NewParallelScan(rel, 3)
+	Lockstep(ls)
 	if _, err := Run(NewCtx(), ls); err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +223,27 @@ func TestParallelScanPagedWeightedUnits(t *testing.T) {
 	if _, err := Run(serialCtx, NewStoreScan(serialPR)); err != nil {
 		t.Fatal(err)
 	}
+	// A cursor pins a page only while it faults it in, so a pool needs one
+	// frame per worker to be safe. With fewer, the run either finds a free
+	// frame at every load or fails with the documented ErrPoolExhausted;
+	// whenever it completes, the accounting must still be exact.
 	for _, workers := range []int{1, 3, 8} {
-		pr := pager.NewPagedRelation(hf, pager.NewPool(2))
-		pr.SetReadCost(2)
-		p := NewParallelScan(pr, workers)
-		ctx := NewCtx()
-		got, err := Run(ctx, p)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sameRows(t, got, want, "paged morsel scan")
-		if calls := ctx.Calls(); calls != serialCtx.Calls() {
-			t.Fatalf("workers=%d: %d weighted calls, serial scan counted %d", workers, calls, serialCtx.Calls())
+		for _, frames := range []int{max(workers, 2), 2} {
+			pr := pager.NewPagedRelation(hf, pager.NewPool(frames))
+			pr.SetReadCost(2)
+			p := NewParallelScan(pr, workers)
+			ctx := NewCtx()
+			got, err := Run(ctx, p)
+			if workers > frames && errors.Is(err, pager.ErrPoolExhausted) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("workers=%d frames=%d: %v", workers, frames, err)
+			}
+			sameRows(t, got, want, "paged morsel scan")
+			if calls := ctx.Calls(); calls != serialCtx.Calls() {
+				t.Fatalf("workers=%d frames=%d: %d weighted calls, serial scan counted %d", workers, frames, calls, serialCtx.Calls())
+			}
 		}
 	}
 }
@@ -387,10 +399,11 @@ func aggPlanOf(rel *schema.Relation, workers int, lockstep bool) *ParallelHashAg
 	}
 	names := []string{"k"}
 	kinds := []sqlval.Kind{sqlval.KindInt}
+	a := NewParallelHashAgg(parts, gb, names, kinds, aggs)
 	if lockstep {
-		return NewParallelHashAggLockstep(parts, gb, names, kinds, aggs)
+		Lockstep(a)
 	}
-	return NewParallelHashAgg(parts, gb, names, kinds, aggs)
+	return a
 }
 
 func aggRel() *schema.Relation {

@@ -87,19 +87,8 @@ func (b *Builder) ScanOrdered(table string, order []int32) Node {
 // transparently under the snapshot protocol. For the static-partitioned
 // exchange shape, build exec.NewParallelStoreScan directly.
 func (b *Builder) ParallelScan(table string, workers int) Node {
-	return b.parallelScan(table, workers, exec.NewParallelScan)
-}
-
-// ParallelScanLockstep is ParallelScan with the reader-driven deterministic
-// schedule: identical rows, bounds and ledger counts, but reproducible
-// interleavings — the variant evaluation harnesses sample.
-func (b *Builder) ParallelScanLockstep(table string, workers int) Node {
-	return b.parallelScan(table, workers, exec.NewParallelScanLockstep)
-}
-
-func (b *Builder) parallelScan(table string, workers int, mk func(schema.Store, int) *exec.ParallelScan) Node {
 	st := b.cat.MustStore(table)
-	op := mk(st, workers)
+	op := exec.NewParallelScan(st, workers)
 	op.SetEstimatedCard(st.Cardinality())
 	return Node{b: b, Op: op, est: float64(st.Cardinality())}
 }
@@ -124,20 +113,9 @@ func (b *Builder) partitionScans(table string, workers int) []exec.Operator {
 // counting into its own ledger sub-slot behind the join's NodeID. Linearity
 // detection and the cardinality model match the serial HashJoin.
 func (b *Builder) ParallelHashJoin(probeTable string, workers int, build Node, probeCol, buildCol string, mode exec.JoinMode) Node {
-	return b.parallelHashJoin(probeTable, workers, build, probeCol, buildCol, mode, exec.NewParallelHashJoin)
-}
-
-// ParallelHashJoinLockstep is ParallelHashJoin with the reader-driven
-// deterministic probe schedule (identical results, counts and bounds).
-func (b *Builder) ParallelHashJoinLockstep(probeTable string, workers int, build Node, probeCol, buildCol string, mode exec.JoinMode) Node {
-	return b.parallelHashJoin(probeTable, workers, build, probeCol, buildCol, mode, exec.NewParallelHashJoinLockstep)
-}
-
-func (b *Builder) parallelHashJoin(probeTable string, workers int, build Node, probeCol, buildCol string, mode exec.JoinMode,
-	mk func(exec.Operator, []exec.Operator, []expr.Expr, []expr.Expr, exec.JoinMode) *exec.ParallelHashJoin) Node {
 	parts := b.partitionScans(probeTable, workers)
 	probeSch := parts[0].Schema()
-	op := mk(build.Op, parts,
+	op := exec.NewParallelHashJoin(build.Op, parts,
 		cols(build.Schema(), buildCol), cols(probeSch, probeCol), mode)
 	op.Linear = b.joinLinear(probeSch, probeCol, build.Schema(), buildCol)
 	// The probe partitions jointly scan the base table exactly once (nil op
@@ -154,21 +132,10 @@ func (b *Builder) parallelHashJoin(probeTable string, workers int, build Node, p
 // over a Scan; groupsEst estimates the number of groups (0 = a tenth of
 // the input). Scalar (ungrouped) aggregation stays with ScalarAgg.
 func (b *Builder) ParallelAgg(table string, workers int, groupsEst float64, by []string, specs ...AggSpec) Node {
-	return b.parallelAgg(table, workers, groupsEst, by, specs, exec.NewParallelHashAgg)
-}
-
-// ParallelAggLockstep is ParallelAgg with the reader-driven deterministic
-// fold schedule (identical groups, counts and bounds).
-func (b *Builder) ParallelAggLockstep(table string, workers int, groupsEst float64, by []string, specs ...AggSpec) Node {
-	return b.parallelAgg(table, workers, groupsEst, by, specs, exec.NewParallelHashAggLockstep)
-}
-
-func (b *Builder) parallelAgg(table string, workers int, groupsEst float64, by []string, specs []AggSpec,
-	mk func([]exec.Operator, []expr.Expr, []string, []sqlval.Kind, []expr.Agg) *exec.ParallelHashAgg) Node {
 	parts := b.partitionScans(table, workers)
 	pn := Node{b: b, Op: parts[0], est: float64(b.cat.MustStore(table).Cardinality())}
 	gb, names, kinds := pn.groupMeta(by)
-	op := mk(parts, gb, names, kinds, pn.buildAggs(specs))
+	op := exec.NewParallelHashAgg(parts, gb, names, kinds, pn.buildAggs(specs))
 	if groupsEst <= 0 {
 		groupsEst = pn.est / 10
 	}

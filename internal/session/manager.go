@@ -204,7 +204,8 @@ func (m *Manager) admit(root exec.Operator, text string, opt SubmitOptions) (*Se
 	if len(opt.Estimators) > 0 {
 		estNames = opt.Estimators
 	}
-	if _, err := estimatorsByName(estNames); err != nil {
+	ests, err := core.NewEstimators(estNames...)
+	if err != nil {
 		m.c.rejected.Add(1)
 		return nil, err
 	}
@@ -233,6 +234,7 @@ func (m *Manager) admit(root exec.Operator, text string, opt SubmitOptions) (*Se
 		state:      StateQueued,
 		root:       root,
 		estNames:   estNames,
+		ests:       ests,
 		keepRows:   m.cfg.KeepRows,
 		deadline:   deadline,
 		subs:       make(map[int]*subscriber),
@@ -275,8 +277,8 @@ func (m *Manager) execute(s *Session) {
 	s.started = time.Now()
 	execCtx := exec.NewCtx()
 	s.execCtx = execCtx
-	ests, _ := estimatorsByName(s.estNames) // validated at admission
-	mon := core.NewAsyncMonitor(s.root, m.cfg.SampleInterval, ests...)
+	mon := core.NewAsyncMonitor(s.root, m.cfg.SampleInterval, s.ests...)
+	s.ests = nil
 	mon.OnSample = s.onSample
 	s.mon = mon
 	// Bind the plan's shape and ledger for the per-node delta stream; the
@@ -321,7 +323,7 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 	s.finished = time.Now()
 	s.totalCalls = calls
 	if s.mon != nil {
-		s.workMu = core.Mu(s.root)
+		s.workMu = s.mon.Mu()
 	}
 	switch {
 	case runErr == nil:

@@ -85,6 +85,38 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestLimitQueriesFinishAtOne: a LIMIT that abandons a filtered scan — alone
+// or under a join — must still end with bounds around the work actually done
+// and pmax (the stream's final_estimate) at exactly 1.
+func TestLimitQueriesFinishAtOne(t *testing.T) {
+	m := New(testCatalog(t), Config{SampleInterval: 100 * time.Microsecond})
+	defer m.Close()
+	for _, sql := range []string{
+		"SELECT l_orderkey FROM lineitem LIMIT 5",
+		"SELECT l_orderkey FROM lineitem WHERE l_quantity > 15 LIMIT 5",
+		"SELECT l_orderkey FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 15 LIMIT 5",
+	} {
+		s, err := m.Submit(sql, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, s); st != StateFinished {
+			t.Fatalf("%s: state = %s, err = %v", sql, st, s.Err())
+		}
+		in := s.Info()
+		p := in.Progress
+		if p == nil || !p.Final {
+			t.Fatalf("%s: missing final progress: %+v", sql, p)
+		}
+		if p.LB > in.Calls || p.UB < in.Calls {
+			t.Fatalf("%s: final bounds [%d,%d] miss total %d", sql, p.LB, p.UB, in.Calls)
+		}
+		if p.Hi != 1 {
+			t.Fatalf("%s: final estimate %v, want exactly 1", sql, p.Hi)
+		}
+	}
+}
+
 func TestSubmitCompileErrorRejected(t *testing.T) {
 	m := New(testCatalog(t), Config{})
 	defer m.Close()

@@ -112,6 +112,7 @@ type Session struct {
 	mon          *core.AsyncMonitor
 	samples      []core.Sample // the monitor's series, kept past the run
 	estNames     []string
+	ests         []core.Estimator // built at admission, handed to the monitor at start
 	keepRows     int
 	deadline     time.Duration
 	started      time.Time

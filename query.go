@@ -49,33 +49,15 @@ const (
 	HybridVar EstimatorKind = "hybrid-var"
 )
 
-// newEstimator instantiates a fresh estimator (stateful hybrids must not be
-// shared across runs).
-func newEstimator(k EstimatorKind) (core.Estimator, error) {
-	switch k {
-	case Dne:
-		return core.Dne{}, nil
-	case DneDynamic:
-		return core.DneDynamic{}, nil
-	case DneConstrained:
-		return core.ConstrainedDne{}, nil
-	case Pmax:
-		return core.Pmax{}, nil
-	case Safe:
-		return core.Safe{}, nil
-	case LpSafe:
-		return core.LpSafe{}, nil
-	case Combiner:
-		return &core.Combiner{}, nil
-	case Trivial:
-		return core.Trivial{}, nil
-	case HybridMu:
-		return core.MuSwitch{}, nil
-	case HybridVar:
-		return &core.VarSwitch{}, nil
-	default:
-		return nil, fmt.Errorf("sqlprogress: unknown estimator %q", k)
+// EstimatorKinds lists every estimator kind the engine registers
+// (internal/core's estimator table), in its stable report order.
+func EstimatorKinds() []EstimatorKind {
+	names := core.EstimatorNames()
+	kinds := make([]EstimatorKind, len(names))
+	for i, n := range names {
+		kinds[i] = EstimatorKind(n)
 	}
+	return kinds
 }
 
 // Result holds a completed query's output.
@@ -269,13 +251,13 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 		opts.Estimator = Safe
 	}
 	kinds := append([]EstimatorKind{opts.Estimator}, opts.Extra...)
-	ests := make([]core.Estimator, len(kinds))
+	names := make([]string, len(kinds))
 	for i, k := range kinds {
-		e, err := newEstimator(k)
-		if err != nil {
-			return nil, err
-		}
-		ests[i] = e
+		names[i] = string(k)
+	}
+	ests, err := core.NewEstimators(names...)
+	if err != nil {
+		return nil, fmt.Errorf("sqlprogress: %w", err)
 	}
 	every := opts.Every
 	if every <= 0 {

@@ -1,6 +1,7 @@
 package sqlprogress
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +185,16 @@ func TestUnknownEstimator(t *testing.T) {
 	q, _ := db.Query("SELECT id FROM users")
 	if _, err := q.RunWithProgress(ProgressOptions{Estimator: "bogus"}, nil); err == nil {
 		t.Error("unknown estimator should error")
+	}
+}
+
+// TestEstimatorKindsAreTheRegistry: the public constants are names only; the
+// engine's estimator table is what makes them work, so the two lists must be
+// the same list.
+func TestEstimatorKindsAreTheRegistry(t *testing.T) {
+	consts := []EstimatorKind{Trivial, Dne, DneDynamic, DneConstrained, Pmax, Safe, LpSafe, HybridMu, HybridVar, Combiner}
+	if got := EstimatorKinds(); !slices.Equal(got, consts) {
+		t.Fatalf("registered kinds %v, public constants %v", got, consts)
 	}
 }
 
