@@ -96,6 +96,34 @@ func synthPlan(n int) exec.Operator {
 	return b.Scan("r1").INLJoin("r2", "b", "a", exec.InnerJoin).Op
 }
 
+// batchINLJoinAllocBudget is the ceiling on allocs/op for the batch engine
+// running synthPlan(20 000). The count is deterministic (92 when the budget
+// was set), so growth past the budget is a real regression in the batch
+// engine's allocation discipline: arena, slab storage, dense index or
+// result collection.
+const batchINLJoinAllocBudget = 100
+
+// TestBatchINLJoinAllocBudget holds exec.RunBatch over the Section 5 INL
+// join to batchINLJoinAllocBudget. Wall-clock is not checked.
+func TestBatchINLJoinAllocBudget(t *testing.T) {
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			op := synthPlan(20_000)
+			b.StartTimer()
+			if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if r.N == 0 {
+		t.Fatal("benchmark body failed")
+	}
+	if got := r.AllocsPerOp(); got > batchINLJoinAllocBudget {
+		t.Errorf("batch INL join: %d allocs/op, budget %d", got, batchINLJoinAllocBudget)
+	}
+}
+
 // BenchmarkExecINLJoinNoMonitor measures raw executor throughput (the
 // baseline for monitoring-overhead ablations).
 func BenchmarkExecINLJoinNoMonitor(b *testing.B) {

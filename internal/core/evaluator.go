@@ -62,6 +62,7 @@ type evalNode struct {
 
 	demandCap int64 // static pull bound reaching this node (-1 = unbounded)
 	mayStop   bool  // an ancestor may abandon this node before EOF
+	runsAhead bool  // workers count rows ahead of the reader's deliveries
 	pessUB    int64 // pessimistic delivered-rows bound (-1 = none)
 
 	childBounds []exec.CardBounds // scratch, parallel to children
@@ -119,6 +120,7 @@ func (ev *BoundsEvaluator) build(shape *PlanShape, led *ledger.Ledger, id ledger
 		firstStream: sn.FirstStream,
 		demandCap:   demandCap,
 		mayStop:     mayStop,
+		runsAhead:   sn.runsAhead,
 		pessUB:      sn.PessimisticUB,
 		id:          id,
 	}
@@ -203,12 +205,12 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 		ruleT = capBounds(ruleT, n.pessUB)
 	}
 	deliveredRule, deliveredRuleT := rule, ruleT
-	sameEmission, sameEmissionT := true, true
+	sameEmission, sameEmissionT := !n.runsAhead, !n.runsAhead
 	if n.delivered != nil {
 		deliveredRule = n.delivered.DeliveredBounds()
-		sameEmission = deliveredRule == rule
+		sameEmission = sameEmission && deliveredRule == rule
 		deliveredRuleT = deliveredRule
-		sameEmissionT = deliveredRuleT == ruleT
+		sameEmissionT = sameEmissionT && deliveredRuleT == ruleT
 	}
 	if n.mayStop {
 		// An ancestor may stop pulling before this node reaches EOF: the
@@ -270,9 +272,10 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 // cap rows, and the truncating chain above stops early only at child EOF,
 // so the node delivers exactly min(natural, cap) rows — the cap applies to
 // the delivered lower bound too. Where counting equals delivery the same
-// holds for the GetNext count; where it does not (a scan with an embedded
-// predicate) the cap says nothing about how many rows are scanned to find
-// those deliveries, so the count keeps its static UB and only
+// holds for the GetNext count; where it does not — a scan with an embedded
+// predicate scans an unknown number of rows to find those deliveries, and a
+// worker-credited node counts rows its parent may never pull — the cap says
+// nothing about the count, which keeps its static UB and only
 // rows-already-returned as its LB.
 func capToDemand(delivered, rule exec.CardBounds, sameEmission bool, cap int64) (exec.CardBounds, exec.CardBounds) {
 	delivered = capBounds(delivered, cap)

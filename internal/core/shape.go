@@ -47,6 +47,11 @@ type ShapeNode struct {
 
 	demand demandKind
 	topK   int64
+	// runsAhead marks worker-credited nodes: their calls are counted on
+	// worker goroutines when rows are produced, up to workers x batch ahead
+	// of the reader that delivers them (ParallelScan, ParallelHashJoin), so
+	// a demand cap bounds what the parent pulls, not what the node counts.
+	runsAhead bool
 
 	// PessimisticUB is the node's statistics-derived pessimistic bound on
 	// delivered rows (exec.PessimisticBounder), folded into the tight upper
@@ -198,6 +203,8 @@ func ShapeOf(root exec.Operator) (*PlanShape, *ledger.Ledger) {
 			n.demand, n.topK = demandTop, t.K
 		case *exec.Project:
 			n.demand = demandPass
+		case *exec.ParallelScan, *exec.ParallelHashJoin:
+			n.runsAhead = true
 		}
 		n.Rule = op
 		if db, ok := op.(exec.DeliveredBounder); ok {

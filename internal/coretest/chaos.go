@@ -62,7 +62,8 @@ func chaosProfile(horizon int64) fault.Profile {
 // schedule both derived deterministically from seed — and verifies every
 // invariant. A non-nil error embeds the seed and the schedule's replay
 // string; rerunning RunChaos with the same seed reproduces the failure
-// exactly.
+// exactly. Like every RunChaos* entry point it is called only from tests
+// (internal/fault's sweeps).
 func RunChaos(seed int64) error {
 	return runChaos(seed, false)
 }
@@ -169,14 +170,15 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 		// never before it. Which terminal error surfaces first is a race
 		// between the failing worker and the cancellation sweep, so either
 		// injected-error or canceled is an acceptable outcome when a
-		// terminal fault fired.
+		// terminal fault fired. Where the root stops early, an error fault
+		// may also land on work the finished query had already abandoned.
 		if errEv == nil && cancelEv == nil {
 			if runErr != nil {
 				return fmt.Errorf("no terminal fault fired but run returned %v", runErr)
 			}
 			break
 		}
-		if errEv != nil && runErr == nil {
+		if errEv != nil && runErr == nil && !entry.StopsEarly {
 			return fmt.Errorf("error fault fired at call %d but run completed cleanly", errEv.At)
 		}
 		if runErr != nil && !errors.Is(runErr, fault.ErrInjected) && !errors.Is(runErr, exec.ErrCanceled) {
@@ -340,7 +342,15 @@ func runChaosPaged(seed int64, batch bool) error {
 		engine = "batch"
 	}
 	sched := fault.Generate(seed, chaosProfile(horizon))
-	if err := runChaosSchedule(entry, sched, batch, []*fault.PageBackend{pb1, pb2}); err != nil {
+	err = runChaosSchedule(entry, sched, batch, []*fault.PageBackend{pb1, pb2})
+	if err == nil {
+		// However the run ended — drained, failed on a page read, canceled —
+		// its cursors are closed and every Get must have met its Release.
+		if n := cat.PagedRelation("p2").Pool().Pinned(); n != 0 {
+			err = fmt.Errorf("%d frame(s) still pinned after the run", n)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("paged chaos seed %d [%s/%s] schedule %q: %w", seed, entry.Label, engine, sched.String(), err)
 	}
 	return nil

@@ -25,6 +25,12 @@ type CorpusEntry struct {
 	// to count past a terminal fault's scheduled call (see
 	// RunChaosSchedule).
 	Parallel bool
+	// StopsEarly marks parallel plans whose root has its rows while workers
+	// are still running (LIMIT over a parallel operator). Which rows come
+	// back and how many calls the workers count before they are stopped
+	// differ from run to run, and a fault scheduled on a worker's call may
+	// fire on abandoned work, after the query has already completed.
+	StopsEarly bool
 }
 
 var corpusMem = struct {
@@ -54,7 +60,8 @@ func corpusCatalog() *catalog.Catalog {
 // loops, hash join + aggregation, embedded-predicate scans under sort/top,
 // rescan-heavy nested loops (whose bounds legitimately never pin), merge
 // join, scalar aggregation, a hash join emitting a subset of its columns,
-// and LIMIT abandoning a filtered scan directly and through a join.
+// LIMIT abandoning a filtered scan directly and through a join, and LIMIT
+// over the two worker-credited parallel operators.
 // CheckProgressInvariants holds on every
 // entry; the chaos harness replays them under fault schedules.
 func Corpus() []CorpusEntry {
@@ -123,6 +130,17 @@ func Corpus() []CorpusEntry {
 		{Label: "parallel-agg", Parallel: true, Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelAgg("r2", 4, 0, []string{"b"}, count).Op
+		}},
+		{Label: "limit-parallel-scan", Parallel: true, StopsEarly: true, Build: func() exec.Operator {
+			// LIMIT over worker-credited operators: the workers count rows
+			// ahead of the reader, so the Top's cap says what is delivered,
+			// not what is counted.
+			b := plan.NewBuilder(corpusCatalog())
+			return b.ParallelScan("r2", 4).Top(5).Op
+		}},
+		{Label: "limit-parallel-join", Parallel: true, StopsEarly: true, Build: func() exec.Operator {
+			b := plan.NewBuilder(corpusCatalog())
+			return b.ParallelHashJoin("r2", 3, b.Scan("r1"), "b", "a", exec.InnerJoin).Top(5).Op
 		}},
 	}
 }

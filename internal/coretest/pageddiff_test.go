@@ -5,9 +5,20 @@ import (
 	"testing"
 
 	"sqlprogress/internal/catalog"
+	"sqlprogress/internal/exec"
 	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
 )
+
+// checkNoPins fails if a frame of the pool behind cat's paged tables (p1 and
+// p2 share one) is still pinned: with every cursor closed, each Pool.Get
+// must have met its Release.
+func checkNoPins(t *testing.T, cat *catalog.Catalog) {
+	t.Helper()
+	if n := cat.PagedRelation("p2").Pool().Pinned(); n != 0 {
+		t.Errorf("%d buffer-pool frame(s) still pinned after the run", n)
+	}
+}
 
 // TestPagedEquivalence is the paged differential over the corpus: every
 // entry must be observationally identical between in-memory and disk-backed
@@ -18,6 +29,7 @@ func TestPagedEquivalence(t *testing.T) {
 		e := e
 		t.Run(e.Label, func(t *testing.T) {
 			CheckPagedEquivalence(t, e.Label, mem, paged, e.Build, e.Parallel)
+			checkNoPins(t, paged)
 		})
 	}
 }
@@ -35,6 +47,7 @@ func TestPagedProgressInvariants(t *testing.T) {
 			} else {
 				CheckProgressInvariants(t, e.Label, e.Build(paged), 1)
 			}
+			checkNoPins(t, paged)
 		})
 	}
 }
@@ -89,6 +102,33 @@ func TestPagedWeightedInvariants(t *testing.T) {
 			} else {
 				CheckProgressInvariants(t, e.Label, e.Build(cat), 1)
 			}
+			checkNoPins(t, cat)
+		})
+	}
+}
+
+// TestPagedCloseBeforeDrainLeavesNoPins abandons every paged plan after its
+// first row — workers of the parallel entries are mid-scan when Close stops
+// them — and demands that no frame stays pinned. (The other endings — drain,
+// page-read error, cancel — are checked after every paged chaos run.)
+func TestPagedCloseBeforeDrainLeavesNoPins(t *testing.T) {
+	_, paged := twinCatalogs(t)
+	for _, e := range PagedCorpus() {
+		e := e
+		t.Run(e.Label, func(t *testing.T) {
+			op := e.Build(paged)
+			exec.EnsureLedger(op)
+			ctx := exec.NewCtx()
+			if err := op.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := op.Next(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkNoPins(t, paged)
 		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 // it. Unlike CheckProgressInvariants (which drives the execution itself and
 // reports through testing.TB), Series checks samples recorded by any
 // monitor — inline or async, complete or killed mid-run — and returns the
-// first violation as an error, so the chaos harness can run outside the
-// test binary (cmd/benchdump) and embed the replay seed in the message.
+// first violation as an error, so the chaos harness can embed the replay
+// seed and schedule in the message.
 type Series struct {
 	Label string
 	// Names are the estimator names, parallel to each sample's Estimates.

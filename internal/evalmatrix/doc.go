@@ -13,8 +13,7 @@
 // trajectory: max ratio error, mean L1 error, time-to-convergence, plus
 // hard-bound soundness counters for both the classic [LB, UB] interval and
 // the pessimistic degree-norm UBTight. cmd/benchdump emits the matrix as
-// BENCH_ACC.json and cmd/benchgate -acc fails CI when a cell regresses —
-// the same gating discipline applied to allocations since PR 5.
+// BENCH_ACC.json and cmd/benchgate fails CI when a cell regresses.
 //
 // The mmjoin family is the degree-norm showcase: a self-join over a
 // moderately skewed key whose only classic (FK-free) upper bound is the

@@ -333,9 +333,9 @@ func convergence(pts []core.Point) float64 {
 	return conv
 }
 
-// artifact is the BENCH_ACC.json layout. Unlike the timing artifacts it
-// carries no date and no host facts: every field is deterministic, and the
-// flake audit diffs two runs byte for byte.
+// artifact is the BENCH_ACC.json layout. It carries no date and no host
+// facts: every field is deterministic, and the flake audit diffs two runs
+// byte for byte.
 type artifact struct {
 	Suite string `json:"suite"`
 	Cells int    `json:"cells"`

@@ -221,7 +221,8 @@ func TestExchangePagedIOStillCorrect(t *testing.T) {
 	if hf.DataPages() <= maxWorkers {
 		t.Fatalf("file has %d data pages: the pool would hold all of it", hf.DataPages())
 	}
-	pr := pager.NewPagedRelation(hf, pager.NewPool(maxWorkers))
+	pool := pager.NewPool(maxWorkers)
+	pr := pager.NewPagedRelation(hf, pool)
 	want, err := Run(NewCtx(), NewScan(rel))
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +234,9 @@ func TestExchangePagedIOStillCorrect(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		sameRows(t, got, want, "paged parallel scan")
+		if n := pool.Pinned(); n != 0 {
+			t.Fatalf("workers=%d: %d frame(s) still pinned after the run", workers, n)
+		}
 		if calls := ctx.Calls(); calls != 2*rel.Cardinality() {
 			t.Fatalf("workers=%d: %d calls, want %d", workers, calls, 2*rel.Cardinality())
 		}

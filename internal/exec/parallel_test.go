@@ -229,11 +229,16 @@ func TestParallelScanPagedWeightedUnits(t *testing.T) {
 	// whenever it completes, the accounting must still be exact.
 	for _, workers := range []int{1, 3, 8} {
 		for _, frames := range []int{max(workers, 2), 2} {
-			pr := pager.NewPagedRelation(hf, pager.NewPool(frames))
+			pool := pager.NewPool(frames)
+			pr := pager.NewPagedRelation(hf, pool)
 			pr.SetReadCost(2)
 			p := NewParallelScan(pr, workers)
 			ctx := NewCtx()
 			got, err := Run(ctx, p)
+			// Drained or failed, the workers are stopped: no pin may remain.
+			if n := pool.Pinned(); n != 0 {
+				t.Fatalf("workers=%d frames=%d: %d frame(s) still pinned after the run (err %v)", workers, frames, n, err)
+			}
 			if workers > frames && errors.Is(err, pager.ErrPoolExhausted) {
 				continue
 			}

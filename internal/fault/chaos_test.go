@@ -81,14 +81,12 @@ func TestChaosInvariantsPagedBatch(t *testing.T) {
 // TestBatchChaosExactMidBatch pins the batch engine's fault placement with
 // hand-built schedules: error and cancel faults at call indices that fall
 // strictly inside a batch (neither the first nor a multiple of the batch
-// size), on every serial corpus entry. The harness asserts the run stops at
-// exactly the scheduled call — a batch engine that only checked faults at
-// batch boundaries would overshoot by up to a batchful and fail here.
+// size), on every corpus entry. For serial entries the harness asserts the
+// run stops at exactly the scheduled call — a batch engine that only checked
+// faults at batch boundaries would overshoot by up to a batchful and fail
+// here; parallel entries are held to its at-or-past verdict.
 func TestBatchChaosExactMidBatch(t *testing.T) {
 	for _, entry := range coretest.Corpus() {
-		if entry.Parallel {
-			continue // exact-call placement is a serial-plan guarantee
-		}
 		entry := entry
 		t.Run(entry.Label, func(t *testing.T) {
 			for _, ev := range []fault.Event{

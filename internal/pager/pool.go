@@ -134,6 +134,21 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
+// Pinned returns how many frames are pinned right now. Once every cursor
+// over the pool's files is closed it is zero; anything else is a Get whose
+// Release was lost.
+func (p *Pool) Pinned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, fr := range p.frames {
+		if fr.pins > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Capacity returns the pool's frame capacity.
 func (p *Pool) Capacity() int { return p.cap }
 
