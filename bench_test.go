@@ -124,6 +124,53 @@ func TestBatchINLJoinAllocBudget(t *testing.T) {
 	}
 }
 
+// The ceilings on exec.RunBatch over synthHashPlan(60 000): a key–foreign-key
+// hash join whose build side is 60 000 rows. Both figures are deterministic
+// (257 allocs and 12.0 MB per run when the budget was set; 786 and 26.6 MB
+// with the map-based table before it). What they hold is the join table's storage discipline: the build
+// buffer sized once from the plan's bound, flat offset/word/row arrays
+// instead of maps, no staging copies.
+const (
+	batchHashJoinAllocBudget = 285
+	batchHashJoinBytesBudget = 13_200_000
+)
+
+// synthHashPlan is synthPlan's pair joined by hash instead: r1, n unique
+// keys, is the build side and r2, n foreign keys, probes it.
+func synthHashPlan(n int) exec.Operator {
+	pair := datagen.NewSkewPair(n, int64(n), 0, 1)
+	db := Open()
+	db.Catalog().AddRelation(pair.R1)
+	db.Catalog().AddRelation(pair.R2)
+	db.DeclareUnique("r1", "a")
+	b := plan.NewBuilder(db.Catalog())
+	return b.Scan("r2").HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op
+}
+
+// TestBatchHashJoinAllocBudget holds exec.RunBatch over synthHashPlan to
+// both budgets. Wall-clock is not checked.
+func TestBatchHashJoinAllocBudget(t *testing.T) {
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			op := synthHashPlan(60_000)
+			b.StartTimer()
+			if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if r.N == 0 {
+		t.Fatal("benchmark body failed")
+	}
+	if got := r.AllocsPerOp(); got > batchHashJoinAllocBudget {
+		t.Errorf("batch hash join: %d allocs/op, budget %d", got, batchHashJoinAllocBudget)
+	}
+	if got := r.AllocedBytesPerOp(); got > batchHashJoinBytesBudget {
+		t.Errorf("batch hash join: %d bytes/op, budget %d", got, batchHashJoinBytesBudget)
+	}
+}
+
 // BenchmarkExecINLJoinNoMonitor measures raw executor throughput (the
 // baseline for monitoring-overhead ablations).
 func BenchmarkExecINLJoinNoMonitor(b *testing.B) {

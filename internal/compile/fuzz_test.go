@@ -813,7 +813,8 @@ func runMonitored(t *testing.T, op exec.Operator, batch bool) (*core.Monitor, []
 // static lower bound goes wrong: each query runs monitored at every call on
 // the row engine and at every quiesce point on the batch engine, and both
 // recorded series must pass coretest.Series.Check. The rows returned must be
-// min(k, n) of the unlimited query's n.
+// min(k, n) of the unlimited query's n, and under ORDER BY c their c values
+// the first of the sorted column, in order.
 func fuzzLimit(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
@@ -830,9 +831,23 @@ func fuzzLimit(t *testing.T, seed int64) {
 		"SELECT b, COUNT(*) FROM t1 WHERE " + p + " GROUP BY b",
 		"SELECT b, COUNT(*) FROM t1 WHERE " + p + " GROUP BY b HAVING COUNT(*) > 2",
 		"SELECT a, c FROM t1 WHERE " + p + " ORDER BY c",
+		"SELECT a, c FROM t1 WHERE " + p + " ORDER BY c DESC",
 	}
 	for _, shape := range shapes {
-		full := canon(runFuzzSQL(t, db, shape))
+		fullRows := runFuzzSQL(t, db, shape)
+		full := canon(fullRows)
+		// Under ORDER BY c the limited result is not any k rows: its c values
+		// are the first k of the sorted column, in that order.
+		var sortedC []int64
+		if strings.Contains(shape, "ORDER BY c") {
+			for _, row := range fullRows {
+				sortedC = append(sortedC, row[1])
+			}
+			slices.Sort(sortedC)
+			if strings.HasSuffix(shape, "DESC") {
+				slices.Reverse(sortedC)
+			}
+		}
 		k := []int{0, 1, 2 + r.Intn(8), len(full) + 1}[r.Intn(4)]
 		sql := fmt.Sprintf("%s LIMIT %d", shape, k)
 		for _, batch := range []bool{false, true} {
@@ -844,9 +859,17 @@ func fuzzLimit(t *testing.T, seed int64) {
 			if want := min(k, len(full)); len(rows) != want {
 				t.Fatalf("%s (batch=%v): %d rows, want %d", sql, batch, len(rows), want)
 			}
-			for _, row := range canon(resultToInts(t, rows)) {
+			got := resultToInts(t, rows)
+			for _, row := range canon(got) {
 				if _, ok := slices.BinarySearch(full, row); !ok {
 					t.Fatalf("%s (batch=%v): row %s is not in the unlimited result", sql, batch, row)
+				}
+			}
+			if sortedC != nil {
+				for i, row := range got {
+					if row[1] != sortedC[i] {
+						t.Fatalf("%s (batch=%v): row %d has c = %d, the sorted column has %d there", sql, batch, i, row[1], sortedC[i])
+					}
 				}
 			}
 			if mon.Total() == 0 {

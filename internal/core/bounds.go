@@ -57,12 +57,6 @@ func ComputeBoundsOpt(root exec.Operator, opts BoundsOptions) BoundsSnapshot {
 	return *NewBoundsEvaluatorOpt(root, opts).Compute()
 }
 
-// ComputeShapeBounds is ComputeBoundsOpt over an already-derived
-// (PlanShape, *Ledger) pair.
-func ComputeShapeBounds(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions) BoundsSnapshot {
-	return *NewShapeEvaluator(shape, led, opts).Compute()
-}
-
 // ScannedLeafCardinality sums the cardinalities of the plan's leaf nodes
 // that are scanned exactly once, in full — the denominator of the paper's
 // mu (Section 5.2). Leaves inside rescanned nested-loops inners are

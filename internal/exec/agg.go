@@ -71,35 +71,14 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 	a.groups = make(map[uint64][]*aggGroup)
 	a.out = nil
 	a.pos = 0
-	if err := a.child.Open(ctx); err != nil {
-		return err
-	}
 	key := make([]sqlval.Value, len(a.GroupBy))
-	if ctx.fastPath() {
-		// Blocking drain, chunk-at-a-time (see Sort.Open).
-		var in Batch
-		for {
-			if err := nextBatch(ctx, a.child, &in); err != nil {
-				return err
-			}
-			if in.Len() == 0 {
-				break
-			}
-			for _, row := range in.Rows {
-				foldInto(a.groups, key, a.GroupBy, a.Aggs, row)
-			}
-		}
-	} else {
-		for {
-			row, ok, err := a.child.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
+	err := drain(ctx, a.child, func(rows []schema.Row) {
+		for _, row := range rows {
 			foldInto(a.groups, key, a.GroupBy, a.Aggs, row)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	// Deterministic emission order: sort groups by key.
 	a.out = make([]*aggGroup, 0, len(a.groups))

@@ -301,19 +301,68 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 	return out, nil
 }
 
-// resultCapHint sizes the result slice from the plan's cardinality bounds:
-// the root's final call upper bound also caps the rows it can deliver.
-// Bounds can be loose (an aggregate's is its input count), so a root that
-// carries a plan-time estimate is sized at twice the estimate when that is
-// smaller, and the hint is clamped to a modest window — a wrong hint costs
-// one growth cycle or some slack capacity, not correctness.
+// resultCapHint sizes the result slice: the root's capHint, and at least one
+// batch.
 func resultCapHint(op Operator, batchSize int) int {
+	return max(capHint(op), batchSize)
+}
+
+// capHint sizes a buffer for every row op will deliver from the plan's
+// cardinality bounds: the node's final call upper bound also caps the rows
+// it can deliver. Bounds can be loose (an aggregate's is its input count),
+// so a node that carries a plan-time estimate is sized at twice the estimate
+// when that is smaller, and the hint is clamped to a modest ceiling — a
+// wrong hint costs one growth cycle or some slack capacity, not correctness.
+func capHint(op Operator) int {
 	const maxHint = 1 << 17
 	hint := finalBoundsOf(op).UB
 	if est := op.EstimatedCard(); est >= 0 && est < hint/2 {
 		hint = 2 * est
 	}
-	return int(min(max(hint, int64(batchSize)), maxHint))
+	return int(min(hint, maxHint))
+}
+
+// drainAll opens a blocking child and drains it — counted GetNext calls,
+// chunked on the fast path — into buf[:0]. An empty buf is sized once from
+// the child's plan-time bound and estimate instead of growing by append.
+func drainAll(ctx *Ctx, child Operator, buf []schema.Row) ([]schema.Row, error) {
+	buf = buf[:0]
+	if cap(buf) == 0 {
+		buf = make([]schema.Row, 0, capHint(child))
+	}
+	err := drain(ctx, child, func(rows []schema.Row) { buf = append(buf, rows...) })
+	return buf, err
+}
+
+// drain opens a blocking child and hands sink every row it produces. Both
+// engines fully consume the child inside the parent's Open (EOF probe
+// included), so chunked pulls here can't desynchronize any quiesce-point
+// snapshot.
+func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
+	if err := child.Open(ctx); err != nil {
+		return err
+	}
+	if ctx.fastPath() {
+		var in Batch
+		for {
+			if err := nextBatch(ctx, child, &in); err != nil {
+				return err
+			}
+			if in.Len() == 0 {
+				return nil
+			}
+			sink(in.Rows)
+		}
+	}
+	var one [1]schema.Row
+	for {
+		row, ok, err := child.Next(ctx)
+		if err != nil || !ok {
+			return err
+		}
+		one[0] = row
+		sink(one[:])
+	}
 }
 
 // finalBoundsOf computes the root's final call bounds bottom-up (the exec

@@ -35,9 +35,8 @@ func (m JoinMode) String() string {
 // side is preserved.
 type HashJoin struct {
 	base
-	build, probe         Operator
-	buildKeys, probeKeys []expr.Expr
-	Mode                 JoinMode
+	build, probe Operator
+	Mode         JoinMode
 	// Linear is set by the builder when the join is known to produce at
 	// most max(|build|, |probe|) rows (e.g. key–foreign-key joins).
 	Linear bool
@@ -45,7 +44,7 @@ type HashJoin struct {
 	// emits, in output order; nil means every column of that side.
 	outProbe, outBuild []int
 
-	table      map[uint64][]schema.Row
+	table      joinTable    // holds the join keys
 	buildRows  []schema.Row // build side, drained during Open
 	matchBuf   []schema.Row // reused lookup result buffer
 	matches    []schema.Row
@@ -76,8 +75,8 @@ func NewHashJoin(build, probe Operator, buildKeys, probeKeys []expr.Expr, mode J
 	}
 	j := &HashJoin{
 		build: build, probe: probe,
-		buildKeys: buildKeys, probeKeys: probeKeys,
-		Mode: mode,
+		Mode:  mode,
+		table: joinTable{buildKeys: buildKeys, probeKeys: probeKeys},
 	}
 	j.init(sch)
 	return j
@@ -156,65 +155,13 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.reopen()
 	j.matches, j.matchIdx, j.curProbe = nil, 0, nil
 	j.drained = false
-	if err := j.build.Open(ctx); err != nil {
+	var err error
+	if j.buildRows, err = drainAll(ctx, j.build, j.buildRows); err != nil {
 		return err
 	}
-	j.buildRows = j.buildRows[:0]
-	if ctx.fastPath() {
-		// Blocking drain, chunk-at-a-time (see Sort.Open).
-		var in Batch
-		for {
-			if err := nextBatch(ctx, j.build, &in); err != nil {
-				return err
-			}
-			if in.Len() == 0 {
-				break
-			}
-			j.buildRows = append(j.buildRows, in.Rows...)
-		}
-	} else {
-		for {
-			row, ok, err := j.build.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			j.buildRows = append(j.buildRows, row)
-		}
-	}
-	j.buildTable()
+	j.table.build(j.buildRows, 1)
 	j.pad = make(schema.Row, j.build.Schema().Len()) // zero Values are NULL
 	return j.probe.Open(ctx)
-}
-
-// buildTable constructs the hash table from the drained build side in two
-// passes: count bucket sizes, then carve every bucket out of one shared
-// backing slice at exact capacity. Incremental per-row appends previously
-// dominated the join's allocation profile (each growing bucket reallocates
-// log-many times); the two-pass layout does one allocation for all buckets.
-func (j *HashJoin) buildTable() {
-	hs := make([]uint64, 0, len(j.buildRows))
-	rows := make([]schema.Row, 0, len(j.buildRows))
-	counts := make(map[uint64]int, len(j.buildRows))
-	for _, row := range j.buildRows {
-		if h, ok := hashKeys(j.buildKeys, row); ok {
-			hs = append(hs, h)
-			rows = append(rows, row)
-			counts[h]++
-		}
-	}
-	backing := make([]schema.Row, len(rows))
-	j.table = make(map[uint64][]schema.Row, len(counts))
-	off := 0
-	for h, c := range counts {
-		j.table[h] = backing[off : off : off+c]
-		off += c
-	}
-	for i, row := range rows {
-		j.table[hs[i]] = append(j.table[hs[i]], row) // within capacity: no realloc
-	}
 }
 
 // Next implements Operator.
@@ -241,7 +188,7 @@ func (j *HashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			return nil, false, nil
 		}
 		j.curProbe, j.emittedCur = probe, false
-		found := j.lookup(probe)
+		found := j.table.lookup(probe, &j.matchBuf)
 		switch j.Mode {
 		case SemiJoin:
 			if len(found) > 0 {
@@ -257,31 +204,6 @@ func (j *HashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			j.matches, j.matchIdx = found, 0
 		}
 	}
-}
-
-// lookup returns the build rows matching probe's key. The common case —
-// every bucket row key-equal to the probe — returns the bucket itself with
-// no copy; a mixed bucket falls back to the reused matchBuf. Either result
-// is only valid until the next lookup, which is exactly how both engines
-// consume it (matches fully drained before the next probe row).
-func (j *HashJoin) lookup(probe schema.Row) []schema.Row {
-	h, ok := hashKeys(j.probeKeys, probe)
-	if !ok {
-		return nil
-	}
-	bucket := j.table[h]
-	for i, b := range bucket {
-		if !keysEqual(j.probeKeys, probe, j.buildKeys, b) {
-			j.matchBuf = append(j.matchBuf[:0], bucket[:i]...)
-			for _, rest := range bucket[i+1:] {
-				if keysEqual(j.probeKeys, probe, j.buildKeys, rest) {
-					j.matchBuf = append(j.matchBuf, rest)
-				}
-			}
-			return j.matchBuf
-		}
-	}
-	return bucket
 }
 
 // NextBatch implements BatchOperator: processes whole probe chunks against
@@ -311,37 +233,7 @@ func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 			j.drained = true
 			return nil
 		}
-		emitted := 0
-		for _, probe := range j.in.Rows {
-			found := j.lookup(probe)
-			switch j.Mode {
-			case SemiJoin:
-				if len(found) > 0 {
-					b.Append(probe)
-					emitted++
-				}
-			case AntiJoin:
-				if len(found) == 0 {
-					b.Append(probe)
-					emitted++
-				}
-			case LeftOuterJoin:
-				if len(found) == 0 {
-					b.Append(j.joined(probe, j.pad))
-					emitted++
-				} else {
-					for _, m := range found {
-						b.Append(j.joined(probe, m))
-						emitted++
-					}
-				}
-			default:
-				for _, m := range found {
-					b.Append(j.joined(probe, m))
-					emitted++
-				}
-			}
-		}
+		emitted := j.table.probe(j.Mode, j.in.Rows, b, &j.matchBuf, j.pad, j.joined)
 		if err := j.creditRows(ctx, emitted); err != nil {
 			return err
 		}
@@ -353,7 +245,8 @@ func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.table, j.buildRows, j.matchBuf = nil, nil, nil
+	j.table.release()
+	j.buildRows, j.matchBuf = nil, nil
 	err1 := j.build.Close()
 	err2 := j.probe.Close()
 	if err1 != nil {
@@ -379,27 +272,26 @@ func linTag(l bool) string {
 
 // FinalBounds implements Operator.
 func (j *HashJoin) FinalBounds(ch []CardBounds) CardBounds {
-	build, probe := ch[0], ch[1]
-	switch j.Mode {
-	case SemiJoin, AntiJoin:
+	return hashJoinBounds(j.Mode, j.Linear, ch[0], ch[1])
+}
+
+// hashJoinBounds is the final-call bound of a hash join in the given mode
+// over its build and (whole) probe side.
+func hashJoinBounds(mode JoinMode, linear bool, build, probe CardBounds) CardBounds {
+	if mode == SemiJoin || mode == AntiJoin {
 		return CardBounds{LB: 0, UB: probe.UB}
-	case LeftOuterJoin:
+	}
+	ub := SatMul(build.UB, probe.UB)
+	if linear {
+		ub = minI64(ub, maxI64(build.UB, probe.UB))
+	}
+	if mode == LeftOuterJoin {
 		// Matched output obeys the inner-join bound; every unmatched probe
 		// row additionally emits one padded row, so the total can exceed
 		// max(inputs) even for key joins — add the probe side.
-		matched := SatMul(build.UB, probe.UB)
-		if j.Linear {
-			matched = minI64(matched, maxI64(build.UB, probe.UB))
-		}
-		ub := SatAdd(matched, probe.UB)
-		return CardBounds{LB: probe.LB, UB: ub}
-	default:
-		ub := SatMul(build.UB, probe.UB)
-		if j.Linear {
-			ub = minI64(ub, maxI64(build.UB, probe.UB))
-		}
-		return CardBounds{LB: 0, UB: ub}
+		return CardBounds{LB: probe.LB, UB: SatAdd(ub, probe.UB)}
 	}
+	return CardBounds{LB: 0, UB: ub}
 }
 
 // StreamChildren implements Operator: the probe side shares this pipeline.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/ledger"
@@ -10,10 +9,10 @@ import (
 )
 
 // ParallelHashJoin is the partitioned hash join: one plan node that drains
-// its blocking build side once, partitions the hash table by key hash across
-// W sub-tables built concurrently, then probes W streaming probe partitions
-// on W workers. Each worker probes only against read-only sub-tables (the
-// table is frozen before the first probe), concatenates outputs from its own
+// its blocking build side once, builds the serial join's table (joinTable) on
+// W goroutines, each filling its own range of slots, then probes W streaming
+// probe partitions on W workers. Each worker probes the read-only table (it
+// is frozen before the first probe), concatenates outputs from its own
 // arena, and credits emitted rows to its own ledger sub-slot — so the node's
 // aggregate counters and FinalBounds are exactly the serial HashJoin's while
 // build and probe both scale with cores.
@@ -22,16 +21,15 @@ import (
 // in nondeterministic cross-partition order unless the plan runs in lockstep.
 type ParallelHashJoin struct {
 	base
-	build                Operator
-	parts                []Operator
-	buildKeys, probeKeys []expr.Expr
-	Mode                 JoinMode
+	build Operator
+	parts []Operator
+	Mode  JoinMode
 	// Linear is set by the builder when the join is known to produce at
 	// most max(|build|, |probe|) rows (e.g. key–foreign-key joins).
 	Linear bool
 
 	fallback  []ledger.Slot
-	tables    []map[uint64][]schema.Row // partitioned by hash % len(tables)
+	table     joinTable // holds the join keys
 	buildRows []schema.Row
 	pad       schema.Row // NULL padding for left outer
 
@@ -59,8 +57,8 @@ func NewParallelHashJoin(build Operator, parts []Operator, buildKeys, probeKeys 
 	}
 	j := &ParallelHashJoin{
 		build: build, parts: parts,
-		buildKeys: buildKeys, probeKeys: probeKeys,
-		Mode: mode,
+		Mode:  mode,
+		table: joinTable{buildKeys: buildKeys, probeKeys: probeKeys},
 	}
 	if len(parts) > 1 {
 		j.fallback = make([]ledger.Slot, len(parts)-1)
@@ -74,151 +72,21 @@ func (j *ParallelHashJoin) fallbackSlots() []ledger.Slot { return j.fallback }
 func (j *ParallelHashJoin) transport() *gather           { return &j.g }
 
 // Open implements Operator: drains the build side (on the reader — the
-// build subtree is a serial pipeline), partitions the hash table across
-// workers, then starts the probe workers.
+// build subtree is a serial pipeline), builds the hash table on as many
+// goroutines as there are workers, then starts the probe workers.
 func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	j.reopen()
 	reopenWorkerSlots(j)
-	if err := j.build.Open(ctx); err != nil {
+	var err error
+	if j.buildRows, err = drainAll(ctx, j.build, j.buildRows); err != nil {
 		return err
 	}
-	j.buildRows = j.buildRows[:0]
-	if ctx.fastPath() {
-		var in Batch
-		for {
-			if err := nextBatch(ctx, j.build, &in); err != nil {
-				return err
-			}
-			if in.Len() == 0 {
-				break
-			}
-			j.buildRows = append(j.buildRows, in.Rows...)
-		}
-	} else {
-		for {
-			row, ok, err := j.build.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			j.buildRows = append(j.buildRows, row)
-		}
-	}
-	j.buildTables()
+	// Building is uncounted work inside the join, and the table is frozen —
+	// read-only — before any worker probes, so concurrent probing needs no
+	// locks.
+	j.table.build(j.buildRows, len(j.parts))
 	j.pad = make(schema.Row, j.build.Schema().Len()) // zero Values are NULL
 	return j.g.start(len(j.parts), func(w int) (workerStep, error) { return j.probeStep(ctx, w) })
-}
-
-// buildTables constructs W hash sub-tables, sub-table w holding the build
-// rows whose key hash lands in partition w (hash % W). Each sub-table is
-// built by its own goroutine with HashJoin's exact-capacity two-pass layout.
-// Building is uncounted work inside the join (like serial buildTable) and
-// the tables are frozen — read-only — before any worker probes, so
-// concurrent probing needs no locks. Sub-table contents are deterministic
-// regardless of goroutine scheduling.
-func (j *ParallelHashJoin) buildTables() {
-	w := len(j.parts)
-	hs := make([]uint64, 0, len(j.buildRows))
-	rows := make([]schema.Row, 0, len(j.buildRows))
-	for _, row := range j.buildRows {
-		if h, ok := hashKeys(j.buildKeys, row); ok {
-			hs = append(hs, h)
-			rows = append(rows, row)
-		}
-	}
-	j.tables = make([]map[uint64][]schema.Row, w)
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			counts := make(map[uint64]int)
-			total := 0
-			for _, h := range hs {
-				if int(h%uint64(w)) == p {
-					counts[h]++
-					total++
-				}
-			}
-			backing := make([]schema.Row, total)
-			t := make(map[uint64][]schema.Row, len(counts))
-			off := 0
-			for h, c := range counts {
-				t[h] = backing[off : off : off+c]
-				off += c
-			}
-			for i, h := range hs {
-				if int(h%uint64(w)) == p {
-					t[h] = append(t[h], rows[i]) // within capacity: no realloc
-				}
-			}
-			j.tables[p] = t
-		}(p)
-	}
-	wg.Wait()
-}
-
-// lookup returns the build rows matching probe's key from the owning
-// sub-table, with HashJoin's zero-copy common case (whole bucket key-equal)
-// and a caller-owned match buffer for mixed buckets.
-func (j *ParallelHashJoin) lookup(probe schema.Row, matchBuf *[]schema.Row) []schema.Row {
-	h, ok := hashKeys(j.probeKeys, probe)
-	if !ok {
-		return nil
-	}
-	bucket := j.tables[h%uint64(len(j.tables))][h]
-	for i, b := range bucket {
-		if !keysEqual(j.probeKeys, probe, j.buildKeys, b) {
-			mb := append((*matchBuf)[:0], bucket[:i]...)
-			for _, rest := range bucket[i+1:] {
-				if keysEqual(j.probeKeys, probe, j.buildKeys, rest) {
-					mb = append(mb, rest)
-				}
-			}
-			*matchBuf = mb
-			return mb
-		}
-	}
-	return bucket
-}
-
-// probeBatch probes every row of in, appending join outputs to out; returns
-// the number of rows emitted.
-func (j *ParallelHashJoin) probeBatch(in *Batch, out *Batch, arena *rowArena, matchBuf *[]schema.Row) int {
-	emitted := 0
-	for _, probe := range in.Rows {
-		found := j.lookup(probe, matchBuf)
-		switch j.Mode {
-		case SemiJoin:
-			if len(found) > 0 {
-				out.Append(probe)
-				emitted++
-			}
-		case AntiJoin:
-			if len(found) == 0 {
-				out.Append(probe)
-				emitted++
-			}
-		case LeftOuterJoin:
-			if len(found) == 0 {
-				out.Append(arena.concat(probe, j.pad))
-				emitted++
-			} else {
-				for _, m := range found {
-					out.Append(arena.concat(probe, m))
-					emitted++
-				}
-			}
-		default:
-			for _, m := range found {
-				out.Append(arena.concat(probe, m))
-				emitted++
-			}
-		}
-	}
-	return emitted
 }
 
 // probeStep opens probe partition w and returns the step that pulls its next
@@ -234,6 +102,7 @@ func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
 	var in Batch
 	var arena rowArena
 	var matchBuf []schema.Row
+	joined := func(probe, build schema.Row) schema.Row { return arena.concat(probe, build) }
 	return func(out *Batch) (turn, error) {
 		if err := nextBatch(ctx, part, &in); err != nil {
 			return turnOver, err
@@ -242,7 +111,7 @@ func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
 			slot.MarkDone()
 			return turnLast, nil
 		}
-		emitted := int64(j.probeBatch(&in, out, &arena, &matchBuf))
+		emitted := int64(j.table.probe(j.Mode, in.Rows, out, &matchBuf, j.pad, joined))
 		return turnOver, creditWorker(ctx, slot, emitted, emitted)
 	}, nil
 }
@@ -269,7 +138,8 @@ func (j *ParallelHashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 // then closes all children.
 func (j *ParallelHashJoin) Close() error {
 	j.g.stop()
-	j.tables, j.buildRows = nil, nil
+	j.table.release()
+	j.buildRows = nil
 	return closeAll(j.Children()...)
 }
 
@@ -287,7 +157,7 @@ func (j *ParallelHashJoin) Name() string {
 
 // FinalBounds implements Operator: the probe partitions jointly form the
 // probe side, so their delivered bounds sum and then HashJoin's per-mode
-// arithmetic applies unchanged.
+// arithmetic (hashJoinBounds) applies unchanged.
 func (j *ParallelHashJoin) FinalBounds(ch []CardBounds) CardBounds {
 	build := ch[0]
 	var probe CardBounds
@@ -295,23 +165,7 @@ func (j *ParallelHashJoin) FinalBounds(ch []CardBounds) CardBounds {
 		probe.LB = SatAdd(probe.LB, c.LB)
 		probe.UB = SatAdd(probe.UB, c.UB)
 	}
-	switch j.Mode {
-	case SemiJoin, AntiJoin:
-		return CardBounds{LB: 0, UB: probe.UB}
-	case LeftOuterJoin:
-		matched := SatMul(build.UB, probe.UB)
-		if j.Linear {
-			matched = minI64(matched, maxI64(build.UB, probe.UB))
-		}
-		ub := SatAdd(matched, probe.UB)
-		return CardBounds{LB: probe.LB, UB: ub}
-	default:
-		ub := SatMul(build.UB, probe.UB)
-		if j.Linear {
-			ub = minI64(ub, maxI64(build.UB, probe.UB))
-		}
-		return CardBounds{LB: 0, UB: ub}
-	}
+	return hashJoinBounds(j.Mode, j.Linear, build, probe)
 }
 
 // StreamChildren implements Operator: every probe partition shares this

@@ -205,8 +205,11 @@ func (n Node) Project(exprs []expr.Expr, names []string, kinds []sqlval.Kind) No
 	return n.finish(op, n.est)
 }
 
-// Top limits output to k rows.
+// Top limits output to k rows. A sort directly below need only keep k.
 func (n Node) Top(k int64) Node {
+	if s, ok := n.Op.(*exec.Sort); ok && k > 0 {
+		s.SetLimit(k)
+	}
 	op := exec.NewTop(n.Op, k)
 	est := n.est
 	if float64(k) < est {
