@@ -1,7 +1,9 @@
 // Command benchgate is the estimator accuracy gate. It re-runs the full
 // accuracy matrix (deterministic, so the comparison is exact) against the
 // checked-in BENCH_ACC.json and fails when any cell's max ratio error
-// regresses past the slack factor, any hard-bound soundness counter fires —
+// regresses past the slack factor, any cell is scored on fewer samples than
+// the artifact's (an error measured at fewer instants is a weaker claim, not a
+// smaller error), any hard-bound soundness counter fires —
 // including the pessimistic degree-norm bound's (ubtight_regressions,
 // tight_bound_misses) — any baseline cell disappears, a skewed-stale cell
 // loses the paper's safe <= dne ordering or the robust-combiner ordering
@@ -83,6 +85,9 @@ func gate(baselinePath string, slack float64, perturb map[string]float64) int {
 		if !ok {
 			// New cells only extend the matrix; they get gated once checked in.
 			continue
+		}
+		if g.Samples < b.Samples {
+			fail("%s: scored on %d samples, baseline %d", g.Key(), g.Samples, b.Samples)
 		}
 		if g.MaxRatioErr > b.MaxRatioErr*slack {
 			fail("%s: max ratio error regression: %.4f > %.4f (baseline %.4f x %.2f)",

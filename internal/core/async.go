@@ -51,6 +51,7 @@ type AsyncMonitor struct {
 	ctx     *exec.Ctx
 	stop    chan struct{}
 	done    chan struct{}
+	poke    chan struct{} // one pending Poke; never closed
 }
 
 // DefaultInterval is the wall-clock sampling period used when
@@ -65,6 +66,26 @@ func NewAsyncMonitor(root exec.Operator, interval time.Duration, ests ...Estimat
 		Interval:  interval,
 		tracker:   NewTracker(root),
 		root:      root,
+		poke:      make(chan struct{}, 1),
+	}
+}
+
+// Initial evaluates ests on the plan's state before it has run (Curr = 0, the
+// static bounds) without recording a sample. Pass estimators of their own,
+// not the monitor's: a stateful one (hybrid-var, combiner) keeps a history of
+// the instants it was asked about. Call it before Start.
+func (m *AsyncMonitor) Initial(ests ...Estimator) Sample {
+	return evaluate(m.tracker.Capture(), 0, ests)
+}
+
+// Poke asks the wall-clock sampler for a sample now instead of at its next
+// tick; like a tick's, it is dropped when Curr has not moved since the last.
+// It never blocks and is safe from any goroutine at any time: pokes coalesce,
+// and one sent before Start or after Stop is never read.
+func (m *AsyncMonitor) Poke() {
+	select {
+	case m.poke <- struct{}{}:
+	default:
 	}
 }
 
@@ -148,13 +169,14 @@ func (m *AsyncMonitor) loop() {
 		case <-m.stop:
 			return
 		case <-tick.C:
-			calls := m.ctx.Calls()
-			if calls == lastCalls {
-				continue // idle or not started: nothing to observe yet
-			}
-			lastCalls = calls
-			m.observe(calls)
+		case <-m.poke:
 		}
+		calls := m.ctx.Calls()
+		if calls == lastCalls {
+			continue // idle or not started: nothing to observe yet
+		}
+		lastCalls = calls
+		m.observe(calls)
 	}
 }
 

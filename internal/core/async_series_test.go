@@ -83,6 +83,50 @@ func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 	}
 }
 
+// TestAsyncMonitorInitialAndPoke: Initial describes the plan before it runs
+// without recording anything, and a Poke makes a sampler whose interval never
+// elapses take a sample at once — unless Curr has not moved since the last.
+func TestAsyncMonitorInitialAndPoke(t *testing.T) {
+	j := example1INLJoin(50)
+	m := core.NewAsyncMonitor(j, time.Hour, core.Dne{}, core.Safe{})
+	sampled := make(chan core.Sample, 4)
+	m.OnSample = func(s core.Sample) { sampled <- s }
+
+	first := m.Initial(core.RegisteredEstimators()...)
+	if first.Calls != 0 || first.LB < 1 || first.LB > first.UBTight || first.UBTight > first.UB {
+		t.Fatalf("initial sample %+v", first)
+	}
+	for i, e := range first.Estimates {
+		if !(e >= 0 && e <= 1) {
+			t.Fatalf("estimator %d at Curr = 0: %v", i, e)
+		}
+	}
+	if len(m.Samples) != 0 {
+		t.Fatalf("Initial recorded %d samples", len(m.Samples))
+	}
+
+	ctx := exec.NewCtx()
+	m.Start(ctx)
+	m.Poke() // Curr is still 0: dropped, or it would record a Calls = 0 sample
+	if _, err := exec.RunBatch(ctx, j); err != nil {
+		t.Fatal(err)
+	}
+	total := ctx.Calls()
+	if total < first.LB || total > first.UB {
+		t.Fatalf("total %d outside the initial [%d, %d]", total, first.LB, first.UB)
+	}
+	m.Poke()
+	if s := <-sampled; s.Calls != total {
+		t.Fatalf("poked sample at Calls = %d, want %d", s.Calls, total)
+	}
+	m.Poke() // same instant again: dropped
+	m.Stop() // and so is the at-EOF sample
+	if len(m.Samples) != 1 {
+		t.Fatalf("samples = %d, want the one poked sample", len(m.Samples))
+	}
+	checkSeries(t, "poked", m, j)
+}
+
 // example1INLJoin is the paper's Example 1 plan, R1(a) ⋈INL R2(b) over a hash
 // index on R2.b, with both relations holding 0..n-1: core_test.go's
 // example1Plan rebuilt from exported pieces for this external package.
@@ -115,12 +159,18 @@ func TestAsyncMonitorStopEndsSampler(t *testing.T) {
 			}
 			m := mode.mk(op)
 			coretest.CheckNoGoroutineLeak(t, func() {
+				// Pokes with no reader — before Start, after Stop, several in
+				// a row — must neither block nor keep anything alive.
+				m.Poke()
+				m.Poke()
 				if !run {
 					m.Start(exec.NewCtx())
 					m.Stop()
 				} else if _, err := m.Run(); err != nil {
 					t.Fatalf("%s: %v", mode.name, err)
 				}
+				m.Poke()
+				m.Poke()
 			})
 		}
 	}

@@ -50,12 +50,17 @@ func (ss *SampleSet) capture(tracker *Tracker, calls int64) bool {
 	if n := len(ss.Samples); n > 0 && calls <= ss.Samples[n-1].Calls {
 		return false
 	}
-	sample := Sample{Calls: calls, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: make([]float64, len(ss.Estimators))}
-	for i, e := range ss.Estimators {
+	ss.Samples = append(ss.Samples, evaluate(s, calls, ss.Estimators))
+	return true
+}
+
+// evaluate is the observation of s at the instant calls under ests.
+func evaluate(s *State, calls int64, ests []Estimator) Sample {
+	sample := Sample{Calls: calls, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: make([]float64, len(ests))}
+	for i, e := range ests {
 		sample.Estimates[i] = e.Estimate(s)
 	}
-	ss.Samples = append(ss.Samples, sample)
-	return true
+	return sample
 }
 
 // SetTotal records total(Q) when the plan was executed outside Run.

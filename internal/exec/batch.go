@@ -249,15 +249,23 @@ func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
 
 // RunBatchObserved is RunBatch with a quiesce-point observer: observe (when
 // non-nil) is invoked with the current Curr after every non-empty root batch
-// has been collected and once more at EOF. At each invocation no operator
-// holds counted-but-unprocessed rows, so a sampler reading the ledger sees a
-// state the row engine reaches at the same Curr — the property the
-// batch-vs-row differential check is built on.
+// has been collected, once more at EOF, and — inside a blocking operator's
+// Open, where a plan under a sort, an aggregate or a hash build spends its
+// run — after each batch of its child has been taken in (drain). At each
+// invocation no operator holds counted-but-unprocessed rows, so a sampler
+// reading the ledger sees a state the row engine reaches at the same Curr —
+// the property the batch-vs-row differential check is built on. observe only
+// ever runs on the calling goroutine: a plan whose workers drain partitions
+// on goroutines of their own is observed at the root batches alone.
 func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema.Row, error) {
 	if ctx == nil {
 		ctx = NewCtx()
 	}
 	ctx.vectorized = true
+	ctx.observe = nil
+	if observe != nil && onOneGoroutine(op) {
+		ctx.observe = observe
+	}
 	EnsureLedger(op)
 	if err := op.Open(ctx); err != nil {
 		return nil, err
@@ -337,7 +345,8 @@ func drainAll(ctx *Ctx, child Operator, buf []schema.Row) ([]schema.Row, error) 
 // drain opens a blocking child and hands sink every row it produces. Both
 // engines fully consume the child inside the parent's Open (EOF probe
 // included), so chunked pulls here can't desynchronize any quiesce-point
-// snapshot.
+// snapshot; each sunk batch is itself such a point (the child subtree is
+// quiescent and sinking counts nothing), reported to the run's observer.
 func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 	if err := child.Open(ctx); err != nil {
 		return err
@@ -352,6 +361,9 @@ func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 				return nil
 			}
 			sink(in.Rows)
+			if ctx.observe != nil {
+				ctx.observe(ctx.Calls())
+			}
 		}
 	}
 	var one [1]schema.Row

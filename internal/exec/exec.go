@@ -65,6 +65,9 @@ type Ctx struct {
 	// goroutines of an Exchange read it concurrently).
 	vectorized bool
 
+	// observe is RunBatchObserved's quiesce-point observer, carried for drain.
+	observe func(curr int64)
+
 	canceled atomic.Bool
 }
 

@@ -209,7 +209,9 @@ func (j *HashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 // NextBatch implements BatchOperator: processes whole probe chunks against
 // the prebuilt table, concatenated outputs carved from the arena. Output
 // batches are variable-length (a high-fanout chunk may exceed the nominal
-// size) so the subtree is quiescent at every return.
+// size) so the subtree is quiescent at every return. A chunk from a fan-out
+// join below can be thousands of rows: it is probed, credited and checked for
+// cancellation in strides of one batch, so a sampler sees the ledger move.
 func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 	if !ctx.fastPath() {
 		return FillFromNext(ctx, j, b, ctx.batchSize())
@@ -233,9 +235,11 @@ func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
 			j.drained = true
 			return nil
 		}
-		emitted := j.table.probe(j.Mode, j.in.Rows, b, &j.matchBuf, j.pad, j.joined)
-		if err := j.creditRows(ctx, emitted); err != nil {
-			return err
+		for lo := 0; lo < n; lo += want {
+			emitted := j.table.probe(j.Mode, j.in.Rows[lo:min(lo+want, n)], b, &j.matchBuf, j.pad, j.joined)
+			if err := j.creditRows(ctx, emitted); err != nil {
+				return err
+			}
 		}
 		if b.Len() >= want || (n < want && b.Len() > 0) {
 			return nil

@@ -115,7 +115,8 @@ func (j *INLJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 
 // NextBatch implements BatchOperator: the inner index lookup is an uncounted
 // access path, so seeking it for a whole outer chunk at once moves no counted
-// work and the subtree stays quiescent at every return.
+// work and the subtree stays quiescent at every return. Like HashJoin's, the
+// probe is credited in strides of one batch of input.
 func (j *INLJoin) NextBatch(ctx *Ctx, b *Batch) error {
 	if !ctx.fastPath() {
 		return FillFromNext(ctx, j, b, ctx.batchSize())
@@ -139,9 +140,11 @@ func (j *INLJoin) NextBatch(ctx *Ctx, b *Batch) error {
 			j.drained = true
 			return nil
 		}
-		emitted := j.probeBatch(b)
-		if err := j.creditRows(ctx, emitted); err != nil {
-			return err
+		for lo := 0; lo < n; lo += want {
+			emitted := j.probeBatch(j.in.Rows[lo:min(lo+want, n)], b)
+			if err := j.creditRows(ctx, emitted); err != nil {
+				return err
+			}
 		}
 		if b.Len() >= want || (n < want && b.Len() > 0) {
 			return nil
@@ -149,17 +152,17 @@ func (j *INLJoin) NextBatch(ctx *Ctx, b *Batch) error {
 	}
 }
 
-// probeBatch probes the index with every outer row buffered in j.in,
-// appending join output to b, and returns the number of rows emitted. When
+// probeBatch probes the index with every outer row of in, appending join
+// output to b, and returns the number of rows emitted. When
 // the join is an inner equijoin on a bare column and the index built its
 // dense table, the probe loop inlines each lookup to a bounds check and two
 // slice indexings; every other shape takes the general Lookup path.
-func (j *INLJoin) probeBatch(b *Batch) int {
+func (j *INLJoin) probeBatch(in []schema.Row, b *Batch) int {
 	rows := j.Idx.Rel.Rows
 	if j.Mode == InnerJoin && j.keyCol >= 0 {
 		if off, pos, lo, ok := j.Idx.Dense(); ok {
 			emitted := 0
-			for _, outer := range j.in.Rows {
+			for _, outer := range in {
 				v := outer[j.keyCol]
 				var found []int32
 				if v.Kind() == sqlval.KindInt {
@@ -180,7 +183,7 @@ func (j *INLJoin) probeBatch(b *Batch) int {
 		}
 	}
 	emitted := 0
-	for _, outer := range j.in.Rows {
+	for _, outer := range in {
 		found := j.Idx.Lookup(j.OuterKey.Eval(outer))
 		switch j.Mode {
 		case SemiJoin:

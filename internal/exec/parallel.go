@@ -150,6 +150,18 @@ func Lockstep(root Operator) {
 	})
 }
 
+// onOneGoroutine reports whether the whole plan under root executes on its
+// caller's goroutine: no parallel operator, or every one in lockstep.
+func onOneGoroutine(root Operator) bool {
+	one := true
+	Walk(root, func(op Operator) {
+		if g, ok := op.(interface{ transport() *gather }); ok && !g.transport().lockstep {
+			one = false
+		}
+	})
+	return one
+}
+
 // start begins a run of `workers` workers. open(w) prepares worker w — it
 // runs on the worker's own goroutine, or for lockstep on the caller's, in
 // worker order, before any step — and returns its step. In lockstep mode an

@@ -285,14 +285,23 @@ func (m *Manager) execute(s *Session) {
 	// monitor's tracker already ensured the same binding, so this is a
 	// cheap idempotent lookup on a still-quiescent plan.
 	s.shape, s.led = core.ShapeOf(s.root)
+	// Frame 0: the plan's static [LB, UB], every estimator at Curr = 0, every
+	// node, published before the run starts so a subscriber learns the size
+	// of the job when it attaches. A session event, not a monitor sample
+	// (Samples stays positive in Calls), on estimators of its own; the names
+	// were validated at admission.
+	ests0, _ := core.NewEstimators(s.estNames...)
+	s.publishLocked(s.progressLocked(mon.Initial(ests0...), false))
 	deadline := s.deadline
 	root := s.root
 	instrument := s.instrument
 	s.mu.Unlock()
 
+	// Started before the instrument hook so a Subscribe's poke has a reader.
+	mon.Start(execCtx)
 	if instrument != nil {
 		// Fault injectors and test gates attach here, before the context is
-		// bound or the monitor started.
+		// bound; the sampler reads only the call counter and the ledger.
 		instrument(execCtx)
 	}
 
@@ -303,7 +312,6 @@ func (m *Manager) execute(s *Session) {
 		defer cancel()
 	}
 	release := execCtx.Bind(stdctx)
-	mon.Start(execCtx)
 	// Batch-at-a-time execution: the async monitor samples the ledger from
 	// its own goroutine, so hook-free sessions take the vectorized fast
 	// path; an instrument that installs Inject/OnGetNext automatically

@@ -54,7 +54,9 @@ type Progress struct {
 	// LB and UB bound total(Q) at the observation.
 	LB int64 `json:"lb"`
 	UB int64 `json:"ub"`
-	// Lo and Hi are the hard progress interval [Curr/UB, min(Curr/LB, 1)].
+	// Lo and Hi are the hard progress interval [Curr/UB, min(Curr/LB, 1)];
+	// both are 0 while Calls is 0 (frame 0: nothing has run, so the interval
+	// says nothing yet — read LB and UB for the size of the job).
 	Lo float64 `json:"lo"`
 	Hi float64 `json:"hi"`
 	// Estimates holds each configured estimator's output by name.
@@ -202,7 +204,8 @@ type Info struct {
 	CancelReason string `json:"cancel_reason,omitempty"`
 	// Error is the terminal error message for failed sessions.
 	Error string `json:"error,omitempty"`
-	// Progress is the most recent observation (nil before the first sample).
+	// Progress is the most recent event: nil while the session is queued,
+	// frame 0 (Calls = 0, the static bounds) from the moment it starts.
 	Progress *Progress `json:"progress,omitempty"`
 	// Result summary, populated once finished.
 	Columns  []string   `json:"columns,omitempty"`
@@ -283,6 +286,11 @@ func (s *Session) Samples() []core.Sample {
 // observations, never the final one. The unsubscribe function is idempotent
 // and must be called when the consumer is done.
 //
+// A running session's stream is therefore: the latest event (frame 0, with
+// Calls = 0 and the static bounds, until a sample exists), one sample taken
+// because of this Subscribe (it pokes the sampler; dropped if Curr has not
+// moved since the last), the periodic samples, the final event.
+//
 // A subscriber that stops reading entirely is eventually evicted: its
 // channel closes without a Final-marked event. Because eviction only
 // happens on a live session, re-subscribing always works — and since
@@ -303,6 +311,9 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 	id := s.nextSub
 	s.nextSub++
 	s.subs[id] = &subscriber{ch: ch}
+	if s.mon != nil {
+		s.mon.Poke()
+	}
 	return ch, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
