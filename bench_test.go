@@ -171,6 +171,95 @@ func TestBatchHashJoinAllocBudget(t *testing.T) {
 	}
 }
 
+// The four statement classes the end-to-end benchmark's paged workload is
+// built from (benchmark/workload.go), one parameterisation each.
+var pagedVsMemClasses = []struct{ name, sql string }{
+	{"scanagg", "SELECT l_shipmode, COUNT(*), SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_extendedprice > 950 GROUP BY l_shipmode"},
+	{"filtercount", "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity >= 20 AND l_quantity < 30"},
+	{"join2", "SELECT COUNT(*), SUM(l_extendedprice) FROM orders, lineitem WHERE o_orderkey = l_orderkey AND o_totalprice > 1050"},
+	{"join3", "SELECT c_mktsegment, COUNT(*) FROM customer, orders, lineitem WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice > 950 GROUP BY c_mktsegment"},
+}
+
+// spilledTPCH is the paged workload's database: TPC-H at -sf 0.02, every
+// table in a heap file behind a 256-frame (2 MiB) pool, read cost 2.
+func spilledTPCH(tb testing.TB) *DB {
+	tb.Helper()
+	db := OpenTPCH(0.02, 1, 42)
+	if err := db.SpillToDisk(tb.TempDir(), 256); err != nil {
+		tb.Fatal(err)
+	}
+	for _, t := range db.Tables() {
+		if err := db.SetReadCost(t, 2); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// runStatement compiles and runs sql once (compile is microseconds beside a
+// lineitem scan, and a served query pays it too).
+func runStatement(tb testing.TB, db *DB, sql string) {
+	q, err := db.Query(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := q.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkPagedVsMem runs each class over the same data in memory and
+// through the pager: the gap is what disk-backed storage costs the executor
+// — pool accesses, page reads and, most of it, decoding the columns the
+// statement reads and stepping over the rest.
+func BenchmarkPagedVsMem(b *testing.B) {
+	stores := []struct {
+		name string
+		db   *DB
+	}{{"mem", OpenTPCH(0.02, 1, 42)}, {"paged", spilledTPCH(b)}}
+	for _, c := range pagedVsMemClasses {
+		for _, st := range stores {
+			b.Run(c.name+"/"+st.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					runStatement(b, st.db, c.sql)
+				}
+			})
+		}
+	}
+}
+
+// The ceilings on one filtercount statement over spilledTPCH: 120 000-odd
+// lineitem rows on ≈ 2 000 pages, two of sixteen columns read. Allocation is
+// two slices per page (row headers and an n × 2 value slab) plus the plan;
+// decoding all sixteen columns was 72 MB and 245 000 allocations, most of
+// them the strings of columns the statement never mentions.
+const (
+	batchPagedScanAllocBudget = 6_000
+	batchPagedScanBytesBudget = 14_000_000
+)
+
+// TestBatchPagedScanAllocBudget holds a narrowed paged scan to both budgets.
+// Wall-clock is not checked.
+func TestBatchPagedScanAllocBudget(t *testing.T) {
+	db := spilledTPCH(t)
+	sql := pagedVsMemClasses[1].sql
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runStatement(b, db, sql)
+		}
+	})
+	if r.N == 0 {
+		t.Fatal("benchmark body failed")
+	}
+	if got := r.AllocsPerOp(); got > batchPagedScanAllocBudget {
+		t.Errorf("paged filtercount: %d allocs/op, budget %d", got, batchPagedScanAllocBudget)
+	}
+	if got := r.AllocedBytesPerOp(); got > batchPagedScanBytesBudget {
+		t.Errorf("paged filtercount: %d bytes/op, budget %d", got, batchPagedScanBytesBudget)
+	}
+}
+
 // BenchmarkExecINLJoinNoMonitor measures raw executor throughput (the
 // baseline for monitoring-overhead ablations).
 func BenchmarkExecINLJoinNoMonitor(b *testing.B) {

@@ -14,8 +14,15 @@
 // bytes, every node's counts, bounds and estimates are the same as with
 // full-width rows — only the copying per joined row shrinks. The rule is by
 // name, not per-join liveness: a column kept for one clause is kept through
-// every join. Scans still hand out references into the base relation, and
-// semi/anti joins already emit the probe row as is.
+// every join. Semi/anti joins already emit the probe row as is.
+//
+// Scan width: the same set goes to every scan the compiler builds. A scan of
+// an in-memory relation ignores it and hands out references into the base
+// relation, as before; a scan of a disk-backed table (a pager heap file)
+// has to build its rows anyway, so it decodes only the table's columns whose
+// name is in the set — none at all under a bare COUNT(*) — and its schema
+// holds only those. Pushed predicates are bound against that schema. The
+// argument is the one above: a row is one GetNext call however wide it is.
 //
 // Limitations (documented, erroring cleanly): self-joins of a table with
 // itself via aliases, non-equi join conditions in ON, correlated
@@ -210,7 +217,7 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 	scan := func(e fromEntry, push bool) (plan.Node, error) {
 		preds := perTable[strings.ToLower(e.table)]
 		if !push || len(preds) == 0 {
-			return c.b.Scan(e.table), nil
+			return c.b.Scan(e.table, c.keep), nil
 		}
 		var convErr error
 		n := c.b.ScanFiltered(e.table, selGuess(len(preds)), func(s *schema.Schema) expr.Expr {
@@ -224,7 +231,7 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 				parts = append(parts, e)
 			}
 			return expr.And(parts...)
-		})
+		}, c.keep)
 		return n, convErr
 	}
 
@@ -443,10 +450,12 @@ func walkExpr(n sqlparse.Node, col func(*sqlparse.ColNode), sub func(*sqlparse.S
 // statement mentions anywhere — select list, ON, WHERE, GROUP BY, HAVING,
 // ORDER BY, and the same clauses of nested sub-selects, so a correlated
 // reference to an outer column is covered — or nil when the select list has
-// a * item. Joins keep a child column iff its name is in the set: binding is
-// by name, so every expression above a join still resolves exactly as it
-// would against the full-width row. A * inside a sub-select ranges over the
-// sub-select's own table and does not widen the outer joins.
+// a * item. Joins, and scans of disk-backed tables, keep a column iff its
+// name is in the set: binding is by name, so every expression above them
+// still resolves exactly as it would against the full-width row. A * inside
+// a sub-select ranges over the sub-select's own table, of which a semi or
+// anti join reads only what the sub-select's WHERE names, and does not widen
+// the outer joins.
 func statementColumns(sel *sqlparse.Select) plan.Columns {
 	for _, item := range sel.Items {
 		if item.Star {

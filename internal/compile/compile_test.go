@@ -1,11 +1,14 @@
 package compile
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sqlprogress/internal/catalog"
 	"sqlprogress/internal/exec"
+	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 	"sqlprogress/internal/tpch"
@@ -451,5 +454,90 @@ func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
 		if len(rows) != 61 || missed != 1 {
 			t.Errorf("rows = %d (want 61), padded = %d (want 1)", len(rows), missed)
 		}
+	}
+}
+
+// spilledCatalog returns a catalog serving cat's tables from heap files.
+func spilledCatalog(t *testing.T, cat *catalog.Catalog) *catalog.Catalog {
+	t.Helper()
+	out := catalog.New(nil)
+	pool := pager.NewPool(8)
+	for _, name := range cat.TableNames() {
+		path := filepath.Join(t.TempDir(), name+".heap")
+		if err := pager.WriteRelation(path, cat.MustRelation(name)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := out.AttachHeapFile(path, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// scanSchemas renders each scan's output schema, keyed by table.
+func scanSchemas(op exec.Operator) map[string]string {
+	out := map[string]string{}
+	exec.Walk(op, func(o exec.Operator) {
+		if s, ok := o.(*exec.Scan); ok {
+			out[s.Src.StoreName()] = s.Schema().String()
+		}
+	})
+	return out
+}
+
+// TestPagedScansEmitOnlyNamedColumns pins the width rule one level below the
+// joins: a scan of a disk-backed table decodes a column iff the statement
+// names it — in any clause, of the statement or of a sub-select — while *
+// and in-memory relations keep whole rows; and the answers do not change.
+func TestPagedScansEmitOnlyNamedColumns(t *testing.T) {
+	mem := testCatalog()
+	paged := spilledCatalog(t, mem)
+	for _, tc := range []struct {
+		sql  string
+		want map[string]string // paged scan schemas
+	}{
+		{"SELECT COUNT(*) FROM emp", map[string]string{"emp": "()"}},
+		{"SELECT * FROM dept", map[string]string{"dept": "(dept.dkey BIGINT, dept.dname VARCHAR)"}},
+		{"SELECT ekey FROM emp WHERE sal > 300 ORDER BY hired DESC",
+			map[string]string{"emp": "(emp.ekey BIGINT, emp.sal BIGINT, emp.hired DATE)"}},
+		{"SELECT dname, COUNT(*) FROM dept JOIN emp ON dkey = edept GROUP BY dname HAVING MAX(sal) > 0 ORDER BY dname",
+			map[string]string{"dept": "(dept.dkey BIGINT, dept.dname VARCHAR)", "emp": "(emp.edept BIGINT, emp.sal BIGINT)"}},
+		// The bug this rides with: the inner table of IN / EXISTS was looked
+		// up among in-memory relations only.
+		{"SELECT COUNT(*) FROM emp WHERE ekey IN (SELECT bemp FROM bonus WHERE bkey < 10)",
+			map[string]string{"emp": "(emp.ekey BIGINT)", "bonus": "(bonus.bkey BIGINT, bonus.bemp BIGINT)"}},
+		{"SELECT sal FROM emp WHERE NOT EXISTS (SELECT * FROM bonus WHERE bemp = ekey)",
+			map[string]string{"emp": "(emp.ekey BIGINT, emp.sal BIGINT)", "bonus": "(bonus.bemp BIGINT)"}},
+	} {
+		var results [2][]schema.Row
+		for i, cat := range []*catalog.Catalog{mem, paged} {
+			op, err := CompileSQL(cat, tc.sql)
+			if err != nil {
+				t.Fatalf("compile %q: %v", tc.sql, err)
+			}
+			for table, got := range scanSchemas(op) {
+				want := cat.MustStore(table).Schema().String()
+				if cat == paged {
+					want = tc.want[table]
+				}
+				if got != want {
+					t.Errorf("%q: scan of %s emits %s, want %s", tc.sql, table, got, want)
+				}
+			}
+			if results[i], err = exec.RunBatch(exec.NewCtx(), op); err != nil {
+				t.Fatalf("run %q: %v", tc.sql, err)
+			}
+		}
+		if got, want := fmt.Sprint(results[1]), fmt.Sprint(results[0]); got != want {
+			t.Errorf("%q: paged rows %s, in-memory %s", tc.sql, got, want)
+		}
+	}
+
+	op, err := CompileSQL(paged, "SELECT COUNT(*) FROM emp WHERE sal > 300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := exec.Explain(op); !strings.Contains(out, "Scan(emp)  [rows=0 done=false est=60 cols=1/4]") {
+		t.Errorf("Explain does not show the narrowed scan as Scan(emp) … cols=1/4:\n%s", out)
 	}
 }

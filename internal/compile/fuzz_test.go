@@ -3,7 +3,6 @@ package compile
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/ledger"
-	"sqlprogress/internal/pager"
 	"sqlprogress/internal/plan"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -380,45 +378,76 @@ func fuzzBatchVsRow(t *testing.T, seed int64) {
 }
 
 // fuzzPagedVsMem compiles seed-random queries against two catalogs holding
-// identical data — one keeping t1 in memory, the other serving it from a
-// heap file through a cold buffer pool — and asserts full observational
+// identical data — one in memory, the other serving every table from a heap
+// file through a cold buffer pool — and asserts full observational
 // equivalence via the paged differential: identical result rows, identical
 // total GetNext calls, identical final ledger snapshots, and
 // bitwise-identical dne/pmax/safe estimator trails at every counted call,
-// under both the row and the batch engine. t2 stays in-memory on both
-// sides: EXISTS subqueries build a hash index over the inner table, an
-// in-memory-only facility.
+// under both the row and the batch engine. The paged side's scans decode
+// only the columns each statement names while the in-memory side's hand out
+// whole rows, so the statements are chosen for how they name columns: all of
+// them (SELECT *), none (a bare COUNT(*)), one that appears only in ORDER
+// BY, HAVING or a join's ON, the inner side of semi and anti subqueries, and
+// a name two joined tables share.
 func fuzzPagedVsMem(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
 	p := randPred(r)
-	pagedCat := catalog.New(nil)
-	path := filepath.Join(t.TempDir(), "t1.heap")
-	if err := pager.WriteRelation(path, db.cat.MustRelation("t1")); err != nil {
-		t.Fatalf("write heap: %v", err)
+	eMax := r.Int63n(52)
+	// t3 shares the column name a with t1. It lives in a second pair of
+	// catalogs, beside t1 alone: in the first pair it would make every
+	// unqualified a ambiguous.
+	t3 := schema.NewRelation("t3", schema.New(
+		schema.Column{Name: "a", Type: sqlval.KindInt},
+		schema.Column{Name: "f", Type: sqlval.KindInt},
+	))
+	for i, n := 0, 10+r.Intn(40); i < n; i++ {
+		t3.Append(schema.Row{sqlval.Int(r.Int63n(10)), sqlval.Int(r.Int63n(7))})
 	}
-	if _, err := pagedCat.AttachHeapFile(path, pager.NewPool(4)); err != nil {
-		t.Fatalf("attach heap: %v", err)
+	mem13 := catalog.New(nil)
+	mem13.AddRelation(db.cat.MustRelation("t1"))
+	mem13.AddRelation(t3)
+	paged12, paged13 := spilledCatalog(t, db.cat), spilledCatalog(t, mem13)
+	check := func(mem, paged *catalog.Catalog, queries ...string) {
+		for _, sql := range queries {
+			sql := sql
+			build := func(cat *catalog.Catalog) exec.Operator {
+				op, err := CompileSQL(cat, sql)
+				if err != nil {
+					t.Fatalf("compile %q: %v", sql, err)
+				}
+				return op
+			}
+			coretest.CheckPagedEquivalence(t, sql, mem, paged, build, false)
+		}
 	}
-	pagedCat.AddRelation(db.cat.MustRelation("t2"))
-	queries := []string{
+	check(db.cat, paged12,
 		fmt.Sprintf("SELECT a, b, c FROM t1 WHERE %s", p.sql()),
 		"SELECT b, COUNT(*), SUM(c), MAX(c) FROM t1 GROUP BY b ORDER BY b",
 		"SELECT a, e FROM t1, t2 WHERE a = d",
 		"SELECT b, SUM(e) FROM t1 JOIN t2 ON a = d GROUP BY b ORDER BY b LIMIT 3",
+		// Every column, by *.
+		fmt.Sprintf("SELECT * FROM t1 WHERE %s", p.sql()),
+		"SELECT * FROM t1, t2 WHERE a = d",
+		// No column at all: rows of width zero still count.
+		"SELECT COUNT(*) FROM t1",
+		"SELECT COUNT(*) FROM t1, t2",
+		// A column named only in ORDER BY, only in HAVING, only in ON.
+		"SELECT a FROM t1 ORDER BY c DESC, b, a",
+		"SELECT b, COUNT(*) FROM t1 GROUP BY b HAVING MAX(c) > 60 ORDER BY b",
+		"SELECT b, e FROM t1 JOIN t2 ON a = d",
+		fmt.Sprintf("SELECT c, e FROM t1 LEFT JOIN t2 ON a = d AND e < %d", eMax),
+		// Semi and anti joins: the inner scan keeps its key and predicate
+		// columns, whatever its own select list says.
 		"SELECT a, c FROM t1 WHERE EXISTS (SELECT 1 FROM t2 WHERE t2.d = t1.a)",
-	}
-	for _, sql := range queries {
-		sql := sql
-		build := func(cat *catalog.Catalog) exec.Operator {
-			op, err := CompileSQL(cat, sql)
-			if err != nil {
-				t.Fatalf("compile %q: %v", sql, err)
-			}
-			return op
-		}
-		coretest.CheckPagedEquivalence(t, sql, db.cat, pagedCat, build, false)
-	}
+		fmt.Sprintf("SELECT b FROM t1 WHERE NOT EXISTS (SELECT * FROM t2 WHERE t2.d = t1.a AND e < %d)", eMax),
+		fmt.Sprintf("SELECT COUNT(*) FROM t1 WHERE a IN (SELECT d FROM t2 WHERE e < %d)", eMax),
+		fmt.Sprintf("SELECT c FROM t1 WHERE %s AND b NOT IN (SELECT d FROM t2)", p.sql()),
+	)
+	check(mem13, paged13,
+		"SELECT t1.a, t3.a, c FROM t1, t3 WHERE t1.b = t3.f AND t3.a > 2",
+		"SELECT f, MAX(t1.a), MIN(t3.a) FROM t1 JOIN t3 ON b = f GROUP BY f ORDER BY f",
+	)
 }
 
 // permutedFuzzCatalog builds a second catalog holding exactly db's rows with

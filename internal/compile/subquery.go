@@ -42,7 +42,10 @@ func (c *compiler) applyExists(cur plan.Node, sub *sqlparse.Select, anti bool) (
 		return plan.Node{}, fmt.Errorf("compile: EXISTS subquery must have a single table in FROM")
 	}
 	innerTable := sub.From[0].Table
-	if _, err := c.cat.Relation(innerTable); err != nil {
+	// Through the storage seam, like the outer FROM: the inner table may be
+	// disk-backed.
+	innerStore, err := c.cat.Store(innerTable)
+	if err != nil {
 		return plan.Node{}, err
 	}
 	innerAlias := strings.ToLower(sub.From[0].Alias)
@@ -50,13 +53,12 @@ func (c *compiler) applyExists(cur plan.Node, sub *sqlparse.Select, anti bool) (
 		c.aliases[innerAlias] = innerTable
 	}
 
-	innerRel := c.cat.MustRelation(innerTable)
 	isInner := func(col *sqlparse.ColNode) bool {
 		if col.Table != "" {
 			t := strings.ToLower(col.Table)
 			return t == innerAlias || strings.EqualFold(col.Table, innerTable)
 		}
-		i, err := innerRel.Sch.ColIndex("", col.Name)
+		i, err := innerStore.Schema().ColIndex("", col.Name)
 		return err == nil && i >= 0
 	}
 	isOuter := func(col *sqlparse.ColNode) bool {
@@ -129,7 +131,7 @@ func (c *compiler) applyInSubquery(cur plan.Node, in *sqlparse.InNode, anti bool
 		return plan.Node{}, fmt.Errorf("compile: IN subquery must select a plain column")
 	}
 	innerTable := sub.From[0].Table
-	if _, err := c.cat.Relation(innerTable); err != nil {
+	if _, err := c.cat.Store(innerTable); err != nil {
 		return plan.Node{}, err
 	}
 	inner := c.buildInner(innerTable, splitAnd(sub.Where))
@@ -144,7 +146,7 @@ func (c *compiler) applyInSubquery(cur plan.Node, in *sqlparse.InNode, anti bool
 // into the scan.
 func (c *compiler) buildInner(table string, preds []sqlparse.Node) plan.Node {
 	if len(preds) == 0 {
-		return c.b.Scan(table)
+		return c.b.Scan(table, c.keep)
 	}
 	return c.b.ScanFiltered(table, selGuess(len(preds)), func(s *schema.Schema) expr.Expr {
 		parts := make([]expr.Expr, 0, len(preds))
@@ -156,5 +158,5 @@ func (c *compiler) buildInner(table string, preds []sqlparse.Node) plan.Node {
 			parts = append(parts, e)
 		}
 		return expr.And(parts...)
-	})
+	}, c.keep)
 }

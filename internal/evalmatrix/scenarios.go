@@ -338,7 +338,7 @@ func pagedFamily(rel *schema.Relation) (func() (exec.Operator, error), func(), e
 	build := func() (exec.Operator, error) {
 		pr := pager.NewPagedRelation(hf, pager.NewPool(pagedFrames))
 		pr.SetReadCost(pagedReadCost)
-		op := exec.NewStoreScan(pr)
+		op := exec.NewStoreScan(pr, nil)
 		op.SetEstimatedCard(pr.Cardinality())
 		return op, nil
 	}

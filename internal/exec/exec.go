@@ -414,14 +414,20 @@ func TotalCalls(op Operator) int64 {
 }
 
 // Explain renders the operator tree with runtime counters, one node per
-// line, children indented.
+// line, children indented. A scan that decodes k of its store's n columns
+// says so (cols=k/n); its Name does not, because labels, corpus keys and
+// trace names are built from it.
 func Explain(op Operator) string {
 	var b strings.Builder
 	var rec func(o Operator, depth int)
 	rec = func(o Operator, depth int) {
 		rt := NodeView(o)
-		fmt.Fprintf(&b, "%s%s  [rows=%d done=%v est=%d]\n",
-			strings.Repeat("  ", depth), o.Name(), rt.Returned(), rt.Done(), o.EstimatedCard())
+		width := ""
+		if s, ok := o.(*Scan); ok && s.cols != nil {
+			width = fmt.Sprintf(" cols=%d/%d", len(s.cols), s.Src.Schema().Len())
+		}
+		fmt.Fprintf(&b, "%s%s  [rows=%d done=%v est=%d%s]\n",
+			strings.Repeat("  ", depth), o.Name(), rt.Returned(), rt.Done(), o.EstimatedCard(), width)
 		for _, c := range o.Children() {
 			rec(c, depth+1)
 		}

@@ -424,7 +424,7 @@ func (p *ParallelScan) scanStep(ctx *Ctx, w int, slot *ledger.Slot, out *Batch) 
 		if lo >= hi {
 			return turnOver, nil
 		}
-		cur, err := p.Src.OpenCursor(lo, hi)
+		cur, err := p.Src.OpenCursor(lo, hi, nil)
 		if err != nil {
 			return turnOver, err
 		}

@@ -220,7 +220,7 @@ func TestParallelScanPagedWeightedUnits(t *testing.T) {
 	serialPR := pager.NewPagedRelation(hf, pager.NewPool(2))
 	serialPR.SetReadCost(2)
 	serialCtx := NewCtx()
-	if _, err := Run(serialCtx, NewStoreScan(serialPR)); err != nil {
+	if _, err := Run(serialCtx, NewStoreScan(serialPR, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// A cursor pins a page only while it faults it in, so a pool needs one

@@ -19,7 +19,10 @@ import (
 // permutation); every other store is driven
 // through its cursor, with any weighted physical-read units the storage
 // charges flowing into this node's ledger slot as extra counted GetNext
-// units (see DESIGN.md §16).
+// units (see DESIGN.md §16). Such a scan can be told which columns the plan
+// above it reads (NewStoreScan): its cursor then decodes only those and its
+// schema holds only those. A GetNext call is a row, however wide, so the
+// scan's counts and bounds are the full-width scan's.
 type Scan struct {
 	base
 	// Rel is the in-memory relation when the scan reads one; nil for scans
@@ -27,8 +30,11 @@ type Scan struct {
 	Rel *schema.Relation
 	// Src is the store the scan reads (equal to Rel for in-memory scans).
 	Src schema.Store
-	cur schema.Cursor
-	pos int
+	// cols lists the store columns a cursor-driven scan asks its cursor for;
+	// nil means all of them.
+	cols []int
+	cur  schema.Cursor
+	pos  int
 	// Order optionally permutes the scan: row i of the scan is
 	// Rel.Rows[Order[i]]. The paper's Section 4/5 experiments control the
 	// arrival order of driver tuples (skew-first, skew-last, random) through
@@ -60,12 +66,18 @@ func NewScan(rel *schema.Relation) *Scan {
 }
 
 // NewStoreScan builds a table scan over any store (in-memory or paged).
-func NewStoreScan(st schema.Store) *Scan {
+// cols, when non-nil, lists the positions in the store's schema of the only
+// columns the plan above reads (strictly ascending, possibly none): the scan
+// emits rows of exactly those columns. In-memory relations are the
+// exception — their scans hand out the stored rows themselves, so cols is
+// ignored and the schema stays the relation's: copying each row to narrow
+// it would cost more than the width it saves.
+func NewStoreScan(st schema.Store, cols []int) *Scan {
 	if rel, ok := st.(*schema.Relation); ok {
 		return NewScan(rel)
 	}
-	s := &Scan{Src: st}
-	s.init(st.Schema())
+	s := &Scan{Src: st, cols: cols}
+	s.init(pickColumns(st.Schema(), cols))
 	return s
 }
 
@@ -124,7 +136,7 @@ func (s *Scan) Open(*Ctx) error {
 		s.cur = nil
 	}
 	if s.Rel == nil {
-		cur, err := s.Src.OpenCursor(s.lo, s.hi)
+		cur, err := s.Src.OpenCursor(s.lo, s.hi, s.cols)
 		if err != nil {
 			return err
 		}

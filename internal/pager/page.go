@@ -87,17 +87,25 @@ func pageRowCount(page []byte) int {
 	return int(binary.LittleEndian.Uint16(page[0:]))
 }
 
-// decodePage decodes every row of a page image into fresh rows of width
-// cols. Decoded values copy any variable-length payloads, so the returned
-// rows stay valid after the page buffer is unpinned or evicted. Row storage
-// is slab-allocated: one value slab per page, not one per row.
-func decodePage(page []byte, cols int) ([]schema.Row, error) {
+// decodePage decodes every row of a page image, whose rows are cols values
+// wide on disk, into fresh rows holding the values at positions keep
+// (strictly ascending), or all cols of them when keep is nil. The columns in
+// between are stepped over, not trusted: sqlval.SkipValue makes every check
+// DecodeValue makes, so a damaged page fails the same way whichever columns
+// are read. Decoded values copy any variable-length payloads, so the
+// returned rows stay valid after the page buffer is unpinned or evicted. Row
+// storage is slab-allocated: one value slab per page, not one per row.
+func decodePage(page []byte, cols int, keep []int) ([]schema.Row, error) {
 	n := pageRowCount(page)
 	if n == 0 {
 		return nil, nil
 	}
+	width := cols
+	if keep != nil {
+		width = len(keep)
+	}
 	rows := make([]schema.Row, n)
-	slab := make([]sqlval.Value, n*cols)
+	slab := make([]sqlval.Value, n*width)
 	for i := 0; i < n; i++ {
 		slot := PageSize - pageSlotSize*(i+1)
 		off := int(binary.LittleEndian.Uint16(page[slot:]))
@@ -106,14 +114,19 @@ func decodePage(page []byte, cols int) ([]schema.Row, error) {
 			return nil, fmt.Errorf("pager: corrupt slot %d: [%d,%d) outside page", i, off, off+length)
 		}
 		buf := page[off : off+length]
-		row := slab[i*cols : (i+1)*cols : (i+1)*cols]
+		row := slab[i*width : (i+1)*width : (i+1)*width]
+		k := 0 // values of this row decoded so far
 		for c := 0; c < cols; c++ {
-			v, rest, err := sqlval.DecodeValue(buf)
+			var err error
+			if keep == nil || (k < width && keep[k] == c) {
+				row[k], buf, err = sqlval.DecodeValue(buf)
+				k++
+			} else {
+				buf, err = sqlval.SkipValue(buf)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("pager: row %d col %d: %w", i, c, err)
 			}
-			row[c] = v
-			buf = rest
 		}
 		if len(buf) != 0 {
 			return nil, fmt.Errorf("pager: row %d: %d trailing bytes", i, len(buf))

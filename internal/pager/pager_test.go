@@ -66,7 +66,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 				t.Fatalf("schema %s != %s", got, want)
 			}
 			pr := NewPagedRelation(hf, NewPool(0))
-			cur, err := pr.OpenCursor(0, n)
+			cur, err := pr.OpenCursor(0, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestCursorWindows(t *testing.T) {
 	pr := NewPagedRelation(openTestFile(t, writeTestFile(t, rel)), NewPool(0))
 	for _, w := range [][2]int{{0, n}, {0, 0}, {17, 17}, {1, 2}, {500, 2500}, {2999, 3000}} {
 		lo, hi := w[0], w[1]
-		cur, err := pr.OpenCursor(lo, hi)
+		cur, err := pr.OpenCursor(lo, hi, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestPoolHitMissEviction(t *testing.T) {
 	pr := NewPagedRelation(hf, pool)
 
 	scan := func() {
-		cur, err := pr.OpenCursor(0, int(pr.Cardinality()))
+		cur, err := pr.OpenCursor(0, int(pr.Cardinality()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestPoolHitMissEviction(t *testing.T) {
 	warm := NewPool(pages + 1)
 	pr2 := NewPagedRelation(hf, warm)
 	read := func() {
-		cur, _ := pr2.OpenCursor(0, int(pr2.Cardinality()))
+		cur, _ := pr2.OpenCursor(0, int(pr2.Cardinality()), nil)
 		for {
 			rows, _, err := cur.NextChunk(1 << 20)
 			if err != nil {
@@ -336,7 +336,7 @@ func TestPoolConcurrentReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			lo, hi := pr.AlignWindow(w, workers)
-			cur, err := pr.OpenCursor(lo, hi)
+			cur, err := pr.OpenCursor(lo, hi, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -395,7 +395,7 @@ func TestCursorUnitsChargedOncePerPhysicalRead(t *testing.T) {
 	pr := NewPagedRelation(hf, pool)
 	pr.SetReadCost(3)
 	sum := func() int64 {
-		cur, err := pr.OpenCursor(0, int(pr.Cardinality()))
+		cur, err := pr.OpenCursor(0, int(pr.Cardinality()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,12 +109,16 @@ func (p *PagedRelation) MaxReadUnits(lo, hi int) int64 {
 	return p.readCost * int64(pHi-pLo)
 }
 
-// OpenCursor implements schema.Store.
-func (p *PagedRelation) OpenCursor(lo, hi int) (schema.Cursor, error) {
+// OpenCursor implements schema.Store: the cursor decodes only the listed
+// columns of each page it visits.
+func (p *PagedRelation) OpenCursor(lo, hi int, cols []int) (schema.Cursor, error) {
 	if lo < 0 || int64(hi) > p.hf.rows || lo > hi {
 		return nil, fmt.Errorf("pager: cursor window [%d,%d) outside 0..%d", lo, hi, p.hf.rows)
 	}
-	c := &pagedCursor{pr: p, pos: lo, hi: hi}
+	if err := p.hf.sch.CheckColumns(cols); err != nil {
+		return nil, fmt.Errorf("pager: %s: %w", p.hf.name, err)
+	}
+	c := &pagedCursor{pr: p, pos: lo, hi: hi, cols: cols}
 	if lo < hi {
 		c.page = p.pageOf(lo)
 	}
@@ -128,6 +132,8 @@ func (p *PagedRelation) OpenCursor(lo, hi int) (schema.Cursor, error) {
 type pagedCursor struct {
 	pr      *PagedRelation
 	pos, hi int
+	// cols lists the columns decoded into each row; nil means all of them.
+	cols []int
 	// page is the next data page to load.
 	page uint32
 	// rows is the decoded current page; idx indexes into it.
@@ -146,7 +152,7 @@ func (c *pagedCursor) load() error {
 	if err != nil {
 		return err
 	}
-	rows, err := decodePage(fr.Data(), pr.hf.sch.Len())
+	rows, err := decodePage(fr.Data(), pr.hf.sch.Len(), c.cols)
 	pr.pool.Release(fr)
 	if err != nil {
 		return fmt.Errorf("pager: %s data page %d: %w", pr.hf.name, c.page, err)

@@ -64,12 +64,27 @@ const defaultFilterSelectivity = 1.0 / 3
 
 // Scan builds a full table scan. The table may be an in-memory relation or
 // a disk-backed store (pager heap file) — the scan reads through the
-// storage seam either way.
-func (b *Builder) Scan(table string) Node {
+// storage seam either way. An optional keep set (see Columns) names the
+// columns the statement reads: a scan of a disk-backed table decodes and
+// emits only those.
+func (b *Builder) Scan(table string, keep ...Columns) Node {
+	op := b.storeScan(table, keep)
+	return Node{b: b, Op: op, est: float64(op.EstimatedCard())}
+}
+
+// storeScan builds the scan operator under Scan and ScanFiltered.
+func (b *Builder) storeScan(table string, keep []Columns) *exec.Scan {
 	st := b.cat.MustStore(table)
-	op := exec.NewStoreScan(st)
+	var cols []int
+	// A scan of an in-memory relation hands out the stored rows whole
+	// (exec.NewStoreScan), so the set is resolved only for a store that
+	// decodes.
+	if _, inMemory := st.(*schema.Relation); !inMemory && len(keep) > 0 {
+		cols = keep[0].indexes(st.Schema())
+	}
+	op := exec.NewStoreScan(st, cols)
 	op.SetEstimatedCard(st.Cardinality())
-	return Node{b: b, Op: op, est: float64(st.Cardinality())}
+	return op
 }
 
 // ScanOrdered builds a full table scan with a controlled arrival order.
@@ -144,16 +159,16 @@ func (b *Builder) ParallelAgg(table string, workers int, groupsEst float64, by [
 
 // ScanFiltered builds a table scan with an embedded predicate (pushed
 // selection). sel is the selectivity estimate used for downstream
-// cardinality estimates; pass 0 for the default guess.
-func (b *Builder) ScanFiltered(table string, sel float64, pred PredFn) Node {
-	st := b.cat.MustStore(table)
-	op := exec.NewStoreScan(st)
-	op.Pred = pred(st.Schema())
-	op.SetEstimatedCard(st.Cardinality())
+// cardinality estimates; pass 0 for the default guess. keep is as for Scan;
+// the predicate is bound against the scan's own (possibly narrowed) schema,
+// so its columns must be in the set.
+func (b *Builder) ScanFiltered(table string, sel float64, pred PredFn, keep ...Columns) Node {
+	op := b.storeScan(table, keep)
+	op.Pred = pred(op.Schema())
 	if sel <= 0 || sel > 1 {
 		sel = defaultFilterSelectivity
 	}
-	return Node{b: b, Op: op, est: float64(st.Cardinality()) * sel}
+	return Node{b: b, Op: op, est: float64(op.EstimatedCard()) * sel}
 }
 
 // ScanFilteredOrdered combines ScanFiltered and ScanOrdered.
@@ -259,9 +274,13 @@ func (b *Builder) sideDegreeNorms(op exec.Operator, sch *schema.Schema, col stri
 		return stats.DegreeSeq{}, false
 	}
 	if ts := b.cat.Stats(table); ts != nil {
-		if ci, err := sch.ColIndex("", col); err == nil && ci >= 0 {
-			if d, ok := ts.Histogram(ci).DegreeNorms(); ok {
-				return d, true
+		// Histograms are indexed by position in the stored table, which a
+		// narrowed scan's schema no longer gives.
+		if st, err := b.cat.Store(table); err == nil {
+			if ci, err := st.Schema().ColIndex("", column); err == nil && ci >= 0 {
+				if d, ok := ts.Histogram(ci).DegreeNorms(); ok {
+					return d, true
+				}
 			}
 		}
 	}
@@ -305,9 +324,12 @@ func (b *Builder) joinLinear(aSch *schema.Schema, aCol string, bSch *schema.Sche
 	return b.cat.JoinIsLinear(at, ac, bt, bc)
 }
 
-// Columns is a set of lower-cased column names. Passed to HashJoin or
-// HashJoinMulti it is the set of names the statement reads: the join emits
-// only the child columns whose name is in it. A nil set keeps every column.
+// Columns is a set of lower-cased column names: the names the statement
+// reads. Passed to HashJoin or HashJoinMulti, the join emits only the child
+// columns whose name is in it; passed to Scan or ScanFiltered, a scan of a
+// disk-backed table decodes only the table's columns whose name is in it. A
+// nil set keeps every column; an empty one keeps none (COUNT(*) reads no
+// column, and rows of no columns still count).
 type Columns map[string]bool
 
 // indexes returns the positions of sch's columns named in the set, in

@@ -1,12 +1,14 @@
 package plan
 
 import (
+	"path/filepath"
 	"testing"
 
 	"sqlprogress/internal/catalog"
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/expr"
+	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 )
@@ -243,5 +245,34 @@ func TestLpBoundOnINLJoinUniqueInner(t *testing.T) {
 	rows := run(t, n)
 	if int64(len(rows)) > got {
 		t.Fatalf("unsound: %d rows > bound %d", len(rows), got)
+	}
+}
+
+// TestLpBoundOnNarrowedPagedScan: a scan that decodes only the join column
+// has it at position 0 of its schema, but the column's histogram is still
+// found at its position in the stored table — the bound is the full-width
+// plan's 320, not the 40 that ekey's (unique) degrees would give.
+func TestLpBoundOnNarrowedPagedScan(t *testing.T) {
+	mem := testCatalog()
+	path := filepath.Join(t.TempDir(), "emp.heap")
+	if err := pager.WriteRelation(path, mem.MustRelation("emp")); err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New(nil)
+	if _, err := cat.AttachHeapFile(path, pager.NewPool(4)); err != nil {
+		t.Fatal(err)
+	}
+	cat.SetStats("emp", mem.Stats("emp"))
+	b := NewBuilder(cat)
+	keep := Columns{"edept": true}
+	n := b.Scan("emp", keep).HashJoin(b.Scan("emp", keep), "edept", "edept", exec.InnerJoin)
+	if got := n.Schema().String(); got != "(emp.edept BIGINT, emp.edept BIGINT)" {
+		t.Fatalf("join schema = %s, want the two narrowed scans' one column each", got)
+	}
+	if got := n.Op.(exec.PessimisticBounder).PessimisticUB(); got != 320 {
+		t.Fatalf("PessimisticUB = %d, want 320 (l2*l2 of edept's degrees)", got)
+	}
+	if rows := run(t, n); len(rows) != 320 {
+		t.Fatalf("join output = %d, want 320", len(rows))
 	}
 }

@@ -1,5 +1,11 @@
 package schema
 
+import (
+	"fmt"
+
+	"sqlprogress/internal/sqlval"
+)
+
 // This file defines the storage interface a table scan reads through. The
 // executor's Scan consumes a Store rather than a concrete relation, so the
 // same leaf operator runs over the in-memory Relation and over disk-backed
@@ -25,8 +31,25 @@ type Store interface {
 	// In-memory stores split on row boundaries; paged stores split on page
 	// boundaries so parallel workers never share a page read.
 	AlignWindow(part, parts int) (lo, hi int)
-	// OpenCursor opens a cursor over scan positions [lo, hi).
-	OpenCursor(lo, hi int) (Cursor, error)
+	// OpenCursor opens a cursor over scan positions [lo, hi). cols lists the
+	// positions in Schema() of the columns the caller reads, strictly
+	// ascending: the cursor's rows hold exactly those values, in that order
+	// (none at all for an empty list). A nil cols means every column. A
+	// store that decodes its rows materialises only what is asked for; which
+	// columns a cursor carries never changes which rows it visits or what
+	// they cost.
+	OpenCursor(lo, hi int, cols []int) (Cursor, error)
+}
+
+// CheckColumns reports whether cols is a valid column list for OpenCursor
+// over a store with this schema: strictly ascending positions inside it.
+func (s *Schema) CheckColumns(cols []int) error {
+	for i, c := range cols {
+		if c < 0 || c >= len(s.Columns) || (i > 0 && c <= cols[i-1]) {
+			return fmt.Errorf("schema: column list %v is not strictly ascending inside 0..%d", cols, len(s.Columns))
+		}
+	}
+	return nil
 }
 
 // Cursor iterates one scan window. Cursors are single-goroutine; rows they
@@ -71,16 +94,37 @@ func (r *Relation) AlignWindow(part, parts int) (lo, hi int) {
 }
 
 // OpenCursor implements Store.
-func (r *Relation) OpenCursor(lo, hi int) (Cursor, error) {
-	return &memCursor{rows: r.Rows, pos: lo, hi: hi}, nil
+func (r *Relation) OpenCursor(lo, hi int, cols []int) (Cursor, error) {
+	if err := r.Sch.CheckColumns(cols); err != nil {
+		return nil, err
+	}
+	return &memCursor{rows: r.Rows, pos: lo, hi: hi, cols: cols}, nil
 }
 
-// memCursor iterates a window of an in-memory relation. NextChunk hands out
-// subslices of the relation's own row-header slice, so the bulk scan path
-// copies nothing.
+// memCursor iterates a window of an in-memory relation. With no column
+// list, NextChunk hands out subslices of the relation's own row-header
+// slice, so the bulk scan path copies nothing; with one, every row handed
+// out is a fresh copy of the listed values — there is nothing to decode, so
+// narrowing costs a copy here where it saves one on disk.
 type memCursor struct {
 	rows    []Row
 	pos, hi int
+	cols    []int
+	chunk   []Row // reused NextChunk result when cols != nil
+}
+
+// project copies the listed columns of the stored rows into one fresh slab.
+func (c *memCursor) project(dst, src []Row) []Row {
+	k := len(c.cols)
+	slab := make([]sqlval.Value, len(src)*k)
+	for i, row := range src {
+		out := slab[i*k : (i+1)*k : (i+1)*k]
+		for j, col := range c.cols {
+			out[j] = row[col]
+		}
+		dst = append(dst, out)
+	}
+	return dst
 }
 
 // Next implements Cursor.
@@ -89,6 +133,9 @@ func (c *memCursor) Next() (Row, int64, bool, error) {
 		return nil, 0, false, nil
 	}
 	row := c.rows[c.pos]
+	if c.cols != nil {
+		row = c.project(nil, c.rows[c.pos:c.pos+1])[0]
+	}
 	c.pos++
 	return row, 0, true, nil
 }
@@ -103,6 +150,10 @@ func (c *memCursor) NextChunk(want int) ([]Row, int64, error) {
 		n = want
 	}
 	out := c.rows[c.pos : c.pos+n]
+	if c.cols != nil {
+		c.chunk = c.project(c.chunk[:0], out)
+		out = c.chunk
+	}
 	c.pos += n
 	return out, 0, nil
 }

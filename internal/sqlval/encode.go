@@ -70,3 +70,44 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		return Null(), nil, fmt.Errorf("sqlval: unknown kind tag %d", kind)
 	}
 }
+
+// SkipValue steps over one encoded value without building it: it returns
+// the bytes after the value, having made every check DecodeValue makes (and
+// failing with the same error), but allocates nothing and copies no string
+// payload. It is how a reader that wants only some of a row's values gets
+// past the others.
+func SkipValue(buf []byte) ([]byte, error) {
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("sqlval: empty buffer")
+	}
+	kind := Kind(buf[0])
+	buf = buf[1:]
+	switch kind {
+	case KindNull:
+		return buf, nil
+	case KindInt, KindDate:
+		_, n := binary.Varint(buf)
+		if n <= 0 {
+			return nil, fmt.Errorf("sqlval: bad varint")
+		}
+		return buf[n:], nil
+	case KindBool:
+		if len(buf) < 1 {
+			return nil, fmt.Errorf("sqlval: truncated bool")
+		}
+		return buf[1:], nil
+	case KindFloat:
+		if len(buf) < 8 {
+			return nil, fmt.Errorf("sqlval: truncated float")
+		}
+		return buf[8:], nil
+	case KindString:
+		l, n := binary.Uvarint(buf)
+		if n <= 0 || uint64(len(buf)-n) < l {
+			return nil, fmt.Errorf("sqlval: truncated string")
+		}
+		return buf[n+int(l):], nil
+	default:
+		return nil, fmt.Errorf("sqlval: unknown kind tag %d", kind)
+	}
+}

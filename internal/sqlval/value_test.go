@@ -300,3 +300,38 @@ func TestDecodeValueErrors(t *testing.T) {
 		t.Error("truncated bool should error")
 	}
 }
+
+// Property: SkipValue accepts exactly what DecodeValue accepts, consumes the
+// same bytes and fails with the same error — on sound encodings, on every
+// truncation of one, and with any single byte overwritten.
+func TestSkipValueAgreesWithDecodeValue(t *testing.T) {
+	agree := func(buf []byte) bool {
+		_, rest, derr := DecodeValue(buf)
+		skipped, serr := SkipValue(buf)
+		if (derr == nil) != (serr == nil) || len(rest) != len(skipped) {
+			return false
+		}
+		return derr == nil || derr.Error() == serr.Error()
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		buf := randValue(r).AppendBinary(nil)
+		buf = randValue(r).AppendBinary(buf)
+		for cut := 0; cut <= len(buf); cut++ {
+			if !agree(buf[:cut]) {
+				return false
+			}
+		}
+		for i := range buf {
+			mutated := append([]byte{}, buf...)
+			mutated[i] = byte(r.Intn(256))
+			if !agree(mutated) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -448,3 +448,47 @@ func TestParallelPlanWithProgress(t *testing.T) {
 		t.Fatalf("total calls = %d, want 200", res.TotalCalls)
 	}
 }
+
+// TestSpilledDatabaseAnswersLikeMemory: after SpillToDisk every statement —
+// sub-selects over spilled inner tables included — returns what it returned
+// from memory, in the same number of GetNext calls, while its scans decode
+// only the columns it names.
+func TestSpilledDatabaseAnswersLikeMemory(t *testing.T) {
+	mem := OpenTPCH(0.002, 1, 42)
+	paged := OpenTPCH(0.002, 1, 42)
+	if err := paged.SpillToDisk(t.TempDir(), 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM orders WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_acctbal > 1000)",
+		"SELECT COUNT(*) FROM orders WHERE NOT EXISTS (SELECT * FROM customer WHERE c_custkey = o_custkey AND c_acctbal > 1000)",
+		"SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_quantity >= 20 AND l_quantity < 30",
+		"SELECT COUNT(*) FROM supplier",
+		"SELECT * FROM nation ORDER BY n_nationkey LIMIT 3",
+	} {
+		want, err := mem.Exec(sql)
+		if err != nil {
+			t.Fatalf("in memory: %s: %v", sql, err)
+		}
+		got, err := paged.Exec(sql)
+		if err != nil {
+			t.Fatalf("spilled: %s: %v", sql, err)
+		}
+		if len(got.Rows) != len(want.Rows) || got.TotalCalls != want.TotalCalls {
+			t.Fatalf("%s: spilled %d rows in %d calls, in memory %d in %d",
+				sql, len(got.Rows), got.TotalCalls, len(want.Rows), want.TotalCalls)
+		}
+		for i := range want.Rows {
+			if g, w := FormatRow(got.Rows[i]), FormatRow(want.Rows[i]); g != w {
+				t.Errorf("%s: row %d: spilled %s, in memory %s", sql, i, g, w)
+			}
+		}
+	}
+	q, err := paged.Query("SELECT COUNT(*) FROM lineitem WHERE l_quantity < 30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := q.Explain(); !strings.Contains(out, "Scan(lineitem)") || !strings.Contains(out, "cols=1/") {
+		t.Errorf("explain of a spilled scan does not show its width:\n%s", out)
+	}
+}
