@@ -307,12 +307,12 @@ func fuzzProgressInvariants(t *testing.T, seed int64) {
 	}
 }
 
-// fuzzExchangeParallel cross-validates the parallel access path: an
-// Exchange over a seed-random number of partition scans of t1, with an
-// embedded predicate, must produce exactly the serial evaluation's rows
-// (order aside) — and the progress invariants must hold while the workers
-// write their disjoint ledger slots concurrently.
-func fuzzExchangeParallel(t *testing.T, seed int64) {
+// fuzzParallelScanFilter cross-validates the parallel access path: a Filter
+// over a morsel-driven ParallelScan of t1 with a seed-random worker count
+// must produce exactly the serial evaluation's rows (order aside) — and the
+// progress invariants must hold while the workers write their ledger
+// sub-slots concurrently.
+func fuzzParallelScanFilter(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
 	p := randPred(r)
@@ -320,17 +320,11 @@ func fuzzExchangeParallel(t *testing.T, seed int64) {
 	rel := db.cat.MustRelation("t1")
 	ops := map[string]expr.CmpOp{"=": expr.EQ, "<>": expr.NE, "<": expr.LT, "<=": expr.LE, ">": expr.GT, ">=": expr.GE}
 	build := func() exec.Operator {
-		parts := make([]exec.Operator, workers)
-		for i := range parts {
-			s := exec.NewScanPartition(rel, i, workers)
-			s.Pred = expr.Compare(ops[p.op],
-				expr.NewCol(rel.Schema(), "", [3]string{"a", "b", "c"}[p.col]),
-				expr.Literal(sqlval.Int(p.val)))
-			parts[i] = s
-		}
-		return exec.NewExchange(parts...)
+		return exec.NewFilter(exec.NewParallelScan(rel, workers), expr.Compare(ops[p.op],
+			expr.NewCol(rel.Schema(), "", [3]string{"a", "b", "c"}[p.col]),
+			expr.Literal(sqlval.Int(p.val))))
 	}
-	label := fmt.Sprintf("exchange(%d) WHERE %s", workers, p.sql())
+	label := fmt.Sprintf("parallel scan (w=%d) WHERE %s", workers, p.sql())
 	rows, err := exec.Run(exec.NewCtx(), build())
 	if err != nil {
 		t.Fatalf("run %s: %v", label, err)
@@ -920,7 +914,7 @@ var fuzzFamilies = []func(*testing.T, int64){
 	fuzzJoinGroupBy,
 	fuzzSemiAntiJoin,
 	fuzzProgressInvariants,
-	fuzzExchangeParallel,
+	fuzzParallelScanFilter,
 	fuzzBatchVsRow,
 	fuzzPagedVsMem,
 	fuzzOrderInvariance,
@@ -979,9 +973,9 @@ func TestFuzzProgressInvariantsOnRandomQueries(t *testing.T) {
 	}
 }
 
-func TestFuzzExchangeParallel(t *testing.T) {
+func TestFuzzParallelScanFilter(t *testing.T) {
 	for seed := int64(600); seed < 615; seed++ {
-		fuzzExchangeParallel(t, seed)
+		fuzzParallelScanFilter(t, seed)
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 //     sleep), comparable to the inline Monitor's periods.
 //
 // Samples land in the embedded SampleSet, giving the exact same
-// Samples/Series API as the inline Monitor. Stop (or Run) always records a
-// final at-EOF sample, so series of completed runs end at progress 1.0.
+// Samples/Series API — and the same OnSample stream — as the inline
+// Monitor. Stop (or Run) always records a final at-EOF sample, so series of
+// completed runs end at progress 1.0.
 //
 // The zero Interval defaults to DefaultInterval. Samples must only be read
 // after Stop (or Run) has returned.
@@ -38,13 +39,6 @@ type AsyncMonitor struct {
 	// EveryCalls, when > 0, switches to call-count sampling: a sample is
 	// taken each time the global GetNext counter crosses a multiple of it.
 	EveryCalls int64
-	// OnSample, when non-nil, is invoked after each recorded sample with
-	// that sample, letting consumers stream observations live instead of
-	// reading Samples after Stop. It runs on the sampler goroutine (or, for
-	// the final at-EOF sample, on the goroutine calling Stop) and must not
-	// block: a slow callback delays subsequent samples, though never the
-	// executor. Set before Start.
-	OnSample func(Sample)
 
 	tracker *Tracker
 	root    exec.Operator
@@ -122,15 +116,7 @@ func (m *AsyncMonitor) Stop() {
 	m.stop = nil
 	calls := m.ctx.Calls()
 	m.SetTotal(calls)
-	m.observe(calls)
-}
-
-// observe records one sample, unless it repeats the last one's instant, and
-// streams it to OnSample.
-func (m *AsyncMonitor) observe(calls int64) {
-	if m.capture(m.tracker, calls) && m.OnSample != nil {
-		m.OnSample(m.Samples[len(m.Samples)-1])
-	}
+	m.capture(m.tracker, calls)
 }
 
 func (m *AsyncMonitor) loop() {
@@ -155,7 +141,7 @@ func (m *AsyncMonitor) loop() {
 			default:
 			}
 			if calls := m.ctx.Calls(); calls >= next {
-				m.observe(calls)
+				m.capture(m.tracker, calls)
 				next = (calls/m.EveryCalls + 1) * m.EveryCalls
 			}
 			time.Sleep(quantum)
@@ -176,7 +162,7 @@ func (m *AsyncMonitor) loop() {
 			continue // idle or not started: nothing to observe yet
 		}
 		lastCalls = calls
-		m.observe(calls)
+		m.capture(m.tracker, calls)
 	}
 }
 

@@ -28,16 +28,24 @@ type SampleSet struct {
 	Estimators []Estimator
 	// Samples are the recorded observations, in capture order.
 	Samples []Sample
+	// OnSample, when non-nil, is invoked after each recorded sample with
+	// that sample, letting consumers stream observations live instead of
+	// reading Samples after the run. It runs wherever the sample is taken —
+	// inline under Monitor.Hook, on the sampler goroutine under AsyncMonitor
+	// (or, for the final at-EOF sample, on the goroutine calling Stop) — and
+	// must not block: a slow callback delays subsequent samples. Set before
+	// the run starts.
+	OnSample func(Sample)
 
 	total int64
 }
 
-// capture records one sample and reports whether it did: an observation whose
-// anchored call count is not past the last stored sample's is the same
+// capture records one sample and streams it to OnSample: an observation
+// whose anchored call count is not past the last stored sample's is the same
 // instant seen twice and is dropped, so every sampler — inline, async
 // wall-clock or call-count, session — produces a series strictly increasing
 // in Calls.
-func (ss *SampleSet) capture(tracker *Tracker, calls int64) bool {
+func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
 	s := tracker.Capture()
 	// Anchor the sample to the ledger total its own capture read, not the
 	// triggering call count: under parallel plans other workers advance the
@@ -48,10 +56,13 @@ func (ss *SampleSet) capture(tracker *Tracker, calls int64) bool {
 		calls = s.Curr
 	}
 	if n := len(ss.Samples); n > 0 && calls <= ss.Samples[n-1].Calls {
-		return false
+		return
 	}
-	ss.Samples = append(ss.Samples, evaluate(s, calls, ss.Estimators))
-	return true
+	sample := evaluate(s, calls, ss.Estimators)
+	ss.Samples = append(ss.Samples, sample)
+	if ss.OnSample != nil {
+		ss.OnSample(sample)
+	}
 }
 
 // evaluate is the observation of s at the instant calls under ests.
@@ -152,8 +163,8 @@ func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
 }
 
 // Hook returns the callback to install as exec.Ctx.OnGetNext. Under
-// parallel (exchange-based) plans the hook fires concurrently from several
-// worker goroutines; a mutex serializes captures (Tracker.Capture is not
+// parallel plans the hook fires concurrently from several worker
+// goroutines; a mutex serializes captures (Tracker.Capture is not
 // reentrant) and stale firings — a worker whose trigger count was already
 // overtaken by a recorded sample — are skipped so Samples stays ordered by
 // Calls.

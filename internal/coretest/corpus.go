@@ -19,7 +19,7 @@ type CorpusEntry struct {
 	Label string
 	Build func() exec.Operator
 	// Parallel marks plans with worker goroutines — a morsel-driven scan,
-	// a partitioned hash join, parallel pre-aggregation, or an Exchange:
+	// a partitioned hash join or parallel pre-aggregation:
 	// GetNext calls fire from several goroutines, so invariant checkers
 	// must serialize sampling and chaos cross-validation must allow workers
 	// to count past a terminal fault's scheduled call (see

@@ -6,6 +6,8 @@ import (
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/fault"
+	"sqlprogress/internal/ledger"
+	"sqlprogress/internal/schema"
 )
 
 // TestCorpusCleanInvariants runs every corpus entry fault-free through both
@@ -24,6 +26,41 @@ func TestCorpusCleanInvariants(t *testing.T) {
 				t.Fatalf("%v", err)
 			}
 		})
+	}
+}
+
+// TestLedgerIsTheOnlyHome: a node counts only into its ledger slot, bound
+// before Open. After a run of every corpus plan under either engine, each
+// node reads through its ledger's view, the ledger's total is the run's
+// Curr, and the ledger bound before the run is still the plan's ledger.
+func TestLedgerIsTheOnlyHome(t *testing.T) {
+	engines := map[string]func(*exec.Ctx, exec.Operator) ([]schema.Row, error){"row": exec.Run, "batch": exec.RunBatch}
+	for _, entry := range Corpus() {
+		for engine, run := range engines {
+			t.Run(entry.Label+"/"+engine, func(t *testing.T) {
+				op := entry.Build()
+				led := exec.EnsureLedger(op)
+				ctx := exec.NewCtx()
+				if _, err := run(ctx, op); err != nil {
+					t.Fatal(err)
+				}
+				id := ledger.NodeID(0)
+				exec.Walk(op, func(o exec.Operator) {
+					if o.LedgerID() != id {
+						t.Errorf("%s: ledger id %d, want pre-order %d", o.Name(), o.LedgerID(), id)
+					} else if got, want := exec.NodeSnapshot(o), led.View(id).Snapshot(); got != want {
+						t.Errorf("%s: node view %+v, ledger view %+v", o.Name(), got, want)
+					}
+					id++
+				})
+				if got, want := led.TotalReturned(), ctx.Calls(); got != want {
+					t.Errorf("ledger total %d, Curr %d", got, want)
+				}
+				if again := exec.EnsureLedger(op); again != led {
+					t.Error("binding a bound plan again returned a different ledger")
+				}
+			})
+		}
 	}
 }
 
@@ -64,7 +101,7 @@ func TestMergeJoinEarlyStopBounds(t *testing.T) {
 	// its input cardinality, or the regression scenario has silently
 	// disappeared and this test is vacuous.
 	sortL := root.Children()[0]
-	if got, want := sortL.Runtime().Returned(), int64(80); got >= want {
+	if got, want := exec.NodeView(sortL).Returned(), int64(80); got >= want {
 		t.Fatalf("left sort drained fully (%d rows); corpus no longer exercises early stop", got)
 	}
 }

@@ -27,9 +27,9 @@ func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every
 	return checkInvariants(t, label, op, every, false)
 }
 
-// CheckParallelInvariants is CheckProgressInvariants for plans containing an
-// Exchange: GetNext calls fire concurrently from worker goroutines, so
-// sampling is serialized behind a mutex and each sample anchors to the
+// CheckParallelInvariants is CheckProgressInvariants for plans containing a
+// parallel operator: GetNext calls fire concurrently from worker goroutines,
+// so sampling is serialized behind a mutex and each sample anchors to the
 // ledger total its own capture read (the paper's Curr) rather than the
 // triggering worker's call count. The reused-vs-fresh evaluator equivalence
 // is asserted only at quiescence — mid-run the two passes read live counters

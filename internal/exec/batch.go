@@ -114,9 +114,8 @@ func (b *base) creditRows(ctx *Ctx, n int) error {
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	s := b.slot.Load()
-	s.CountCalls(int64(n))
-	s.CountDeliveredN(int64(n))
+	b.slot.CountCalls(int64(n))
+	b.slot.CountDeliveredN(int64(n))
 	return ctx.tickN(int64(n))
 }
 
@@ -131,10 +130,9 @@ func (b *base) creditScan(ctx *Ctx, calls, delivered int) error {
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	s := b.slot.Load()
-	s.CountCalls(int64(calls))
+	b.slot.CountCalls(int64(calls))
 	if delivered > 0 {
-		s.CountDeliveredN(int64(delivered))
+		b.slot.CountDeliveredN(int64(delivered))
 	}
 	return ctx.tickN(int64(calls))
 }
@@ -151,10 +149,9 @@ func (b *base) creditScanWeighted(ctx *Ctx, calls, delivered int, units int64) e
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	s := b.slot.Load()
-	s.CountCalls(int64(calls) + units)
+	b.slot.CountCalls(int64(calls) + units)
 	if delivered > 0 {
-		s.CountDeliveredN(int64(delivered))
+		b.slot.CountDeliveredN(int64(delivered))
 	}
 	return ctx.tickN(int64(calls) + units)
 }
@@ -167,7 +164,7 @@ func (b *base) chargeUnits(ctx *Ctx, n int64) error {
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	b.slot.Load().CountCalls(n)
+	b.slot.CountCalls(n)
 	return ctx.tickN(n)
 }
 
@@ -405,44 +402,4 @@ func NativeBatch(op Operator) bool {
 		}
 	})
 	return native
-}
-
-// RowSource adapts a batch-executed plan to row-at-a-time consumption: it
-// pulls batches from op and hands rows out one by one, with no additional
-// accounting (the operators credited their ledger slots when the batch was
-// produced). It bridges the vectorized engine to any consumer written
-// against the iterator model — the public Query iteration path and
-// remaining row-at-a-time callers.
-type RowSource struct {
-	ctx *Ctx
-	op  Operator
-	b   Batch
-	pos int
-	eof bool
-}
-
-// NewRowSource builds a row cursor over op. The operator must already be
-// open under ctx; the caller retains ownership of Open/Close.
-func NewRowSource(ctx *Ctx, op Operator) *RowSource {
-	return &RowSource{ctx: ctx, op: op}
-}
-
-// Next returns the next row, or ok=false at end of stream.
-func (r *RowSource) Next() (schema.Row, bool, error) {
-	for r.pos >= r.b.Len() {
-		if r.eof {
-			return nil, false, nil
-		}
-		if err := nextBatch(r.ctx, r.op, &r.b); err != nil {
-			return nil, false, err
-		}
-		r.pos = 0
-		if r.b.Len() == 0 {
-			r.eof = true
-			return nil, false, nil
-		}
-	}
-	row := r.b.Rows[r.pos]
-	r.pos++
-	return row, true, nil
 }

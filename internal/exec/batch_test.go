@@ -168,43 +168,6 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRowSourceYieldsEveryRow drives the batch engine through the row-cursor
-// adapter and checks nothing is duplicated, dropped, or double-counted.
-func TestRowSourceYieldsEveryRow(t *testing.T) {
-	tc := batchPlans()[3] // hash_join
-	rowOp := tc.build()
-	want, err := Run(NewCtx(), rowOp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := tc.build()
-	ctx := NewCtx()
-	ctx.vectorized = true
-	EnsureLedger(op)
-	if err := op.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	src := NewRowSource(ctx, op)
-	var got []schema.Row
-	for {
-		row, ok, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, row)
-	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, got, want, "rowsource rows")
-	if gc, wc := ctx.Calls(), TotalCalls(rowOp); gc != wc {
-		t.Errorf("Calls = %d, want %d", gc, wc)
-	}
-}
-
 // TestBatchFaultLandsAtExactCall proves the exact path: with an injector
 // installed, a batch run degrades to the precise row-engine call sequence, so
 // a fault scheduled for call N aborts with exactly N calls counted —

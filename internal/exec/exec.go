@@ -61,8 +61,8 @@ type Ctx struct {
 
 	// vectorized marks a run started by RunBatch: operators take their bulk
 	// accounting fast path when additionally no per-call hook is installed.
-	// Set once before execution starts and read-only during the run (worker
-	// goroutines of an Exchange read it concurrently).
+	// Set once before execution starts and read-only during the run (the
+	// worker goroutines of parallel operators read it concurrently).
 	vectorized bool
 
 	// observe is RunBatchObserved's quiesce-point observer, carried for drain.
@@ -99,19 +99,6 @@ func (c *Ctx) tick() error {
 	return nil
 }
 
-// RuntimeStats is the execution feedback a node exposes; progress estimators
-// may read it at any instant (it is exactly the "execution trace seen so
-// far" the paper allows). It is a ledger slot: the node's counters live in
-// the per-query progress ledger (internal/ledger), not inside the operator
-// struct, so samplers read a flat array rather than walking the tree.
-//
-// All counters are updated atomically by the writing goroutine, so a
-// sampler on another goroutine can read them while the plan runs. Individual
-// accessor loads are not mutually consistent; use Snapshot for the
-// read-ordering protocol that keeps bound derivations sound (see DESIGN.md,
-// "Concurrency model & monitoring overhead").
-type RuntimeStats = ledger.Slot
-
 // StatsSnapshot is a plain-value copy of a node's runtime counters, taken
 // with Snapshot's ordering guarantee: if Done && Rescans == 0, Returned and
 // Delivered are the node's exact final counts (see internal/ledger).
@@ -147,6 +134,10 @@ func SatAdd(a, b int64) int64 {
 }
 
 // Operator is a physical operator node under the iterator model.
+//
+// A node counts only into its ledger slot (plus, for a parallel operator,
+// its per-worker sub-slots), bound by EnsureLedger before Open; Run and
+// RunBatch bind first. Readers go through NodeView or the ledger itself.
 type Operator interface {
 	// Open prepares the operator (and recursively its inputs) for
 	// iteration. Blocking operators perform their build work here, issuing
@@ -164,10 +155,6 @@ type Operator interface {
 	// Name is a short physical-operator name for plan explanation.
 	Name() string
 
-	// Runtime exposes execution feedback for progress estimation: the
-	// node's current ledger slot (or its private fallback slot before
-	// EnsureLedger binds the plan).
-	Runtime() *RuntimeStats
 	// LedgerID returns the node's dense ledger NodeID assigned by
 	// EnsureLedger, or ledger.None before the plan is bound.
 	LedgerID() ledger.NodeID
@@ -197,32 +184,22 @@ type Operator interface {
 
 // base carries the bookkeeping shared by all operators.
 type base struct {
-	// own is the node's private fallback slot, valid from construction so
-	// counters work even for fragments executed without EnsureLedger.
-	own ledger.Slot
-	// slot points at the counters currently in use: &own until EnsureLedger
-	// rebinds the node into a per-query ledger. It is atomic because a
-	// sampler goroutine may call Runtime() concurrently with the rebinding
-	// that Run performs just before execution starts.
-	slot atomic.Pointer[ledger.Slot]
+	// slot is the node's primary ledger slot, led.Slot(id), cached for the
+	// hot path. All three are set by EnsureLedger, before Open and
+	// before any reader; slot is nil until then.
+	slot *ledger.Slot
 	id   ledger.NodeID
 	led  *ledger.Ledger
 	sch  *schema.Schema
 	est  int64
 }
 
-// init prepares the bookkeeping in place. base holds atomics, so it must
-// never be copied after construction — operators initialize the embedded
-// field rather than assigning a composite literal.
+// init prepares the bookkeeping of an unbound node.
 func (b *base) init(sch *schema.Schema) {
 	b.sch = sch
 	b.est = -1
 	b.id = ledger.None
-	b.slot.Store(&b.own)
 }
-
-// Runtime implements Operator.
-func (b *base) Runtime() *RuntimeStats { return b.slot.Load() }
 
 // LedgerID implements Operator.
 func (b *base) LedgerID() ledger.NodeID { return b.id }
@@ -245,9 +222,8 @@ func (b *base) emit(ctx *Ctx, row schema.Row) (schema.Row, bool, error) {
 	if ctx.canceled.Load() {
 		return nil, false, ErrCanceled
 	}
-	s := b.slot.Load()
-	s.CountCall()
-	s.CountDelivered()
+	b.slot.CountCall()
+	b.slot.CountDelivered()
 	if err := ctx.tick(); err != nil {
 		return nil, false, err
 	}
@@ -261,87 +237,73 @@ func (b *base) countScanned(ctx *Ctx) error {
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	b.slot.Load().CountCall()
+	b.slot.CountCall()
 	return ctx.tick()
 }
 
 // eof marks the node done and returns end-of-stream.
 func (b *base) eof() (schema.Row, bool, error) {
-	b.slot.Load().MarkDone()
+	b.slot.MarkDone()
 	return nil, false, nil
 }
 
 // markDone sets the EOF flag without ending the caller's Next — operators
 // that exhaust a child mid-call use it before continuing.
-func (b *base) markDone() { b.slot.Load().MarkDone() }
+func (b *base) markDone() { b.slot.MarkDone() }
 
-// reopen resets per-run state for a rescan. The rescan counter is bumped
-// *before* done is cleared: a concurrent Snapshot that still sees the
-// previous run's done=true will then see Rescans > 0 and refuse to pin the
-// node (see ledger.Slot.Snapshot).
+// reopen resets per-run state for a rescan on every slot of the node, worker
+// sub-slots included. The rescan counter is bumped *before* done is cleared:
+// a concurrent Snapshot that still sees the previous run's done=true will
+// then see Rescans > 0 and refuse to pin the node (see ledger.Slot.Snapshot).
 func (b *base) reopen() {
-	s := b.slot.Load()
-	if s.Done() || s.Returned() > 0 {
-		s.MarkRescan()
+	for w := range b.led.Workers(b.id) {
+		s := b.led.WorkerSlot(b.id, w)
+		if s.Done() || s.Returned() > 0 {
+			s.MarkRescan()
+		}
+		s.ClearDone()
 	}
-	s.ClearDone()
 }
 
 // workerSlotted is implemented by operators whose node counters are split
-// across per-worker ledger sub-slots behind the node's single NodeID.
-// EnsureLedger allocates the sub-slots at binding time; before binding the
-// operator counts into its private fallback slots.
+// across per-worker ledger sub-slots behind the node's single NodeID;
+// EnsureLedger allocates the sub-slots when it binds the node.
 type workerSlotted interface {
-	Operator
 	workerCount() int
-	fallbackSlots() []ledger.Slot
 }
 
 // EnsureLedger binds every node of the plan to one per-query ledger,
 // assigning dense pre-order NodeIDs (the shape index used by core's
 // PlanShape). It is idempotent: a tree already densely bound to a single
 // ledger is returned as-is, so repeated runs of the same plan keep their
-// accumulated counters. Otherwise a fresh ledger sized to the tree is
-// allocated, any counts accumulated in the nodes' previous slots are
-// carried over, and each node's slot pointer is swapped atomically —
-// callers must bind before execution starts (Run does it), but a sampler
-// already watching the tree observes the switch safely.
+// accumulated counters. Otherwise a fresh, zeroed ledger sized to the tree
+// is allocated and every node is pointed at its slot. Binding must
+// happen-before the plan is opened and before any reader looks at its
+// counters: Run and RunBatch bind first, and so does core.ShapeOf.
 func EnsureLedger(root Operator) *ledger.Ledger {
 	n := 0
 	bound := true
 	var led *ledger.Ledger
 	Walk(root, func(o Operator) {
 		b := o.progressBase()
-		if b.led == nil || b.id != ledger.NodeID(n) {
-			bound = false
-		} else if led == nil {
+		if n == 0 {
 			led = b.led
-		} else if b.led != led {
-			bound = false
 		}
-		if ws, ok := o.(workerSlotted); ok && b.led != nil && b.led.Workers(b.id) < ws.workerCount() {
+		if b.led == nil || b.led != led || b.id != ledger.NodeID(n) {
 			bound = false
 		}
 		n++
 	})
-	if bound && led != nil && led.Len() == n {
+	if bound && led.Len() == n {
 		return led
 	}
 	led = ledger.New(n)
 	id := ledger.NodeID(0)
 	Walk(root, func(o Operator) {
 		b := o.progressBase()
-		s := led.Slot(id)
-		s.CopyFrom(b.slot.Load())
-		b.led = led
-		b.id = id
-		b.slot.Store(s)
+		b.led, b.id, b.slot = led, id, led.Slot(id)
 		if ws, ok := o.(workerSlotted); ok {
 			led.EnsureWorkers(id, ws.workerCount())
-			fb := ws.fallbackSlots()
-			for w := range fb {
-				led.WorkerSlot(id, w+1).CopyFrom(&fb[w])
-			}
 		}
 		id++
 	})
@@ -386,19 +348,12 @@ func Walk(op Operator, visit func(Operator)) {
 	}
 }
 
-// NodeView returns op's aggregating counter reader: its ledger node view
-// when bound (covering any worker sub-slots), else a view over its private
-// fallback slots. Single-slot nodes degenerate to their one slot, so this
-// is the uniform way to read any node's runtime counters.
+// NodeView returns op's ledger view, which sums any worker sub-slots. It
+// is the uniform way to read a node's runtime counters; the plan must be
+// bound (EnsureLedger).
 func NodeView(op Operator) ledger.View {
 	b := op.progressBase()
-	if b.led != nil && b.id != ledger.None {
-		return b.led.View(b.id)
-	}
-	if ws, ok := op.(workerSlotted); ok {
-		return ledger.ViewOf(b.slot.Load(), ws.fallbackSlots())
-	}
-	return ledger.ViewOf(b.slot.Load(), nil)
+	return b.led.View(b.id)
 }
 
 // NodeSnapshot reads op's aggregated runtime counters under the snapshot
@@ -416,8 +371,10 @@ func TotalCalls(op Operator) int64 {
 // Explain renders the operator tree with runtime counters, one node per
 // line, children indented. A scan that decodes k of its store's n columns
 // says so (cols=k/n); its Name does not, because labels, corpus keys and
-// trace names are built from it.
+// trace names are built from it. A plan that has not run yet is bound first,
+// so it shows zero counters.
 func Explain(op Operator) string {
+	EnsureLedger(op)
 	var b strings.Builder
 	var rec func(o Operator, depth int)
 	rec = func(o Operator, depth int) {

@@ -76,8 +76,8 @@ func TestScanCountsEveryRow(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if s.Runtime().Returned() != 3 || !s.Runtime().Done() {
-		t.Errorf("runtime = %+v", s.Runtime())
+	if rt := NodeSnapshot(s); rt.Returned != 3 || !rt.Done {
+		t.Errorf("runtime = %+v", rt)
 	}
 	if ctx.Calls() != 3 {
 		t.Errorf("ctx.Calls() = %d, want 3", ctx.Calls())
@@ -117,12 +117,12 @@ func TestScanRescan(t *testing.T) {
 	if _, err := Run(ctx, s); err != nil {
 		t.Fatal(err)
 	}
-	rt := s.Runtime()
-	if rt.Returned() != 4 {
-		t.Errorf("cumulative Returned = %d, want 4", rt.Returned())
+	rt := NodeSnapshot(s)
+	if rt.Returned != 4 {
+		t.Errorf("cumulative Returned = %d, want 4", rt.Returned)
 	}
-	if rt.Rescans() != 1 {
-		t.Errorf("Rescans = %d, want 1", rt.Rescans())
+	if rt.Rescans != 1 {
+		t.Errorf("Rescans = %d, want 1", rt.Rescans)
 	}
 }
 
@@ -439,8 +439,8 @@ func TestNLJoinMatchesHashJoin(t *testing.T) {
 	if ctx.Calls() != 17 {
 		t.Errorf("NL join calls = %d, want 17", ctx.Calls())
 	}
-	if scanS.Runtime().Rescans() != 2 {
-		t.Errorf("inner rescans = %d, want 2", scanS.Runtime().Rescans())
+	if r := NodeView(scanS).Rescans(); r != 2 {
+		t.Errorf("inner rescans = %d, want 2", r)
 	}
 }
 
@@ -864,8 +864,8 @@ func TestScanEmbeddedPredicateAccounting(t *testing.T) {
 	if ctx.Calls() != 6 {
 		t.Errorf("calls = %d, want 6 (every scanned row counts)", ctx.Calls())
 	}
-	if sc.Runtime().Returned() != 6 || !sc.Runtime().Done() {
-		t.Errorf("runtime = %+v", sc.Runtime())
+	if rt := NodeSnapshot(sc); rt.Returned != 6 || !rt.Done {
+		t.Errorf("runtime = %+v", rt)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 )
 
@@ -28,7 +27,6 @@ type ParallelHashJoin struct {
 	// most max(|build|, |probe|) rows (e.g. key–foreign-key joins).
 	Linear bool
 
-	fallback  []ledger.Slot
 	table     joinTable // holds the join keys
 	buildRows []schema.Row
 	pad       schema.Row // NULL padding for left outer
@@ -60,23 +58,18 @@ func NewParallelHashJoin(build Operator, parts []Operator, buildKeys, probeKeys 
 		Mode:  mode,
 		table: joinTable{buildKeys: buildKeys, probeKeys: probeKeys},
 	}
-	if len(parts) > 1 {
-		j.fallback = make([]ledger.Slot, len(parts)-1)
-	}
 	j.init(sch)
 	return j
 }
 
-func (j *ParallelHashJoin) workerCount() int             { return len(j.parts) }
-func (j *ParallelHashJoin) fallbackSlots() []ledger.Slot { return j.fallback }
-func (j *ParallelHashJoin) transport() *gather           { return &j.g }
+func (j *ParallelHashJoin) workerCount() int   { return len(j.parts) }
+func (j *ParallelHashJoin) transport() *gather { return &j.g }
 
 // Open implements Operator: drains the build side (on the reader — the
 // build subtree is a serial pipeline), builds the hash table on as many
 // goroutines as there are workers, then starts the probe workers.
 func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	j.reopen()
-	reopenWorkerSlots(j)
 	var err error
 	if j.buildRows, err = drainAll(ctx, j.build, j.buildRows); err != nil {
 		return err
@@ -95,7 +88,7 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 // same worker — the partition nodes are separate plan nodes with their own
 // (single-writer) slots.
 func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
-	part, slot := j.parts[w], workerSlot(j, w)
+	part, slot := j.parts[w], j.led.WorkerSlot(j.id, w)
 	if err := part.Open(ctx); err != nil {
 		return nil, err
 	}

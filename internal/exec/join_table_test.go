@@ -226,6 +226,7 @@ func TestJoinTableBuildBufferSizedOnce(t *testing.T) {
 			build.Append(schema.Row{vInt(i), vInt(i)})
 		}
 		j := serialJoinOf(relOf("p", []string{"a", "x"}, nil), build, InnerJoin)
+		EnsureLedger(j)
 		if err := j.Open(NewCtx()); err != nil {
 			t.Fatal(err)
 		}

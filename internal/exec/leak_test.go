@@ -28,7 +28,6 @@ func TestParallelOperatorsLeakNoGoroutines(t *testing.T) {
 	}
 	key := func(op exec.Operator) []expr.Expr { return []expr.Expr{expr.NewCol(op.Schema(), "", "k")} }
 	plans := map[string]func() exec.Operator{
-		"Exchange":     func() exec.Operator { return exec.NewParallelStoreScan(fact, workers) },
 		"ParallelScan": func() exec.Operator { return exec.NewParallelScan(fact, workers) },
 		"ParallelHashJoin": func() exec.Operator {
 			build, ps := exec.NewScan(dim), parts()

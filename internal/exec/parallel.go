@@ -9,20 +9,20 @@ import (
 	"sqlprogress/internal/schema"
 )
 
-// This file holds the machinery shared by the parallel operators (Exchange,
-// ParallelScan, ParallelHashJoin, ParallelHashAgg): the worker→reader batch
+// This file holds the machinery shared by the parallel operators
+// (ParallelScan, ParallelHashJoin, ParallelHashAgg): the worker→reader batch
 // transport and its two schedules, per-worker ledger crediting, and the
 // morsel-driven parallel scan itself.
 //
-// Unlike Exchange — which parallelizes by running whole partition *subtrees*
-// on workers, one plan node per partition — ParallelScan and
-// ParallelHashJoin are single plan nodes whose own counters are split across
-// per-worker ledger sub-slots (ledger.EnsureWorkers). Each worker writes only
-// its own padded sub-slot, preserving the single-writer discipline the
-// snapshot ordering protocol relies on, and every reader aggregates the
-// group through ledger.View. The node's FinalBounds therefore stay those of
-// the logical operator: a parallel scan of n rows is bounded [n, n+units] no
-// matter how many workers share the work.
+// ParallelScan and ParallelHashJoin are single plan nodes whose own counters
+// are split across per-worker ledger sub-slots (ledger.EnsureWorkers). Each
+// worker writes only its own padded sub-slot, preserving the single-writer
+// discipline the snapshot ordering protocol relies on, and every reader
+// aggregates the group through ledger.View. The node's FinalBounds therefore
+// stay those of the logical operator: a parallel scan of n rows is bounded
+// [n, n+units] no matter how many workers share the work. Partition subtrees
+// (the probe and fold inputs) are plan nodes of their own, each counted by
+// the one worker that drains it.
 
 // creditWorker credits `calls` counted GetNext calls (of which `delivered`
 // rows were handed upward) against one worker's sub-slot. On the fast path
@@ -58,35 +58,8 @@ func creditWorker(ctx *Ctx, s *ledger.Slot, calls, delivered int64) error {
 	return nil
 }
 
-// workerSlot returns worker w's sub-slot for op: the primary slot for worker
-// 0, the ledger sub-slot when bound, the private fallback slab otherwise.
-func workerSlot(op workerSlotted, w int) *ledger.Slot {
-	b := op.progressBase()
-	if w == 0 {
-		return b.slot.Load()
-	}
-	if b.led != nil && b.id != ledger.None && b.led.Workers(b.id) > w {
-		return b.led.WorkerSlot(b.id, w)
-	}
-	return &op.fallbackSlots()[w-1]
-}
-
-// reopenWorkerSlots runs base.reopen's rescan protocol on every worker
-// sub-slot beyond the primary (which the operator's own reopen handles):
-// bump rescans before clearing done, so a racing aggregate Snapshot never
-// pins a stale sub-slot count.
-func reopenWorkerSlots(op workerSlotted) {
-	for w := 1; w < op.workerCount(); w++ {
-		s := workerSlot(op, w)
-		if s.Done() || s.Returned() > 0 {
-			s.MarkRescan()
-		}
-		s.ClearDone()
-	}
-}
-
 // gather is the worker→reader transport under every parallel operator
-// (Exchange, ParallelScan, ParallelHashJoin, ParallelHashAgg). An operator
+// (ParallelScan, ParallelHashJoin, ParallelHashAgg). An operator
 // describes one worker as a resumable step; gather schedules the steps and
 // hands their output to the reader:
 //
@@ -339,6 +312,17 @@ func (g *gather) stop() {
 	g.buf = nil
 }
 
+// closeAll closes every operator, returning the first error.
+func closeAll(ops ...Operator) error {
+	var first error
+	for _, op := range ops {
+		if err := op.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // morselRows is the nominal morsel size: enough rows that claiming one
 // (an atomic add) is amortized to nothing, small enough that an idle worker
 // never waits long behind a straggler.
@@ -346,21 +330,19 @@ const morselRows = 4096
 
 // ParallelScan is the morsel-driven parallel scan: one leaf plan node whose
 // scan positions are carved into page-aligned morsels (Store.AlignWindow)
-// claimed dynamically by whichever worker is idle — replacing Exchange's
-// static partitioning, which stalls the whole plan behind the slowest
-// partition when costs are uneven. Each worker credits rows and weighted
-// read units to its own ledger sub-slot; the reader merges batches without
-// recounting, so the node's aggregate counters — and its final bounds
-// [n, n+MaxReadUnits] — are exactly a serial scan's.
+// claimed dynamically by whichever worker is idle, so uneven costs never
+// stall the plan behind one static partition. Each worker credits rows and
+// weighted read units to its own ledger sub-slot; the reader merges batches
+// without recounting, so the node's aggregate counters — and its final
+// bounds [n, n+MaxReadUnits] — are exactly a serial scan's.
 //
 // Row order across morsels is nondeterministic unless the plan runs in
-// lockstep. Predicates and permutations are not supported — partition them
-// under an Exchange instead.
+// lockstep. Predicates and permutations are not supported: a predicate goes
+// in a Filter above the scan.
 type ParallelScan struct {
 	base
-	Src      schema.Store
-	workers  int
-	fallback []ledger.Slot
+	Src     schema.Store
+	workers int
 
 	morsels    int
 	nextMorsel atomic.Int64
@@ -381,16 +363,12 @@ func NewParallelScan(st schema.Store, workers int) *ParallelScan {
 	if p.morsels < workers {
 		p.morsels = workers
 	}
-	if workers > 1 {
-		p.fallback = make([]ledger.Slot, workers-1)
-	}
 	p.init(st.Schema())
 	return p
 }
 
-func (p *ParallelScan) workerCount() int             { return p.workers }
-func (p *ParallelScan) fallbackSlots() []ledger.Slot { return p.fallback }
-func (p *ParallelScan) transport() *gather           { return &p.g }
+func (p *ParallelScan) workerCount() int   { return p.workers }
+func (p *ParallelScan) transport() *gather { return &p.g }
 
 // Open implements Operator: resets the morsel counter and starts the
 // workers.
@@ -399,10 +377,9 @@ func (p *ParallelScan) Open(ctx *Ctx) error {
 		return err
 	}
 	p.reopen()
-	reopenWorkerSlots(p)
 	p.nextMorsel.Store(0)
 	return p.g.start(p.workers, func(w int) (workerStep, error) {
-		slot := workerSlot(p, w)
+		slot := p.led.WorkerSlot(p.id, w)
 		return func(out *Batch) (turn, error) { return p.scanStep(ctx, w, slot, out) }, nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sqlprogress/internal/expr"
@@ -148,25 +149,31 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 }
 
 // TestParallelScanRescan: reopening accumulates counters and surfaces a
-// nonzero aggregate rescan count, voiding exactness as the protocol requires.
+// nonzero aggregate rescan count, voiding exactness as the protocol requires,
+// under either schedule.
 func TestParallelScanRescan(t *testing.T) {
 	rel := seqRel("r", 300)
-	p := NewParallelScan(rel, 4)
-	first, err := Run(NewCtx(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(NewCtx(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, second, first, "rescan rows")
-	snap := NodeSnapshot(p)
-	if snap.Rescans == 0 {
-		t.Fatal("aggregate rescans = 0 after reopen")
-	}
-	if snap.Returned != 2*rel.Cardinality() {
-		t.Fatalf("returned %d after rescan, want %d", snap.Returned, 2*rel.Cardinality())
+	for _, lockstep := range []bool{false, true} {
+		p := NewParallelScan(rel, 4)
+		if lockstep {
+			Lockstep(p)
+		}
+		first, err := Run(NewCtx(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := Run(NewCtx(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, second, first, "rescan rows")
+		snap := NodeSnapshot(p)
+		if snap.Rescans == 0 {
+			t.Fatalf("lockstep=%v: aggregate rescans = 0 after reopen", lockstep)
+		}
+		if snap.Returned != 2*rel.Cardinality() {
+			t.Fatalf("lockstep=%v: returned %d after rescan, want %d", lockstep, snap.Returned, 2*rel.Cardinality())
+		}
 	}
 }
 
@@ -385,6 +392,68 @@ func TestParallelHashJoinErrorPropagation(t *testing.T) {
 	}
 	if _, err := Run(ctx, parallelJoinOf(probe, build, 4, InnerJoin, false)); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want %v", err, sentinel)
+	}
+}
+
+// failOp is a probe partition whose first pull calls wait (when set) and
+// then fails with err.
+type failOp struct {
+	base
+	err  error
+	wait func()
+}
+
+func newFailOp(sch *schema.Schema, err error, wait func()) *failOp {
+	f := &failOp{err: err, wait: wait}
+	f.init(sch)
+	return f
+}
+
+func (f *failOp) Open(*Ctx) error { f.reopen(); return nil }
+func (f *failOp) Next(*Ctx) (schema.Row, bool, error) {
+	if f.wait != nil {
+		f.wait()
+	}
+	return nil, false, f.err
+}
+func (f *failOp) Close() error                        { return nil }
+func (f *failOp) Children() []Operator                { return nil }
+func (f *failOp) Name() string                        { return "Fail" }
+func (f *failOp) FinalBounds([]CardBounds) CardBounds { return CardBounds{} }
+func (f *failOp) StreamChildren() []int               { return nil }
+func (f *failOp) BlockingChildren() []int             { return nil }
+
+// TestParallelHashJoinFirstErrorWins: when one probe worker fails with a
+// real error and another with the cancellation sweep it set off, the run
+// reports the real error, whichever worker failed first.
+func TestParallelHashJoinFirstErrorWins(t *testing.T) {
+	probe, build := joinInputs()
+	sentinel := errors.New("boom")
+	for _, canceledFirst := range []bool{false, true} {
+		var j *ParallelHashJoin
+		// after blocks until a worker's error has been recorded.
+		after := func() {
+			for {
+				j.g.errMu.Lock()
+				recorded := j.g.firstErr != nil
+				j.g.errMu.Unlock()
+				if recorded {
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+		sch := NewScan(probe).Schema()
+		first, second := newFailOp(sch, sentinel, nil), newFailOp(sch, ErrCanceled, after)
+		if canceledFirst {
+			first, second = newFailOp(sch, ErrCanceled, nil), newFailOp(sch, sentinel, after)
+		}
+		sb := NewScan(build)
+		j = NewParallelHashJoin(sb, []Operator{first, second},
+			[]expr.Expr{col(sb, "b", "k")}, []expr.Expr{expr.NewCol(sch, "p", "a")}, InnerJoin)
+		if _, err := Run(NewCtx(), j); !errors.Is(err, sentinel) {
+			t.Fatalf("canceledFirst=%v: got %v, want %v", canceledFirst, err, sentinel)
+		}
 	}
 }
 

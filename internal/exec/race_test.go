@@ -8,12 +8,13 @@ import (
 )
 
 // TestConcurrentSamplerCancelsMidQuery is the concurrency regression test
-// for the atomic runtime counters: a sampler goroutine continuously reads
-// the context's global call counter and every operator's runtime snapshot
+// for the atomic ledger counters: a sampler goroutine continuously reads
+// the context's global call counter and every operator's node snapshot
 // while the plan executes on the test goroutine, then cancels the query
-// mid-flight. With the pre-atomic plain-field counters this test is a data
-// race (`go test -race`); with atomics it must run clean and finish with
-// ErrCanceled.
+// mid-flight. With plain-field counters this test is a data race
+// (`go test -race`); with atomics it must run clean and finish with
+// ErrCanceled. The plan is bound before the sampler starts: binding must
+// happen-before any reader.
 func TestConcurrentSamplerCancelsMidQuery(t *testing.T) {
 	const n = 400
 	rows := make([][]int64, n)
@@ -29,6 +30,7 @@ func TestConcurrentSamplerCancelsMidQuery(t *testing.T) {
 	j := NewNLJoin(scanR, scanS, expr.Compare(expr.EQ,
 		expr.Col{Index: 1}, expr.Col{Index: 3}))
 
+	EnsureLedger(j)
 	ctx := NewCtx()
 	ops := []Operator{j, scanR, scanS}
 	var reads, incoherent atomic.Int64
@@ -42,7 +44,7 @@ func TestConcurrentSamplerCancelsMidQuery(t *testing.T) {
 				// unsynchronized load. (Returned vs Delivered is deliberately
 				// not compared: Snapshot loads them separately and an emit may
 				// land in between.)
-				snap := op.Runtime().Snapshot()
+				snap := NodeSnapshot(op)
 				if snap.Returned < 0 || snap.Delivered < 0 || snap.Rescans < 0 {
 					incoherent.Add(1)
 				}

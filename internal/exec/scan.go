@@ -52,8 +52,8 @@ type Scan struct {
 	delivered *CardBounds
 	// part/parts describe the partition window this scan covers (parts == 0
 	// means the whole relation). A partitioned scan visits the store-aligned
-	// window AlignWindow(part, parts) of the (possibly permuted) store — the
-	// building block an Exchange runs one worker over.
+	// window AlignWindow(part, parts) of the (possibly permuted) store — one
+	// worker's input under ParallelHashJoin and ParallelHashAgg.
 	part, parts int
 	lo, hi      int
 }
@@ -92,17 +92,11 @@ func NewScanWithOrder(rel *schema.Relation, order []int32) *Scan {
 	return s
 }
 
-// NewScanPartition builds a scan over partition `part` of `parts` equal
-// slices of the relation's scan positions. The windows of parts sibling
-// scans are disjoint and cover the relation exactly, so an Exchange over
-// them produces the same multiset of rows as one full Scan.
-func NewScanPartition(rel *schema.Relation, part, parts int) *Scan {
-	return NewStoreScanPartition(rel, part, parts)
-}
-
-// NewStoreScanPartition builds a partition scan over any store. Windows are
-// aligned by the store — row boundaries in memory, page boundaries on disk —
-// and parts sibling windows are disjoint and cover the store exactly.
+// NewStoreScanPartition builds a scan over partition `part` of `parts`
+// windows of a store's scan positions. Windows are aligned by the store —
+// row boundaries in memory, page boundaries on disk — and parts sibling
+// windows are disjoint and cover the store exactly, so the partitions
+// together deliver the same multiset of rows as one full Scan.
 func NewStoreScanPartition(st schema.Store, part, parts int) *Scan {
 	if parts < 1 || part < 0 || part >= parts {
 		panic(fmt.Sprintf("scan %s: invalid partition %d of %d", st.StoreName(), part, parts))

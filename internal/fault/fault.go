@@ -79,10 +79,10 @@ func NewInjector(s Schedule) *Injector {
 }
 
 // Arm installs the injector on ctx (via exec.Ctx.Inject). Must be called
-// before the run starts. Under parallel (exchange-based) plans the hook
-// fires concurrently from several worker goroutines, so the event cursor
-// is mutex-guarded; stalls sleep outside the lock so one worker's latency
-// spike never serializes the other workers' counted calls.
+// before the run starts. Under parallel plans the hook fires concurrently
+// from several worker goroutines, so the event cursor is mutex-guarded;
+// stalls sleep outside the lock so one worker's latency spike never
+// serializes the other workers' counted calls.
 func (in *Injector) Arm(ctx *exec.Ctx) {
 	ctx.Inject = func(calls int64) error {
 		var stall time.Duration

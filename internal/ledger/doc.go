@@ -9,14 +9,18 @@
 // The package sits below the executor (it imports only sync/atomic) so
 // both exec and core can share the slot layout without a dependency cycle.
 //
+// The ledger is a node's only counter set. exec.EnsureLedger binds every
+// node to its slot before the plan is opened and before any reader looks
+// at it; nothing counts anywhere else, so nothing is ever carried over.
+//
 // # The single-writer-per-slot discipline
 //
 // Every slot has exactly one writer goroutine at any time. Under serial
-// execution that is the operator bound to the node; under exchange-based
-// parallelism each worker writes only its own partition's slots (or its
-// own per-worker sub-slot behind a shared node), so the single-writer
-// reasoning still applies per slot. Readers — samplers, the bounds pass,
-// the SSE streamer — are unrestricted and lock-free.
+// execution that is the operator bound to the node; under a parallel
+// operator each worker writes only the slots of the partition subtree it
+// drains and its own per-worker sub-slot behind the shared node, so the
+// single-writer reasoning still applies per slot. Readers — samplers, the
+// bounds pass, the SSE streamer — are unrestricted and lock-free.
 //
 // # The snapshot load-ordering protocol
 //

@@ -13,11 +13,11 @@ const None NodeID = -1
 // Slot is one plan node's runtime progress state: GetNext counts, rows
 // delivered to the parent, rescan (re-open) count, and the EOF flag. All
 // fields are atomics written by the owning operator (exactly one writer
-// goroutine per slot, even under exchange-based parallelism) and read by
-// any number of samplers.
+// goroutine per slot, even under parallel operators, whose workers each
+// write a sub-slot of their own) and read by any number of samplers.
 //
 // The struct is padded to 64 bytes so adjacent slots written by different
-// exchange workers never share a cache line.
+// workers never share a cache line.
 type Slot struct {
 	// returned counts the node's counted GetNext calls (rows scanned or
 	// produced — the paper's unit of work).
@@ -90,16 +90,6 @@ func (s *Slot) Snapshot() Snapshot {
 	del := s.delivered.Load()
 	res := s.rescans.Load()
 	return Snapshot{Returned: ret, Delivered: del, Rescans: res, Done: done}
-}
-
-// CopyFrom transfers another slot's counters into s. Used when a node is
-// re-bound from its private fallback slot into a freshly allocated ledger;
-// callers must ensure src is quiescent (binding happens before execution).
-func (s *Slot) CopyFrom(src *Slot) {
-	s.returned.Store(src.returned.Load())
-	s.delivered.Store(src.delivered.Load())
-	s.rescans.Store(src.rescans.Load())
-	s.done.Store(src.done.Load())
 }
 
 // Ledger is the flat per-query block of slots, indexed by NodeID.
@@ -177,14 +167,8 @@ func (l *Ledger) View(id NodeID) View {
 	return v
 }
 
-// ViewOf builds a View over an explicit slot group — the fallback path for
-// operators counting into private slots before EnsureLedger binds them.
-func ViewOf(primary *Slot, extra []Slot) View {
-	return View{primary: primary, extra: extra}
-}
-
 // View reads one node's sub-slot group as a single logical counter set.
-// The zero View is invalid; obtain one from Ledger.View or ViewOf.
+// The zero View is invalid; obtain one from Ledger.View.
 type View struct {
 	primary *Slot
 	extra   []Slot

@@ -38,18 +38,6 @@ func TestSlotCountersAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	var a, b Slot
-	a.CountCall()
-	a.CountDelivered()
-	a.MarkRescan()
-	a.MarkDone()
-	b.CopyFrom(&a)
-	if got, want := b.Snapshot(), a.Snapshot(); got != want {
-		t.Fatalf("copy = %+v, want %+v", got, want)
-	}
-}
-
 func TestSnapshotAllReusesCapacity(t *testing.T) {
 	l := New(4)
 	l.Slot(2).CountCall()
@@ -63,8 +51,8 @@ func TestSnapshotAllReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestConcurrentDisjointWriters is the exchange-parallelism contract: N
-// writers on disjoint slots, one reader summing; the race detector must
+// TestConcurrentDisjointWriters is the parallel-worker contract: N writers
+// on disjoint slots, one reader summing; the race detector must
 // stay quiet and the final total must be exact.
 func TestConcurrentDisjointWriters(t *testing.T) {
 	const workers, per = 8, 10_000

@@ -123,15 +123,3 @@ func TestSnapshotAllAggregatesPerNode(t *testing.T) {
 		t.Fatalf("node 2 aggregate snapshot %+v, want Returned=10 done", snaps[2])
 	}
 }
-
-func TestViewOfFallbackGroup(t *testing.T) {
-	var primary Slot
-	extra := make([]Slot, 2)
-	primary.CountCalls(3)
-	extra[0].CountCalls(4)
-	extra[1].CountCalls(5)
-	v := ViewOf(&primary, extra)
-	if got := v.Returned(); got != 12 {
-		t.Fatalf("ViewOf Returned = %d, want 12", got)
-	}
-}

@@ -10,7 +10,7 @@ import (
 // PagedRelation is a disk-backed base table: an opened heap file read
 // through a shared buffer pool. It implements schema.Store, so exec.Scan
 // iterates it exactly like an in-memory relation — same row and batch
-// paths, same partition windows under an Exchange — while every page
+// paths, same partition and morsel windows — while every page
 // touched is a pool access and every pool miss is a physical read.
 //
 // Progress accounting: with a zero read cost (the default) a paged scan
@@ -70,9 +70,9 @@ func (p *PagedRelation) Schema() *schema.Schema { return p.hf.sch }
 func (p *PagedRelation) Cardinality() int64 { return p.hf.rows }
 
 // AlignWindow implements schema.Store: partitions split on page
-// boundaries, so parallel workers under an Exchange never contend for the
-// same page and each worker's physical reads are its own. Pages are split
-// evenly; row windows follow from the directory's cumulative counts.
+// boundaries, so parallel workers never contend for the same page and each
+// worker's physical reads are its own. Pages are split evenly; row windows
+// follow from the directory's cumulative counts.
 func (p *PagedRelation) AlignWindow(part, parts int) (lo, hi int) {
 	if parts <= 1 {
 		return 0, int(p.hf.rows)

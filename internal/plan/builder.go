@@ -99,8 +99,7 @@ func (b *Builder) ScanOrdered(table string, order []int32) Node {
 // node whose workers claim page-aligned row windows dynamically and count
 // into per-worker ledger sub-slots. Progress consumers see a single leaf
 // with the same final bounds as the serial Scan; the sub-slots aggregate
-// transparently under the snapshot protocol. For the static-partitioned
-// exchange shape, build exec.NewParallelStoreScan directly.
+// transparently under the snapshot protocol.
 func (b *Builder) ParallelScan(table string, workers int) Node {
 	st := b.cat.MustStore(table)
 	op := exec.NewParallelScan(st, workers)

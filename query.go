@@ -3,7 +3,6 @@ package sqlprogress
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sqlprogress/internal/compile"
@@ -268,33 +267,22 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 		}
 	}
 
-	tracker := core.NewTracker(q.root)
+	mon := core.NewMonitor(q.root, every, ests...)
 	shape, led := core.ShapeOf(q.root)
 	q.ctx = exec.NewCtx()
 	start := time.Now()
-	// Under parallel (exchange-based) plans the hook fires concurrently from
-	// worker goroutines: the mutex serializes captures and callbacks, and
-	// instants already overtaken by a delivered update are skipped.
-	var mu sync.Mutex
-	var last int64
 	var scratch []exec.StatsSnapshot
-	q.ctx.OnGetNext = func(calls int64) {
-		if calls%every != 0 || cb == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if calls <= last {
-			return
-		}
-		last = calls
-		s := tracker.Capture()
-		lo, hi := s.Interval()
+	mon.OnSample = func(s core.Sample) {
+		// Updates are streamed, not kept: the monitor retains only the last
+		// sample, which the next one is checked against.
+		mon.Samples = append(mon.Samples[:0], s)
 		u := ProgressUpdate{
-			Lo: lo, Hi: hi, Calls: s.Curr,
+			Estimate:  s.Estimates[0],
+			Calls:     s.Calls,
 			Estimates: make(map[EstimatorKind]float64, len(ests)),
 			Elapsed:   time.Since(start),
 		}
+		u.Lo, u.Hi = (&core.State{Curr: s.Calls, LB: s.LB, UB: s.UB}).Interval()
 		if q.db != nil && q.db.pool != nil {
 			st := q.db.pool.Stats()
 			u.Pool = &st
@@ -311,21 +299,20 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 				Done:      snap.Done,
 			}
 		}
-		for i, e := range ests {
-			v := e.Estimate(s)
+		for i, v := range s.Estimates {
 			u.Estimates[kinds[i]] = v
-			if i == 0 {
-				u.Estimate = v
-			}
 		}
 		if u.Estimate > 0 {
 			u.ETA = time.Duration(float64(u.Elapsed) * (1 - u.Estimate) / u.Estimate)
 		}
 		cb(u)
 	}
-	// The OnGetNext hook forces the batch engine onto its exact path: the
-	// run is call-for-call identical to row-at-a-time execution, so sampling
-	// instants land at precisely the same Curr values.
+	if cb != nil {
+		// The hook forces the batch engine onto its exact path: the run is
+		// call-for-call identical to row-at-a-time execution, so sampling
+		// instants land at precisely the same Curr values.
+		q.ctx.OnGetNext = mon.Hook()
+	}
 	rows, err := exec.RunBatchContext(ctx, q.ctx, q.root)
 	if err != nil {
 		return nil, err
