@@ -150,12 +150,6 @@ func (ev *BoundsEvaluator) IndexOfID(id ledger.NodeID) int {
 	return ev.idx[id]
 }
 
-// IndexOf returns the operator's position in Compute's snapshot Nodes, or
-// -1 when the operator is not part of the plan.
-func (ev *BoundsEvaluator) IndexOf(op exec.Operator) int {
-	return ev.IndexOfID(op.LedgerID())
-}
-
 // Compute performs one bounds pass over the ledger's current counters. The
 // returned snapshot is owned by the evaluator and overwritten by the next
 // Compute call.

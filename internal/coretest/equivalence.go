@@ -61,27 +61,3 @@ func (c *equivChecker) check(t testing.TB, label string, calls int64) {
 		}
 	}
 }
-
-// CheckBoundsEquivalence executes op and asserts, every `every` GetNext
-// calls and once more at EOF, that a BoundsEvaluator reused across the run
-// and a freshly built one produce identical BoundsSnapshots (for both
-// default and demand-cap-disabled options). CheckProgressInvariants performs
-// the same comparison at its sample points; this entry point is for plans
-// that only need the equivalence statement.
-func CheckBoundsEquivalence(t testing.TB, label string, op exec.Operator, every int64) {
-	t.Helper()
-	if every < 1 {
-		every = 1
-	}
-	c := newEquivChecker(op)
-	ctx := exec.NewCtx()
-	ctx.OnGetNext = func(calls int64) {
-		if calls%every == 0 {
-			c.check(t, label, calls)
-		}
-	}
-	if _, err := exec.Run(ctx, op); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	c.check(t, label, ctx.Calls())
-}

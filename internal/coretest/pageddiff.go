@@ -8,11 +8,9 @@ import (
 	"testing"
 
 	"sqlprogress/internal/catalog"
-	"sqlprogress/internal/core"
 	"sqlprogress/internal/datagen"
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/pager"
 	"sqlprogress/internal/plan"
 	"sqlprogress/internal/schema"
@@ -231,120 +229,17 @@ func PagedCorpus() []PagedEntry {
 // is.
 func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator, parallel bool) {
 	t.Helper()
-	checkPagedRow(t, label, memCat, pagedCat, build, parallel)
+	check := func(lbl, engine string, batchSize int, exact bool) {
+		t.Helper()
+		ref := runMarked(t, lbl+": in-memory "+engine, build(memCat), batchSize, exact, !parallel)
+		sub := runMarked(t, lbl+": paged "+engine, build(pagedCat), batchSize, exact, !parallel)
+		if len(sub.marks) != len(ref.marks) {
+			t.Fatalf("%s: trail lengths differ: paged %d marks, in-memory %d", lbl, len(sub.marks), len(ref.marks))
+		}
+		compareRuns(t, lbl, "paged", "in-memory", sub, ref, parallel)
+	}
+	check(label+"[row]", "row", 0, true)
 	for _, bs := range []int{1, 13} {
-		checkPagedBatch(t, label, memCat, pagedCat, build, parallel, bs)
+		check(fmt.Sprintf("%s[batch bs=%d]", label, bs), "batch", bs, false)
 	}
-}
-
-// pagedRun is one instrumented execution: its mark trail plus final state.
-type pagedRun struct {
-	rows  []schema.Row
-	calls int64
-	marks []batchMark
-	final []ledger.Snapshot
-}
-
-func runRowMarked(t testing.TB, label, side string, op exec.Operator, serial bool) pagedRun {
-	t.Helper()
-	tracker := core.NewTracker(op)
-	_, led := core.ShapeOf(op)
-	ctx := exec.NewCtx()
-	var marks []batchMark
-	if serial {
-		ctx.OnGetNext = func(calls int64) {
-			marks = append(marks, captureMark(tracker, led, calls))
-		}
-	}
-	rows, err := exec.Run(ctx, op)
-	if err != nil {
-		t.Fatalf("%s: %s row run: %v", label, side, err)
-	}
-	return pagedRun{rows: rows, calls: ctx.Calls(), marks: marks, final: led.SnapshotAll(nil)}
-}
-
-func runBatchMarked(t testing.TB, label, side string, op exec.Operator, serial bool, batchSize int) pagedRun {
-	t.Helper()
-	tracker := core.NewTracker(op)
-	_, led := core.ShapeOf(op)
-	ctx := exec.NewCtx()
-	ctx.BatchSize = batchSize
-	var marks []batchMark
-	observe := func(curr int64) {
-		if !serial {
-			return
-		}
-		m := captureMark(tracker, led, curr)
-		if len(marks) > 0 && marks[len(marks)-1].curr == curr {
-			marks[len(marks)-1] = m
-			return
-		}
-		marks = append(marks, m)
-	}
-	rows, err := exec.RunBatchObserved(ctx, op, observe)
-	if err != nil {
-		t.Fatalf("%s: %s batch run: %v", label, side, err)
-	}
-	return pagedRun{rows: rows, calls: ctx.Calls(), marks: marks, final: led.SnapshotAll(nil)}
-}
-
-func comparePagedRuns(t testing.TB, label string, ref, sub pagedRun, parallel bool) {
-	t.Helper()
-	got, want := renderRows(sub.rows, parallel), renderRows(ref.rows, parallel)
-	if len(got) != len(want) {
-		t.Fatalf("%s: paged produced %d rows, in-memory %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: row %d differs: paged %q, in-memory %q", label, i, got[i], want[i])
-		}
-	}
-	if sub.calls != ref.calls {
-		t.Fatalf("%s: total calls: paged %d, in-memory %d", label, sub.calls, ref.calls)
-	}
-	if parallel {
-		return
-	}
-	if len(sub.final) != len(ref.final) {
-		t.Fatalf("%s: ledger sizes differ: paged %d, in-memory %d", label, len(sub.final), len(ref.final))
-	}
-	for i := range sub.final {
-		if sub.final[i] != ref.final[i] {
-			t.Fatalf("%s: node %d final snapshot: paged %+v, in-memory %+v", label, i, sub.final[i], ref.final[i])
-		}
-	}
-	if len(sub.marks) != len(ref.marks) {
-		t.Fatalf("%s: trail lengths differ: paged %d marks, in-memory %d", label, len(sub.marks), len(ref.marks))
-	}
-	for k := range sub.marks {
-		sm, rm := sub.marks[k], ref.marks[k]
-		if sm.curr != rm.curr {
-			t.Fatalf("%s: mark %d at Curr=%d on paged, %d on in-memory", label, k, sm.curr, rm.curr)
-		}
-		for i := range sm.nodes {
-			if sm.nodes[i] != rm.nodes[i] {
-				t.Fatalf("%s: mark %d (Curr=%d) node %d: paged %+v, in-memory %+v",
-					label, k, sm.curr, i, sm.nodes[i], rm.nodes[i])
-			}
-		}
-		if sm.dne != rm.dne || sm.pmax != rm.pmax || sm.safe != rm.safe {
-			t.Fatalf("%s: mark %d (Curr=%d) estimates: paged dne=%v pmax=%v safe=%v, in-memory dne=%v pmax=%v safe=%v",
-				label, k, sm.curr, sm.dne, sm.pmax, sm.safe, rm.dne, rm.pmax, rm.safe)
-		}
-	}
-}
-
-func checkPagedRow(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator, parallel bool) {
-	t.Helper()
-	ref := runRowMarked(t, label+"[row]", "in-memory", build(memCat), !parallel)
-	sub := runRowMarked(t, label+"[row]", "paged", build(pagedCat), !parallel)
-	comparePagedRuns(t, label+"[row]", ref, sub, parallel)
-}
-
-func checkPagedBatch(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator, parallel bool, batchSize int) {
-	t.Helper()
-	lbl := fmt.Sprintf("%s[batch bs=%d]", label, batchSize)
-	ref := runBatchMarked(t, lbl, "in-memory", build(memCat), !parallel, batchSize)
-	sub := runBatchMarked(t, lbl, "paged", build(pagedCat), !parallel, batchSize)
-	comparePagedRuns(t, lbl, ref, sub, parallel)
 }

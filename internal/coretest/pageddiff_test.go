@@ -122,7 +122,7 @@ func TestPagedCloseBeforeDrainLeavesNoPins(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := op.Next(ctx); err != nil {
+			if err := op.NextBatch(ctx, &exec.Batch{}, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := op.Close(); err != nil {

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/schema"
@@ -25,8 +24,8 @@ func aggOutputSchema(groupNames []string, groupTypes []sqlval.Kind, aggs []expr.
 }
 
 // HashAgg is a blocking hash aggregation (gamma): Open drains the child into
-// per-group accumulators; Next streams one row per group in sorted group-key
-// order (deterministic output for testing and benchmarking).
+// per-group accumulators; NextBatch streams one row per group in sorted
+// group-key order (deterministic output for testing and benchmarking).
 type HashAgg struct {
 	base
 	child      Operator
@@ -35,9 +34,7 @@ type HashAgg struct {
 	groupNames []string
 
 	groups map[uint64][]*aggGroup
-	out    []*aggGroup
-	pos    int
-	arena  rowArena // chunked backing storage for emitted group rows
+	out    sortedGroups
 }
 
 type aggGroup struct {
@@ -69,8 +66,7 @@ func NewHashAgg(child Operator, groupBy []expr.Expr, groupNames []string, groupT
 func (a *HashAgg) Open(ctx *Ctx) error {
 	a.reopen()
 	a.groups = make(map[uint64][]*aggGroup)
-	a.out = nil
-	a.pos = 0
+	a.out.load(nil)
 	key := make([]sqlval.Value, len(a.GroupBy))
 	err := drain(ctx, a.child, func(rows []schema.Row) {
 		for _, row := range rows {
@@ -80,14 +76,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	// Deterministic emission order: sort groups by key.
-	a.out = make([]*aggGroup, 0, len(a.groups))
-	for _, bucket := range a.groups {
-		a.out = append(a.out, bucket...)
-	}
-	sort.Slice(a.out, func(i, j int) bool {
-		return compareKeyVals(a.out[i].key, a.out[j].key) < 0
-	})
+	a.out.load(a.groups)
 	return nil
 }
 
@@ -121,52 +110,53 @@ func foldInto(groups map[uint64][]*aggGroup, key []sqlval.Value, groupBy []expr.
 	}
 }
 
-// Next implements Operator.
-func (a *HashAgg) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if a.pos >= len(a.out) {
-		return a.eof()
-	}
-	g := a.out[a.pos]
-	a.pos++
-	row := make(schema.Row, 0, len(g.key)+len(g.states))
-	row = append(row, g.key...)
-	for _, s := range g.states {
-		row = append(row, s.Result())
-	}
-	return a.emit(ctx, row)
+// NextBatch implements Operator: streams up to want of the sorted groups.
+func (a *HashAgg) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return a.out.next(ctx, &a.base, b, want)
 }
 
-// NextBatch implements BatchOperator: streams the sorted groups
-// chunk-at-a-time, group rows carved from the arena.
-func (a *HashAgg) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, a, b, ctx.batchSize())
+// sortedGroups is the output side of both hash aggregations: the finished
+// groups in key order, and how many have been handed out.
+type sortedGroups struct {
+	groups []*aggGroup
+	pos    int
+	arena  rowArena // chunked backing storage for emitted group rows
+}
+
+// load replaces the groups with those of table, sorted by key for a
+// deterministic emission order (a nil table empties them).
+func (o *sortedGroups) load(table map[uint64][]*aggGroup) {
+	o.groups, o.pos = make([]*aggGroup, 0, len(table)), 0
+	for _, bucket := range table {
+		o.groups = append(o.groups, bucket...)
 	}
+	slices.SortFunc(o.groups, func(a, b *aggGroup) int { return compareKeyVals(a.key, b.key) })
+}
+
+// next hands out up to want of the groups not yet out, one row each, carved
+// from the arena and credited to node n, and marks n done once all are out.
+func (o *sortedGroups) next(ctx *Ctx, n *base, b *Batch, want int) error {
 	b.Reset()
-	if a.pos >= len(a.out) {
-		a.markDone()
+	if o.pos >= len(o.groups) {
+		n.markDone()
 		return nil
 	}
-	n := len(a.out) - a.pos
-	if want := ctx.batchSize(); n > want {
-		n = want
-	}
-	for i := 0; i < n; i++ {
-		g := a.out[a.pos+i]
-		row := a.arena.row(len(g.key) + len(g.states))
+	for _, g := range o.groups[o.pos:min(o.pos+want, len(o.groups))] {
+		row := o.arena.row(len(g.key) + len(g.states))
 		copy(row, g.key)
 		for j, st := range g.states {
 			row[len(g.key)+j] = st.Result()
 		}
 		b.Append(row)
 	}
-	a.pos += n
-	return a.creditRows(ctx, n)
+	o.pos += b.Len()
+	return ctx.credit(n.slot, 0, b.Len())
 }
 
 // Close implements Operator.
 func (a *HashAgg) Close() error {
-	a.groups, a.out = nil, nil
+	a.groups = nil
+	a.out.load(nil)
 	return a.child.Close()
 }
 
@@ -204,12 +194,9 @@ type StreamAgg struct {
 	Aggs    []expr.Agg
 
 	cur      *aggGroup
-	pending  schema.Row
-	done     bool
+	done     bool // child EOF seen, final group flushed; mark done on the next pull
 	emitted1 bool // scalar: have we emitted the single row
-
-	in      Batch // reused child-batch scratch (vectorized path)
-	drained bool  // final group flushed; mark done on the next pull
+	in       Batch
 }
 
 // NewStreamAgg builds a stream aggregation; groupBy may be empty for scalar
@@ -230,9 +217,8 @@ func NewStreamAgg(child Operator, groupBy []expr.Expr, groupNames []string, grou
 // Open implements Operator.
 func (s *StreamAgg) Open(ctx *Ctx) error {
 	s.reopen()
-	s.cur, s.pending = nil, nil
+	s.cur = nil
 	s.done, s.emitted1 = false, false
-	s.drained = false
 	return s.child.Open(ctx)
 }
 
@@ -257,73 +243,26 @@ func (s *StreamAgg) groupRow(g *aggGroup) schema.Row {
 	return row
 }
 
-// Next implements Operator.
-func (s *StreamAgg) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if s.done {
-		return s.eof()
-	}
-	for {
-		row, ok, err := s.child.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			s.done = true
-			if s.cur != nil {
-				return s.emit(ctx, s.groupRow(s.cur))
-			}
-			if len(s.GroupBy) == 0 && !s.emitted1 {
-				// Scalar aggregate over empty input still yields one row.
-				s.emitted1 = true
-				return s.emit(ctx, s.groupRow(s.newGroup(nil)))
-			}
-			return s.eof()
-		}
-		if s.cur == nil {
-			s.cur = s.newGroup(row)
-			s.cur.addRow(row)
-			s.emitted1 = true
-			continue
-		}
-		if len(s.GroupBy) > 0 {
-			key := make([]sqlval.Value, len(s.GroupBy))
-			for i, g := range s.GroupBy {
-				key[i] = g.Eval(row)
-			}
-			if compareKeyVals(key, s.cur.key) != 0 {
-				out := s.groupRow(s.cur)
-				s.cur = s.newGroup(row)
-				s.cur.addRow(row)
-				return s.emit(ctx, out)
-			}
-		}
-		s.cur.addRow(row)
-	}
-}
-
 func (g *aggGroup) addRow(row schema.Row) {
 	for _, st := range g.states {
 		st.Add(row)
 	}
 }
 
-// NextBatch implements BatchOperator: folds each child chunk whole, emitting
+// NextBatch implements Operator: folds each child chunk whole, emitting
 // every group the chunk completes. The trailing partial group stays in cur —
-// exactly the row engine's state after consuming the same child rows — and is
-// flushed when child EOF is discovered, with the done flag deferred one pull
-// (the row engine, too, marks done only on the call after its last group).
-func (s *StreamAgg) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, s, b, ctx.batchSize())
-	}
+// exactly the state one-row pulls reach after consuming the same child rows
+// — and is flushed when child EOF is discovered, with the done flag deferred
+// one pull (a want == 1 pull, too, marks done only on the pull after its last
+// group).
+func (s *StreamAgg) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
-	if s.drained || s.done {
+	if s.done {
 		s.markDone()
 		return nil
 	}
-	want := ctx.batchSize()
 	for {
-		if err := nextBatch(ctx, s.child, &s.in); err != nil {
+		if err := s.child.NextBatch(ctx, &s.in, want); err != nil {
 			return err
 		}
 		n := s.in.Len()
@@ -341,13 +280,11 @@ func (s *StreamAgg) NextBatch(ctx *Ctx, b *Batch) error {
 				b.Append(s.groupRow(s.newGroup(nil)))
 				emitted = 1
 			}
-			if err := s.creditRows(ctx, emitted); err != nil {
+			if err := ctx.credit(s.slot, 0, emitted); err != nil {
 				return err
 			}
 			if b.Len() == 0 {
 				s.markDone()
-			} else {
-				s.drained = true
 			}
 			return nil
 		}
@@ -372,7 +309,7 @@ func (s *StreamAgg) NextBatch(ctx *Ctx, b *Batch) error {
 			}
 			s.cur.addRow(row)
 		}
-		if err := s.creditRows(ctx, emitted); err != nil {
+		if err := ctx.credit(s.slot, 0, emitted); err != nil {
 			return err
 		}
 		if b.Len() >= want || (n < want && b.Len() > 0) {

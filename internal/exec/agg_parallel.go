@@ -2,10 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 )
 
@@ -36,9 +34,7 @@ type ParallelHashAgg struct {
 
 	g      gather                   // fold workers: they ship nothing to the reader
 	tables []map[uint64][]*aggGroup // per-worker fold tables
-	out    []*aggGroup
-	pos    int
-	arena  rowArena // chunked backing storage for emitted group rows
+	out    sortedGroups
 }
 
 // NewParallelHashAgg builds a parallel hash aggregation over same-schema
@@ -69,7 +65,7 @@ func (a *ParallelHashAgg) transport() *gather { return &a.g }
 // and sorts the merged groups.
 func (a *ParallelHashAgg) Open(ctx *Ctx) error {
 	a.reopen()
-	a.out, a.pos = nil, 0
+	a.out.load(nil)
 	a.tables = make([]map[uint64][]*aggGroup, len(a.parts))
 	if err := a.g.start(len(a.parts), func(w int) (workerStep, error) { return a.foldStep(ctx, w) }); err != nil {
 		return err
@@ -98,7 +94,7 @@ func (a *ParallelHashAgg) foldStep(ctx *Ctx, w int) (workerStep, error) {
 	key := make([]sqlval.Value, len(a.GroupBy))
 	var in Batch
 	return func(*Batch) (turn, error) {
-		if err := nextBatch(ctx, part, &in); err != nil || in.Len() == 0 {
+		if err := pullChunk(ctx, part, &in); err != nil || in.Len() == 0 {
 			return turnLast, err
 		}
 		for _, row := range in.Rows {
@@ -111,8 +107,8 @@ func (a *ParallelHashAgg) foldStep(ctx *Ctx, w int) (workerStep, error) {
 // merge combines the per-worker tables into worker 0's (adopting its groups
 // outright) in ascending worker order — each group's partial states are
 // merged in the same order every run, keeping float accumulation
-// deterministic — then sorts the merged groups by key for HashAgg's
-// deterministic emission order.
+// deterministic — then loads the merged groups, sorted by key as HashAgg's
+// are.
 func (a *ParallelHashAgg) merge() {
 	merged := a.tables[0]
 	if merged == nil {
@@ -134,64 +130,22 @@ func (a *ParallelHashAgg) merge() {
 			}
 		}
 	}
-	a.out = make([]*aggGroup, 0, len(merged))
-	for _, bucket := range merged {
-		a.out = append(a.out, bucket...)
-	}
-	sort.Slice(a.out, func(i, j int) bool {
-		return compareKeyVals(a.out[i].key, a.out[j].key) < 0
-	})
+	a.out.load(merged)
 	a.tables = nil
 }
 
-// Next implements Operator: streams the merged groups, one counted call per
-// group row (the reader is the node's only ledger writer).
-func (a *ParallelHashAgg) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if a.pos >= len(a.out) {
-		return a.eof()
-	}
-	g := a.out[a.pos]
-	a.pos++
-	row := make(schema.Row, 0, len(g.key)+len(g.states))
-	row = append(row, g.key...)
-	for _, s := range g.states {
-		row = append(row, s.Result())
-	}
-	return a.emit(ctx, row)
-}
-
-// NextBatch implements BatchOperator: streams the sorted merged groups
-// chunk-at-a-time, rows carved from the arena.
-func (a *ParallelHashAgg) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, a, b, ctx.batchSize())
-	}
-	b.Reset()
-	if a.pos >= len(a.out) {
-		a.markDone()
-		return nil
-	}
-	n := len(a.out) - a.pos
-	if want := ctx.batchSize(); n > want {
-		n = want
-	}
-	for i := 0; i < n; i++ {
-		g := a.out[a.pos+i]
-		row := a.arena.row(len(g.key) + len(g.states))
-		copy(row, g.key)
-		for j, st := range g.states {
-			row[len(g.key)+j] = st.Result()
-		}
-		b.Append(row)
-	}
-	a.pos += n
-	return a.creditRows(ctx, n)
+// NextBatch implements Operator: streams up to want of the sorted merged
+// groups, one counted call per group row (the reader is the node's only
+// ledger writer).
+func (a *ParallelHashAgg) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return a.out.next(ctx, &a.base, b, want)
 }
 
 // Close implements Operator.
 func (a *ParallelHashAgg) Close() error {
 	a.g.stop()
-	a.tables, a.out = nil, nil
+	a.tables = nil
+	a.out.load(nil)
 	return closeAll(a.parts...)
 }
 

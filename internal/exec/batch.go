@@ -3,50 +3,53 @@ package exec
 import (
 	"slices"
 
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 )
 
-// This file implements batch-at-a-time (vectorized) execution. The design
-// constraint is the paper's: progress is accounted in GetNext calls, and the
-// ledger trajectories the estimators read must be indistinguishable from the
-// row-at-a-time engine's. The engine therefore has two regimes:
+// This file holds the executor's one pull protocol. An operator produces
+// output through one method, NextBatch(ctx, b, want): it fills b with its
+// next rows, and an empty batch is end of stream. The paper's GetNext is a
+// pull with want == 1 — exactly one row handed to the parent, or none at EOF.
+// The design constraint is the paper's: progress is accounted in GetNext
+// calls, and the ledger trajectories the estimators read must be the same
+// whatever the pull size. So there are two pull sizes through one body, not
+// two engines:
 //
-//   - Fast path (RunBatch with no per-call hooks): operators move row chunks
-//     and credit their ledger slots in bulk — one interface dispatch and a
-//     handful of atomic adds per ~1024 rows instead of per row. Every
-//     operator fully processes each input chunk before returning, so
-//     whenever a root batch is handed back the whole tree is quiescent and
-//     the ledger state is exactly the row engine's at the same Curr (the
-//     batch-vs-row differential check in internal/coretest proves this over
-//     the invariant corpus).
+//   - Exact (every pull is want == 1): exec.Run, and any run with Ctx.Inject
+//     or Ctx.OnGetNext set. Every counted call is credited on its own, in the
+//     iterator model's order, so hooks see every Curr and a fault or a
+//     cancellation lands at exactly its scheduled call.
 //
-//   - Exact path (Ctx.Inject or Ctx.OnGetNext set): per-call observation
-//     demands the precise row-engine call sequence, so NextBatch degrades to
-//     FillFromNext, which drives the operator's own row-at-a-time Next. The
-//     run is then call-for-call identical to exec.Run — faults and
-//     cancellations land mid-batch at the exact injected call count — while
-//     the root still assembles batches.
+//   - Bulk (RunBatch with no hook): operators move chunks of up to
+//     Ctx.BatchSize rows and credit their ledger slots in bulk — one
+//     interface dispatch and a handful of atomic adds per chunk instead of
+//     per row. Every operator finishes the child chunk it holds before it
+//     returns, so whenever a root batch is handed back the whole tree is
+//     quiescent and the ledger is exactly the exact regime's at the same
+//     Curr (coretest's bulk-vs-exact check proves this over its corpus).
 //
-// Three operators keep row-wise pulls even on the fast path, batching only
-// their output: Top (a LIMIT must consume its input lazily or it would
-// over-count child work the row engine never performs), MergeJoin (its two
-// inputs advance at data-dependent rates, so chunked lookahead would hold
-// counted-but-unmerged rows across quiesce points), and NLJoin (per-outer
-// rescans of a counted subtree are inherently row-grained).
+// Who asks for how much: a streaming child is pulled with its parent's want,
+// and a blocking child is drained at ctx.batchSize(). Top, MergeJoin and
+// NLJoin pull their children one row at a time in both regimes, batching
+// only their output: a LIMIT must not read ahead of what it hands out, a
+// merge advances its two inputs at data-dependent rates, and a nested loop
+// rescans its counted inner per outer row. A pull may return more than want
+// rows only to finish a child chunk it already holds; at want == 1 a join
+// keeps the rest of a fan-out uncredited and hands it out on its next pulls.
 
-// DefaultBatchSize is the row-chunk size the vectorized engine moves between
-// operators when Ctx.BatchSize is zero. Large enough to amortize interface
-// dispatch and ledger credits to noise, small enough that per-partition
-// progress never lags the counters by more than a chunk.
+// DefaultBatchSize is the row-chunk size bulk pulls move between operators
+// when Ctx.BatchSize is zero. Large enough to amortize interface dispatch and
+// ledger credits to noise, small enough that per-partition progress never
+// lags the counters by more than a chunk.
 const DefaultBatchSize = 1024
 
-// Batch is a chunk of rows moved between operators under batch-at-a-time
-// execution. The Rows slice is owned by the producing operator and reused
-// across NextBatch calls: consumers must copy out any row pointers they
-// retain past the next pull (the rows themselves remain valid indefinitely,
-// as in the row engine — they are fresh allocations or references into
-// immutable base relations).
+// Batch is a chunk of rows moved between operators. The Rows slice is owned
+// by the producing operator and reused across NextBatch calls: consumers
+// must copy out any row pointers they retain past the next pull (the rows
+// themselves remain valid indefinitely — they are fresh allocations or
+// references into immutable base relations).
 type Batch struct {
 	Rows []schema.Row
 }
@@ -60,144 +63,171 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // Append adds one row.
 func (b *Batch) Append(r schema.Row) { b.Rows = append(b.Rows, r) }
 
-// BatchOperator is implemented by every physical operator in this package:
-// NextBatch fills b with the operator's next chunk of output rows. An empty
-// batch signals end of stream (the operator has marked its ledger slot
-// done); a non-empty batch smaller than the nominal batch size carries no
-// EOF meaning — callers must pull until empty.
-type BatchOperator interface {
-	Operator
-	NextBatch(ctx *Ctx, b *Batch) error
+// batchSize is the pull size of this run: 1 in the exact regime — exec.Run,
+// or any hook installed — and the chunk size otherwise.
+func (c *Ctx) batchSize() int {
+	if !c.vectorized || c.Inject != nil || c.OnGetNext != nil {
+		return 1
+	}
+	return c.chunkSize()
 }
 
-// batchSize returns the chunk size for this execution.
-func (c *Ctx) batchSize() int {
+// chunkSize is Ctx.BatchSize, or DefaultBatchSize when it is zero. A parallel
+// worker fills one chunk per step in either regime, so a worker's call order
+// does not depend on the pull size.
+func (c *Ctx) chunkSize() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
 	}
 	return DefaultBatchSize
 }
 
-// fastPath reports whether bulk (vectorized) accounting is permitted: the
-// run was started by RunBatch and no per-call hook demands exact
-// call-sequence accounting.
-func (c *Ctx) fastPath() bool {
-	return c.vectorized && c.Inject == nil && c.OnGetNext == nil
-}
-
-// tickN advances the global GetNext counter by n. On the fast path it is a
-// single atomic add; with hooks installed it degrades to n individual ticks
-// so Inject and OnGetNext observe every exact call count and a fault aborts
-// at precisely its scheduled call (the calls before it, and the faulting
-// call itself, remain counted).
-func (c *Ctx) tickN(n int64) error {
+// credit counts one pull's work on ledger slot s: undelivered counted calls
+// (weighted read units, rows a pushed predicate rejected) and delivered rows
+// handed to the parent. It is the only place a GetNext is counted. With a
+// hook installed it steps one call at a time — undelivered calls first, the
+// delivered ones last, the slot and Curr moving together — so Inject and
+// OnGetNext see every exact count; with none it adds in bulk. Cancellation is
+// checked before each call (before the whole credit in bulk): a call counted
+// before the cancel stays counted, none after it is.
+func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
+	n := undelivered + int64(delivered)
+	if n == 0 {
+		return nil
+	}
 	if c.Inject == nil && c.OnGetNext == nil {
+		if c.canceled.Load() {
+			return ErrCanceled
+		}
+		s.CountCalls(n)
+		if delivered > 0 {
+			s.CountDeliveredN(int64(delivered))
+		}
 		c.calls.Add(n)
 		return nil
 	}
 	for i := int64(0); i < n; i++ {
-		if err := c.tick(); err != nil {
-			return err
+		if c.canceled.Load() {
+			return ErrCanceled
+		}
+		s.CountCall()
+		if i >= undelivered {
+			s.CountDelivered()
+		}
+		curr := c.calls.Add(1)
+		if c.Inject != nil {
+			if err := c.Inject(curr); err != nil {
+				return err
+			}
+		}
+		if c.OnGetNext != nil {
+			c.OnGetNext(curr)
 		}
 	}
 	return nil
 }
 
-// creditRows bulk-credits n rows emitted into a batch: n counted GetNext
-// calls, all delivered. The fast-path analogue of n base.emit calls;
-// cancellation is honored at batch granularity (the chunk's work happened,
-// so it stays counted, matching emit's the-row-still-counts rule).
-func (b *base) creditRows(ctx *Ctx, n int) error {
-	if n == 0 {
-		return nil
+// pullOne is one GetNext on op: a want == 1 pull into scratch, returning its
+// row, or ok = false at end of stream.
+func pullOne(ctx *Ctx, op Operator, scratch *Batch) (schema.Row, bool, error) {
+	if err := op.NextBatch(ctx, scratch, 1); err != nil || scratch.Len() == 0 {
+		return nil, false, err
 	}
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	b.slot.CountCalls(int64(n))
-	b.slot.CountDeliveredN(int64(n))
-	return ctx.tickN(int64(n))
+	return scratch.Rows[0], true, nil
 }
 
-// creditScan bulk-credits a scan chunk: calls counted GetNext calls
-// (rows read) of which delivered passed the embedded predicate and were
-// handed to the parent. The fast-path analogue of interleaved
-// emit/countScanned calls.
-func (b *base) creditScan(ctx *Ctx, calls, delivered int) error {
-	if calls == 0 {
-		return nil
-	}
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	b.slot.CountCalls(int64(calls))
-	if delivered > 0 {
-		b.slot.CountDeliveredN(int64(delivered))
-	}
-	return ctx.tickN(int64(calls))
-}
-
-// creditScanWeighted is creditScan plus weighted physical-read units from
-// the storage layer (pager reads under a nonzero read cost): the units are
-// extra counted GetNext calls attributed to the scan node with no row
-// delivered, so Curr reflects I/O work while parent cardinalities stay
-// row-based.
-func (b *base) creditScanWeighted(ctx *Ctx, calls, delivered int, units int64) error {
-	if units == 0 {
-		return b.creditScan(ctx, calls, delivered)
-	}
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	b.slot.CountCalls(int64(calls) + units)
-	if delivered > 0 {
-		b.slot.CountDeliveredN(int64(delivered))
-	}
-	return ctx.tickN(int64(calls) + units)
-}
-
-// chargeUnits credits weighted physical-read units on the row path: n
-// counted GetNext units of pure I/O work, no row delivered. With hooks
-// installed the units degrade to individual ticks, so fault schedules can
-// land inside a page read's accounting.
-func (b *base) chargeUnits(ctx *Ctx, n int64) error {
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	b.slot.CountCalls(n)
-	return ctx.tickN(n)
-}
-
-// FillFromNext assembles a batch by pulling op's row-at-a-time Next up to
-// want rows — the row→batch bridge. It is used for operators without a
-// native vectorized path and whenever per-call hooks force exact
-// call-sequence accounting; since op.Next pulls its own children row by
-// row, a bridged subtree executes with precisely the row engine's
-// accounting. A short batch here does mean EOF, but callers uniformly treat
-// only the empty batch as end of stream.
-func FillFromNext(ctx *Ctx, op Operator, b *Batch, want int) error {
+// rowWise is the NextBatch body of an operator whose output is row-grained
+// (Top, MergeJoin, NLJoin): it fills b with up to want rows of next, each
+// credited as one GetNext before the next is asked for, and marks the node
+// done when next reports the end of its stream.
+func (n *base) rowWise(ctx *Ctx, b *Batch, want int, next func(*Ctx) (schema.Row, bool, error)) error {
 	b.Reset()
 	for b.Len() < want {
-		row, ok, err := op.Next(ctx)
+		row, ok, err := next(ctx)
 		if err != nil {
 			return err
 		}
 		if !ok {
+			n.markDone()
 			return nil
+		}
+		if err := ctx.credit(n.slot, 0, 1); err != nil {
+			return err
 		}
 		b.Append(row)
 	}
 	return nil
 }
 
-// nextBatch pulls one batch from op: natively when op implements
-// BatchOperator (every operator in this package does), via the row bridge
-// otherwise.
-func nextBatch(ctx *Ctx, op Operator, b *Batch) error {
-	if bo, ok := op.(BatchOperator); ok {
-		return bo.NextBatch(ctx, b)
+// stream is the NextBatch loop of every operator that maps its one streaming
+// child chunk by chunk — Filter, Project, Distinct and the two serial joins —
+// with step turning input rows into output appended to b. It pulls the child
+// with the caller's want and runs step over each chunk in strides of want
+// input rows, crediting each stride's output, so a chunk from a fan-out join
+// below moves the ledger a stride at a time and a cancel stops it within one
+// stride. It returns only with the whole chunk processed: the subtree is
+// quiescent at every return.
+//
+// Two pieces of state keep a bulk pull's ledger where one-row pulls would put
+// it. A child EOF found with output in hand marks the node done one pull
+// later (drained), as a one-row pull would find it. And at want == 1, where
+// one input row can yield several output rows (a join's fan-out), the rows
+// past the first wait uncredited in fan and are handed out one per pull
+// before the child is pulled again.
+type stream struct {
+	in      Batch // reused child-chunk scratch
+	drained bool
+	fan     []schema.Row
+	fanPos  int
+}
+
+// reset readies the loop for a fresh Open, keeping its buffers.
+func (s *stream) reset() { s.drained, s.fan, s.fanPos = false, s.fan[:0], 0 }
+
+// pull is one NextBatch of node n over child through step.
+func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, step func(in []schema.Row, out *Batch) int) error {
+	b.Reset()
+	if s.fanPos < len(s.fan) {
+		b.Append(s.fan[s.fanPos])
+		s.fanPos++
+		return ctx.credit(n.slot, 0, 1)
 	}
-	return FillFromNext(ctx, op, b, ctx.batchSize())
+	if s.drained {
+		n.markDone()
+		return nil
+	}
+	for {
+		if err := child.NextBatch(ctx, &s.in, want); err != nil {
+			// Not EOF: an aborted run must not mark the node done, or the
+			// bounds pass would wrongly pin it at its current count.
+			return err
+		}
+		k := s.in.Len()
+		if k == 0 {
+			if b.Len() == 0 {
+				n.markDone()
+			} else {
+				s.drained = true
+			}
+			return nil
+		}
+		for lo := 0; lo < k; lo += want {
+			emitted := step(s.in.Rows[lo:min(lo+want, k)], b)
+			if want == 1 && b.Len() > 1 {
+				s.fan, s.fanPos = append(s.fan[:0], b.Rows[1:]...), 0
+				b.Rows, emitted = b.Rows[:1], 1
+			}
+			if err := ctx.credit(n.slot, 0, emitted); err != nil {
+				return err
+			}
+		}
+		// A short child chunk often precedes EOF: return early rather than
+		// probing it now, keeping done-flag timing aligned with one-row
+		// pulls (see drained).
+		if b.Len() >= want || (k < want && b.Len() > 0) {
+			return nil
+		}
+	}
 }
 
 // rowArena carves fresh fixed-width rows out of chunked backing slabs, so
@@ -234,12 +264,11 @@ func (a *rowArena) concat(l, r schema.Row) schema.Row {
 	return out
 }
 
-// RunBatch drains an operator tree to completion batch-at-a-time, returning
-// all produced root rows. It is the vectorized counterpart of Run and
-// produces the identical result multiset, identical final ledger counts,
-// and — at every root-batch quiesce point — identical dne/pmax/safe
-// estimator inputs; with per-call hooks installed the run is call-for-call
-// identical to Run.
+// RunBatch drains an operator tree to completion in bulk pulls, returning
+// all produced root rows. It produces the same result multiset, the same
+// final ledger counts and — at every root-batch quiesce point — the same
+// dne/pmax/safe estimator inputs as Run; with a hook installed its pulls are
+// Run's, one row each.
 func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
 	return RunBatchObserved(ctx, op, nil)
 }
@@ -250,15 +279,22 @@ func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
 // Open, where a plan under a sort, an aggregate or a hash build spends its
 // run — after each batch of its child has been taken in (drain). At each
 // invocation no operator holds counted-but-unprocessed rows, so a sampler
-// reading the ledger sees a state the row engine reaches at the same Curr —
-// the property the batch-vs-row differential check is built on. observe only
+// reading the ledger sees a state Run reaches at the same Curr — the
+// property the bulk-vs-exact differential check is built on. observe only
 // ever runs on the calling goroutine: a plan whose workers drain partitions
 // on goroutines of their own is observed at the root batches alone.
 func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema.Row, error) {
+	return run(ctx, op, true, observe)
+}
+
+// run is the one driver loop under Run and RunBatchObserved: it binds the
+// plan, opens it, pulls the root at the run's pull size until EOF, and
+// closes it.
+func run(ctx *Ctx, op Operator, vectorized bool, observe func(curr int64)) ([]schema.Row, error) {
 	if ctx == nil {
 		ctx = NewCtx()
 	}
-	ctx.vectorized = true
+	ctx.vectorized = vectorized
 	ctx.observe = nil
 	if observe != nil && onOneGoroutine(op) {
 		ctx.observe = observe
@@ -267,9 +303,9 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	out := make([]schema.Row, 0, resultCapHint(op, ctx.batchSize()))
-	var b Batch
 	want := ctx.batchSize()
+	out := make([]schema.Row, 0, max(capHint(op), want))
+	var b Batch
 	for {
 		// Hand the root operator out's spare capacity as its output buffer:
 		// when the batch fits without reallocating, collecting it is a
@@ -281,7 +317,7 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 			out = slices.Grow(out, 2*want)
 		}
 		b.Rows = out[len(out):len(out):cap(out)]
-		if err := nextBatch(ctx, op, &b); err != nil {
+		if err := op.NextBatch(ctx, &b, want); err != nil {
 			op.Close()
 			return nil, err
 		}
@@ -306,12 +342,6 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 	return out, nil
 }
 
-// resultCapHint sizes the result slice: the root's capHint, and at least one
-// batch.
-func resultCapHint(op Operator, batchSize int) int {
-	return max(capHint(op), batchSize)
-}
-
 // capHint sizes a buffer for every row op will deliver from the plan's
 // cardinality bounds: the node's final call upper bound also caps the rows
 // it can deliver. Bounds can be loose (an aggregate's is its input count),
@@ -327,9 +357,9 @@ func capHint(op Operator) int {
 	return int(min(hint, maxHint))
 }
 
-// drainAll opens a blocking child and drains it — counted GetNext calls,
-// chunked on the fast path — into buf[:0]. An empty buf is sized once from
-// the child's plan-time bound and estimate instead of growing by append.
+// drainAll opens a blocking child and drains it into buf[:0]. An empty buf
+// is sized once from the child's plan-time bound and estimate instead of
+// growing by append.
 func drainAll(ctx *Ctx, child Operator, buf []schema.Row) ([]schema.Row, error) {
 	buf = buf[:0]
 	if cap(buf) == 0 {
@@ -339,38 +369,25 @@ func drainAll(ctx *Ctx, child Operator, buf []schema.Row) ([]schema.Row, error) 
 	return buf, err
 }
 
-// drain opens a blocking child and hands sink every row it produces. Both
-// engines fully consume the child inside the parent's Open (EOF probe
-// included), so chunked pulls here can't desynchronize any quiesce-point
-// snapshot; each sunk batch is itself such a point (the child subtree is
-// quiescent and sinking counts nothing), reported to the run's observer.
+// drain opens a blocking child and hands sink every row it produces, pulled
+// at the run's pull size. The child is consumed whole inside the parent's
+// Open (EOF probe included), so its pull size can't desynchronize any
+// quiesce-point snapshot; each sunk batch is itself such a point (the child
+// subtree is quiescent and sinking counts nothing), reported to the run's
+// observer.
 func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 	if err := child.Open(ctx); err != nil {
 		return err
 	}
-	if ctx.fastPath() {
-		var in Batch
-		for {
-			if err := nextBatch(ctx, child, &in); err != nil {
-				return err
-			}
-			if in.Len() == 0 {
-				return nil
-			}
-			sink(in.Rows)
-			if ctx.observe != nil {
-				ctx.observe(ctx.Calls())
-			}
-		}
-	}
-	var one [1]schema.Row
-	for {
-		row, ok, err := child.Next(ctx)
-		if err != nil || !ok {
+	var in Batch
+	for want := ctx.batchSize(); ; {
+		if err := child.NextBatch(ctx, &in, want); err != nil || in.Len() == 0 {
 			return err
 		}
-		one[0] = row
-		sink(one[:])
+		sink(in.Rows)
+		if ctx.observe != nil {
+			ctx.observe(ctx.Calls())
+		}
 	}
 }
 
@@ -388,11 +405,11 @@ func finalBoundsOf(op Operator) CardBounds {
 	return op.FinalBounds(cb)
 }
 
-// NativeBatch reports whether every operator in the tree has a native
-// vectorized path. Trees containing Top, MergeJoin, or NLJoin still run
-// correctly under RunBatch — those operators batch their output while
-// pulling rows — but their subtree pulls stay row-grained; the planner and
-// EXPLAIN surfaces use this to report the physical execution mode.
+// NativeBatch reports whether every operator in the tree moves chunks on
+// bulk pulls. Trees containing Top, MergeJoin, or NLJoin still run under
+// RunBatch — those operators batch their output — but they pull their
+// children one row at a time; the planner and EXPLAIN surfaces use this to
+// report the physical execution mode.
 func NativeBatch(op Operator) bool {
 	native := true
 	Walk(op, func(o Operator) {

@@ -62,9 +62,9 @@ func RunContext(stdctx context.Context, ctx *Ctx, op Operator) ([]schema.Row, er
 	return runContext(stdctx, ctx, op, Run)
 }
 
-// RunBatchContext is RunContext over the vectorized engine: it drains the
-// tree batch-at-a-time (RunBatch) while honouring stdctx cancellation and
-// deadlines the same way RunContext does.
+// RunBatchContext is RunContext in bulk pulls: it drains the tree with
+// RunBatch while honouring stdctx cancellation and deadlines the same way
+// RunContext does.
 func RunBatchContext(stdctx context.Context, ctx *Ctx, op Operator) ([]schema.Row, error) {
 	return runContext(stdctx, ctx, op, RunBatch)
 }

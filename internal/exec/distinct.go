@@ -11,11 +11,9 @@ import (
 // dedup, pipelines — it shares its input's pipeline.
 type Distinct struct {
 	base
+	stream
 	child Operator
 	seen  map[uint64][]schema.Row
-
-	in      Batch // reused child-batch scratch (vectorized path)
-	drained bool  // child EOF seen while output was in hand
 }
 
 // NewDistinct wraps child with duplicate elimination over all columns.
@@ -29,7 +27,7 @@ func NewDistinct(child Operator) *Distinct {
 func (d *Distinct) Open(ctx *Ctx) error {
 	d.reopen()
 	d.seen = make(map[uint64][]schema.Row)
-	d.drained = false
+	d.reset()
 	return d.child.Open(ctx)
 }
 
@@ -53,83 +51,26 @@ func rowsEqual(a, b schema.Row) bool {
 	return true
 }
 
-// Next implements Operator.
-func (d *Distinct) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		row, ok, err := d.child.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			d.markDone()
-			return nil, false, nil
-		}
-		h := rowHash(row)
-		dup := false
-		for _, prev := range d.seen[h] {
-			if rowsEqual(prev, row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		d.seen[h] = append(d.seen[h], row)
-		return d.emit(ctx, row)
-	}
-}
-
-// NextBatch implements BatchOperator: dedups each child chunk whole, with
-// the same deferred done-flag discipline as Filter. Retaining rows in the
-// seen table is safe — batch rows remain valid indefinitely (see Batch).
-func (d *Distinct) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, d, b, ctx.batchSize())
-	}
-	b.Reset()
-	if d.drained {
-		d.markDone()
-		return nil
-	}
-	want := ctx.batchSize()
-	for {
-		if err := nextBatch(ctx, d.child, &d.in); err != nil {
-			return err
-		}
-		n := d.in.Len()
-		if n == 0 {
-			if b.Len() == 0 {
-				d.markDone()
-				return nil
-			}
-			d.drained = true
-			return nil
-		}
+// NextBatch implements Operator: dedups each child chunk whole. Retaining
+// rows in the seen table is safe — batch rows remain valid indefinitely (see
+// Batch).
+func (d *Distinct) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return d.pull(ctx, &d.base, d.child, b, want, func(in []schema.Row, out *Batch) int {
 		kept := 0
-		for _, row := range d.in.Rows {
+	rows:
+		for _, row := range in {
 			h := rowHash(row)
-			dup := false
 			for _, prev := range d.seen[h] {
 				if rowsEqual(prev, row) {
-					dup = true
-					break
+					continue rows
 				}
 			}
-			if dup {
-				continue
-			}
 			d.seen[h] = append(d.seen[h], row)
-			b.Append(row)
+			out.Append(row)
 			kept++
 		}
-		if err := d.creditRows(ctx, kept); err != nil {
-			return err
-		}
-		if b.Len() >= want || (n < want && b.Len() > 0) {
-			return nil
-		}
-	}
+		return kept
+	})
 }
 
 // Close implements Operator.

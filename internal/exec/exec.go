@@ -1,9 +1,11 @@
 // Package exec implements a Volcano-style iterator executor with per-operator
 // GetNext accounting — the paper's model of work (Section 2.2).
 //
-// Every physical operator implements Operator. A GetNext call is one
-// successful Next() returning a row, attributed to the operator that returned
-// it; EOF probes are not counted. The counted nodes are exactly the plan-tree
+// Every physical operator implements Operator, whose one pull method is
+// NextBatch(ctx, b, want). A GetNext call is one row handed to a parent by a
+// want == 1 pull, attributed to the operator that handed it out; EOF probes
+// are not counted. A bulk pull of n rows is n GetNext calls credited at once
+// (see batch.go). The counted nodes are exactly the plan-tree
 // operators: for an index nested loops join the inner index lookup is an
 // access path inside the join, not a counted node, matching the paper's
 // arithmetic in Example 1.
@@ -24,7 +26,7 @@ import (
 	"sqlprogress/internal/schema"
 )
 
-// ErrCanceled is returned by Next once the execution context has been
+// ErrCanceled is returned by a pull once the execution context has been
 // canceled. The paper's motivating use case — watching the progress
 // estimate and deciding to terminate — needs a termination path.
 var ErrCanceled = errors.New("exec: query canceled")
@@ -54,15 +56,15 @@ type Ctx struct {
 	// errors, and exact-call cancellations.
 	Inject func(calls int64) error
 
-	// BatchSize overrides DefaultBatchSize for batch-at-a-time runs (zero
-	// means the default). Set before the run starts; it only affects chunk
-	// granularity, never accounting semantics.
+	// BatchSize overrides DefaultBatchSize for bulk pulls and parallel
+	// worker chunks (zero means the default). Set before the run starts; it
+	// only affects chunk granularity, never accounting semantics.
 	BatchSize int
 
-	// vectorized marks a run started by RunBatch: operators take their bulk
-	// accounting fast path when additionally no per-call hook is installed.
-	// Set once before execution starts and read-only during the run (the
-	// worker goroutines of parallel operators read it concurrently).
+	// vectorized marks a run started by RunBatch: its pulls are bulk when
+	// additionally no per-call hook is installed (batchSize). Set once
+	// before execution starts and read-only during the run (the worker
+	// goroutines of parallel operators read it concurrently).
 	vectorized bool
 
 	// observe is RunBatchObserved's quiesce-point observer, carried for drain.
@@ -85,19 +87,6 @@ func (c *Ctx) Canceled() bool { return c.canceled.Load() }
 // Calls returns the total number of GetNext calls performed so far across
 // all operators (the paper's Curr). Safe to call from any goroutine.
 func (c *Ctx) Calls() int64 { return c.calls.Load() }
-
-func (c *Ctx) tick() error {
-	n := c.calls.Add(1)
-	if c.Inject != nil {
-		if err := c.Inject(n); err != nil {
-			return err
-		}
-	}
-	if c.OnGetNext != nil {
-		c.OnGetNext(n)
-	}
-	return nil
-}
 
 // StatsSnapshot is a plain-value copy of a node's runtime counters, taken
 // with Snapshot's ordering guarantee: if Done && Rescans == 0, Returned and
@@ -143,8 +132,14 @@ type Operator interface {
 	// iteration. Blocking operators perform their build work here, issuing
 	// counted GetNext calls against their inputs.
 	Open(ctx *Ctx) error
-	// Next returns the next row, or ok=false at end of stream.
-	Next(ctx *Ctx) (row schema.Row, ok bool, err error)
+	// NextBatch is the one pull: it resets b and fills it with the
+	// operator's next rows, an empty batch meaning end of stream (the node
+	// has marked its ledger slot done). A pull with want == 1 is one
+	// GetNext: exactly one row, or none at EOF. A larger want is a bulk
+	// pull: a non-empty batch of any length carries no EOF meaning, and it
+	// exceeds want only by the rest of a child chunk the operator already
+	// held.
+	NextBatch(ctx *Ctx, b *Batch, want int) error
 	// Close releases resources. Operators support Close-then-Open rescans.
 	Close() error
 
@@ -215,40 +210,7 @@ func (b *base) EstimatedCard() int64 { return b.est }
 // SetEstimatedCard implements Operator.
 func (b *base) SetEstimatedCard(v int64) { b.est = v }
 
-// emit counts and returns one produced row, honouring cancellation. The
-// produced row still counts (the work happened) so bounds invariants hold
-// at the instant of cancellation.
-func (b *base) emit(ctx *Ctx, row schema.Row) (schema.Row, bool, error) {
-	if ctx.canceled.Load() {
-		return nil, false, ErrCanceled
-	}
-	b.slot.CountCall()
-	b.slot.CountDelivered()
-	if err := ctx.tick(); err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
-}
-
-// countScanned counts a scanned-but-filtered row: one GetNext of work with
-// no row delivered to the parent (scans with embedded predicates). It
-// mirrors emit minus the delivery.
-func (b *base) countScanned(ctx *Ctx) error {
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	b.slot.CountCall()
-	return ctx.tick()
-}
-
-// eof marks the node done and returns end-of-stream.
-func (b *base) eof() (schema.Row, bool, error) {
-	b.slot.MarkDone()
-	return nil, false, nil
-}
-
-// markDone sets the EOF flag without ending the caller's Next — operators
-// that exhaust a child mid-call use it before continuing.
+// markDone sets the node's EOF flag.
 func (b *base) markDone() { b.slot.MarkDone() }
 
 // reopen resets per-run state for a rescan on every slot of the node, worker
@@ -310,34 +272,13 @@ func EnsureLedger(root Operator) *ledger.Ledger {
 	return led
 }
 
-// Run drains an operator tree to completion, returning all produced root
-// rows. It is the standard way tests and examples execute a plan. Run binds
-// the plan to a progress ledger first, so samplers attached to the tree
-// always observe ledger-backed counters.
+// Run drains an operator tree to completion in the exact regime — every pull
+// one GetNext — returning all produced root rows. It is the reference
+// execution that hooks, fault schedules and the paper's per-call sampling
+// run under. Run binds the plan to a progress ledger first, so samplers
+// attached to the tree always observe ledger-backed counters.
 func Run(ctx *Ctx, op Operator) ([]schema.Row, error) {
-	if ctx == nil {
-		ctx = NewCtx()
-	}
-	EnsureLedger(op)
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var out []schema.Row
-	for {
-		row, ok, err := op.Next(ctx)
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run(ctx, op, false, nil)
 }
 
 // Walk visits op and all descendants in pre-order.

@@ -976,6 +976,7 @@ type faultOp struct {
 	child Operator
 	after int64
 	n     int64
+	in    Batch
 }
 
 func newFaultOp(child Operator, after int64) *faultOp {
@@ -990,16 +991,17 @@ func (f *faultOp) Open(ctx *Ctx) error {
 	return f.child.Open(ctx)
 }
 
-func (f *faultOp) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if f.n >= f.after {
-		return nil, false, fmt.Errorf("injected fault after %d rows", f.after)
-	}
-	row, ok, err := f.child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	f.n++
-	return f.emit(ctx, row)
+func (f *faultOp) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return f.rowWise(ctx, b, want, func(ctx *Ctx) (schema.Row, bool, error) {
+		if f.n >= f.after {
+			return nil, false, fmt.Errorf("injected fault after %d rows", f.after)
+		}
+		row, ok, err := pullOne(ctx, f.child, &f.in)
+		if ok {
+			f.n++
+		}
+		return row, ok, err
+	})
 }
 
 func (f *faultOp) Close() error                           { return f.child.Close() }

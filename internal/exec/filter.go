@@ -12,11 +12,9 @@ import (
 // a linear operator: its output is at most its input.
 type Filter struct {
 	base
+	stream
 	child Operator
 	Pred  expr.Expr
-
-	in      Batch // reused child-batch scratch (vectorized path)
-	drained bool  // child EOF seen while output was in hand; finish next pull
 }
 
 // NewFilter wraps child with a selection predicate.
@@ -29,74 +27,22 @@ func NewFilter(child Operator, pred expr.Expr) *Filter {
 // Open implements Operator.
 func (f *Filter) Open(ctx *Ctx) error {
 	f.reopen()
-	f.drained = false
+	f.reset()
 	return f.child.Open(ctx)
 }
 
-// Next implements Operator.
-func (f *Filter) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		row, ok, err := f.child.Next(ctx)
-		if err != nil {
-			// Not EOF: an aborted run must not mark the node done, or the
-			// bounds pass would wrongly pin it at its current count.
-			return nil, false, err
-		}
-		if !ok {
-			f.markDone()
-			return nil, false, nil
-		}
-		if expr.Truthy(f.Pred.Eval(row)) {
-			return f.emit(ctx, row)
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: each child chunk is filtered whole, so
-// at every return the subtree is quiescent. When child EOF is discovered with
-// output already in hand, the done flag is deferred to the next pull — the
-// row engine probes its child's EOF only on the call after its last emitted
-// row, and samplers at the quiesce point must see the same flags.
-func (f *Filter) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, f, b, ctx.batchSize())
-	}
-	b.Reset()
-	if f.drained {
-		f.markDone()
-		return nil
-	}
-	want := ctx.batchSize()
-	for {
-		if err := nextBatch(ctx, f.child, &f.in); err != nil {
-			return err
-		}
-		n := f.in.Len()
-		if n == 0 {
-			if b.Len() == 0 {
-				f.markDone()
-				return nil
-			}
-			f.drained = true
-			return nil
-		}
+// NextBatch implements Operator: each child chunk is filtered whole.
+func (f *Filter) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return f.pull(ctx, &f.base, f.child, b, want, func(in []schema.Row, out *Batch) int {
 		kept := 0
-		for _, row := range f.in.Rows {
+		for _, row := range in {
 			if expr.Truthy(f.Pred.Eval(row)) {
-				b.Append(row)
+				out.Append(row)
 				kept++
 			}
 		}
-		if err := f.creditRows(ctx, kept); err != nil {
-			return err
-		}
-		// A short child chunk often precedes EOF: return early rather than
-		// probing it now, keeping done-flag timing aligned with the row
-		// engine (see the drained comment above).
-		if b.Len() >= want || (n < want && b.Len() > 0) {
-			return nil
-		}
-	}
+		return kept
+	})
 }
 
 // Close implements Operator.
@@ -122,12 +68,10 @@ func (f *Filter) BlockingChildren() []int { return nil }
 // Project computes one output expression per column (pi). It is one-to-one.
 type Project struct {
 	base
+	stream
 	child Operator
 	Exprs []expr.Expr
-
-	in      Batch    // reused child-batch scratch (vectorized path)
-	drained bool     // child EOF seen while output was in hand
-	arena   rowArena // chunked backing storage for output rows
+	arena rowArena // chunked backing storage for output rows
 }
 
 // NewProject builds a projection; names and types give the output schema.
@@ -147,66 +91,23 @@ func NewProject(child Operator, exprs []expr.Expr, names []string, types []sqlva
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx) error {
 	p.reopen()
-	p.drained = false
+	p.reset()
 	return p.child.Open(ctx)
 }
 
-// Next implements Operator.
-func (p *Project) Next(ctx *Ctx) (schema.Row, bool, error) {
-	row, ok, err := p.child.Next(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		p.markDone()
-		return nil, false, nil
-	}
-	out := make(schema.Row, len(p.Exprs))
-	for i, e := range p.Exprs {
-		out[i] = e.Eval(row)
-	}
-	return p.emit(ctx, out)
-}
-
-// NextBatch implements BatchOperator. Output rows are carved from a chunked
+// NextBatch implements Operator. Output rows are carved from a chunked
 // arena: one backing allocation per ~256 rows instead of one per row.
-func (p *Project) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, p, b, ctx.batchSize())
-	}
-	b.Reset()
-	if p.drained {
-		p.markDone()
-		return nil
-	}
-	want := ctx.batchSize()
-	for {
-		if err := nextBatch(ctx, p.child, &p.in); err != nil {
-			return err
-		}
-		n := p.in.Len()
-		if n == 0 {
-			if b.Len() == 0 {
-				p.markDone()
-				return nil
-			}
-			p.drained = true
-			return nil
-		}
-		for _, row := range p.in.Rows {
-			out := p.arena.row(len(p.Exprs))
+func (p *Project) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return p.pull(ctx, &p.base, p.child, b, want, func(in []schema.Row, out *Batch) int {
+		for _, row := range in {
+			r := p.arena.row(len(p.Exprs))
 			for i, e := range p.Exprs {
-				out[i] = e.Eval(row)
+				r[i] = e.Eval(row)
 			}
-			b.Append(out)
+			out.Append(r)
 		}
-		if err := p.creditRows(ctx, n); err != nil {
-			return err
-		}
-		if b.Len() >= want || (n < want && b.Len() > 0) {
-			return nil
-		}
-	}
+		return len(in)
+	})
 }
 
 // Close implements Operator.
@@ -233,6 +134,7 @@ type Top struct {
 	child Operator
 	K     int64
 	n     int64
+	in    Batch // one-row child-pull scratch
 }
 
 // NewTop builds a LIMIT K operator.
@@ -249,28 +151,20 @@ func (t *Top) Open(ctx *Ctx) error {
 	return t.child.Open(ctx)
 }
 
-// Next implements Operator.
-func (t *Top) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if t.n >= t.K {
-		return t.eof()
-	}
-	row, ok, err := t.child.Next(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		t.markDone()
-		return nil, false, nil
-	}
-	t.n++
-	return t.emit(ctx, row)
-}
-
-// NextBatch implements BatchOperator. A LIMIT must consume its input lazily —
-// chunked lookahead would count child work the row engine never performs — so
-// Top keeps row-wise pulls even on the fast path, batching only its output.
-func (t *Top) NextBatch(ctx *Ctx, b *Batch) error {
-	return FillFromNext(ctx, t, b, ctx.batchSize())
+// NextBatch implements Operator. A LIMIT must consume its input lazily —
+// a chunked pull would count child work the limit never hands out — so Top
+// pulls its child one row at a time at any want, batching only its output.
+func (t *Top) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return t.rowWise(ctx, b, want, func(ctx *Ctx) (schema.Row, bool, error) {
+		if t.n >= t.K {
+			return nil, false, nil
+		}
+		row, ok, err := pullOne(ctx, t.child, &t.in)
+		if ok {
+			t.n++
+		}
+		return row, ok, err
+	})
 }
 
 // Close implements Operator.

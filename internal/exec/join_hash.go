@@ -35,6 +35,7 @@ func (m JoinMode) String() string {
 // side is preserved.
 type HashJoin struct {
 	base
+	stream       // over the probe side
 	build, probe Operator
 	Mode         JoinMode
 	// Linear is set by the builder when the join is known to produce at
@@ -44,18 +45,11 @@ type HashJoin struct {
 	// emits, in output order; nil means every column of that side.
 	outProbe, outBuild []int
 
-	table      joinTable    // holds the join keys
-	buildRows  []schema.Row // build side, drained during Open
-	matchBuf   []schema.Row // reused lookup result buffer
-	matches    []schema.Row
-	matchIdx   int
-	curProbe   schema.Row
-	pad        schema.Row // NULL padding for left outer
-	emittedCur bool       // left outer: did curProbe match anything
-
-	in      Batch    // reused probe-batch scratch (vectorized path)
-	drained bool     // probe EOF seen while output was in hand
-	arena   rowArena // chunked backing storage for joined output rows
+	table     joinTable    // holds the join keys
+	buildRows []schema.Row // build side, drained during Open
+	matchBuf  []schema.Row // reused lookup result buffer
+	pad       schema.Row   // NULL padding for left outer
+	arena     rowArena     // chunked backing storage for joined output rows
 
 	pessimistic
 }
@@ -153,8 +147,7 @@ func keysEqual(aKeys []expr.Expr, a schema.Row, bKeys []expr.Expr, b schema.Row)
 // Open implements Operator: drains the build side into the hash table.
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.reopen()
-	j.matches, j.matchIdx, j.curProbe = nil, 0, nil
-	j.drained = false
+	j.reset()
 	var err error
 	if j.buildRows, err = drainAll(ctx, j.build, j.buildRows); err != nil {
 		return err
@@ -164,87 +157,14 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	return j.probe.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		// Drain pending matches for the current probe row.
-		if j.matchIdx < len(j.matches) {
-			b := j.matches[j.matchIdx]
-			j.matchIdx++
-			j.emittedCur = true
-			return j.emit(ctx, j.joined(j.curProbe, b))
-		}
-		if j.Mode == LeftOuterJoin && j.curProbe != nil && !j.emittedCur {
-			row := j.joined(j.curProbe, j.pad)
-			j.curProbe = nil
-			return j.emit(ctx, row)
-		}
-		probe, ok, err := j.probe.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.markDone()
-			return nil, false, nil
-		}
-		j.curProbe, j.emittedCur = probe, false
-		found := j.table.lookup(probe, &j.matchBuf)
-		switch j.Mode {
-		case SemiJoin:
-			if len(found) > 0 {
-				j.curProbe = nil
-				return j.emit(ctx, probe)
-			}
-		case AntiJoin:
-			if len(found) == 0 {
-				j.curProbe = nil
-				return j.emit(ctx, probe)
-			}
-		default:
-			j.matches, j.matchIdx = found, 0
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: processes whole probe chunks against
-// the prebuilt table, concatenated outputs carved from the arena. Output
-// batches are variable-length (a high-fanout chunk may exceed the nominal
-// size) so the subtree is quiescent at every return. A chunk from a fan-out
-// join below can be thousands of rows: it is probed, credited and checked for
-// cancellation in strides of one batch, so a sampler sees the ledger move.
-func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, j, b, ctx.batchSize())
-	}
-	b.Reset()
-	if j.drained {
-		j.markDone()
-		return nil
-	}
-	want := ctx.batchSize()
-	for {
-		if err := nextBatch(ctx, j.probe, &j.in); err != nil {
-			return err
-		}
-		n := j.in.Len()
-		if n == 0 {
-			if b.Len() == 0 {
-				j.markDone()
-				return nil
-			}
-			j.drained = true
-			return nil
-		}
-		for lo := 0; lo < n; lo += want {
-			emitted := j.table.probe(j.Mode, j.in.Rows[lo:min(lo+want, n)], b, &j.matchBuf, j.pad, j.joined)
-			if err := j.creditRows(ctx, emitted); err != nil {
-				return err
-			}
-		}
-		if b.Len() >= want || (n < want && b.Len() > 0) {
-			return nil
-		}
-	}
+// NextBatch implements Operator: probes whole probe chunks against the
+// prebuilt table (stream), concatenated outputs carved from the arena.
+// Output batches are variable-length — a high-fanout chunk may exceed want —
+// and at want == 1 a probe row's further matches wait for the next pulls.
+func (j *HashJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return j.pull(ctx, &j.base, j.probe, b, want, func(in []schema.Row, out *Batch) int {
+		return j.table.probe(j.Mode, in, out, &j.matchBuf, j.pad, j.joined)
+	})
 }
 
 // Close implements Operator.

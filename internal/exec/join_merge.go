@@ -29,6 +29,8 @@ type MergeJoin struct {
 	runKey []sqlval.Value
 	bufIdx int
 	primed bool
+	lIn    Batch // one-row child-pull scratch, per side
+	rIn    Batch
 }
 
 // NewMergeJoin builds a merge join; inputs must be sorted ascending on their
@@ -76,7 +78,7 @@ func compareKeyVals(a, b []sqlval.Value) int {
 
 func (j *MergeJoin) advanceLeft(ctx *Ctx) error {
 	for {
-		row, ok, err := j.left.Next(ctx)
+		row, ok, err := pullOne(ctx, j.left, &j.lIn)
 		if err != nil {
 			return err
 		}
@@ -93,7 +95,7 @@ func (j *MergeJoin) advanceLeft(ctx *Ctx) error {
 
 func (j *MergeJoin) advanceRight(ctx *Ctx) error {
 	for {
-		row, ok, err := j.right.Next(ctx)
+		row, ok, err := pullOne(ctx, j.right, &j.rIn)
 		if err != nil {
 			return err
 		}
@@ -108,8 +110,17 @@ func (j *MergeJoin) advanceRight(ctx *Ctx) error {
 	}
 }
 
-// Next implements Operator.
-func (j *MergeJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
+// NextBatch implements Operator. The two inputs advance at data-dependent
+// rates, so chunked lookahead would hold counted-but-unmerged rows across
+// quiesce points; MergeJoin pulls both children one row at a time at any
+// want, batching only its output. Sorts beneath it still drain their own
+// children in bulk during Open.
+func (j *MergeJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return j.rowWise(ctx, b, want, j.next)
+}
+
+// next produces the join's next row: one GetNext of its output.
+func (j *MergeJoin) next(ctx *Ctx) (schema.Row, bool, error) {
 	if !j.primed {
 		j.primed = true
 		if err := j.advanceLeft(ctx); err != nil {
@@ -124,7 +135,7 @@ func (j *MergeJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 		if j.bufIdx < len(j.rBuf) {
 			r := j.rBuf[j.bufIdx]
 			j.bufIdx++
-			return j.emit(ctx, schema.ConcatRows(j.lRow, r))
+			return schema.ConcatRows(j.lRow, r), true, nil
 		}
 		if len(j.rBuf) > 0 {
 			// Current left row exhausted the run: advance left and reuse the
@@ -143,7 +154,6 @@ func (j *MergeJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			continue
 		}
 		if !j.lOk || !j.rOk {
-			j.markDone()
 			return nil, false, nil
 		}
 		lk, _ := evalKeys(j.lKeys, j.lRow)
@@ -177,15 +187,6 @@ func (j *MergeJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			j.bufIdx = 0
 		}
 	}
-}
-
-// NextBatch implements BatchOperator. The two inputs advance at
-// data-dependent rates, so chunked lookahead would hold counted-but-unmerged
-// rows across quiesce points; MergeJoin keeps row-wise pulls even on the
-// fast path, batching only its output. Sorts beneath it still batch-drain
-// their own children during Open.
-func (j *MergeJoin) NextBatch(ctx *Ctx, b *Batch) error {
-	return FillFromNext(ctx, j, b, ctx.batchSize())
 }
 
 // Close implements Operator.

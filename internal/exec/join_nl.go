@@ -17,6 +17,7 @@ import (
 // impossible (Section 3).
 type INLJoin struct {
 	base
+	stream   // over the outer side
 	outer    Operator
 	Idx      *index.Hash
 	OuterKey expr.Expr
@@ -24,18 +25,12 @@ type INLJoin struct {
 	// Linear marks key–foreign-key joins (output at most the larger input).
 	Linear bool
 
-	matches  []int32
-	matchIdx int
-	curOuter schema.Row
-	pad      schema.Row
+	pad schema.Row
 	// keyCol is OuterKey's column index when it is a bare column reference
-	// (-1 otherwise); the vectorized probe loop then reads the value directly
-	// instead of going through the Expr interface.
+	// (-1 otherwise); the probe loop then reads the value directly instead
+	// of going through the Expr interface.
 	keyCol int
-
-	in      Batch    // reused outer-batch scratch (vectorized path)
-	drained bool     // outer EOF seen while output was in hand
-	arena   rowArena // chunked backing storage for concatenated outputs
+	arena  rowArena // chunked backing storage for concatenated outputs
 
 	static *CardBounds
 	pessimistic
@@ -65,8 +60,7 @@ func NewINLJoin(outer Operator, idx *index.Hash, outerKey expr.Expr, mode JoinMo
 // Open implements Operator.
 func (j *INLJoin) Open(ctx *Ctx) error {
 	j.reopen()
-	j.matches, j.matchIdx, j.curOuter = nil, 0, nil
-	j.drained = false
+	j.reset()
 	j.pad = make(schema.Row, j.Idx.Rel.Schema().Len())
 	j.keyCol = -1
 	if c, ok := j.OuterKey.(expr.Col); ok {
@@ -75,81 +69,12 @@ func (j *INLJoin) Open(ctx *Ctx) error {
 	return j.outer.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *INLJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for {
-		if j.matchIdx < len(j.matches) {
-			inner := j.Idx.Rel.Rows[j.matches[j.matchIdx]]
-			j.matchIdx++
-			return j.emit(ctx, schema.ConcatRows(j.curOuter, inner))
-		}
-		if j.Mode == LeftOuterJoin && j.curOuter != nil && len(j.matches) == 0 {
-			row := schema.ConcatRows(j.curOuter, j.pad)
-			j.curOuter = nil
-			return j.emit(ctx, row)
-		}
-		outer, ok, err := j.outer.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.markDone()
-			return nil, false, nil
-		}
-		j.curOuter = outer
-		found := j.Idx.Lookup(j.OuterKey.Eval(outer))
-		switch j.Mode {
-		case SemiJoin:
-			if len(found) > 0 {
-				return j.emit(ctx, outer)
-			}
-		case AntiJoin:
-			if len(found) == 0 {
-				return j.emit(ctx, outer)
-			}
-		default:
-			j.matches, j.matchIdx = found, 0
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: the inner index lookup is an uncounted
-// access path, so seeking it for a whole outer chunk at once moves no counted
-// work and the subtree stays quiescent at every return. Like HashJoin's, the
-// probe is credited in strides of one batch of input.
-func (j *INLJoin) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, j, b, ctx.batchSize())
-	}
-	b.Reset()
-	if j.drained {
-		j.markDone()
-		return nil
-	}
-	want := ctx.batchSize()
-	for {
-		if err := nextBatch(ctx, j.outer, &j.in); err != nil {
-			return err
-		}
-		n := j.in.Len()
-		if n == 0 {
-			if b.Len() == 0 {
-				j.markDone()
-				return nil
-			}
-			j.drained = true
-			return nil
-		}
-		for lo := 0; lo < n; lo += want {
-			emitted := j.probeBatch(j.in.Rows[lo:min(lo+want, n)], b)
-			if err := j.creditRows(ctx, emitted); err != nil {
-				return err
-			}
-		}
-		if b.Len() >= want || (n < want && b.Len() > 0) {
-			return nil
-		}
-	}
+// NextBatch implements Operator: the inner index lookup is an uncounted
+// access path, so seeking it for a whole outer chunk at once (stream) moves
+// no counted work, and at want == 1 an outer row's further matches wait for
+// the next pulls.
+func (j *INLJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return j.pull(ctx, &j.base, j.outer, b, want, j.probeBatch)
 }
 
 // probeBatch probes the index with every outer row of in, appending join
@@ -276,6 +201,8 @@ type NLJoin struct {
 	Pred         expr.Expr // evaluated over the concatenated row; nil = cross
 	curOuter     schema.Row
 	innerOpen    bool
+	outerIn      Batch // one-row child-pull scratch, per side
+	innerIn      Batch
 }
 
 // NewNLJoin builds a nested loops join.
@@ -293,17 +220,20 @@ func (j *NLJoin) Open(ctx *Ctx) error {
 	return j.outer.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *NLJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
+// NextBatch implements Operator. The inner is a counted subtree re-opened
+// per outer row: rescan timing is inherently row-grained, so NLJoin pulls
+// both children one row at a time at any want, batching only its output.
+func (j *NLJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
+	return j.rowWise(ctx, b, want, j.next)
+}
+
+// next produces the join's next row: one GetNext of its output.
+func (j *NLJoin) next(ctx *Ctx) (schema.Row, bool, error) {
 	for {
 		if j.curOuter == nil {
-			outer, ok, err := j.outer.Next(ctx)
-			if err != nil {
+			outer, ok, err := pullOne(ctx, j.outer, &j.outerIn)
+			if err != nil || !ok {
 				return nil, false, err
-			}
-			if !ok {
-				j.markDone()
-				return nil, false, nil
 			}
 			j.curOuter = outer
 			if j.innerOpen {
@@ -316,7 +246,7 @@ func (j *NLJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 			}
 			j.innerOpen = true
 		}
-		inner, ok, err := j.inner.Next(ctx)
+		inner, ok, err := pullOne(ctx, j.inner, &j.innerIn)
 		if err != nil {
 			return nil, false, err
 		}
@@ -326,16 +256,9 @@ func (j *NLJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
 		}
 		joined := schema.ConcatRows(j.curOuter, inner)
 		if j.Pred == nil || expr.Truthy(j.Pred.Eval(joined)) {
-			return j.emit(ctx, joined)
+			return joined, true, nil
 		}
 	}
-}
-
-// NextBatch implements BatchOperator. The inner is a counted subtree
-// re-opened per outer row: rescan timing is inherently row-grained, so NLJoin
-// keeps row-wise pulls even on the fast path, batching only its output.
-func (j *NLJoin) NextBatch(ctx *Ctx, b *Batch) error {
-	return FillFromNext(ctx, j, b, ctx.batchSize())
 }
 
 // Close implements Operator.

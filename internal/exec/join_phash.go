@@ -97,34 +97,27 @@ func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
 	var matchBuf []schema.Row
 	joined := func(probe, build schema.Row) schema.Row { return arena.concat(probe, build) }
 	return func(out *Batch) (turn, error) {
-		if err := nextBatch(ctx, part, &in); err != nil {
+		if err := pullChunk(ctx, part, &in); err != nil {
 			return turnOver, err
 		}
 		if in.Len() == 0 {
 			slot.MarkDone()
 			return turnLast, nil
 		}
-		emitted := int64(j.table.probe(j.Mode, in.Rows, out, &matchBuf, j.pad, joined))
-		return turnOver, creditWorker(ctx, slot, emitted, emitted)
+		emitted := j.table.probe(j.Mode, in.Rows, out, &matchBuf, j.pad, joined)
+		return turnOver, ctx.credit(slot, 0, emitted)
 	}, nil
 }
 
-// Next implements Operator: hands out rows from worker batches with no
-// additional accounting (workers credited their sub-slots at probe time).
-func (j *ParallelHashJoin) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if ctx.canceled.Load() {
-		return nil, false, ErrCanceled
-	}
-	return j.g.nextRow()
-}
-
-// NextBatch implements BatchOperator: one worker batch per pull.
-func (j *ParallelHashJoin) NextBatch(ctx *Ctx, b *Batch) error {
+// NextBatch implements Operator: hands out up to want rows of the current
+// worker batch with no additional accounting (workers credited their
+// sub-slots at probe time).
+func (j *ParallelHashJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
 	if ctx.canceled.Load() {
 		return ErrCanceled
 	}
-	return j.g.nextRows(b)
+	return j.g.nextRows(b, want)
 }
 
 // Close implements Operator: stops the workers (quiescing the partitions),

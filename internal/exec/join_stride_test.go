@@ -12,9 +12,9 @@ import (
 	"sqlprogress/internal/sqlval"
 )
 
-// wideValues is a Values leaf that ignores the batch size: NextBatch hands up
-// every row in one chunk, the way a fan-out join under a probe does, and then
-// cancels the run when cancel is set.
+// wideValues is a Values leaf that ignores want: NextBatch hands up every row
+// in one chunk, the way a fan-out join under a probe does, and then cancels
+// the run when cancel is set.
 type wideValues struct {
 	*Values
 	cancel bool
@@ -26,7 +26,7 @@ func (w *wideValues) Open(ctx *Ctx) error {
 	return w.Values.Open(ctx)
 }
 
-func (w *wideValues) NextBatch(ctx *Ctx, b *Batch) error {
+func (w *wideValues) NextBatch(ctx *Ctx, b *Batch, _ int) error {
 	b.Reset()
 	if w.sent {
 		w.markDone()
@@ -34,7 +34,7 @@ func (w *wideValues) NextBatch(ctx *Ctx, b *Batch) error {
 	}
 	w.sent = true
 	b.Rows = append(b.Rows, w.RowsData...)
-	err := w.creditRows(ctx, b.Len())
+	err := ctx.credit(w.slot, 0, b.Len())
 	if w.cancel {
 		ctx.Cancel()
 	}
@@ -86,14 +86,12 @@ func strideJoins(mode JoinMode, wide, cancel, misses bool) map[string]Operator {
 func TestJoinProbeCancelWithinOneStride(t *testing.T) {
 	for name, j := range strideJoins(InnerJoin, true, true, false) {
 		ctx := NewCtx()
-		ctx.BatchSize = strideBatch
-		ctx.vectorized = true
 		EnsureLedger(j)
 		if err := j.Open(ctx); err != nil {
 			t.Fatalf("%s: open: %v", name, err)
 		}
 		var b Batch
-		err := j.(BatchOperator).NextBatch(ctx, &b)
+		err := j.NextBatch(ctx, &b, strideBatch)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", name, err)
 		}

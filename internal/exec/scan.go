@@ -48,8 +48,7 @@ type Scan struct {
 	// scan's count stays its full cardinality, matching the paper's "the
 	// outer relation has to be scanned once" accounting, while no separate
 	// sigma node inflates total(Q).
-	Pred      expr.Expr
-	delivered *CardBounds
+	Pred expr.Expr
 	// part/parts describe the partition window this scan covers (parts == 0
 	// means the whole relation). A partitioned scan visits the store-aligned
 	// window AlignWindow(part, parts) of the (possibly permuted) store — one
@@ -139,74 +138,16 @@ func (s *Scan) Open(*Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *Scan) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if s.cur != nil {
-		return s.nextCursor(ctx)
-	}
-	for s.pos < s.hi {
-		i := s.pos
-		s.pos++
-		if s.Order != nil {
-			i = int(s.Order[i])
-		}
-		row := s.Rel.Rows[i]
-		if s.Pred != nil && !expr.Truthy(s.Pred.Eval(row)) {
-			// The row was scanned (one GetNext of work) but not delivered.
-			if err := s.countScanned(ctx); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		return s.emit(ctx, row)
-	}
-	return s.eof()
-}
-
-// nextCursor is the store-cursor row path. Weighted read units are charged
-// the moment the storage reports them — before the row that faulted the
-// page is emitted — so a monitor sampling mid-page already sees the I/O
-// work in Curr, and a fault injector can land on the unit ticks themselves
-// (cancel mid-page).
-func (s *Scan) nextCursor(ctx *Ctx) (schema.Row, bool, error) {
-	for s.pos < s.hi {
-		row, units, ok, err := s.cur.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		s.pos++
-		if units > 0 {
-			if err := s.chargeUnits(ctx, units); err != nil {
-				return nil, false, err
-			}
-		}
-		if s.Pred != nil && !expr.Truthy(s.Pred.Eval(row)) {
-			if err := s.countScanned(ctx); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		return s.emit(ctx, row)
-	}
-	return s.eof()
-}
-
-// NextBatch implements BatchOperator: one pass over up to a chunk of scan
-// positions, crediting the ledger in bulk — rows read (plus any weighted
-// physical-read units) as counted calls, predicate survivors as delivered.
-func (s *Scan) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, s, b, ctx.batchSize())
-	}
+// NextBatch implements Operator: one pass over scan positions until want
+// rows are delivered or the window ends, crediting the rows read (plus any
+// weighted physical-read units the storage charged) as counted calls and the
+// predicate survivors as delivered.
+func (s *Scan) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
 	if s.pos >= s.hi {
 		s.markDone()
 		return nil
 	}
-	want := ctx.batchSize()
 	scanned := 0
 	var units int64
 	switch {
@@ -260,7 +201,7 @@ func (s *Scan) NextBatch(ctx *Ctx, b *Batch) error {
 			b.Append(row)
 		}
 	}
-	if err := s.creditScanWeighted(ctx, scanned, b.Len(), units); err != nil {
+	if err := ctx.credit(s.slot, int64(scanned-b.Len())+units, b.Len()); err != nil {
 		return err
 	}
 	if b.Len() == 0 {
@@ -322,10 +263,6 @@ func (s *Scan) MaxReadUnits() int64 {
 	return 0
 }
 
-// SetDeliveredBounds records statistics-derived bounds on the rows an
-// embedded predicate lets through (e.g. from histograms).
-func (s *Scan) SetDeliveredBounds(b CardBounds) { s.delivered = &b }
-
 // DeliveredBounds implements DeliveredBounder: bounds on rows handed to the
 // parent — always row-based, never including weighted read units (I/O work
 // inflates this node's call count, not its parent's input).
@@ -334,9 +271,6 @@ func (s *Scan) DeliveredBounds() CardBounds {
 	n := int64(hi - lo)
 	if s.Pred == nil {
 		return CardBounds{LB: n, UB: n}
-	}
-	if s.delivered != nil {
-		return *s.delivered
 	}
 	return CardBounds{LB: 0, UB: n}
 }
@@ -383,33 +317,13 @@ func (r *RangeScan) Open(*Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
-func (r *RangeScan) Next(ctx *Ctx) (schema.Row, bool, error) {
-	for r.pos < r.rng.End {
-		row := r.Idx.Rel.Rows[r.Idx.At(r.pos)]
-		r.pos++
-		if r.Pred != nil && !expr.Truthy(r.Pred.Eval(row)) {
-			if err := r.countScanned(ctx); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		return r.emit(ctx, row)
-	}
-	return r.eof()
-}
-
-// NextBatch implements BatchOperator (same bulk accounting as Scan).
-func (r *RangeScan) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, r, b, ctx.batchSize())
-	}
+// NextBatch implements Operator (same accounting as Scan).
+func (r *RangeScan) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
 	if r.pos >= r.rng.End {
 		r.markDone()
 		return nil
 	}
-	want := ctx.batchSize()
 	scanned := 0
 	for r.pos < r.rng.End && b.Len() < want {
 		row := r.Idx.Rel.Rows[r.Idx.At(r.pos)]
@@ -420,7 +334,7 @@ func (r *RangeScan) NextBatch(ctx *Ctx, b *Batch) error {
 		}
 		b.Append(row)
 	}
-	if err := r.creditScan(ctx, scanned, b.Len()); err != nil {
+	if err := ctx.credit(r.slot, int64(scanned-b.Len()), b.Len()); err != nil {
 		return err
 	}
 	if b.Len() == 0 {
@@ -493,33 +407,17 @@ func (v *Values) Open(*Ctx) error {
 	return nil
 }
 
-// Next implements Operator.
-func (v *Values) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if v.pos >= len(v.RowsData) {
-		return v.eof()
-	}
-	row := v.RowsData[v.pos]
-	v.pos++
-	return v.emit(ctx, row)
-}
-
-// NextBatch implements BatchOperator.
-func (v *Values) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, v, b, ctx.batchSize())
-	}
+// NextBatch implements Operator.
+func (v *Values) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
 	if v.pos >= len(v.RowsData) {
 		v.markDone()
 		return nil
 	}
-	n := len(v.RowsData) - v.pos
-	if want := ctx.batchSize(); n > want {
-		n = want
-	}
+	n := min(len(v.RowsData)-v.pos, want)
 	b.Rows = append(b.Rows, v.RowsData[v.pos:v.pos+n]...)
 	v.pos += n
-	return v.creditRows(ctx, n)
+	return ctx.credit(v.slot, 0, n)
 }
 
 // Close implements Operator.

@@ -17,7 +17,7 @@ type SortKey struct {
 }
 
 // Sort is a blocking full sort: Open drains the child (counted GetNext
-// calls), sorts, and Next streams the result. Its output cardinality equals
+// calls), sorts, and NextBatch streams the result. Its output cardinality equals
 // its input cardinality exactly, so once the build completes the node's
 // bounds collapse — the refinement that drives pmax's convergence on
 // multi-pipeline plans (Figure 6).
@@ -140,34 +140,18 @@ func (s *Sort) siftDown(i int) {
 	}
 }
 
-// Next implements Operator.
-func (s *Sort) Next(ctx *Ctx) (schema.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return s.eof()
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return s.emit(ctx, row)
-}
-
-// NextBatch implements BatchOperator: slices the sorted run chunk-at-a-time
-// with one bulk ledger credit per chunk.
-func (s *Sort) NextBatch(ctx *Ctx, b *Batch) error {
-	if !ctx.fastPath() {
-		return FillFromNext(ctx, s, b, ctx.batchSize())
-	}
+// NextBatch implements Operator: slices up to want rows off the sorted run,
+// credited at once.
+func (s *Sort) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
 	if s.pos >= len(s.rows) {
 		s.markDone()
 		return nil
 	}
-	n := len(s.rows) - s.pos
-	if want := ctx.batchSize(); n > want {
-		n = want
-	}
+	n := min(len(s.rows)-s.pos, want)
 	b.Rows = append(b.Rows, s.rows[s.pos:s.pos+n]...)
 	s.pos += n
-	return s.creditRows(ctx, n)
+	return ctx.credit(s.slot, 0, n)
 }
 
 // Close implements Operator.

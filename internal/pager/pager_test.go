@@ -71,15 +71,15 @@ func TestHeapFileRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
-				row, _, ok, err := cur.Next()
-				if err != nil || !ok {
-					t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+				rows, _, err := cur.NextChunk(1)
+				if err != nil || len(rows) != 1 {
+					t.Fatalf("row %d: %d rows, err=%v", i, len(rows), err)
 				}
-				if !reflect.DeepEqual(row, rel.Rows[i]) {
-					t.Fatalf("row %d: got %v want %v", i, row, rel.Rows[i])
+				if !reflect.DeepEqual(rows[0], rel.Rows[i]) {
+					t.Fatalf("row %d: got %v want %v", i, rows[0], rel.Rows[i])
 				}
 			}
-			if _, _, ok, _ := cur.Next(); ok {
+			if rows, _, _ := cur.NextChunk(1); len(rows) != 0 {
 				t.Fatal("rows past end")
 			}
 			cur.Close()
@@ -402,14 +402,13 @@ func TestCursorUnitsChargedOncePerPhysicalRead(t *testing.T) {
 		defer cur.Close()
 		var units int64
 		for {
-			row, u, ok, err := cur.Next()
+			rows, u, err := cur.NextChunk(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			if len(rows) == 0 {
 				return units
 			}
-			_ = row
 			units += u
 		}
 	}

@@ -51,9 +51,6 @@ func (p *PagedRelation) SetReadCost(w int64) {
 	p.readCost = w
 }
 
-// ReadCost returns the configured per-physical-read weight.
-func (p *PagedRelation) ReadCost() int64 { return p.readCost }
-
 // Pool returns the buffer pool the relation reads through.
 func (p *PagedRelation) Pool() *Pool { return p.pool }
 
@@ -169,24 +166,6 @@ func (c *pagedCursor) load() error {
 		c.units += pr.readCost
 	}
 	return nil
-}
-
-// Next implements schema.Cursor.
-func (c *pagedCursor) Next() (schema.Row, int64, bool, error) {
-	if c.pos >= c.hi {
-		return nil, 0, false, nil
-	}
-	if c.idx >= len(c.rows) {
-		if err := c.load(); err != nil {
-			return nil, 0, false, err
-		}
-	}
-	row := c.rows[c.idx]
-	c.idx++
-	c.pos++
-	units := c.units
-	c.units = 0
-	return row, units, true, nil
 }
 
 // NextChunk implements schema.Cursor: one call returns the remainder of

@@ -56,14 +56,11 @@ func (s *Schema) CheckColumns(cols []int) error {
 // return remain valid indefinitely (they reference immutable in-memory
 // storage or are freshly decoded copies of on-disk pages).
 type Cursor interface {
-	// Next returns the next row of the window. units is the extra weighted
-	// GetNext units the storage charged for producing this row — zero for
-	// in-memory rows and buffer-pool hits, the store's read cost on the row
-	// whose page was physically read (see ReadCoster).
-	Next() (row Row, units int64, ok bool, err error)
-	// NextChunk returns up to want rows in one bulk step, plus the weighted
-	// units charged for the chunk. An empty chunk means the window is
-	// exhausted. The returned slice is only valid until the next cursor
+	// NextChunk returns up to want rows in one step, plus the extra weighted
+	// GetNext units the storage charged for producing them — zero for
+	// in-memory rows and buffer-pool hits, the store's read cost for each
+	// page physically read (see ReadCoster). An empty chunk means the window
+	// is exhausted. The returned slice is only valid until the next cursor
 	// call; the rows it holds are valid indefinitely.
 	NextChunk(want int) (rows []Row, units int64, err error)
 	// Close releases cursor resources (pinned pages).
@@ -125,19 +122,6 @@ func (c *memCursor) project(dst, src []Row) []Row {
 		dst = append(dst, out)
 	}
 	return dst
-}
-
-// Next implements Cursor.
-func (c *memCursor) Next() (Row, int64, bool, error) {
-	if c.pos >= c.hi {
-		return nil, 0, false, nil
-	}
-	row := c.rows[c.pos]
-	if c.cols != nil {
-		row = c.project(nil, c.rows[c.pos:c.pos+1])[0]
-	}
-	c.pos++
-	return row, 0, true, nil
 }
 
 // NextChunk implements Cursor.
