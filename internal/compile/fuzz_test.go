@@ -811,20 +811,14 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 func runMonitored(t *testing.T, op exec.Operator, batch bool) (*core.Monitor, []schema.Row) {
 	t.Helper()
 	mon := core.NewMonitor(op, 1, core.Dne{}, core.Pmax{}, core.Safe{})
-	if !batch {
-		rows, err := mon.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mon, rows
+	run := mon.Run
+	if batch {
+		run = func() ([]schema.Row, error) { return mon.RunBatch(16) }
 	}
-	ctx := exec.NewCtx()
-	ctx.BatchSize = 16
-	rows, err := exec.RunBatchObserved(ctx, op, mon.Observe)
+	rows, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Finish(ctx.Calls())
 	return mon, rows
 }
 
@@ -835,7 +829,7 @@ func runMonitored(t *testing.T, op exec.Operator, batch bool) (*core.Monitor, []
 // whatever streams beneath it at a data-dependent point, which is where a
 // static lower bound goes wrong: each query runs monitored at every call on
 // the row engine and at every quiesce point on the batch engine, and both
-// recorded series must pass coretest.Series.Check. The rows returned must be
+// recorded series must pass core.Series.Check. The rows returned must be
 // min(k, n) of the unlimited query's n, and under ORDER BY c their c values
 // the first of the sorted column, in order.
 func fuzzLimit(t *testing.T, seed int64) {
@@ -899,7 +893,7 @@ func fuzzLimit(t *testing.T, seed int64) {
 				continue // LIMIT 0 over a streaming plan: nothing ran, nothing to bound
 			}
 			label := fmt.Sprintf("%s (batch=%v)", sql, batch)
-			if err := coretest.SeriesOf(label, &mon.SampleSet, op).Check(); err != nil {
+			if err := core.SeriesOf(label, &mon.SampleSet, op).Check(); err != nil {
 				t.Fatal(err)
 			}
 		}

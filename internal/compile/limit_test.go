@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sqlprogress/internal/core"
-	"sqlprogress/internal/coretest"
 	"sqlprogress/internal/tpch"
 )
 
@@ -29,7 +28,7 @@ func TestLimitBoundsReproductions(t *testing.T) {
 			if mon.Total() >= cat.MustStore("lineitem").Cardinality() {
 				t.Fatalf("%s: %d calls: the LIMIT no longer stops the scan early", sql, mon.Total())
 			}
-			if err := coretest.SeriesOf(sql, &mon.SampleSet, op).Check(); err != nil {
+			if err := core.SeriesOf(sql, &mon.SampleSet, op).Check(); err != nil {
 				t.Fatalf("batch=%v: %v", batch, err)
 			}
 		}

@@ -15,13 +15,9 @@ import (
 // progress estimation cheap enough to run continuously, for many concurrent
 // queries, without throttling any of them.
 //
-// Two sampling disciplines are supported:
-//
-//   - wall-clock: one sample every Interval (the usual "refresh a progress
-//     bar" mode);
-//   - call-count: one sample each time Curr crosses a multiple of
-//     EveryCalls (set EveryCalls > 0; Interval then bounds the polling
-//     sleep), comparable to the inline Monitor's periods.
+// It samples on a wall-clock discipline: one sample every Interval (the usual
+// "refresh a progress bar" mode), plus one whenever Poke asks for it.
+// Deterministic call-count sampling is the inline Monitor's job.
 //
 // Samples land in the embedded SampleSet, giving the exact same
 // Samples/Series API — and the same OnSample stream — as the inline
@@ -33,12 +29,9 @@ import (
 type AsyncMonitor struct {
 	SampleSet
 
-	// Interval is the wall-clock sampling period (or the polling quantum in
-	// call-count mode). Zero means DefaultInterval.
+	// Interval is the wall-clock sampling period. Zero means
+	// DefaultInterval.
 	Interval time.Duration
-	// EveryCalls, when > 0, switches to call-count sampling: a sample is
-	// taken each time the global GetNext counter crosses a multiple of it.
-	EveryCalls int64
 
 	tracker *Tracker
 	root    exec.Operator
@@ -83,17 +76,6 @@ func (m *AsyncMonitor) Poke() {
 	}
 }
 
-// NewAsyncMonitorCalls builds an off-thread monitor sampling each time Curr
-// crosses a multiple of every GetNext calls (minimum 1).
-func NewAsyncMonitorCalls(root exec.Operator, every int64, ests ...Estimator) *AsyncMonitor {
-	if every < 1 {
-		every = 1
-	}
-	m := NewAsyncMonitor(root, 0, ests...)
-	m.EveryCalls = every
-	return m
-}
-
 // Start launches the sampling goroutine against the context the plan is (or
 // will be) executing under. It must be called at most once, before Stop.
 func (m *AsyncMonitor) Start(ctx *exec.Ctx) {
@@ -115,7 +97,7 @@ func (m *AsyncMonitor) Stop() {
 	<-m.done
 	m.stop = nil
 	calls := m.ctx.Calls()
-	m.SetTotal(calls)
+	m.setTotal(calls)
 	m.capture(m.tracker, calls)
 }
 
@@ -124,28 +106,6 @@ func (m *AsyncMonitor) loop() {
 	interval := m.Interval
 	if interval <= 0 {
 		interval = DefaultInterval
-	}
-	if m.EveryCalls > 0 {
-		// Call-count mode: poll the atomic counter at a fine quantum and
-		// sample on threshold crossings. The executor is never blocked; a
-		// slow poll merely coarsens the series.
-		quantum := interval
-		if quantum > 200*time.Microsecond {
-			quantum = 200 * time.Microsecond
-		}
-		next := m.EveryCalls
-		for {
-			select {
-			case <-m.stop:
-				return
-			default:
-			}
-			if calls := m.ctx.Calls(); calls >= next {
-				m.capture(m.tracker, calls)
-				next = (calls/m.EveryCalls + 1) * m.EveryCalls
-			}
-			time.Sleep(quantum)
-		}
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()

@@ -14,16 +14,17 @@ import (
 )
 
 // checkSeries holds a concurrently-captured series of a completed run to the
-// one definition of a valid series, coretest.Series.Check: Calls strictly
-// increasing, hard bounds straddling total(Q) at every sample (the soundness
-// claim for sampling against live atomic counters), monotone LB/UB, every
-// estimate within [0, 1], and the series ending with the at-EOF sample.
+// one definition of a valid series, core.Series.Check: Calls strictly
+// increasing, hard bounds and UBTight straddling total(Q) at every sample
+// (the soundness claim for sampling against live atomic counters), monotone
+// bounds, every estimate within [0, 1], and the series ending with the
+// at-EOF sample.
 func checkSeries(t *testing.T, label string, m *core.AsyncMonitor, root exec.Operator) {
 	t.Helper()
 	if len(m.Samples) == 0 {
 		t.Fatalf("%s: no samples", label)
 	}
-	if err := coretest.SeriesOf(label, &m.SampleSet, root).Check(); err != nil {
+	if err := core.SeriesOf(label, &m.SampleSet, root).Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,22 +44,6 @@ func TestAsyncMonitorSamplesRunningTPCHPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSeries(t, "tpch-q21", m, op)
-}
-
-// TestAsyncMonitorCallCountMode exercises the call-count sampling
-// discipline: the sampler polls the atomic global counter and fires on
-// threshold crossings, giving series comparable to the inline Monitor's.
-func TestAsyncMonitorCallCountMode(t *testing.T) {
-	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	op, err := tpch.BuildQuery(cat, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := core.NewAsyncMonitorCalls(op, 500, core.Dne{}, core.Pmax{}, core.Safe{})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	checkSeries(t, "tpch-q1-calls", m, op)
 }
 
 // TestAsyncMonitorFinalSampleAlways: with an interval far longer than the
@@ -151,41 +136,29 @@ func example1INLJoin(n int64) *exec.INLJoin {
 	return exec.NewINLJoin(scan, index.BuildHash("hx", r2, 0), expr.NewCol(scan.Schema(), "r1", "a"), exec.InnerJoin)
 }
 
-// TestAsyncMonitorStopEndsSampler: Stop must join the sampler goroutine, in
-// both sampling modes, whether the plan ran to completion or never started.
+// TestAsyncMonitorStopEndsSampler: Stop must join the sampler goroutine,
+// whether the plan ran to completion or never started.
 func TestAsyncMonitorStopEndsSampler(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	for _, mode := range []struct {
-		name string
-		mk   func(exec.Operator) *core.AsyncMonitor
-	}{
-		{"wall-clock", func(op exec.Operator) *core.AsyncMonitor {
-			return core.NewAsyncMonitor(op, 50*time.Microsecond, core.Safe{})
-		}},
-		{"call-count", func(op exec.Operator) *core.AsyncMonitor {
-			return core.NewAsyncMonitorCalls(op, 500, core.Safe{})
-		}},
-	} {
-		for _, run := range []bool{true, false} {
-			op, err := tpch.BuildQuery(cat, 1)
-			if err != nil {
+	for _, run := range []bool{true, false} {
+		op, err := tpch.BuildQuery(cat, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := core.NewAsyncMonitor(op, 50*time.Microsecond, core.Safe{})
+		coretest.CheckNoGoroutineLeak(t, func() {
+			// Pokes with no reader — before Start, after Stop, several in
+			// a row — must neither block nor keep anything alive.
+			m.Poke()
+			m.Poke()
+			if !run {
+				m.Start(exec.NewCtx())
+				m.Stop()
+			} else if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			m := mode.mk(op)
-			coretest.CheckNoGoroutineLeak(t, func() {
-				// Pokes with no reader — before Start, after Stop, several in
-				// a row — must neither block nor keep anything alive.
-				m.Poke()
-				m.Poke()
-				if !run {
-					m.Start(exec.NewCtx())
-					m.Stop()
-				} else if _, err := m.Run(); err != nil {
-					t.Fatalf("%s: %v", mode.name, err)
-				}
-				m.Poke()
-				m.Poke()
-			})
-		}
+			m.Poke()
+			m.Poke()
+		})
 	}
 }

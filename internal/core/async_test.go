@@ -8,9 +8,9 @@ import (
 	"sqlprogress/internal/tpch"
 )
 
-// The tests that judge a whole recorded series live in async_series_test.go
-// (package core_test): they share coretest.Series.Check with every other
-// test path, and coretest imports this package.
+// The tests that judge a whole recorded series of a TPC-H plan live in
+// async_series_test.go (package core_test): they use coretest's goroutine
+// leak check, and coretest imports this package.
 
 // TestAsyncMonitorStopWithoutStart: Stop before Start must be a no-op.
 func TestAsyncMonitorStopWithoutStart(t *testing.T) {

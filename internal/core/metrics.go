@@ -26,18 +26,6 @@ func MaxRatioError(pts []Point) float64 {
 	return worst
 }
 
-// AvgRatioError returns the mean ratio error over a series.
-func AvgRatioError(pts []Point) float64 {
-	if len(pts) == 0 {
-		return 1
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += RatioError(p.Actual, p.Est)
-	}
-	return sum / float64(len(pts))
-}
-
 // MaxAbsError returns the worst absolute error |est - actual| over a series
 // (the metric of the paper's Table 1, as a fraction of total progress).
 func MaxAbsError(pts []Point) float64 {

@@ -20,9 +20,10 @@ type Sample struct {
 }
 
 // SampleSet holds a monitored execution's samples and exposes the series
-// API shared by the inline Monitor and the off-thread AsyncMonitor, so
-// every experiment can run either mode against the same downstream
-// analysis.
+// API shared by the inline Monitor (deterministic, call-count periods: the
+// experiments, the accuracy matrix and the invariant tests) and the
+// wall-clock AsyncMonitor (the serving path). Either series is judged by the
+// one checker, Series.
 type SampleSet struct {
 	// Estimators are evaluated at every sample, in order.
 	Estimators []Estimator
@@ -42,9 +43,9 @@ type SampleSet struct {
 
 // capture records one sample and streams it to OnSample: an observation
 // whose anchored call count is not past the last stored sample's is the same
-// instant seen twice and is dropped, so every sampler — inline, async
-// wall-clock or call-count, session — produces a series strictly increasing
-// in Calls.
+// instant seen twice and is dropped, so every sampler — inline hook, batch
+// quiesce point, async wall-clock — produces a series strictly increasing in
+// Calls.
 func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
 	s := tracker.Capture()
 	// Anchor the sample to the ledger total its own capture read, not the
@@ -74,8 +75,8 @@ func evaluate(s *State, calls int64, ests []Estimator) Sample {
 	return sample
 }
 
-// SetTotal records total(Q) when the plan was executed outside Run.
-func (ss *SampleSet) SetTotal(total int64) { ss.total = total }
+// setTotal records total(Q), or the call count at which the run stopped.
+func (ss *SampleSet) setTotal(total int64) { ss.total = total }
 
 // Total returns total(Q) (valid after the run completes).
 func (ss *SampleSet) Total() int64 { return ss.total }
@@ -110,33 +111,10 @@ func (ss *SampleSet) SeriesAt(i int) []Point {
 	return out
 }
 
-// BoundsPoint pairs, per sample, the true progress and the hard interval
-// [Curr/UB, Curr/LB] that held at that instant.
-type BoundsPoint struct {
-	Actual, Lo, Hi float64
-}
-
-// IntervalSeries returns the hard progress interval per sample.
-func (ss *SampleSet) IntervalSeries() []BoundsPoint {
-	out := make([]BoundsPoint, len(ss.Samples))
-	for j, s := range ss.Samples {
-		lo := float64(s.Calls) / float64(s.UB)
-		hi := float64(s.Calls) / float64(s.LB)
-		if hi > 1 {
-			hi = 1
-		}
-		out[j] = BoundsPoint{
-			Actual: float64(s.Calls) / float64(ss.total),
-			Lo:     lo,
-			Hi:     hi,
-		}
-	}
-	return out
-}
-
 // Monitor samples a set of estimators while a plan executes, inline on the
-// execution goroutine. Attach its Hook to the execution context (or use
-// Run), then read Series / errors after completion. For sampling that does
+// execution goroutine: every Every GetNext calls under Run (or its Hook
+// installed by hand), at the quiesce points past each multiple of Every under
+// RunBatch. Read Series / errors after completion. For sampling that does
 // not run on the execution path, see AsyncMonitor.
 type Monitor struct {
 	SampleSet
@@ -185,22 +163,11 @@ func (m *Monitor) Hook() func(int64) {
 	}
 }
 
-// Observe captures a sample at an externally chosen instant. It is the
-// quiesce-point alternative to Hook for the batch engine: installing
-// OnGetNext would collapse vectorized execution to row-at-a-time (the fast
-// path requires no per-call hook), so batch callers instead run under
-// exec.RunBatchObserved and call Observe with the delivered-call count after
-// each root batch. Captures are serialized by the callers' own quiesce
-// points; Observe itself is not safe for concurrent use.
-func (m *Monitor) Observe(calls int64) {
-	m.capture(m.tracker, calls)
-}
-
 // Finish records the at-completion sample (unless the hook already sampled
-// that instant) and total(Q). Run calls it automatically; install-the-hook
-// callers invoke it once the plan is drained.
+// that instant) and total(Q). Run and RunBatch call it automatically;
+// install-the-hook callers invoke it once the plan is drained.
 func (m *Monitor) Finish(total int64) {
-	m.SetTotal(total)
+	m.setTotal(total)
 	m.capture(m.tracker, total)
 }
 
@@ -210,6 +177,29 @@ func (m *Monitor) Run() ([]schema.Row, error) {
 	ctx := exec.NewCtx()
 	ctx.OnGetNext = m.Hook()
 	rows, err := exec.Run(ctx, m.root)
+	if err != nil {
+		return nil, err
+	}
+	m.Finish(ctx.Calls())
+	return rows, nil
+}
+
+// RunBatch executes the plan to completion on the batch engine, batchSize
+// rows per pull (0 = the engine's default), and returns the root's output
+// rows. Installing Hook would collapse the bulk pulls to row-at-a-time, so
+// RunBatch samples at the engine's quiesce points instead (see
+// exec.RunBatchObserved): at each one where Curr has crossed the next
+// multiple of Every. Captures stay on the calling goroutine.
+func (m *Monitor) RunBatch(batchSize int) ([]schema.Row, error) {
+	ctx := exec.NewCtx()
+	ctx.BatchSize = batchSize
+	next := m.Every
+	rows, err := exec.RunBatchObserved(ctx, m.root, func(curr int64) {
+		if curr >= next {
+			m.capture(m.tracker, curr)
+			next = curr - curr%m.Every + m.Every
+		}
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,6 @@ func chaosEstimators() []core.Estimator {
 	return []core.Estimator{core.Dne{}, core.Pmax{}, core.Safe{}}
 }
 
-var chaosNames = []string{"dne", "pmax", "safe"}
-
 var horizonMem = struct {
 	sync.Mutex
 	m map[string]int64
@@ -100,9 +98,9 @@ func runChaos(seed int64, batch bool) error {
 // RunChaosSchedule executes entry under the given fault schedule with two
 // monitors attached — the inline Monitor sampling every call on the
 // execution goroutine, and an AsyncMonitor racing it from a sampler
-// goroutine — then cross-validates the outcome against the faults that
-// actually fired and checks both sample series against the paper's
-// guarantees.
+// goroutine every 50 µs of wall-clock — then cross-validates the outcome
+// against the faults that actually fired and holds both sample series to
+// every rule of core.Series, the UBTight rules included.
 func RunChaosSchedule(entry CorpusEntry, sched fault.Schedule) error {
 	return runChaosSchedule(entry, sched, false, nil)
 }
@@ -121,7 +119,7 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
 	ctx.OnGetNext = mon.Hook()
-	async := core.NewAsyncMonitorCalls(root, 64, chaosEstimators()...)
+	async := core.NewAsyncMonitor(root, 50*time.Microsecond, chaosEstimators()...)
 	async.Start(ctx)
 	var runErr error
 	if batch {
@@ -214,24 +212,14 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 		}
 	}
 
-	completed := runErr == nil
-	var mu float64
-	if completed {
+	if runErr == nil {
 		mon.Finish(total)
-		mu = core.Mu(root)
 	}
-	for _, src := range []struct {
-		name    string
-		samples []core.Sample
-	}{{"inline", mon.Samples}, {"async", async.Samples}} {
-		s := Series{
-			Label:     entry.Label + "/" + src.name,
-			Names:     chaosNames,
-			Samples:   src.samples,
-			Completed: completed,
-			Total:     total,
-			Mu:        mu,
-		}
+	for _, s := range []*core.Series{
+		core.SeriesOf(entry.Label+"/inline", &mon.SampleSet, root),
+		core.SeriesOf(entry.Label+"/async", &async.SampleSet, root),
+	} {
+		s.Completed, s.Total = runErr == nil, total
 		if err := s.Check(); err != nil {
 			return err
 		}

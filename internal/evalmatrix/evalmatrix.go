@@ -238,30 +238,23 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 	m := core.NewMonitor(root, every, ests...)
 	switch engine {
 	case "row":
-		if _, err := m.Run(); err != nil {
-			return nil, err
-		}
+		_, err = m.Run()
 	case "batch":
-		// Installing the monitor's hook would collapse the batch fast path
-		// to row-at-a-time; instead sample at quiesce points — after each
-		// root batch, whenever the call count crosses the next period.
-		ctx := exec.NewCtx()
-		ctx.BatchSize = opts.BatchSize
-		next := every
-		if _, err := exec.RunBatchObserved(ctx, root, func(curr int64) {
-			if curr >= next {
-				m.Observe(curr)
-				next = curr - curr%every + every
-			}
-		}); err != nil {
-			return nil, err
-		}
-		m.Finish(ctx.Calls())
+		_, err = m.RunBatch(opts.BatchSize)
 	default:
-		return nil, fmt.Errorf("unknown engine %q", engine)
+		err = fmt.Errorf("unknown engine %q", engine)
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	lbReg, ubReg, misses, tReg, tMiss := soundness(m.Samples, m.Total())
+	// The hard-bound counts come from the one series checker. Its estimator
+	// rules are not published: -perturb breaks estimators on purpose.
+	s := core.SeriesOf(fam.name, &m.SampleSet, root)
+	lbReg, ubReg := s.Count(core.RuleLBMonotone), s.Count(core.RuleUBMonotone)
+	misses := s.Count(core.RuleCurrUB, core.RuleLBTotal, core.RuleUBTotal)
+	tReg := s.Count(core.RuleUBTightMonotone)
+	tMiss := s.Count(core.RuleCurrUBTight, core.RuleUBTightTotal, core.RuleUBTightRange)
 	rows := make([]Row, 0, len(ests))
 	for i, e := range ests {
 		pts := m.SeriesAt(i)
@@ -275,7 +268,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 			Family:             fam.name,
 			Engine:             engine,
 			Estimator:          e.Name(),
-			Mu:                 core.Mu(root),
+			Mu:                 s.Mu,
 			MaxRatioErr:        maxErr,
 			L1Err:              core.AvgAbsError(pts),
 			Convergence:        convergence(pts),
@@ -289,34 +282,6 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 		})
 	}
 	return rows, nil
-}
-
-// soundness counts hard-bound violations over a completed run's samples:
-// LB must be non-decreasing, UB and UBTight non-increasing, and every
-// sample's intervals — both the classic [LB, UB] and the pessimistic
-// [LB, UBTight] — must bracket the sample's own Curr and the final total,
-// with UBTight squeezed inside [LB, UB].
-func soundness(samples []core.Sample, total int64) (lbReg, ubReg, misses, tightReg, tightMisses int) {
-	for i, s := range samples {
-		if i > 0 {
-			if s.LB < samples[i-1].LB {
-				lbReg++
-			}
-			if s.UB > samples[i-1].UB {
-				ubReg++
-			}
-			if s.UBTight > samples[i-1].UBTight {
-				tightReg++
-			}
-		}
-		if s.Calls > s.UB || s.LB > total || s.UB < total {
-			misses++
-		}
-		if s.Calls > s.UBTight || s.UBTight < total || s.UBTight > s.UB || s.UBTight < s.LB {
-			tightMisses++
-		}
-	}
-	return lbReg, ubReg, misses, tightReg, tightMisses
 }
 
 // convergence returns the actual-progress fraction of the first sample

@@ -120,7 +120,7 @@ func Pager(opts Options) Result {
 			before := pr.Pool().Stats()
 			root := q.build(cat)
 			every := sampleEvery(int64(n)+int64(readCost*dataPages), opts)
-			series, m, err := runSeries(opts, root, every, ests...)
+			series, m, err := runSeries(root, every, ests...)
 			if err != nil {
 				panic(err)
 			}

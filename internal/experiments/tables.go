@@ -215,21 +215,14 @@ func Thm4(opts Options) Result {
 	}
 	trials := 300
 	var rows [][]string
+	metrics := map[string]float64{}
 	for _, w := range workloads {
 		frac := core.FractionCPredictive(w.work, 2, trials, opts.Seed)
 		// Worst dne error over sampled predictive orders.
 		worst := worstDneOverPredictive(w.work, trials, opts.Seed+1)
-		rows = append(rows, []string{
-			w.name,
-			f3(frac),
-			f3(worst),
-		})
-	}
-	metrics := map[string]float64{}
-	for _, row := range rows {
-		if v, err := strconvParse(row[1]); err == nil {
-			metrics["frac_"+row[0]] = v
-		}
+		rows = append(rows, []string{w.name, f3(frac), f3(worst)})
+		metrics["frac_"+w.name] = frac
+		metrics["worst_dne_"+w.name] = worst
 	}
 	return Result{
 		ID:      "thm4",
@@ -238,12 +231,6 @@ func Thm4(opts Options) Result {
 		Rows:    rows,
 		Metrics: metrics,
 	}
-}
-
-func strconvParse(s string) (float64, error) {
-	var v float64
-	_, err := fmt.Sscanf(s, "%f", &v)
-	return v, err
 }
 
 func uniformWork(n int, w int64) []int64 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlprogress/internal/core"
 	"sqlprogress/internal/coretest"
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/fault"
@@ -259,7 +260,7 @@ func TestServiceChaos(t *testing.T) {
 		// The recorded sample series must satisfy every estimator
 		// invariant, fault-shortened or not.
 		if smps := a.sess.Samples(); len(smps) > 0 {
-			series := coretest.Series{
+			series := core.Series{
 				Label:     a.sess.ID() + "/" + a.sess.Text(),
 				Names:     []string{"dne", "pmax", "safe"},
 				Samples:   smps,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlprogress/internal/core"
 	"sqlprogress/internal/tpch"
 )
 
@@ -13,17 +14,11 @@ import (
 // every session continuously sampled by its off-thread monitor, a random
 // subset canceled mid-flight, all under -race in CI.
 //
-// Per-session assertions mirror the paper's hard guarantees as they must
-// hold for concurrently-observed executions:
-//
-//   - LB never decreases and UB never increases across a session's samples
-//     (the bounds only refine),
-//   - LB <= UB at every sample (the interval never crosses),
-//   - for finished sessions, every sample's bounds straddle total(Q) and
-//     the final pmax estimate is exactly 1.0 (Curr/LB with LB <= total(Q),
-//     clamped — dne and safe may legitimately end below 1.0 on rescan-heavy
-//     plans whose bounds never pin),
-//   - the registry and metrics agree with the per-session terminal states.
+// Every session's recorded series — finished, or canceled mid-run and judged
+// against its call count at abort — must pass the one series checker,
+// core.Series, as it must hold for concurrently-observed executions; a
+// finished session must have samples and a final progress event; and the
+// registry and metrics must agree with the per-session terminal states.
 func TestStressConcurrentTPCHSessions(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 11})
 	const nSessions = 48
@@ -80,51 +75,25 @@ func TestStressConcurrentTPCHSessions(t *testing.T) {
 		switch in.State {
 		case StateFinished:
 			finished++
+			if len(s.Samples()) == 0 || in.Progress == nil || !in.Progress.Final {
+				t.Fatalf("%s: finished without samples or a final progress event", s.ID())
+			}
 		case StateCanceled:
 			canceled++
 		default:
 			t.Fatalf("%s (%s): unexpected terminal state %s (err %v)",
 				s.ID(), s.Text(), in.State, s.Err())
 		}
-
-		samples := s.Samples()
-		for i, smp := range samples {
-			if smp.LB > smp.UB {
-				t.Fatalf("%s: sample %d interval crossed [%d, %d]", s.ID(), i, smp.LB, smp.UB)
-			}
-			if i > 0 {
-				if smp.LB < samples[i-1].LB {
-					t.Fatalf("%s: LB decreased at sample %d (%d -> %d)",
-						s.ID(), i, samples[i-1].LB, smp.LB)
-				}
-				if smp.UB > samples[i-1].UB {
-					t.Fatalf("%s: UB increased at sample %d (%d -> %d)",
-						s.ID(), i, samples[i-1].UB, smp.UB)
-				}
-			}
-			for j, est := range smp.Estimates {
-				if est < 0 || est > 1 {
-					t.Fatalf("%s: sample %d estimate %d = %f out of [0,1]", s.ID(), i, j, est)
-				}
-			}
+		series := core.Series{
+			Label:     s.ID() + "/" + s.Text(),
+			Names:     s.estNames,
+			Samples:   s.Samples(),
+			Completed: in.State == StateFinished,
+			Total:     in.Calls,
+			Mu:        in.Mu,
 		}
-		if in.State == StateFinished {
-			if len(samples) == 0 {
-				t.Fatalf("%s: finished with no samples", s.ID())
-			}
-			total := in.Calls
-			for i, smp := range samples {
-				if smp.LB > total || smp.UB < total {
-					t.Fatalf("%s: sample %d bounds [%d, %d] miss total %d",
-						s.ID(), i, smp.LB, smp.UB, total)
-				}
-			}
-			if in.Progress == nil || !in.Progress.Final {
-				t.Fatalf("%s: finished without final progress event", s.ID())
-			}
-			if pmax := in.Progress.Estimates["pmax"]; pmax != 1.0 {
-				t.Fatalf("%s: final pmax = %f, want exactly 1.0", s.ID(), pmax)
-			}
+		if err := series.Check(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
