@@ -3,86 +3,49 @@ package sqlprogress
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/datagen"
+	"sqlprogress/internal/evalmatrix"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/experiments"
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/plan"
 	"sqlprogress/internal/tpch"
 )
 
-// The paper-reproduction benchmarks: one per table and figure of the
-// evaluation section. Each runs the corresponding experiment at the default
-// scale and reports its headline numbers as custom metrics, so
+// BenchmarkPaper regenerates the paper's evaluation, one sub-benchmark per
+// sampled artifact (the accuracy matrix's paper cells), and reports its
+// headline numbers as custom metrics, so
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Paper
 //
-// regenerates the full evaluation. Absolute wall-clock is the engine's;
+// regenerates every figure and table. Absolute wall-clock is the engine's;
 // the reported metrics are the paper's quantities (errors are fractions of
 // total progress, ratios are ratio errors, mu is the paper's mu).
-
-func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("no experiment %q", id)
-	}
-	opts := experiments.Defaults()
-	var last experiments.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = e.Run(opts)
-	}
-	b.StopTimer()
-	keys := make([]string, 0, len(last.Metrics))
-	for k := range last.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		// testing.B rejects units with whitespace; normalize workload
-		// labels like "zipf z=2".
-		unit := strings.NewReplacer(" ", "_", "=", "").Replace(k)
-		b.ReportMetric(last.Metrics[k], unit)
+func BenchmarkPaper(b *testing.B) {
+	for _, a := range evalmatrix.PaperArtifacts() {
+		b.Run(a.ID, func(b *testing.B) {
+			var scored []evalmatrix.Scored
+			for i := 0; i < b.N; i++ {
+				var err error
+				if scored, err = evalmatrix.RunPaper(evalmatrix.DefaultOptions(), a.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			metrics := a.Report(scored).Metrics
+			keys := make([]string, 0, len(metrics))
+			for k := range metrics {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				b.ReportMetric(metrics[k], k)
+			}
+		})
 	}
 }
-
-// BenchmarkFig3DneTPCHQ1 regenerates Figure 3 (dne on TPC-H Q1).
-func BenchmarkFig3DneTPCHQ1(b *testing.B) { benchExperiment(b, "fig3") }
-
-// BenchmarkFig4PmaxVsDne regenerates Figure 4 (skew-first order).
-func BenchmarkFig4PmaxVsDne(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFig5SafeVsDneWorstCase regenerates Figure 5 (skew-last order).
-func BenchmarkFig5SafeVsDneWorstCase(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkTable1ScanBasedPlans regenerates Table 1 (INL vs hash).
-func BenchmarkTable1ScanBasedPlans(b *testing.B) { benchExperiment(b, "tab1") }
-
-// BenchmarkFig6PmaxQ21 regenerates Figure 6 (pmax ratio error decay).
-func BenchmarkFig6PmaxQ21(b *testing.B) { benchExperiment(b, "fig6") }
-
-// BenchmarkFig7SafeVsDneGoodCase regenerates Figure 7 (favourable case).
-func BenchmarkFig7SafeVsDneGoodCase(b *testing.B) { benchExperiment(b, "fig7") }
-
-// BenchmarkTable2TPCHMu regenerates Table 2 (mu for TPC-H Q1–Q21).
-func BenchmarkTable2TPCHMu(b *testing.B) { benchExperiment(b, "tab2") }
-
-// BenchmarkTable3SkyServerMu regenerates Table 3 (mu for SkyServer).
-func BenchmarkTable3SkyServerMu(b *testing.B) { benchExperiment(b, "tab3") }
-
-// BenchmarkThm1LowerBound regenerates the Theorem 1 construction.
-func BenchmarkThm1LowerBound(b *testing.B) { benchExperiment(b, "thm1") }
-
-// BenchmarkThm3RandomOrders regenerates the Theorem 3 measurement.
-func BenchmarkThm3RandomOrders(b *testing.B) { benchExperiment(b, "thm3") }
-
-// BenchmarkThm4PredictiveOrders regenerates the Theorem 4 measurement.
-func BenchmarkThm4PredictiveOrders(b *testing.B) { benchExperiment(b, "thm4") }
 
 // --- engine micro-benchmarks and ablations -----------------------------------------
 

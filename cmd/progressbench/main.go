@@ -1,17 +1,18 @@
-// Command progressbench regenerates the paper's tables and figures.
+// Command progressbench regenerates the paper's tables and figures from the
+// accuracy matrix's paper cells (internal/evalmatrix), the same runs
+// BENCH_ACC.json records.
 //
 // Usage:
 //
-//	progressbench -experiment all            # every experiment, paper order
-//	progressbench -experiment fig4           # one experiment
-//	progressbench -experiment tab2 -scale fast
+//	progressbench -experiment all            # every artifact, paper order
+//	progressbench -experiment fig4           # one artifact
 //	progressbench -experiment fig5 -csv      # raw series as CSV
 //	progressbench -list
 //
-// Scales: "default" (a few seconds per experiment) and "fast" (test scale).
 // Absolute numbers differ from the paper (the substrate is this package's
-// own engine, not SQL Server 2005 on 1 GB data); the shapes are asserted by
-// the test suite and recorded against the paper's values in EXPERIMENTS.md.
+// own engine, not SQL Server 2005 on 1 GB data); the shapes are the claims
+// evalmatrix.PaperClaims checks, recorded against the paper's values in
+// EXPERIMENTS.md.
 package main
 
 import (
@@ -19,55 +20,42 @@ import (
 	"fmt"
 	"os"
 
-	"sqlprogress/internal/experiments"
+	"sqlprogress/internal/evalmatrix"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (fig3..fig7, tab1..tab3, thm1, thm4) or 'all'")
-		scale      = flag.String("scale", "default", "experiment scale: default | fast")
+		experiment = flag.String("experiment", "all", "artifact id (see -list) or 'all'")
 		csv        = flag.Bool("csv", false, "emit raw series as CSV instead of rendered tables")
-		list       = flag.Bool("list", false, "list experiments and exit")
+		list       = flag.Bool("list", false, "list artifacts and exit")
 	)
 	flag.Parse()
 
+	arts := evalmatrix.PaperArtifacts()
 	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-6s %s\n", e.ID, e.Title)
+		for _, a := range arts {
+			fmt.Printf("%-6s %s\n", a.ID, a.Title)
 		}
 		return
 	}
-
-	var opts experiments.Options
-	switch *scale {
-	case "default":
-		opts = experiments.Defaults()
-	case "fast":
-		opts = experiments.Fast()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	var ids []string
+	if *experiment != "all" {
+		ids = []string{*experiment}
+	}
+	scored, err := evalmatrix.RunPaper(evalmatrix.DefaultOptions(), ids...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "progressbench:", err)
 		os.Exit(2)
 	}
-
-	run := func(e experiments.Experiment) {
-		r := e.Run(opts)
+	for _, a := range arts {
+		if len(ids) > 0 && a.ID != ids[0] {
+			continue
+		}
+		r := a.Report(scored)
 		if *csv {
 			fmt.Print(r.CSV())
 		} else {
 			fmt.Println(r.Render())
 		}
 	}
-
-	if *experiment == "all" {
-		for _, e := range experiments.All() {
-			run(e)
-		}
-		return
-	}
-	e, ok := experiments.ByID(*experiment)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *experiment)
-		os.Exit(2)
-	}
-	run(e)
 }

@@ -730,18 +730,11 @@ func TestMetrics(t *testing.T) {
 	if got := AvgAbsError(pts); math.Abs(got-0.15) > 1e-12 {
 		t.Errorf("AvgAbsError = %g", got)
 	}
-	if got := FinalAbsError(pts); got != 0 {
-		t.Errorf("FinalAbsError = %g", got)
-	}
 	if RatioError(0, 0.5) != math.Inf(1) {
 		t.Error("ratio error with zero actual should be +Inf")
 	}
 	if got := RatioErrorAfter(pts, 0.7); got != 1 {
 		t.Errorf("RatioErrorAfter(0.7) = %g", got)
-	}
-	res := RatioErrors(pts)
-	if len(res) != 3 || res[0].Ratio != 2 {
-		t.Errorf("RatioErrors = %v", res)
 	}
 }
 

@@ -50,24 +50,6 @@ func AvgAbsError(pts []Point) float64 {
 	return sum / float64(len(pts))
 }
 
-// FinalAbsError returns the absolute error at the last sample strictly
-// before completion (Figure 7's "off by 20% even at the end"). Series of
-// completed runs always end with an at-EOF sample where actual progress is
-// exactly 1 and any bounds-constrained estimator is trivially exact; the
-// quantity of interest is the error just before that instant.
-func FinalAbsError(pts []Point) float64 {
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].Actual < 1 {
-			return math.Abs(pts[i].Est - pts[i].Actual)
-		}
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	p := pts[len(pts)-1]
-	return math.Abs(p.Est - p.Actual)
-}
-
 // SatisfiesThreshold checks the paper's threshold requirement (Section 2.5)
 // over a series: whenever actual < tau-delta the estimate must be < tau,
 // and whenever actual > tau+delta the estimate must be > tau. Estimates in
@@ -108,21 +90,6 @@ func OverestimateShare(pts []Point) float64 {
 		}
 	}
 	return float64(n) / float64(len(pts))
-}
-
-// RatioErrorSeries maps a series to per-sample ratio errors keyed by actual
-// progress — Figure 6's shape (error decaying over execution).
-type RatioPoint struct {
-	Actual, Ratio float64
-}
-
-// RatioErrors computes the per-sample ratio-error series.
-func RatioErrors(pts []Point) []RatioPoint {
-	out := make([]RatioPoint, len(pts))
-	for i, p := range pts {
-		out[i] = RatioPoint{Actual: p.Actual, Ratio: RatioError(p.Actual, p.Est)}
-	}
-	return out
 }
 
 // RatioErrorAfter returns the worst ratio error among samples with actual

@@ -21,7 +21,7 @@ type Sample struct {
 
 // SampleSet holds a monitored execution's samples and exposes the series
 // API shared by the inline Monitor (deterministic, call-count periods: the
-// experiments, the accuracy matrix and the invariant tests) and the
+// accuracy matrix with its paper cells, and the invariant tests) and the
 // wall-clock AsyncMonitor (the serving path). Either series is judged by the
 // one checker, Series.
 type SampleSet struct {

@@ -15,6 +15,12 @@
 // the pessimistic degree-norm UBTight. cmd/benchdump emits the matrix as
 // BENCH_ACC.json and cmd/benchgate fails CI when a cell regresses.
 //
+// The same harness scores the paper's evaluation (paper.go): Figures 3-7,
+// Tables 1-3 and the cold-vs-warm pager runs are 38 paper cells, row engine,
+// fixed data, appended to the grid's rows as dataset "paper" with the cell
+// name as family. PaperClaims states the paper's qualitative claims over
+// those rows, and cmd/progressbench renders each artifact from them.
+//
 // The mmjoin family is the degree-norm showcase: a self-join over a
 // moderately skewed key whose only classic (FK-free) upper bound is the
 // cross product, while the l1/l2/l-infinity degree norms bound the true

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/experiments"
 	"sqlprogress/internal/stats"
 )
 
@@ -104,6 +104,9 @@ type Row struct {
 	// MaxRatioErr is the worst max(a/e, e/a) over the cell's samples,
 	// capped at RatioErrCap.
 	MaxRatioErr float64 `json:"max_ratio_err"`
+	// MaxAbsErr is the worst |estimate - actual| over the samples (the
+	// paper's Table 1 measure).
+	MaxAbsErr float64 `json:"max_abs_err"`
 	// L1Err is the mean |estimate - actual| over the samples.
 	L1Err float64 `json:"l1_err"`
 	// Convergence is the actual-progress fraction after which the ratio
@@ -180,9 +183,26 @@ func estimators(opts Options) []core.Estimator {
 	return out
 }
 
-// Run executes the full matrix and returns one Row per cell per estimator,
-// in deterministic sweep order (dataset, health, family, engine, estimator).
+// Run executes the full matrix and then the paper cells (RunPaper), and
+// returns one Row per cell per estimator, in deterministic sweep order
+// (dataset, health, family, engine, estimator; then paper cell order).
 func Run(opts Options) ([]Row, error) {
+	rows, err := runGrid(opts)
+	if err != nil {
+		return nil, err
+	}
+	paper, err := RunPaper(opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, sc := range paper {
+		rows = append(rows, sc.Rows...)
+	}
+	return rows, nil
+}
+
+// runGrid executes the dataset x health x family x engine grid.
+func runGrid(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	var rows []Row
 	for _, ds := range datasets() {
@@ -193,13 +213,13 @@ func Run(opts Options) ([]Row, error) {
 			}
 			for _, fam := range sc.families {
 				for _, engine := range []string{"row", "batch"} {
-					cellRows, err := runCell(ds, health, fam, engine, opts)
+					cell, err := runCell(ds, health, fam, engine, opts)
 					if err != nil {
 						sc.cleanup()
 						return nil, fmt.Errorf("evalmatrix: %s/%s/%s/%s: %w",
 							ds.name, health, fam.name, engine, err)
 					}
-					rows = append(rows, cellRows...)
+					rows = append(rows, cell.Rows...)
 				}
 			}
 			sc.cleanup()
@@ -211,17 +231,17 @@ func Run(opts Options) ([]Row, error) {
 // runCell measures one (dataset, health, family, engine) cell: a dry run
 // sizes the sampling period from the cell's exact total, then a fresh plan
 // executes under the chosen engine with all estimators sampled.
-func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opts Options) ([]Row, error) {
+func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opts Options) (Scored, error) {
 	dry, err := fam.build()
 	if err != nil {
-		return nil, err
+		return Scored{}, err
 	}
 	// Parallel operators run their workers in lockstep: the interleaving,
 	// and so every sampled instant, must be the same run after run.
 	exec.Lockstep(dry)
 	dctx := exec.NewCtx()
 	if _, err := exec.Run(dctx, dry); err != nil {
-		return nil, err
+		return Scored{}, err
 	}
 	total := dctx.Calls()
 	every := total / opts.Samples
@@ -231,7 +251,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 
 	root, err := fam.build()
 	if err != nil {
-		return nil, err
+		return Scored{}, err
 	}
 	exec.Lockstep(root)
 	ests := estimators(opts)
@@ -245,7 +265,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 		err = fmt.Errorf("unknown engine %q", engine)
 	}
 	if err != nil {
-		return nil, err
+		return Scored{}, err
 	}
 
 	// The hard-bound counts come from the one series checker. Its estimator
@@ -255,14 +275,15 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 	misses := s.Count(core.RuleCurrUB, core.RuleLBTotal, core.RuleUBTotal)
 	tReg := s.Count(core.RuleUBTightMonotone)
 	tMiss := s.Count(core.RuleCurrUBTight, core.RuleUBTightTotal, core.RuleUBTightRange)
-	rows := make([]Row, 0, len(ests))
+	var out Scored
 	for i, e := range ests {
 		pts := m.SeriesAt(i)
 		maxErr := core.MaxRatioError(pts)
 		if maxErr > RatioErrCap {
 			maxErr = RatioErrCap
 		}
-		rows = append(rows, Row{
+		out.Series = append(out.Series, pts)
+		out.Rows = append(out.Rows, Row{
 			Dataset:            ds.name,
 			Stats:              string(health),
 			Family:             fam.name,
@@ -270,6 +291,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 			Estimator:          e.Name(),
 			Mu:                 s.Mu,
 			MaxRatioErr:        maxErr,
+			MaxAbsErr:          core.MaxAbsError(pts),
 			L1Err:              core.AvgAbsError(pts),
 			Convergence:        convergence(pts),
 			Samples:            len(m.Samples),
@@ -281,7 +303,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 			SkewedStale:        ds.skewed && health == stats.Stale && fam.name == "join",
 		})
 	}
-	return rows, nil
+	return out, nil
 }
 
 // convergence returns the actual-progress fraction of the first sample
@@ -342,11 +364,73 @@ func ReadFile(path string) ([]Row, error) {
 	return a.Rows, nil
 }
 
+// Result is one rendered table: the matrix's per-cell summary (Table) or one
+// paper artifact (Artifact.Report).
+type Result struct {
+	// ID names the table (acc, fig3, tab1, ...).
+	ID string
+	// Title is its caption.
+	Title string
+	// Headers and Rows form the table (for a figure, the sampled series).
+	Headers []string
+	Rows    [][]string
+	// Notes carries the headline numbers and the paper's reported values.
+	Notes []string
+	// Metrics exposes the numbers programmatically (BenchmarkPaper reports
+	// them).
+	Metrics map[string]float64
+}
+
+// Render formats the result as aligned text.
+func (r Result) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
+	widths := make([]int, len(r.Headers))
+	for i, h := range r.Headers {
+		widths[i] = len(h)
+	}
+	for _, row := range r.Rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(r.Headers)
+	for _, row := range r.Rows {
+		writeRow(row)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "# %s\n", n)
+	}
+	return b.String()
+}
+
+// CSV renders the result rows as comma-separated values.
+func (r Result) CSV() string {
+	var b strings.Builder
+	b.WriteString(strings.Join(r.Headers, ","))
+	b.WriteByte('\n')
+	for _, row := range r.Rows {
+		b.WriteString(strings.Join(row, ","))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // Table folds the per-estimator rows into one rendered line per matrix cell
-// (max ratio error per estimator, safe's convergence point), reusing the
-// experiments Result rendering used by every other table in the repo.
-func Table(rows []Row) experiments.Result {
-	res := experiments.Result{
+// (max ratio error per estimator, safe's convergence point).
+func Table(rows []Row) Result {
+	res := Result{
 		ID:      "acc",
 		Title:   "estimator accuracy matrix (max ratio error per cell)",
 		Headers: []string{"dataset", "stats", "family", "engine", "mu", "dne", "pmax", "safe", "lp-safe", "combiner", "conv(safe)", "flag"},

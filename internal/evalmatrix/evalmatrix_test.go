@@ -2,6 +2,8 @@ package evalmatrix
 
 import (
 	"bytes"
+	"strings"
+	"sync"
 	"testing"
 
 	"sqlprogress/internal/core"
@@ -22,14 +24,28 @@ func testOptions() Options {
 	}
 }
 
+var gridOnce struct {
+	sync.Once
+	rows []Row
+	err  error
+}
+
+// testGrid runs the grid (no paper cells) at testOptions once per test
+// binary; the tests below only read its rows.
+func testGrid(t *testing.T) []Row {
+	t.Helper()
+	gridOnce.Do(func() { gridOnce.rows, gridOnce.err = runGrid(testOptions()) })
+	if gridOnce.err != nil {
+		t.Fatal(gridOnce.err)
+	}
+	return gridOnce.rows
+}
+
 // TestMatrixDeterministic is the flake audit: two back-to-back runs must
 // encode to byte-identical artifacts.
 func TestMatrixDeterministic(t *testing.T) {
-	r1, err := Run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(testOptions())
+	r1 := testGrid(t)
+	r2, err := runGrid(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +72,7 @@ func TestMatrixDeterministic(t *testing.T) {
 // violations anywhere, and the paper's ordering safe <= dne on every
 // skewed-stale cell.
 func TestMatrixShapeAndSoundness(t *testing.T) {
-	rows, err := Run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := testGrid(t)
 	cells := map[string]map[string]Row{}
 	for _, r := range rows {
 		id := r.CellID()
@@ -151,10 +164,7 @@ func minF(a, b float64) float64 {
 // the row- and batch-engine variants of the same logical cell must agree on
 // it (PR 5's quiesce equivalence, observed through the matrix).
 func TestMatrixEnginesAgreeOnTotals(t *testing.T) {
-	rows, err := Run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := testGrid(t)
 	mu := map[string]float64{}
 	for _, r := range rows {
 		logical := r.Dataset + "/" + r.Stats + "/" + r.Family
@@ -172,13 +182,10 @@ func TestMatrixEnginesAgreeOnTotals(t *testing.T) {
 // matrix rows — the mechanism the accuracy gate's negative self-test relies
 // on.
 func TestPerturbationInflatesError(t *testing.T) {
-	base, err := Run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := testGrid(t)
 	opts := testOptions()
 	opts.Perturb = map[string]float64{"dne": 0.7}
-	broken, err := Run(opts)
+	broken, err := runGrid(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestPerturbationInflatesError(t *testing.T) {
 func TestArtifactRoundTrip(t *testing.T) {
 	rows := []Row{
 		{Dataset: "d", Stats: string(stats.Fresh), Family: "scan", Engine: "row",
-			Estimator: "dne", Mu: 1, MaxRatioErr: 1.25, L1Err: 0.01,
+			Estimator: "dne", Mu: 1, MaxRatioErr: 1.25, MaxAbsErr: 0.1, L1Err: 0.01,
 			Convergence: 0.5, Samples: 12},
 		{Dataset: "d", Stats: string(stats.Stale), Family: "join", Engine: "batch",
 			Estimator: "safe", Mu: 2.5, MaxRatioErr: RatioErrCap, L1Err: 0.2,
@@ -236,10 +243,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 
 // TestTable renders without panicking and reports every cell once.
 func TestTable(t *testing.T) {
-	rows, err := Run(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := testGrid(t)
 	res := Table(rows)
 	if want := len(rows) / len(estimators(testOptions())); len(res.Rows) != want {
 		t.Fatalf("table has %d rows, want %d", len(res.Rows), want)
@@ -273,5 +277,21 @@ func TestConvergenceMetric(t *testing.T) {
 	// Converged from the start.
 	if got := convergence(mk(0.5, 0.5, 1.0, 1.0)); got != 0.5 {
 		t.Fatalf("convergence = %v, want 0.5", got)
+	}
+}
+
+func TestRenderAndCSV(t *testing.T) {
+	r := Result{
+		ID: "x", Title: "t",
+		Headers: []string{"a", "bb"},
+		Rows:    [][]string{{"1", "2"}},
+		Notes:   []string{"note"},
+	}
+	out := r.Render()
+	if !strings.Contains(out, "== x: t ==") || !strings.Contains(out, "# note") {
+		t.Errorf("render = %q", out)
+	}
+	if csv := r.CSV(); csv != "a,bb\n1,2\n" {
+		t.Errorf("csv = %q", csv)
 	}
 }

@@ -315,32 +315,43 @@ func skewLastOrder(cat *catalog.Catalog, driver, driverKey, fact, factKey string
 	return order
 }
 
-// pagedFamily writes rel to a temp heap file and returns a build function
-// producing a fresh cold-pool paged scan per call (every run faults its own
-// pages, so both the dry run and each engine's monitored run see the same
-// deterministic I/O-weighted accounting). The temp directory is removed
-// immediately — the held descriptor keeps the pages readable.
+// pagedFamily returns a build function producing a fresh cold-pool paged
+// scan of rel per call (every run faults its own pages, so both the dry run
+// and each engine's monitored run see the same deterministic I/O-weighted
+// accounting).
 func pagedFamily(rel *schema.Relation) (func() (exec.Operator, error), func(), error) {
-	dir, err := os.MkdirTemp("", "evalmatrix-heap-")
-	if err != nil {
-		return nil, nil, err
-	}
-	path := filepath.Join(dir, rel.Name+".heap")
-	if err := pager.WriteRelation(path, rel); err != nil {
-		os.RemoveAll(dir)
-		return nil, nil, err
-	}
-	hf, err := pager.OpenHeapFile(path)
-	os.RemoveAll(dir)
+	hf, err := spill(rel)
 	if err != nil {
 		return nil, nil, err
 	}
 	build := func() (exec.Operator, error) {
-		pr := pager.NewPagedRelation(hf, pager.NewPool(pagedFrames))
-		pr.SetReadCost(pagedReadCost)
+		pr := pagedStore(hf, pagedFrames)
 		op := exec.NewStoreScan(pr, nil)
 		op.SetEstimatedCard(pr.Cardinality())
 		return op, nil
 	}
 	return build, func() { hf.Close() }, nil
+}
+
+// spill writes rel to a temp heap file and opens it. The temp directory is
+// removed immediately — the held descriptor keeps the pages readable.
+func spill(rel *schema.Relation) (*pager.HeapFile, error) {
+	dir, err := os.MkdirTemp("", "evalmatrix-heap-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, rel.Name+".heap")
+	if err := pager.WriteRelation(path, rel); err != nil {
+		return nil, err
+	}
+	return pager.OpenHeapFile(path)
+}
+
+// pagedStore binds a heap file to a fresh pool of the given frames, each
+// faulting row charged 1+pagedReadCost units.
+func pagedStore(hf *pager.HeapFile, frames int) *pager.PagedRelation {
+	pr := pager.NewPagedRelation(hf, pager.NewPool(frames))
+	pr.SetReadCost(pagedReadCost)
+	return pr
 }

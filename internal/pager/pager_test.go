@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,7 +250,9 @@ func TestPoolHitMissEviction(t *testing.T) {
 	}
 }
 
-func TestPoolExhausted(t *testing.T) {
+// TestPoolGetWaitsForRelease: a Get that finds every frame pinned waits
+// until another goroutine releases one, then loads its page into it.
+func TestPoolGetWaitsForRelease(t *testing.T) {
 	rel := testRel(t, "x", 5000)
 	hf := openTestFile(t, writeTestFile(t, rel))
 	if hf.DataPages() < 3 {
@@ -265,16 +268,40 @@ func TestPoolExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pool.Get(f, hf.dataStart+2); !errors.Is(err, ErrPoolExhausted) {
-		t.Fatalf("want ErrPoolExhausted, got %v", err)
+	got := make(chan error, 1)
+	go func() {
+		fr2, miss, err := pool.Get(f, hf.dataStart+2)
+		if err == nil {
+			if !miss {
+				err = errors.New("waiting Get counted a hit")
+			}
+			pool.Release(fr2)
+		}
+		got <- err
+	}()
+	// The Get blocks until a frame unpins; wait for it to register.
+	for {
+		pool.mu.Lock()
+		w := pool.waiting
+		pool.mu.Unlock()
+		if w == 1 {
+			break
+		}
+		runtime.Gosched()
 	}
-	pool.Release(fr1)
-	fr2, _, err := pool.Get(f, hf.dataStart+2)
-	if err != nil {
-		t.Fatalf("after release: %v", err)
+	select {
+	case err := <-got:
+		t.Fatalf("Get returned (%v) while every frame was pinned", err)
+	default:
 	}
-	pool.Release(fr2)
+	go pool.Release(fr1)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
 	pool.Release(fr0)
+	if n := pool.Pinned(); n != 0 {
+		t.Fatalf("%d frame(s) still pinned", n)
+	}
 }
 
 // flakyBackend fails reads of one page a fixed number of times.

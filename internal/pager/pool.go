@@ -1,7 +1,6 @@
 package pager
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,12 +10,6 @@ import (
 // 64 frames × 8 KiB = 512 KiB of cache, small enough that the benchmark
 // relations do not fit — cold scans actually evict.
 const DefaultPoolFrames = 64
-
-// ErrPoolExhausted is returned by Get when every frame is pinned — the
-// working set of concurrently pinned pages exceeds the pool. Scans pin one
-// page per cursor, so this indicates a pool sized below the query's
-// parallelism, not a transient condition.
-var ErrPoolExhausted = errors.New("pager: buffer pool exhausted (all frames pinned)")
 
 // Stats is a point-in-time copy of the pool's counters. All counters are
 // cumulative over the pool's lifetime.
@@ -87,15 +80,19 @@ func (f *File) Backend() Backend { return f.b }
 // Pool is a shared buffer pool of page frames with pinning and CLOCK
 // eviction. It is safe for concurrent use; the mutex guards only the page
 // table and frame metadata — physical reads run outside the lock, so
-// parallel workers' cold reads overlap instead of serializing.
+// parallel workers' cold reads overlap instead of serializing. A Get that
+// finds every frame pinned waits for a Release: a cursor pins a page only
+// while it loads it, so a pin is always about to be released.
 type Pool struct {
-	mu     sync.Mutex
-	cap    int
-	frames []*Frame
-	free   []*Frame
-	table  map[pageKey]*Frame
-	hand   int
-	nextID uint32
+	mu      sync.Mutex
+	freed   sync.Cond // signalled by Release when a frame unpins and a Get waits
+	waiting int       // Gets blocked on freed
+	cap     int
+	frames  []*Frame
+	free    []*Frame
+	table   map[pageKey]*Frame
+	hand    int
+	nextID  uint32
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -110,7 +107,9 @@ func NewPool(frames int) *Pool {
 	if frames <= 0 {
 		frames = DefaultPoolFrames
 	}
-	return &Pool{cap: frames, table: make(map[pageKey]*Frame)}
+	p := &Pool{cap: frames, table: make(map[pageKey]*Frame)}
+	p.freed.L = &p.mu
+	return p
 }
 
 // Register attaches a backend to the pool, returning the handle page reads
@@ -160,29 +159,33 @@ func (p *Pool) Capacity() int { return p.cap }
 // When another goroutine is already loading the page, Get counts a hit
 // (the read was not duplicated) and waits for that load; per-frame ready
 // channels make the wait per-page, so two workers faulting different pages
-// never serialize each other's I/O.
+// never serialize each other's I/O. When every frame is pinned, Get waits
+// for a Release and looks again: the page may have been loaded meanwhile.
 func (p *Pool) Get(f *File, page uint32) (fr *Frame, miss bool, err error) {
 	key := pageKey{file: f.id, page: page}
 	p.mu.Lock()
-	if fr := p.table[key]; fr != nil {
-		fr.pins++
-		fr.ref = true
-		ready := fr.ready
-		p.mu.Unlock()
-		p.pins.Add(1)
-		p.hits.Add(1)
-		<-ready
-		if fr.err != nil {
-			err := fr.err
-			p.Release(fr)
-			return nil, false, err
+	for {
+		if fr := p.table[key]; fr != nil {
+			fr.pins++
+			fr.ref = true
+			ready := fr.ready
+			p.mu.Unlock()
+			p.pins.Add(1)
+			p.hits.Add(1)
+			<-ready
+			if fr.err != nil {
+				err := fr.err
+				p.Release(fr)
+				return nil, false, err
+			}
+			return fr, false, nil
 		}
-		return fr, false, nil
-	}
-	fr, err = p.grabFrameLocked()
-	if err != nil {
-		p.mu.Unlock()
-		return nil, false, err
+		if fr = p.grabFrameLocked(); fr != nil {
+			break
+		}
+		p.waiting++
+		p.freed.Wait()
+		p.waiting--
 	}
 	fr.key = key
 	fr.pins = 1
@@ -229,23 +232,26 @@ func (p *Pool) Release(fr *Frame) {
 		fr.key = pageKey{}
 		p.free = append(p.free, fr)
 	}
+	if fr.pins == 0 && p.waiting > 0 {
+		p.freed.Broadcast()
+	}
 	p.mu.Unlock()
 }
 
 // grabFrameLocked returns an empty frame to load into: off the free list,
 // freshly allocated while under capacity, or by evicting an unpinned
 // resident page chosen by the CLOCK hand (referenced frames get one second
-// chance). Caller holds p.mu.
-func (p *Pool) grabFrameLocked() (*Frame, error) {
+// chance). It returns nil when every frame is pinned. Caller holds p.mu.
+func (p *Pool) grabFrameLocked() *Frame {
 	if n := len(p.free); n > 0 {
 		fr := p.free[n-1]
 		p.free = p.free[:n-1]
-		return fr, nil
+		return fr
 	}
 	if len(p.frames) < p.cap {
 		fr := &Frame{buf: make([]byte, PageSize)}
 		p.frames = append(p.frames, fr)
-		return fr, nil
+		return fr
 	}
 	// Two full sweeps: the first may only clear reference bits, the second
 	// must then find a victim unless every frame is pinned. Loading frames
@@ -262,7 +268,7 @@ func (p *Pool) grabFrameLocked() (*Frame, error) {
 		}
 		delete(p.table, fr.key)
 		p.evictions.Add(1)
-		return fr, nil
+		return fr
 	}
-	return nil, ErrPoolExhausted
+	return nil
 }
