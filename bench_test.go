@@ -135,6 +135,48 @@ func TestBatchHashJoinAllocBudget(t *testing.T) {
 	}
 }
 
+// The ceilings on exec.RunBatch over join3 (pagedVsMemClasses[3]) compiled
+// from SQL over TPC-H -sf 0.01 in memory: customer probes orders, and their
+// join probes lineitem (≈ 60 000 rows). Both figures are deterministic (415
+// allocs and 16.9 MB per run when the budget was set). What the bytes hold is
+// the compiler's per-join width: each join emits only the columns read above
+// it, so the top join's rows are one column wide and the bottom join's two;
+// with one statement-wide name set they were six and four, and 26.6 MB.
+const (
+	batchCompiledJoinAllocBudget = 440
+	batchCompiledJoinBytesBudget = 17_800_000
+)
+
+// TestBatchCompiledJoinAllocBudget holds join3, as the compiler plans it, to
+// both budgets. Wall-clock is not checked.
+func TestBatchCompiledJoinAllocBudget(t *testing.T) {
+	db := OpenTPCH(0.01, 1, 42)
+	sql := pagedVsMemClasses[3].sql
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			q, err := db.Query(sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			op := q.Plan()
+			b.StartTimer()
+			if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if r.N == 0 {
+		t.Fatal("benchmark body failed")
+	}
+	if got := r.AllocsPerOp(); got > batchCompiledJoinAllocBudget {
+		t.Errorf("compiled join3: %d allocs/op, budget %d", got, batchCompiledJoinAllocBudget)
+	}
+	if got := r.AllocedBytesPerOp(); got > batchCompiledJoinBytesBudget {
+		t.Errorf("compiled join3: %d bytes/op, budget %d", got, batchCompiledJoinBytesBudget)
+	}
+}
+
 // The four statement classes the end-to-end benchmark's paged workload is
 // built from (benchmark/workload.go), one parameterisation each.
 var pagedVsMemClasses = []struct{ name, sql string }{

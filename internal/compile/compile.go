@@ -6,17 +6,23 @@
 // the paper's subject is what happens *after* the optimizer picked a plan,
 // so plan choice is deliberately simple and predictable.
 //
-// Join width: one walk over the statement (statementColumns) collects every
-// column name it mentions, and each inner or left-outer hash join emits only
-// the child columns whose name is in that set (all of them under SELECT *).
-// Expressions bind by name against whatever schema is below them, so nothing
-// above a join can tell; and since the paper counts GetNext calls, not
-// bytes, every node's counts, bounds and estimates are the same as with
-// full-width rows — only the copying per joined row shrinks. The rule is by
-// name, not per-join liveness: a column kept for one clause is kept through
-// every join. Semi/anti joins already emit the probe row as is.
+// Join width: each inner or left-outer hash join emits only the child
+// columns whose name is read by something evaluated above it — the select
+// list, GROUP BY, HAVING, ORDER BY, residual filters, EXISTS/IN sub-selects
+// (every clause) and the join predicates of the joins placed after it — and
+// every column under SELECT *. The names come from the walk that collects
+// what a statement reads (readNames), taken clause by clause from the top of
+// the join chain down (joinOutputs). It is sound because binding is by name:
+// whatever is evaluated at a join finds, under each name it reads, the same
+// columns it would find in a full-width row, since every join below it keeps
+// every column of that name. Join keys are evaluated on the child rows, so a
+// key need not outlive its own join. And since the paper counts GetNext
+// calls, not bytes, every node's counts, bounds and estimates are the same as
+// with full-width rows — only the copying per joined row shrinks. Semi/anti
+// joins already emit the probe row as is.
 //
-// Scan width: the same set goes to every scan the compiler builds. A scan of
+// Scan width: every scan the compiler builds gets the statement-wide set
+// (statementColumns): all the names the statement reads. A scan of
 // an in-memory relation ignores it and hands out references into the base
 // relation, as before; a scan of a disk-backed table (a pager heap file)
 // has to build its rows anyway, so it decodes only the table's columns whose
@@ -33,6 +39,7 @@ package compile
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"sqlprogress/internal/catalog"
@@ -69,6 +76,13 @@ type compiler struct {
 	b       *plan.Builder
 	aliases map[string]string // alias (lower) -> base table name
 	keep    plan.Columns      // names the statement reads; nil = all (SELECT *)
+}
+
+// joinStep is how one FROM entry joins the tables placed before it: its
+// equi-join keys (none: a cross join) and the predicates they come from.
+type joinStep struct {
+	probe, build []string
+	on           []sqlparse.Node
 }
 
 // fromEntry is one flattened FROM element.
@@ -235,64 +249,38 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 		return n, convErr
 	}
 
-	cur, err := scan(entries[0], true)
-	if err != nil {
-		return plan.Node{}, err
-	}
+	// Every join's keys are decided before anything is built: what a join
+	// emits depends on the joins placed after it.
+	steps := make([]joinStep, len(entries))
 	placed := map[string]bool{strings.ToLower(entries[0].table): true}
 	usedJoin := make([]bool, len(joins))
-
-	for _, e := range entries[1:] {
+	for i, e := range entries[1:] {
 		tl := strings.ToLower(e.table)
 		if placed[tl] {
 			return plan.Node{}, fmt.Errorf("compile: table %s appears twice (self-joins are not supported)", e.table)
 		}
-		var probeCols, buildCols []string
+		st := &steps[i+1]
 		if e.joinKind == "left" {
-			pc, bc, err := c.equiKeys(splitAnd(e.on), placed, tl)
-			if err != nil {
-				return plan.Node{}, err
-			}
-			probeCols, buildCols = pc, bc
-			if len(probeCols) == 0 {
+			st.on = splitAnd(e.on)
+			st.probe, st.build = c.equiKeys(st.on, placed, tl)
+			if len(st.probe) == 0 {
 				return plan.Node{}, fmt.Errorf("compile: LEFT JOIN %s requires an equi-join ON condition", e.table)
 			}
-			// Outer joins must not push WHERE predicates below the join.
-			build, err := scan(e, false)
-			if err != nil {
-				return plan.Node{}, err
-			}
-			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.LeftOuterJoin, c.keep)
-			placed[tl] = true
-			continue
-		}
-		for i, j := range joins {
-			if usedJoin[i] {
-				continue
-			}
-			pc, bc, err := c.equiKeys([]sqlparse.Node{j}, placed, tl)
-			if err != nil {
-				return plan.Node{}, err
-			}
-			if len(pc) > 0 {
-				probeCols = append(probeCols, pc...)
-				buildCols = append(buildCols, bc...)
-				usedJoin[i] = true
-			}
-		}
-		build, err := scan(e, true)
-		if err != nil {
-			return plan.Node{}, err
-		}
-		if len(probeCols) == 0 {
-			// No connecting predicate: cross join via nested loops.
-			cur = c.b.Cross(cur, build)
 		} else {
-			cur = cur.HashJoinMulti(build, probeCols, buildCols, exec.InnerJoin, c.keep)
+			for j, cj := range joins {
+				if usedJoin[j] {
+					continue
+				}
+				if pc, bc := c.equiKeys([]sqlparse.Node{cj}, placed, tl); len(pc) > 0 {
+					st.probe = append(st.probe, pc...)
+					st.build = append(st.build, bc...)
+					st.on = append(st.on, cj)
+					usedJoin[j] = true
+				}
+			}
 		}
 		placed[tl] = true
 	}
-
 	// Unused join conjuncts (e.g. cycles in the join graph) and residual
 	// predicates become explicit filters.
 	for i, j := range joins {
@@ -300,6 +288,30 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 			residual = append(residual, j)
 		}
 	}
+	emit := joinOutputs(sel, steps, residual, subs)
+
+	cur, err := scan(entries[0], true)
+	if err != nil {
+		return plan.Node{}, err
+	}
+	for i, e := range entries[1:] {
+		st := steps[i+1]
+		// Outer joins must not push WHERE predicates below the join.
+		build, err := scan(e, e.joinKind != "left")
+		if err != nil {
+			return plan.Node{}, err
+		}
+		switch {
+		case e.joinKind == "left":
+			cur = cur.HashJoinMulti(build, st.probe, st.build, exec.LeftOuterJoin, emit[i+1])
+		case len(st.probe) == 0:
+			// No connecting predicate: cross join via nested loops.
+			cur = c.b.Cross(cur, build)
+		default:
+			cur = cur.HashJoinMulti(build, st.probe, st.build, exec.InnerJoin, emit[i+1])
+		}
+	}
+
 	if len(residual) > 0 {
 		preds := residual
 		var convErr error
@@ -450,45 +462,94 @@ func walkExpr(n sqlparse.Node, col func(*sqlparse.ColNode), sub func(*sqlparse.S
 // statement mentions anywhere — select list, ON, WHERE, GROUP BY, HAVING,
 // ORDER BY, and the same clauses of nested sub-selects, so a correlated
 // reference to an outer column is covered — or nil when the select list has
-// a * item. Joins, and scans of disk-backed tables, keep a column iff its
-// name is in the set: binding is by name, so every expression above them
-// still resolves exactly as it would against the full-width row. A * inside
-// a sub-select ranges over the sub-select's own table, of which a semi or
-// anti join reads only what the sub-select's WHERE names, and does not widen
-// the outer joins.
+// a * item. Scans of disk-backed tables keep a column iff its name is in the
+// set. Joins get a narrower set each, from the same walk taken clause by
+// clause (joinOutputs): a scan sits below every clause, a join only below
+// some. Either way a kept name keeps every column carrying it, and binding
+// is by name, so every expression resolves as against the full-width row. A
+// * inside a sub-select ranges over the sub-select's own table, of which a
+// semi or anti join reads only what the sub-select's WHERE names, and widens
+// nothing outside it.
 func statementColumns(sel *sqlparse.Select) plan.Columns {
-	for _, item := range sel.Items {
-		if item.Star {
-			return nil
-		}
+	if selectsStar(sel) {
+		return nil
 	}
 	keep := plan.Columns{}
-	var visit func(*sqlparse.Select)
-	add := func(n sqlparse.Node) {
-		if n != nil {
-			walkExpr(n, func(col *sqlparse.ColNode) { keep[strings.ToLower(col.Name)] = true }, visit)
-		}
-	}
-	visit = func(sel *sqlparse.Select) {
-		for _, item := range sel.Items {
-			add(item.Expr)
-		}
-		for _, ref := range sel.From {
-			for _, j := range ref.Joins {
-				add(j.On)
-			}
-		}
-		add(sel.Where)
-		for _, g := range sel.GroupBy {
-			add(g)
-		}
-		add(sel.Having)
-		for _, o := range sel.OrderBy {
-			add(o.Expr)
-		}
-	}
-	visit(sel)
+	readSelect(keep, sel)
 	return keep
+}
+
+// joinOutputs returns, per FROM entry, the names its join must emit: those
+// read by something evaluated above that join — the clauses above every
+// join (readAboveJoins), the residual and sub-select conjuncts, and the
+// predicates of the joins placed after it. The first entry (no join) gets
+// nil, and under SELECT * so does every entry: full width.
+func joinOutputs(sel *sqlparse.Select, steps []joinStep, residual, subs []sqlparse.Node) []plan.Columns {
+	out := make([]plan.Columns, len(steps))
+	if selectsStar(sel) {
+		return out
+	}
+	live := plan.Columns{}
+	readAboveJoins(live, sel)
+	for _, n := range residual {
+		readNames(live, n)
+	}
+	for _, n := range subs {
+		readNames(live, n)
+	}
+	for i := len(steps) - 1; i > 0; i-- {
+		out[i] = maps.Clone(live)
+		for _, n := range steps[i].on {
+			readNames(live, n)
+		}
+	}
+	return out
+}
+
+// selectsStar reports whether the select list has a * item.
+func selectsStar(sel *sqlparse.Select) bool {
+	for _, item := range sel.Items {
+		if item.Star {
+			return true
+		}
+	}
+	return false
+}
+
+// readAboveJoins adds the names read by the clauses evaluated above every
+// join: the select list, GROUP BY, HAVING and ORDER BY.
+func readAboveJoins(keep plan.Columns, sel *sqlparse.Select) {
+	for _, item := range sel.Items {
+		readNames(keep, item.Expr)
+	}
+	for _, g := range sel.GroupBy {
+		readNames(keep, g)
+	}
+	readNames(keep, sel.Having)
+	for _, o := range sel.OrderBy {
+		readNames(keep, o.Expr)
+	}
+}
+
+// readSelect adds the names every clause of sel reads (a * item adds none).
+func readSelect(keep plan.Columns, sel *sqlparse.Select) {
+	readNames(keep, sel.Where)
+	for _, ref := range sel.From {
+		for _, j := range ref.Joins {
+			readNames(keep, j.On)
+		}
+	}
+	readAboveJoins(keep, sel)
+}
+
+// readNames adds the lower-cased name of every column n mentions, and of
+// every column any clause of a sub-select nested in n mentions. With
+// readSelect it is the one walk that says what a statement reads.
+func readNames(keep plan.Columns, n sqlparse.Node) {
+	if n != nil {
+		walkExpr(n, func(col *sqlparse.ColNode) { keep[strings.ToLower(col.Name)] = true },
+			func(sub *sqlparse.Select) { readSelect(keep, sub) })
+	}
 }
 
 // resolveTable finds the base table a column reference belongs to. It
@@ -519,7 +580,7 @@ func (c *compiler) resolveTable(col *sqlparse.ColNode) string {
 
 // equiKeys extracts probe/build key column names from conjuncts that
 // equate a placed table's column with newTable's column.
-func (c *compiler) equiKeys(conjuncts []sqlparse.Node, placed map[string]bool, newTable string) (probe, build []string, err error) {
+func (c *compiler) equiKeys(conjuncts []sqlparse.Node, placed map[string]bool, newTable string) (probe, build []string) {
 	for _, cj := range conjuncts {
 		b, ok := cj.(*sqlparse.BinNode)
 		if !ok || b.Op != "=" {
@@ -541,5 +602,5 @@ func (c *compiler) equiKeys(conjuncts []sqlparse.Node, placed map[string]bool, n
 			build = append(build, l.Name)
 		}
 	}
-	return probe, build, nil
+	return probe, build
 }

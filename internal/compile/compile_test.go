@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -388,25 +389,37 @@ func hashJoins(op exec.Operator) []*exec.HashJoin {
 }
 
 // TestJoinsEmitOnlyNamedColumns pins the width rule: a join keeps a child
-// column iff the statement names it, * keeps everything in FROM order, and a
-// left-outer miss NULL-pads the kept build columns only.
+// column iff something above that join reads its name, * keeps everything in
+// FROM order, and a left-outer miss NULL-pads the kept build columns only.
 func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
 	tp := tpch.Generate(tpch.Config{SF: 0.001, Z: 1, Seed: 1})
-	op, err := CompileSQL(tp, `SELECT c_mktsegment, COUNT(*) FROM customer, orders, lineitem
-		WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice > 950 GROUP BY c_mktsegment`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joins := hashJoins(op)
-	if len(joins) != 2 {
-		t.Fatalf("join3 has %d hash joins, want 2", len(joins))
-	}
-	if top, bottom := joins[0].Schema().Len(), joins[1].Schema().Len(); top > 6 || bottom > 4 {
-		t.Errorf("join3 join widths = %d (top), %d (bottom); want <= 6, <= 4\n top: %s\n bottom: %s",
-			top, bottom, joins[0].Schema(), joins[1].Schema())
+	for _, tc := range []struct {
+		name, sql string
+		want      []string // each hash join's schema, root first
+	}{
+		{"join3", `SELECT c_mktsegment, COUNT(*) FROM customer, orders, lineitem
+			WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice > 950 GROUP BY c_mktsegment`,
+			[]string{"(customer.c_mktsegment VARCHAR)", "(customer.c_mktsegment VARCHAR, orders.o_orderkey BIGINT)"}},
+		{"join2", `SELECT COUNT(*), SUM(l_extendedprice) FROM orders, lineitem
+			WHERE o_orderkey = l_orderkey AND o_totalprice > 1050`,
+			[]string{"(lineitem.l_extendedprice DOUBLE)"}},
+		{"count", `SELECT COUNT(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey`,
+			[]string{"()"}},
+	} {
+		op, err := CompileSQL(tp, tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, j := range hashJoins(op) {
+			got = append(got, j.Schema().String())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s join schemas = %q\n want %q", tc.name, got, tc.want)
+		}
 	}
 
-	op, err = CompileSQL(tp, `SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey`)
+	op, err := CompileSQL(tp, `SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +444,7 @@ func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	join := hashJoins(op)[0]
-	if names := join.Schema().String(); names != "(dept.dkey BIGINT, dept.dname VARCHAR, emp.edept BIGINT, emp.sal BIGINT)" {
+	if names := join.Schema().String(); names != "(dept.dname VARCHAR, emp.sal BIGINT)" {
 		t.Errorf("left join schema = %s", names)
 	}
 	for _, run := range []func(*exec.Ctx, exec.Operator) ([]schema.Row, error){exec.Run, exec.RunBatch} {
@@ -441,14 +454,16 @@ func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
 		}
 		var missed int
 		for _, r := range rows {
-			if len(r) != 4 {
-				t.Fatalf("row width %d, want 4: %v", len(r), r)
+			if len(r) != 2 {
+				t.Fatalf("row width %d, want 2: %v", len(r), r)
 			}
-			if r[0].AsInt() == 99 {
+			if r[0].AsString() == "empty" {
 				missed++
-				if r[1].AsString() != "empty" || !r[2].IsNull() || !r[3].IsNull() {
-					t.Errorf("missed row = %v, want (99, empty, NULL, NULL)", r)
+				if !r[1].IsNull() {
+					t.Errorf("missed row = %v, want (empty, NULL)", r)
 				}
+			} else if r[1].IsNull() {
+				t.Errorf("matched row %v padded", r)
 			}
 		}
 		if len(rows) != 61 || missed != 1 {

@@ -614,14 +614,17 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 }
 
 // fuzzJoinPrune cross-validates join output pruning (the compiler hands each
-// hash join the set of column names the statement reads): random 2–3-table
-// inner and LEFT JOIN statements over tables that share column names
-// (qualified through aliases), with a random select list — a strict subset
-// of the columns, or * — and, sometimes, a correlated EXISTS reading an outer
-// column nothing else mentions. Each is checked against a naive evaluator,
-// and metamorphically: appending * to the select list turns pruning off
-// without changing the plan's shape, so the listed columns' multiset,
-// ctx.Calls() and the final ledger must all be the same.
+// hash join the names read above it): random 2–3-table inner and LEFT JOIN
+// statements over tables that share column names (qualified through
+// aliases), with a random select list — a subset of the columns, or * — and
+// the clauses a per-join rule can get wrong, each reading columns the select
+// list then leaves alone: join keys nothing above their join reads (the
+// middle key b.y of a chain), a two-table residual predicate, a column named
+// only in GROUP BY or only in ORDER BY, and a correlated EXISTS (SELECT *
+// ...) on an outer column. Each is checked against a naive evaluator, and
+// metamorphically: appending * to the select list turns pruning off without
+// changing the plan's shape, so the listed columns (in order, under ORDER
+// BY), ctx.Calls() and the final ledger must all be the same.
 func fuzzJoinPrune(t *testing.T, seed int64) {
 	const null = -999999 // resultToInts' rendering of NULL
 	r := rand.New(rand.NewSource(seed))
@@ -667,20 +670,17 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 	}
 	wide := joined[0].rows
 	from := "p1 a"
-	var joinConds []string
+	var joinConds, keys []string
 	allInner := true
 	for _, tb := range joined[1:] {
 		left := "a.k"
 		if tb.name == "p3" {
 			left = []string{"a.x", "b.y"}[r.Intn(2)]
 		}
-		leftIdx := 0
-		for i, n := range names {
-			if n == left {
-				leftIdx = i
-			}
-		}
-		cond := fmt.Sprintf("%s = %s.%s", left, tb.alias, tb.cols[0])
+		leftIdx := slices.Index(names, left)
+		right := tb.alias + "." + tb.cols[0]
+		keys = append(keys, left, right)
+		cond := left + " = " + right
 		outer := r.Intn(2) == 0
 		kind := "JOIN"
 		if outer {
@@ -730,26 +730,77 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 		}
 		wide = kept
 	}
-	selectable := r.Perm(len(names))
+	filter := func(keep func(w []int64) bool) {
+		var kept [][]int64
+		for _, w := range wide {
+			if keep(w) {
+				kept = append(kept, w)
+			}
+		}
+		wide = kept
+	}
+	// hidden holds the columns a clause other than the select list reads; the
+	// select list leaves them alone, so only the per-join rule keeps them.
+	hidden := map[string]bool{}
+	// free returns the columns not hidden, in random order.
+	free := func() []int {
+		var out []int
+		for _, c := range r.Perm(len(names)) {
+			if !hidden[names[c]] {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
 	if r.Intn(3) == 0 {
-		// Correlated EXISTS on a.w, which nothing else may then mention.
+		// Correlated EXISTS on a.w: the * ranges over p4 alone.
 		where = append(where, "EXISTS (SELECT * FROM p4 WHERE p4.q = a.w)")
 		exists := map[int64]bool{}
 		for _, row := range tables[3].rows {
 			exists[row[0]] = true
 		}
-		var kept [][]int64
-		for _, w := range wide {
-			if exists[w[3]] {
-				kept = append(kept, w)
-			}
+		filter(func(w []int64) bool { return exists[w[3]] })
+		hidden["a.w"] = true
+	}
+	if r.Intn(2) == 0 {
+		// No join key is read above its own join, but in a chain joined on
+		// b.y the bottom join must still emit b.y for the top one.
+		for _, k := range keys {
+			hidden[k] = true
 		}
-		wide = kept
-		for i, c := range selectable {
-			if names[c] == "a.w" {
-				selectable = append(selectable[:i], selectable[i+1:]...)
-				break
-			}
+	}
+	if r.Intn(3) == 0 {
+		// A two-table residual predicate, evaluated above the top join.
+		cand := free()
+		l := cand[0]
+		if i := slices.IndexFunc(cand, func(c int) bool { return names[c][0] != names[l][0] }); i > 0 {
+			rc := cand[i]
+			where = append(where, names[l]+" < "+names[rc])
+			filter(func(w []int64) bool { return w[l] != null && w[rc] != null && w[l] < w[rc] })
+			hidden[names[l]], hidden[names[rc]] = true, true
+		}
+	}
+	const (
+		star = iota
+		groupBy
+		orderBy
+		plain
+	)
+	variant := r.Intn(4)
+	g := -1 // the column only GROUP BY or ORDER BY names
+	if variant == groupBy || variant == orderBy {
+		// Only a column whose bare name no other table shares: GROUP BY drops
+		// the qualifier, and ORDER BY retries without it against the select
+		// list, where c.x would bind a selected a.x.
+		bare := func(n string) string { return n[strings.IndexByte(n, '.'):] }
+		cand := slices.DeleteFunc(free(), func(c int) bool {
+			return slices.IndexFunc(names, func(n string) bool { return n != names[c] && bare(n) == bare(names[c]) }) >= 0
+		})
+		if len(cand) == 0 {
+			variant = plain
+		} else {
+			g = cand[0]
+			hidden[names[g]] = true
 		}
 	}
 	tail := " FROM " + from
@@ -770,13 +821,33 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 		return resultToInts(t, rows), ctx.Calls(), exec.EnsureLedger(op).SnapshotAll(nil)
 	}
 
-	if r.Intn(4) == 0 {
+	switch variant {
+	case star:
 		sql := "SELECT *" + tail
 		got, _, _ := run(sql)
 		compare(t, sql, got, wide)
 		return
+	case groupBy:
+		sql := "SELECT COUNT(*)" + tail + " GROUP BY " + names[g]
+		counts := map[int64]int64{}
+		for _, w := range wide {
+			counts[w[g]]++
+		}
+		var want [][]int64
+		for _, n := range counts {
+			want = append(want, []int64{n})
+		}
+		got, _, _ := run(sql)
+		compare(t, sql, got, want)
+		compare(t, sql, runFuzzSQL(t, &fuzzDB{cat: cat}, sql), want)
+		return
 	}
-	picked := selectable[:1+r.Intn(len(selectable)-1)] // a strict subset
+	selectable := free()
+	n := 1
+	if len(selectable) > 1 {
+		n += r.Intn(len(selectable) - 1) // a strict subset
+	}
+	picked := selectable[:n]
 	list := make([]string, len(picked))
 	want := make([][]int64, len(wide))
 	for i, c := range picked {
@@ -785,18 +856,37 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 			want[j] = append(want[j], w[c])
 		}
 	}
-	sql := "SELECT " + strings.Join(list, ", ") + tail
+	order := ""
+	if variant == orderBy {
+		order = " ORDER BY " + names[g]
+	}
+	sql := "SELECT " + strings.Join(list, ", ") + tail + order
 	got, calls, led := run(sql)
 	compare(t, sql, got, want)
 	// Row engine too: its emit goes through the same routine.
 	compare(t, sql, runFuzzSQL(t, &fuzzDB{cat: cat}, sql), want)
 
-	starSQL := "SELECT " + strings.Join(list, ", ") + ", *" + tail
+	starSQL := "SELECT " + strings.Join(list, ", ") + ", *" + tail + order
 	starRows, starCalls, starLed := run(starSQL)
+	if variant == orderBy {
+		prev := int64(null)
+		for _, row := range starRows {
+			if v := row[n+g]; v != null {
+				if v < prev {
+					t.Fatalf("%s: not sorted on %s: %d after %d", starSQL, names[g], v, prev)
+				}
+				prev = v
+			}
+		}
+	}
 	for i := range starRows {
-		starRows[i] = starRows[i][:len(picked)]
+		starRows[i] = starRows[i][:n]
 	}
 	compare(t, starSQL, starRows, want)
+	if variant == orderBy && !slices.EqualFunc(got, starRows, slices.Equal[[]int64]) {
+		// A stable sort of the same input: the same sequence.
+		t.Fatalf("%s: pruned order differs from unpruned\n pruned:   %v\n unpruned: %v", sql, got, starRows)
+	}
 	if calls != starCalls {
 		t.Fatalf("%s: %d calls pruned, %d unpruned", sql, calls, starCalls)
 	}

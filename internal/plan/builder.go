@@ -323,8 +323,8 @@ func (b *Builder) joinLinear(aSch *schema.Schema, aCol string, bSch *schema.Sche
 	return b.cat.JoinIsLinear(at, ac, bt, bc)
 }
 
-// Columns is a set of lower-cased column names: the names the statement
-// reads. Passed to HashJoin or HashJoinMulti, the join emits only the child
+// Columns is a set of lower-cased column names: the names read above a node.
+// Passed to HashJoin or HashJoinMulti, the join emits only the child
 // columns whose name is in it; passed to Scan or ScanFiltered, a scan of a
 // disk-backed table decodes only the table's columns whose name is in it. A
 // nil set keeps every column; an empty one keeps none (COUNT(*) reads no
