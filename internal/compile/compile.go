@@ -282,10 +282,17 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 		placed[tl] = true
 	}
 	// Unused join conjuncts (e.g. cycles in the join graph) and residual
-	// predicates become explicit filters.
+	// predicates become explicit filters, and so do the WHERE conjuncts on
+	// a LEFT-joined table: they may not go below the join, which would
+	// keep the rows they reject as NULL-padded ones.
 	for i, j := range joins {
 		if !usedJoin[i] {
 			residual = append(residual, j)
+		}
+	}
+	for _, e := range entries[1:] {
+		if e.joinKind == "left" {
+			residual = append(residual, perTable[strings.ToLower(e.table)]...)
 		}
 	}
 	emit := joinOutputs(sel, steps, residual, subs)

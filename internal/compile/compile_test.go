@@ -186,6 +186,22 @@ func TestLeftJoin(t *testing.T) {
 	}
 }
 
+// TestLeftJoinWhereOnOuterTable: a WHERE conjunct on the LEFT-joined
+// table filters above the join. It may not be pushed into that table's
+// scan, and it may not be dropped either.
+func TestLeftJoinWhereOnOuterTable(t *testing.T) {
+	rows := runSQL(t, `SELECT d.dname, e.ekey, e.sal FROM dept d LEFT JOIN emp e ON d.dkey = e.edept WHERE e.sal > 600`)
+	// sal = 100·(ekey mod 9): ekey mod 9 in {7, 8}, 12 of the 60 emps.
+	if len(rows) != 12 {
+		t.Fatalf("rows = %d, want 12 (the emps with sal > 600)", len(rows))
+	}
+	for _, r := range rows {
+		if r[2].IsNull() || r[2].AsInt() <= 600 {
+			t.Errorf("row %v violates e.sal > 600", r)
+		}
+	}
+}
+
 func TestCrossJoin(t *testing.T) {
 	rows := runSQL(t, "SELECT 1 FROM dept, bonus")
 	if len(rows) != 100 {

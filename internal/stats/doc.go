@@ -16,6 +16,26 @@
 //     of work — and feed the plan's tightened upper bound UBTight, which
 //     the lp-safe estimator divides through.
 //
+// # How the histograms are built
+//
+// HistogramGenerator.Generate makes one pass over the relation's rows, row
+// by row, and pulls each column's non-NULL values into a typed key vector:
+// int64 for Int, Date and Bool, float64 for Float, string for String. The
+// vectors are sorted with the Go types' own order, which is sqlval.Compare's
+// order within one kind (NaN first among floats), so no comparison goes
+// through Compare. A column that turns out to hold values of two kinds — an
+// Int inserted into a DOUBLE column, say — keeps a []sqlval.Value vector
+// and is sorted by Compare instead.
+//
+// Every column is then cut by one bucket-and-run cutter, generic over the
+// key type; BuildHistogram is its []sqlval.Value instantiation. A single
+// walk over the sorted keys takes each equal-value run as one key's degree
+// and closes a bucket only between runs. Columns are sorted and cut on
+// GOMAXPROCS goroutines. Each column's histogram depends on that column's
+// values alone, and each goroutine writes only the histograms of the
+// columns it took, so the synopsis does not depend on how the goroutines
+// are scheduled.
+//
 // # Staleness model
 //
 // Statistics are snapshots: a synopsis taken at generation time does not

@@ -51,12 +51,8 @@ func (h *Histogram) DegreeNorms() (DegreeSeq, bool) {
 // BuildHistogram constructs an equi-depth histogram with at most maxBuckets
 // buckets over the given column values. It takes ownership of the slice:
 // values are compacted and sorted in place rather than copied, so callers
-// must pass a slice they no longer need (Relation.Column returns a fresh
-// copy).
+// must pass a slice they no longer need.
 func BuildHistogram(values []sqlval.Value, maxBuckets int) *Histogram {
-	if maxBuckets < 1 {
-		maxBuckets = 1
-	}
 	h := &Histogram{Total: int64(len(values))}
 	nonNull := values[:0]
 	for _, v := range values {
@@ -66,54 +62,55 @@ func BuildHistogram(values []sqlval.Value, maxBuckets int) *Histogram {
 			nonNull = append(nonNull, v)
 		}
 	}
-	if len(nonNull) == 0 {
-		return h
+	cutValues(h, nonNull, maxBuckets)
+	return h
+}
+
+// cutValues sorts non-NULL values by sqlval.Compare and cuts them.
+func cutValues(h *Histogram, values []sqlval.Value, maxBuckets int) {
+	slices.SortFunc(values, sqlval.Compare)
+	cutBuckets(h, values, func(a, b sqlval.Value) bool { return sqlval.Compare(a, b) == 0 },
+		func(v sqlval.Value) sqlval.Value { return v }, maxBuckets)
+}
+
+// cutBuckets fills h's buckets and degree norms from keys, a column's
+// non-NULL values in sorted order (sqlval.Compare's order, or a typed
+// order that agrees with it). same tells whether two keys are one value;
+// value turns a key back into the Value a bucket bound holds. One walk over
+// the equal-value runs does both jobs: each run is one key's degree, and a
+// bucket boundary only ever falls between two runs.
+func cutBuckets[K any](h *Histogram, keys []K, same func(a, b K) bool, value func(K) sqlval.Value, maxBuckets int) {
+	n := len(keys)
+	if n == 0 {
+		return
 	}
-	slices.SortFunc(nonNull, sqlval.Compare)
-	n := len(nonNull)
-	// The per-key degree sequence falls out of the same sorted order: each
-	// equal-value run is one key's degree. Only the ℓp norms are kept.
-	runStart := 0
-	for i := 1; i <= n; i++ {
-		if i == n || sqlval.Compare(nonNull[i], nonNull[i-1]) != 0 {
-			h.Degrees.addRun(int64(i - runStart))
-			runStart = i
-		}
+	if maxBuckets < 1 {
+		maxBuckets = 1
 	}
 	depth := (n + maxBuckets - 1) / maxBuckets
-	for start := 0; start < n; {
-		end := start + depth
-		if end > n {
-			end = n
-		}
-		// Equal values must not straddle a bucket boundary. If the boundary
-		// falls mid-run, cut before the run; if the run occupies the whole
-		// bucket, give the run its own bucket (keeps heavy hitters exact).
-		if end < n && sqlval.Compare(nonNull[end], nonNull[end-1]) == 0 {
-			rs := end
-			for rs > start && sqlval.Compare(nonNull[rs-1], nonNull[end]) == 0 {
-				rs--
-			}
-			if rs > start {
-				end = rs
-			} else {
-				for end < n && sqlval.Compare(nonNull[end], nonNull[end-1]) == 0 {
-					end++
-				}
-			}
-		}
-		b := Bucket{Lo: nonNull[start], Hi: nonNull[end-1], Count: int64(end - start)}
-		d := int64(1)
-		for i := start + 1; i < end; i++ {
-			if sqlval.Compare(nonNull[i], nonNull[i-1]) != 0 {
-				d++
-			}
-		}
-		b.Distinct = d
-		h.Buckets = append(h.Buckets, b)
-		start = end
+	start, distinct := 0, int64(0) // the open bucket: keys[start:], its runs so far
+	closeAt := func(end int) {
+		h.Buckets = append(h.Buckets, Bucket{Lo: value(keys[start]), Hi: value(keys[end-1]), Count: int64(end - start), Distinct: distinct})
+		start, distinct = end, 0
 	}
-	return h
+	runStart := 0
+	for i := 1; i <= n; i++ {
+		if i < n && same(keys[i], keys[i-1]) {
+			continue
+		}
+		h.Degrees.addRun(int64(i - runStart))
+		// Equal values must not straddle a bucket boundary. If the bucket's
+		// depth falls inside this run, cut before the run; if the run opens
+		// the bucket, give the run its own bucket (keeps heavy hitters exact).
+		if i > start+depth && runStart > start {
+			closeAt(runStart)
+		}
+		distinct++
+		if i >= start+depth || i == n {
+			closeAt(i)
+		}
+		runStart = i
+	}
 }
 
 // NonNullCount returns the number of non-NULL values summarised.

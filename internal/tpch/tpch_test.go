@@ -200,3 +200,14 @@ func TestProgressInvariantsAllTPCHQueries(t *testing.T) {
 		coretest.CheckProgressInvariants(t, fmt.Sprintf("Q%d", q.Num), op, 37)
 	}
 }
+
+// BenchmarkGenerateTPCH times Generate at the benchmark's scale, -sf 0.02
+// and skew 1: the data generation and the statistics build together, the
+// in-process share of progressd's start-up. BenchmarkHistogramGenerator in
+// internal/stats times the statistics share alone, table by table.
+func BenchmarkGenerateTPCH(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Generate(Config{SF: 0.02, Z: 1, Seed: 42})
+	}
+}
