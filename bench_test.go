@@ -266,8 +266,10 @@ func TestBatchPagedScanAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkExecINLJoinNoMonitor measures raw executor throughput (the
-// baseline for monitoring-overhead ablations).
+// BenchmarkExecINLJoinNoMonitor measures raw executor throughput in bulk
+// pulls, the run a user's Query.Run gets: the baseline for the
+// monitoring-overhead ablations, whose inline hook makes every pull one
+// GetNext.
 func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 	const n = 20_000
 	b.ReportAllocs()
@@ -275,7 +277,7 @@ func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 		b.StopTimer()
 		op := synthPlan(n)
 		b.StartTimer()
-		if _, err := exec.Run(exec.NewCtx(), op); err != nil {
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,7 +335,7 @@ func BenchmarkBoundsPass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.Run(exec.NewCtx(), op); err != nil {
+	if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 		b.Fatal(err)
 	}
 	ev := core.NewBoundsEvaluator(op)
@@ -375,7 +377,7 @@ func BenchmarkHashJoinThroughput(b *testing.B) {
 		pb := plan.NewBuilder(db.Catalog())
 		op := pb.Scan("r2").HashJoin(pb.Scan("r1"), "b", "a", exec.InnerJoin).Op
 		b.StartTimer()
-		if _, err := exec.Run(exec.NewCtx(), op); err != nil {
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 			b.Fatal(err)
 		}
 	}

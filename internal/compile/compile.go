@@ -31,7 +31,8 @@
 // argument is the one above: a row is one GetNext call however wide it is.
 //
 // Limitations (documented, erroring cleanly): self-joins of a table with
-// itself via aliases, non-equi join conditions in ON, correlated
+// itself via aliases, a LEFT JOIN's ON conjuncts other than equi-joins and
+// predicates on the joined table alone (those filter its scan), correlated
 // subqueries beyond a single correlation equality, and NOT IN's
 // NULL-propagating semantics (compiled as an anti join, i.e. NOT EXISTS
 // semantics).
@@ -79,10 +80,12 @@ type compiler struct {
 }
 
 // joinStep is how one FROM entry joins the tables placed before it: its
-// equi-join keys (none: a cross join) and the predicates they come from.
+// equi-join keys (none: a cross join) and the predicates they come from,
+// and the predicates evaluated in the entry's own scan.
 type joinStep struct {
 	probe, build []string
 	on           []sqlparse.Node
+	filter       []sqlparse.Node
 }
 
 // fromEntry is one flattened FROM element.
@@ -228,9 +231,8 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 		}
 	}
 
-	scan := func(e fromEntry, push bool) (plan.Node, error) {
-		preds := perTable[strings.ToLower(e.table)]
-		if !push || len(preds) == 0 {
+	scan := func(e fromEntry, preds []sqlparse.Node) (plan.Node, error) {
+		if len(preds) == 0 {
 			return c.b.Scan(e.table, c.keep), nil
 		}
 		var convErr error
@@ -261,12 +263,24 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 		}
 		st := &steps[i+1]
 		if e.joinKind == "left" {
-			st.on = splitAnd(e.on)
-			st.probe, st.build = c.equiKeys(st.on, placed, tl)
+			// An ON conjunct on the joined table alone goes into its scan:
+			// a row it rejects matches nothing, as the outer join requires.
+			for _, cj := range splitAnd(e.on) {
+				if pc, bc := c.equiKeys([]sqlparse.Node{cj}, placed, tl); len(pc) > 0 {
+					st.probe = append(st.probe, pc...)
+					st.build = append(st.build, bc...)
+					st.on = append(st.on, cj)
+				} else if tables, _ := c.classify(cj, entries); len(tables) == 1 && tables[tl] {
+					st.filter = append(st.filter, cj)
+				} else {
+					return plan.Node{}, fmt.Errorf("compile: LEFT JOIN %s: ON condition %s is neither an equi-join nor on %s alone", e.table, cj, e.table)
+				}
+			}
 			if len(st.probe) == 0 {
 				return plan.Node{}, fmt.Errorf("compile: LEFT JOIN %s requires an equi-join ON condition", e.table)
 			}
 		} else {
+			st.filter = perTable[tl]
 			for j, cj := range joins {
 				if usedJoin[j] {
 					continue
@@ -297,14 +311,13 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 	}
 	emit := joinOutputs(sel, steps, residual, subs)
 
-	cur, err := scan(entries[0], true)
+	cur, err := scan(entries[0], perTable[strings.ToLower(entries[0].table)])
 	if err != nil {
 		return plan.Node{}, err
 	}
 	for i, e := range entries[1:] {
 		st := steps[i+1]
-		// Outer joins must not push WHERE predicates below the join.
-		build, err := scan(e, e.joinKind != "left")
+		build, err := scan(e, st.filter)
 		if err != nil {
 			return plan.Node{}, err
 		}

@@ -61,7 +61,7 @@ func runSQL(t *testing.T, sql string) []schema.Row {
 	if err != nil {
 		t.Fatalf("compile %q: %v", sql, err)
 	}
-	rows, err := exec.Run(exec.NewCtx(), op)
+	rows, err := exec.RunBatch(exec.NewCtx(), op)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}
@@ -90,7 +90,7 @@ func TestWherePushdown(t *testing.T) {
 	if hasFilter {
 		t.Error("single-table predicates should be pushed into the scan")
 	}
-	rows, err := exec.Run(exec.NewCtx(), op)
+	rows, err := exec.RunBatch(exec.NewCtx(), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLeftJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := exec.Run(exec.NewCtx(), op)
+	rows2, err := exec.RunBatch(exec.NewCtx(), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,105 @@ func TestLeftJoinWhereOnOuterTable(t *testing.T) {
 		if r[2].IsNull() || r[2].AsInt() <= 600 {
 			t.Errorf("row %v violates e.sal > 600", r)
 		}
+	}
+}
+
+// TestLeftJoinOnConjunctOnJoinedTable: a LEFT JOIN's ON conjunct on the
+// joined table alone filters that table's scan, so a row it rejects matches
+// nothing; it may not be dropped. Any other non-equi ON conjunct is an error.
+func TestLeftJoinOnConjunctOnJoinedTable(t *testing.T) {
+	// sal = 100·(ekey mod 9) < 100 holds for 7 emps (ekey mod 9 = 0), and
+	// they cover all five depts, so no dept is padded.
+	rows := runSQL(t, `SELECT COUNT(*) FROM dept d LEFT JOIN emp e ON d.dkey = e.edept AND e.sal < 100`)
+	if got := rows[0][0].AsInt(); got != 7 {
+		t.Fatalf("COUNT(*) = %d, want 7", got)
+	}
+	rows = runSQL(t, `SELECT d.dname, e.ekey FROM dept d LEFT JOIN emp e ON d.dkey = e.edept AND e.sal > 800`)
+	for _, r := range rows {
+		if !r[1].IsNull() {
+			t.Fatalf("row %v: no emp has sal > 800, every dept must be padded", r)
+		}
+	}
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want the 5 depts padded", len(rows))
+	}
+	for _, sql := range []string{
+		`SELECT e.ekey FROM dept d LEFT JOIN emp e ON d.dkey = e.edept AND d.dname = 'eng'`,
+		`SELECT e.ekey FROM dept d LEFT JOIN emp e ON d.dkey = e.edept AND e.sal > d.dkey`,
+	} {
+		if _, err := CompileSQL(testCatalog(), sql); err == nil {
+			t.Errorf("CompileSQL(%q) should fail", sql)
+		}
+	}
+}
+
+// sharedNameCatalog: a(k, x) and b(k, x), the same column names in both.
+// a.x ascends with a.k and b.x descends with b.k.
+func sharedNameCatalog() *catalog.Catalog {
+	cat := catalog.New(nil)
+	for _, name := range []string{"a", "b"} {
+		rel := schema.NewRelation(name, schema.New(
+			schema.Column{Name: "k", Type: sqlval.KindInt},
+			schema.Column{Name: "x", Type: sqlval.KindInt},
+		))
+		for i := int64(0); i < 10; i++ {
+			x := i
+			if name == "b" {
+				x = 100 - i
+			}
+			rel.Append(schema.Row{sqlval.Int(i % 5), sqlval.Int(x)})
+		}
+		cat.AddRelation(rel)
+	}
+	return cat
+}
+
+// TestQualifierSurvivesAggregation: GROUP BY a.k binds a's k when b's k is
+// joined too, and a.k above the aggregation still names it.
+func TestQualifierSurvivesAggregation(t *testing.T) {
+	op, err := CompileSQL(sharedNameCatalog(), `SELECT a.k, COUNT(*), SUM(b.x) FROM a, b WHERE a.k = b.k GROUP BY a.k ORDER BY a.k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.RunBatch(exec.NewCtx(), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("groups = %d, want 5", len(rows))
+	}
+	for i, r := range rows {
+		// Key k pairs a's two rows with b's two: 4 rows, b.x 100-k and 95-k.
+		if r[0].AsInt() != int64(i) || r[1].AsInt() != 4 || r[2].AsInt() != 2*(195-2*int64(i)) {
+			t.Errorf("group %d = %v, want (%d, 4, %d)", i, r, i, 2*(195-2*int64(i)))
+		}
+	}
+}
+
+// TestQualifierSurvivesProjection: ORDER BY b.x sorts on b's x even when
+// only a's x is selected, under the same name.
+func TestQualifierSurvivesProjection(t *testing.T) {
+	op, err := CompileSQL(sharedNameCatalog(), `SELECT a.x FROM a, b WHERE a.k = b.k ORDER BY b.x LIMIT 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.RunBatch(exec.NewCtx(), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The smallest b.x are 91 and 92 (b.k = 4, 3), each joined with a's two
+	// rows of that key: a.x in {4, 9} and then {3, 8}.
+	got := make([]int64, len(rows))
+	for i, r := range rows {
+		got[i] = r[0].AsInt()
+	}
+	if len(got) != 4 {
+		t.Fatalf("a.x = %v, want 4 rows", got)
+	}
+	slices.Sort(got[:2])
+	slices.Sort(got[2:])
+	if !slices.Equal(got, []int64{4, 9, 3, 8}) {
+		t.Fatalf("a.x = %v, want {4, 9} then {3, 8}", got)
 	}
 }
 
@@ -463,8 +562,12 @@ func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
 	if names := join.Schema().String(); names != "(dept.dname VARCHAR, emp.sal BIGINT)" {
 		t.Errorf("left join schema = %s", names)
 	}
-	for _, run := range []func(*exec.Ctx, exec.Operator) ([]schema.Row, error){exec.Run, exec.RunBatch} {
-		rows, err := run(exec.NewCtx(), join)
+	for _, exact := range []bool{true, false} {
+		ctx := exec.NewCtx()
+		if exact {
+			ctx.OnGetNext = func(int64) {}
+		}
+		rows, err := exec.RunBatch(ctx, join)
 		if err != nil {
 			t.Fatal(err)
 		}

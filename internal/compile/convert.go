@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,9 +36,10 @@ func (c *compiler) convert(sch *schema.Schema, n sqlparse.Node) (expr.Expr, sqlv
 			return nil, 0, err
 		}
 		if i < 0 && qual != "" {
-			// The qualifier may be absent in derived schemas (e.g. after
-			// aggregation); retry unqualified.
-			i, err = sch.ColIndex("", t.Name)
+			// A derived column — an aggregate, a computed or renamed select
+			// item — has no table, and a qualified reference may name it.
+			// A column with a table is another table's namesake: never it.
+			i, err = derived(sch).ColIndex("", t.Name)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -208,6 +210,18 @@ func (c *compiler) convert(sch *schema.Schema, n sqlparse.Node) (expr.Expr, sqlv
 	return nil, 0, fmt.Errorf("compile: unsupported expression %T", n)
 }
 
+// derived returns sch with every column that has a table renamed away, so
+// a lookup in it finds only derived columns, at their indexes in sch.
+func derived(sch *schema.Schema) *schema.Schema {
+	cols := slices.Clone(sch.Columns)
+	for i := range cols {
+		if cols[i].Table != "" {
+			cols[i].Name = ""
+		}
+	}
+	return schema.New(cols...)
+}
+
 func cmpOp(op string) expr.CmpOp {
 	switch op {
 	case "=":
@@ -365,7 +379,7 @@ func (c *compiler) buildAggregation(node plan.Node, sel *sqlparse.Select, aggs [
 	}
 
 	var rewrites []rewrite
-	var groupCols []string
+	var groupCols []int // indexes into the (pre-projected) input
 	var preExprs []expr.Expr
 	var preNames []string
 	var preKinds []sqlval.Kind
@@ -386,22 +400,25 @@ func (c *compiler) buildAggregation(node plan.Node, sel *sqlparse.Select, aggs [
 				// after the alias.
 				g = sub
 				name = col.Name
-			} else {
-				groupCols = append(groupCols, col.Name)
-				continue
 			}
 		}
 		e, k, err := c.convert(node.Schema(), g)
 		if err != nil {
 			return plan.Node{}, nil, fmt.Errorf("GROUP BY: %w", err)
 		}
+		if col, ok := e.(expr.Col); ok && name == "" {
+			// A plain column, resolved with its qualifier; the
+			// pre-projection passes it through at the same index.
+			groupCols = append(groupCols, col.Index)
+			continue
+		}
 		if name == "" {
 			name = fmt.Sprintf("groupexpr%d", gi)
 		}
+		groupCols = append(groupCols, len(preExprs))
 		preExprs = append(preExprs, e)
 		preNames = append(preNames, name)
 		preKinds = append(preKinds, k)
-		groupCols = append(groupCols, name)
 		rewrites = append(rewrites, rewrite{match: g.String(), name: name})
 		needsPre = true
 	}
@@ -446,17 +463,11 @@ func (c *compiler) buildAggregation(node plan.Node, sel *sqlparse.Select, aggs [
 	gb := make([]expr.Expr, len(groupCols))
 	names := make([]string, len(groupCols))
 	kinds := make([]sqlval.Kind, len(groupCols))
-	for i, g := range groupCols {
-		idx, err := node.Schema().ColIndex("", g)
-		if err != nil {
-			return plan.Node{}, nil, err
-		}
-		if idx < 0 {
-			return plan.Node{}, nil, fmt.Errorf("compile: unknown GROUP BY column %q", g)
-		}
-		gb[i] = expr.Col{Index: idx, DisplayName: g}
-		names[i] = node.Schema().Columns[idx].Name
-		kinds[i] = node.Schema().Columns[idx].Type
+	for i, idx := range groupCols {
+		col := node.Schema().Columns[idx]
+		gb[i] = expr.Col{Index: idx, DisplayName: col.QualifiedName()}
+		names[i] = col.Name
+		kinds[i] = col.Type
 	}
 	op := exec.NewHashAgg(node.Op, gb, names, kinds, computed)
 	// Classic guess: a tenth of the input forms distinct groups. dne's

@@ -129,13 +129,17 @@ func resultToInts(t *testing.T, rows []schema.Row) [][]int64 {
 	return out
 }
 
+// runFuzzSQL compiles and runs sql in the exact regime: a no-op hook makes
+// every pull one GetNext.
 func runFuzzSQL(t *testing.T, db *fuzzDB, sql string) [][]int64 {
 	t.Helper()
 	op, err := CompileSQL(db.cat, sql)
 	if err != nil {
 		t.Fatalf("compile %q: %v", sql, err)
 	}
-	rows, err := exec.Run(exec.NewCtx(), op)
+	ctx := exec.NewCtx()
+	ctx.OnGetNext = func(int64) {}
+	rows, err := exec.RunBatch(ctx, op)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}
@@ -325,7 +329,7 @@ func fuzzParallelScanFilter(t *testing.T, seed int64) {
 			expr.Literal(sqlval.Int(p.val))))
 	}
 	label := fmt.Sprintf("parallel scan (w=%d) WHERE %s", workers, p.sql())
-	rows, err := exec.Run(exec.NewCtx(), build())
+	rows, err := exec.RunBatch(exec.NewCtx(), build())
 	if err != nil {
 		t.Fatalf("run %s: %v", label, err)
 	}
@@ -336,7 +340,7 @@ func fuzzParallelScanFilter(t *testing.T, seed int64) {
 		}
 	}
 	compare(t, label, resultToInts(t, rows), want)
-	coretest.CheckParallelInvariants(t, label, build(), 1)
+	coretest.CheckProgressInvariants(t, label, build(), 1)
 }
 
 // fuzzBatchVsRow runs seed-random compiled queries under both the batch and
@@ -367,7 +371,7 @@ func fuzzBatchVsRow(t *testing.T, seed int64) {
 			}
 			return op
 		}
-		coretest.CheckBatchRowEquivalence(t, sql, build, false)
+		coretest.CheckBatchRowEquivalence(t, sql, build)
 	}
 }
 
@@ -412,7 +416,7 @@ func fuzzPagedVsMem(t *testing.T, seed int64) {
 				}
 				return op
 			}
-			coretest.CheckPagedEquivalence(t, sql, mem, paged, build, false)
+			coretest.CheckPagedEquivalence(t, sql, mem, paged, build)
 		}
 	}
 	check(db.cat, paged12,
@@ -490,7 +494,7 @@ func runOrderMark(t *testing.T, cat *catalog.Catalog, sql string) orderMark {
 	}
 	tracker := core.NewTracker(op)
 	ctx := exec.NewCtx()
-	rows, err := exec.Run(ctx, op)
+	rows, err := exec.RunBatch(ctx, op)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}
@@ -555,7 +559,7 @@ func fuzzOrderInvariance(t *testing.T, seed int64) {
 // the serial node's counters — and a ParallelAgg must reproduce HashAgg's
 // groups value-for-value (COUNT/SUM/MIN/MAX over ints: exact merge). Both
 // parallel plans then rerun under per-call sampling via
-// CheckParallelInvariants, proving monotone non-crossing bounds while the
+// CheckProgressInvariants, proving monotone non-crossing bounds while the
 // workers write their ledger sub-slots concurrently.
 func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
@@ -567,7 +571,7 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 
 	runPlan := func(label string, op exec.Operator) ([][]int64, int64, ledger.Snapshot) {
 		ctx := exec.NewCtx()
-		rows, err := exec.Run(ctx, op)
+		rows, err := exec.RunBatch(ctx, op)
 		if err != nil {
 			t.Fatalf("run %s: %v", label, err)
 		}
@@ -588,7 +592,7 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 	if gotSnap != wantSnap {
 		t.Fatalf("%s: aggregate snapshot %+v, serial %+v", joinLabel, gotSnap, wantSnap)
 	}
-	coretest.CheckParallelInvariants(t, joinLabel, parJoin(), 1)
+	coretest.CheckProgressInvariants(t, joinLabel, parJoin(), 1)
 
 	aggLabel := fmt.Sprintf("pagg(w=%d)", workers)
 	specs := []plan.AggSpec{
@@ -610,7 +614,7 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 	if gotSnap != wantSnap {
 		t.Fatalf("%s: aggregate snapshot %+v, serial %+v", aggLabel, gotSnap, wantSnap)
 	}
-	coretest.CheckParallelInvariants(t, aggLabel, parAgg(), 1)
+	coretest.CheckProgressInvariants(t, aggLabel, parAgg(), 1)
 }
 
 // fuzzJoinPrune cross-validates join output pruning (the compiler hands each
@@ -620,8 +624,10 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 // the clauses a per-join rule can get wrong, each reading columns the select
 // list then leaves alone: join keys nothing above their join reads (the
 // middle key b.y of a chain), a two-table residual predicate, a WHERE
-// conjunct on a LEFT-joined table, a column named only in GROUP BY or only
-// in ORDER BY, and a correlated EXISTS (SELECT * ...) on an outer column.
+// conjunct on a LEFT-joined table, an ON conjunct bounding the joined table
+// alone, a column named only in GROUP BY or only in ORDER BY (its bare name
+// may be another table's too), and a correlated EXISTS (SELECT * ...) on an
+// outer column.
 // Each is checked against a naive evaluator, and metamorphically:
 // appending * to the select list turns pruning off without changing the
 // plan's shape, so the listed columns (in order, under ORDER BY),
@@ -662,8 +668,12 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 	}
 
 	// FROM: p1 a, then p2 b on a.k = b.k, then sometimes p3 c on a.x = c.j
-	// or b.y = c.j; each join inner or left. names holds the qualified
-	// columns in FROM order, wide the reference join over them.
+	// or b.y = c.j; each join inner or left, its ON sometimes also bounding
+	// a column of the joined table. names holds the qualified columns in
+	// FROM order, wide the reference join over them. Draws added after the
+	// corpus seeds were checked in come from extra, so each seed keeps the
+	// statement shape it was chosen for.
+	extra := rand.New(rand.NewSource(^seed))
 	joined := tables[:2+r.Intn(2)]
 	var names []string
 	var outerCols []int // the last column of each LEFT-joined table
@@ -683,6 +693,13 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 		right := tb.alias + "." + tb.cols[0]
 		keys = append(keys, left, right)
 		cond := left + " = " + right
+		onCol, onBound := -1, int64(0)
+		if extra.Intn(2) == 0 {
+			// Under a LEFT JOIN a row this rejects matches nothing.
+			onCol = 1 + extra.Intn(len(tb.cols)-1)
+			onBound = extra.Int63n(tb.max[onCol])
+			cond += fmt.Sprintf(" AND %s.%s < %d", tb.alias, tb.cols[onCol], onBound)
+		}
 		outer := r.Intn(2) == 0
 		kind := "JOIN"
 		if outer {
@@ -694,7 +711,7 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 		for _, w := range wide {
 			matched := false
 			for _, row := range tb.rows {
-				if w[leftIdx] != null && w[leftIdx] == row[0] {
+				if w[leftIdx] != null && w[leftIdx] == row[0] && (onCol < 0 || row[onCol] < onBound) {
 					next = append(next, append(append([]int64{}, w...), row...))
 					matched = true
 				}
@@ -794,14 +811,9 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 	variant := r.Intn(4)
 	g := -1 // the column only GROUP BY or ORDER BY names
 	if variant == groupBy || variant == orderBy {
-		// Only a column whose bare name no other table shares: GROUP BY drops
-		// the qualifier, and ORDER BY retries without it against the select
-		// list, where c.x would bind a selected a.x.
-		bare := func(n string) string { return n[strings.IndexByte(n, '.'):] }
-		cand := slices.DeleteFunc(free(), func(c int) bool {
-			return slices.IndexFunc(names, func(n string) bool { return n != names[c] && bare(n) == bare(names[c]) }) >= 0
-		})
-		if len(cand) == 0 {
+		// Any column, a name other tables share included: GROUP BY and
+		// ORDER BY must bind the qualified one, above the projection too.
+		if cand := free(); len(cand) == 0 {
 			variant = plain
 		} else {
 			g = cand[0]

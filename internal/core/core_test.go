@@ -219,7 +219,7 @@ func TestBoundsBracketTotalThroughout(t *testing.T) {
 		lbs = append(lbs, s.LB)
 		ubs = append(ubs, s.UB)
 	}
-	if _, err := exec.Run(ctx, j); err != nil {
+	if _, err := exec.RunBatch(ctx, j); err != nil {
 		t.Fatal(err)
 	}
 	total := ctx.Calls()
@@ -300,7 +300,7 @@ func TestBoundsNLJoinRescannedInner(t *testing.T) {
 			violations++
 		}
 	}
-	if _, err := exec.Run(ctx, j); err != nil {
+	if _, err := exec.RunBatch(ctx, j); err != nil {
 		t.Fatal(err)
 	}
 	if violations > 0 {
@@ -384,7 +384,7 @@ func TestScannedLeafCardinality(t *testing.T) {
 		{filtered, 25},  // 15 scan + 5 filter + 5 top, no counted leaf
 		{topJoin, 1.15}, // (100 build + 5 probe + 5 join + 5 top) / 100
 	} {
-		if _, err := exec.Run(exec.NewCtx(), c.op); err != nil {
+		if _, err := exec.RunBatch(exec.NewCtx(), c.op); err != nil {
 			t.Fatal(err)
 		}
 		if got := Mu(c.op); math.Abs(got-c.want) > 1e-12 {
@@ -402,7 +402,7 @@ func TestMuMatchesPaperDefinition(t *testing.T) {
 	}
 	r2 := intRel("r2", "b", r2vals)
 	j, _ := example1Plan(r1, r2, nil, nil, false)
-	if _, err := exec.Run(exec.NewCtx(), j); err != nil {
+	if _, err := exec.RunBatch(exec.NewCtx(), j); err != nil {
 		t.Fatal(err)
 	}
 	total := exec.TotalCalls(j)
@@ -537,7 +537,7 @@ func TestSafeRespectsWorstCaseBound(t *testing.T) {
 		s := tracker.Capture()
 		seen = append(seen, obs{est: (Safe{}).Estimate(s), bound: SafeErrorBound(s), calls: calls})
 	}
-	if _, err := exec.Run(ctx, j); err != nil {
+	if _, err := exec.RunBatch(ctx, j); err != nil {
 		t.Fatal(err)
 	}
 	total := float64(ctx.Calls())
@@ -620,7 +620,7 @@ func TestConstrainedDneWithinInterval(t *testing.T) {
 			bad++
 		}
 	}
-	if _, err := exec.Run(ctx, j); err != nil {
+	if _, err := exec.RunBatch(ctx, j); err != nil {
 		t.Fatal(err)
 	}
 	if bad > 0 {
@@ -656,7 +656,7 @@ func TestHybridMuSwitchTracksPmaxWhenMuSmall(t *testing.T) {
 			diffs++
 		}
 	}
-	if _, err := exec.Run(ctx, j); err != nil {
+	if _, err := exec.RunBatch(ctx, j); err != nil {
 		t.Fatal(err)
 	}
 	if diffs > 0 {
@@ -881,7 +881,7 @@ func TestDemandCapTightensTopSortPlans(t *testing.T) {
 			t.Fatal("LB > UB under demand capping")
 		}
 	}
-	if _, err := exec.Run(ctx, top); err != nil {
+	if _, err := exec.RunBatch(ctx, top); err != nil {
 		t.Fatal(err)
 	}
 	total := ctx.Calls()
@@ -907,7 +907,7 @@ func TestDemandCapThroughProjectChain(t *testing.T) {
 		t.Errorf("UB = %d, want 521", snap.UB)
 	}
 	ctx := exec.NewCtx()
-	if _, err := exec.Run(ctx, top); err != nil {
+	if _, err := exec.RunBatch(ctx, top); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Calls() > 521 {
@@ -929,7 +929,7 @@ func TestDemandCapDoesNotCrossFilters(t *testing.T) {
 		t.Errorf("UB = %d, want 106", snap.UB)
 	}
 	ctx := exec.NewCtx()
-	if _, err := exec.Run(ctx, top); err != nil {
+	if _, err := exec.RunBatch(ctx, top); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Calls() > 106 {
@@ -945,7 +945,7 @@ func TestExplainBounds(t *testing.T) {
 	if !regexpMustContain(out, "total bounds: LB=") || !regexpMustContain(out, "Scan(r1)") {
 		t.Errorf("explain = %q", out)
 	}
-	if _, err := exec.Run(exec.NewCtx(), j); err != nil {
+	if _, err := exec.RunBatch(exec.NewCtx(), j); err != nil {
 		t.Fatal(err)
 	}
 	out = ExplainBounds(j)

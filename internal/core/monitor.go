@@ -176,7 +176,7 @@ func (m *Monitor) Finish(total int64) {
 func (m *Monitor) Run() ([]schema.Row, error) {
 	ctx := exec.NewCtx()
 	ctx.OnGetNext = m.Hook()
-	rows, err := exec.Run(ctx, m.root)
+	rows, err := exec.RunBatch(ctx, m.root)
 	if err != nil {
 		return nil, err
 	}

@@ -20,26 +20,28 @@ func chaosEstimators() []core.Estimator {
 	return []core.Estimator{core.Dne{}, core.Pmax{}, core.Safe{}}
 }
 
-var horizonMem = struct {
+var cleanMem = struct {
 	sync.Mutex
-	m map[string]int64
-}{m: map[string]int64{}}
+	m map[string]markedRun
+}{m: map[string]markedRun{}}
 
-// cleanTotal returns the entry's fault-free total(Q), computed once per
-// label: schedule generation needs the call horizon so fault indices land
-// inside the run.
-func cleanTotal(entry CorpusEntry) (int64, error) {
-	horizonMem.Lock()
-	defer horizonMem.Unlock()
-	if v, ok := horizonMem.m[entry.Label]; ok {
-		return v, nil
+// cleanRun returns the entry's fault-free run in one-row pulls without a
+// hook, computed once per label: its total(Q) is the horizon schedule
+// generation needs so fault indices land inside the run, and for a serial
+// plan its quiesce-point marks are the iterator model's states that a
+// hooked chaos run must pass through (see runChaosSchedule).
+func cleanRun(entry CorpusEntry) (markedRun, error) {
+	cleanMem.Lock()
+	defer cleanMem.Unlock()
+	if run, ok := cleanMem.m[entry.Label]; ok {
+		return run, nil
 	}
-	ctx := exec.NewCtx()
-	if _, err := exec.Run(ctx, entry.Build()); err != nil {
-		return 0, fmt.Errorf("coretest: clean run of %s: %w", entry.Label, err)
+	run, err := markRun(entry.Build(), 1, false)
+	if err != nil {
+		return markedRun{}, fmt.Errorf("coretest: clean run of %s: %w", entry.Label, err)
 	}
-	horizonMem.m[entry.Label] = ctx.Calls()
-	return ctx.Calls(), nil
+	cleanMem.m[entry.Label] = run
+	return run, nil
 }
 
 // chaosProfile is the schedule shape RunChaos draws from: a handful of
@@ -63,34 +65,16 @@ func chaosProfile(horizon int64) fault.Profile {
 // exactly. Like every RunChaos* entry point it is called only from tests
 // (internal/fault's sweeps).
 func RunChaos(seed int64) error {
-	return runChaos(seed, false)
-}
-
-// RunChaosBatch is RunChaos driving the batch engine. Chaos runs install
-// both a per-call injector and the inline Monitor's hook, which forces the
-// batch engine onto its exact (call-for-call) path — so every exact-call
-// assertion below applies unchanged: faults and cancellations must land at
-// precisely the scheduled GetNext count even when that count falls in the
-// middle of a batch.
-func RunChaosBatch(seed int64) error {
-	return runChaos(seed, true)
-}
-
-func runChaos(seed int64, batch bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	corpus := Corpus()
 	entry := corpus[rng.Intn(len(corpus))]
-	horizon, err := cleanTotal(entry)
+	clean, err := cleanRun(entry)
 	if err != nil {
 		return err
 	}
-	engine := "row"
-	if batch {
-		engine = "batch"
-	}
-	sched := fault.Generate(seed, chaosProfile(horizon))
-	if err := runChaosSchedule(entry, sched, batch, nil); err != nil {
-		return fmt.Errorf("chaos seed %d [%s/%s] schedule %q: %w", seed, entry.Label, engine, sched.String(), err)
+	sched := fault.Generate(seed, chaosProfile(clean.calls))
+	if err := runChaosSchedule(entry, sched, nil); err != nil {
+		return fmt.Errorf("chaos seed %d [%s] schedule %q: %w", seed, entry.Label, sched.String(), err)
 	}
 	return nil
 }
@@ -101,34 +85,43 @@ func runChaos(seed int64, batch bool) error {
 // goroutine every 50 µs of wall-clock — then cross-validates the outcome
 // against the faults that actually fired and holds both sample series to
 // every rule of core.Series, the UBTight rules included.
+//
+// The injector and the inline hook put the run in the exact regime, so a
+// fault or a cancellation must land at precisely its scheduled GetNext count
+// even where that count falls inside what a hook-free run pulls as one
+// batch. For a serial plan the run is also held to the iterator model call
+// by call: up to where it stopped, it must pass through every state the
+// entry's clean one-row-pull run reaches (cleanRun), with the same per-node
+// ledger and the same dne/pmax/safe.
 func RunChaosSchedule(entry CorpusEntry, sched fault.Schedule) error {
-	return runChaosSchedule(entry, sched, false, nil)
+	return runChaosSchedule(entry, sched, nil)
 }
 
-// RunChaosScheduleBatch is RunChaosSchedule under the batch engine (see
-// RunChaosBatch for why the exact-call verdicts carry over).
-func RunChaosScheduleBatch(entry CorpusEntry, sched fault.Schedule) error {
-	return runChaosSchedule(entry, sched, true, nil)
-}
-
-func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages []*fault.PageBackend) error {
+func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.PageBackend) error {
+	clean, err := cleanRun(entry)
+	if err != nil {
+		return err
+	}
 	root := entry.Build()
 	ctx := exec.NewCtx()
 	inj := fault.NewInjector(sched)
 	inj.Arm(ctx)
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
-	ctx.OnGetNext = mon.Hook()
+	trail := newMarker(root)
+	hook := mon.Hook()
+	ctx.OnGetNext = func(curr int64) {
+		hook(curr)
+		trail.mark(curr)
+	}
 	async := core.NewAsyncMonitor(root, 50*time.Microsecond, chaosEstimators()...)
 	async.Start(ctx)
-	var runErr error
-	if batch {
-		_, runErr = exec.RunBatch(ctx, root)
-	} else {
-		_, runErr = exec.Run(ctx, root)
-	}
+	_, runErr := exec.RunBatch(ctx, root)
 	async.Stop()
 	total := ctx.Calls()
+	if runErr == nil {
+		trail.mark(total)
+	}
 
 	// Cross-validate the outcome against the fired faults: a scheduled
 	// fault must surface as exactly the failure it models, at exactly the
@@ -161,7 +154,7 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 		if !errors.Is(runErr, fault.ErrPageFault) && !errors.Is(runErr, fault.ErrInjected) && !errors.Is(runErr, exec.ErrCanceled) {
 			return fmt.Errorf("page-read fault fired but run returned unrelated error %v", runErr)
 		}
-	case entry.Parallel:
+	case !trail.serial:
 		// Parallel plans relax the exact-call accounting: a worker that
 		// triggers a terminal fault cannot stop its siblings' in-flight
 		// counted calls, so the run quiesces at or past the scheduled call,
@@ -212,6 +205,17 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, batch bool, pages
 		}
 	}
 
+	if n := len(trail.marks); n > 0 {
+		// The clean run's marks up to the last instant this one marked.
+		seen := clean.marks
+		for len(seen) > 0 && seen[len(seen)-1].curr > trail.marks[n-1].curr {
+			seen = seen[:len(seen)-1]
+		}
+		if err := compareMarks(entry.Label, "one-row pulls", "hooked run", seen, trail.marks); err != nil {
+			return err
+		}
+	}
+
 	if runErr == nil {
 		mon.Finish(total)
 	}
@@ -239,12 +243,55 @@ const chaosPagedReadCost = 2
 // scans the shared heap files through a fresh cold buffer pool behind a
 // fresh fault wrapper, so replays see identical physical read sequences.
 func RunChaosPaged(seed int64) error {
-	return runChaosPaged(seed, false)
-}
+	rng := rand.New(rand.NewSource(seed))
+	corpus := PagedCorpus()
+	pe := corpus[rng.Intn(len(corpus))]
+	f, err := fixture()
+	if err != nil {
+		return err
+	}
 
-// RunChaosPagedBatch is RunChaosPaged driving the batch engine.
-func RunChaosPagedBatch(seed int64) error {
-	return runChaosPaged(seed, true)
+	// The horizon comes from a fault-free run over a fresh cold pool: with
+	// page-aligned partitions every data page is read exactly once however
+	// the workers interleave, so the weighted total is deterministic and
+	// memoizable per label. runChaosSchedule finds this run under the same
+	// label and holds the faulted run to it.
+	label := "paged-chaos/" + pe.Label
+	cleanEntry := CorpusEntry{Label: label, Build: func() exec.Operator {
+		cat, err := chaosPagedCatalog(f, nil, nil)
+		if err != nil {
+			panic(err)
+		}
+		return pe.Build(cat)
+	}}
+	clean, err := cleanRun(cleanEntry)
+	if err != nil {
+		return err
+	}
+
+	pb1 := fault.WrapBackend(f.hf1.Backend(), pagedFaultsFor(rng, f.hf1)...)
+	pb2 := fault.WrapBackend(f.hf2.Backend(), pagedFaultsFor(rng, f.hf2)...)
+	cat, err := chaosPagedCatalog(f, pb1, pb2)
+	if err != nil {
+		return err
+	}
+	entry := CorpusEntry{Label: label, Build: func() exec.Operator {
+		return pe.Build(cat)
+	}}
+
+	sched := fault.Generate(seed, chaosProfile(clean.calls))
+	err = runChaosSchedule(entry, sched, []*fault.PageBackend{pb1, pb2})
+	if err == nil {
+		// However the run ended — drained, failed on a page read, canceled —
+		// its cursors are closed and every Get must have met its Release.
+		if n := cat.PagedRelation("p2").Pool().Pinned(); n != 0 {
+			err = fmt.Errorf("%d frame(s) still pinned after the run", n)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("paged chaos seed %d [%s] schedule %q: %w", seed, entry.Label, sched.String(), err)
+	}
+	return nil
 }
 
 // chaosPagedCatalog builds a per-run catalog over the fixture's heap files:
@@ -285,61 +332,6 @@ func pagedFaultsFor(rng *rand.Rand, hf *pager.HeapFile) []fault.PageFault {
 		return []fault.PageFault{{Page: page, Fail: true}}
 	case roll < 0.4:
 		return []fault.PageFault{{Page: page, Stall: 200 * time.Microsecond}}
-	}
-	return nil
-}
-
-func runChaosPaged(seed int64, batch bool) error {
-	rng := rand.New(rand.NewSource(seed))
-	corpus := PagedCorpus()
-	pe := corpus[rng.Intn(len(corpus))]
-	f, err := fixture()
-	if err != nil {
-		return err
-	}
-
-	// The horizon comes from a fault-free run over a fresh cold pool: with
-	// page-aligned partitions every data page is read exactly once however
-	// the workers interleave, so the weighted total is deterministic and
-	// memoizable per label.
-	label := "paged-chaos/" + pe.Label
-	cleanEntry := CorpusEntry{Label: label, Parallel: pe.Parallel, Build: func() exec.Operator {
-		cat, err := chaosPagedCatalog(f, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		return pe.Build(cat)
-	}}
-	horizon, err := cleanTotal(cleanEntry)
-	if err != nil {
-		return err
-	}
-
-	pb1 := fault.WrapBackend(f.hf1.Backend(), pagedFaultsFor(rng, f.hf1)...)
-	pb2 := fault.WrapBackend(f.hf2.Backend(), pagedFaultsFor(rng, f.hf2)...)
-	cat, err := chaosPagedCatalog(f, pb1, pb2)
-	if err != nil {
-		return err
-	}
-	entry := CorpusEntry{Label: label, Parallel: pe.Parallel, Build: func() exec.Operator {
-		return pe.Build(cat)
-	}}
-
-	engine := "row"
-	if batch {
-		engine = "batch"
-	}
-	sched := fault.Generate(seed, chaosProfile(horizon))
-	err = runChaosSchedule(entry, sched, batch, []*fault.PageBackend{pb1, pb2})
-	if err == nil {
-		// However the run ended — drained, failed on a page read, canceled —
-		// its cursors are closed and every Get must have met its Release.
-		if n := cat.PagedRelation("p2").Pool().Pinned(); n != 0 {
-			err = fmt.Errorf("%d frame(s) still pinned after the run", n)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("paged chaos seed %d [%s/%s] schedule %q: %w", seed, entry.Label, engine, sched.String(), err)
 	}
 	return nil
 }

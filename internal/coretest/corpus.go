@@ -18,13 +18,6 @@ import (
 type CorpusEntry struct {
 	Label string
 	Build func() exec.Operator
-	// Parallel marks plans with worker goroutines — a morsel-driven scan,
-	// a partitioned hash join or parallel pre-aggregation:
-	// GetNext calls fire from several goroutines, so invariant checkers
-	// must serialize sampling and chaos cross-validation must allow workers
-	// to count past a terminal fault's scheduled call (see
-	// RunChaosSchedule).
-	Parallel bool
 	// StopsEarly marks parallel plans whose root has its rows while workers
 	// are still running (LIMIT over a parallel operator). Which rows come
 	// back and how many calls the workers count before they are stopped
@@ -115,30 +108,30 @@ func Corpus() []CorpusEntry {
 			return b.ScanFiltered("r2", 0.5, lt("b", 3)).
 				HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Top(5).Op
 		}},
-		{Label: "parallel-scan-agg", Parallel: true, Build: func() exec.Operator {
+		{Label: "parallel-scan-agg", Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelScan("r2", 4).ScalarAgg(count).Op
 		}},
-		{Label: "parallel-scan-join", Parallel: true, Build: func() exec.Operator {
+		{Label: "parallel-scan-join", Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelScan("r2", 3).HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op
 		}},
-		{Label: "parallel-hash-join", Parallel: true, Build: func() exec.Operator {
+		{Label: "parallel-hash-join", Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelHashJoin("r2", 3, b.Scan("r1"), "b", "a", exec.InnerJoin).Op
 		}},
-		{Label: "parallel-agg", Parallel: true, Build: func() exec.Operator {
+		{Label: "parallel-agg", Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelAgg("r2", 4, 0, []string{"b"}, count).Op
 		}},
-		{Label: "limit-parallel-scan", Parallel: true, StopsEarly: true, Build: func() exec.Operator {
+		{Label: "limit-parallel-scan", StopsEarly: true, Build: func() exec.Operator {
 			// LIMIT over worker-credited operators: the workers count rows
 			// ahead of the reader, so the Top's cap says what is delivered,
 			// not what is counted.
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelScan("r2", 4).Top(5).Op
 		}},
-		{Label: "limit-parallel-join", Parallel: true, StopsEarly: true, Build: func() exec.Operator {
+		{Label: "limit-parallel-join", StopsEarly: true, Build: func() exec.Operator {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelHashJoin("r2", 3, b.Scan("r1"), "b", "a", exec.InnerJoin).Top(5).Op
 		}},

@@ -7,7 +7,6 @@ import (
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/fault"
 	"sqlprogress/internal/ledger"
-	"sqlprogress/internal/schema"
 )
 
 // TestCorpusCleanInvariants runs every corpus entry fault-free through both
@@ -17,11 +16,7 @@ func TestCorpusCleanInvariants(t *testing.T) {
 	for _, entry := range Corpus() {
 		entry := entry
 		t.Run(entry.Label, func(t *testing.T) {
-			if entry.Parallel {
-				CheckParallelInvariants(t, entry.Label, entry.Build(), 1)
-			} else {
-				CheckProgressInvariants(t, entry.Label, entry.Build(), 1)
-			}
+			CheckProgressInvariants(t, entry.Label, entry.Build(), 1)
 			if err := RunChaosSchedule(entry, fault.Schedule{}); err != nil {
 				t.Fatalf("%v", err)
 			}
@@ -30,18 +25,21 @@ func TestCorpusCleanInvariants(t *testing.T) {
 }
 
 // TestLedgerIsTheOnlyHome: a node counts only into its ledger slot, bound
-// before Open. After a run of every corpus plan under either engine, each
-// node reads through its ledger's view, the ledger's total is the run's
-// Curr, and the ledger bound before the run is still the plan's ledger.
+// before Open. After a run of every corpus plan in either regime — exact
+// ("row", a hook installed) or bulk ("batch") — each node reads through its
+// ledger's view, the ledger's total is the run's Curr, and the ledger bound
+// before the run is still the plan's ledger.
 func TestLedgerIsTheOnlyHome(t *testing.T) {
-	engines := map[string]func(*exec.Ctx, exec.Operator) ([]schema.Row, error){"row": exec.Run, "batch": exec.RunBatch}
 	for _, entry := range Corpus() {
-		for engine, run := range engines {
+		for _, engine := range []string{"row", "batch"} {
 			t.Run(entry.Label+"/"+engine, func(t *testing.T) {
 				op := entry.Build()
 				led := exec.EnsureLedger(op)
 				ctx := exec.NewCtx()
-				if _, err := run(ctx, op); err != nil {
+				if engine == "row" {
+					ctx.OnGetNext = func(int64) {}
+				}
+				if _, err := exec.RunBatch(ctx, op); err != nil {
 					t.Fatal(err)
 				}
 				id := ledger.NodeID(0)
@@ -86,7 +84,7 @@ func TestMergeJoinEarlyStopBounds(t *testing.T) {
 			worstLB = s.LB
 		}
 	}
-	if _, err := exec.Run(ctx, root); err != nil {
+	if _, err := exec.RunBatch(ctx, root); err != nil {
 		t.Fatal(err)
 	}
 	total := ctx.Calls()

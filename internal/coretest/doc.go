@@ -15,9 +15,12 @@
 // exactly with a freshly built one at every sample point.
 //
 // The package also carries the engine-equivalence corpus: the same logical
-// plan run by the row engine, the batch engine, in parallel, and over paged
-// storage must produce the identical result multiset and ledger
-// trajectories.
+// plan run exactly (a per-call hook installed, so every pull is one
+// GetNext) and in bulk pulls (no hook), in parallel, and over paged storage
+// must produce the identical result multiset and ledger trajectories. No
+// checker is told whether a plan is parallel: each reads it from the plan
+// (exec.OnOneGoroutine), and compares mid-run instants only where the plan
+// runs on one goroutine.
 //
 // Production code must not import coretest.
 package coretest

@@ -20,30 +20,21 @@ import (
 //     built one at every sample point (and at EOF), for both the default
 //     and demand-cap-disabled options.
 //
+// A plan with worker goroutines (not exec.OnOneGoroutine) fires GetNext
+// calls concurrently, so the Monitor's hook serializes captures and anchors
+// each sample to the ledger total its own capture read (the paper's Curr)
+// rather than the triggering worker's call count. For such a plan the
+// reused-vs-fresh evaluator equivalence is asserted only at quiescence —
+// mid-run the two passes read live counters at different instants, so
+// element-wise equality is not defined for them. Every series rule is still
+// asserted at every sample.
+//
 // It returns total(Q) so callers can chain further assertions.
 func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every int64) int64 {
 	t.Helper()
-	return checkInvariants(t, label, op, every, false)
-}
-
-// CheckParallelInvariants is CheckProgressInvariants for plans containing a
-// parallel operator: GetNext calls fire concurrently from worker goroutines,
-// so the Monitor's hook serializes captures and anchors each sample to the
-// ledger total its own capture read (the paper's Curr) rather than the
-// triggering worker's call count. The reused-vs-fresh evaluator equivalence
-// is asserted only at quiescence — mid-run the two passes read live counters
-// at different instants, so element-wise equality is not defined for them.
-// Every series rule is still asserted at every sample.
-func CheckParallelInvariants(t testing.TB, label string, op exec.Operator, every int64) int64 {
-	t.Helper()
-	return checkInvariants(t, label, op, every, true)
-}
-
-func checkInvariants(t testing.TB, label string, op exec.Operator, every int64, parallel bool) int64 {
-	t.Helper()
 	m := core.NewMonitor(op, every, core.Dne{}, core.Pmax{}, core.Safe{}, core.DneDynamic{})
 	equiv := newEquivChecker(op)
-	if !parallel {
+	if exec.OnOneGoroutine(op) {
 		m.OnSample = func(s core.Sample) { equiv.check(t, label, s.Calls) }
 	}
 	if _, err := m.Run(); err != nil {

@@ -24,7 +24,7 @@ import (
 // relations, once against pager heap files behind a deliberately tiny
 // buffer pool — must produce identical results, identical total GetNext
 // calls, identical per-node ledger state, and bitwise-identical
-// dne/pmax/safe trails, under both the row and the batch engine. Buffer
+// dne/pmax/safe trails, in both the exact and the bulk regime. Buffer
 // pool hits, misses and evictions may differ run to run; none of it may
 // leak into the ledger.
 
@@ -164,9 +164,8 @@ func buildTwinCatalogs() (mem, paged *catalog.Catalog, err error) {
 // receives the catalog to construct against: the same closure produces the
 // in-memory reference and the disk-backed subject.
 type PagedEntry struct {
-	Label    string
-	Build    func(cat *catalog.Catalog) exec.Operator
-	Parallel bool
+	Label string
+	Build func(cat *catalog.Catalog) exec.Operator
 }
 
 // PagedCorpus returns plans whose p1/p2 scans exercise the paged access
@@ -200,10 +199,10 @@ func PagedCorpus() []PagedEntry {
 			b := plan.NewBuilder(cat)
 			return b.Scan("p1").Sort("a").MergeJoin(b.Scan("p2").Sort("b"), "a", "b").Op
 		}},
-		{Label: "paged-parallel-scan-agg", Parallel: true, Build: func(cat *catalog.Catalog) exec.Operator {
+		{Label: "paged-parallel-scan-agg", Build: func(cat *catalog.Catalog) exec.Operator {
 			return plan.NewBuilder(cat).ParallelScan("p2", 4).ScalarAgg(count).Op
 		}},
-		{Label: "paged-parallel-join", Parallel: true, Build: func(cat *catalog.Catalog) exec.Operator {
+		{Label: "paged-parallel-join", Build: func(cat *catalog.Catalog) exec.Operator {
 			b := plan.NewBuilder(cat)
 			return b.ParallelScan("p2", 3).HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op
 		}},
@@ -212,31 +211,31 @@ func PagedCorpus() []PagedEntry {
 
 // CheckPagedEquivalence builds the same plan against memCat (in-memory
 // reference) and pagedCat (disk-backed subject) and asserts observational
-// equivalence under the row engine and the batch engine (batch sizes 1 and
-// 13):
+// equivalence in the exact regime and in bulk pulls (batch sizes 1 and 13):
 //
 //   - identical result rows (in order for serial plans, as a multiset for
 //     parallel ones),
 //   - identical total GetNext calls,
 //   - for serial plans, identical per-node final ledger snapshots and — at
-//     every counted call (row engine) or batch quiesce point (batch
-//     engine) — identical per-node ledger state and bitwise-identical
-//     dne/pmax/safe estimates.
+//     every counted call (exact) or batch quiesce point (bulk) — identical
+//     per-node ledger state and bitwise-identical dne/pmax/safe estimates.
 //
-// Parallel plans compare results and totals only: page-aligned partition
-// windows legitimately differ from the in-memory n*i/parts split, so
-// per-partition ledger slots are not comparable — but the work they sum to
-// is.
-func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator, parallel bool) {
+// Parallel plans — those not on one goroutine (exec.OnOneGoroutine) —
+// compare results and totals only: page-aligned partition windows
+// legitimately differ from the in-memory n*i/parts split, so per-partition
+// ledger slots are not comparable — but the work they sum to is.
+func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator) {
 	t.Helper()
 	check := func(lbl, engine string, batchSize int, exact bool) {
 		t.Helper()
-		ref := runMarked(t, lbl+": in-memory "+engine, build(memCat), batchSize, exact, !parallel)
-		sub := runMarked(t, lbl+": paged "+engine, build(pagedCat), batchSize, exact, !parallel)
+		ref := runMarked(t, lbl+": in-memory "+engine, build(memCat), batchSize, exact)
+		sub := runMarked(t, lbl+": paged "+engine, build(pagedCat), batchSize, exact)
 		if len(sub.marks) != len(ref.marks) {
 			t.Fatalf("%s: trail lengths differ: paged %d marks, in-memory %d", lbl, len(sub.marks), len(ref.marks))
 		}
-		compareRuns(t, lbl, "paged", "in-memory", sub, ref, parallel)
+		if err := compareRuns(lbl, "paged", "in-memory", sub, ref); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check(label+"[row]", "row", 0, true)
 	for _, bs := range []int{1, 13} {

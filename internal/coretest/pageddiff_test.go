@@ -22,13 +22,13 @@ func checkNoPins(t *testing.T, cat *catalog.Catalog) {
 
 // TestPagedEquivalence is the paged differential over the corpus: every
 // entry must be observationally identical between in-memory and disk-backed
-// storage under both engines.
+// storage in both regimes.
 func TestPagedEquivalence(t *testing.T) {
 	mem, paged := twinCatalogs(t)
 	for _, e := range PagedCorpus() {
 		e := e
 		t.Run(e.Label, func(t *testing.T) {
-			CheckPagedEquivalence(t, e.Label, mem, paged, e.Build, e.Parallel)
+			CheckPagedEquivalence(t, e.Label, mem, paged, e.Build)
 			checkNoPins(t, paged)
 		})
 	}
@@ -42,11 +42,7 @@ func TestPagedProgressInvariants(t *testing.T) {
 	for _, e := range PagedCorpus() {
 		e := e
 		t.Run(e.Label, func(t *testing.T) {
-			if e.Parallel {
-				CheckParallelInvariants(t, e.Label, e.Build(paged), 1)
-			} else {
-				CheckProgressInvariants(t, e.Label, e.Build(paged), 1)
-			}
+			CheckProgressInvariants(t, e.Label, e.Build(paged), 1)
 			checkNoPins(t, paged)
 		})
 	}
@@ -97,11 +93,7 @@ func TestPagedWeightedInvariants(t *testing.T) {
 	for _, e := range PagedCorpus() {
 		e := e
 		t.Run(e.Label, func(t *testing.T) {
-			if e.Parallel {
-				CheckParallelInvariants(t, e.Label, e.Build(cat), 1)
-			} else {
-				CheckProgressInvariants(t, e.Label, e.Build(cat), 1)
-			}
+			CheckProgressInvariants(t, e.Label, e.Build(cat), 1)
 			checkNoPins(t, cat)
 		})
 	}

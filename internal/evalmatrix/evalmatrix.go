@@ -240,7 +240,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 	// and so every sampled instant, must be the same run after run.
 	exec.Lockstep(dry)
 	dctx := exec.NewCtx()
-	if _, err := exec.Run(dctx, dry); err != nil {
+	if _, err := exec.RunBatch(dctx, dry); err != nil {
 		return Scored{}, err
 	}
 	total := dctx.Calls()

@@ -107,7 +107,7 @@ func (d *paperData) pagerCat(warm bool) (*catalog.Catalog, error) {
 	pr := pagedStore(d.fact, pagedFrames)
 	if warm {
 		pr = pagedStore(d.fact, int(d.fact.DataPages())+pagedFrames)
-		if _, err := exec.Run(exec.NewCtx(), exec.NewStoreScan(pr, nil)); err != nil {
+		if _, err := exec.RunBatch(exec.NewCtx(), exec.NewStoreScan(pr, nil)); err != nil {
 			return nil, err
 		}
 	}

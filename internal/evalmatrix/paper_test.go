@@ -241,7 +241,7 @@ func TestPagerPoolRegimes(t *testing.T) {
 			}
 		})
 		before := pool.Stats()
-		if _, err := exec.Run(exec.NewCtx(), op); err != nil {
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 			t.Fatal(err)
 		}
 		after := pool.Stats()

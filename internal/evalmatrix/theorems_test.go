@@ -59,7 +59,7 @@ func TestThm1Indistinguishability(t *testing.T) {
 				}
 			}
 		}
-		if _, err := exec.Run(ctx, op); err != nil {
+		if _, err := exec.RunBatch(ctx, op); err != nil {
 			t.Fatal(err)
 		}
 		return out, float64(pos) / float64(ctx.Calls())

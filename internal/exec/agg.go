@@ -9,13 +9,13 @@ import (
 	"sqlprogress/internal/sqlval"
 )
 
-// aggOutputSchema builds the schema for an aggregation: group columns first
-// (types taken from the child where resolvable), then one column per
-// aggregate.
-func aggOutputSchema(groupNames []string, groupTypes []sqlval.Kind, aggs []expr.Agg) *schema.Schema {
+// aggOutputSchema builds the schema for an aggregation over rows of in:
+// group columns first (a plain column keeps its table, see outputColumn),
+// then one column per aggregate.
+func aggOutputSchema(in *schema.Schema, groupBy []expr.Expr, groupNames []string, groupTypes []sqlval.Kind, aggs []expr.Agg) *schema.Schema {
 	cols := make([]schema.Column, 0, len(groupNames)+len(aggs))
 	for i, n := range groupNames {
-		cols = append(cols, schema.Column{Name: n, Type: groupTypes[i]})
+		cols = append(cols, outputColumn(in, groupBy[i], n, groupTypes[i]))
 	}
 	for _, a := range aggs {
 		cols = append(cols, schema.Column{Name: a.Name, Type: a.OutputType()})
@@ -58,7 +58,7 @@ func NewHashAgg(child Operator, groupBy []expr.Expr, groupNames []string, groupT
 		Aggs:       aggs,
 		groupNames: groupNames,
 	}
-	a.init(aggOutputSchema(groupNames, groupTypes, aggs))
+	a.init(aggOutputSchema(child.Schema(), groupBy, groupNames, groupTypes, aggs))
 	return a
 }
 
@@ -210,7 +210,7 @@ func NewStreamAgg(child Operator, groupBy []expr.Expr, groupNames []string, grou
 		GroupBy: groupBy,
 		Aggs:    aggs,
 	}
-	s.init(aggOutputSchema(groupNames, groupTypes, aggs))
+	s.init(aggOutputSchema(child.Schema(), groupBy, groupNames, groupTypes, aggs))
 	return s
 }
 

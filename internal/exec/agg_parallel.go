@@ -55,7 +55,7 @@ func NewParallelHashAgg(parts []Operator, groupBy []expr.Expr, groupNames []stri
 		Aggs:       aggs,
 		groupNames: groupNames,
 	}
-	a.init(aggOutputSchema(groupNames, groupTypes, aggs))
+	a.init(aggOutputSchema(parts[0].Schema(), groupBy, groupNames, groupTypes, aggs))
 	return a
 }
 

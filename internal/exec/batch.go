@@ -15,20 +15,22 @@ import (
 // The design constraint is the paper's: progress is accounted in GetNext
 // calls, and the ledger trajectories the estimators read must be the same
 // whatever the pull size. So there are two pull sizes through one body, not
-// two engines:
+// two engines, and the run derives which from its hooks — no caller picks:
 //
-//   - Exact (every pull is want == 1): exec.Run, and any run with Ctx.Inject
-//     or Ctx.OnGetNext set. Every counted call is credited on its own, in the
-//     iterator model's order, so hooks see every Curr and a fault or a
-//     cancellation lands at exactly its scheduled call.
+//   - Exact (every pull is want == 1): any run with Ctx.Inject or
+//     Ctx.OnGetNext set, because only something that watches every call
+//     needs every call's instant. Each counted call is credited on its own,
+//     in the iterator model's order, so hooks see every Curr and a fault or
+//     a cancellation lands at exactly its scheduled call.
 //
-//   - Bulk (RunBatch with no hook): operators move chunks of up to
-//     Ctx.BatchSize rows and credit their ledger slots in bulk — one
-//     interface dispatch and a handful of atomic adds per chunk instead of
-//     per row. Every operator finishes the child chunk it holds before it
-//     returns, so whenever a root batch is handed back the whole tree is
-//     quiescent and the ledger is exactly the exact regime's at the same
-//     Curr (coretest's bulk-vs-exact check proves this over its corpus).
+//   - Bulk (no hook): operators move chunks of up to Ctx.BatchSize rows and
+//     credit their ledger slots in bulk — one interface dispatch and a
+//     handful of atomic adds per chunk instead of per row. Every operator
+//     finishes the child chunk it holds before it returns, so whenever a
+//     root batch is handed back the whole tree is quiescent and the ledger
+//     is exactly the exact regime's at the same Curr (coretest's
+//     bulk-vs-exact check proves this over its corpus, against a reference
+//     run that installs a hook).
 //
 // Who asks for how much: a streaming child is pulled with its parent's want,
 // and a blocking child is drained at ctx.batchSize(). Top, MergeJoin and
@@ -63,10 +65,10 @@ func (b *Batch) Len() int { return len(b.Rows) }
 // Append adds one row.
 func (b *Batch) Append(r schema.Row) { b.Rows = append(b.Rows, r) }
 
-// batchSize is the pull size of this run: 1 in the exact regime — exec.Run,
-// or any hook installed — and the chunk size otherwise.
+// batchSize is the pull size of this run: 1 in the exact regime — a hook
+// installed — and the chunk size otherwise.
 func (c *Ctx) batchSize() int {
-	if !c.vectorized || c.Inject != nil || c.OnGetNext != nil {
+	if c.Inject != nil || c.OnGetNext != nil {
 		return 1
 	}
 	return c.chunkSize()
@@ -264,11 +266,12 @@ func (a *rowArena) concat(l, r schema.Row) schema.Row {
 	return out
 }
 
-// RunBatch drains an operator tree to completion in bulk pulls, returning
-// all produced root rows. It produces the same result multiset, the same
-// final ledger counts and — at every root-batch quiesce point — the same
-// dne/pmax/safe estimator inputs as Run; with a hook installed its pulls are
-// Run's, one row each.
+// RunBatch drains an operator tree to completion, returning all produced
+// root rows. It binds the plan to a progress ledger first, so samplers
+// attached to the tree always observe ledger-backed counters. Its pulls are
+// bulk, or one row each when a hook is installed; either way it produces the
+// same result multiset, the same final ledger counts and — at every
+// root-batch quiesce point — the same dne/pmax/safe estimator inputs.
 func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
 	return RunBatchObserved(ctx, op, nil)
 }
@@ -279,24 +282,19 @@ func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
 // Open, where a plan under a sort, an aggregate or a hash build spends its
 // run — after each batch of its child has been taken in (drain). At each
 // invocation no operator holds counted-but-unprocessed rows, so a sampler
-// reading the ledger sees a state Run reaches at the same Curr — the
+// reading the ledger sees a state a hooked run reaches at the same Curr — the
 // property the bulk-vs-exact differential check is built on. observe only
 // ever runs on the calling goroutine: a plan whose workers drain partitions
 // on goroutines of their own is observed at the root batches alone.
+//
+// It is the one run loop: it binds the plan, opens it, pulls the root at
+// the run's pull size until EOF, and closes it.
 func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema.Row, error) {
-	return run(ctx, op, true, observe)
-}
-
-// run is the one driver loop under Run and RunBatchObserved: it binds the
-// plan, opens it, pulls the root at the run's pull size until EOF, and
-// closes it.
-func run(ctx *Ctx, op Operator, vectorized bool, observe func(curr int64)) ([]schema.Row, error) {
 	if ctx == nil {
 		ctx = NewCtx()
 	}
-	ctx.vectorized = vectorized
 	ctx.observe = nil
-	if observe != nil && onOneGoroutine(op) {
+	if observe != nil && OnOneGoroutine(op) {
 		ctx.observe = observe
 	}
 	EnsureLedger(op)

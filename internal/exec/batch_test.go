@@ -119,16 +119,24 @@ func finalSnapshots(op Operator) []ledger.Snapshot {
 	return out
 }
 
+// runExact is RunBatch in the exact regime: a no-op hook makes every pull
+// one GetNext. It is the reference the bulk regime is held to.
+func runExact(ctx *Ctx, op Operator) ([]schema.Row, error) {
+	ctx.OnGetNext = func(int64) {}
+	return RunBatch(ctx, op)
+}
+
 // TestRunBatchMatchesRun proves the headline equivalence at the exec level:
-// identical result sets, identical total GetNext calls, identical per-node
-// final counters — across every plan shape and several batch sizes.
+// bulk pulls give the exact regime's result sets, total GetNext calls and
+// per-node final counters — across every plan shape and several batch
+// sizes.
 func TestRunBatchMatchesRun(t *testing.T) {
 	for _, tc := range batchPlans() {
 		for _, bs := range []int{0, 1, 3, 64} {
 			t.Run(fmt.Sprintf("%s/bs=%d", tc.name, bs), func(t *testing.T) {
 				rowOp := tc.build()
 				rowCtx := NewCtx()
-				wantRows, err := Run(rowCtx, rowOp)
+				wantRows, err := runExact(rowCtx, rowOp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,71 +176,63 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 }
 
-// TestBatchFaultLandsAtExactCall proves the exact path: with an injector
-// installed, a batch run degrades to the precise row-engine call sequence, so
-// a fault scheduled for call N aborts with exactly N calls counted —
-// mid-batch, not at a chunk boundary.
+// TestBatchFaultLandsAtExactCall proves that an injector alone puts a run in
+// the exact regime: a fault scheduled for call N aborts with exactly N calls
+// counted — mid-batch, not at a chunk boundary — and every node's count is
+// the iterator model's at call N.
 func TestBatchFaultLandsAtExactCall(t *testing.T) {
 	boom := errors.New("boom")
+	// filter_project over 500 rows: the filter rejects v < 100, so the
+	// first 100 calls are the scan's alone; after that each row is three
+	// calls in iterator order — scan, filter, project.
+	exact := func(at int64) [3]int64 {
+		if at <= 100 {
+			return [3]int64{at, 0, 0}
+		}
+		m := at - 100
+		n, r := m/3, m%3
+		return [3]int64{100 + n + min(r, 1), n + r/2, n}
+	}
 	for _, at := range []int64{1, 7, 100, 333, 1000} {
-		rowOp := batchPlans()[2].build() // filter_project over 500 rows
-		rowCtx := NewCtx()
-		rowCtx.Inject = func(calls int64) error {
+		op := batchPlans()[2].build()
+		ctx := NewCtx()
+		ctx.Inject = func(calls int64) error {
 			if calls == at {
 				return boom
 			}
 			return nil
 		}
-		_, rowErr := Run(rowCtx, rowOp)
-
-		batchOp := batchPlans()[2].build()
-		batchCtx := NewCtx()
-		batchCtx.Inject = func(calls int64) error {
-			if calls == at {
-				return boom
-			}
-			return nil
+		if _, err := RunBatch(ctx, op); !errors.Is(err, boom) {
+			t.Fatalf("at=%d: err = %v, want boom", at, err)
 		}
-		_, batchErr := RunBatch(batchCtx, batchOp)
-
-		if !errors.Is(batchErr, boom) || !errors.Is(rowErr, boom) {
-			t.Fatalf("at=%d: errors row=%v batch=%v", at, rowErr, batchErr)
+		if got := ctx.Calls(); got != at {
+			t.Errorf("at=%d: calls = %d, want exactly %d", at, got, at)
 		}
-		if batchCtx.Calls() != at || rowCtx.Calls() != at {
-			t.Errorf("at=%d: calls row=%d batch=%d, want exactly %d",
-				at, rowCtx.Calls(), batchCtx.Calls(), at)
-		}
-		gs, ws := finalSnapshots(batchOp), finalSnapshots(rowOp)
-		for i := range gs {
-			if gs[i] != ws[i] {
-				t.Errorf("at=%d node %d: batch %+v, row %+v", at, i, gs[i], ws[i])
-			}
+		// Pre-order: project, filter, scan.
+		snaps := finalSnapshots(op)
+		got := [3]int64{snaps[2].Returned, snaps[1].Returned, snaps[0].Returned}
+		if want := exact(at); got != want {
+			t.Errorf("at=%d: scan/filter/project calls %v, want %v", at, got, want)
 		}
 	}
 }
 
 // TestBatchCancelStopsMidBatch proves cancellation through OnGetNext lands at
-// the same call count on both engines.
+// exactly the call that asked for it, mid-batch.
 func TestBatchCancelStopsMidBatch(t *testing.T) {
 	const at = 42
-	run := func(run func(*Ctx, Operator) ([]schema.Row, error)) (int64, error) {
-		op := batchPlans()[0].build() // plain 500-row scan
-		ctx := NewCtx()
-		ctx.OnGetNext = func(calls int64) {
-			if calls == at {
-				ctx.Cancel()
-			}
+	op := batchPlans()[0].build() // plain 500-row scan
+	ctx := NewCtx()
+	ctx.OnGetNext = func(calls int64) {
+		if calls == at {
+			ctx.Cancel()
 		}
-		_, err := run(ctx, op)
-		return ctx.Calls(), err
 	}
-	rowCalls, rowErr := run(Run)
-	batchCalls, batchErr := run(RunBatch)
-	if rowErr != ErrCanceled || batchErr != ErrCanceled {
-		t.Fatalf("errors: row=%v batch=%v", rowErr, batchErr)
+	if _, err := RunBatch(ctx, op); err != ErrCanceled {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if rowCalls != batchCalls {
-		t.Errorf("calls at cancel: row=%d batch=%d", rowCalls, batchCalls)
+	if got := ctx.Calls(); got != at {
+		t.Errorf("calls at cancel = %d, want %d", got, at)
 	}
 }
 

@@ -54,27 +54,16 @@ func (c *Ctx) Bind(stdctx context.Context) (release func() error) {
 	}
 }
 
-// RunContext drains the operator tree like Run, honouring stdctx: if the
-// context is canceled or its deadline expires mid-run, execution stops and
-// RunContext returns stdctx.Err() instead of ErrCanceled. An explicit
-// Ctx.Cancel still surfaces as ErrCanceled.
-func RunContext(stdctx context.Context, ctx *Ctx, op Operator) ([]schema.Row, error) {
-	return runContext(stdctx, ctx, op, Run)
-}
-
-// RunBatchContext is RunContext in bulk pulls: it drains the tree with
-// RunBatch while honouring stdctx cancellation and deadlines the same way
-// RunContext does.
+// RunBatchContext drains the operator tree like RunBatch, honouring stdctx:
+// if the context is canceled or its deadline expires mid-run, execution
+// stops and RunBatchContext returns stdctx.Err() instead of ErrCanceled. An
+// explicit Ctx.Cancel still surfaces as ErrCanceled.
 func RunBatchContext(stdctx context.Context, ctx *Ctx, op Operator) ([]schema.Row, error) {
-	return runContext(stdctx, ctx, op, RunBatch)
-}
-
-func runContext(stdctx context.Context, ctx *Ctx, op Operator, run func(*Ctx, Operator) ([]schema.Row, error)) ([]schema.Row, error) {
 	if ctx == nil {
 		ctx = NewCtx()
 	}
 	release := ctx.Bind(stdctx)
-	rows, err := run(ctx, op)
+	rows, err := RunBatch(ctx, op)
 	if bindErr := release(); bindErr != nil && err == ErrCanceled {
 		return nil, bindErr
 	}

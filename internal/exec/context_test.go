@@ -32,7 +32,7 @@ func smallPlan(n int64) Operator {
 func TestBindNoCancelPath(t *testing.T) {
 	ctx := NewCtx()
 	release := ctx.Bind(context.Background())
-	rows, err := Run(ctx, smallPlan(10))
+	rows, err := RunBatch(ctx, smallPlan(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunContextDeadline(t *testing.T) {
 	stdctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	// Keep scanning until the deadline fires: a scan over a large relation.
-	_, err := RunContext(stdctx, nil, slowPlan(8_000))
+	_, err := RunBatchContext(stdctx, nil, slowPlan(8_000))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -63,7 +63,7 @@ func TestRunContextExplicitCancelStaysErrCanceled(t *testing.T) {
 			ctx.Cancel()
 		}
 	}
-	_, err := RunContext(stdctx, ctx, slowPlan(2_000))
+	_, err := RunBatchContext(stdctx, ctx, slowPlan(2_000))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -78,7 +78,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err := RunContext(stdctx, ctx, slowPlan(8_000))
+	_, err := RunBatchContext(stdctx, ctx, slowPlan(8_000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -93,7 +93,7 @@ func TestBindAfterStartRace(t *testing.T) {
 	ctx := NewCtx()
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, slowPlan(8_000))
+		_, err := RunBatch(ctx, slowPlan(8_000))
 		runDone <- err
 	}()
 	// Let the run get underway before binding.
@@ -119,7 +119,7 @@ func TestRunContextPreExpiredDeadline(t *testing.T) {
 	stdctx, cancel := context.WithTimeout(context.Background(), -time.Millisecond)
 	defer cancel()
 	ctx := NewCtx()
-	_, err := RunContext(stdctx, ctx, slowPlan(8_000))
+	_, err := RunBatchContext(stdctx, ctx, slowPlan(8_000))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -134,7 +134,7 @@ func TestRunContextPreCanceledContext(t *testing.T) {
 	stdctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctx := NewCtx()
-	_, err := RunContext(stdctx, ctx, slowPlan(8_000))
+	_, err := RunBatchContext(stdctx, ctx, slowPlan(8_000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -156,7 +156,7 @@ func TestExplicitCancelBeatsLiveBinding(t *testing.T) {
 			ctx.Cancel()
 		}
 	}
-	_, err := Run(ctx, slowPlan(8_000))
+	_, err := RunBatch(ctx, slowPlan(8_000))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("run err = %v, want ErrCanceled", err)
 	}
@@ -172,7 +172,7 @@ func TestBindReleaseAfterCompletion(t *testing.T) {
 	defer cancel()
 	ctx := NewCtx()
 	release := ctx.Bind(stdctx)
-	if _, err := Run(ctx, smallPlan(10)); err != nil {
+	if _, err := RunBatch(ctx, smallPlan(10)); err != nil {
 		t.Fatal(err)
 	}
 	doneCh := make(chan error, 1)

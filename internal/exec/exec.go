@@ -5,10 +5,12 @@
 // NextBatch(ctx, b, want). A GetNext call is one row handed to a parent by a
 // want == 1 pull, attributed to the operator that handed it out; EOF probes
 // are not counted. A bulk pull of n rows is n GetNext calls credited at once
-// (see batch.go). The counted nodes are exactly the plan-tree
-// operators: for an index nested loops join the inner index lookup is an
-// access path inside the join, not a counted node, matching the paper's
-// arithmetic in Example 1.
+// (see batch.go). RunBatch is the one way to run a plan, and the run derives
+// its pull size: one row at a time exactly when a per-call hook (Ctx.Inject
+// or Ctx.OnGetNext) is installed, bulk otherwise. The counted nodes are
+// exactly the plan-tree operators: for an index nested loops join the inner
+// index lookup is an access path inside the join, not a counted node,
+// matching the paper's arithmetic in Example 1.
 //
 // Rows returned by operators remain valid indefinitely: they are either fresh
 // allocations or references into immutable base relations. Operators never
@@ -44,7 +46,8 @@ type Ctx struct {
 	// OnGetNext, when non-nil, is invoked after every counted call. Progress
 	// monitors use it to sample estimates at regular points of the
 	// execution. It runs on the execution goroutine and must be set before
-	// the run starts.
+	// the run starts. Like Inject, it puts the run in the exact regime:
+	// every pull is one GetNext (see batch.go).
 	OnGetNext func(calls int64)
 
 	// Inject, when non-nil, is invoked on every counted call (before
@@ -58,14 +61,9 @@ type Ctx struct {
 
 	// BatchSize overrides DefaultBatchSize for bulk pulls and parallel
 	// worker chunks (zero means the default). Set before the run starts; it
-	// only affects chunk granularity, never accounting semantics.
+	// only affects chunk granularity, never accounting semantics, and a
+	// hooked run's pulls are one row whatever it says.
 	BatchSize int
-
-	// vectorized marks a run started by RunBatch: its pulls are bulk when
-	// additionally no per-call hook is installed (batchSize). Set once
-	// before execution starts and read-only during the run (the worker
-	// goroutines of parallel operators read it concurrently).
-	vectorized bool
 
 	// observe is RunBatchObserved's quiesce-point observer, carried for drain.
 	observe func(curr int64)
@@ -125,8 +123,8 @@ func SatAdd(a, b int64) int64 {
 // Operator is a physical operator node under the iterator model.
 //
 // A node counts only into its ledger slot (plus, for a parallel operator,
-// its per-worker sub-slots), bound by EnsureLedger before Open; Run and
-// RunBatch bind first. Readers go through NodeView or the ledger itself.
+// its per-worker sub-slots), bound by EnsureLedger before Open; RunBatch
+// binds first. Readers go through NodeView or the ledger itself.
 type Operator interface {
 	// Open prepares the operator (and recursively its inputs) for
 	// iteration. Blocking operators perform their build work here, issuing
@@ -270,15 +268,6 @@ func EnsureLedger(root Operator) *ledger.Ledger {
 		id++
 	})
 	return led
-}
-
-// Run drains an operator tree to completion in the exact regime — every pull
-// one GetNext — returning all produced root rows. It is the reference
-// execution that hooks, fault schedules and the paper's per-call sampling
-// run under. Run binds the plan to a progress ledger first, so samplers
-// attached to the tree always observe ledger-backed counters.
-func Run(ctx *Ctx, op Operator) ([]schema.Row, error) {
-	return run(ctx, op, false, nil)
 }
 
 // Walk visits op and all descendants in pre-order.

@@ -69,7 +69,7 @@ func TestScanCountsEveryRow(t *testing.T) {
 	rel := relOf("r", []string{"a"}, [][]int64{{1}, {2}, {3}})
 	s := NewScan(rel)
 	ctx := NewCtx()
-	rows, err := Run(ctx, s)
+	rows, err := RunBatch(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestScanCountsEveryRow(t *testing.T) {
 func TestScanWithOrder(t *testing.T) {
 	rel := relOf("r", []string{"a"}, [][]int64{{10}, {20}, {30}})
 	s := NewScanWithOrder(rel, []int32{2, 0, 1})
-	rows, err := Run(NewCtx(), s)
+	rows, err := RunBatch(NewCtx(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestScanRescan(t *testing.T) {
 	rel := relOf("r", []string{"a"}, [][]int64{{1}, {2}})
 	s := NewScan(rel)
 	ctx := NewCtx()
-	if _, err := Run(ctx, s); err != nil {
+	if _, err := RunBatch(ctx, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ctx, s); err != nil {
+	if _, err := RunBatch(ctx, s); err != nil {
 		t.Fatal(err)
 	}
 	rt := NodeSnapshot(s)
@@ -131,7 +131,7 @@ func TestRangeScan(t *testing.T) {
 	ix := index.BuildOrdered("ix", rel, 0)
 	lo, hi := sqlval.Int(2), sqlval.Int(4)
 	rs := NewRangeScan(ix, &lo, &hi, true, true)
-	rows, err := Run(NewCtx(), rs)
+	rows, err := RunBatch(NewCtx(), rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRangeScan(t *testing.T) {
 func TestValues(t *testing.T) {
 	sch := schema.New(schema.Column{Name: "x", Type: sqlval.KindInt})
 	v := NewValues(sch, []schema.Row{{sqlval.Int(1)}, {sqlval.Int(2)}})
-	rows, err := Run(NewCtx(), v)
+	rows, err := RunBatch(NewCtx(), v)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("values run = %v, %v", rows, err)
 	}
@@ -172,7 +172,7 @@ func TestFilter(t *testing.T) {
 	sc := NewScan(rel)
 	f := NewFilter(sc, expr.Compare(expr.GT, col(sc, "r", "a"), intLit(3)))
 	ctx := NewCtx()
-	rows, err := Run(ctx, f)
+	rows, err := RunBatch(ctx, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestProject(t *testing.T) {
 	p := NewProject(sc,
 		[]expr.Expr{expr.NewArith(expr.MulOp, col(sc, "r", "a"), intLit(10))},
 		[]string{"a10"}, []sqlval.Kind{sqlval.KindInt})
-	rows, err := Run(NewCtx(), p)
+	rows, err := RunBatch(NewCtx(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTop(t *testing.T) {
 	rel := relOf("r", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}})
 	top := NewTop(NewScan(rel), 2)
 	ctx := NewCtx()
-	rows, err := Run(ctx, top)
+	rows, err := RunBatch(ctx, top)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("top rows = %v, %v", rows, err)
 	}
@@ -250,7 +250,7 @@ func TestHashJoinInner(t *testing.T) {
 	j := NewHashJoin(scanS, scanR,
 		[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, InnerJoin)
 	ctx := NewCtx()
-	rows, err := Run(ctx, j)
+	rows, err := RunBatch(ctx, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	scanR, scanS := NewScan(r), NewScan(s)
 	j := NewHashJoin(scanS, scanR,
 		[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, InnerJoin)
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		scanR, scanS := NewScan(r), NewScan(s)
 		j := NewHashJoin(scanS, scanR,
 			[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, mode)
-		rows, err := Run(NewCtx(), j)
+		rows, err := RunBatch(NewCtx(), j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestHashJoinAntiNullProbeEmits(t *testing.T) {
 	scanR, scanS := NewScan(r), NewScan(s)
 	j := NewHashJoin(scanS, scanR,
 		[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, AntiJoin)
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("anti with NULL probe = %v, %v", rows, err)
 	}
@@ -331,7 +331,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	scanR, scanS := NewScan(r), NewScan(s)
 	j := NewHashJoin(scanS, scanR,
 		[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, LeftOuterJoin)
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestINLJoinMatchesHashJoin(t *testing.T) {
 	ix := index.BuildHash("hx", s, 0)
 	scanR := NewScan(r)
 	j := NewINLJoin(scanR, ix, col(scanR, "r", "a"), InnerJoin)
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestINLJoinAccountingMatchesPaperExample(t *testing.T) {
 	filter := NewFilter(scan, expr.Compare(expr.EQ, col(scan, "r1", "a"), intLit(3)))
 	join := NewINLJoin(filter, ix, expr.NewCol(filter.Schema(), "r1", "a"), InnerJoin)
 	ctx := NewCtx()
-	rows, err := Run(ctx, join)
+	rows, err := RunBatch(ctx, join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,13 +399,13 @@ func TestINLJoinSemiAnti(t *testing.T) {
 	ix := index.BuildHash("hx", s, 0)
 	scanR := NewScan(r)
 	semi := NewINLJoin(scanR, ix, col(scanR, "r", "a"), SemiJoin)
-	rows, err := Run(NewCtx(), semi)
+	rows, err := RunBatch(NewCtx(), semi)
 	if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 2 {
 		t.Errorf("INL semi = %v, %v", rowsToStrings(rows), err)
 	}
 	scanR2 := NewScan(r)
 	anti := NewINLJoin(scanR2, ix, col(scanR2, "r", "a"), AntiJoin)
-	rows, err = Run(NewCtx(), anti)
+	rows, err = RunBatch(NewCtx(), anti)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("INL anti = %v, %v", rowsToStrings(rows), err)
 	}
@@ -417,7 +417,7 @@ func TestINLJoinLeftOuter(t *testing.T) {
 	ix := index.BuildHash("hx", s, 0)
 	scanR := NewScan(r)
 	j := NewINLJoin(scanR, ix, col(scanR, "r", "a"), LeftOuterJoin)
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("INL left outer = %v, %v", rowsToStrings(rows), err)
 	}
@@ -430,7 +430,7 @@ func TestNLJoinMatchesHashJoin(t *testing.T) {
 	j := NewNLJoin(scanR, scanS, expr.Compare(expr.EQ,
 		expr.Col{Index: 0}, expr.Col{Index: 2}))
 	ctx := NewCtx()
-	rows, err := Run(ctx, j)
+	rows, err := RunBatch(ctx, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	j := NewMergeJoin(sortR, sortS,
 		[]expr.Expr{expr.NewCol(sortR.Schema(), "r", "a")},
 		[]expr.Expr{expr.NewCol(sortS.Schema(), "s", "b")})
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestMergeJoinDuplicateRuns(t *testing.T) {
 	j := NewMergeJoin(sortR, sortS,
 		[]expr.Expr{expr.NewCol(sortR.Schema(), "r", "a")},
 		[]expr.Expr{expr.NewCol(sortS.Schema(), "s", "b")})
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestMergeJoinSkipsNullKeys(t *testing.T) {
 	j := NewMergeJoin(sortR, sortS,
 		[]expr.Expr{expr.NewCol(sortR.Schema(), "r", "a")},
 		[]expr.Expr{expr.NewCol(sortS.Schema(), "s", "b")})
-	rows, err := Run(NewCtx(), j)
+	rows, err := RunBatch(NewCtx(), j)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("merge join with NULLs = %v, %v", rowsToStrings(rows), err)
 	}
@@ -508,7 +508,7 @@ func TestSortAscDesc(t *testing.T) {
 		{Expr: col(sc, "r", "b"), Desc: true},
 	})
 	ctx := NewCtx()
-	rows, err := Run(ctx, s)
+	rows, err := RunBatch(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestHashAggGroups(t *testing.T) {
 			{Kind: expr.AggCountStar, Name: "cnt"},
 			{Kind: expr.AggMin, Arg: col(sc, "r", "v"), Name: "min_v"},
 		})
-	rows, err := Run(NewCtx(), agg)
+	rows, err := RunBatch(NewCtx(), agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestHashAggGroupsWithNullKeys(t *testing.T) {
 	agg := NewHashAgg(sc,
 		[]expr.Expr{col(sc, "r", "g")}, []string{"g"}, []sqlval.Kind{sqlval.KindInt},
 		[]expr.Agg{{Kind: expr.AggSum, Arg: col(sc, "r", "v"), Name: "s"}})
-	rows, err := Run(NewCtx(), agg)
+	rows, err := RunBatch(NewCtx(), agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func TestStreamAggGrouped(t *testing.T) {
 	agg := NewStreamAgg(sc,
 		[]expr.Expr{col(sc, "r", "g")}, []string{"g"}, []sqlval.Kind{sqlval.KindInt},
 		[]expr.Agg{{Kind: expr.AggSum, Arg: col(sc, "r", "v"), Name: "s"}})
-	rows, err := Run(NewCtx(), agg)
+	rows, err := RunBatch(NewCtx(), agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestStreamAggScalar(t *testing.T) {
 			{Kind: expr.AggCountStar, Name: "cnt"},
 			{Kind: expr.AggAvg, Arg: col(sc, "r", "v"), Name: "avg_v"},
 		})
-	rows, err := Run(NewCtx(), agg)
+	rows, err := RunBatch(NewCtx(), agg)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("scalar agg = %v, %v", rows, err)
 	}
@@ -619,7 +619,7 @@ func TestStreamAggScalarEmptyInput(t *testing.T) {
 	sc := NewScan(rel)
 	agg := NewStreamAgg(sc, nil, nil, nil,
 		[]expr.Agg{{Kind: expr.AggCountStar, Name: "cnt"}})
-	rows, err := Run(NewCtx(), agg)
+	rows, err := RunBatch(NewCtx(), agg)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("scalar agg over empty = %v, %v", rows, err)
 	}
@@ -644,14 +644,14 @@ func TestAggEquivalence(t *testing.T) {
 	}
 	sc1 := NewScan(rel)
 	hash := NewHashAgg(sc1, []expr.Expr{col(sc1, "r", "g")}, []string{"g"}, []sqlval.Kind{sqlval.KindInt}, aggs(sc1))
-	hrows, err := Run(NewCtx(), hash)
+	hrows, err := RunBatch(NewCtx(), hash)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc2 := NewScan(rel)
 	srt := NewSort(sc2, []SortKey{{Expr: col(sc2, "r", "g")}})
 	stream := NewStreamAgg(srt, []expr.Expr{expr.NewCol(srt.Schema(), "r", "g")}, []string{"g"}, []sqlval.Kind{sqlval.KindInt}, aggs(srt))
-	srows, err := Run(NewCtx(), stream)
+	srows, err := RunBatch(NewCtx(), stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +681,7 @@ func TestJoinAlgorithmsAgreeRandomized(t *testing.T) {
 		scanR, scanS := NewScan(r), NewScan(s)
 		hj := NewHashJoin(scanS, scanR,
 			[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, InnerJoin)
-		hRows, err := Run(NewCtx(), hj)
+		hRows, err := RunBatch(NewCtx(), hj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -691,7 +691,7 @@ func TestJoinAlgorithmsAgreeRandomized(t *testing.T) {
 		ix := index.BuildHash("hx", s, 0)
 		scanR2 := NewScan(r)
 		inl := NewINLJoin(scanR2, ix, col(scanR2, "r", "a"), InnerJoin)
-		iRows, err := Run(NewCtx(), inl)
+		iRows, err := RunBatch(NewCtx(), inl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -704,7 +704,7 @@ func TestJoinAlgorithmsAgreeRandomized(t *testing.T) {
 		mj := NewMergeJoin(sortR, sortS,
 			[]expr.Expr{expr.NewCol(sortR.Schema(), "r", "a")},
 			[]expr.Expr{expr.NewCol(sortS.Schema(), "s", "b")})
-		mRows, err := Run(NewCtx(), mj)
+		mRows, err := RunBatch(NewCtx(), mj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -713,7 +713,7 @@ func TestJoinAlgorithmsAgreeRandomized(t *testing.T) {
 		// NL join.
 		scanR4, scanS4 := NewScan(r), NewScan(s)
 		nl := NewNLJoin(scanR4, scanS4, expr.Compare(expr.EQ, expr.Col{Index: 0}, expr.Col{Index: 2}))
-		nRows, err := Run(NewCtx(), nl)
+		nRows, err := RunBatch(NewCtx(), nl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -808,7 +808,7 @@ func TestWalkAndExplain(t *testing.T) {
 	r := relOf("r", []string{"a"}, [][]int64{{1}, {2}})
 	sc := NewScan(r)
 	f := NewFilter(sc, expr.Compare(expr.GT, col(sc, "r", "a"), intLit(0)))
-	if _, err := Run(NewCtx(), f); err != nil {
+	if _, err := RunBatch(NewCtx(), f); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -839,7 +839,7 @@ func TestOnGetNextHook(t *testing.T) {
 	ctx := NewCtx()
 	var samples []int64
 	ctx.OnGetNext = func(n int64) { samples = append(samples, n) }
-	if _, err := Run(ctx, NewScan(r)); err != nil {
+	if _, err := RunBatch(ctx, NewScan(r)); err != nil {
 		t.Fatal(err)
 	}
 	if len(samples) != 3 || samples[0] != 1 || samples[2] != 3 {
@@ -854,7 +854,7 @@ func TestScanEmbeddedPredicateAccounting(t *testing.T) {
 	sc := NewScan(rel)
 	sc.Pred = expr.Compare(expr.GT, col(sc, "r", "a"), intLit(4))
 	ctx := NewCtx()
-	rows, err := Run(ctx, sc)
+	rows, err := RunBatch(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -876,7 +876,7 @@ func TestRangeScanEmbeddedPredicate(t *testing.T) {
 	rs := NewRangeScan(ix, &lo, nil, true, false)
 	rs.Pred = expr.Compare(expr.EQ, expr.Col{Index: 1}, intLit(1))
 	ctx := NewCtx()
-	rows, err := Run(ctx, rs)
+	rows, err := RunBatch(ctx, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -892,7 +892,7 @@ func TestDistinct(t *testing.T) {
 	rel := relOf("r", []string{"a", "b"}, [][]int64{{1, 1}, {2, 2}, {1, 1}, {1, 2}, {2, 2}})
 	d := NewDistinct(NewScan(rel))
 	ctx := NewCtx()
-	rows, err := Run(ctx, d)
+	rows, err := RunBatch(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -917,7 +917,7 @@ func TestDistinctWithNulls(t *testing.T) {
 	rel.Append(schema.Row{sqlval.Null()})
 	rel.Append(schema.Row{sqlval.Null()})
 	rel.Append(schema.Row{sqlval.Int(1)})
-	rows, err := Run(NewCtx(), NewDistinct(NewScan(rel)))
+	rows, err := RunBatch(NewCtx(), NewDistinct(NewScan(rel)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -938,7 +938,7 @@ func TestCancellation(t *testing.T) {
 			ctx.Cancel()
 		}
 	}
-	_, err := Run(ctx, sc)
+	_, err := RunBatch(ctx, sc)
 	if err != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -964,7 +964,7 @@ func TestCancellationInsideBlockingBuild(t *testing.T) {
 			ctx.Cancel()
 		}
 	}
-	_, err := Run(ctx, srt)
+	_, err := RunBatch(ctx, srt)
 	if err != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -1017,7 +1017,7 @@ func TestErrorPropagation(t *testing.T) {
 
 	build := func(wrap func(Operator) Operator) error {
 		sc := NewScan(rel)
-		_, err := Run(NewCtx(), wrap(newFaultOp(sc, 2)))
+		_, err := RunBatch(NewCtx(), wrap(newFaultOp(sc, 2)))
 		return err
 	}
 	cases := []struct {

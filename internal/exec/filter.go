@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/schema"
@@ -74,6 +75,18 @@ type Project struct {
 	arena rowArena // chunked backing storage for output rows
 }
 
+// outputColumn is the column an operator emits for e, computed over rows of
+// in, under name. A plain column emitted under its own name keeps its
+// table, so a qualified reference above still tells it from a namesake of
+// another table; anything else is a derived column, with none.
+func outputColumn(in *schema.Schema, e expr.Expr, name string, kind sqlval.Kind) schema.Column {
+	out := schema.Column{Name: name, Type: kind}
+	if c, ok := e.(expr.Col); ok && strings.EqualFold(in.Columns[c.Index].Name, name) {
+		out.Table = in.Columns[c.Index].Table
+	}
+	return out
+}
+
 // NewProject builds a projection; names and types give the output schema.
 func NewProject(child Operator, exprs []expr.Expr, names []string, types []sqlval.Kind) *Project {
 	if len(exprs) != len(names) || len(exprs) != len(types) {
@@ -81,7 +94,7 @@ func NewProject(child Operator, exprs []expr.Expr, names []string, types []sqlva
 	}
 	cols := make([]schema.Column, len(exprs))
 	for i := range cols {
-		cols[i] = schema.Column{Name: names[i], Type: types[i]}
+		cols[i] = outputColumn(child.Schema(), exprs[i], names[i], types[i])
 	}
 	p := &Project{child: child, Exprs: exprs}
 	p.init(schema.New(cols...))

@@ -201,7 +201,7 @@ func TestJoinTableJoinsAgree(t *testing.T) {
 					if workers > 0 {
 						j = parallelJoinOf(probe, build, workers, mode, false)
 					}
-					run := Run
+					run := runExact
 					if batch {
 						run = RunBatch
 					}

@@ -54,7 +54,7 @@ func TestParallelOperatorsLeakNoGoroutines(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := exec.Run(ctx, op); !errors.Is(err, boom) {
+			if _, err := exec.RunBatch(ctx, op); !errors.Is(err, boom) {
 				t.Fatalf("got %v, want the injected error", err)
 			}
 		},
@@ -66,7 +66,7 @@ func TestParallelOperatorsLeakNoGoroutines(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := exec.Run(ctx, op); !errors.Is(err, exec.ErrCanceled) {
+			if _, err := exec.RunBatch(ctx, op); !errors.Is(err, exec.ErrCanceled) {
 				t.Fatalf("got %v, want ErrCanceled", err)
 			}
 		},

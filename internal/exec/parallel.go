@@ -110,9 +110,11 @@ func Lockstep(root Operator) {
 	})
 }
 
-// onOneGoroutine reports whether the whole plan under root executes on its
-// caller's goroutine: no parallel operator, or every one in lockstep.
-func onOneGoroutine(root Operator) bool {
+// OnOneGoroutine reports whether the whole plan under root executes on its
+// caller's goroutine: no parallel operator, or every one in lockstep. Only
+// such a run's mid-run instants are synchronized points, so observers and
+// test checkers read it from the plan rather than being told.
+func OnOneGoroutine(root Operator) bool {
 	one := true
 	Walk(root, func(op Operator) {
 		if g, ok := op.(interface{ transport() *gather }); ok && !g.transport().lockstep {

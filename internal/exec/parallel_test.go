@@ -57,7 +57,7 @@ func serialJoinOf(probe, build *schema.Relation, mode JoinMode) *HashJoin {
 // calls, for any worker count, under both engines.
 func TestParallelScanMatchesSerial(t *testing.T) {
 	rel := seqRel("r", 9973)
-	want, err := Run(NewCtx(), NewScan(rel))
+	want, err := RunBatch(NewCtx(), NewScan(rel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 			if batch {
 				got, err = RunBatch(ctx, p)
 			} else {
-				got, err = Run(ctx, p)
+				got, err = runExact(ctx, p)
 			}
 			if err != nil {
 				t.Fatalf("workers=%d batch=%v: %v", workers, batch, err)
@@ -110,7 +110,7 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 		p := NewParallelScan(rel, 3)
 		Lockstep(p)
 		led := EnsureLedger(p)
-		rows, err := Run(NewCtx(), p)
+		rows, err := RunBatch(NewCtx(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,12 +137,12 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 	}
 	// Aggregate counters match a concurrent run.
 	p := NewParallelScan(rel, 3)
-	if _, err := Run(NewCtx(), p); err != nil {
+	if _, err := RunBatch(NewCtx(), p); err != nil {
 		t.Fatal(err)
 	}
 	ls := NewParallelScan(rel, 3)
 	Lockstep(ls)
-	if _, err := Run(NewCtx(), ls); err != nil {
+	if _, err := RunBatch(NewCtx(), ls); err != nil {
 		t.Fatal(err)
 	}
 	if a, b := NodeSnapshot(p), NodeSnapshot(ls); a != b {
@@ -160,11 +160,11 @@ func TestParallelScanRescan(t *testing.T) {
 		if lockstep {
 			Lockstep(p)
 		}
-		first, err := Run(NewCtx(), p)
+		first, err := RunBatch(NewCtx(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := Run(NewCtx(), p)
+		second, err := RunBatch(NewCtx(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestParallelScanErrorAndCancel(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Run(ctx, NewParallelScan(rel, 4)); !errors.Is(err, sentinel) {
+	if _, err := RunBatch(ctx, NewParallelScan(rel, 4)); !errors.Is(err, sentinel) {
 		t.Fatalf("injected fault: got %v, want %v", err, sentinel)
 	}
 
@@ -202,7 +202,7 @@ func TestParallelScanErrorAndCancel(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Run(ctx, NewParallelScan(rel, 4)); !errors.Is(err, ErrCanceled) {
+	if _, err := RunBatch(ctx, NewParallelScan(rel, 4)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cancel: got %v, want ErrCanceled", err)
 	}
 }
@@ -222,14 +222,14 @@ func TestParallelScanPagedWeightedUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hf.Close()
-	want, err := Run(NewCtx(), NewScan(rel))
+	want, err := RunBatch(NewCtx(), NewScan(rel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialPR := pager.NewPagedRelation(hf, pager.NewPool(2))
 	serialPR.SetReadCost(2)
 	serialCtx := NewCtx()
-	if _, err := Run(serialCtx, NewStoreScan(serialPR, nil)); err != nil {
+	if _, err := RunBatch(serialCtx, NewStoreScan(serialPR, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// A cursor pins a page only while it faults it in, so with fewer frames
@@ -242,7 +242,7 @@ func TestParallelScanPagedWeightedUnits(t *testing.T) {
 			pr.SetReadCost(2)
 			p := NewParallelScan(pr, workers)
 			ctx := NewCtx()
-			got, err := Run(ctx, p)
+			got, err := RunBatch(ctx, p)
 			// Drained or failed, the workers are stopped: no pin may remain.
 			if n := pool.Pinned(); n != 0 {
 				t.Fatalf("workers=%d frames=%d: %d frame(s) still pinned after the run (err %v)", workers, frames, n, err)
@@ -306,7 +306,7 @@ func TestParallelScanPagedWorkerTrail(t *testing.T) {
 			n++
 		}
 	}
-	if _, err := Run(ctx, p); err != nil {
+	if _, err := RunBatch(ctx, p); err != nil {
 		t.Fatal(err)
 	}
 	runs = append(runs, fmt.Sprintf("%s%d", last, n))
@@ -325,7 +325,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	for _, mode := range []JoinMode{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
 		serial := serialJoinOf(probe, build, mode)
 		serialCtx := NewCtx()
-		want, err := Run(serialCtx, serial)
+		want, err := RunBatch(serialCtx, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 				if batch {
 					got, err = RunBatch(ctx, j)
 				} else {
-					got, err = Run(ctx, j)
+					got, err = runExact(ctx, j)
 				}
 				if err != nil {
 					t.Fatalf("mode=%v workers=%d batch=%v: %v", mode, workers, batch, err)
@@ -390,7 +390,7 @@ func TestParallelHashJoinLockstepDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		j := parallelJoinOf(probe, build, 3, InnerJoin, true)
 		led := EnsureLedger(j)
-		rows, err := Run(NewCtx(), j)
+		rows, err := RunBatch(NewCtx(), j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,11 +421,11 @@ func TestParallelHashJoinLockstepDeterministic(t *testing.T) {
 func TestParallelHashJoinRescan(t *testing.T) {
 	probe, build := joinInputs()
 	j := parallelJoinOf(probe, build, 3, InnerJoin, false)
-	first, err := Run(NewCtx(), j)
+	first, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(NewCtx(), j)
+	second, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestParallelHashJoinErrorPropagation(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Run(ctx, parallelJoinOf(probe, build, 4, InnerJoin, false)); !errors.Is(err, sentinel) {
+	if _, err := RunBatch(ctx, parallelJoinOf(probe, build, 4, InnerJoin, false)); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want %v", err, sentinel)
 	}
 }
@@ -508,7 +508,7 @@ func TestParallelHashJoinFirstErrorWins(t *testing.T) {
 		sb := NewScan(build)
 		j = NewParallelHashJoin(sb, []Operator{first, second},
 			[]expr.Expr{col(sb, "b", "k")}, []expr.Expr{expr.NewCol(sch, "p", "a")}, InnerJoin)
-		if _, err := Run(NewCtx(), j); !errors.Is(err, sentinel) {
+		if _, err := RunBatch(NewCtx(), j); !errors.Is(err, sentinel) {
 			t.Fatalf("canceledFirst=%v: got %v, want %v", canceledFirst, err, sentinel)
 		}
 	}
@@ -561,7 +561,7 @@ func TestParallelHashAggMatchesSerial(t *testing.T) {
 			{Kind: expr.AggMax, Arg: col(sc, "big", "v"), Name: "hi"},
 		})
 	serialCtx := NewCtx()
-	want, err := Run(serialCtx, serial)
+	want, err := RunBatch(serialCtx, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestParallelHashAggMatchesSerial(t *testing.T) {
 			if batch {
 				got, err = RunBatch(ctx, a)
 			} else {
-				got, err = Run(ctx, a)
+				got, err = runExact(ctx, a)
 			}
 			if err != nil {
 				t.Fatalf("workers=%d batch=%v: %v", workers, batch, err)
@@ -604,7 +604,7 @@ func TestParallelHashAggLockstepDeterministic(t *testing.T) {
 	var first []schema.Row
 	for i := 0; i < 2; i++ {
 		a := aggPlanOf(rel, 3, true)
-		rows, err := Run(NewCtx(), a)
+		rows, err := RunBatch(NewCtx(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -621,7 +621,7 @@ func TestParallelHashAggLockstepDeterministic(t *testing.T) {
 			}
 		}
 	}
-	conc, err := Run(NewCtx(), aggPlanOf(rel, 3, false))
+	conc, err := RunBatch(NewCtx(), aggPlanOf(rel, 3, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +644,7 @@ func TestParallelHashAggErrorPropagation(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Run(ctx, aggPlanOf(rel, 4, false)); !errors.Is(err, sentinel) {
+	if _, err := RunBatch(ctx, aggPlanOf(rel, 4, false)); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want %v", err, sentinel)
 	}
 }

@@ -56,7 +56,7 @@ func TestConcurrentSamplerCancelsMidQuery(t *testing.T) {
 			}
 		}
 	}()
-	_, err := Run(ctx, j)
+	_, err := RunBatch(ctx, j)
 	<-done
 	if err != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)

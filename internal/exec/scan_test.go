@@ -81,7 +81,7 @@ func TestStoreScanNarrowed(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		fn   func(*Ctx, Operator) ([]schema.Row, error)
-	}{{"row", Run}, {"batch", RunBatch}} {
+	}{{"row", runExact}, {"batch", RunBatch}} {
 		full, narrow := scan(nil), scan([]int{1})
 		fullCtx, narrowCtx := NewCtx(), NewCtx()
 		want, err := run.fn(fullCtx, full)

@@ -38,7 +38,7 @@ func TestSortLimit(t *testing.T) {
 			sorted := slices.Clone(rel.Rows)
 			slices.SortStableFunc(sorted, ref.compare)
 			want := sorted[:min(k, n)]
-			for _, run := range []func(*Ctx, Operator) ([]schema.Row, error){Run, RunBatch} {
+			for _, run := range []func(*Ctx, Operator) ([]schema.Row, error){runExact, RunBatch} {
 				label := fmt.Sprintf("desc=%v k=%d", desc, k)
 				full, _ := plan(desc, k, 0)
 				fullCtx := NewCtx()

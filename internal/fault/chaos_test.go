@@ -31,23 +31,6 @@ func TestChaosInvariants(t *testing.T) {
 	}
 }
 
-// TestChaosInvariantsBatch replays the same seeded sweep under the batch
-// engine. Chaos installs both the fault injector and the inline Monitor's
-// per-call hook, which forces batch execution onto its exact path — so the
-// harness's exact-call verdicts (fault surfaces at precisely the scheduled
-// GetNext count, cancellation counts no call past At) are asserted
-// unchanged. `coretest.RunChaosBatch(seed)` reproduces any failure.
-func TestChaosInvariantsBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep skipped in -short mode")
-	}
-	for seed := int64(1); seed <= int64(*chaosSchedules); seed++ {
-		if err := coretest.RunChaosBatch(seed); err != nil {
-			t.Fatalf("%v", err)
-		}
-	}
-}
-
 // TestChaosInvariantsPaged replays the paged differential corpus under the
 // seeded sweep, with physical faults layered on top of the call-indexed
 // schedule: exact-page read errors and latency spikes injected on the
@@ -66,25 +49,15 @@ func TestChaosInvariantsPaged(t *testing.T) {
 	}
 }
 
-// TestChaosInvariantsPagedBatch is the paged sweep under the batch engine.
-func TestChaosInvariantsPagedBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos sweep skipped in -short mode")
-	}
-	for seed := int64(1); seed <= int64(*chaosSchedules); seed++ {
-		if err := coretest.RunChaosPagedBatch(seed); err != nil {
-			t.Fatalf("%v", err)
-		}
-	}
-}
-
-// TestBatchChaosExactMidBatch pins the batch engine's fault placement with
+// TestBatchChaosExactMidBatch pins "a hook forces one-row pulls" with
 // hand-built schedules: error and cancel faults at call indices that fall
-// strictly inside a batch (neither the first nor a multiple of the batch
-// size), on every corpus entry. For serial entries the harness asserts the
-// run stops at exactly the scheduled call — a batch engine that only checked
-// faults at batch boundaries would overshoot by up to a batchful and fail
-// here; parallel entries are held to its at-or-past verdict.
+// strictly inside what a hook-free run pulls as one batch (neither the first
+// nor a multiple of the batch size), on every corpus entry. For serial
+// entries the harness asserts the run stops at exactly the scheduled call,
+// and its inline monitor samples every call — a run that kept bulk pulls
+// under a hook would overshoot or sample states the iterator model never
+// reaches, and fail here; parallel entries are held to its at-or-past
+// verdict.
 func TestBatchChaosExactMidBatch(t *testing.T) {
 	for _, entry := range coretest.Corpus() {
 		entry := entry
@@ -96,7 +69,7 @@ func TestBatchChaosExactMidBatch(t *testing.T) {
 				{At: 123, Kind: fault.CancelFault},
 			} {
 				sched := fault.Schedule{Events: []fault.Event{ev}}
-				if err := coretest.RunChaosScheduleBatch(entry, sched); err != nil {
+				if err := coretest.RunChaosSchedule(entry, sched); err != nil {
 					t.Fatalf("schedule %q: %v", sched.String(), err)
 				}
 			}

@@ -25,7 +25,7 @@ func TestInjectorErrorAtExactCall(t *testing.T) {
 	ctx := exec.NewCtx()
 	inj := NewInjector(Schedule{Events: []Event{{At: 4, Kind: ErrorFault, Msg: "disk gone"}}})
 	inj.Arm(ctx)
-	_, err := exec.Run(ctx, root)
+	_, err := exec.RunBatch(ctx, root)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -46,7 +46,7 @@ func TestInjectorCancelAtExactCall(t *testing.T) {
 	ctx := exec.NewCtx()
 	inj := NewInjector(Schedule{Events: []Event{{At: 7, Kind: CancelFault}}})
 	inj.Arm(ctx)
-	_, err := exec.Run(ctx, root)
+	_, err := exec.RunBatch(ctx, root)
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -62,7 +62,7 @@ func TestInjectorCancelOnFinalCallCompletes(t *testing.T) {
 	ctx := exec.NewCtx()
 	inj := NewInjector(Schedule{Events: []Event{{At: 5, Kind: CancelFault}}})
 	inj.Arm(ctx)
-	rows, err := exec.Run(ctx, root)
+	rows, err := exec.RunBatch(ctx, root)
 	// The cancel fires during the last counted call: every row has been
 	// delivered, EOF is not a counted call, so the run completes normally.
 	if err != nil {
@@ -82,7 +82,7 @@ func TestInjectorStallDoesNotPerturbRun(t *testing.T) {
 	}})
 	inj.Arm(ctx)
 	start := time.Now()
-	rows, err := exec.Run(ctx, root)
+	rows, err := exec.RunBatch(ctx, root)
 	if err != nil || len(rows) != 8 || ctx.Calls() != 8 {
 		t.Fatalf("rows = %d, calls = %d, err = %v", len(rows), ctx.Calls(), err)
 	}
@@ -102,7 +102,7 @@ func TestInjectorSameCallFiresInScheduleOrder(t *testing.T) {
 		{At: 3, Kind: ErrorFault, Msg: "boom"},
 	}})
 	inj.Arm(ctx)
-	_, err := exec.Run(ctx, root)
+	_, err := exec.RunBatch(ctx, root)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -117,7 +117,7 @@ func TestInjectorPastHorizonNeverFires(t *testing.T) {
 	ctx := exec.NewCtx()
 	inj := NewInjector(Schedule{Events: []Event{{At: 1000, Kind: ErrorFault, Msg: "late"}}})
 	inj.Arm(ctx)
-	rows, err := exec.Run(ctx, root)
+	rows, err := exec.RunBatch(ctx, root)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("rows = %d, err = %v", len(rows), err)
 	}

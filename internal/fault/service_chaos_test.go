@@ -45,6 +45,8 @@ func TestServiceChaos(t *testing.T) {
 		inj   *fault.Injector
 		plan  fault.ConsumerPlan
 		entry coretest.CorpusEntry
+		// serial: the plan runs on one goroutine (exec.OnOneGoroutine).
+		serial bool
 	}
 	var all []admitted
 	consumerPlans := fault.GenerateConsumers(11, fault.ServiceProfile{
@@ -65,7 +67,8 @@ func TestServiceChaos(t *testing.T) {
 	submit := func(i int, sched fault.Schedule, wrap func(inner func(int64) error) func(int64) error) (admitted, error) {
 		entry := corpus[i%len(corpus)]
 		inj := fault.NewInjector(sched)
-		sess, err := mgr.SubmitPlan(entry.Build(), entry.Label, session.SubmitOptions{
+		root := entry.Build()
+		sess, err := mgr.SubmitPlan(root, entry.Label, session.SubmitOptions{
 			Instrument: func(ctx *exec.Ctx) {
 				inj.Arm(ctx)
 				if wrap != nil {
@@ -73,7 +76,7 @@ func TestServiceChaos(t *testing.T) {
 				}
 			},
 		})
-		return admitted{sess: sess, inj: inj, entry: entry}, err
+		return admitted{sess: sess, inj: inj, entry: entry, serial: exec.OnOneGoroutine(root)}, err
 	}
 
 	// Phase 1 — deterministic shed storm. Four gated sessions hold every
@@ -208,7 +211,7 @@ func TestServiceChaos(t *testing.T) {
 	// a parallel one legitimately count past it (see
 	// coretest.RunChaosSchedule): at or past it, never before.
 	stoppedAt := func(a admitted, calls, at int64) bool {
-		return calls == at || (a.entry.Parallel && calls > at)
+		return calls == at || (!a.serial && calls > at)
 	}
 	for i, a := range all {
 		info := a.sess.Info()

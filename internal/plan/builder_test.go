@@ -41,7 +41,7 @@ func testCatalog() *catalog.Catalog {
 
 func run(t *testing.T, n Node) []schema.Row {
 	t.Helper()
-	rows, err := exec.Run(exec.NewCtx(), n.Op)
+	rows, err := exec.RunBatch(exec.NewCtx(), n.Op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestAllQueriesExecuteAndMuSmall(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := exec.NewCtx()
-			if _, err := exec.Run(ctx, op); err != nil {
+			if _, err := exec.RunBatch(ctx, op); err != nil {
 				t.Fatalf("query %d: %v", q.Num, err)
 			}
 			if ctx.Calls() == 0 {

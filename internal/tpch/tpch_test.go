@@ -97,7 +97,7 @@ func TestAllQueriesExecute(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := exec.NewCtx()
-			rows, err := exec.Run(ctx, op)
+			rows, err := exec.RunBatch(ctx, op)
 			if err != nil {
 				t.Fatalf("Q%d failed: %v", q.Num, err)
 			}
@@ -127,7 +127,7 @@ func TestMuValuesInPlausibleRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := exec.Run(exec.NewCtx(), op); err != nil {
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 			t.Fatalf("Q%d: %v", q.Num, err)
 		}
 		mu := core.Mu(op)

@@ -156,9 +156,8 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 	}
 	q.used = true
 	q.ctx = exec.NewCtx()
-	// Batch-at-a-time execution: with no per-call hooks installed the run
-	// takes the vectorized fast path; results and final ledger state are
-	// identical to the row engine's.
+	// No per-call hook is installed, so the run pulls in bulk; results and
+	// final ledger state are identical to an exact (hooked) run's.
 	rows, err := exec.RunBatchContext(ctx, q.ctx, q.root)
 	if err != nil {
 		return nil, err
