@@ -88,6 +88,42 @@ func TestBatchINLJoinAllocBudget(t *testing.T) {
 	}
 }
 
+// monitorRunAllocBudget is the ceiling on allocs/op for Monitor.Run over
+// synthPlan(20 000) at every = 100: about four per sample (the sample, its
+// estimates and the bounds pass's scratch) on top of the bulk run's.
+const monitorRunAllocBudget = 1_800
+
+// TestMonitorRunSamplesEveryPeriod holds Monitor.Run to the two halves of
+// its contract: with no per-call hook installed it still records a sample
+// for (nearly) every period of the run — the credit trigger lands within one
+// 100-row pull of each due instant — and stays within monitorRunAllocBudget.
+// Wall-clock is not checked.
+func TestMonitorRunSamplesEveryPeriod(t *testing.T) {
+	const n, every = 20_000, 100
+	var samples int
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := core.NewMonitor(synthPlan(n), every, core.Dne{}, core.Pmax{}, core.Safe{})
+			b.StartTimer()
+			if _, err := m.Run(); err != nil {
+				b.Fatal(err)
+			}
+			samples = len(m.Samples)
+		}
+	})
+	if r.N == 0 {
+		t.Fatal("benchmark body failed")
+	}
+	if want := 2*n/every - 1; samples < want {
+		t.Errorf("Monitor.Run: %d samples, want >= %d", samples, want)
+	}
+	if got := r.AllocsPerOp(); got > monitorRunAllocBudget {
+		t.Errorf("Monitor.Run: %d allocs/op, budget %d", got, monitorRunAllocBudget)
+	}
+	t.Logf("%d samples, %d allocs/op", samples, r.AllocsPerOp())
+}
+
 // The ceilings on exec.RunBatch over synthHashPlan(60 000): a key–foreign-key
 // hash join whose build side is 60 000 rows. Both figures are deterministic
 // (257 allocs and 12.0 MB per run when the budget was set; 786 and 26.6 MB
@@ -268,8 +304,7 @@ func TestBatchPagedScanAllocBudget(t *testing.T) {
 
 // BenchmarkExecINLJoinNoMonitor measures raw executor throughput in bulk
 // pulls, the run a user's Query.Run gets: the baseline for the
-// monitoring-overhead ablations, whose inline hook makes every pull one
-// GetNext.
+// monitoring-overhead ablations.
 func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 	const n = 20_000
 	b.ReportAllocs()
@@ -286,7 +321,8 @@ func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 
 // BenchmarkMonitorOverhead measures the cost of inline progress monitoring
 // at several sampling periods — the ablation for "how often can we afford
-// to estimate". The per-sample cost is one incremental bounds pass.
+// to estimate". The per-sample cost is one incremental bounds pass; the
+// period also caps the pull size at min(every, exec.DefaultBatchSize).
 func BenchmarkMonitorOverhead(b *testing.B) {
 	const n = 20_000
 	for _, every := range []int64{100, 1_000, 10_000} {

@@ -921,17 +921,18 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 	}
 }
 
-// runMonitored executes op with dne/pmax/safe sampled as densely as the
-// engine allows — every call on the row engine, every quiesce point (16-row
-// batches) on the batch engine — and returns the finished monitor.
+// runMonitored executes op under Monitor.Run with dne/pmax/safe sampled as
+// densely as the pull size allows: every call at every = 1, where the run
+// pulls one row at a time, or at the credit instants of 16-row pulls when
+// batch is set (every = 16) — and returns the finished monitor.
 func runMonitored(t *testing.T, op exec.Operator, batch bool) (*core.Monitor, []schema.Row) {
 	t.Helper()
-	mon := core.NewMonitor(op, 1, core.Dne{}, core.Pmax{}, core.Safe{})
-	run := mon.Run
+	every := int64(1)
 	if batch {
-		run = func() ([]schema.Row, error) { return mon.RunBatch(16) }
+		every = 16
 	}
-	rows, err := run()
+	mon := core.NewMonitor(op, every, core.Dne{}, core.Pmax{}, core.Safe{})
+	rows, err := mon.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -943,9 +944,9 @@ func runMonitored(t *testing.T, op exec.Operator, batch bool) (*core.Monitor, []
 // semi/anti joins, DISTINCT, and the blocking shapes (GROUP BY, HAVING,
 // ORDER BY) — with k from 0 to past the result size. A LIMIT abandons
 // whatever streams beneath it at a data-dependent point, which is where a
-// static lower bound goes wrong: each query runs monitored at every call on
-// the row engine and at every quiesce point on the batch engine, and both
-// recorded series must pass core.Series.Check. The rows returned must be
+// static lower bound goes wrong: each query runs monitored at every call and
+// at the credit instants of 16-row pulls, and both recorded series must pass
+// core.Series.Check. The rows returned must be
 // min(k, n) of the unlimited query's n, and under ORDER BY c their c values
 // the first of the sorted column, in order.
 func fuzzLimit(t *testing.T, seed int64) {

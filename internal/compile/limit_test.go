@@ -9,9 +9,9 @@ import (
 
 // TestLimitBoundsReproductions pins the two shapes that used to report
 // LB > total(Q): a LIMIT abandoning a scan with a pushed-down predicate,
-// directly and through a join. Each runs sampled at every call on the row
-// engine and at every quiesce point on the batch engine, and the series
-// must hold LB <= total <= UB throughout. The unfiltered LIMIT keeps the
+// directly and through a join. Each runs sampled at every call and at the
+// credit instants of 16-row pulls, and the series must hold
+// LB <= total <= UB throughout. The unfiltered LIMIT keeps the
 // exact bounds the demand cap gives it.
 func TestLimitBoundsReproductions(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 1, Seed: 42})

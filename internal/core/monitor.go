@@ -20,10 +20,10 @@ type Sample struct {
 }
 
 // SampleSet holds a monitored execution's samples and exposes the series
-// API shared by the inline Monitor (deterministic, call-count periods: the
-// accuracy matrix with its paper cells, and the invariant tests) and the
-// wall-clock AsyncMonitor (the serving path). Either series is judged by the
-// one checker, Series.
+// API shared by the inline Monitor (call-count periods on the executor's
+// credit trigger: the library's RunWithProgress, the accuracy matrix with
+// its paper cells, and the invariant tests) and the wall-clock AsyncMonitor
+// (the serving path). Either series is judged by the one checker, Series.
 type SampleSet struct {
 	// Estimators are evaluated at every sample, in order.
 	Estimators []Estimator
@@ -32,10 +32,11 @@ type SampleSet struct {
 	// OnSample, when non-nil, is invoked after each recorded sample with
 	// that sample, letting consumers stream observations live instead of
 	// reading Samples after the run. It runs wherever the sample is taken —
-	// inline under Monitor.Hook, on the sampler goroutine under AsyncMonitor
-	// (or, for the final at-EOF sample, on the goroutine calling Stop) — and
-	// must not block: a slow callback delays subsequent samples. Set before
-	// the run starts.
+	// inline on the crediting goroutine under Monitor (a worker's, under a
+	// concurrent parallel plan; one at a time), on the sampler goroutine
+	// under AsyncMonitor (or, for the final at-EOF sample, on the goroutine
+	// calling Stop) — and must not block: a slow callback delays subsequent
+	// samples. Set before the run starts.
 	OnSample func(Sample)
 
 	total int64
@@ -43,9 +44,9 @@ type SampleSet struct {
 
 // capture records one sample and streams it to OnSample: an observation
 // whose anchored call count is not past the last stored sample's is the same
-// instant seen twice and is dropped, so every sampler — inline hook, batch
-// quiesce point, async wall-clock — produces a series strictly increasing in
-// Calls.
+// instant seen twice and is dropped, so every sampler — per-call hook,
+// credit trigger, async wall-clock — produces a series strictly increasing
+// in Calls.
 func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
 	s := tracker.Capture()
 	// Anchor the sample to the ledger total its own capture read, not the
@@ -112,10 +113,9 @@ func (ss *SampleSet) SeriesAt(i int) []Point {
 }
 
 // Monitor samples a set of estimators while a plan executes, inline on the
-// execution goroutine: every Every GetNext calls under Run (or its Hook
-// installed by hand), at the quiesce points past each multiple of Every under
-// RunBatch. Read Series / errors after completion. For sampling that does
-// not run on the execution path, see AsyncMonitor.
+// execution path: at the first credit past each multiple of Every (Run), or
+// at every multiple exactly (Hook). Read Series / errors after completion.
+// For sampling that does not run on the execution path, see AsyncMonitor.
 type Monitor struct {
 	SampleSet
 
@@ -124,6 +124,9 @@ type Monitor struct {
 
 	tracker *Tracker
 	root    exec.Operator
+
+	mu   sync.Mutex // serializes captures from worker goroutines
+	last int64      // the latest instant sampled
 }
 
 // NewMonitor builds a monitor for the plan rooted at root, sampling every
@@ -140,32 +143,41 @@ func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
 	}
 }
 
-// Hook returns the callback to install as exec.Ctx.OnGetNext. Under
-// parallel plans the hook fires concurrently from several worker
-// goroutines; a mutex serializes captures (Tracker.Capture is not
-// reentrant) and stale firings — a worker whose trigger count was already
-// overtaken by a recorded sample — are skipped so Samples stays ordered by
-// Calls.
+// sample captures the instant calls. Worker goroutines of a parallel plan
+// call it concurrently: the mutex serializes captures (Tracker.Capture is
+// not reentrant), and an instant a recorded sample overtook is skipped.
+func (m *Monitor) sample(calls int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if calls <= m.last {
+		return
+	}
+	m.last = calls
+	m.capture(m.tracker, calls)
+}
+
+// Hook returns the callback to install as exec.Ctx.OnGetNext. It puts the
+// run in the exact regime, one-row pulls, so it is only for callers that
+// need every call (chaos); Run samples without it.
 func (m *Monitor) Hook() func(int64) {
-	var mu sync.Mutex
-	var last int64
 	return func(calls int64) {
-		if calls%m.Every != 0 {
-			return
+		if calls%m.Every == 0 {
+			m.sample(calls)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if calls <= last {
-			return
-		}
-		last = calls
-		m.capture(m.tracker, calls)
 	}
 }
 
-// Finish records the at-completion sample (unless the hook already sampled
-// that instant) and total(Q). Run and RunBatch call it automatically;
-// install-the-hook callers invoke it once the plan is drained.
+// Attach installs the monitor's sampling trigger on ctx, and pulls of
+// min(Every, exec.DefaultBatchSize) rows, so a sample lands within one pull
+// of its due instant.
+func (m *Monitor) Attach(ctx *exec.Ctx) {
+	ctx.BatchSize = int(min(m.Every, exec.DefaultBatchSize))
+	ctx.SampleEvery(m.Every, m.sample)
+}
+
+// Finish records the at-completion sample (unless the run already sampled
+// that instant) and total(Q). Run calls it automatically; callers that
+// install Hook or Attach by hand invoke it once the plan is drained.
 func (m *Monitor) Finish(total int64) {
 	m.setTotal(total)
 	m.capture(m.tracker, total)
@@ -175,31 +187,8 @@ func (m *Monitor) Finish(total int64) {
 // root's output rows.
 func (m *Monitor) Run() ([]schema.Row, error) {
 	ctx := exec.NewCtx()
-	ctx.OnGetNext = m.Hook()
+	m.Attach(ctx)
 	rows, err := exec.RunBatch(ctx, m.root)
-	if err != nil {
-		return nil, err
-	}
-	m.Finish(ctx.Calls())
-	return rows, nil
-}
-
-// RunBatch executes the plan to completion on the batch engine, batchSize
-// rows per pull (0 = the engine's default), and returns the root's output
-// rows. Installing Hook would collapse the bulk pulls to row-at-a-time, so
-// RunBatch samples at the engine's quiesce points instead (see
-// exec.RunBatchObserved): at each one where Curr has crossed the next
-// multiple of Every. Captures stay on the calling goroutine.
-func (m *Monitor) RunBatch(batchSize int) ([]schema.Row, error) {
-	ctx := exec.NewCtx()
-	ctx.BatchSize = batchSize
-	next := m.Every
-	rows, err := exec.RunBatchObserved(ctx, m.root, func(curr int64) {
-		if curr >= next {
-			m.capture(m.tracker, curr)
-			next = curr - curr%m.Every + m.Every
-		}
-	})
 	if err != nil {
 		return nil, err
 	}

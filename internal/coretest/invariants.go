@@ -20,8 +20,8 @@ import (
 //     built one at every sample point (and at EOF), for both the default
 //     and demand-cap-disabled options.
 //
-// A plan with worker goroutines (not exec.OnOneGoroutine) fires GetNext
-// calls concurrently, so the Monitor's hook serializes captures and anchors
+// A plan with worker goroutines (not exec.OnOneGoroutine) credits GetNext
+// calls concurrently, so the Monitor serializes captures and anchors
 // each sample to the ledger total its own capture read (the paper's Curr)
 // rather than the triggering worker's call count. For such a plan the
 // reused-vs-fresh evaluator equivalence is asserted only at quiescence —

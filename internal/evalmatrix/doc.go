@@ -6,18 +6,18 @@
 //	× {fresh, stale, absent statistics}               3 stats healths
 //	× {scan, join, mmjoin, agg, parallel scan,
 //	   parallel join, parallel agg, paged}            8 plan families
-//	× {row, batch}                                    2 engines
 //
-// for 240 cells, runs every registered matrix estimator (dne, pmax, safe,
-// lp-safe, combiner) in each cell, and records each estimator's error
-// trajectory: max ratio error, mean L1 error, time-to-convergence, plus
-// hard-bound soundness counters for both the classic [LB, UB] interval and
-// the pessimistic degree-norm UBTight. cmd/benchdump emits the matrix as
+// for 120 cells, runs every registered matrix estimator (dne, pmax, safe,
+// lp-safe, combiner) in each cell on the executor's credit trigger
+// (core.Monitor.Run), and records each estimator's error trajectory: max
+// ratio error, mean L1 error, time-to-convergence, plus hard-bound soundness
+// counters for both the classic [LB, UB] interval and the pessimistic
+// degree-norm UBTight. cmd/benchdump emits the matrix as
 // BENCH_ACC.json and cmd/benchgate fails CI when a cell regresses.
 //
 // The same harness scores the paper's evaluation (paper.go): Figures 3-7,
-// Tables 1-3 and the cold-vs-warm pager runs are 38 paper cells, row engine,
-// fixed data, appended to the grid's rows as dataset "paper" with the cell
+// Tables 1-3 and the cold-vs-warm pager runs are 38 paper cells on fixed
+// data, appended to the grid's rows as dataset "paper" with the cell
 // name as family. PaperClaims states the paper's qualitative claims over
 // those rows, and cmd/progressbench renders each artifact from them.
 //
@@ -32,9 +32,9 @@
 //
 //   - Determinism: all generation and mutation is seeded, every plan runs
 //     under exec.Lockstep (parallel workers scheduled round-robin on the
-//     reader), and batch cells sample at quiesce points. Two back-to-back
-//     runs produce byte-identical artifacts (TestMatrixDeterministic, and
-//     CI proves it on its own machine before gating).
+//     reader), so the credit trigger fires at the same instants. Two runs
+//     produce byte-identical artifacts (TestMatrixDeterministic, and CI
+//     proves it on its own machine before gating).
 //   - Soundness: zero violations of LB <= total <= UBTight <= UB and zero
 //     bound regressions (LB falling, UB or UBTight rising) in any cell.
 //   - Ordering: safe <= dne and combiner <= min(dne, safe) by max ratio

@@ -26,9 +26,6 @@ type Options struct {
 	AdvRows int64
 	// Samples is the target number of progress samples per cell.
 	Samples int64
-	// BatchSize is the batch engine's window; small enough that quiesce
-	// points give several samples even on modest tables.
-	BatchSize int
 	// Perturb multiplies the named estimators' outputs by the given factor
 	// (clamped to [0, 1]). It exists for the gate's negative self-test: a
 	// deliberately broken estimator must fail the accuracy gate.
@@ -45,7 +42,6 @@ func DefaultOptions() Options {
 		AdvKeys:   2_000,
 		AdvRows:   8_000,
 		Samples:   40,
-		BatchSize: 64,
 	}
 }
 
@@ -68,9 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Samples <= 0 {
 		o.Samples = d.Samples
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = d.BatchSize
 	}
 	return o
 }
@@ -96,7 +89,6 @@ type Row struct {
 	Dataset   string `json:"dataset"`
 	Stats     string `json:"stats"`
 	Family    string `json:"family"`
-	Engine    string `json:"engine"`
 	Estimator string `json:"estimator"`
 	// Mu is the paper's mu = total(Q) / scanned leaf cardinality for the
 	// cell's execution (identical across the cell's estimator rows).
@@ -138,7 +130,7 @@ type Row struct {
 // CellID identifies the row's matrix cell (every cell has one row per
 // estimator).
 func (r Row) CellID() string {
-	return r.Dataset + "/" + r.Stats + "/" + r.Family + "/" + r.Engine
+	return r.Dataset + "/" + r.Stats + "/" + r.Family
 }
 
 // Key identifies the row uniquely within an artifact.
@@ -185,7 +177,7 @@ func estimators(opts Options) []core.Estimator {
 
 // Run executes the full matrix and then the paper cells (RunPaper), and
 // returns one Row per cell per estimator, in deterministic sweep order
-// (dataset, health, family, engine, estimator; then paper cell order).
+// (dataset, health, family, estimator; then paper cell order).
 func Run(opts Options) ([]Row, error) {
 	rows, err := runGrid(opts)
 	if err != nil {
@@ -201,7 +193,7 @@ func Run(opts Options) ([]Row, error) {
 	return rows, nil
 }
 
-// runGrid executes the dataset x health x family x engine grid.
+// runGrid executes the dataset x health x family grid.
 func runGrid(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	var rows []Row
@@ -212,15 +204,12 @@ func runGrid(opts Options) ([]Row, error) {
 				return nil, err
 			}
 			for _, fam := range sc.families {
-				for _, engine := range []string{"row", "batch"} {
-					cell, err := runCell(ds, health, fam, engine, opts)
-					if err != nil {
-						sc.cleanup()
-						return nil, fmt.Errorf("evalmatrix: %s/%s/%s/%s: %w",
-							ds.name, health, fam.name, engine, err)
-					}
-					rows = append(rows, cell.Rows...)
+				cell, err := runCell(ds, health, fam, opts)
+				if err != nil {
+					sc.cleanup()
+					return nil, fmt.Errorf("evalmatrix: %s/%s/%s: %w", ds.name, health, fam.name, err)
 				}
+				rows = append(rows, cell.Rows...)
 			}
 			sc.cleanup()
 		}
@@ -228,10 +217,10 @@ func runGrid(opts Options) ([]Row, error) {
 	return rows, nil
 }
 
-// runCell measures one (dataset, health, family, engine) cell: a dry run
-// sizes the sampling period from the cell's exact total, then a fresh plan
-// executes under the chosen engine with all estimators sampled.
-func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opts Options) (Scored, error) {
+// runCell measures one (dataset, health, family) cell: a dry run sizes the
+// sampling period from the cell's exact total, then a fresh plan executes
+// under the monitor's credit trigger with all estimators sampled.
+func runCell(ds dataset, health stats.Health, fam familySpec, opts Options) (Scored, error) {
 	dry, err := fam.build()
 	if err != nil {
 		return Scored{}, err
@@ -256,15 +245,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 	exec.Lockstep(root)
 	ests := estimators(opts)
 	m := core.NewMonitor(root, every, ests...)
-	switch engine {
-	case "row":
-		_, err = m.Run()
-	case "batch":
-		_, err = m.RunBatch(opts.BatchSize)
-	default:
-		err = fmt.Errorf("unknown engine %q", engine)
-	}
-	if err != nil {
+	if _, err := m.Run(); err != nil {
 		return Scored{}, err
 	}
 
@@ -287,7 +268,6 @@ func runCell(ds dataset, health stats.Health, fam familySpec, engine string, opt
 			Dataset:            ds.name,
 			Stats:              string(health),
 			Family:             fam.name,
-			Engine:             engine,
 			Estimator:          e.Name(),
 			Mu:                 s.Mu,
 			MaxRatioErr:        maxErr,
@@ -433,7 +413,7 @@ func Table(rows []Row) Result {
 	res := Result{
 		ID:      "acc",
 		Title:   "estimator accuracy matrix (max ratio error per cell)",
-		Headers: []string{"dataset", "stats", "family", "engine", "mu", "dne", "pmax", "safe", "lp-safe", "combiner", "conv(safe)", "flag"},
+		Headers: []string{"dataset", "stats", "family", "mu", "dne", "pmax", "safe", "lp-safe", "combiner", "conv(safe)", "flag"},
 		Metrics: map[string]float64{},
 	}
 	type cell struct {
@@ -464,7 +444,7 @@ func Table(rows []Row) Result {
 			flagged++
 		}
 		res.Rows = append(res.Rows, []string{
-			c.first.Dataset, c.first.Stats, c.first.Family, c.first.Engine,
+			c.first.Dataset, c.first.Stats, c.first.Family,
 			fmt.Sprintf("%.3f", c.first.Mu),
 			fmt.Sprintf("%.3f", c.errs["dne"]),
 			fmt.Sprintf("%.3f", c.errs["pmax"]),

@@ -2,11 +2,13 @@ package evalmatrix
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"sqlprogress/internal/core"
+	"sqlprogress/internal/exec"
 	"sqlprogress/internal/stats"
 )
 
@@ -20,7 +22,6 @@ func testOptions() Options {
 		AdvKeys:   500,
 		AdvRows:   2_000,
 		Samples:   20,
-		BatchSize: 32,
 	}
 }
 
@@ -84,8 +85,8 @@ func TestMatrixShapeAndSoundness(t *testing.T) {
 		}
 		cells[id][r.Estimator] = r
 	}
-	// 5 datasets x 3 healths x 8 families x 2 engines.
-	if want := 5 * 3 * 8 * 2; len(cells) != want {
+	// 5 datasets x 3 healths x 8 families.
+	if want := 5 * 3 * 8; len(cells) != want {
 		t.Fatalf("got %d cells, want %d", len(cells), want)
 	}
 	if len(cells) < 40 {
@@ -98,19 +99,10 @@ func TestMatrixShapeAndSoundness(t *testing.T) {
 			t.Fatalf("cell %s has %d estimator rows, want %d", id, len(byEst), nEst)
 		}
 		for _, r := range byEst {
-			// Streaming families quiesce steadily under both engines, and so
-			// does a blocking aggregate now that drain is a quiesce point.
-			// Batch join/pagg/mmjoin cells still collapse to very few
-			// samples: the skew-tail fanout (join), the parallel fold (pagg)
-			// or the probe (mmjoin) delivers almost all counted work inside
-			// one root batch — the three families DESIGN.md section 17 leaves
-			// to a soundness-only observer.
-			minSamples := 1
-			switch r.Family {
-			case "scan", "parallel", "paged", "agg", "pjoin":
-				minSamples = 5
-			}
-			if r.Samples < minSamples {
+			// The credit trigger samples mid-probe and mid-fold: every
+			// family, blocking or not, is scored on most of its due
+			// instants.
+			if minSamples := 10; r.Samples < minSamples {
 				t.Errorf("%s: only %d samples, want >= %d", r.Key(), r.Samples, minSamples)
 			}
 			if r.LBRegressions != 0 || r.UBRegressions != 0 || r.BoundMisses != 0 {
@@ -144,8 +136,8 @@ func TestMatrixShapeAndSoundness(t *testing.T) {
 			lpTighter++
 		}
 	}
-	// tpch-z1, tpch-z2, adversarial joins x 2 engines.
-	if want := 3 * 2; skewedStale != want {
+	// tpch-z1, tpch-z2, adversarial joins.
+	if want := 3; skewedStale != want {
 		t.Errorf("got %d skewed-stale cells, want %d", skewedStale, want)
 	}
 	if lpTighter == 0 {
@@ -160,20 +152,80 @@ func minF(a, b float64) float64 {
 	return b
 }
 
-// TestMatrixEnginesAgreeOnTotals: a cell's mu is an execution property, so
-// the row- and batch-engine variants of the same logical cell must agree on
-// it (PR 5's quiesce equivalence, observed through the matrix).
-func TestMatrixEnginesAgreeOnTotals(t *testing.T) {
-	rows := testGrid(t)
-	mu := map[string]float64{}
-	for _, r := range rows {
-		logical := r.Dataset + "/" + r.Stats + "/" + r.Family
-		if prev, ok := mu[logical]; ok {
-			if prev != r.Mu {
-				t.Errorf("%s: mu differs across engines/estimators: %v vs %v", logical, prev, r.Mu)
+// TestMatrixTriggerAgreesWithExactRun: the matrix samples every family on
+// the executor's credit trigger, with bulk pulls. Total calls and mu are
+// execution properties, so each family's trigger-sampled run must agree on
+// them with an exact run of the same plan (a per-call hook, one-row pulls).
+func TestMatrixTriggerAgreesWithExactRun(t *testing.T) {
+	opts := testOptions().withDefaults()
+	for _, ds := range datasets() {
+		sc, err := buildScenario(ds, stats.Fresh, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sc.cleanup)
+		for _, fam := range sc.families {
+			var mons [2]*core.Monitor
+			for i := range mons {
+				root, err := fam.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec.Lockstep(root)
+				m := core.NewMonitor(root, 50, core.Safe{})
+				if i == 0 {
+					_, err = m.Run()
+				} else {
+					ctx := exec.NewCtx()
+					ctx.OnGetNext = m.Hook()
+					_, err = exec.RunBatch(ctx, root)
+					m.Finish(ctx.Calls())
+				}
+				if err != nil {
+					t.Fatalf("%s/%s: %v", ds.name, fam.name, err)
+				}
+				mons[i] = m
 			}
-		} else {
-			mu[logical] = r.Mu
+			trig, exact := mons[0], mons[1]
+			if trig.Total() != exact.Total() || trig.Mu() != exact.Mu() {
+				t.Errorf("%s/%s: trigger run total %d mu %v, exact run total %d mu %v",
+					ds.name, fam.name, trig.Total(), trig.Mu(), exact.Total(), exact.Mu())
+			}
+		}
+	}
+}
+
+// TestJoinFamilyCreditsAPullAtATime: the join family drives an INL join
+// with its supplier keys in skew-last order, so the last few probe rows fan
+// out to most of the result. Pulled in bulk at 64 rows with the sampling
+// trigger at every = 1, Curr may move by at most one pull between fires:
+// the join credits a stride's output in pieces, or the trigger — and an
+// off-thread sampler — would see the fan-out land in one step.
+func TestJoinFamilyCreditsAPullAtATime(t *testing.T) {
+	const want = 64
+	opts := testOptions().withDefaults()
+	for _, ds := range datasets() {
+		sc, err := buildScenario(ds, stats.Fresh, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sc.cleanup)
+		i := slices.IndexFunc(sc.families, func(f familySpec) bool { return f.name == "join" })
+		root, err := sc.families[i].build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := exec.NewCtx()
+		ctx.BatchSize = want
+		prev, maxStep := int64(0), int64(0)
+		ctx.SampleEvery(1, func(curr int64) {
+			maxStep, prev = max(maxStep, curr-prev), curr
+		})
+		if _, err := exec.RunBatch(ctx, root); err != nil {
+			t.Fatal(err)
+		}
+		if maxStep > want {
+			t.Errorf("%s: Curr moved by %d calls in one credit, more than a %d-row pull", ds.name, maxStep, want)
 		}
 	}
 }
@@ -216,10 +268,10 @@ func TestPerturbationInflatesError(t *testing.T) {
 // TestArtifactRoundTrip: encode -> write -> read preserves rows exactly.
 func TestArtifactRoundTrip(t *testing.T) {
 	rows := []Row{
-		{Dataset: "d", Stats: string(stats.Fresh), Family: "scan", Engine: "row",
+		{Dataset: "d", Stats: string(stats.Fresh), Family: "scan",
 			Estimator: "dne", Mu: 1, MaxRatioErr: 1.25, MaxAbsErr: 0.1, L1Err: 0.01,
 			Convergence: 0.5, Samples: 12},
-		{Dataset: "d", Stats: string(stats.Stale), Family: "join", Engine: "batch",
+		{Dataset: "d", Stats: string(stats.Stale), Family: "join",
 			Estimator: "safe", Mu: 2.5, MaxRatioErr: RatioErrCap, L1Err: 0.2,
 			Convergence: ConvergenceNever, Samples: 7, SkewedStale: true},
 	}

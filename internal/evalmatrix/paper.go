@@ -251,8 +251,8 @@ func (s Scored) at(est string) (Row, []core.Point) {
 }
 
 // RunPaper scores the paper cells of the named artifacts (every cell when
-// none is named), in cell order, each as a row-engine cell of dataset
-// "paper" with fresh statistics.
+// none is named), in cell order, each as a cell of dataset "paper" with
+// fresh statistics.
 func RunPaper(opts Options, ids ...string) ([]Scored, error) {
 	opts = opts.withDefaults()
 	want, found := map[string]bool{}, 0
@@ -275,7 +275,7 @@ func RunPaper(opts Options, ids ...string) ([]Scored, error) {
 			continue
 		}
 		sc, err := runCell(paperDataset, stats.Fresh,
-			familySpec{c.name, func() (exec.Operator, error) { return c.build(d) }}, "row", opts)
+			familySpec{c.name, func() (exec.Operator, error) { return c.build(d) }}, opts)
 		if err != nil {
 			return nil, fmt.Errorf("evalmatrix: paper/%s: %w", c.name, err)
 		}

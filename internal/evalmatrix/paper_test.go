@@ -147,7 +147,7 @@ func TestPaperClaimsFire(t *testing.T) {
 		for _, c := range paperCells() {
 			for _, e := range estimators(Options{}) {
 				at[c.name+"/"+e.Name()] = len(rows)
-				rows = append(rows, Row{Dataset: "paper", Stats: string(stats.Fresh), Family: c.name, Engine: "row",
+				rows = append(rows, Row{Dataset: "paper", Stats: string(stats.Fresh), Family: c.name,
 					Estimator: e.Name(), Mu: 1.2, MaxRatioErr: 1, Convergence: 0.5, Samples: 40})
 			}
 		}

@@ -50,7 +50,7 @@ func datasets() []dataset {
 
 // familySpec is one plan family of a scenario. build must return a fresh
 // operator tree on every call (cells are executed several times: a dry run
-// to size the sampling period, then one monitored run per engine).
+// to size the sampling period, then the monitored run).
 type familySpec struct {
 	name  string
 	build func() (exec.Operator, error)
@@ -317,7 +317,7 @@ func skewLastOrder(cat *catalog.Catalog, driver, driverKey, fact, factKey string
 
 // pagedFamily returns a build function producing a fresh cold-pool paged
 // scan of rel per call (every run faults its own pages, so both the dry run
-// and each engine's monitored run see the same deterministic I/O-weighted
+// and the monitored run see the same deterministic I/O-weighted
 // accounting).
 func pagedFamily(rel *schema.Relation) (func() (exec.Operator, error), func(), error) {
 	hf, err := spill(rel)

@@ -91,12 +91,14 @@ func (c *Ctx) chunkSize() int {
 // delivered ones last, the slot and Curr moving together — so Inject and
 // OnGetNext see every exact count; with none it adds in bulk. Cancellation is
 // checked before each call (before the whole credit in bulk): a call counted
-// before the cancel stays counted, none after it is.
+// before the cancel stays counted, none after it is. Once the credit is
+// counted it checks the sampling trigger (SampleEvery).
 func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 	n := undelivered + int64(delivered)
 	if n == 0 {
 		return nil
 	}
+	var curr int64
 	if c.Inject == nil && c.OnGetNext == nil {
 		if c.canceled.Load() {
 			return ErrCanceled
@@ -105,26 +107,54 @@ func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 		if delivered > 0 {
 			s.CountDeliveredN(int64(delivered))
 		}
-		c.calls.Add(n)
-		return nil
-	}
-	for i := int64(0); i < n; i++ {
-		if c.canceled.Load() {
-			return ErrCanceled
-		}
-		s.CountCall()
-		if i >= undelivered {
-			s.CountDelivered()
-		}
-		curr := c.calls.Add(1)
-		if c.Inject != nil {
-			if err := c.Inject(curr); err != nil {
-				return err
+		curr = c.calls.Add(n)
+	} else {
+		for i := int64(0); i < n; i++ {
+			if c.canceled.Load() {
+				return ErrCanceled
+			}
+			s.CountCall()
+			if i >= undelivered {
+				s.CountDelivered()
+			}
+			curr = c.calls.Add(1)
+			if c.Inject != nil {
+				if err := c.Inject(curr); err != nil {
+					return err
+				}
+			}
+			if c.OnGetNext != nil {
+				c.OnGetNext(curr)
 			}
 		}
-		if c.OnGetNext != nil {
-			c.OnGetNext(curr)
+	}
+	if c.onDue != nil {
+		if due := c.due.Load(); curr >= due && c.due.CompareAndSwap(due, curr-curr%c.every+c.every) {
+			c.onDue(curr)
 		}
+	}
+	return nil
+}
+
+// creditPieces is credit in pieces of at most piece calls, undelivered ones
+// first: an operator that counts more than one pull's worth of work in one
+// step (a selective scan's rejected rows, a fan-out's output) moves Curr by
+// no more than a pull at a time, so the sampling trigger and an off-thread
+// sampler see it move.
+func (c *Ctx) creditPieces(s *ledger.Slot, undelivered int64, delivered, piece int) error {
+	for undelivered > 0 {
+		k := min(undelivered, int64(piece))
+		if err := c.credit(s, k, 0); err != nil {
+			return err
+		}
+		undelivered -= k
+	}
+	for delivered > 0 {
+		k := min(delivered, piece)
+		if err := c.credit(s, 0, k); err != nil {
+			return err
+		}
+		delivered -= k
 	}
 	return nil
 }
@@ -165,10 +195,10 @@ func (n *base) rowWise(ctx *Ctx, b *Batch, want int, next func(*Ctx) (schema.Row
 // child chunk by chunk — Filter, Project, Distinct and the two serial joins —
 // with step turning input rows into output appended to b. It pulls the child
 // with the caller's want and runs step over each chunk in strides of want
-// input rows, crediting each stride's output, so a chunk from a fan-out join
-// below moves the ledger a stride at a time and a cancel stops it within one
-// stride. It returns only with the whole chunk processed: the subtree is
-// quiescent at every return.
+// input rows, crediting each stride's output in pieces of at most want rows,
+// so a skewed fan-out moves the ledger a pull at a time and a cancel stops it
+// within one stride. It returns only with the whole chunk processed: the
+// subtree is quiescent at every return.
 //
 // Two pieces of state keep a bulk pull's ledger where one-row pulls would put
 // it. A child EOF found with output in hand marks the node done one pull
@@ -219,7 +249,7 @@ func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, ste
 				s.fan, s.fanPos = append(s.fan[:0], b.Rows[1:]...), 0
 				b.Rows, emitted = b.Rows[:1], 1
 			}
-			if err := ctx.credit(n.slot, 0, emitted); err != nil {
+			if err := ctx.creditPieces(n.slot, 0, emitted, want); err != nil {
 				return err
 			}
 		}
@@ -283,9 +313,12 @@ func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
 // run — after each batch of its child has been taken in (drain). At each
 // invocation no operator holds counted-but-unprocessed rows, so a sampler
 // reading the ledger sees a state a hooked run reaches at the same Curr — the
-// property the bulk-vs-exact differential check is built on. observe only
-// ever runs on the calling goroutine: a plan whose workers drain partitions
-// on goroutines of their own is observed at the root batches alone.
+// property the bulk-vs-exact differential check is built on, and its only
+// use: samplers use the credit trigger (Ctx.SampleEvery), whose instants are
+// not quiesce points, because a child may be a chunk ahead of its parent
+// there. observe only ever runs on the calling goroutine: a plan whose
+// workers drain partitions on goroutines of their own is observed at the
+// root batches alone.
 //
 // It is the one run loop: it binds the plan, opens it, pulls the root at
 // the run's pull size until EOF, and closes it.
@@ -372,7 +405,8 @@ func drainAll(ctx *Ctx, child Operator, buf []schema.Row) ([]schema.Row, error) 
 // Open (EOF probe included), so its pull size can't desynchronize any
 // quiesce-point snapshot; each sunk batch is itself such a point (the child
 // subtree is quiescent and sinking counts nothing), reported to the run's
-// observer.
+// observer — the marks the bulk-vs-exact check compares inside a blocking
+// build.
 func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 	if err := child.Open(ctx); err != nil {
 		return err

@@ -68,6 +68,12 @@ type Ctx struct {
 	// observe is RunBatchObserved's quiesce-point observer, carried for drain.
 	observe func(curr int64)
 
+	// every and onDue are the sampling trigger SampleEvery installs; due is
+	// the next instant it fires at.
+	every int64
+	onDue func(curr int64)
+	due   atomic.Int64
+
 	canceled atomic.Bool
 }
 
@@ -78,6 +84,17 @@ func NewCtx() *Ctx { return &Ctx{} }
 // callback or from another goroutine; the execution stops at the next
 // counted GetNext call with ErrCanceled.
 func (c *Ctx) Cancel() { c.canceled.Store(true) }
+
+// SampleEvery installs the run's sampling trigger: the credit that moves
+// Curr to or past the next multiple of every calls fn once with the new
+// Curr. Unlike OnGetNext it leaves the pull size alone, so a sample lands at
+// most one credit past its due instant. Worker credits race for each instant
+// through one compare-and-swap, so it fires at most once, but fn may run on
+// any worker, concurrently with itself. Set before the run starts.
+func (c *Ctx) SampleEvery(every int64, fn func(curr int64)) {
+	c.every, c.onDue = max(every, 1), fn
+	c.due.Store(c.every)
+}
 
 // Canceled reports whether Cancel was called.
 func (c *Ctx) Canceled() bool { return c.canceled.Load() }

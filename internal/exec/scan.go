@@ -141,15 +141,16 @@ func (s *Scan) Open(*Ctx) error {
 // NextBatch implements Operator: one pass over scan positions until want
 // rows are delivered or the window ends, crediting the rows read (plus any
 // weighted physical-read units the storage charged) as counted calls and the
-// predicate survivors as delivered.
+// predicate survivors as delivered. Rejected rows and read units are credited
+// as they are read, in pieces of at most want, and the delivered rows last:
+// a selective predicate moves Curr a pull at a time, and a one-row pull
+// credits its calls in the iterator model's order.
 func (s *Scan) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	b.Reset()
 	if s.pos >= s.hi {
 		s.markDone()
 		return nil
 	}
-	scanned := 0
-	var units int64
 	switch {
 	case s.cur != nil:
 		// Store-cursor path: pull page-sized chunks. The cursor hands out
@@ -164,44 +165,48 @@ func (s *Scan) NextBatch(ctx *Ctx, b *Batch, want int) error {
 				break
 			}
 			s.pos += len(rows)
-			scanned += len(rows)
-			units += u
+			kept := b.Len()
 			if s.Pred == nil {
 				b.Rows = append(b.Rows, rows...)
-				continue
-			}
-			for _, row := range rows {
-				if expr.Truthy(s.Pred.Eval(row)) {
-					b.Append(row)
+			} else {
+				for _, row := range rows {
+					if expr.Truthy(s.Pred.Eval(row)) {
+						b.Append(row)
+					}
 				}
+			}
+			if err := ctx.creditPieces(s.slot, int64(len(rows)-(b.Len()-kept))+u, 0, want); err != nil {
+				return err
 			}
 		}
 	case s.Order == nil && s.Pred == nil:
 		// Plain in-order scan: the whole chunk survives, so copy the row
 		// headers in one bulk append instead of a per-row loop.
-		n := s.hi - s.pos
-		if n > want {
-			n = want
-		}
+		n := min(s.hi-s.pos, want)
 		b.Rows = append(b.Rows, s.Rel.Rows[s.pos:s.pos+n]...)
 		s.pos += n
-		scanned = n
 	default:
 		for s.pos < s.hi && b.Len() < want {
-			i := s.pos
-			s.pos++
-			if s.Order != nil {
-				i = int(s.Order[i])
+			rejected := 0
+			for end := min(s.pos+want, s.hi); s.pos < end && b.Len() < want; {
+				i := s.pos
+				s.pos++
+				if s.Order != nil {
+					i = int(s.Order[i])
+				}
+				row := s.Rel.Rows[i]
+				if s.Pred != nil && !expr.Truthy(s.Pred.Eval(row)) {
+					rejected++
+					continue
+				}
+				b.Append(row)
 			}
-			row := s.Rel.Rows[i]
-			scanned++
-			if s.Pred != nil && !expr.Truthy(s.Pred.Eval(row)) {
-				continue
+			if err := ctx.credit(s.slot, int64(rejected), 0); err != nil {
+				return err
 			}
-			b.Append(row)
 		}
 	}
-	if err := ctx.credit(s.slot, int64(scanned-b.Len())+units, b.Len()); err != nil {
+	if err := ctx.credit(s.slot, 0, b.Len()); err != nil {
 		return err
 	}
 	if b.Len() == 0 {

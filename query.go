@@ -181,7 +181,10 @@ type ProgressOptions struct {
 	// Extra estimators additionally evaluated per update.
 	Extra []EstimatorKind
 	// Every is the sampling period in GetNext calls (default: ~200
-	// samples based on the plan's initial upper bound).
+	// samples based on the plan's initial upper bound). An update lands at
+	// the first credit of work past each multiple of Every; the run pulls
+	// min(Every, 1024) rows at a time, so a shorter period samples more
+	// precisely at the cost of smaller pulls.
 	Every int64
 }
 
@@ -307,10 +310,7 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 		cb(u)
 	}
 	if cb != nil {
-		// The hook forces the batch engine onto its exact path: the run is
-		// call-for-call identical to row-at-a-time execution, so sampling
-		// instants land at precisely the same Curr values.
-		q.ctx.OnGetNext = mon.Hook()
+		mon.Attach(q.ctx)
 	}
 	rows, err := exec.RunBatchContext(ctx, q.ctx, q.root)
 	if err != nil {
