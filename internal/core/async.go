@@ -19,10 +19,11 @@ import (
 // "refresh a progress bar" mode), plus one whenever Poke asks for it.
 // Deterministic call-count sampling is the inline Monitor's job.
 //
-// Samples land in the embedded SampleSet, giving the exact same
-// Samples/Series API — and the same OnSample stream — as the inline
-// Monitor. Stop (or Run) always records a final at-EOF sample, so series of
-// completed runs end at progress 1.0.
+// Ticks, pokes and Stop go through the embedded SampleSet, the sampling core
+// shared with the inline Monitor: the same capture path, Samples/Series API
+// and OnSample stream; AsyncMonitor adds only the ticker, the poke channel
+// and the goroutine's lifecycle. Stop (or Run) always records a final at-EOF
+// sample, so series of completed runs end at progress 1.0.
 //
 // The zero Interval defaults to DefaultInterval. Samples must only be read
 // after Stop (or Run) has returned.
@@ -33,12 +34,10 @@ type AsyncMonitor struct {
 	// DefaultInterval.
 	Interval time.Duration
 
-	tracker *Tracker
-	root    exec.Operator
-	ctx     *exec.Ctx
-	stop    chan struct{}
-	done    chan struct{}
-	poke    chan struct{} // one pending Poke; never closed
+	ctx  *exec.Ctx
+	stop chan struct{}
+	done chan struct{}
+	poke chan struct{} // one pending Poke; never closed
 }
 
 // DefaultInterval is the wall-clock sampling period used when
@@ -49,20 +48,10 @@ const DefaultInterval = time.Millisecond
 // sampling every interval of wall-clock time (0 = DefaultInterval).
 func NewAsyncMonitor(root exec.Operator, interval time.Duration, ests ...Estimator) *AsyncMonitor {
 	return &AsyncMonitor{
-		SampleSet: SampleSet{Estimators: ests},
+		SampleSet: newSampleSet(root, ests),
 		Interval:  interval,
-		tracker:   NewTracker(root),
-		root:      root,
 		poke:      make(chan struct{}, 1),
 	}
-}
-
-// Initial evaluates ests on the plan's state before it has run (Curr = 0, the
-// static bounds) without recording a sample. Pass estimators of their own,
-// not the monitor's: a stateful one (hybrid-var, combiner) keeps a history of
-// the instants it was asked about. Call it before Start.
-func (m *AsyncMonitor) Initial(ests ...Estimator) Sample {
-	return evaluate(m.tracker.Capture(), 0, ests)
 }
 
 // Poke asks the wall-clock sampler for a sample now instead of at its next
@@ -96,9 +85,7 @@ func (m *AsyncMonitor) Stop() {
 	close(m.stop)
 	<-m.done
 	m.stop = nil
-	calls := m.ctx.Calls()
-	m.setTotal(calls)
-	m.capture(m.tracker, calls)
+	m.finish(m.ctx.Calls())
 }
 
 func (m *AsyncMonitor) loop() {
@@ -109,7 +96,6 @@ func (m *AsyncMonitor) loop() {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	var lastCalls int64
 	for {
 		select {
 		case <-m.stop:
@@ -117,12 +103,7 @@ func (m *AsyncMonitor) loop() {
 		case <-tick.C:
 		case <-m.poke:
 		}
-		calls := m.ctx.Calls()
-		if calls == lastCalls {
-			continue // idle or not started: nothing to observe yet
-		}
-		lastCalls = calls
-		m.capture(m.tracker, calls)
+		m.sample(m.ctx.Calls())
 	}
 }
 
@@ -141,6 +122,3 @@ func (m *AsyncMonitor) Run() ([]schema.Row, error) {
 	}
 	return rows, nil
 }
-
-// Mu returns the paper's mu for the completed execution.
-func (m *AsyncMonitor) Mu() float64 { return Mu(m.root) }

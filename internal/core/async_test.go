@@ -100,3 +100,58 @@ func TestAsyncMonitorOnSample(t *testing.T) {
 		t.Fatalf("last streamed sample at %d calls, total %d", last.Calls, m.Total())
 	}
 }
+
+// TestCaptureIsOneLedgerRead: a capture's Curr is the sum of its own node
+// view's Returned, so the frames built from it are single instants — held
+// here with the capture racing a concurrent parallel scan, and on every frame
+// the async sampler publishes, the final one (built after Stop) included.
+func TestCaptureIsOneLedgerRead(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.01, Z: 1, Seed: 1})
+	scan := exec.NewParallelScan(cat.MustStore("lineitem"), 2)
+	m := NewAsyncMonitor(scan, 20*time.Microsecond, Dne{}, Pmax{}, Safe{})
+	frames := 0
+	check := func(f Frame) {
+		frames++
+		var sum int64
+		for _, n := range f.Nodes {
+			sum += n.Calls
+		}
+		if sum != f.Calls {
+			t.Errorf("frame at %d calls: nodes sum to %d", f.Calls, sum)
+		}
+	}
+	m.OnSample = func(s Sample) { check(m.Frame(s)) }
+	check(m.Frame(m.Initial()))
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check(m.Frame(m.Samples[len(m.Samples)-1]))
+	if frames < 3 {
+		t.Fatalf("%d frames checked, want the initial, at least one sample and the final", frames)
+	}
+
+	op := exec.NewParallelScan(cat.MustStore("lineitem"), 2)
+	tr := NewTracker(op)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+			t.Error(err)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s := tr.Capture()
+		var sum int64
+		for _, n := range tr.nodes {
+			sum += n.Returned
+		}
+		if s.Curr != sum {
+			t.Fatalf("capture: Curr %d, its node view sums to %d", s.Curr, sum)
+		}
+	}
+}

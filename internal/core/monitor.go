@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"sqlprogress/internal/exec"
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 )
 
@@ -19,11 +20,51 @@ type Sample struct {
 	Estimates []float64 // parallel to Estimators
 }
 
-// SampleSet holds a monitored execution's samples and exposes the series
-// API shared by the inline Monitor (call-count periods on the executor's
-// credit trigger: the library's RunWithProgress, the accuracy matrix with
-// its paper cells, and the invariant tests) and the wall-clock AsyncMonitor
-// (the serving path). Either series is judged by the one checker, Series.
+// Frame is one sample as published: the instant, its bounds and hard
+// interval, every estimate by name, and every plan node's counters — all
+// from the one ledger read the sample was captured from, so the node rows'
+// Calls sum to the frame's Calls. The library's ProgressUpdate and the
+// daemon's session events are both built from it.
+type Frame struct {
+	// Calls is Curr at the instant.
+	Calls int64 `json:"calls"`
+	// LB and UB bound total(Q) at the instant.
+	LB int64 `json:"lb"`
+	UB int64 `json:"ub"`
+	// Lo and Hi are the hard progress interval [Calls/UB, min(Calls/LB, 1)];
+	// both are 0 while Calls is 0 (nothing has run, so the interval says
+	// nothing yet — read LB and UB for the size of the job).
+	Lo float64 `json:"lo"`
+	Hi float64 `json:"hi"`
+	// Estimates holds each estimator's output by name.
+	Estimates map[string]float64 `json:"estimates"`
+	// Nodes holds every plan node's cumulative counters at the instant, in
+	// NodeID order.
+	Nodes []NodeCount `json:"nodes,omitempty"`
+}
+
+// NodeCount is one plan node's cumulative runtime counters at a frame's
+// instant, read from the progress ledger (no operator-tree walk). Counters
+// are cumulative across rescans, matching the paper's Curr.
+type NodeCount struct {
+	// ID is the node's ledger NodeID (stable, dense, pre-order).
+	ID int32 `json:"id"`
+	// Name is the operator's display name.
+	Name string `json:"name"`
+	// Calls is the node's counted GetNext calls.
+	Calls int64 `json:"calls"`
+	// Delivered is the rows the node handed to its parent.
+	Delivered int64 `json:"delivered"`
+	// Rescans counts the node's re-opens after producing output.
+	Rescans int64 `json:"rescans,omitempty"`
+	// Done marks a node that has reached EOF.
+	Done bool `json:"done,omitempty"`
+}
+
+// SampleSet is the sampling core Monitor and AsyncMonitor share: the plan's
+// tracker, the capture path every trigger goes through, and the recorded
+// series with the API both expose. Either series is judged by the one
+// checker, Series.
 type SampleSet struct {
 	// Estimators are evaluated at every sample, in order.
 	Estimators []Estimator
@@ -31,53 +72,115 @@ type SampleSet struct {
 	Samples []Sample
 	// OnSample, when non-nil, is invoked after each recorded sample with
 	// that sample, letting consumers stream observations live instead of
-	// reading Samples after the run. It runs wherever the sample is taken —
-	// inline on the crediting goroutine under Monitor (a worker's, under a
-	// concurrent parallel plan; one at a time), on the sampler goroutine
-	// under AsyncMonitor (or, for the final at-EOF sample, on the goroutine
-	// calling Stop) — and must not block: a slow callback delays subsequent
-	// samples. Set before the run starts.
+	// reading Samples after the run; Frame shapes it for publishing. It runs
+	// wherever the sample is taken — inline on the crediting goroutine under
+	// Monitor (a worker's, under a concurrent parallel plan), on the sampler
+	// goroutine under AsyncMonitor, and on the goroutine calling Finish or
+	// Stop for the at-completion sample — one at a time, and must not block:
+	// a slow callback delays subsequent samples. Set before the run starts.
 	OnSample func(Sample)
 
-	total int64
+	tracker *Tracker
+	root    exec.Operator
+	mu      sync.Mutex // serializes captures: Tracker.Capture is not reentrant
+	last    int64      // Calls of the latest recorded sample
+	total   int64
 }
 
-// capture records one sample and streams it to OnSample: an observation
-// whose anchored call count is not past the last stored sample's is the same
-// instant seen twice and is dropped, so every sampler — per-call hook,
-// credit trigger, async wall-clock — produces a series strictly increasing
-// in Calls.
-func (ss *SampleSet) capture(tracker *Tracker, calls int64) {
-	s := tracker.Capture()
-	// Anchor the sample to the ledger total its own capture read, not the
-	// triggering call count: under parallel plans other workers advance the
-	// global counter between the trigger and the capture, and the paper's
-	// per-instant guarantees are stated against the captured Curr. In serial
-	// execution the two are identical.
-	if s.Curr > calls {
-		calls = s.Curr
-	}
-	if n := len(ss.Samples); n > 0 && calls <= ss.Samples[n-1].Calls {
+func newSampleSet(root exec.Operator, ests []Estimator) SampleSet {
+	return SampleSet{Estimators: ests, tracker: NewTracker(root), root: root}
+}
+
+// sample is every trigger's path — credit, per-call hook, tick, poke: an
+// instant not past the latest recorded sample (the run is idle, or a
+// concurrent capture overtook it) is skipped without a capture.
+func (ss *SampleSet) sample(calls int64) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if calls <= ss.last {
 		return
 	}
-	sample := evaluate(s, calls, ss.Estimators)
+	ss.record()
+}
+
+// finish records total(Q), or the call count at which the run stopped, and
+// the at-completion sample, unless the run already sampled that instant.
+func (ss *SampleSet) finish(total int64) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.total = total
+	ss.record()
+}
+
+// record captures the current instant and streams it to OnSample. The
+// sample is the captured Curr: under parallel plans other workers advance
+// the counters between a trigger and its capture, and the paper's
+// per-instant guarantees are stated against the captured Curr. A capture
+// whose Curr is not past the latest recorded sample's is the same instant
+// seen twice and is dropped, so the series is strictly increasing in Calls.
+// Caller holds mu.
+func (ss *SampleSet) record() {
+	s := ss.tracker.Capture()
+	if len(ss.Samples) > 0 && s.Curr <= ss.last {
+		return
+	}
+	ss.last = s.Curr
+	sample := evaluate(s, ss.Estimators)
 	ss.Samples = append(ss.Samples, sample)
 	if ss.OnSample != nil {
 		ss.OnSample(sample)
 	}
 }
 
-// evaluate is the observation of s at the instant calls under ests.
-func evaluate(s *State, calls int64, ests []Estimator) Sample {
-	sample := Sample{Calls: calls, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: make([]float64, len(ests))}
+// evaluate is the observation of s under ests.
+func evaluate(s *State, ests []Estimator) Sample {
+	sample := Sample{Calls: s.Curr, LB: s.LB, UB: s.UB, UBTight: s.UBTight, Estimates: make([]float64, len(ests))}
 	for i, e := range ests {
 		sample.Estimates[i] = e.Estimate(s)
 	}
 	return sample
 }
 
-// setTotal records total(Q), or the call count at which the run stopped.
-func (ss *SampleSet) setTotal(total int64) { ss.total = total }
+// Initial evaluates ests on the plan's state before it has run (Curr = 0, the
+// static bounds) without recording a sample. Pass estimators of their own,
+// not the monitor's: a stateful one (hybrid-var, combiner) keeps a history of
+// the instants it was asked about. Call it before the run starts.
+func (ss *SampleSet) Initial(ests ...Estimator) Sample {
+	return evaluate(ss.tracker.Capture(), ests)
+}
+
+// Mu returns the paper's mu for the completed execution.
+func (ss *SampleSet) Mu() float64 { return Mu(ss.root) }
+
+// Frame shapes s for publishing, naming its estimates after Estimators and
+// its nodes after the plan. The node rows come from the latest capture's
+// ledger read, so call it with the sample that capture produced: inside
+// OnSample, on the Initial sample before the run starts, or on the last
+// sample once Finish or Stop has returned (whose final capture read the same
+// Curr when it recorded nothing new).
+func (ss *SampleSet) Frame(s Sample) Frame {
+	f := Frame{Calls: s.Calls, LB: s.LB, UB: s.UB, Estimates: make(map[string]float64, len(s.Estimates))}
+	if s.Calls > 0 {
+		f.Lo = float64(s.Calls) / float64(s.UB)
+		f.Hi = min(float64(s.Calls)/float64(s.LB), 1)
+	}
+	for i, v := range s.Estimates {
+		f.Estimates[ss.Estimators[i].Name()] = v
+	}
+	t := ss.tracker
+	f.Nodes = make([]NodeCount, len(t.nodes))
+	for i, n := range t.nodes {
+		f.Nodes[i] = NodeCount{
+			ID:        int32(i),
+			Name:      t.shape.Node(ledger.NodeID(i)).Name,
+			Calls:     n.Returned,
+			Delivered: n.Delivered,
+			Rescans:   n.Rescans,
+			Done:      n.Done,
+		}
+	}
+	return f
+}
 
 // Total returns total(Q) (valid after the run completes).
 func (ss *SampleSet) Total() int64 { return ss.total }
@@ -121,39 +224,12 @@ type Monitor struct {
 
 	// Every is the sampling period in GetNext calls.
 	Every int64
-
-	tracker *Tracker
-	root    exec.Operator
-
-	mu   sync.Mutex // serializes captures from worker goroutines
-	last int64      // the latest instant sampled
 }
 
 // NewMonitor builds a monitor for the plan rooted at root, sampling every
 // `every` GetNext calls (minimum 1).
 func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
-	if every < 1 {
-		every = 1
-	}
-	return &Monitor{
-		SampleSet: SampleSet{Estimators: ests},
-		Every:     every,
-		tracker:   NewTracker(root),
-		root:      root,
-	}
-}
-
-// sample captures the instant calls. Worker goroutines of a parallel plan
-// call it concurrently: the mutex serializes captures (Tracker.Capture is
-// not reentrant), and an instant a recorded sample overtook is skipped.
-func (m *Monitor) sample(calls int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if calls <= m.last {
-		return
-	}
-	m.last = calls
-	m.capture(m.tracker, calls)
+	return &Monitor{SampleSet: newSampleSet(root, ests), Every: max(every, 1)}
 }
 
 // Hook returns the callback to install as exec.Ctx.OnGetNext. It puts the
@@ -178,10 +254,7 @@ func (m *Monitor) Attach(ctx *exec.Ctx) {
 // Finish records the at-completion sample (unless the run already sampled
 // that instant) and total(Q). Run calls it automatically; callers that
 // install Hook or Attach by hand invoke it once the plan is drained.
-func (m *Monitor) Finish(total int64) {
-	m.setTotal(total)
-	m.capture(m.tracker, total)
-}
+func (m *Monitor) Finish(total int64) { m.finish(total) }
 
 // Run executes the plan to completion under this monitor and returns the
 // root's output rows.
@@ -195,6 +268,3 @@ func (m *Monitor) Run() ([]schema.Row, error) {
 	m.Finish(ctx.Calls())
 	return rows, nil
 }
-
-// Mu returns the paper's mu for the completed execution.
-func (m *Monitor) Mu() float64 { return Mu(m.root) }

@@ -103,15 +103,16 @@ func (s *State) MuRunning() float64 {
 
 // Tracker captures States from a running plan. It owns the plan's shape,
 // its ledger, and a prebuilt BoundsEvaluator, so each capture is one
-// incremental bounds pass plus a sweep over precomputed node indices — no
-// per-capture maps, and no operator-tree access of any kind on the sample
-// path. Captures read ledger counters atomically and may therefore run on a
-// goroutine other than the executing ones (AsyncMonitor does); Capture
-// itself is not reentrant.
+// incremental bounds pass, one read of the ledger into a reused buffer and a
+// sweep over precomputed node indices — no per-capture maps, and no
+// operator-tree access of any kind on the sample path. Captures read ledger
+// counters atomically and may therefore run on a goroutine other than the
+// executing ones (AsyncMonitor does); Capture itself is not reentrant.
 type Tracker struct {
 	shape     *PlanShape
 	led       *ledger.Ledger
 	ev        *BoundsEvaluator
+	nodes     []ledger.Snapshot // the latest capture's ledger read, by NodeID
 	drivers   []ledger.NodeID
 	driverIdx []int
 	leaves    []ledger.NodeID // leaves outside rescanned subtrees
@@ -180,20 +181,25 @@ func (t *Tracker) Ledger() *ledger.Ledger { return t.led }
 // Shape returns the plan's shape.
 func (t *Tracker) Shape() *PlanShape { return t.shape }
 
-// Capture snapshots the current State.
+// Capture snapshots the current State from one read of the ledger, taken
+// after the bounds pass: Curr is the sum of that read's Returned counters,
+// and the drivers, leaves and pipelines index into the same read, which is
+// kept as the capture's node view (what SampleSet.Frame publishes). Summing
+// the bounds snapshot's refined LBs instead would over-count (they include
+// static lower bounds of nodes that have not produced yet); reading the
+// monotone counters at most after the bounds pass keeps Curr <= total(Q) <=
+// UB.
 func (t *Tracker) Capture() *State {
 	snap := t.ev.Compute()
+	t.nodes = t.led.SnapshotAll(t.nodes[:0])
 	s := &State{
 		LB:      snap.LB,
 		UB:      snap.UB,
 		UBTight: snap.UBTight,
 	}
-	// Curr from the same per-node counters the bounds saw: summing the
-	// snapshot's refined LBs would over-count (they include static lower
-	// bounds of nodes that have not produced yet), so re-read the monotone
-	// Returned counters. Reading them at most after the bounds pass keeps
-	// Curr <= total(Q) <= UB.
-	s.Curr = t.led.TotalReturned()
+	for _, n := range t.nodes {
+		s.Curr += n.Returned
+	}
 	if s.LB < 1 {
 		s.LB = 1
 	}
@@ -207,7 +213,7 @@ func (t *Tracker) Capture() *State {
 		s.UBTight = s.UB
 	}
 	for i, d := range t.drivers {
-		rt := t.led.View(d).Snapshot()
+		rt := t.nodes[d]
 		ds := DriverState{
 			Returned: rt.Returned,
 			Done:     rt.Done && rt.Rescans == 0,
@@ -217,12 +223,12 @@ func (t *Tracker) Capture() *State {
 	}
 	for i, l := range t.leaves {
 		s.LeafCard += snap.Nodes[t.leafIdx[i]].Bounds.LB
-		s.LeafConsumed += t.led.View(l).Returned()
+		s.LeafConsumed += t.nodes[l].Returned
 	}
 	for pi, p := range t.pipelines {
 		ps := PipelineState{Done: true}
 		for oi, id := range p.Ops {
-			rt := t.led.View(id).Snapshot()
+			rt := t.nodes[id]
 			ps.Work += rt.Returned
 			ps.EstWork += estimateNodeTotal(t.shape.Node(id).EstCard, rt, snap.Nodes[t.pipeOps[pi][oi]].Bounds)
 			if !rt.Done || rt.Rescans > 0 {
@@ -230,7 +236,7 @@ func (t *Tracker) Capture() *State {
 			}
 		}
 		for di, d := range p.Drivers {
-			rt := t.led.View(d).Snapshot()
+			rt := t.nodes[d]
 			ps.DriverReturned += rt.Returned
 			ps.DriverTotal += estimateNodeTotal(t.shape.Node(d).EstCard, rt, snap.Nodes[t.pipeDrvs[pi][di]].Bounds)
 		}

@@ -279,19 +279,15 @@ func (m *Manager) execute(s *Session) {
 	s.execCtx = execCtx
 	mon := core.NewAsyncMonitor(s.root, m.cfg.SampleInterval, s.ests...)
 	s.ests = nil
-	mon.OnSample = s.onSample
+	mon.OnSample = func(smp core.Sample) { s.onFrame(mon.Frame(smp)) }
 	s.mon = mon
-	// Bind the plan's shape and ledger for the per-node delta stream; the
-	// monitor's tracker already ensured the same binding, so this is a
-	// cheap idempotent lookup on a still-quiescent plan.
-	s.shape, s.led = core.ShapeOf(s.root)
 	// Frame 0: the plan's static [LB, UB], every estimator at Curr = 0, every
 	// node, published before the run starts so a subscriber learns the size
 	// of the job when it attaches. A session event, not a monitor sample
 	// (Samples stays positive in Calls), on estimators of its own; the names
 	// were validated at admission.
 	ests0, _ := core.NewEstimators(s.estNames...)
-	s.publishLocked(s.progressLocked(mon.Initial(ests0...), false))
+	s.publishLocked(s.progressLocked(mon.Frame(mon.Initial(ests0...)), false))
 	deadline := s.deadline
 	root := s.root
 	instrument := s.instrument
@@ -374,16 +370,13 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 		s.err = runErr
 		m.c.failed.Add(1)
 	}
-	// Final event: from the monitor's at-stop sample when the session ran,
-	// zero-valued otherwise (canceled while queued).
-	var final Progress
+	// Final event: the frame of the monitor's at-stop sample when the
+	// session ran, zero-valued otherwise (canceled while queued).
+	var f core.Frame
 	if s.mon != nil && len(s.mon.Samples) > 0 {
-		final = s.progressLocked(s.mon.Samples[len(s.mon.Samples)-1], true)
-	} else {
-		final = Progress{Final: true, State: s.state}
+		f = s.mon.Frame(s.mon.Samples[len(s.mon.Samples)-1])
 	}
-	final.State = s.state
-	s.publishLocked(final)
+	s.publishLocked(s.progressLocked(f, true))
 
 	// Let go of the plan: a finished session answers Info, Samples and a late
 	// Subscribe from the summary above, so the operator tree (hash tables,
@@ -392,8 +385,7 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 	if s.mon != nil {
 		s.samples = s.mon.Samples
 	}
-	s.root, s.mon, s.execCtx, s.instrument = nil, nil, nil, nil
-	s.shape, s.led, s.nodeScratch, s.nodePrev = nil, nil, nil, nil
+	s.root, s.mon, s.execCtx, s.instrument, s.nodePrev = nil, nil, nil, nil, nil
 }
 
 // onDone frees a run slot and starts queued work.

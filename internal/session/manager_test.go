@@ -386,6 +386,78 @@ func TestNodeProgressParallelPlan(t *testing.T) {
 	}
 }
 
+// subscribeAll attaches a subscriber that cannot fall behind: its buffer
+// holds every event the test's sessions publish, so none is displaced and
+// the delta stream arrives whole.
+func subscribeAll(s *Session) <-chan Progress {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ch := make(chan Progress, 1<<14)
+	if s.hasLast {
+		ch <- s.last
+	}
+	s.subs[s.nextSub] = &subscriber{ch: ch}
+	s.nextSub++
+	return ch
+}
+
+// TestNodeDeltasAreOneInstant accumulates the ledger-delta stream of long
+// sessions sampled every 50 µs and checks every event against itself: its
+// nodes (the changed ones, over the counters the earlier events left) come
+// from the same ledger read as its Calls, so their Calls sum to the event's.
+func TestNodeDeltasAreOneInstant(t *testing.T) {
+	cat := testCatalog(t)
+	m := New(cat, Config{MaxConcurrent: 1, SampleInterval: 50 * time.Microsecond})
+	defer m.Close()
+	b := plan.NewBuilder(cat)
+	const rounds = 3
+	events, torn := 0, 0
+	for round := 0; round < rounds; round++ {
+		block := make(chan struct{})
+		if _, err := m.SubmitPlan(rowsPlan(1), "blocker", SubmitOptions{Instrument: gateInstrument(block)}); err != nil {
+			t.Fatal(err)
+		}
+		root := b.Cross(b.Scan("lineitem"), b.Scan("nation")).ScalarAgg(plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op
+		s, err := m.SubmitPlan(root, "lineitem x nation", SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := subscribeAll(s) // queued: the stream starts at frame 0
+		close(block)
+		var calls []int64
+		seq := int64(0)
+		for p := range ch {
+			if p.Seq != seq+1 {
+				t.Fatalf("round %d: event %d follows %d; the subscriber lost events", round, p.Seq, seq)
+			}
+			seq = p.Seq
+			for _, n := range p.Nodes {
+				for int(n.ID) >= len(calls) {
+					calls = append(calls, 0)
+				}
+				calls[n.ID] = n.Calls
+			}
+			var sum int64
+			for _, c := range calls {
+				sum += c
+			}
+			events++
+			if sum != p.Calls {
+				if torn == 0 {
+					t.Errorf("round %d, event %d: nodes sum to %d calls, the event says %d", round, p.Seq, sum, p.Calls)
+				}
+				torn++
+			}
+		}
+		if st := s.State(); st != StateFinished {
+			t.Fatalf("round %d: state = %s, err = %v", round, st, s.Err())
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d events mix two instants", torn, events)
+	}
+}
+
 // TestFinishedSessionsReleaseTheirPlan holds finished join sessions alive
 // and checks they pin only their summary: the operator tree (hash tables,
 // arena slabs behind batch scratch), the result's backing array and the

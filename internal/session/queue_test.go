@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -151,7 +152,7 @@ func TestPublishLatestWins(t *testing.T) {
 	const published = 40 // well past the 16-slot buffer
 	s.mu.Lock()
 	for i := 0; i < published; i++ {
-		s.publishLocked(Progress{Calls: int64(i + 1), State: StateRunning})
+		s.publishLocked(Progress{Frame: core.Frame{Calls: int64(i + 1)}, State: StateRunning})
 	}
 	s.mu.Unlock()
 
@@ -201,7 +202,7 @@ func TestFrozenSubscriberEvictedThenReattachedSeesFinal(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatal("subscriber never evicted")
 		}
-		s.publishLocked(Progress{Calls: int64(i + 1), State: StateRunning})
+		s.publishLocked(Progress{Frame: core.Frame{Calls: int64(i + 1)}, State: StateRunning})
 	}
 	s.mu.Unlock()
 	if evictions != 1 {

@@ -17,7 +17,6 @@ import (
 
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
 )
@@ -41,31 +40,21 @@ func (s State) Terminal() bool {
 	return s == StateFinished || s == StateCanceled || s == StateFailed
 }
 
-// Progress is one streamed progress observation for a session: the hard
-// interval and every configured estimator's output at one instant of the
-// execution, plus lifecycle framing for the final event.
+// Progress is one streamed progress observation for a session: a monitor
+// frame (the instant, its bounds and hard interval, every configured
+// estimator's output, the plan's node counters) plus lifecycle framing. The
+// frame's fields are flattened into the JSON object.
 type Progress struct {
 	// Seq numbers the session's published events from 1, monotonically.
 	// SSE serving uses it as the event id, letting a client that
 	// reconnects with Last-Event-ID skip observations it already has.
 	Seq int64 `json:"seq"`
-	// Calls is Curr at the observation.
-	Calls int64 `json:"calls"`
-	// LB and UB bound total(Q) at the observation.
-	LB int64 `json:"lb"`
-	UB int64 `json:"ub"`
-	// Lo and Hi are the hard progress interval [Curr/UB, min(Curr/LB, 1)];
-	// both are 0 while Calls is 0 (frame 0: nothing has run, so the interval
-	// says nothing yet — read LB and UB for the size of the job).
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
-	// Estimates holds each configured estimator's output by name.
-	Estimates map[string]float64 `json:"estimates"`
-	// Nodes is the ledger-delta stream: the per-node cumulative runtime
-	// counters of every plan node whose counters changed since this
-	// session's previous published event (every node on the first and final
-	// events). Node ids are the plan's stable dense NodeIDs.
-	Nodes []NodeProgress `json:"nodes,omitempty"`
+	// Frame is the observation. Its Nodes are the ledger-delta stream: the
+	// cumulative counters of every plan node whose counters changed since
+	// this session's previous published event (every node on the first and
+	// final events), all read at the frame's own instant — accumulated over
+	// the events, the nodes' Calls sum to the event's Calls.
+	core.Frame
 	// Pool is a snapshot of the shared buffer-pool counters at the
 	// observation, present when the manager serves disk-backed tables
 	// (Config.Pool). Counters are pool-wide and cumulative, so a single
@@ -79,27 +68,9 @@ type Progress struct {
 	State State `json:"state"`
 }
 
-// NodeProgress is one plan node's cumulative runtime counters at an
-// observation, read straight from the progress ledger (no operator-tree
-// walk). Counters are cumulative across rescans, matching the paper's Curr.
-type NodeProgress struct {
-	// ID is the node's ledger NodeID (stable, dense, pre-order).
-	ID int32 `json:"id"`
-	// Name is the operator's display name.
-	Name string `json:"name"`
-	// Calls is the node's counted GetNext calls.
-	Calls int64 `json:"calls"`
-	// Delivered is the rows the node handed to its parent.
-	Delivered int64 `json:"delivered"`
-	// Rescans counts the node's re-opens after producing output.
-	Rescans int64 `json:"rescans,omitempty"`
-	// Done marks a node that has reached EOF.
-	Done bool `json:"done,omitempty"`
-}
-
 // Session is one submitted query: its compiled plan, lifecycle state,
 // execution context, monitor, and result summary. The plan, context, monitor
-// and ledger binding are released at the terminal transition; the summary
+// and node-delta state are released at the terminal transition; the summary
 // stays. All fields are guarded by mu; exported accessors are safe from any
 // goroutine.
 type Session struct {
@@ -136,10 +107,7 @@ type Session struct {
 	instrument   func(*exec.Ctx)
 	onEvict      func()
 	pool         *pager.Pool
-	shape        *core.PlanShape
-	led          *ledger.Ledger
-	nodeScratch  []ledger.Snapshot
-	nodePrev     []ledger.Snapshot
+	nodePrev     []core.NodeCount // the node rows as last published
 
 	// Watchdog state (maintained by the Manager's watchdog goroutine).
 	watchCalls   int64
@@ -324,34 +292,18 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 	}
 }
 
-// onSample adapts a monitor sample into a Progress event and fans it out.
-// It runs on the monitor's sampler goroutine.
-func (s *Session) onSample(smp core.Sample) {
+// onFrame fans a monitor frame out as a Progress event. It runs on the
+// monitor's sampler goroutine.
+func (s *Session) onFrame(f core.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.publishLocked(s.progressLocked(smp, false))
+	s.publishLocked(s.progressLocked(f, false))
 }
 
-// progressLocked shapes a monitor sample as a Progress event.
-func (s *Session) progressLocked(smp core.Sample, final bool) Progress {
-	p := Progress{
-		Calls: smp.Calls, LB: smp.LB, UB: smp.UB,
-		Estimates: make(map[string]float64, len(s.estNames)),
-		Final:     final,
-		State:     s.state,
-	}
-	for i, n := range s.estNames {
-		if i < len(smp.Estimates) {
-			p.Estimates[n] = smp.Estimates[i]
-		}
-	}
-	if smp.Calls > 0 && smp.UB > 0 {
-		p.Lo = float64(smp.Calls) / float64(smp.UB)
-		p.Hi = float64(smp.Calls) / float64(smp.LB)
-		if p.Hi > 1 {
-			p.Hi = 1
-		}
-	}
+// progressLocked frames f as a Progress event, keeping only the nodes that
+// changed since the previous published event unless the event is final.
+func (s *Session) progressLocked(f core.Frame, final bool) Progress {
+	p := Progress{Frame: f, Final: final, State: s.state}
 	if !s.started.IsZero() {
 		p.Elapsed = time.Since(s.started)
 	}
@@ -359,23 +311,19 @@ func (s *Session) progressLocked(smp core.Sample, final bool) Progress {
 		st := s.pool.Stats()
 		p.Pool = &st
 	}
-	if s.led != nil {
-		s.nodeScratch = s.led.SnapshotAll(s.nodeScratch[:0])
-		for i, snap := range s.nodeScratch {
-			if !final && i < len(s.nodePrev) && snap == s.nodePrev[i] {
+	changed := f.Nodes[:0]
+	for i, n := range f.Nodes {
+		if i < len(s.nodePrev) {
+			if !final && n == s.nodePrev[i] {
 				continue // unchanged since the previous published event
 			}
-			p.Nodes = append(p.Nodes, NodeProgress{
-				ID:        int32(i),
-				Name:      s.shape.Node(ledger.NodeID(i)).Name,
-				Calls:     snap.Returned,
-				Delivered: snap.Delivered,
-				Rescans:   snap.Rescans,
-				Done:      snap.Done,
-			})
+			s.nodePrev[i] = n
+		} else {
+			s.nodePrev = append(s.nodePrev, n)
 		}
-		s.nodePrev = append(s.nodePrev[:0], s.nodeScratch...)
+		changed = append(changed, n)
 	}
+	p.Nodes = changed
 	return p
 }
 

@@ -8,7 +8,6 @@ import (
 	"sqlprogress/internal/compile"
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/plan"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -182,42 +181,34 @@ type ProgressOptions struct {
 	Extra []EstimatorKind
 	// Every is the sampling period in GetNext calls (default: ~200
 	// samples based on the plan's initial upper bound). An update lands at
-	// the first credit of work past each multiple of Every; the run pulls
-	// min(Every, 1024) rows at a time, so a shorter period samples more
-	// precisely at the cost of smaller pulls.
+	// the first credit of work past each multiple of Every, and a completed
+	// run's final update lands at completion (Calls = Result.TotalCalls);
+	// the run pulls min(Every, 1024) rows at a time, so a shorter period
+	// samples more precisely at the cost of smaller pulls.
 	Every int64
 }
 
 // NodeCount is one plan node's cumulative runtime counters at an update,
-// read straight from the query's progress ledger (no operator-tree walk).
-// IDs are the plan's stable dense NodeIDs, in pre-order.
-type NodeCount struct {
-	// ID is the node's ledger NodeID.
-	ID int32
-	// Name is the operator's display name.
-	Name string
-	// Calls is the node's counted GetNext calls (cumulative across rescans).
-	Calls int64
-	// Delivered is the rows the node handed to its parent.
-	Delivered int64
-	// Rescans counts the node's re-opens after producing output.
-	Rescans int64
-	// Done marks a node that has reached EOF.
-	Done bool
-}
+// read from the query's progress ledger (no operator-tree walk): ID is the
+// plan's stable dense NodeID, in pre-order; Calls is the node's counted
+// GetNext calls (cumulative across rescans), Delivered the rows it handed to
+// its parent, Rescans its re-opens after producing output, and Done marks a
+// node that reached EOF. The daemon streams the same rows.
+type NodeCount = core.NodeCount
 
 // ProgressUpdate is one observation delivered to the callback.
 type ProgressUpdate struct {
 	// Estimate is the headline estimator's progress estimate in [0, 1].
 	Estimate float64
 	// Lo and Hi are hard bounds on the true progress at this instant
-	// (Curr/UB and Curr/LB).
+	// (Curr/UB and min(Curr/LB, 1)).
 	Lo, Hi float64
 	// Estimates holds every configured estimator's output by kind.
 	Estimates map[EstimatorKind]float64
 	// Nodes holds every plan node's runtime counters at this instant, in
-	// NodeID order. The slice is freshly allocated per update; callers may
-	// retain it.
+	// NodeID order, from the same ledger read as Calls and the bounds: the
+	// nodes' Calls sum to Calls. The slice is freshly allocated per update;
+	// callers may retain it.
 	Nodes []NodeCount
 	// Calls is the GetNext count at this instant (Curr).
 	Calls int64
@@ -234,8 +225,9 @@ type ProgressUpdate struct {
 	ETA time.Duration
 }
 
-// RunWithProgress executes the query, invoking cb at each sampling point.
-// The callback runs synchronously on the execution path — keep it cheap.
+// RunWithProgress executes the query, invoking cb at each sampling point and,
+// when the run completes, once more at completion. The callback runs
+// synchronously on the execution path — keep it cheap.
 func (q *Query) RunWithProgress(opts ProgressOptions, cb func(ProgressUpdate)) (*Result, error) {
 	return q.RunWithProgressContext(context.Background(), opts, cb)
 }
@@ -260,49 +252,37 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 	if err != nil {
 		return nil, fmt.Errorf("sqlprogress: %w", err)
 	}
-	every := opts.Every
-	if every <= 0 {
-		snap := core.ComputeBounds(q.root)
-		every = snap.UB / 200
-		if every < 1 || snap.UB >= exec.Unbounded {
-			every = maxInt64(snap.LB/200, 1)
+	mon := core.NewMonitor(q.root, opts.Every, ests...)
+	if opts.Every <= 0 {
+		// About 200 updates, sized from frame 0's static bounds.
+		s0 := mon.Initial()
+		mon.Every = s0.UB / 200
+		if mon.Every < 1 || s0.UB >= exec.Unbounded {
+			mon.Every = max(s0.LB/200, 1)
 		}
 	}
-
-	mon := core.NewMonitor(q.root, every, ests...)
-	shape, led := core.ShapeOf(q.root)
 	q.ctx = exec.NewCtx()
 	start := time.Now()
-	var scratch []exec.StatsSnapshot
 	mon.OnSample = func(s core.Sample) {
 		// Updates are streamed, not kept: the monitor retains only the last
 		// sample, which the next one is checked against.
 		mon.Samples = append(mon.Samples[:0], s)
+		f := mon.Frame(s)
 		u := ProgressUpdate{
 			Estimate:  s.Estimates[0],
-			Calls:     s.Calls,
-			Estimates: make(map[EstimatorKind]float64, len(ests)),
+			Lo:        f.Lo,
+			Hi:        f.Hi,
+			Estimates: make(map[EstimatorKind]float64, len(f.Estimates)),
+			Nodes:     f.Nodes,
+			Calls:     f.Calls,
 			Elapsed:   time.Since(start),
 		}
-		u.Lo, u.Hi = (&core.State{Curr: s.Calls, LB: s.LB, UB: s.UB}).Interval()
+		for n, v := range f.Estimates {
+			u.Estimates[EstimatorKind(n)] = v
+		}
 		if q.db != nil && q.db.pool != nil {
 			st := q.db.pool.Stats()
 			u.Pool = &st
-		}
-		scratch = led.SnapshotAll(scratch[:0])
-		u.Nodes = make([]NodeCount, len(scratch))
-		for i, snap := range scratch {
-			u.Nodes[i] = NodeCount{
-				ID:        int32(i),
-				Name:      shape.Node(ledger.NodeID(i)).Name,
-				Calls:     snap.Returned,
-				Delivered: snap.Delivered,
-				Rescans:   snap.Rescans,
-				Done:      snap.Done,
-			}
-		}
-		for i, v := range s.Estimates {
-			u.Estimates[kinds[i]] = v
 		}
 		if u.Estimate > 0 {
 			u.ETA = time.Duration(float64(u.Elapsed) * (1 - u.Estimate) / u.Estimate)
@@ -315,6 +295,9 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 	rows, err := exec.RunBatchContext(ctx, q.ctx, q.root)
 	if err != nil {
 		return nil, err
+	}
+	if cb != nil {
+		mon.Finish(q.ctx.Calls())
 	}
 	return q.result(rows, q.ctx.Calls()), nil
 }
@@ -333,10 +316,3 @@ func FormatRow(r schema.Row) string {
 
 // Value re-exports the engine's value type for callers inspecting rows.
 type Value = sqlval.Value
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

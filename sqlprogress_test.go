@@ -449,6 +449,58 @@ func TestParallelPlanWithProgress(t *testing.T) {
 	}
 }
 
+// TestRunWithProgressEndsAtCompletion: a completed run's last update is the
+// at-completion one, whatever the period: its Calls is the run's total.
+func TestRunWithProgressEndsAtCompletion(t *testing.T) {
+	db := sampleDB(t)
+	for _, every := range []int64{0, 7, 10, 25, 1000} {
+		q, err := db.Query("SELECT name, COUNT(*) FROM users, events WHERE id = uid GROUP BY name")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last ProgressUpdate
+		res, err := q.RunWithProgress(ProgressOptions{Every: every}, func(u ProgressUpdate) { last = u })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.Calls != res.TotalCalls {
+			t.Errorf("every=%d: last update at %d calls, run total %d", every, last.Calls, res.TotalCalls)
+		}
+	}
+}
+
+// TestProgressUpdateIsOneInstant: an update's node counters come from the
+// same ledger read as its Calls and bounds, so under a concurrent parallel
+// scan — workers counting while the update is built — the nodes' Calls sum
+// to the update's Calls on every update.
+func TestProgressUpdateIsOneInstant(t *testing.T) {
+	db := OpenTPCH(0.02, 1, 42)
+	const rounds = 10
+	updates, torn := 0, 0
+	for round := 0; round < rounds; round++ {
+		q := db.QueryPlan(db.Builder().ParallelScan("lineitem", 2))
+		_, err := q.RunWithProgress(ProgressOptions{Every: 500}, func(u ProgressUpdate) {
+			updates++
+			var sum int64
+			for _, n := range u.Nodes {
+				sum += n.Calls
+			}
+			if sum != u.Calls {
+				if torn == 0 {
+					t.Errorf("round %d: nodes sum to %d calls, the update says %d", round, sum, u.Calls)
+				}
+				torn++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d updates mix two instants", torn, updates)
+	}
+}
+
 // TestSpilledDatabaseAnswersLikeMemory: after SpillToDisk every statement —
 // sub-selects over spilled inner tables included — returns what it returned
 // from memory, in the same number of GetNext calls, while its scans decode
