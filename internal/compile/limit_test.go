@@ -28,7 +28,7 @@ func TestLimitBoundsReproductions(t *testing.T) {
 			if mon.Total() >= cat.MustStore("lineitem").Cardinality() {
 				t.Fatalf("%s: %d calls: the LIMIT no longer stops the scan early", sql, mon.Total())
 			}
-			if err := core.SeriesOf(sql, &mon.SampleSet, op).Check(); err != nil {
+			if err := core.SeriesOf(sql, &mon.SampleSet).Check(); err != nil {
 				t.Fatalf("batch=%v: %v", batch, err)
 			}
 		}

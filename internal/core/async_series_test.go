@@ -19,12 +19,12 @@ import (
 // (the soundness claim for sampling against live atomic counters), monotone
 // bounds, every estimate within [0, 1], and the series ending with the
 // at-EOF sample.
-func checkSeries(t *testing.T, label string, m *core.AsyncMonitor, root exec.Operator) {
+func checkSeries(t *testing.T, label string, m *core.AsyncMonitor) {
 	t.Helper()
 	if len(m.Samples) == 0 {
 		t.Fatalf("%s: no samples", label)
 	}
-	if err := core.SeriesOf(label, &m.SampleSet, root).Check(); err != nil {
+	if err := core.SeriesOf(label, &m.SampleSet).Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -43,7 +43,7 @@ func TestAsyncMonitorSamplesRunningTPCHPlan(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	checkSeries(t, "tpch-q21", m, op)
+	checkSeries(t, "tpch-q21", m)
 }
 
 // TestAsyncMonitorFinalSampleAlways: with an interval far longer than the
@@ -58,7 +58,7 @@ func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 	if len(m.Samples) != 1 {
 		t.Fatalf("samples = %d, want exactly the final one", len(m.Samples))
 	}
-	checkSeries(t, "final-only", m, j)
+	checkSeries(t, "final-only", m)
 	pts, err := m.Series("safe")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestAsyncMonitorInitialAndPoke(t *testing.T) {
 	if len(m.Samples) != 1 {
 		t.Fatalf("samples = %d, want the one poked sample", len(m.Samples))
 	}
-	checkSeries(t, "poked", m, j)
+	checkSeries(t, "poked", m)
 }
 
 // example1INLJoin is the paper's Example 1 plan, R1(a) ⋈INL R2(b) over a hash

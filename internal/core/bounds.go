@@ -70,14 +70,17 @@ func ComputeBoundsOpt(root exec.Operator, opts BoundsOptions) BoundsSnapshot {
 // unit charge for the same reason: the denominator must never exceed the
 // rows actually scanned.
 func ScannedLeafCardinality(root exec.Operator) int64 {
-	return NewBoundsEvaluator(root).root.scannedLeaves(false)
+	ev := NewBoundsEvaluator(root)
+	return ev.root.scannedLeaves(ev.led.SnapshotAll(nil), false)
 }
 
-func (n *evalNode) scannedLeaves(underRescan bool) int64 {
+// scannedLeaves is ScannedLeafCardinality over the subtree at n, its
+// runtime facts from nodes, one read of the ledger indexed by NodeID.
+func (n *evalNode) scannedLeaves(nodes []ledger.Snapshot, underRescan bool) int64 {
 	if len(n.children) > 0 {
 		var total int64
 		for i, c := range n.children {
-			total += c.scannedLeaves(underRescan || n.rescanned[i])
+			total += c.scannedLeaves(nodes, underRescan || n.rescanned[i])
 		}
 		return total
 	}
@@ -85,7 +88,7 @@ func (n *evalNode) scannedLeaves(underRescan bool) int64 {
 		return 0
 	}
 	lb := n.rule.FinalBounds(nil).LB
-	if rt := n.view.Snapshot(); rt.Done && rt.Rescans == 0 {
+	if rt := nodes[n.id]; rt.Done && rt.Rescans == 0 {
 		ret := rt.Returned
 		if wl, ok := n.rule.(exec.WeightedLeaf); ok {
 			ret -= wl.MaxReadUnits()
@@ -102,7 +105,14 @@ func (n *evalNode) scannedLeaves(underRescan bool) int64 {
 // LB). pmax's ratio error is at most this value (Theorem 5). Every counted
 // leaf's rows are part of total(Q), so a mu below 1 is an accounting bug.
 func Mu(root exec.Operator) float64 {
-	total, leaves := exec.TotalCalls(root), ScannedLeafCardinality(root)
+	ev := NewBoundsEvaluator(root)
+	return ev.mu(ev.led.SnapshotAll(nil))
+}
+
+// mu is Mu over nodes, one read of the finished run's ledger: total(Q) is
+// the read's Curr.
+func (ev *BoundsEvaluator) mu(nodes []ledger.Snapshot) float64 {
+	total, leaves := curr(nodes), ev.root.scannedLeaves(nodes, false)
 	if leaves < 1 {
 		// No leaf counts (all under a LIMIT or a merge join, or empty).
 		return math.Max(1, float64(total))
@@ -110,27 +120,34 @@ func Mu(root exec.Operator) float64 {
 	return float64(total) / float64(leaves)
 }
 
-// ExplainBounds renders the plan tree with each node's current cardinality
-// bounds and runtime counters — the Section 5.1 state, made visible. Useful
-// when debugging why pmax or safe behaves as it does on a plan.
-func ExplainBounds(root exec.Operator) string {
-	snap := ComputeBounds(root)
-	byID := make(map[ledger.NodeID]exec.CardBounds, len(snap.Nodes))
-	for _, nb := range snap.Nodes {
-		byID[nb.ID] = nb.Bounds
+// curr sums a ledger read's Returned counters: the query's GetNext calls at
+// the read's instant, the paper's Curr.
+func curr(nodes []ledger.Snapshot) int64 {
+	var total int64
+	for _, n := range nodes {
+		total += n.Returned
 	}
+	return total
+}
+
+// ExplainBounds renders the plan tree with each node's current cardinality
+// bounds and runtime counters — the Section 5.1 state, made visible, every
+// figure from the one ledger read the bounds pass folded. Useful when
+// debugging why pmax or safe behaves as it does on a plan.
+func ExplainBounds(root exec.Operator) string {
+	ev := NewBoundsEvaluator(root)
+	snap := ev.Compute()
 	var b strings.Builder
-	fmt.Fprintf(&b, "total bounds: LB=%d UB=%d UBtight=%d (Curr=%d)\n", snap.LB, snap.UB, snap.UBTight, exec.TotalCalls(root))
+	fmt.Fprintf(&b, "total bounds: LB=%d UB=%d UBtight=%d (Curr=%d)\n", snap.LB, snap.UB, snap.UBTight, curr(ev.read))
 	var rec func(op exec.Operator, depth int)
 	rec = func(op exec.Operator, depth int) {
-		rt := exec.NodeView(op)
-		nb := byID[op.LedgerID()]
+		rt, nb := ev.read[op.LedgerID()], ev.bounds(op.LedgerID())
 		ubStr := fmt.Sprintf("%d", nb.UB)
 		if nb.UB >= exec.Unbounded {
 			ubStr = "inf"
 		}
 		fmt.Fprintf(&b, "%s%s  [rows=%d done=%v bounds=[%d,%s]]\n",
-			strings.Repeat("  ", depth), op.Name(), rt.Returned(), rt.Done(), nb.LB, ubStr)
+			strings.Repeat("  ", depth), op.Name(), rt.Returned, rt.Done, nb.LB, ubStr)
 		for _, c := range op.Children() {
 			rec(c, depth+1)
 		}

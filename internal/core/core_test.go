@@ -631,7 +631,7 @@ func TestConstrainedDneWithinInterval(t *testing.T) {
 func TestIntervalContainsTruth(t *testing.T) {
 	j, _ := skewJoinPlan(300, "random")
 	m := runMonitored(t, j, 7)
-	if err := SeriesOf("random", &m.SampleSet, j).Check(); err != nil {
+	if err := SeriesOf("random", &m.SampleSet).Check(); err != nil {
 		t.Fatal(err)
 	}
 }

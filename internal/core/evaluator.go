@@ -7,13 +7,14 @@ import (
 
 // BoundsEvaluator is the bounds pass: the one implementation of the
 // per-node bounds arithmetic (Section 5.1). The plan's static structure —
-// child lists, rescan, demand-cap and early-stop topology, bounds rules, the
-// snapshot layout — comes from the PlanShape once at construction; each
-// Compute call then only folds the ledger counters into preallocated
-// buffers, an allocation-free sweep, which is what lets a monitor sample
-// frequently (and off-thread) without throttling the executor. No
-// exec.Operator is touched on the sample path: the evaluator reads cached
-// ledger slot pointers and static rule closures. One-shot callers
+// child lists, rescan, demand-cap and early-stop topology, bounds rules —
+// comes from the PlanShape once at construction; each pass is then a fold
+// of one read of the ledger (Ledger.SnapshotAll, indexed by NodeID) into
+// preallocated buffers, an allocation-free sweep, which is what lets a
+// monitor sample frequently (and off-thread) without throttling the
+// executor. No exec.Operator is touched and no ledger slot is read during
+// the fold: every runtime fact comes from the one read, so the bounds
+// describe the same instant as the Curr summed from it. One-shot callers
 // (ComputeBounds) build a fresh evaluator and Compute once.
 //
 // Every node's bounds combine its operator's static rule (FinalBounds over
@@ -36,22 +37,25 @@ import (
 // upward. The tight track's result is the per-node UBTight; with no
 // pessimistic bounds in the plan both tracks are identical.
 //
-// Compute reads runtime counters through ledger.View.Snapshot, so it is
-// safe to call from a goroutine other than the ones executing the plan; the
-// bounds it derives are valid even against slightly-stale counters (see
-// DESIGN.md, "Concurrency model & monitoring overhead"). Compute itself is
-// not reentrant: at most one goroutine may call it at a time.
+// The read it folds is taken under the ledger's per-node ordering protocol,
+// so a pass is safe from a goroutine other than the ones executing the plan,
+// and the bounds it derives are valid even against slightly-stale counters
+// (see DESIGN.md, "Concurrency model & monitoring overhead"). Because every
+// node's refined LB covers its own Returned in that read, the plan LB covers
+// the read's Curr. The evaluator is not reentrant: at most one goroutine may
+// run a pass at a time.
 type BoundsEvaluator struct {
 	opts BoundsOptions
+	led  *ledger.Ledger
 	root *evalNode
 	snap BoundsSnapshot
-	n    int   // node count
-	idx  []int // NodeID -> position in snap.Nodes
+	read []ledger.Snapshot // Compute's ledger read, reused
+	n    int               // node count
+	idx  []int             // NodeID -> position in snap.Nodes
 }
 
 // evalNode caches one node's static structure.
 type evalNode struct {
-	view      ledger.View
 	rule      FinalBounder
 	delivered exec.DeliveredBounder // non-nil iff node is a DeliveredBounder
 
@@ -80,24 +84,15 @@ func NewBoundsEvaluator(root exec.Operator) *BoundsEvaluator {
 // NewBoundsEvaluatorOpt is NewBoundsEvaluator with explicit options.
 func NewBoundsEvaluatorOpt(root exec.Operator, opts BoundsOptions) *BoundsEvaluator {
 	shape, led := ShapeOf(root)
-	return NewShapeEvaluator(shape, led, opts)
+	return newEvaluator(shape, led, opts)
 }
 
-// NewShapeEvaluator prepares an incremental evaluator over an
-// already-derived (PlanShape, *Ledger) pair.
-func NewShapeEvaluator(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions) *BoundsEvaluator {
-	ev := &BoundsEvaluator{opts: opts, idx: make([]int, shape.Len())}
-	ev.root = ev.build(shape, led, shape.Root().ID, -1, false)
-	ev.snap.Nodes = make([]NodeBounds, ev.n)
-	var index func(n *evalNode)
-	index = func(n *evalNode) {
-		ev.snap.Nodes[n.snapIdx].ID = n.id
-		ev.idx[n.id] = n.snapIdx
-		for _, c := range n.children {
-			index(c)
-		}
-	}
-	index(ev.root)
+// newEvaluator prepares an incremental evaluator over an already-derived
+// (PlanShape, *Ledger) pair.
+func newEvaluator(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions) *BoundsEvaluator {
+	ev := &BoundsEvaluator{opts: opts, led: led, idx: make([]int, shape.Len())}
+	ev.snap.Nodes = make([]NodeBounds, shape.Len())
+	ev.root = ev.build(shape, shape.Root().ID, -1, false)
 	return ev
 }
 
@@ -106,10 +101,9 @@ func NewShapeEvaluator(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions)
 // subtrees, then the node itself). demandCap bounds how many rows ancestors
 // will ever pull from this node (-1 = unbounded); mayStop marks nodes an
 // ancestor may abandon before EOF, voiding their static lower bounds.
-func (ev *BoundsEvaluator) build(shape *PlanShape, led *ledger.Ledger, id ledger.NodeID, demandCap int64, mayStop bool) *evalNode {
+func (ev *BoundsEvaluator) build(shape *PlanShape, id ledger.NodeID, demandCap int64, mayStop bool) *evalNode {
 	sn := shape.Node(id)
 	n := &evalNode{
-		view:        led.View(id),
 		rule:        sn.Rule,
 		delivered:   sn.Delivered,
 		children:    make([]*evalNode, len(sn.Children)),
@@ -128,35 +122,42 @@ func (ev *BoundsEvaluator) build(shape *PlanShape, led *ledger.Ledger, id ledger
 	stops := sn.earlyStops(mayStop, demandCap, caps, make([]bool, len(sn.Children)))
 	for i, c := range sn.Children {
 		if !sn.Rescanned[i] {
-			n.children[i] = ev.build(shape, led, c, caps[i], stops[i])
+			n.children[i] = ev.build(shape, c, caps[i], stops[i])
 		}
 	}
 	for i, c := range sn.Children {
 		if sn.Rescanned[i] {
-			n.children[i] = ev.build(shape, led, c, caps[i], stops[i])
+			n.children[i] = ev.build(shape, c, caps[i], stops[i])
 		}
 	}
 	n.snapIdx = ev.n
+	ev.idx[id] = ev.n
+	ev.snap.Nodes[ev.n].ID = id
 	ev.n++
 	return n
 }
 
-// IndexOfID returns the node's position in Compute's snapshot Nodes, or -1
-// when the id is out of range.
-func (ev *BoundsEvaluator) IndexOfID(id ledger.NodeID) int {
-	if id < 0 || int(id) >= len(ev.idx) {
-		return -1
-	}
-	return ev.idx[id]
+// Compute performs one bounds pass over one read of the ledger's current
+// counters, taken into a buffer the evaluator reuses. The returned snapshot
+// is owned by the evaluator and overwritten by the next pass.
+func (ev *BoundsEvaluator) Compute() *BoundsSnapshot {
+	ev.read = ev.led.SnapshotAll(ev.read)
+	return ev.Fold(ev.read)
 }
 
-// Compute performs one bounds pass over the ledger's current counters. The
-// returned snapshot is owned by the evaluator and overwritten by the next
-// Compute call.
-func (ev *BoundsEvaluator) Compute() *BoundsSnapshot {
+// Fold performs one bounds pass over nodes, one read of the plan's ledger
+// indexed by NodeID (Ledger.SnapshotAll): every node's runtime facts come
+// from it, so evaluators folding the same read agree exactly. The returned
+// snapshot is owned by the evaluator and overwritten by the next pass.
+func (ev *BoundsEvaluator) Fold(nodes []ledger.Snapshot) *BoundsSnapshot {
 	ev.snap.LB, ev.snap.UB, ev.snap.UBTight = 0, 0, 0
-	ev.eval(ev.root, 1, 1)
+	ev.eval(ev.root, nodes, 1, 1)
 	return &ev.snap
+}
+
+// bounds returns the latest pass's total-count bounds on node id.
+func (ev *BoundsEvaluator) bounds(id ledger.NodeID) exec.CardBounds {
+	return ev.snap.Nodes[ev.idx[id]].Bounds
 }
 
 // eval returns per-run bounds on a node's *delivered* rows (what the
@@ -164,16 +165,17 @@ func (ev *BoundsEvaluator) Compute() *BoundsSnapshot {
 // in the snapshot and folding them into the plan totals. The two differ only
 // for scans with embedded predicates. mult bounds how many times this
 // subtree may be re-opened (1 outside nested loops); multT is the tight
-// track's rescan multiplier (tight drive bounds can be smaller).
-func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT exec.CardBounds) {
+// track's rescan multiplier (tight drive bounds can be smaller). nodes is
+// the read being folded.
+func (ev *BoundsEvaluator) eval(n *evalNode, nodes []ledger.Snapshot, mult, multT int64) (perRun, perRunT exec.CardBounds) {
 	if !n.hasRescan {
 		for i, c := range n.children {
-			n.childBounds[i], n.childTight[i] = ev.eval(c, mult, multT)
+			n.childBounds[i], n.childTight[i] = ev.eval(c, nodes, mult, multT)
 		}
 	} else {
 		for i, c := range n.children {
 			if !n.rescanned[i] {
-				n.childBounds[i], n.childTight[i] = ev.eval(c, mult, multT)
+				n.childBounds[i], n.childTight[i] = ev.eval(c, nodes, mult, multT)
 			}
 		}
 		var driveUB, driveUBT int64 = exec.Unbounded, exec.Unbounded
@@ -183,7 +185,7 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 		}
 		for i, c := range n.children {
 			if n.rescanned[i] {
-				n.childBounds[i], n.childTight[i] = ev.eval(c,
+				n.childBounds[i], n.childTight[i] = ev.eval(c, nodes,
 					exec.SatMul(mult, driveUB), exec.SatMul(multT, driveUBT))
 			}
 		}
@@ -219,7 +221,7 @@ func (ev *BoundsEvaluator) eval(n *evalNode, mult, multT int64) (perRun, perRunT
 	if n.demandCap >= 0 && multT == 1 {
 		deliveredRuleT, ruleT = capToDemand(deliveredRuleT, ruleT, sameEmissionT, n.demandCap)
 	}
-	rt := n.view.Snapshot()
+	rt := nodes[n.id]
 
 	var total, totalT exec.CardBounds
 	if mult == 1 {

@@ -91,7 +91,7 @@ func newSampleSet(root exec.Operator, ests []Estimator) SampleSet {
 	return SampleSet{Estimators: ests, tracker: NewTracker(root), root: root}
 }
 
-// sample is every trigger's path — credit, per-call hook, tick, poke: an
+// sample is every trigger's path — credit, tick, poke: an
 // instant not past the latest recorded sample (the run is idle, or a
 // concurrent capture overtook it) is skipped without a capture.
 func (ss *SampleSet) sample(calls int64) {
@@ -149,8 +149,10 @@ func (ss *SampleSet) Initial(ests ...Estimator) Sample {
 	return evaluate(ss.tracker.Capture(), ests)
 }
 
-// Mu returns the paper's mu for the completed execution.
-func (ss *SampleSet) Mu() float64 { return Mu(ss.root) }
+// Mu returns the paper's mu for the completed execution, from the ledger
+// read of the at-completion capture (Finish or Stop). Like Samples, read it
+// once that capture has returned.
+func (ss *SampleSet) Mu() float64 { return ss.tracker.ev.mu(ss.tracker.nodes) }
 
 // Frame shapes s for publishing, naming its estimates after Estimators and
 // its nodes after the plan. The node rows come from the latest capture's
@@ -216,8 +218,8 @@ func (ss *SampleSet) SeriesAt(i int) []Point {
 }
 
 // Monitor samples a set of estimators while a plan executes, inline on the
-// execution path: at the first credit past each multiple of Every (Run), or
-// at every multiple exactly (Hook). Read Series / errors after completion.
+// execution path: at the first credit past each multiple of Every. Read
+// Series / errors after completion.
 // For sampling that does not run on the execution path, see AsyncMonitor.
 type Monitor struct {
 	SampleSet
@@ -232,17 +234,6 @@ func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
 	return &Monitor{SampleSet: newSampleSet(root, ests), Every: max(every, 1)}
 }
 
-// Hook returns the callback to install as exec.Ctx.OnGetNext. It puts the
-// run in the exact regime, one-row pulls, so it is only for callers that
-// need every call (chaos); Run samples without it.
-func (m *Monitor) Hook() func(int64) {
-	return func(calls int64) {
-		if calls%m.Every == 0 {
-			m.sample(calls)
-		}
-	}
-}
-
 // Attach installs the monitor's sampling trigger on ctx, and pulls of
 // min(Every, exec.DefaultBatchSize) rows, so a sample lands within one pull
 // of its due instant.
@@ -253,7 +244,7 @@ func (m *Monitor) Attach(ctx *exec.Ctx) {
 
 // Finish records the at-completion sample (unless the run already sampled
 // that instant) and total(Q). Run calls it automatically; callers that
-// install Hook or Attach by hand invoke it once the plan is drained.
+// Attach by hand invoke it once the plan is drained.
 func (m *Monitor) Finish(total int64) { m.finish(total) }
 
 // Run executes the plan to completion under this monitor and returns the

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"sqlprogress/internal/exec"
 )
 
 // Series is a recorded progress series plus the run facts needed to judge
@@ -30,14 +28,15 @@ type Series struct {
 	Mu float64
 }
 
-// SeriesOf wraps the samples a monitor recorded over a run of root that
-// reached EOF (ss.Total is total(Q)), ready for Check.
-func SeriesOf(label string, ss *SampleSet, root exec.Operator) *Series {
+// SeriesOf wraps the samples a monitor recorded over a run that reached EOF
+// (ss.Total is total(Q)), ready for Check; Mu is the monitor's own
+// (SampleSet.Mu).
+func SeriesOf(label string, ss *SampleSet) *Series {
 	names := make([]string, len(ss.Estimators))
 	for i, e := range ss.Estimators {
 		names[i] = e.Name()
 	}
-	return &Series{Label: label, Names: names, Samples: ss.Samples, Completed: true, Total: ss.Total(), Mu: Mu(root)}
+	return &Series{Label: label, Names: names, Samples: ss.Samples, Completed: true, Total: ss.Total(), Mu: ss.Mu()}
 }
 
 // Rule names one guarantee a Series is held to.
@@ -58,6 +57,7 @@ const (
 	RuleLBMonotone      Rule = "lb-monotone"       // LB never falls
 	RuleUBMonotone      Rule = "ub-monotone"       // UB never rises
 	RuleUBTightMonotone Rule = "ubtight-monotone"  // UBTight never rises
+	RuleCurrLB          Rule = "curr-le-lb"        // Curr <= LB: bounds and Curr come from one read
 	RuleCurrUBTight     Rule = "curr-le-ubtight"   // Curr <= UBTight
 	RuleUBTightRange    Rule = "ubtight-in-bounds" // LB <= UBTight <= UB
 	RuleUBTightTotal    Rule = "ubtight-ge-total"  // UBTight >= Total
@@ -131,6 +131,9 @@ func (s *Series) violations() []violation {
 			if sm.UBTight > prev.UBTight {
 				fail(i, RuleUBTightMonotone, "UBTight increased %d -> %d", prev.UBTight, sm.UBTight)
 			}
+		}
+		if sm.Calls > sm.LB {
+			fail(i, RuleCurrLB, "Curr %d exceeds LB %d", sm.Calls, sm.LB)
 		}
 		if sm.Calls > sm.UBTight {
 			fail(i, RuleCurrUBTight, "Curr %d exceeds UBTight %d", sm.Calls, sm.UBTight)

@@ -18,7 +18,7 @@ func checkerSeries() *Series {
 
 var allRules = []Rule{
 	RuleCallsIncrease, RuleBoundsOrder, RuleCurrUB, RuleUBTotal,
-	RuleLBMonotone, RuleUBMonotone, RuleUBTightMonotone, RuleCurrUBTight,
+	RuleLBMonotone, RuleUBMonotone, RuleUBTightMonotone, RuleCurrLB, RuleCurrUBTight,
 	RuleUBTightRange, RuleUBTightTotal, RuleEstimateRange, RuleLBTotal,
 	RulePmaxProgress, RulePmaxMu, RuleSafeBound,
 	RuleFinalCalls, RuleFinalPmax, RuleFinalPinned,
@@ -57,6 +57,7 @@ func TestSeriesCheckerRules(t *testing.T) {
 		{RuleLBMonotone, func(s *Series) { s.Samples[1].LB = 4 }},
 		{RuleUBMonotone, func(s *Series) { s.Samples[1].UB = 25 }},
 		{RuleUBTightMonotone, func(s *Series) { s.Samples[1].UB, s.Samples[1].UBTight = 18, 16 }},
+		{RuleCurrLB, func(s *Series) { s.Samples[0].LB = 3 }},
 		{RuleCurrUBTight, func(s *Series) { s.Samples[0].UBTight = 3 }},
 		{RuleUBTightRange, func(s *Series) { s.Samples[0].UBTight = 25 }},
 		{RuleUBTightTotal, func(s *Series) { s.Samples[0].UBTight = 8 }},

@@ -102,24 +102,21 @@ func (s *State) MuRunning() float64 {
 }
 
 // Tracker captures States from a running plan. It owns the plan's shape,
-// its ledger, and a prebuilt BoundsEvaluator, so each capture is one
-// incremental bounds pass, one read of the ledger into a reused buffer and a
-// sweep over precomputed node indices — no per-capture maps, and no
-// operator-tree access of any kind on the sample path. Captures read ledger
-// counters atomically and may therefore run on a goroutine other than the
-// executing ones (AsyncMonitor does); Capture itself is not reentrant.
+// its ledger, and a prebuilt BoundsEvaluator, so each capture is one read of
+// the ledger into a reused buffer, the incremental bounds pass folding that
+// read, and a sweep over the same read for Curr, the drivers, the leaves and
+// the pipelines — no per-capture maps, and no operator-tree access of any
+// kind on the sample path. Captures read ledger counters atomically and may
+// therefore run on a goroutine other than the executing ones (AsyncMonitor
+// does); Capture itself is not reentrant.
 type Tracker struct {
 	shape     *PlanShape
 	led       *ledger.Ledger
 	ev        *BoundsEvaluator
 	nodes     []ledger.Snapshot // the latest capture's ledger read, by NodeID
 	drivers   []ledger.NodeID
-	driverIdx []int
 	leaves    []ledger.NodeID // leaves outside rescanned subtrees
-	leafIdx   []int
 	pipelines []Pipeline
-	pipeOps   [][]int // snapshot index per pipeline member
-	pipeDrvs  [][]int // snapshot index per pipeline driver
 }
 
 // NewTracker prepares a tracker for the plan rooted at root, deriving its
@@ -127,16 +124,11 @@ type Tracker struct {
 // counters change between captures).
 func NewTracker(root exec.Operator) *Tracker {
 	shape, led := ShapeOf(root)
-	return NewShapeTracker(shape, led)
-}
-
-// NewShapeTracker prepares a tracker over an already-derived
-// (PlanShape, *Ledger) pair.
-func NewShapeTracker(shape *PlanShape, led *ledger.Ledger) *Tracker {
 	t := &Tracker{
 		shape:     shape,
 		led:       led,
-		ev:        NewShapeEvaluator(shape, led, BoundsOptions{}),
+		ev:        newEvaluator(shape, led, BoundsOptions{}),
+		nodes:     make([]ledger.Snapshot, shape.Len()),
 		pipelines: Pipelines(shape),
 	}
 	for _, p := range t.pipelines {
@@ -154,51 +146,29 @@ func NewShapeTracker(shape *PlanShape, led *ledger.Ledger) *Tracker {
 		}
 	}
 	walk(shape.Root().ID, false)
-	for _, d := range t.drivers {
-		t.driverIdx = append(t.driverIdx, t.ev.IndexOfID(d))
-	}
-	for _, l := range t.leaves {
-		t.leafIdx = append(t.leafIdx, t.ev.IndexOfID(l))
-	}
-	for _, p := range t.pipelines {
-		ops := make([]int, len(p.Ops))
-		for i, id := range p.Ops {
-			ops[i] = t.ev.IndexOfID(id)
-		}
-		drvs := make([]int, len(p.Drivers))
-		for i, d := range p.Drivers {
-			drvs[i] = t.ev.IndexOfID(d)
-		}
-		t.pipeOps = append(t.pipeOps, ops)
-		t.pipeDrvs = append(t.pipeDrvs, drvs)
-	}
 	return t
 }
 
 // Ledger returns the plan's progress ledger.
 func (t *Tracker) Ledger() *ledger.Ledger { return t.led }
 
-// Shape returns the plan's shape.
-func (t *Tracker) Shape() *PlanShape { return t.shape }
-
-// Capture snapshots the current State from one read of the ledger, taken
-// after the bounds pass: Curr is the sum of that read's Returned counters,
-// and the drivers, leaves and pipelines index into the same read, which is
-// kept as the capture's node view (what SampleSet.Frame publishes). Summing
-// the bounds snapshot's refined LBs instead would over-count (they include
-// static lower bounds of nodes that have not produced yet); reading the
-// monotone counters at most after the bounds pass keeps Curr <= total(Q) <=
-// UB.
+// Capture snapshots the current State from one read of the ledger: the
+// bounds pass folds that read, Curr is the sum of its Returned counters, and
+// the drivers, leaves and pipelines index into it; it is kept as the
+// capture's node view (what SampleSet.Frame publishes). Nothing else reads
+// the ledger during a capture, so bounds and Curr describe one instant: every
+// node's refined LB covers its own Returned, hence LB >= Curr, and every
+// driver's Total covers its Returned. Summing the bounds snapshot's refined
+// LBs instead of Curr would over-count (they include static lower bounds of
+// nodes that have not produced yet).
 func (t *Tracker) Capture() *State {
-	snap := t.ev.Compute()
-	t.nodes = t.led.SnapshotAll(t.nodes[:0])
+	t.nodes = t.led.SnapshotAll(t.nodes)
+	snap := t.ev.Fold(t.nodes)
 	s := &State{
+		Curr:    curr(t.nodes),
 		LB:      snap.LB,
 		UB:      snap.UB,
 		UBTight: snap.UBTight,
-	}
-	for _, n := range t.nodes {
-		s.Curr += n.Returned
 	}
 	if s.LB < 1 {
 		s.LB = 1
@@ -212,37 +182,40 @@ func (t *Tracker) Capture() *State {
 	if s.UBTight > s.UB {
 		s.UBTight = s.UB
 	}
-	for i, d := range t.drivers {
+	for _, d := range t.drivers {
 		rt := t.nodes[d]
-		ds := DriverState{
+		s.Drivers = append(s.Drivers, DriverState{
 			Returned: rt.Returned,
 			Done:     rt.Done && rt.Rescans == 0,
-			Total:    estimateNodeTotal(t.shape.Node(d).EstCard, rt, snap.Nodes[t.driverIdx[i]].Bounds),
-		}
-		s.Drivers = append(s.Drivers, ds)
+			Total:    t.estimateTotal(d),
+		})
 	}
-	for i, l := range t.leaves {
-		s.LeafCard += snap.Nodes[t.leafIdx[i]].Bounds.LB
+	for _, l := range t.leaves {
+		s.LeafCard += t.ev.bounds(l).LB
 		s.LeafConsumed += t.nodes[l].Returned
 	}
-	for pi, p := range t.pipelines {
+	for _, p := range t.pipelines {
 		ps := PipelineState{Done: true}
-		for oi, id := range p.Ops {
+		for _, id := range p.Ops {
 			rt := t.nodes[id]
 			ps.Work += rt.Returned
-			ps.EstWork += estimateNodeTotal(t.shape.Node(id).EstCard, rt, snap.Nodes[t.pipeOps[pi][oi]].Bounds)
+			ps.EstWork += t.estimateTotal(id)
 			if !rt.Done || rt.Rescans > 0 {
 				ps.Done = false
 			}
 		}
-		for di, d := range p.Drivers {
-			rt := t.nodes[d]
-			ps.DriverReturned += rt.Returned
-			ps.DriverTotal += estimateNodeTotal(t.shape.Node(d).EstCard, rt, snap.Nodes[t.pipeDrvs[pi][di]].Bounds)
+		for _, d := range p.Drivers {
+			ps.DriverReturned += t.nodes[d].Returned
+			ps.DriverTotal += t.estimateTotal(d)
 		}
 		s.Pipelines = append(s.Pipelines, ps)
 	}
 	return s
+}
+
+// estimateTotal is estimateNodeTotal for node id at the latest capture.
+func (t *Tracker) estimateTotal(id ledger.NodeID) float64 {
+	return estimateNodeTotal(t.shape.Node(id).EstCard, t.nodes[id], t.ev.bounds(id))
 }
 
 // estimateNodeTotal estimates a node's final GetNext count: exact — zero

@@ -80,13 +80,14 @@ func RunChaos(seed int64) error {
 }
 
 // RunChaosSchedule executes entry under the given fault schedule with two
-// monitors attached — the inline Monitor sampling every call on the
-// execution goroutine, and an AsyncMonitor racing it from a sampler
+// monitors attached — the inline Monitor's credit trigger at every = 1,
+// sampling every credit (one call each, in the exact regime) on the
+// crediting goroutine, and an AsyncMonitor racing it from a sampler
 // goroutine every 50 µs of wall-clock — then cross-validates the outcome
 // against the faults that actually fired and holds both sample series to
 // every rule of core.Series, the UBTight rules included.
 //
-// The injector and the inline hook put the run in the exact regime, so a
+// The injector and the trail's hook put the run in the exact regime, so a
 // fault or a cancellation must land at precisely its scheduled GetNext count
 // even where that count falls inside what a hook-free run pulls as one
 // batch. For a serial plan the run is also held to the iterator model call
@@ -108,12 +109,9 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	inj.Arm(ctx)
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
+	mon.Attach(ctx)
 	trail := newMarker(root)
-	hook := mon.Hook()
-	ctx.OnGetNext = func(curr int64) {
-		hook(curr)
-		trail.mark(curr)
-	}
+	ctx.OnGetNext = trail.mark
 	async := core.NewAsyncMonitor(root, 50*time.Microsecond, chaosEstimators()...)
 	async.Start(ctx)
 	_, runErr := exec.RunBatch(ctx, root)
@@ -220,8 +218,8 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 		mon.Finish(total)
 	}
 	for _, s := range []*core.Series{
-		core.SeriesOf(entry.Label+"/inline", &mon.SampleSet, root),
-		core.SeriesOf(entry.Label+"/async", &async.SampleSet, root),
+		core.SeriesOf(entry.Label+"/inline", &mon.SampleSet),
+		core.SeriesOf(entry.Label+"/async", &async.SampleSet),
 	} {
 		s.Completed, s.Total = runErr == nil, total
 		if err := s.Check(); err != nil {

@@ -1,22 +1,28 @@
 package coretest
 
 import (
-	"testing"
+	"fmt"
+	"slices"
 
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
+	"sqlprogress/internal/ledger"
 )
 
 // equivChecker compares a long-lived BoundsEvaluator — built once before
-// the run, its buffers reused by every Compute — against a freshly built one
-// (core.ComputeBoundsOpt) on one plan, for both the default options and the
-// demand-cap-disabled variant. The two must agree exactly — same totals and
-// the same per-node bounds in the same order — at every instant: anything
-// else means a Compute leaked state into the next, which is the one risk
-// the evaluator's buffer reuse introduces.
+// the run, its buffers reused by every pass — against a freshly built one
+// on one plan, for both the default options and the demand-cap-disabled
+// variant. Both fold the same ledger read, so they must agree exactly —
+// same totals and the same per-node bounds in the same order — at every
+// instant, mid-run on a parallel plan included: anything else means a pass
+// leaked state into the next, which is the one risk the evaluator's buffer
+// reuse introduces.
 type equivChecker struct {
 	op       exec.Operator
+	led      *ledger.Ledger
+	read     []ledger.Snapshot
 	variants []equivVariant
+	err      error // the first disagreement
 }
 
 type equivVariant struct {
@@ -27,7 +33,8 @@ type equivVariant struct {
 
 func newEquivChecker(op exec.Operator) *equivChecker {
 	c := &equivChecker{
-		op: op,
+		op:  op,
+		led: exec.EnsureLedger(op),
 		variants: []equivVariant{
 			{name: "default"},
 			{name: "nocap", opts: core.BoundsOptions{DisableDemandCap: true}},
@@ -39,25 +46,19 @@ func newEquivChecker(op exec.Operator) *equivChecker {
 	return c
 }
 
-// check asserts snapshot equality at the current instant.
-func (c *equivChecker) check(t testing.TB, label string, calls int64) {
-	t.Helper()
+// check reads the ledger once, folds the read through both evaluators of
+// every variant, and keeps the first disagreement in err. It may run on any
+// goroutine, one call at a time.
+func (c *equivChecker) check(label string, calls int64) {
+	if c.err != nil {
+		return
+	}
+	c.read = c.led.SnapshotAll(c.read)
 	for _, v := range c.variants {
-		got := v.ev.Compute()
-		want := core.ComputeBoundsOpt(c.op, v.opts)
-		if got.LB != want.LB || got.UB != want.UB || got.UBTight != want.UBTight {
-			t.Fatalf("%s: [%s] at call %d reused evaluator bounds [%d,%d,%d] != fresh [%d,%d,%d]",
-				label, v.name, calls, got.LB, got.UB, got.UBTight, want.LB, want.UB, want.UBTight)
-		}
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("%s: [%s] at call %d reused evaluator has %d nodes, fresh %d",
-				label, v.name, calls, len(got.Nodes), len(want.Nodes))
-		}
-		for j := range want.Nodes {
-			if got.Nodes[j] != want.Nodes[j] {
-				t.Fatalf("%s: [%s] at call %d node %d reused evaluator %+v != fresh %+v",
-					label, v.name, calls, j, got.Nodes[j], want.Nodes[j])
-			}
+		got, want := v.ev.Fold(c.read), core.NewBoundsEvaluatorOpt(c.op, v.opts).Fold(c.read)
+		if got.LB != want.LB || got.UB != want.UB || got.UBTight != want.UBTight || !slices.Equal(got.Nodes, want.Nodes) {
+			c.err = fmt.Errorf("%s: [%s] at call %d reused evaluator %+v != fresh %+v", label, v.name, calls, *got, *want)
+			return
 		}
 	}
 }

@@ -17,35 +17,27 @@ import (
 //     (Theorem 5), safe within sqrt(UB/LB) (Theorem 6), every estimate within
 //     [0, 1], the series ending at total(Q);
 //   - a BoundsEvaluator reused across the run agrees exactly with a freshly
-//     built one at every sample point (and at EOF), for both the default
-//     and demand-cap-disabled options.
-//
-// A plan with worker goroutines (not exec.OnOneGoroutine) credits GetNext
-// calls concurrently, so the Monitor serializes captures and anchors
-// each sample to the ledger total its own capture read (the paper's Curr)
-// rather than the triggering worker's call count. For such a plan the
-// reused-vs-fresh evaluator equivalence is asserted only at quiescence —
-// mid-run the two passes read live counters at different instants, so
-// element-wise equality is not defined for them. Every series rule is still
-// asserted at every sample.
+//     built one at every sample point (and at EOF), both folding the same
+//     ledger read, for both the default and demand-cap-disabled options.
 //
 // It returns total(Q) so callers can chain further assertions.
 func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every int64) int64 {
 	t.Helper()
 	m := core.NewMonitor(op, every, core.Dne{}, core.Pmax{}, core.Safe{}, core.DneDynamic{})
 	equiv := newEquivChecker(op)
-	if exec.OnOneGoroutine(op) {
-		m.OnSample = func(s core.Sample) { equiv.check(t, label, s.Calls) }
-	}
+	m.OnSample = func(s core.Sample) { equiv.check(label, s.Calls) }
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	total := m.Total()
-	equiv.check(t, label, total)
+	equiv.check(label, total)
+	if equiv.err != nil {
+		t.Fatal(equiv.err)
+	}
 	if total == 0 {
 		return 0
 	}
-	if err := core.SeriesOf(label, &m.SampleSet, op).Check(); err != nil {
+	if err := core.SeriesOf(label, &m.SampleSet).Check(); err != nil {
 		t.Fatal(err)
 	}
 	return total

@@ -113,7 +113,7 @@ type Row struct {
 	// sample's (must be 0: upper bounds only tighten downward).
 	UBRegressions int `json:"ub_regressions"`
 	// BoundMisses counts samples whose hard interval failed to bracket the
-	// run — Curr > UB, LB > total, or UB < total (must be 0).
+	// run — Curr > UB, Curr > LB, LB > total, or UB < total (must be 0).
 	BoundMisses int `json:"bound_misses"`
 	// UBTightRegressions counts samples whose pessimistic UBTight rose above
 	// the previous sample's (must be 0: like UB, it only tightens downward).
@@ -251,9 +251,9 @@ func runCell(ds dataset, health stats.Health, fam familySpec, opts Options) (Sco
 
 	// The hard-bound counts come from the one series checker. Its estimator
 	// rules are not published: -perturb breaks estimators on purpose.
-	s := core.SeriesOf(fam.name, &m.SampleSet, root)
+	s := core.SeriesOf(fam.name, &m.SampleSet)
 	lbReg, ubReg := s.Count(core.RuleLBMonotone), s.Count(core.RuleUBMonotone)
-	misses := s.Count(core.RuleCurrUB, core.RuleLBTotal, core.RuleUBTotal)
+	misses := s.Count(core.RuleCurrUB, core.RuleCurrLB, core.RuleLBTotal, core.RuleUBTotal)
 	tReg := s.Count(core.RuleUBTightMonotone)
 	tMiss := s.Count(core.RuleCurrUBTight, core.RuleUBTightTotal, core.RuleUBTightRange)
 	var out Scored

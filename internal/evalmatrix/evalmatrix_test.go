@@ -155,7 +155,8 @@ func minF(a, b float64) float64 {
 // TestMatrixTriggerAgreesWithExactRun: the matrix samples every family on
 // the executor's credit trigger, with bulk pulls. Total calls and mu are
 // execution properties, so each family's trigger-sampled run must agree on
-// them with an exact run of the same plan (a per-call hook, one-row pulls).
+// them with an exact run of the same plan (the same trigger, with a no-op
+// per-call hook forcing one-row pulls).
 func TestMatrixTriggerAgreesWithExactRun(t *testing.T) {
 	opts := testOptions().withDefaults()
 	for _, ds := range datasets() {
@@ -177,7 +178,8 @@ func TestMatrixTriggerAgreesWithExactRun(t *testing.T) {
 					_, err = m.Run()
 				} else {
 					ctx := exec.NewCtx()
-					ctx.OnGetNext = m.Hook()
+					m.Attach(ctx)
+					ctx.OnGetNext = func(int64) {}
 					_, err = exec.RunBatch(ctx, root)
 					m.Finish(ctx.Calls())
 				}

@@ -98,7 +98,7 @@ func (s *Slot) Snapshot() Snapshot {
 // in the flat array plus W-1 extra padded slots allocated by EnsureWorkers
 // at binding time. Each worker writes only its own sub-slot (the
 // single-writer discipline, now per sub-slot), and every aggregate read —
-// View, TotalReturned, SnapshotAll — sums the group under the snapshot
+// View, SnapshotAll — sums the group under the snapshot
 // ordering protocol, so readers see one logical counter set per NodeID.
 type Ledger struct {
 	slots []Slot
@@ -244,26 +244,10 @@ func (v View) Snapshot() Snapshot {
 	return Snapshot{Returned: ret, Delivered: del, Rescans: res, Done: done}
 }
 
-// TotalReturned sums every slot's returned count — Curr, the query's
-// GetNext calls so far — in one contiguous sweep, with no tree walk and no
-// allocation. Worker sub-slots are included, so Curr covers every worker's
-// in-flight progress.
-func (l *Ledger) TotalReturned() int64 {
-	var total int64
-	for i := range l.slots {
-		total += l.slots[i].returned.Load()
-	}
-	for _, ex := range l.sub {
-		for i := range ex {
-			total += ex[i].returned.Load()
-		}
-	}
-	return total
-}
-
 // SnapshotAll appends a Snapshot per NodeID to dst (reusing its capacity)
-// and returns it — the raw per-node counter view the serving layer streams
-// as ledger deltas. Nodes with worker sub-slots are aggregated, so the
+// and returns it: one read of the whole plan, which a progress capture folds
+// into its bounds and sums into Curr, and the serving layer streams as
+// ledger deltas. Nodes with worker sub-slots are aggregated, so the
 // result always has Len entries and consumers (progressd's Progress.Nodes)
 // are oblivious to how many workers produced each node's counters.
 func (l *Ledger) SnapshotAll(dst []Snapshot) []Snapshot {

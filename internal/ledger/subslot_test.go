@@ -99,8 +99,8 @@ func TestTotalReturnedIncludesSubSlots(t *testing.T) {
 	l.Slot(1).CountCalls(10)
 	l.EnsureWorkers(1, 2)
 	l.WorkerSlot(1, 1).CountCalls(20)
-	if got := l.TotalReturned(); got != 35 {
-		t.Fatalf("TotalReturned = %d, want 35", got)
+	if got := curr(l); got != 35 {
+		t.Fatalf("total returned = %d, want 35", got)
 	}
 }
 
