@@ -6,6 +6,15 @@
 // the paper's subject is what happens *after* the optimizer picked a plan,
 // so plan choice is deliberately simple and predictable.
 //
+// Build side: an inner equi-join builds its hash table on the tables already
+// joined when their plan-time upper bound on delivered rows
+// (exec.PlanRowBounds) is smaller than the joined table's scan's, and on that
+// table otherwise — a tie keeps FROM order. The bound, not the estimate,
+// decides: a selectivity guess can be wrong by any factor, a bound only in
+// the safe direction. Either way the join emits the earlier tables' columns
+// first (exec.HashJoin.SetBuildFirst), so nothing above it sees the choice.
+// LEFT, semi/anti and cross joins keep their fixed sides.
+//
 // Join width: each inner or left-outer hash join emits only the child
 // columns whose name is read by something evaluated above it — the select
 // list, GROUP BY, HAVING, ORDER BY, residual filters, EXISTS/IN sub-selects
@@ -80,12 +89,13 @@ type compiler struct {
 }
 
 // joinStep is how one FROM entry joins the tables placed before it: its
-// equi-join keys (none: a cross join) and the predicates they come from,
-// and the predicates evaluated in the entry's own scan.
+// equi-join keys (none: a cross join) — left on the tables placed before,
+// right on the entry — and the predicates they come from, and the predicates
+// evaluated in the entry's own scan.
 type joinStep struct {
-	probe, build []string
-	on           []sqlparse.Node
-	filter       []sqlparse.Node
+	left, right []string
+	on          []sqlparse.Node
+	filter      []sqlparse.Node
 }
 
 // fromEntry is one flattened FROM element.
@@ -267,8 +277,8 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 			// a row it rejects matches nothing, as the outer join requires.
 			for _, cj := range splitAnd(e.on) {
 				if pc, bc := c.equiKeys([]sqlparse.Node{cj}, placed, tl); len(pc) > 0 {
-					st.probe = append(st.probe, pc...)
-					st.build = append(st.build, bc...)
+					st.left = append(st.left, pc...)
+					st.right = append(st.right, bc...)
 					st.on = append(st.on, cj)
 				} else if tables, _ := c.classify(cj, entries); len(tables) == 1 && tables[tl] {
 					st.filter = append(st.filter, cj)
@@ -276,7 +286,7 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 					return plan.Node{}, fmt.Errorf("compile: LEFT JOIN %s: ON condition %s is neither an equi-join nor on %s alone", e.table, cj, e.table)
 				}
 			}
-			if len(st.probe) == 0 {
+			if len(st.left) == 0 {
 				return plan.Node{}, fmt.Errorf("compile: LEFT JOIN %s requires an equi-join ON condition", e.table)
 			}
 		} else {
@@ -286,8 +296,8 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 					continue
 				}
 				if pc, bc := c.equiKeys([]sqlparse.Node{cj}, placed, tl); len(pc) > 0 {
-					st.probe = append(st.probe, pc...)
-					st.build = append(st.build, bc...)
+					st.left = append(st.left, pc...)
+					st.right = append(st.right, bc...)
 					st.on = append(st.on, cj)
 					usedJoin[j] = true
 				}
@@ -317,18 +327,22 @@ func (c *compiler) buildFromWhere(sel *sqlparse.Select) (plan.Node, error) {
 	}
 	for i, e := range entries[1:] {
 		st := steps[i+1]
-		build, err := scan(e, st.filter)
+		right, err := scan(e, st.filter)
 		if err != nil {
 			return plan.Node{}, err
 		}
 		switch {
 		case e.joinKind == "left":
-			cur = cur.HashJoinMulti(build, st.probe, st.build, exec.LeftOuterJoin, emit[i+1])
-		case len(st.probe) == 0:
+			cur = cur.HashJoinMulti(right, st.left, st.right, exec.LeftOuterJoin, emit[i+1])
+		case len(st.left) == 0:
 			// No connecting predicate: cross join via nested loops.
-			cur = c.b.Cross(cur, build)
+			cur = c.b.Cross(cur, right)
+		case exec.PlanRowBounds(cur.Op).UB < exec.PlanRowBounds(right.Op).UB:
+			// The side that can deliver fewer rows builds; the columns stay
+			// in FROM order either way.
+			cur = cur.HashJoinProbedBy(right, st.left, st.right, emit[i+1])
 		default:
-			cur = cur.HashJoinMulti(build, st.probe, st.build, exec.InnerJoin, emit[i+1])
+			cur = cur.HashJoinMulti(right, st.left, st.right, exec.InnerJoin, emit[i+1])
 		}
 	}
 

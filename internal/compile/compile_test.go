@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"sqlprogress/internal/catalog"
+	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
+	"sqlprogress/internal/expr"
 	"sqlprogress/internal/pager"
+	"sqlprogress/internal/plan"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 	"sqlprogress/internal/tpch"
@@ -587,6 +590,149 @@ func TestJoinsEmitOnlyNamedColumns(t *testing.T) {
 		}
 		if len(rows) != 61 || missed != 1 {
 			t.Errorf("rows = %d (want 61), padded = %d (want 1)", len(rows), missed)
+		}
+	}
+}
+
+// buildTables names the tables under each hash join's build child, root
+// first ("customer+orders" for a join built on a join).
+func buildTables(op exec.Operator) []string {
+	var out []string
+	for _, j := range hashJoins(op) {
+		var tables []string
+		exec.Walk(j.Children()[0], func(o exec.Operator) {
+			if s, ok := o.(*exec.Scan); ok {
+				tables = append(tables, s.Src.StoreName())
+			}
+		})
+		out = append(out, strings.Join(tables, "+"))
+	}
+	return out
+}
+
+// joinRun is what one run of a join tree shows above it: its schema, its
+// rows as a sorted multiset, its GetNext calls, and its bounds before and
+// after the run.
+type joinRun struct {
+	schema        string
+	rows          []string
+	calls         int64
+	before, after [3]int64 // LB, UB, UBTight
+}
+
+func planBounds(op exec.Operator) [3]int64 {
+	b := core.ComputeBounds(op)
+	return [3]int64{b.LB, b.UB, b.UBTight}
+}
+
+func runJoin(t *testing.T, op exec.Operator) joinRun {
+	t.Helper()
+	r := joinRun{schema: op.Schema().String(), before: planBounds(op)}
+	ctx := exec.NewCtx()
+	rows, err := exec.RunBatch(ctx, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		r.rows = append(r.rows, fmt.Sprint(row))
+	}
+	slices.Sort(r.rows)
+	r.calls, r.after = ctx.Calls(), planBounds(op)
+	return r
+}
+
+// TestJoinBuildsOnSmallerInput pins the build side the compiler picks for
+// the benchmark's joins — the side with the smaller plan-time bound on the
+// rows it delivers, ties to the table joined last — as Explain shows it, and
+// holds the choice invisible: each compiled join emits the columns, rows,
+// GetNext calls and bounds of the same joins built by hand in FROM order,
+// each on the table it adds.
+func TestJoinBuildsOnSmallerInput(t *testing.T) {
+	tp := tpch.Generate(tpch.Config{SF: 0.001, Z: 1, Seed: 1})
+	b := plan.NewBuilder(tp)
+	above := func(col string, v int64) plan.PredFn {
+		return func(s *schema.Schema) expr.Expr {
+			return expr.Compare(expr.GT, expr.NewCol(s, "", col), expr.Literal(sqlval.Int(v)))
+		}
+	}
+	names := func(cols ...string) plan.Columns {
+		out := plan.Columns{}
+		for _, c := range cols {
+			out[c] = true
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, sql string
+		builds    []string // each hash join's build tables, root first
+		byHand    func() plan.Node
+	}{
+		{"join2", `SELECT COUNT(*), SUM(l_extendedprice) FROM orders, lineitem
+			WHERE o_orderkey = l_orderkey AND o_totalprice > 1050`,
+			[]string{"orders"},
+			func() plan.Node {
+				return b.ScanFiltered("orders", 1.0/3, above("o_totalprice", 1050)).
+					HashJoin(b.Scan("lineitem"), "o_orderkey", "l_orderkey", exec.InnerJoin, names("l_extendedprice"))
+			}},
+		{"join3", `SELECT c_mktsegment, COUNT(*) FROM customer, orders, lineitem
+			WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND l_extendedprice > 950 GROUP BY c_mktsegment`,
+			[]string{"customer+orders", "customer"},
+			func() plan.Node {
+				return b.Scan("customer").
+					HashJoin(b.Scan("orders"), "c_custkey", "o_custkey", exec.InnerJoin, names("c_mktsegment", "o_orderkey", "l_orderkey")).
+					HashJoin(b.ScanFiltered("lineitem", 1.0/3, above("l_extendedprice", 950)), "o_orderkey", "l_orderkey", exec.InnerJoin, names("c_mktsegment"))
+			}},
+		// short's lookup: region's filtered scan is the smaller side, and it
+		// is already the one joined last.
+		{"lookup", `SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey AND r_regionkey = 3`,
+			[]string{"region"},
+			func() plan.Node {
+				return b.Scan("nation").
+					HashJoin(b.ScanFiltered("region", 1.0/3, func(s *schema.Schema) expr.Expr {
+						return expr.Compare(expr.EQ, expr.NewCol(s, "", "r_regionkey"), expr.Literal(sqlval.Int(3)))
+					}), "n_regionkey", "r_regionkey", exec.InnerJoin, names("n_name", "r_name"))
+			}},
+	} {
+		op, err := CompileSQL(tp, tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buildTables(op); !slices.Equal(got, tc.builds) {
+			t.Errorf("%s builds on %q, want %q", tc.name, got, tc.builds)
+		}
+		var marked, builds []string
+		for _, line := range strings.Split(exec.Explain(op), "\n") {
+			if name, _, ok := strings.Cut(strings.TrimSpace(line), "  ["); ok && strings.HasSuffix(line, " build]") {
+				marked = append(marked, name)
+			}
+		}
+		for _, j := range hashJoins(op) {
+			builds = append(builds, j.Children()[0].Name())
+		}
+		if !slices.Equal(marked, builds) {
+			t.Errorf("%s: Explain marks %q as build children, want %q", tc.name, marked, builds)
+		}
+		// Each join runs from a fresh plan: a subtree's counters would
+		// otherwise carry into the run of the join above it.
+		for i := range tc.builds {
+			op, err := CompileSQL(tp, tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := runJoin(t, hashJoins(op)[i]), runJoin(t, hashJoins(tc.byHand().Op)[i])
+			if len(want.rows) == 0 {
+				t.Fatalf("%s join %d is empty, so it shows nothing", tc.name, i)
+			}
+			if got.schema != want.schema {
+				t.Errorf("%s join %d: schema %s, in FROM order %s", tc.name, i, got.schema, want.schema)
+			}
+			if !slices.Equal(got.rows, want.rows) {
+				t.Errorf("%s join %d: %d rows differ from the %d in FROM order", tc.name, i, len(got.rows), len(want.rows))
+			}
+			if got.calls != want.calls || got.before != want.before || got.after != want.after {
+				t.Errorf("%s join %d: calls %d, bounds %v then %v; in FROM order calls %d, bounds %v then %v",
+					tc.name, i, got.calls, got.before, got.after, want.calls, want.before, want.after)
+			}
 		}
 	}
 }

@@ -921,6 +921,140 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 	}
 }
 
+// fuzzJoinSwap holds the compiler's build-side choice to the data, not to
+// FROM order: a two-table inner join, comma style or JOIN ... ON, with a
+// bound sometimes pushed into either scan, is compiled in both FROM orders.
+// Both must build on the table whose scan can deliver fewer rows — the table
+// named last on a tie, so there the two orders build on different tables —
+// and give the naive evaluator's rows, hook-free and one row per pull, with
+// SELECT *'s columns in each statement's FROM order. Both orders must make
+// the same ctx.Calls() in every run and, unless tied, leave the same final
+// ledger.
+func fuzzJoinSwap(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	type table struct {
+		name  string
+		cols  []string
+		rows  [][]int64
+		bound int64 // rows with cols[1] < bound survive the scan
+	}
+	tabs := [2]*table{{name: "s1", cols: []string{"k", "x"}}, {name: "s2", cols: []string{"k", "y"}}}
+	sizes := [2]int{1 + r.Intn(40), 0}
+	sizes[1] = sizes[0]
+	if r.Intn(4) != 0 {
+		sizes[1] = 1 + r.Intn(40)
+	}
+	cat := catalog.New(nil)
+	conds := []string{"s1.k = s2.k"}
+	for i, tb := range tabs {
+		rel := schema.NewRelation(tb.name, schema.New(
+			schema.Column{Name: tb.cols[0], Type: sqlval.KindInt},
+			schema.Column{Name: tb.cols[1], Type: sqlval.KindInt},
+		))
+		for n := sizes[i]; n > 0; n-- {
+			row := []int64{r.Int63n(8), r.Int63n(50)}
+			tb.rows = append(tb.rows, row)
+			rel.Append(schema.Row{sqlval.Int(row[0]), sqlval.Int(row[1])})
+		}
+		cat.AddRelation(rel)
+		tb.bound = 50
+		if r.Intn(2) == 0 {
+			tb.bound = r.Int63n(50)
+			conds = append(conds, fmt.Sprintf("%s.%s < %d", tb.name, tb.cols[1], tb.bound))
+		}
+	}
+	names := []string{"s1.k", "s1.x", "s2.k", "s2.y"}
+	picked := []int{0, 1, 2, 3}
+	list := "*"
+	if r.Intn(2) == 0 {
+		picked = r.Perm(4)[:1+r.Intn(4)]
+		var cols []string
+		for _, c := range picked {
+			cols = append(cols, names[c])
+		}
+		list = strings.Join(cols, ", ")
+	}
+	var want [][]int64
+	for _, a := range tabs[0].rows {
+		for _, b := range tabs[1].rows {
+			if a[0] == b[0] && a[1] < tabs[0].bound && b[1] < tabs[1].bound {
+				wide := []int64{a[0], a[1], b[0], b[1]}
+				row := make([]int64, len(picked))
+				for i, c := range picked {
+					row[i] = wide[c]
+				}
+				want = append(want, row)
+			}
+		}
+	}
+	joinOn := r.Intn(2) == 0
+
+	var calls []int64
+	var leds [2][]ledger.Snapshot
+	for order := range 2 {
+		first, second := tabs[order], tabs[1-order]
+		var sql string
+		if joinOn {
+			sql = fmt.Sprintf("SELECT %s FROM %s JOIN %s ON %s", list, first.name, second.name, conds[0])
+			if len(conds) > 1 {
+				sql += " WHERE " + strings.Join(conds[1:], " AND ")
+			}
+		} else {
+			sql = fmt.Sprintf("SELECT %s FROM %s, %s WHERE %s", list, first.name, second.name, strings.Join(conds, " AND "))
+		}
+		builds := second.name
+		if sizes[order] < sizes[1-order] {
+			builds = first.name
+		}
+		for _, exact := range []bool{false, true} {
+			op, err := CompileSQL(cat, sql)
+			if err != nil {
+				t.Fatalf("compile %q: %v", sql, err)
+			}
+			if got := buildTables(op); len(got) != 1 || got[0] != builds {
+				t.Fatalf("%s (%d and %d rows): builds on %q, want %s", sql, sizes[order], sizes[1-order], got, builds)
+			}
+			ctx := exec.NewCtx()
+			if exact {
+				ctx.OnGetNext = func(int64) {}
+			}
+			rows, err := exec.RunBatch(ctx, op)
+			if err != nil {
+				t.Fatalf("run %q: %v", sql, err)
+			}
+			got := resultToInts(t, rows)
+			if list == "*" {
+				var cols []string
+				for _, c := range op.Schema().Columns {
+					cols = append(cols, c.QualifiedName())
+				}
+				fromOrder := []string{first.name + "." + first.cols[0], first.name + "." + first.cols[1],
+					second.name + "." + second.cols[0], second.name + "." + second.cols[1]}
+				if !slices.Equal(cols, fromOrder) {
+					t.Fatalf("%s: columns %v, want FROM order %v", sql, cols, fromOrder)
+				}
+				if order == 1 {
+					for _, row := range got {
+						row[0], row[1], row[2], row[3] = row[2], row[3], row[0], row[1]
+					}
+				}
+			}
+			compare(t, fmt.Sprintf("%s (exact=%v)", sql, exact), got, want)
+			calls = append(calls, ctx.Calls())
+			if !exact {
+				leds[order] = exec.EnsureLedger(op).SnapshotAll(nil)
+			}
+		}
+	}
+	if slices.Min(calls) != slices.Max(calls) {
+		t.Fatalf("%s ⋈ %s: calls %v differ between FROM orders or regimes", tabs[0].name, tabs[1].name, calls)
+	}
+	if sizes[0] != sizes[1] && !slices.Equal(leds[0], leds[1]) {
+		t.Fatalf("%s ⋈ %s (%d and %d rows): final ledger differs between FROM orders\n %+v\n %+v",
+			tabs[0].name, tabs[1].name, sizes[0], sizes[1], leds[0], leds[1])
+	}
+}
+
 // runMonitored executes op under Monitor.Run with dne/pmax/safe sampled as
 // densely as the pull size allows: every call at every = 1, where the run
 // pulls one row at a time, or at the credit instants of 16-row pulls when
@@ -1032,9 +1166,10 @@ var fuzzFamilies = []func(*testing.T, int64){
 	fuzzParallelJoinAgg,
 	fuzzJoinPrune,
 	fuzzLimit,
+	fuzzJoinSwap,
 }
 
-// FuzzDifferential is the native-fuzzing entry point over all thirteen
+// FuzzDifferential is the native-fuzzing entry point over all fourteen
 // differential families: the fuzzer explores (seed, family) pairs, every
 // one of which must produce results identical to the naive evaluator (and
 // clean progress invariants for the invariant families). The checked-in
@@ -1123,5 +1258,11 @@ func TestFuzzJoinPrune(t *testing.T) {
 func TestFuzzLimit(t *testing.T) {
 	for seed := int64(1200); seed < 1230; seed++ {
 		fuzzLimit(t, seed)
+	}
+}
+
+func TestFuzzJoinSwap(t *testing.T) {
+	for seed := int64(1300); seed < 1360; seed++ {
+		fuzzJoinSwap(t, seed)
 	}
 }

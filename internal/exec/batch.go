@@ -373,15 +373,15 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 	return out, nil
 }
 
-// capHint sizes a buffer for every row op will deliver from the plan's
-// cardinality bounds: the node's final call upper bound also caps the rows
-// it can deliver. Bounds can be loose (an aggregate's is its input count),
-// so a node that carries a plan-time estimate is sized at twice the estimate
-// when that is smaller, and the hint is clamped to a modest ceiling — a
-// wrong hint costs one growth cycle or some slack capacity, not correctness.
+// capHint sizes a buffer for every row op will deliver from the plan's bound
+// on those rows (PlanRowBounds). Bounds can be loose (an aggregate's is its
+// input count), so a node that carries a plan-time estimate is sized at twice
+// the estimate when that is smaller, and the hint is clamped to a modest
+// ceiling — a wrong hint costs one growth cycle or some slack capacity, not
+// correctness.
 func capHint(op Operator) int {
 	const maxHint = 1 << 17
-	hint := finalBoundsOf(op).UB
+	hint := PlanRowBounds(op).UB
 	if est := op.EstimatedCard(); est >= 0 && est < hint/2 {
 		hint = 2 * est
 	}
@@ -423,16 +423,20 @@ func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 	}
 }
 
-// finalBoundsOf computes the root's final call bounds bottom-up (the exec
-// half of what core.ComputeBounds does with runtime refinement).
-func finalBoundsOf(op Operator) CardBounds {
-	ch := op.Children()
-	if len(ch) == 0 {
-		return op.FinalBounds(nil)
+// PlanRowBounds bounds the rows op delivers to its parent from the plan
+// alone, bottom-up: a DeliveredBounder's DeliveredBounds, else the node's
+// FinalBounds over its children's row bounds — rows, never a paged scan's
+// read units. It is the static half of what core.ComputeBounds refines with
+// runtime counters, and what the SQL compiler compares to pick a hash join's
+// build side.
+func PlanRowBounds(op Operator) CardBounds {
+	if d, ok := op.(DeliveredBounder); ok {
+		return d.DeliveredBounds()
 	}
+	ch := op.Children()
 	cb := make([]CardBounds, len(ch))
 	for i, c := range ch {
-		cb[i] = finalBoundsOf(c)
+		cb[i] = PlanRowBounds(c)
 	}
 	return op.FinalBounds(cb)
 }

@@ -317,26 +317,34 @@ func TotalCalls(op Operator) int64 {
 
 // Explain renders the operator tree with runtime counters, one node per
 // line, children indented. A scan that decodes k of its store's n columns
-// says so (cols=k/n); its Name does not, because labels, corpus keys and
-// trace names are built from it. A plan that has not run yet is bound first,
-// so it shows zero counters.
+// says so (cols=k/n), and a hash join's build child says build; their Names
+// do not, because labels, corpus keys and trace names are built from them. A
+// plan that has not run yet is bound first, so it shows zero counters.
 func Explain(op Operator) string {
 	EnsureLedger(op)
 	var b strings.Builder
-	var rec func(o Operator, depth int)
-	rec = func(o Operator, depth int) {
+	var rec func(o Operator, depth int, builds bool)
+	rec = func(o Operator, depth int, builds bool) {
 		rt := NodeView(o)
-		width := ""
+		tags := ""
 		if s, ok := o.(*Scan); ok && s.cols != nil {
-			width = fmt.Sprintf(" cols=%d/%d", len(s.cols), s.Src.Schema().Len())
+			tags = fmt.Sprintf(" cols=%d/%d", len(s.cols), s.Src.Schema().Len())
+		}
+		if builds {
+			tags += " build"
 		}
 		fmt.Fprintf(&b, "%s%s  [rows=%d done=%v est=%d%s]\n",
-			strings.Repeat("  ", depth), o.Name(), rt.Returned(), rt.Done(), o.EstimatedCard(), width)
-		for _, c := range o.Children() {
-			rec(c, depth+1)
+			strings.Repeat("  ", depth), o.Name(), rt.Returned(), rt.Done(), o.EstimatedCard(), tags)
+		hashJoin := false
+		switch o.(type) {
+		case *HashJoin, *ParallelHashJoin: // child 0 is the build side
+			hashJoin = true
+		}
+		for i, c := range o.Children() {
+			rec(c, depth+1, hashJoin && i == 0)
 		}
 	}
-	rec(op, 0)
+	rec(op, 0, false)
 	return b.String()
 }
 

@@ -30,9 +30,10 @@ func (m JoinMode) String() string {
 // canonical "scan-based" join (Section 5.4): both inputs are scanned exactly
 // once, so total work is tightly bounded.
 //
-// Output: probe columns followed by build columns (probe-only for semi/anti),
-// all of them unless SetOutput narrowed the list. For LeftOuterJoin the probe
-// side is preserved.
+// Output: probe columns followed by build columns, or build columns followed
+// by probe columns after SetBuildFirst (probe-only for semi/anti), all of them
+// unless SetOutput narrowed the list. For LeftOuterJoin the probe side is
+// preserved.
 type HashJoin struct {
 	base
 	stream       // over the probe side
@@ -44,6 +45,8 @@ type HashJoin struct {
 	// outProbe/outBuild list the child columns an inner or left-outer join
 	// emits, in output order; nil means every column of that side.
 	outProbe, outBuild []int
+	// buildFirst lays the output out build side first (SetBuildFirst).
+	buildFirst bool
 
 	table     joinTable    // holds the join keys
 	buildRows []schema.Row // build side, drained during Open
@@ -77,9 +80,9 @@ func NewHashJoin(build, probe Operator, buildKeys, probeKeys []expr.Expr, mode J
 }
 
 // SetOutput narrows an inner or left-outer join's output to the given probe
-// columns followed by the given build columns (indexes into the child
-// schemas); nil keeps the whole side. Row width is invisible to the paper's
-// model of work — every node's GetNext counts, and so every bound and
+// and build columns (indexes into the child schemas), the sides in the
+// layout's order; nil keeps the whole side. Row width is invisible to the
+// paper's model of work — every node's GetNext counts, and so every bound and
 // estimate, are unchanged — it only shrinks the bytes copied per output row.
 // Call it before the join is composed into a parent: the schema changes.
 func (j *HashJoin) SetOutput(probeCols, buildCols []int) {
@@ -87,7 +90,30 @@ func (j *HashJoin) SetOutput(probeCols, buildCols []int) {
 		panic("hashjoin: semi/anti joins emit the probe row as is")
 	}
 	j.outProbe, j.outBuild = probeCols, buildCols
-	j.sch = pickColumns(j.probe.Schema(), probeCols).Concat(pickColumns(j.build.Schema(), buildCols))
+	j.layout()
+}
+
+// SetBuildFirst lays an inner join's output out as the build columns
+// followed by the probe columns: a planner that builds on the side it placed
+// first keeps that side's columns first, so nothing above the join sees which
+// side builds. Like SetOutput, call it before the join is composed into a
+// parent.
+func (j *HashJoin) SetBuildFirst() {
+	if j.Mode != InnerJoin {
+		panic("hashjoin: only an inner join lays its build side first")
+	}
+	j.buildFirst = true
+	j.layout()
+}
+
+// layout sets the output schema from the kept columns and the side order.
+func (j *HashJoin) layout() {
+	probe, build := pickColumns(j.probe.Schema(), j.outProbe), pickColumns(j.build.Schema(), j.outBuild)
+	if j.buildFirst {
+		j.sch = build.Concat(probe)
+	} else {
+		j.sch = probe.Concat(build)
+	}
 }
 
 func pickColumns(sch *schema.Schema, idx []int) *schema.Schema {
@@ -102,11 +128,16 @@ func pickColumns(sch *schema.Schema, idx []int) *schema.Schema {
 }
 
 // joined carves the output row for one (probe, build) pair — build is the
-// NULL pad on a left-outer miss — from the arena.
+// NULL pad on a left-outer miss — from the arena, in the layout's side order.
 func (j *HashJoin) joined(probe, build schema.Row) schema.Row {
 	out := j.arena.row(j.sch.Len())
-	n := pick(out, probe, j.outProbe)
-	pick(out[n:], build, j.outBuild)
+	if j.buildFirst {
+		n := pick(out, build, j.outBuild)
+		pick(out[n:], probe, j.outProbe)
+	} else {
+		n := pick(out, probe, j.outProbe)
+		pick(out[n:], build, j.outBuild)
+	}
 	return out
 }
 

@@ -324,11 +324,11 @@ func (b *Builder) joinLinear(aSch *schema.Schema, aCol string, bSch *schema.Sche
 }
 
 // Columns is a set of lower-cased column names: the names read above a node.
-// Passed to HashJoin or HashJoinMulti, the join emits only the child
-// columns whose name is in it; passed to Scan or ScanFiltered, a scan of a
-// disk-backed table decodes only the table's columns whose name is in it. A
-// nil set keeps every column; an empty one keeps none (COUNT(*) reads no
-// column, and rows of no columns still count).
+// Passed to HashJoin, HashJoinMulti or HashJoinProbedBy, the join emits
+// only the child columns whose name is in it; passed to Scan or
+// ScanFiltered, a scan of a disk-backed table decodes only the table's
+// columns whose name is in it. A nil set keeps every column; an empty one
+// keeps none (COUNT(*) reads no column, and rows of no columns still count).
 type Columns map[string]bool
 
 // indexes returns the positions of sch's columns named in the set, in
@@ -359,20 +359,36 @@ func (n Node) HashJoin(build Node, probeCol, buildCol string, mode exec.JoinMode
 
 // HashJoinMulti is HashJoin with composite keys.
 func (n Node) HashJoinMulti(build Node, probeCols, buildCols []string, mode exec.JoinMode, keep ...Columns) Node {
-	op := exec.NewHashJoin(build.Op, n.Op,
-		cols(build.Schema(), buildCols...), cols(n.Schema(), probeCols...), mode)
+	return hashJoin(n, build, probeCols, buildCols, mode, false, keep)
+}
+
+// HashJoinProbedBy is the inner join n.HashJoinMulti(probe, ...) with the
+// table on the other side: it builds on n and streams probe, and still emits
+// n's columns before probe's, so only which child blocks differs.
+func (n Node) HashJoinProbedBy(probe Node, buildCols, probeCols []string, keep ...Columns) Node {
+	return hashJoin(probe, n, probeCols, buildCols, exec.InnerJoin, true, keep)
+}
+
+// hashJoin builds the hash join of probe with build; buildFirst lays the
+// output out build columns first.
+func hashJoin(probe, build Node, probeCols, buildCols []string, mode exec.JoinMode, buildFirst bool, keep []Columns) Node {
+	op := exec.NewHashJoin(build.Op, probe.Op,
+		cols(build.Schema(), buildCols...), cols(probe.Schema(), probeCols...), mode)
+	if buildFirst {
+		op.SetBuildFirst()
+	}
 	op.Linear = len(probeCols) > 0 &&
-		n.b.joinLinear(n.Schema(), probeCols[0], build.Schema(), buildCols[0])
+		probe.b.joinLinear(probe.Schema(), probeCols[0], build.Schema(), buildCols[0])
 	// A composite-key join emits no more than the join on its first column
 	// alone (composite degrees refine single-column degrees), so the
 	// single-column norm bound stays sound.
 	if len(probeCols) > 0 {
-		n.b.setLpJoinBound(op, mode, n.Op, n.Schema(), probeCols[0], build.Op, build.Schema(), buildCols[0])
+		probe.b.setLpJoinBound(op, mode, probe.Op, probe.Schema(), probeCols[0], build.Op, build.Schema(), buildCols[0])
 	}
 	if len(keep) > 0 && (mode == exec.InnerJoin || mode == exec.LeftOuterJoin) {
-		op.SetOutput(keep[0].indexes(n.Schema()), keep[0].indexes(build.Schema()))
+		op.SetOutput(keep[0].indexes(probe.Schema()), keep[0].indexes(build.Schema()))
 	}
-	return n.finish(op, joinEstimate(mode, n.est, build.est, op.Linear))
+	return probe.finish(op, joinEstimate(mode, probe.est, build.est, op.Linear))
 }
 
 // INLJoin joins n (outer) against an index on innerTable.innerCol, seeking
