@@ -2,6 +2,7 @@ package sqlprogress
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/plan"
+	"sqlprogress/internal/session"
 	"sqlprogress/internal/tpch"
 )
 
@@ -221,6 +223,123 @@ func TestBatchCompiledJoinAllocBudget(t *testing.T) {
 			t.Errorf("compiled %s: %d bytes/op, budget %d", class.name, got, budget.bytes)
 		}
 	}
+}
+
+// shortStatements are the end-to-end benchmark's short classes
+// (benchmark/workload.go), one parameterisation each, with the ceiling on
+// the bytes exec.RunBatch allocates to run each over TPC-H -sf 0.02 -z 1.
+// Every buffer a run allocates is sized from the plan's row bound, so a
+// query that returns a handful of rows allocates a few KB. Sized from the
+// 1 024-row batch they came to 103, 104, 123, 85 and 154 KB: the result's
+// 1 024 headers grown to 3 072 after its first batch, a 256-row arena slab
+// per row-building operator and child batches doubled up from zero.
+var shortStatements = []struct {
+	name, sql string
+	bytes     int64
+}{
+	{"lookup-nation", "SELECT n_name, n_regionkey FROM nation WHERE n_nationkey = 7", 16_000},
+	{"lookup-supplier", "SELECT s_name, s_acctbal FROM supplier WHERE s_nationkey = 7", 24_000},
+	{"lookup-join", "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey AND r_regionkey = 2", 24_000},
+	{"limit5", "SELECT * FROM lineitem LIMIT 5", 8_000},
+	{"smallcount", "SELECT COUNT(*) FROM customer WHERE c_acctbal > 2500", 48_000},
+}
+
+// TestBatchShortAllocBudget holds each short statement, as the compiler
+// plans it, to its bytes budget: the mean over runs of exec.RunBatch, every
+// plan compiled before the first run is measured. A fixed count, because
+// testing.Benchmark would stop its timer around each ≈ 50 µs compile and so
+// run a 10 µs body for many seconds. Wall-clock is not checked.
+func TestBatchShortAllocBudget(t *testing.T) {
+	const runs = 200
+	db := OpenTPCH(0.02, 1, 42)
+	for _, st := range shortStatements {
+		ops := make([]exec.Operator, runs)
+		for i := range ops {
+			q, err := db.Query(st.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops[i] = q.Plan()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, op := range ops {
+			if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := int64(after.TotalAlloc-before.TotalAlloc) / runs
+		if got > st.bytes {
+			t.Errorf("%s: %d bytes/op, budget %d", st.name, got, st.bytes)
+		}
+		t.Logf("%s: %d bytes/op, %d allocs/op", st.name, got, (after.Mallocs-before.Mallocs)/runs)
+	}
+}
+
+// BenchmarkShortStatements compiles and runs each short statement: what a
+// served short query costs before the session and HTTP layers.
+func BenchmarkShortStatements(b *testing.B) {
+	db := OpenTPCH(0.02, 1, 42)
+	for _, st := range shortStatements {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runStatement(b, db, st.sql)
+			}
+		})
+	}
+}
+
+// The ceilings on one short statement served by a session.Manager, submit
+// to final event: what it allocates in all (parse, plan, run, monitor,
+// frames), and what a finished session keeps on the heap until the registry
+// forgets it. Before the executor sized its buffers from the plan's row
+// bound a query allocated 127 KB; a finished session kept 2.2 KB.
+const (
+	shortSessionBytesBudget    = 32_000
+	shortSessionRetainedBudget = 4_000
+)
+
+// TestBatchShortSessionAllocBudget runs the short statements through a
+// session.Manager, one at a time, to both budgets. It lives here, not in
+// internal/session, so a -race run of that package does not measure it.
+func TestBatchShortSessionAllocBudget(t *testing.T) {
+	const queries = 3_000
+	db := OpenTPCH(0.02, 1, 42)
+	mgr := session.New(db.Catalog(), session.Config{})
+	defer mgr.Close()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		sess, err := mgr.Submit(shortStatements[i%len(shortStatements)].sql, session.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, unsub := sess.Subscribe()
+		for p := range ch {
+			if p.Final {
+				break
+			}
+		}
+		unsub()
+		if st := sess.State(); st != session.StateFinished {
+			t.Fatalf("query %d: state %s, err %v", i, st, sess.Err())
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / queries
+	retained := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / queries
+	if perQuery > shortSessionBytesBudget {
+		t.Errorf("short session: %d bytes allocated per query, budget %d", perQuery, shortSessionBytesBudget)
+	}
+	if retained > shortSessionRetainedBudget {
+		t.Errorf("short session: %d bytes retained per finished session, budget %d", retained, shortSessionRetainedBudget)
+	}
+	t.Logf("%d bytes allocated per query, %d bytes retained per finished session", perQuery, retained)
+	runtime.KeepAlive(mgr)
 }
 
 // The four statement classes the end-to-end benchmark's paged workload is

@@ -261,6 +261,7 @@ func (s *StreamAgg) NextBatch(ctx *Ctx, b *Batch, want int) error {
 		s.markDone()
 		return nil
 	}
+	s.in.reserve(s.child, want)
 	for {
 		if err := s.child.NextBatch(ctx, &s.in, want); err != nil {
 			return err

@@ -59,6 +59,16 @@ type Batch struct {
 // Reset empties the batch, keeping its backing capacity.
 func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
 
+// reserve sizes an unused batch once for pulls of up to want rows from
+// child: no more than the child can deliver (capHint), so a pull from a
+// 25-row table reserves 25 headers, not want, and the buffer never doubles
+// its way up from zero.
+func (b *Batch) reserve(child Operator, want int) {
+	if cap(b.Rows) == 0 {
+		b.Rows = make([]schema.Row, 0, min(want, capHint(child)))
+	}
+}
+
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return len(b.Rows) }
 
@@ -228,6 +238,7 @@ func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, ste
 		n.markDone()
 		return nil
 	}
+	s.in.reserve(child, want)
 	for {
 		if err := child.NextBatch(ctx, &s.in, want); err != nil {
 			// Not EOF: an aborted run must not mark the node done, or the
@@ -267,13 +278,19 @@ func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, ste
 // one allocation per ~chunk of rows instead of one per row. Carved rows are
 // full-capacity sub-slices: they never alias their neighbours and remain
 // valid indefinitely (the arena only ever abandons exhausted chunks, it
-// never reuses them).
+// never reuses them). Slabs start small and double, so an operator that
+// builds one row pays for a few, not for a full chunk.
 type rowArena struct {
-	buf []sqlval.Value
+	buf      []sqlval.Value
+	slabRows int // rows' worth of values the last slab held
 }
 
-// arenaChunkRows is how many rows' worth of values a fresh slab holds.
-const arenaChunkRows = 256
+// The first slab holds arenaFirstRows rows' worth of values; each later one
+// twice its predecessor's, up to arenaChunkRows.
+const (
+	arenaFirstRows = 8
+	arenaChunkRows = 256
+)
 
 // row returns a zeroed row of width w.
 func (a *rowArena) row(w int) schema.Row {
@@ -281,7 +298,8 @@ func (a *rowArena) row(w int) schema.Row {
 		return schema.Row{}
 	}
 	if len(a.buf) < w {
-		a.buf = make([]sqlval.Value, arenaChunkRows*w)
+		a.slabRows = min(max(2*a.slabRows, arenaFirstRows), arenaChunkRows)
+		a.buf = make([]sqlval.Value, a.slabRows*w)
 	}
 	r := a.buf[:w:w]
 	a.buf = a.buf[w:]
@@ -334,17 +352,19 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	want := ctx.batchSize()
-	out := make([]schema.Row, 0, max(capHint(op), want))
+	want, bound := ctx.batchSize(), PlanRowBounds(op).UB
+	out := make([]schema.Row, 0, sizeHint(op, bound))
 	var b Batch
-	for {
+	for full := false; ; full = b.Len() >= want {
 		// Hand the root operator out's spare capacity as its output buffer:
 		// when the batch fits without reallocating, collecting it is a
 		// length extension instead of a second copy of every row header.
-		// Growing out ahead of the pull keeps the spare big enough for a
-		// full batch, so the copy fallback stays the exception (operators
-		// may overshoot `want` by one fanout run).
-		if cap(out)-len(out) < want {
+		// out holds the hint, which is every row the plan can deliver unless
+		// it came from a low estimate; only past it, and only after a full
+		// batch, does out grow ahead of the pull (operators may overshoot
+		// `want` by one fanout run). A batch that outgrows the spare is
+		// copied instead.
+		if cap(out)-len(out) < want && full && int64(cap(out)) < bound {
 			out = slices.Grow(out, 2*want)
 		}
 		b.Rows = out[len(out):len(out):cap(out)]
@@ -379,9 +399,12 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 // the estimate when that is smaller, and the hint is clamped to a modest
 // ceiling — a wrong hint costs one growth cycle or some slack capacity, not
 // correctness.
-func capHint(op Operator) int {
+func capHint(op Operator) int { return sizeHint(op, PlanRowBounds(op).UB) }
+
+// sizeHint is capHint for op given its row bound.
+func sizeHint(op Operator, bound int64) int {
 	const maxHint = 1 << 17
-	hint := PlanRowBounds(op).UB
+	hint := bound
 	if est := op.EstimatedCard(); est >= 0 && est < hint/2 {
 		hint = 2 * est
 	}
@@ -412,7 +435,9 @@ func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 		return err
 	}
 	var in Batch
-	for want := ctx.batchSize(); ; {
+	want := ctx.batchSize()
+	in.reserve(child, want)
+	for {
 		if err := child.NextBatch(ctx, &in, want); err != nil || in.Len() == 0 {
 			return err
 		}

@@ -31,6 +31,7 @@ import (
 // by chunk, whatever the run's pull size.
 func pullChunk(ctx *Ctx, part Operator, in *Batch) error {
 	want := ctx.batchSize()
+	in.reserve(part, ctx.chunkSize())
 	if err := part.NextBatch(ctx, in, want); err != nil || want > 1 {
 		return err
 	}

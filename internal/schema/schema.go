@@ -111,8 +111,13 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Row is a single tuple. Rows returned by operators are only valid until the
-// next call to Next unless copied (see CloneRow); blocking operators copy.
+// Row is a single tuple. A row an operator hands out is never written again:
+// it references immutable base-relation storage, a freshly decoded page or
+// an operator's arena slab, so it stays valid as long as it is held. Only the
+// slice of row headers a batch carries is reused from pull to pull, and
+// operators that retain rows (drains, sorts, hash-join build sides) keep the
+// headers without copying the values. A retained row pins the storage it
+// points into; CloneRow detaches it.
 type Row []sqlval.Value
 
 // CloneRow returns a copy of r safe to retain.

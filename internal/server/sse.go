@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -75,6 +76,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "retry: 1000\n\n")
 	fl.Flush()
 
+	out := newEventWriter(w, fl)
 	ch, unsub := sess.Subscribe()
 	defer func() { unsub() }()
 	keepAlive := s.KeepAlive
@@ -91,14 +93,14 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			// DELETE is the cancellation path).
 			return
 		case <-tick.C:
-			in := sess.Info()
-			writeEvent(w, fl, 0, "heartbeat", heartbeatEvent{Calls: in.Calls, State: in.State})
+			in := sess.Summary()
+			out.event(0, "heartbeat", heartbeatEvent{Calls: in.Calls, State: in.State})
 		case p, open := <-ch:
 			if !open {
 				if sess.State().Terminal() {
 					// Closed by the final event (delivered before we
 					// subscribed, or displaced): synthesize done from Info.
-					s.writeDone(w, fl, sess, nil)
+					writeDone(out, sess, nil)
 					return
 				}
 				// Evicted as a slow subscriber while the session still
@@ -109,20 +111,22 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if p.Final {
-				s.writeDone(w, fl, sess, &p)
+				writeDone(out, sess, &p)
 				return
 			}
 			if p.Seq <= lastID {
 				// The client saw this observation before it reconnected.
 				continue
 			}
-			writeEvent(w, fl, p.Seq, "progress", p)
+			out.event(p.Seq, "progress", p)
 		}
 	}
 }
 
-func (s *Server) writeDone(w http.ResponseWriter, fl http.Flusher, sess *session.Session, p *session.Progress) {
-	in := sess.Info()
+// writeDone writes the terminal frame from the session's summary (its kept
+// result rows are not part of it) and p, the final event if the stream has it.
+func writeDone(out *eventWriter, sess *session.Session, p *session.Progress) {
+	in := sess.Summary()
 	if p == nil {
 		p = in.Progress
 	}
@@ -141,22 +145,56 @@ func (s *Server) writeDone(w http.ResponseWriter, fl http.Flusher, sess *session
 		ev.FinalEstimate = p.Hi
 		seq = p.Seq
 	}
-	writeEvent(w, fl, seq, "done", ev)
+	out.event(seq, "done", ev)
 }
 
-// writeEvent marshals v and writes one SSE frame, flushed immediately.
-// id 0 means no id line (heartbeats, synthesized frames).
-func writeEvent(w http.ResponseWriter, fl http.Flusher, id int64, name string, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
+// eventWriter writes one stream's SSE frames, each rendered into a buffer
+// the stream reuses: the JSON payload is encoded straight into the frame
+// after its `data: ` prefix.
+type eventWriter struct {
+	w   http.ResponseWriter
+	fl  http.Flusher
+	buf bytes.Buffer
+	enc *json.Encoder // encodes into buf
+}
+
+func newEventWriter(w http.ResponseWriter, fl http.Flusher) *eventWriter {
+	e := &eventWriter{w: w, fl: fl}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}
+
+// event marshals v and writes one SSE frame, flushed immediately. id 0
+// means no id line (heartbeats, synthesized frames). A payload holding CR
+// or LF, which encoding/json never emits, is framed by formatSSEFrame.
+func (e *eventWriter) event(id int64, name string, v any) {
+	e.buf.Reset()
+	if id > 0 {
+		e.buf.WriteString("id: ")
+		e.buf.Write(strconv.AppendInt(e.buf.AvailableBuffer(), id, 10))
+		e.buf.WriteByte('\n')
+	}
+	e.buf.WriteString("event: ")
+	e.buf.WriteString(name)
+	e.buf.WriteByte('\n')
+	e.buf.WriteString("data: ")
+	start := e.buf.Len()
+	if err := e.enc.Encode(v); err != nil { // Encode ends the line with LF
 		return
 	}
-	idLine := ""
-	if id > 0 {
-		idLine = strconv.FormatInt(id, 10)
+	if data := e.buf.Bytes()[start : e.buf.Len()-1]; bytes.ContainsAny(data, "\r\n") {
+		idLine := ""
+		if id > 0 {
+			idLine = strconv.FormatInt(id, 10)
+		}
+		frame := formatSSEFrame(idLine, name, string(data))
+		e.buf.Reset()
+		e.buf.WriteString(frame)
+	} else {
+		e.buf.WriteByte('\n')
 	}
-	fmt.Fprint(w, formatSSEFrame(idLine, name, string(buf)))
-	fl.Flush()
+	e.w.Write(e.buf.Bytes())
+	e.fl.Flush()
 }
 
 // formatSSEFrame renders one Server-Sent Events frame. The SSE spec

@@ -37,6 +37,40 @@ func TestFormatSSEFrame(t *testing.T) {
 	}
 }
 
+// TestEventWriterMatchesFormatSSEFrame holds the stream's frame writer to
+// formatSSEFrame over json.Marshal's payload, frame after frame through the
+// one reused buffer — a string value's newline included, which the JSON
+// escapes, so its frame stays one data line.
+func TestEventWriterMatchesFormatSSEFrame(t *testing.T) {
+	events := []struct {
+		id   int64
+		name string
+		v    any
+	}{
+		{7, "progress", map[string]any{"calls": 12, "state": "running"}},
+		{0, "heartbeat", heartbeatEvent{Calls: 3, State: session.StateRunning}},
+		{9, "done", doneEvent{ID: "q000001", Error: "line one\nline two\r\n<&>"}},
+	}
+	rec := httptest.NewRecorder()
+	out := newEventWriter(rec, rec)
+	var want strings.Builder
+	for _, e := range events {
+		out.event(e.id, e.name, e.v)
+		payload, err := json.Marshal(e.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := ""
+		if e.id > 0 {
+			id = strconv.FormatInt(e.id, 10)
+		}
+		want.WriteString(formatSSEFrame(id, e.name, string(payload)))
+	}
+	if got := rec.Body.String(); got != want.String() {
+		t.Errorf("stream = %q, want %q", got, want.String())
+	}
+}
+
 // noFlushWriter hides the ResponseRecorder's Flusher so the handler sees a
 // writer that cannot stream.
 type noFlushWriter struct {

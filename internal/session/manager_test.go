@@ -68,6 +68,10 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if in.RowCount != 1 || len(in.Rows) != 1 {
 		t.Fatalf("rows = %d / %v", in.RowCount, in.Rows)
 	}
+	// Summary is the same snapshot without the formatted rows.
+	if sum := s.Summary(); sum.Rows != nil || sum.RowCount != in.RowCount || sum.Calls != in.Calls || sum.Progress.Seq != in.Progress.Seq {
+		t.Fatalf("summary = %+v, want Info %+v without rows", sum, in)
+	}
 	if in.Calls <= 0 {
 		t.Fatalf("calls = %d", in.Calls)
 	}

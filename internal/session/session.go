@@ -186,6 +186,30 @@ type Info struct {
 func (s *Session) Info() Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	in := s.summaryLocked()
+	if len(s.rows) > 0 {
+		in.Rows = make([][]string, len(s.rows))
+		for i, r := range s.rows {
+			cells := make([]string, len(r))
+			for j, v := range r {
+				cells[j] = v.String()
+			}
+			in.Rows[i] = cells
+		}
+	}
+	return in
+}
+
+// Summary is Info without the kept result rows, which Info formats as
+// strings: every other field, for a caller that serves only those.
+func (s *Session) Summary() Info {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.summaryLocked()
+}
+
+// summaryLocked is Summary's snapshot. Caller holds s.mu.
+func (s *Session) summaryLocked() Info {
 	in := Info{
 		ID:           s.id,
 		Text:         s.text,
@@ -225,16 +249,6 @@ func (s *Session) Info() Info {
 		in.Progress = &p
 	}
 	in.Columns = s.cols
-	if len(s.rows) > 0 {
-		in.Rows = make([][]string, len(s.rows))
-		for i, r := range s.rows {
-			cells := make([]string, len(r))
-			for j, v := range r {
-				cells[j] = v.String()
-			}
-			in.Rows[i] = cells
-		}
-	}
 	return in
 }
 
