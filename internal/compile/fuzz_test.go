@@ -343,14 +343,15 @@ func fuzzParallelScanFilter(t *testing.T, seed int64) {
 	coretest.CheckProgressInvariants(t, label, build(), 1)
 }
 
-// fuzzBatchVsRow runs seed-random compiled queries under both the batch and
-// the row engine and asserts full observational equivalence: identical
-// result rows (in order), identical total GetNext calls, identical per-node
-// ledger snapshots, and — at every batch quiesce point — bitwise-identical
-// dne/pmax/safe estimates when the row engine is sampled at the same Curr.
-// The query set deliberately mixes native-batch shapes (filters, hash
-// joins, aggregates) with row-pull operators (LIMIT, anti-join rescans) so
-// both execution regimes are exercised from the SQL surface.
+// fuzzBatchVsRow runs seed-random compiled queries in bulk pulls and in
+// one-row (exact) pulls and asserts they end alike — identical result rows
+// (in order), identical total GetNext calls, identical per-node final ledger
+// snapshots — and that every ledger read a sampler can take during a bulk
+// run, torn reads included, is within the paper's bounds
+// (coretest.CheckTornReads). The query set deliberately mixes native-batch
+// shapes (filters, hash joins, aggregates) with row-pull operators (LIMIT,
+// anti-join rescans) so both execution regimes are exercised from the SQL
+// surface.
 func fuzzBatchVsRow(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
@@ -372,21 +373,21 @@ func fuzzBatchVsRow(t *testing.T, seed int64) {
 			return op
 		}
 		coretest.CheckBatchRowEquivalence(t, sql, build)
+		coretest.CheckTornReads(t, sql, build)
 	}
 }
 
 // fuzzPagedVsMem compiles seed-random queries against two catalogs holding
 // identical data — one in memory, the other serving every table from a heap
-// file through a cold buffer pool — and asserts full observational
-// equivalence via the paged differential: identical result rows, identical
-// total GetNext calls, identical final ledger snapshots, and
-// bitwise-identical dne/pmax/safe estimator trails at every counted call,
-// under both the row and the batch engine. The paged side's scans decode
-// only the columns each statement names while the in-memory side's hand out
-// whole rows, so the statements are chosen for how they name columns: all of
-// them (SELECT *), none (a bare COUNT(*)), one that appears only in ORDER
-// BY, HAVING or a join's ON, the inner side of semi and anti subqueries, and
-// a name two joined tables share.
+// file through a cold buffer pool — and asserts, via the paged differential,
+// identical result rows, total GetNext calls and final ledger snapshots in
+// one-row and in bulk pulls, and holds every ledger read a sampler can take
+// over either catalog to the paper's bounds (coretest.CheckTornReads). The
+// paged side's scans decode only the columns each statement names while the
+// in-memory side's hand out whole rows, so the statements are chosen for how
+// they name columns: all of them (SELECT *), none (a bare COUNT(*)), one
+// that appears only in ORDER BY, HAVING or a join's ON, the inner side of
+// semi and anti subqueries, and a name two joined tables share.
 func fuzzPagedVsMem(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
@@ -417,6 +418,9 @@ func fuzzPagedVsMem(t *testing.T, seed int64) {
 				return op
 			}
 			coretest.CheckPagedEquivalence(t, sql, mem, paged, build)
+			for _, cat := range []*catalog.Catalog{mem, paged} {
+				coretest.CheckTornReads(t, sql, func() exec.Operator { return build(cat) })
+			}
 		}
 	}
 	check(db.cat, paged12,

@@ -152,17 +152,24 @@ func NewTracker(root exec.Operator) *Tracker {
 // Ledger returns the plan's progress ledger.
 func (t *Tracker) Ledger() *ledger.Ledger { return t.led }
 
-// Capture snapshots the current State from one read of the ledger: the
-// bounds pass folds that read, Curr is the sum of its Returned counters, and
-// the drivers, leaves and pipelines index into it; it is kept as the
-// capture's node view (what SampleSet.Frame publishes). Nothing else reads
-// the ledger during a capture, so bounds and Curr describe one instant: every
-// node's refined LB covers its own Returned, hence LB >= Curr, and every
-// driver's Total covers its Returned. Summing the bounds snapshot's refined
-// LBs instead of Curr would over-count (they include static lower bounds of
-// nodes that have not produced yet).
+// Capture snapshots the current State from one read of the ledger: Fold
+// over Ledger.SnapshotAll.
 func (t *Tracker) Capture() *State {
-	t.nodes = t.led.SnapshotAll(t.nodes)
+	return t.Fold(t.led.SnapshotAll(t.nodes))
+}
+
+// Fold builds the State of one read of the plan's ledger, indexed by NodeID
+// (Ledger.SnapshotAll): the bounds pass folds the read, Curr is the sum of
+// its Returned counters, and the drivers, leaves and pipelines index into
+// it; a copy is kept as the capture's node view (what SampleSet.Frame
+// publishes). Nothing else is read, so bounds and Curr describe one instant:
+// every node's refined LB covers its own Returned, hence LB >= Curr, and
+// every driver's Total covers its Returned. Summing the bounds snapshot's
+// refined LBs instead of Curr would over-count (they include static lower
+// bounds of nodes that have not produced yet). Any read may be folded — a
+// recorded one, or one a sampler could take between two recorded ones.
+func (t *Tracker) Fold(read []ledger.Snapshot) *State {
+	t.nodes = append(t.nodes[:0], read...)
 	snap := t.ev.Fold(t.nodes)
 	s := &State{
 		Curr:    curr(t.nodes),

@@ -13,41 +13,52 @@ func TestBatchRowEquivalenceCorpus(t *testing.T) {
 		if entry.StopsEarly {
 			continue // no two runs agree on rows or counts, in either engine
 		}
-		entry := entry
 		t.Run(entry.Label, func(t *testing.T) {
 			CheckBatchRowEquivalence(t, entry.Label, entry.Build)
 		})
 	}
 }
 
-// TestWantOneIsGetNext holds every serial corpus plan to the pull contract:
-// under a hook-free RunBatch at one-row batches, every root pull hands out
-// exactly one row until EOF — a join's fan-out included — and the ledger and
-// estimates after each pull are a hooked run's at the same Curr.
+// TestWantOneIsGetNext holds every corpus plan to the pull contract, a
+// parallel one in lockstep: driven hook-free by root pulls of want == 1 at
+// one-row batches, every pull hands out at most one row — a join's fan-out
+// included — the root's delivered count is the row count, and the run ends
+// with a hooked run's rows, calls and per-node ledger.
 func TestWantOneIsGetNext(t *testing.T) {
 	for _, entry := range Corpus() {
-		if !exec.OnOneGoroutine(entry.Build()) {
-			continue
-		}
-		entry := entry
 		t.Run(entry.Label, func(t *testing.T) {
-			one := runMarked(t, entry.Label+": want=1", entry.Build(), 1, false)
-			ref := runMarked(t, entry.Label+": row", entry.Build(), 0, true)
-			// Only a root pull moves the root's delivered count (node 0), and
-			// each is marked: a pull of several rows shows as a larger step.
-			var delivered int64
-			for k, m := range one.marks {
-				if d := m.nodes[0].Delivered; d != delivered {
-					if d != delivered+1 {
-						t.Fatalf("%s: mark %d (Curr=%d): a root pull handed out %d rows", entry.Label, k, m.curr, d-delivered)
-					}
-					delivered = d
+			root := entry.Build()
+			exec.Lockstep(root)
+			led := exec.EnsureLedger(root)
+			ctx := exec.NewCtx()
+			ctx.BatchSize = 1
+			if err := root.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			one := planRun{serial: true}
+			var b exec.Batch
+			for {
+				if err := root.NextBatch(ctx, &b, 1); err != nil {
+					t.Fatal(err)
 				}
+				if b.Len() == 0 {
+					break
+				}
+				if b.Len() > 1 {
+					t.Fatalf("%s: pull %d handed out %d rows", entry.Label, len(one.rows), b.Len())
+				}
+				one.rows = append(one.rows, b.Rows[0])
 			}
-			if delivered != int64(len(one.rows)) {
-				t.Fatalf("%s: root delivered %d rows in one-row steps, run returned %d", entry.Label, delivered, len(one.rows))
+			if err := root.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if err := compareRuns(entry.Label, "want=1", "row", one, ref); err != nil {
+			one.calls, one.final = ctx.Calls(), led.SnapshotAll(nil)
+			if d := one.final[0].Delivered; d != int64(len(one.rows)) {
+				t.Fatalf("%s: root delivered %d rows, its pulls handed out %d", entry.Label, d, len(one.rows))
+			}
+			ref := entry.Build()
+			exec.Lockstep(ref)
+			if err := compareRuns(entry.Label, "want=1", "row", one, mustRun(t, entry.Label+": row", ref, 1, true)); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/fault"
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/pager"
 )
 
@@ -22,23 +24,23 @@ func chaosEstimators() []core.Estimator {
 
 var cleanMem = struct {
 	sync.Mutex
-	m map[string]markedRun
-}{m: map[string]markedRun{}}
+	m map[string]planRun
+}{m: map[string]planRun{}}
 
 // cleanRun returns the entry's fault-free run in one-row pulls without a
 // hook, computed once per label: its total(Q) is the horizon schedule
 // generation needs so fault indices land inside the run, and for a serial
-// plan its quiesce-point marks are the iterator model's states that a
-// hooked chaos run must pass through (see runChaosSchedule).
-func cleanRun(entry CorpusEntry) (markedRun, error) {
+// plan its ledger read after every credit is the iterator model's trail that
+// a hooked chaos run must follow (see runChaosSchedule).
+func cleanRun(entry CorpusEntry) (planRun, error) {
 	cleanMem.Lock()
 	defer cleanMem.Unlock()
 	if run, ok := cleanMem.m[entry.Label]; ok {
 		return run, nil
 	}
-	run, err := markRun(entry.Build(), 1, false)
+	run, err := execute(entry.Build(), 1, false, true)
 	if err != nil {
-		return markedRun{}, fmt.Errorf("coretest: clean run of %s: %w", entry.Label, err)
+		return planRun{}, fmt.Errorf("coretest: clean run of %s: %w", entry.Label, err)
 	}
 	cleanMem.m[entry.Label] = run
 	return run, nil
@@ -87,13 +89,13 @@ func RunChaos(seed int64) error {
 // against the faults that actually fired and holds both sample series to
 // every rule of core.Series, the UBTight rules included.
 //
-// The injector and the trail's hook put the run in the exact regime, so a
-// fault or a cancellation must land at precisely its scheduled GetNext count
-// even where that count falls inside what a hook-free run pulls as one
-// batch. For a serial plan the run is also held to the iterator model call
-// by call: up to where it stopped, it must pass through every state the
-// entry's clean one-row-pull run reaches (cleanRun), with the same per-node
-// ledger and the same dne/pmax/safe.
+// The injector puts the run in the exact regime, so a fault or a
+// cancellation must land at precisely its scheduled GetNext count even where
+// that count falls inside what a hook-free run pulls as one batch. For a
+// serial plan the run is also held to the iterator model credit by credit:
+// up to where it stopped, the ledger read after each of its credits (the
+// inline monitor's samples) must be the entry's clean one-row-pull run's
+// (cleanRun), read for read.
 func RunChaosSchedule(entry CorpusEntry, sched fault.Schedule) error {
 	return runChaosSchedule(entry, sched, nil)
 }
@@ -110,16 +112,17 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
 	mon.Attach(ctx)
-	trail := newMarker(root)
-	ctx.OnGetNext = trail.mark
+	serial := exec.OnOneGoroutine(root)
+	var reads [][]ledger.Snapshot
+	if serial {
+		led := exec.EnsureLedger(root)
+		mon.OnSample = func(core.Sample) { reads = append(reads, led.SnapshotAll(nil)) }
+	}
 	async := core.NewAsyncMonitor(root, 50*time.Microsecond, chaosEstimators()...)
 	async.Start(ctx)
 	_, runErr := exec.RunBatch(ctx, root)
 	async.Stop()
 	total := ctx.Calls()
-	if runErr == nil {
-		trail.mark(total)
-	}
 
 	// Cross-validate the outcome against the fired faults: a scheduled
 	// fault must surface as exactly the failure it models, at exactly the
@@ -152,7 +155,7 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 		if !errors.Is(runErr, fault.ErrPageFault) && !errors.Is(runErr, fault.ErrInjected) && !errors.Is(runErr, exec.ErrCanceled) {
 			return fmt.Errorf("page-read fault fired but run returned unrelated error %v", runErr)
 		}
-	case !trail.serial:
+	case !serial:
 		// Parallel plans relax the exact-call accounting: a worker that
 		// triggers a terminal fault cannot stop its siblings' in-flight
 		// counted calls, so the run quiesces at or past the scheduled call,
@@ -203,14 +206,9 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 		}
 	}
 
-	if n := len(trail.marks); n > 0 {
-		// The clean run's marks up to the last instant this one marked.
-		seen := clean.marks
-		for len(seen) > 0 && seen[len(seen)-1].curr > trail.marks[n-1].curr {
-			seen = seen[:len(seen)-1]
-		}
-		if err := compareMarks(entry.Label, "one-row pulls", "hooked run", seen, trail.marks); err != nil {
-			return err
+	for k, read := range reads {
+		if k >= len(clean.reads) || !slices.Equal(read, clean.reads[k]) {
+			return fmt.Errorf("ledger after credit %d of the hooked run, %+v, is not the clean one-row-pull run's", k, read)
 		}
 	}
 

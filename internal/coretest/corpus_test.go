@@ -14,7 +14,6 @@ import (
 // corpus regression is caught before the chaos sweep ever injects a fault.
 func TestCorpusCleanInvariants(t *testing.T) {
 	for _, entry := range Corpus() {
-		entry := entry
 		t.Run(entry.Label, func(t *testing.T) {
 			CheckProgressInvariants(t, entry.Label, entry.Build(), 1)
 			if err := RunChaosSchedule(entry, fault.Schedule{}); err != nil {
@@ -35,13 +34,7 @@ func TestLedgerIsTheOnlyHome(t *testing.T) {
 			t.Run(entry.Label+"/"+engine, func(t *testing.T) {
 				op := entry.Build()
 				led := exec.EnsureLedger(op)
-				ctx := exec.NewCtx()
-				if engine == "row" {
-					ctx.OnGetNext = func(int64) {}
-				}
-				if _, err := exec.RunBatch(ctx, op); err != nil {
-					t.Fatal(err)
-				}
+				run := mustRun(t, engine, op, 0, engine == "row")
 				id := ledger.NodeID(0)
 				exec.Walk(op, func(o exec.Operator) {
 					if o.LedgerID() != id {
@@ -52,11 +45,11 @@ func TestLedgerIsTheOnlyHome(t *testing.T) {
 					id++
 				})
 				var total int64
-				for _, n := range led.SnapshotAll(nil) {
+				for _, n := range run.final {
 					total += n.Returned
 				}
-				if want := ctx.Calls(); total != want {
-					t.Errorf("ledger read sums to %d, Curr %d", total, want)
+				if total != run.calls {
+					t.Errorf("ledger read sums to %d, Curr %d", total, run.calls)
 				}
 				if again := exec.EnsureLedger(op); again != led {
 					t.Error("binding a bound plan again returned a different ledger")

@@ -17,10 +17,12 @@
 // The package also carries the engine-equivalence corpus: the same logical
 // plan run exactly (a per-call hook installed, so every pull is one
 // GetNext) and in bulk pulls (no hook), in parallel, and over paged storage
-// must produce the identical result multiset and ledger trajectories. No
-// checker is told whether a plan is parallel: each reads it from the plan
-// (exec.OnOneGoroutine), and compares mid-run instants only where the plan
-// runs on one goroutine.
+// must produce the identical result multiset, total calls and final
+// per-node ledger. No checker is told whether a plan is parallel: each
+// reads it from the plan (exec.OnOneGoroutine). What a sampler reads during
+// a bulk run is held to the paper's bounds by CheckTornReads, which folds
+// every ledger read a sampler can take between two credits, torn reads
+// included.
 //
 // Production code must not import coretest.
 package coretest

@@ -23,10 +23,10 @@ import (
 // see. The same plan built over the same data — once against in-memory
 // relations, once against pager heap files behind a deliberately tiny
 // buffer pool — must produce identical results, identical total GetNext
-// calls, identical per-node ledger state, and bitwise-identical
-// dne/pmax/safe trails, in both the exact and the bulk regime. Buffer
-// pool hits, misses and evictions may differ run to run; none of it may
-// leak into the ledger.
+// calls and identical per-node ledger state, in both the exact and the bulk
+// regime; the torn-read check (torn.go) runs over both builds. Buffer pool
+// hits, misses and evictions may differ run to run; none of it may leak into
+// the ledger.
 
 // padRelation builds a relation of (key INT, s VARCHAR) rows with a fixed
 // 120-byte pad column, so a few hundred rows span several 8 KiB pages and
@@ -47,27 +47,19 @@ func padRelation(name, col string, keys []int64) *schema.Relation {
 // so every serial cold scan misses and rescans evict.
 const pagedTwinFrames = 4
 
-var pagedTwins = struct {
-	once       sync.Once
-	mem, paged *catalog.Catalog
-	err        error
-}{}
-
 // twinCatalogs returns two catalogs over identical data: in mem, tables p1
 // (80 unique-keyed rows) and p2 (480 zipf-skewed rows) are in-memory
 // relations; in paged they are heap files behind one shared 4-frame buffer
 // pool. Both also carry the corpus relations r1/r2 in memory for index and
-// build sides, with identical key declarations. The heap files live in a
-// private temp dir that is deleted immediately after attach — the open
-// descriptors keep the data readable for the process lifetime, so no file
-// ever outlives the test run.
+// build sides, with identical key declarations. Both are built once per
+// process, with the fixture.
 func twinCatalogs(t testing.TB) (mem, paged *catalog.Catalog) {
 	t.Helper()
-	pagedTwins.once.Do(func() { pagedTwins.mem, pagedTwins.paged, pagedTwins.err = buildTwinCatalogs() })
-	if pagedTwins.err != nil {
-		t.Fatalf("coretest: building paged twin catalogs: %v", pagedTwins.err)
+	f, err := fixture()
+	if err != nil {
+		t.Fatalf("coretest: building paged twin catalogs: %v", err)
 	}
-	return pagedTwins.mem, pagedTwins.paged
+	return f.mem, f.paged
 }
 
 // twinRelations builds the paged corpus data: a unique-keyed p1 and a
@@ -78,15 +70,16 @@ func twinRelations() (p1, p2 *schema.Relation) {
 }
 
 // pagedFixture holds the corpus's on-disk twin data, written once per
-// process: the in-memory reference relations and their open heap files.
-// The temp dir holding the files is deleted immediately after open — the
-// descriptors keep the data readable for the process lifetime, so no file
-// ever outlives the test run. The open heap files are shared by the
-// differential catalogs and by every chaos run (each of which brings its
-// own pool and, for fault runs, its own backend wrapper).
+// process: the in-memory reference relations, their open heap files and
+// the twin catalogs over them. The temp dir holding the files is deleted
+// immediately after open — the descriptors keep the data readable for the
+// process lifetime, so no file ever outlives the test run. The open heap
+// files are shared by the twin catalogs and by every chaos run (each of
+// which brings its own pool and, for fault runs, its own backend wrapper).
 type pagedFixture struct {
-	p1, p2   *schema.Relation
-	hf1, hf2 *pager.HeapFile
+	p1, p2     *schema.Relation
+	hf1, hf2   *pager.HeapFile
+	mem, paged *catalog.Catalog
 }
 
 var pagedFix = struct {
@@ -121,6 +114,17 @@ func buildFixture() (*pagedFixture, error) {
 	if f.hf2, err = open(f.p2); err != nil {
 		return nil, err
 	}
+	if f.mem, err = corpusSideCatalog(); err != nil {
+		return nil, err
+	}
+	if f.paged, err = corpusSideCatalog(); err != nil {
+		return nil, err
+	}
+	f.mem.AddRelation(f.p1)
+	f.mem.AddRelation(f.p2)
+	pool := pager.NewPool(pagedTwinFrames)
+	f.paged.AddStore(pager.NewPagedRelation(f.hf1, pool))
+	f.paged.AddStore(pager.NewPagedRelation(f.hf2, pool))
 	return f, nil
 }
 
@@ -139,25 +143,6 @@ func corpusSideCatalog() (*catalog.Catalog, error) {
 	cat.DeclareUnique("r1", "a")
 	cat.DeclareUnique("p1", "a")
 	return cat, nil
-}
-
-func buildTwinCatalogs() (mem, paged *catalog.Catalog, err error) {
-	f, err := fixture()
-	if err != nil {
-		return nil, nil, err
-	}
-	if mem, err = corpusSideCatalog(); err != nil {
-		return nil, nil, err
-	}
-	if paged, err = corpusSideCatalog(); err != nil {
-		return nil, nil, err
-	}
-	mem.AddRelation(f.p1)
-	mem.AddRelation(f.p2)
-	pool := pager.NewPool(pagedTwinFrames)
-	paged.AddStore(pager.NewPagedRelation(f.hf1, pool))
-	paged.AddStore(pager.NewPagedRelation(f.hf2, pool))
-	return mem, paged, nil
 }
 
 // PagedEntry is one plan family of the paged differential corpus. Build
@@ -216,23 +201,16 @@ func PagedCorpus() []PagedEntry {
 //   - identical result rows (in order for serial plans, as a multiset for
 //     parallel ones),
 //   - identical total GetNext calls,
-//   - for serial plans, identical per-node final ledger snapshots and — at
-//     every counted call (exact) or batch quiesce point (bulk) — identical
-//     per-node ledger state and bitwise-identical dne/pmax/safe estimates.
-//
-// Parallel plans — those not on one goroutine (exec.OnOneGoroutine) —
-// compare results and totals only: page-aligned partition windows
-// legitimately differ from the in-memory n*i/parts split, so per-partition
-// ledger slots are not comparable — but the work they sum to is.
+//   - identical per-node final ledger snapshots. A parallel scan's
+//     page-aligned partition windows differ from the in-memory n*i/parts
+//     split, but each node's read sums its workers' sub-slots, and the work
+//     they sum to is the same.
 func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator) {
 	t.Helper()
 	check := func(lbl, engine string, batchSize int, exact bool) {
 		t.Helper()
-		ref := runMarked(t, lbl+": in-memory "+engine, build(memCat), batchSize, exact)
-		sub := runMarked(t, lbl+": paged "+engine, build(pagedCat), batchSize, exact)
-		if len(sub.marks) != len(ref.marks) {
-			t.Fatalf("%s: trail lengths differ: paged %d marks, in-memory %d", lbl, len(sub.marks), len(ref.marks))
-		}
+		ref := mustRun(t, lbl+": in-memory "+engine, build(memCat), batchSize, exact)
+		sub := mustRun(t, lbl+": paged "+engine, build(pagedCat), batchSize, exact)
 		if err := compareRuns(lbl, "paged", "in-memory", sub, ref); err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,6 @@ func checkNoPins(t *testing.T, cat *catalog.Catalog) {
 func TestPagedEquivalence(t *testing.T) {
 	mem, paged := twinCatalogs(t)
 	for _, e := range PagedCorpus() {
-		e := e
 		t.Run(e.Label, func(t *testing.T) {
 			CheckPagedEquivalence(t, e.Label, mem, paged, e.Build)
 			checkNoPins(t, paged)
@@ -40,7 +39,6 @@ func TestPagedEquivalence(t *testing.T) {
 func TestPagedProgressInvariants(t *testing.T) {
 	_, paged := twinCatalogs(t)
 	for _, e := range PagedCorpus() {
-		e := e
 		t.Run(e.Label, func(t *testing.T) {
 			CheckProgressInvariants(t, e.Label, e.Build(paged), 1)
 			checkNoPins(t, paged)
@@ -54,14 +52,9 @@ func TestPagedProgressInvariants(t *testing.T) {
 // pay the weight on every page.
 func newWeightedTwin(t *testing.T, frames int, readCost int64) *catalog.Catalog {
 	t.Helper()
-	base := corpusCatalog()
-	cat := catalog.New(nil)
-	for _, name := range []string{"r1", "r2"} {
-		rel, err := base.Relation(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat.AddRelation(rel)
+	cat, err := corpusSideCatalog()
+	if err != nil {
+		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	pool := pager.NewPool(frames)
@@ -78,8 +71,6 @@ func newWeightedTwin(t *testing.T, frames int, readCost int64) *catalog.Catalog 
 		pr.SetReadCost(readCost)
 		t.Cleanup(func() { pr.HeapFile().Close() })
 	}
-	cat.DeclareUnique("r1", "a")
-	cat.DeclareUnique("p1", "a")
 	return cat
 }
 
@@ -91,7 +82,6 @@ func newWeightedTwin(t *testing.T, frames int, readCost int64) *catalog.Catalog 
 func TestPagedWeightedInvariants(t *testing.T) {
 	cat := newWeightedTwin(t, 4, 3)
 	for _, e := range PagedCorpus() {
-		e := e
 		t.Run(e.Label, func(t *testing.T) {
 			CheckProgressInvariants(t, e.Label, e.Build(cat), 1)
 			checkNoPins(t, cat)
@@ -106,7 +96,6 @@ func TestPagedWeightedInvariants(t *testing.T) {
 func TestPagedCloseBeforeDrainLeavesNoPins(t *testing.T) {
 	_, paged := twinCatalogs(t)
 	for _, e := range PagedCorpus() {
-		e := e
 		t.Run(e.Label, func(t *testing.T) {
 			op := e.Build(paged)
 			exec.EnsureLedger(op)

@@ -13,9 +13,9 @@ import (
 // next rows, and an empty batch is end of stream. The paper's GetNext is a
 // pull with want == 1 — exactly one row handed to the parent, or none at EOF.
 // The design constraint is the paper's: progress is accounted in GetNext
-// calls, and the ledger trajectories the estimators read must be the same
-// whatever the pull size. So there are two pull sizes through one body, not
-// two engines, and the run derives which from its hooks — no caller picks:
+// calls, and every count a run ends with must be the same whatever the pull
+// size. So there are two pull sizes through one body, not two engines, and
+// the run derives which from its hooks — no caller picks:
 //
 //   - Exact (every pull is want == 1): any run with Ctx.Inject or
 //     Ctx.OnGetNext set, because only something that watches every call
@@ -25,12 +25,13 @@ import (
 //
 //   - Bulk (no hook): operators move chunks of up to Ctx.BatchSize rows and
 //     credit their ledger slots in bulk — one interface dispatch and a
-//     handful of atomic adds per chunk instead of per row. Every operator
-//     finishes the child chunk it holds before it returns, so whenever a
-//     root batch is handed back the whole tree is quiescent and the ledger
-//     is exactly the exact regime's at the same Curr (coretest's
-//     bulk-vs-exact check proves this over its corpus, against a reference
-//     run that installs a hook).
+//     handful of atomic adds per chunk instead of per row. Between two
+//     credits a child may be a chunk ahead of its parent, so the states a
+//     sampler reads are not the exact regime's; they are held to the
+//     paper's bounds instead: coretest's torn-read check records a ledger
+//     read after every credit of a bulk run and folds every read a sampler
+//     could take between two of them, and the two regimes must end with the
+//     same rows, calls and per-node ledger.
 //
 // Who asks for how much: a streaming child is pulled with its parent's want,
 // and a blocking child is drained at ctx.batchSize(). Top, MergeJoin and
@@ -207,24 +208,20 @@ func (n *base) rowWise(ctx *Ctx, b *Batch, want int, next func(*Ctx) (schema.Row
 // with the caller's want and runs step over each chunk in strides of want
 // input rows, crediting each stride's output in pieces of at most want rows,
 // so a skewed fan-out moves the ledger a pull at a time and a cancel stops it
-// within one stride. It returns only with the whole chunk processed: the
-// subtree is quiescent at every return.
+// within one stride. It returns only with the whole chunk processed, and
+// marks the node done on the pull that finds the child's EOF.
 //
-// Two pieces of state keep a bulk pull's ledger where one-row pulls would put
-// it. A child EOF found with output in hand marks the node done one pull
-// later (drained), as a one-row pull would find it. And at want == 1, where
-// one input row can yield several output rows (a join's fan-out), the rows
-// past the first wait uncredited in fan and are handed out one per pull
-// before the child is pulled again.
+// At want == 1, where one input row can yield several output rows (a join's
+// fan-out), the rows past the first wait uncredited in fan and are handed
+// out one per pull before the child is pulled again.
 type stream struct {
-	in      Batch // reused child-chunk scratch
-	drained bool
-	fan     []schema.Row
-	fanPos  int
+	in     Batch // reused child-chunk scratch
+	fan    []schema.Row
+	fanPos int
 }
 
 // reset readies the loop for a fresh Open, keeping its buffers.
-func (s *stream) reset() { s.drained, s.fan, s.fanPos = false, s.fan[:0], 0 }
+func (s *stream) reset() { s.fan, s.fanPos = s.fan[:0], 0 }
 
 // pull is one NextBatch of node n over child through step.
 func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, step func(in []schema.Row, out *Batch) int) error {
@@ -233,10 +230,6 @@ func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, ste
 		b.Append(s.fan[s.fanPos])
 		s.fanPos++
 		return ctx.credit(n.slot, 0, 1)
-	}
-	if s.drained {
-		n.markDone()
-		return nil
 	}
 	s.in.reserve(child, want)
 	for {
@@ -247,11 +240,7 @@ func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, ste
 		}
 		k := s.in.Len()
 		if k == 0 {
-			if b.Len() == 0 {
-				n.markDone()
-			} else {
-				s.drained = true
-			}
+			n.markDone()
 			return nil
 		}
 		for lo := 0; lo < k; lo += want {
@@ -264,9 +253,8 @@ func (s *stream) pull(ctx *Ctx, n *base, child Operator, b *Batch, want int, ste
 				return err
 			}
 		}
-		// A short child chunk often precedes EOF: return early rather than
-		// probing it now, keeping done-flag timing aligned with one-row
-		// pulls (see drained).
+		// A short child chunk often precedes EOF: hand its output to the
+		// parent now rather than probe the child first.
 		if b.Len() >= want || (k < want && b.Len() > 0) {
 			return nil
 		}
@@ -315,38 +303,15 @@ func (a *rowArena) concat(l, r schema.Row) schema.Row {
 }
 
 // RunBatch drains an operator tree to completion, returning all produced
-// root rows. It binds the plan to a progress ledger first, so samplers
-// attached to the tree always observe ledger-backed counters. Its pulls are
-// bulk, or one row each when a hook is installed; either way it produces the
-// same result multiset, the same final ledger counts and — at every
-// root-batch quiesce point — the same dne/pmax/safe estimator inputs.
+// root rows. It is the one run loop: it binds the plan to a progress ledger
+// first, so samplers attached to the tree always observe ledger-backed
+// counters, opens it, pulls the root at the run's pull size until EOF, and
+// closes it. Its pulls are bulk, or one row each when a hook is installed;
+// either way it produces the same result multiset and the same final ledger
+// counts.
 func RunBatch(ctx *Ctx, op Operator) ([]schema.Row, error) {
-	return RunBatchObserved(ctx, op, nil)
-}
-
-// RunBatchObserved is RunBatch with a quiesce-point observer: observe (when
-// non-nil) is invoked with the current Curr after every non-empty root batch
-// has been collected, once more at EOF, and — inside a blocking operator's
-// Open, where a plan under a sort, an aggregate or a hash build spends its
-// run — after each batch of its child has been taken in (drain). At each
-// invocation no operator holds counted-but-unprocessed rows, so a sampler
-// reading the ledger sees a state a hooked run reaches at the same Curr — the
-// property the bulk-vs-exact differential check is built on, and its only
-// use: samplers use the credit trigger (Ctx.SampleEvery), whose instants are
-// not quiesce points, because a child may be a chunk ahead of its parent
-// there. observe only ever runs on the calling goroutine: a plan whose
-// workers drain partitions on goroutines of their own is observed at the
-// root batches alone.
-//
-// It is the one run loop: it binds the plan, opens it, pulls the root at
-// the run's pull size until EOF, and closes it.
-func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema.Row, error) {
 	if ctx == nil {
 		ctx = NewCtx()
-	}
-	ctx.observe = nil
-	if observe != nil && OnOneGoroutine(op) {
-		ctx.observe = observe
 	}
 	EnsureLedger(op)
 	if err := op.Open(ctx); err != nil {
@@ -380,12 +345,6 @@ func RunBatchObserved(ctx *Ctx, op Operator, observe func(curr int64)) ([]schema
 		} else {
 			out = append(out, b.Rows...)
 		}
-		if observe != nil {
-			observe(ctx.Calls())
-		}
-	}
-	if observe != nil {
-		observe(ctx.Calls())
 	}
 	if err := op.Close(); err != nil {
 		return nil, err
@@ -425,11 +384,7 @@ func drainAll(ctx *Ctx, child Operator, buf []schema.Row) ([]schema.Row, error) 
 
 // drain opens a blocking child and hands sink every row it produces, pulled
 // at the run's pull size. The child is consumed whole inside the parent's
-// Open (EOF probe included), so its pull size can't desynchronize any
-// quiesce-point snapshot; each sunk batch is itself such a point (the child
-// subtree is quiescent and sinking counts nothing), reported to the run's
-// observer — the marks the bulk-vs-exact check compares inside a blocking
-// build.
+// Open, EOF probe included.
 func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 	if err := child.Open(ctx); err != nil {
 		return err
@@ -442,9 +397,6 @@ func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 			return err
 		}
 		sink(in.Rows)
-		if ctx.observe != nil {
-			ctx.observe(ctx.Calls())
-		}
 	}
 }
 

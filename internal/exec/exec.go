@@ -65,9 +65,6 @@ type Ctx struct {
 	// hooked run's pulls are one row whatever it says.
 	BatchSize int
 
-	// observe is RunBatchObserved's quiesce-point observer, carried for drain.
-	observe func(curr int64)
-
 	// every and onDue are the sampling trigger SampleEvery installs; due is
 	// the next instant it fires at.
 	every int64

@@ -112,8 +112,8 @@ func (j *MergeJoin) advanceRight(ctx *Ctx) error {
 
 // NextBatch implements Operator. The two inputs advance at data-dependent
 // rates, so chunked lookahead would hold counted-but-unmerged rows across
-// quiesce points; MergeJoin pulls both children one row at a time at any
-// want, batching only its output. Sorts beneath it still drain their own
+// pulls; MergeJoin pulls both children one row at a time at any want,
+// batching only its output. Sorts beneath it still drain their own
 // children in bulk during Open.
 func (j *MergeJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	return j.rowWise(ctx, b, want, j.next)

@@ -113,8 +113,8 @@ func Lockstep(root Operator) {
 
 // OnOneGoroutine reports whether the whole plan under root executes on its
 // caller's goroutine: no parallel operator, or every one in lockstep. Only
-// such a run's mid-run instants are synchronized points, so observers and
-// test checkers read it from the plan rather than being told.
+// such a run's mid-run instants are synchronized points, so test checkers
+// read it from the plan rather than being told.
 func OnOneGoroutine(root Operator) bool {
 	one := true
 	Walk(root, func(op Operator) {

@@ -48,8 +48,9 @@ func (s *Slot) CountCall() { s.returned.Add(1) }
 // executor's bulk credit. Samplers observe the counter jump by n at once,
 // which is indistinguishable from having missed the n-1 intermediate
 // instants of a row-at-a-time run; every bound derivation stays sound
-// because counters remain monotone and children are credited before (or in
-// the same quiesce window as) their parents.
+// because counters remain monotone and a child's rows are credited before
+// its parent credits what it made of them (coretest's torn-read check folds
+// every read a sampler can take between two credits).
 func (s *Slot) CountCalls(n int64) { s.returned.Add(n) }
 
 // CountDelivered records one row delivered to the parent.
