@@ -400,6 +400,24 @@ func BenchmarkPagedVsMem(b *testing.B) {
 	}
 }
 
+// BenchmarkCompiledScanAgg runs the analytic workload's scanagg statement,
+// and the same statement without GROUP BY, in memory: the executor's
+// aggregate fold over lineitem without a daemon, a session or a monitor.
+func BenchmarkCompiledScanAgg(b *testing.B) {
+	db := OpenTPCH(0.02, 1, 42)
+	for _, st := range []struct{ name, sql string }{
+		{"group-by", pagedVsMemClasses[0].sql},
+		{"scalar", "SELECT COUNT(*), SUM(l_quantity), AVG(l_extendedprice) FROM lineitem WHERE l_extendedprice > 950"},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runStatement(b, db, st.sql)
+			}
+		})
+	}
+}
+
 // The ceilings on one filtercount statement over spilledTPCH: 120 000-odd
 // lineitem rows on ≈ 2 000 pages, two of sixteen columns read. Allocation is
 // two slices per page (row headers and an n × 2 value slab) plus the plan;

@@ -172,10 +172,12 @@ func (t *Tracker) Fold(read []ledger.Snapshot) *State {
 	t.nodes = append(t.nodes[:0], read...)
 	snap := t.ev.Fold(t.nodes)
 	s := &State{
-		Curr:    curr(t.nodes),
-		LB:      snap.LB,
-		UB:      snap.UB,
-		UBTight: snap.UBTight,
+		Curr:      curr(t.nodes),
+		LB:        snap.LB,
+		UB:        snap.UB,
+		UBTight:   snap.UBTight,
+		Drivers:   make([]DriverState, 0, len(t.drivers)),
+		Pipelines: make([]PipelineState, 0, len(t.pipelines)),
 	}
 	if s.LB < 1 {
 		s.LB = 1

@@ -57,7 +57,12 @@ func (a Agg) OutputType() sqlval.Kind {
 // NULL arguments are ignored by all functions; COUNT(*) counts rows; an
 // empty group yields NULL for all but COUNT/COUNT(*) (which yield 0).
 type AggState struct {
-	agg   Agg
+	agg Agg
+	// col is the row index of a bare-column argument, -1 for any other
+	// argument. Add reads row[col] without the Expr call, which made a
+	// grouped aggregate over wide in-memory rows about a quarter faster
+	// (EXPERIMENTS.md).
+	col   int
 	n     int64 // non-null inputs seen (rows for COUNT(*))
 	sumI  int64
 	sumF  float64
@@ -67,7 +72,13 @@ type AggState struct {
 }
 
 // NewAggState returns a fresh accumulator for the aggregate.
-func NewAggState(a Agg) *AggState { return &AggState{agg: a, isInt: true} }
+func NewAggState(a Agg) *AggState {
+	s := &AggState{agg: a, col: -1, isInt: true}
+	if c, ok := a.Arg.(Col); ok {
+		s.col = c.Index
+	}
+	return s
+}
 
 // Add folds one input row into the accumulator.
 func (s *AggState) Add(row schema.Row) {
@@ -75,7 +86,12 @@ func (s *AggState) Add(row schema.Row) {
 		s.n++
 		return
 	}
-	v := s.agg.Arg.Eval(row)
+	var v sqlval.Value
+	if s.col >= 0 {
+		v = row[s.col]
+	} else {
+		v = s.agg.Arg.Eval(row)
+	}
 	if v.IsNull() {
 		return
 	}
