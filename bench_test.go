@@ -419,9 +419,9 @@ func BenchmarkCompiledScanAgg(b *testing.B) {
 }
 
 // The ceilings on one filtercount statement over spilledTPCH: 120 000-odd
-// lineitem rows on ≈ 2 000 pages, two of sixteen columns read. Allocation is
+// lineitem rows on ≈ 2 000 pages, two of fifteen columns read. Allocation is
 // two slices per page (row headers and an n × 2 value slab) plus the plan;
-// decoding all sixteen columns was 72 MB and 245 000 allocations, most of
+// decoding all fifteen columns was 72 MB and 245 000 allocations, most of
 // them the strings of columns the statement never mentions.
 const (
 	batchPagedScanAllocBudget = 6_000

@@ -314,8 +314,8 @@ func fuzzProgressInvariants(t *testing.T, seed int64) {
 // fuzzParallelScanFilter cross-validates the parallel access path: a Filter
 // over a morsel-driven ParallelScan of t1 with a seed-random worker count
 // must produce exactly the serial evaluation's rows (order aside) — and the
-// progress invariants must hold while the workers write their ledger
-// sub-slots concurrently.
+// progress invariants must hold while the workers run concurrently with the
+// reader that counts their rows.
 func fuzzParallelScanFilter(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
@@ -559,12 +559,12 @@ func fuzzOrderInvariance(t *testing.T, seed int64) {
 // against their serial counterparts over seed-random data: a ParallelHashJoin
 // (seed-chosen join mode and worker count) must produce the serial HashJoin's
 // result multiset with identical total counted calls and an identical
-// aggregate root-node snapshot — the workers' sub-slots summing to exactly
-// the serial node's counters — and a ParallelAgg must reproduce HashAgg's
+// root-node snapshot — the reader counting exactly the serial node's
+// calls — and a ParallelAgg must reproduce HashAgg's
 // groups value-for-value (COUNT/SUM/MIN/MAX over ints: exact merge). Both
 // parallel plans then rerun under per-call sampling via
 // CheckProgressInvariants, proving monotone non-crossing bounds while the
-// workers write their ledger sub-slots concurrently.
+// workers write their partitions' ledger slots concurrently.
 func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := newFuzzDB(r)
@@ -594,7 +594,7 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 		t.Fatalf("%s: total calls %d, serial %d", joinLabel, gotCalls, wantCalls)
 	}
 	if gotSnap != wantSnap {
-		t.Fatalf("%s: aggregate snapshot %+v, serial %+v", joinLabel, gotSnap, wantSnap)
+		t.Fatalf("%s: root snapshot %+v, serial %+v", joinLabel, gotSnap, wantSnap)
 	}
 	coretest.CheckProgressInvariants(t, joinLabel, parJoin(), 1)
 
@@ -616,7 +616,7 @@ func fuzzParallelJoinAgg(t *testing.T, seed int64) {
 		t.Fatalf("%s: total calls %d, serial %d", aggLabel, gotCalls, wantCalls)
 	}
 	if gotSnap != wantSnap {
-		t.Fatalf("%s: aggregate snapshot %+v, serial %+v", aggLabel, gotSnap, wantSnap)
+		t.Fatalf("%s: root snapshot %+v, serial %+v", aggLabel, gotSnap, wantSnap)
 	}
 	coretest.CheckProgressInvariants(t, aggLabel, parAgg(), 1)
 }

@@ -66,7 +66,6 @@ type evalNode struct {
 
 	demandCap int64 // static pull bound reaching this node (-1 = unbounded)
 	mayStop   bool  // an ancestor may abandon this node before EOF
-	runsAhead bool  // workers count rows ahead of the reader's deliveries
 	pessUB    int64 // pessimistic delivered-rows bound (-1 = none)
 
 	childBounds []exec.CardBounds // scratch, parallel to children
@@ -114,7 +113,6 @@ func (ev *BoundsEvaluator) build(shape *PlanShape, id ledger.NodeID, demandCap i
 		firstStream: sn.FirstStream,
 		demandCap:   demandCap,
 		mayStop:     mayStop,
-		runsAhead:   sn.runsAhead,
 		pessUB:      sn.PessimisticUB,
 		id:          id,
 	}
@@ -201,13 +199,11 @@ func (ev *BoundsEvaluator) eval(n *evalNode, nodes []ledger.Snapshot, mult, mult
 		ruleT = capBounds(ruleT, n.pessUB)
 	}
 	deliveredRule, deliveredRuleT := rule, ruleT
-	sameEmission, sameEmissionT := !n.runsAhead, !n.runsAhead
 	if n.delivered != nil {
 		deliveredRule = n.delivered.DeliveredBounds()
-		sameEmission = sameEmission && deliveredRule == rule
 		deliveredRuleT = deliveredRule
-		sameEmissionT = sameEmissionT && deliveredRuleT == ruleT
 	}
+	sameEmission, sameEmissionT := deliveredRule == rule, deliveredRuleT == ruleT
 	if n.mayStop {
 		// An ancestor may stop pulling before this node reaches EOF: the
 		// static rules' lower bounds assume a full drain and are unsound
@@ -270,8 +266,8 @@ func (ev *BoundsEvaluator) eval(n *evalNode, nodes []ledger.Snapshot, mult, mult
 // the delivered lower bound too. Where counting equals delivery the same
 // holds for the GetNext count; where it does not — a scan with an embedded
 // predicate scans an unknown number of rows to find those deliveries, and a
-// worker-credited node counts rows its parent may never pull — the cap says
-// nothing about the count, which keeps its static UB and only
+// paged scan charges an unknown number of read units for them — the cap
+// says nothing about the count, which keeps its static UB and only
 // rows-already-returned as its LB.
 func capToDemand(delivered, rule exec.CardBounds, sameEmission bool, cap int64) (exec.CardBounds, exec.CardBounds) {
 	delivered = capBounds(delivered, cap)

@@ -112,6 +112,9 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
 	mon.Attach(ctx)
+	// Attach sizes pulls for every = 1. Restore the default, so that only
+	// the injector's hook can force one-row pulls.
+	ctx.BatchSize = 0
 	serial := exec.OnOneGoroutine(root)
 	var reads [][]ledger.Snapshot
 	if serial {

@@ -19,10 +19,12 @@ type CorpusEntry struct {
 	Label string
 	Build func() exec.Operator
 	// StopsEarly marks parallel plans whose root has its rows while workers
-	// are still running (LIMIT over a parallel operator). Which rows come
-	// back and how many calls the workers count before they are stopped
-	// differ from run to run, and a fault scheduled on a worker's call may
-	// fire on abandoned work, after the query has already completed.
+	// are still running (LIMIT over a parallel operator), so which rows come
+	// back differs from run to run. A parallel node counts only what its
+	// reader hands out, so a ParallelScan never counts abandoned work; the
+	// partition scans a parallel join's workers drain do, so how many calls
+	// they count before they are stopped differs too, and a fault scheduled
+	// on such a call may fire after the query has already completed.
 	StopsEarly bool
 }
 
@@ -54,7 +56,7 @@ func corpusCatalog() *catalog.Catalog {
 // rescan-heavy nested loops (whose bounds legitimately never pin), merge
 // join, scalar aggregation, a hash join emitting a subset of its columns,
 // LIMIT abandoning a filtered scan directly and through a join, and LIMIT
-// over the two worker-credited parallel operators.
+// over the two parallel operators whose workers produce the rows.
 // CheckProgressInvariants holds on every
 // entry; the chaos harness replays them under fault schedules.
 func Corpus() []CorpusEntry {
@@ -125,9 +127,9 @@ func Corpus() []CorpusEntry {
 			return b.ParallelAgg("r2", 4, 0, []string{"b"}, count).Op
 		}},
 		{Label: "limit-parallel-scan", StopsEarly: true, Build: func() exec.Operator {
-			// LIMIT over worker-credited operators: the workers count rows
-			// ahead of the reader, so the Top's cap says what is delivered,
-			// not what is counted.
+			// LIMIT over parallel operators: the workers produce rows ahead
+			// of the reader, which counts only the rows the Top pulls; under
+			// the join the partition scans run ahead.
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelScan("r2", 4).Top(5).Op
 		}},

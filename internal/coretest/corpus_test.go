@@ -24,10 +24,12 @@ func TestCorpusCleanInvariants(t *testing.T) {
 }
 
 // TestLedgerIsTheOnlyHome: a node counts only into its ledger slot, bound
-// before Open. After a run of every corpus plan in either regime — exact
-// ("row", a hook installed) or bulk ("batch") — each node reads through its
-// ledger's view, one read of the ledger sums to the run's Curr, and the
-// ledger bound before the run is still the plan's ledger.
+// before Open, and its work is the rows it hands its parent. After a run of
+// every corpus plan in either regime — exact ("row", a hook installed) or
+// bulk ("batch") — each node reads its ledger slot, one read of the ledger
+// sums to the run's Curr, the root has delivered the result's rows, a Top's
+// child has delivered at most K, and the ledger bound before the run is
+// still the plan's ledger.
 func TestLedgerIsTheOnlyHome(t *testing.T) {
 	for _, entry := range Corpus() {
 		for _, engine := range []string{"row", "batch"} {
@@ -39,8 +41,13 @@ func TestLedgerIsTheOnlyHome(t *testing.T) {
 				exec.Walk(op, func(o exec.Operator) {
 					if o.LedgerID() != id {
 						t.Errorf("%s: ledger id %d, want pre-order %d", o.Name(), o.LedgerID(), id)
-					} else if got, want := exec.NodeSnapshot(o), led.View(id).Snapshot(); got != want {
-						t.Errorf("%s: node view %+v, ledger view %+v", o.Name(), got, want)
+					} else if got, want := exec.NodeSnapshot(o), led.Slot(id).Snapshot(); got != want {
+						t.Errorf("%s: node snapshot %+v, ledger slot %+v", o.Name(), got, want)
+					}
+					if top, ok := o.(*exec.Top); ok {
+						if d := run.final[id+1].Delivered; d > top.K {
+							t.Errorf("%s's child delivered %d rows", o.Name(), d)
+						}
 					}
 					id++
 				})
@@ -50,6 +57,9 @@ func TestLedgerIsTheOnlyHome(t *testing.T) {
 				}
 				if total != run.calls {
 					t.Errorf("ledger read sums to %d, Curr %d", total, run.calls)
+				}
+				if d := run.final[0].Delivered; d != int64(len(run.rows)) {
+					t.Errorf("root delivered %d rows, result has %d", d, len(run.rows))
 				}
 				if again := exec.EnsureLedger(op); again != led {
 					t.Error("binding a bound plan again returned a different ledger")
@@ -96,7 +106,7 @@ func TestMergeJoinEarlyStopBounds(t *testing.T) {
 	// its input cardinality, or the regression scenario has silently
 	// disappeared and this test is vacuous.
 	sortL := root.Children()[0]
-	if got, want := exec.NodeView(sortL).Returned(), int64(80); got >= want {
+	if got, want := exec.NodeSnapshot(sortL).Returned, int64(80); got >= want {
 		t.Fatalf("left sort drained fully (%d rows); corpus no longer exercises early stop", got)
 	}
 }

@@ -203,8 +203,7 @@ func PagedCorpus() []PagedEntry {
 //   - identical total GetNext calls,
 //   - identical per-node final ledger snapshots. A parallel scan's
 //     page-aligned partition windows differ from the in-memory n*i/parts
-//     split, but each node's read sums its workers' sub-slots, and the work
-//     they sum to is the same.
+//     split, but its reader counts the same rows either way.
 func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator) {
 	t.Helper()
 	check := func(lbl, engine string, batchSize int, exact bool) {

@@ -18,8 +18,8 @@ import (
 // goroutines throughout the blocking fold, so an async sampler watching the
 // ledger sees the agg pipeline advance mid-run instead of the
 // all-at-once jump a serial blocked drain produces. The agg node's own
-// counted calls are its emitted merged groups, credited by the reader (the
-// node's sole writer — it needs no sub-slots).
+// counted calls are its emitted merged groups, credited by the reader, the
+// node's sole writer, as under every parallel operator.
 //
 // The merge is exact for every supported aggregate (COUNT/SUM/AVG/MIN/MAX);
 // SUM/AVG stay in int64 arithmetic while every partial did. Merging in

@@ -55,10 +55,13 @@ const DefaultBatchSize = 1024
 // references into immutable base relations).
 type Batch struct {
 	Rows []schema.Row
+	// units are the weighted read units a ParallelScan worker's morsel
+	// charged for these rows, for the reader to credit (gather.next).
+	units int64
 }
 
 // Reset empties the batch, keeping its backing capacity.
-func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
+func (b *Batch) Reset() { b.Rows, b.units = b.Rows[:0], 0 }
 
 // reserve sizes an unused batch once for pulls of up to want rows from
 // child: no more than the child can deliver (capHint), so a pull from a

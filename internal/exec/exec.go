@@ -136,9 +136,9 @@ func SatAdd(a, b int64) int64 {
 
 // Operator is a physical operator node under the iterator model.
 //
-// A node counts only into its ledger slot (plus, for a parallel operator,
-// its per-worker sub-slots), bound by EnsureLedger before Open; RunBatch
-// binds first. Readers go through NodeView or the ledger itself.
+// A node counts only into its ledger slot, bound by EnsureLedger before
+// Open; RunBatch binds first. Readers go through NodeSnapshot or the ledger
+// itself.
 type Operator interface {
 	// Open prepares the operator (and recursively its inputs) for
 	// iteration. Blocking operators perform their build work here, issuing
@@ -191,8 +191,8 @@ type Operator interface {
 
 // base carries the bookkeeping shared by all operators.
 type base struct {
-	// slot is the node's primary ledger slot, led.Slot(id), cached for the
-	// hot path. All three are set by EnsureLedger, before Open and
+	// slot is the node's ledger slot, led.Slot(id), cached for the hot
+	// path. All three are set by EnsureLedger, before Open and
 	// before any reader; slot is nil until then.
 	slot *ledger.Slot
 	id   ledger.NodeID
@@ -225,25 +225,15 @@ func (b *base) SetEstimatedCard(v int64) { b.est = v }
 // markDone sets the node's EOF flag.
 func (b *base) markDone() { b.slot.MarkDone() }
 
-// reopen resets per-run state for a rescan on every slot of the node, worker
-// sub-slots included. The rescan counter is bumped *before* done is cleared:
-// a concurrent Snapshot that still sees the previous run's done=true will
-// then see Rescans > 0 and refuse to pin the node (see ledger.Slot.Snapshot).
+// reopen resets the node's slot for a rescan. The rescan counter is bumped
+// *before* done is cleared: a concurrent Snapshot that still sees the
+// previous run's done=true will then see Rescans > 0 and refuse to pin the
+// node (see ledger.Slot.Snapshot).
 func (b *base) reopen() {
-	for w := range b.led.Workers(b.id) {
-		s := b.led.WorkerSlot(b.id, w)
-		if s.Done() || s.Returned() > 0 {
-			s.MarkRescan()
-		}
-		s.ClearDone()
+	if b.slot.Done() || b.slot.Returned() > 0 {
+		b.slot.MarkRescan()
 	}
-}
-
-// workerSlotted is implemented by operators whose node counters are split
-// across per-worker ledger sub-slots behind the node's single NodeID;
-// EnsureLedger allocates the sub-slots when it binds the node.
-type workerSlotted interface {
-	workerCount() int
+	b.slot.ClearDone()
 }
 
 // EnsureLedger binds every node of the plan to one per-query ledger,
@@ -276,9 +266,6 @@ func EnsureLedger(root Operator) *ledger.Ledger {
 	Walk(root, func(o Operator) {
 		b := o.progressBase()
 		b.led, b.id, b.slot = led, id, led.Slot(id)
-		if ws, ok := o.(workerSlotted); ok {
-			led.EnsureWorkers(id, ws.workerCount())
-		}
 		id++
 	})
 	return led
@@ -292,23 +279,15 @@ func Walk(op Operator, visit func(Operator)) {
 	}
 }
 
-// NodeView returns op's ledger view, which sums any worker sub-slots. It
-// is the uniform way to read a node's runtime counters; the plan must be
-// bound (EnsureLedger).
-func NodeView(op Operator) ledger.View {
-	b := op.progressBase()
-	return b.led.View(b.id)
-}
-
-// NodeSnapshot reads op's aggregated runtime counters under the snapshot
-// ordering protocol (see NodeView).
-func NodeSnapshot(op Operator) ledger.Snapshot { return NodeView(op).Snapshot() }
+// NodeSnapshot reads op's runtime counters from its ledger slot under the
+// snapshot ordering protocol; the plan must be bound (EnsureLedger).
+func NodeSnapshot(op Operator) ledger.Snapshot { return op.progressBase().slot.Snapshot() }
 
 // TotalCalls sums Returned over the tree: the total GetNext calls performed
 // so far (Curr; after completion, total(Q)).
 func TotalCalls(op Operator) int64 {
 	var total int64
-	Walk(op, func(o Operator) { total += NodeView(o).Returned() })
+	Walk(op, func(o Operator) { total += o.progressBase().slot.Returned() })
 	return total
 }
 
@@ -322,7 +301,7 @@ func Explain(op Operator) string {
 	var b strings.Builder
 	var rec func(o Operator, depth int, builds bool)
 	rec = func(o Operator, depth int, builds bool) {
-		rt := NodeView(o)
+		rt := NodeSnapshot(o)
 		tags := ""
 		if s, ok := o.(*Scan); ok && s.cols != nil {
 			tags = fmt.Sprintf(" cols=%d/%d", len(s.cols), s.Src.Schema().Len())
@@ -331,7 +310,7 @@ func Explain(op Operator) string {
 			tags += " build"
 		}
 		fmt.Fprintf(&b, "%s%s  [rows=%d done=%v est=%d%s]\n",
-			strings.Repeat("  ", depth), o.Name(), rt.Returned(), rt.Done(), o.EstimatedCard(), tags)
+			strings.Repeat("  ", depth), o.Name(), rt.Returned, rt.Done, o.EstimatedCard(), tags)
 		hashJoin := false
 		switch o.(type) {
 		case *HashJoin, *ParallelHashJoin: // child 0 is the build side

@@ -439,7 +439,7 @@ func TestNLJoinMatchesHashJoin(t *testing.T) {
 	if ctx.Calls() != 17 {
 		t.Errorf("NL join calls = %d, want 17", ctx.Calls())
 	}
-	if r := NodeView(scanS).Rescans(); r != 2 {
+	if r := NodeSnapshot(scanS).Rescans; r != 2 {
 		t.Errorf("inner rescans = %d, want 2", r)
 	}
 }

@@ -11,10 +11,10 @@ import (
 // its blocking build side once, builds the serial join's table (joinTable) on
 // W goroutines, each filling its own range of slots, then probes W streaming
 // probe partitions on W workers. Each worker probes the read-only table (it
-// is frozen before the first probe), concatenates outputs from its own
-// arena, and credits emitted rows to its own ledger sub-slot — so the node's
-// aggregate counters and FinalBounds are exactly the serial HashJoin's while
-// build and probe both scale with cores.
+// is frozen before the first probe) and concatenates outputs from its own
+// arena; the reader credits the rows it hands out — so a drained join's
+// counters and FinalBounds are exactly the serial HashJoin's while build and
+// probe both scale with cores.
 //
 // Output: probe columns followed by build columns (probe-only for semi/anti),
 // in nondeterministic cross-partition order unless the plan runs in lockstep.
@@ -62,7 +62,6 @@ func NewParallelHashJoin(build Operator, parts []Operator, buildKeys, probeKeys 
 	return j
 }
 
-func (j *ParallelHashJoin) workerCount() int   { return len(j.parts) }
 func (j *ParallelHashJoin) transport() *gather { return &j.g }
 
 // Open implements Operator: drains the build side (on the reader — the
@@ -83,12 +82,11 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 }
 
 // probeStep opens probe partition w and returns the step that pulls its next
-// chunk, probes it and credits the emitted rows to sub-slot w, marking the
-// sub-slot done at the partition's EOF. Partition-subtree counts land on the
-// same worker — the partition nodes are separate plan nodes with their own
-// (single-writer) slots.
+// chunk and probes it into the worker's batch. Partition-subtree counts land
+// on the same worker — the partition nodes are separate plan nodes with
+// their own (single-writer) slots.
 func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
-	part, slot := j.parts[w], j.led.WorkerSlot(j.id, w)
+	part := j.parts[w]
 	if err := part.Open(ctx); err != nil {
 		return nil, err
 	}
@@ -101,23 +99,17 @@ func (j *ParallelHashJoin) probeStep(ctx *Ctx, w int) (workerStep, error) {
 			return turnOver, err
 		}
 		if in.Len() == 0 {
-			slot.MarkDone()
 			return turnLast, nil
 		}
-		emitted := j.table.probe(j.Mode, in.Rows, out, &matchBuf, j.pad, joined)
-		return turnOver, ctx.credit(slot, 0, emitted)
+		j.table.probe(j.Mode, in.Rows, out, &matchBuf, j.pad, joined)
+		return turnOver, nil
 	}, nil
 }
 
-// NextBatch implements Operator: hands out up to want rows of the current
-// worker batch with no additional accounting (workers credited their
-// sub-slots at probe time).
+// NextBatch implements Operator: hands out and credits up to want joined
+// rows (see gather.next).
 func (j *ParallelHashJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
-	b.Reset()
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	return j.g.nextRows(b, want)
+	return j.g.next(ctx, &j.base, b, want)
 }
 
 // Close implements Operator: stops the workers (quiescing the partitions),

@@ -5,24 +5,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 )
 
 // This file holds the machinery shared by the parallel operators
 // (ParallelScan, ParallelHashJoin, ParallelHashAgg): the worker→reader batch
-// transport and its two schedules, per-worker ledger crediting, and the
-// morsel-driven parallel scan itself.
+// transport and its two schedules, and the morsel-driven parallel scan
+// itself.
 //
-// ParallelScan and ParallelHashJoin are single plan nodes whose own counters
-// are split across per-worker ledger sub-slots (ledger.EnsureWorkers). Each
-// worker writes only its own padded sub-slot, preserving the single-writer
-// discipline the snapshot ordering protocol relies on, and every reader
-// aggregates the group through ledger.View. The node's FinalBounds therefore
-// stay those of the logical operator: a parallel scan of n rows is bounded
-// [n, n+units] no matter how many workers share the work. Partition subtrees
-// (the probe and fold inputs) are plan nodes of their own, each counted by
-// the one worker that drains it.
+// A parallel node's slot has one writer, its reader: a node's work is the
+// GetNext calls it answers, so the reader credits the rows it hands its
+// parent, and rows a worker produced that the parent never pulls are never
+// counted. Partition subtrees (the probe and fold inputs) are plan nodes of
+// their own, each counted by the one worker that drains it.
 
 // pullChunk fills in with a parallel worker's next chunk of partition part:
 // one pull of the chunk size in bulk, or — in the exact regime, where every
@@ -60,8 +55,8 @@ func pullChunk(ctx *Ctx, part Operator, in *Batch) error {
 //     rows, same counts, same ledger slots, but a fixed interleaving, so a
 //     sampler observes identical instants run after run.
 //
-// The reader side is nextRows over the current batch; the caller does any
-// accounting.
+// The reader side is next over the current batch, which credits what it
+// hands out.
 type gather struct {
 	lockstep bool
 
@@ -167,7 +162,7 @@ func (g *gather) run(w int, open func(w int) (workerStep, error)) {
 	for t := turnOver; err == nil && t != turnLast; {
 		wb := g.getBatch()
 		t, err = step(wb)
-		if err != nil || wb.Len() == 0 {
+		if err != nil || (wb.Len() == 0 && wb.units == 0) {
 			g.putBatch(wb)
 			continue
 		}
@@ -214,8 +209,8 @@ func (g *gather) putBatch(b *Batch) {
 	}
 }
 
-// recv returns the next non-empty worker batch, or nil once every worker has
-// finished — with the run's error, if one failed.
+// recv returns the next worker batch carrying rows or units, or nil once
+// every worker has finished — with the run's error, if one failed.
 func (g *gather) recv() (*Batch, error) {
 	if !g.lockstep {
 		if wb, ok := <-g.ch; ok {
@@ -244,44 +239,54 @@ func (g *gather) recv() (*Batch, error) {
 		if t == turnLast {
 			g.steps[w] = nil
 		}
-		if g.ls.Len() > 0 {
+		if g.ls.Len() > 0 || g.ls.units > 0 {
 			return &g.ls, nil
 		}
 	}
 	return nil, nil
 }
 
-// fill makes the current batch hold an unread row, fetching the next batch
-// (and recycling the spent one) when needed; false means end of stream.
-func (g *gather) fill() (bool, error) {
-	if g.buf == nil || g.pos >= g.buf.Len() {
-		if g.buf != nil {
-			g.putBatch(g.buf)
-		}
-		var err error
-		if g.buf, err = g.recv(); g.buf == nil {
-			return false, err
-		}
-		g.pos = 0
+// next is the NextBatch of a node whose workers produce its rows
+// (ParallelScan, ParallelHashJoin): it hands out up to want unread rows of
+// the current worker batch, or else of the next one (row headers only —
+// values are never copied, and the caller's buffer is never donated to the
+// free list: RunBatch may alias it to the result slice), and credits them on
+// n's slot. A worker batch's weighted read units are credited before its
+// first row, as a serial Scan credits a page's units before the rows read
+// from it; a batch that carries only units is passed over, so an empty b is
+// end of stream and marks the node done.
+func (g *gather) next(ctx *Ctx, n *base, b *Batch, want int) error {
+	b.Reset()
+	if ctx.canceled.Load() {
+		return ErrCanceled
 	}
-	return true, nil
-}
-
-// nextRows appends up to want unread rows of the current batch, or else of
-// the next one, to b (row headers only — values are never copied, and the
-// caller's buffer is never donated to the free list: RunBatch may alias it
-// to the result slice). b is left as it was at end of stream.
-func (g *gather) nextRows(b *Batch, want int) error {
-	if ok, err := g.fill(); !ok {
+	var units int64
+	for b.Len() == 0 {
+		if g.buf == nil {
+			var err error
+			if g.buf, err = g.recv(); err != nil {
+				return err
+			}
+			if g.buf == nil {
+				break
+			}
+			g.pos, units = 0, units+g.buf.units
+		}
+		k := min(want, g.buf.Len()-g.pos)
+		b.Rows = append(b.Rows, g.buf.Rows[g.pos:g.pos+k]...)
+		if g.pos += k; g.pos == g.buf.Len() {
+			g.putBatch(g.buf)
+			g.buf = nil
+		}
+	}
+	if err := ctx.credit(n.slot, units, 0); err != nil {
 		return err
 	}
-	n := min(want, g.buf.Len()-g.pos)
-	b.Rows = append(b.Rows, g.buf.Rows[g.pos:g.pos+n]...)
-	if g.pos += n; g.pos == g.buf.Len() {
-		g.putBatch(g.buf)
-		g.buf = nil
+	if b.Len() == 0 {
+		n.markDone()
+		return nil
 	}
-	return nil
+	return ctx.credit(n.slot, 0, b.Len())
 }
 
 // stop tears a concurrent run down: signals quit and waits for every worker
@@ -315,9 +320,9 @@ const morselRows = 4096
 // ParallelScan is the morsel-driven parallel scan: one leaf plan node whose
 // scan positions are carved into page-aligned morsels (Store.AlignWindow)
 // claimed dynamically by whichever worker is idle, so uneven costs never
-// stall the plan behind one static partition. Each worker credits rows and
-// weighted read units to its own ledger sub-slot; the reader merges batches
-// without recounting, so the node's aggregate counters — and its final
+// stall the plan behind one static partition. A worker's batch carries the
+// weighted read units its morsel's pages charged; the reader credits them
+// and the rows it hands out, so a drained scan's counters — and its final
 // bounds [n, n+MaxReadUnits] — are exactly a serial scan's.
 //
 // Row order across morsels is nondeterministic unless the plan runs in
@@ -351,7 +356,6 @@ func NewParallelScan(st schema.Store, workers int) *ParallelScan {
 	return p
 }
 
-func (p *ParallelScan) workerCount() int   { return p.workers }
 func (p *ParallelScan) transport() *gather { return &p.g }
 
 // Open implements Operator: resets the morsel counter and starts the
@@ -363,22 +367,18 @@ func (p *ParallelScan) Open(ctx *Ctx) error {
 	p.reopen()
 	p.nextMorsel.Store(0)
 	return p.g.start(p.workers, func(w int) (workerStep, error) {
-		slot := p.led.WorkerSlot(p.id, w)
-		return func(out *Batch) (turn, error) { return p.scanStep(ctx, w, slot, out) }, nil
+		return func(out *Batch) (turn, error) { return p.scanStep(ctx, w, out) }, nil
 	})
 }
 
 // scanStep fills out with worker w's next batch: rows of its current morsel
-// (a batch never spans morsels), credited — with any weighted read units —
-// to the worker's sub-slot. A worker holds its turn until its morsel is
-// drained, so in lockstep morsel m is scanned whole, by worker m mod W,
-// before morsel m+1 is touched. Out of morsels, it marks the sub-slot done
-// (the node is done when all are).
-func (p *ParallelScan) scanStep(ctx *Ctx, w int, slot *ledger.Slot, out *Batch) (turn, error) {
+// (a batch never spans morsels) and the weighted read units they charged. A
+// worker holds its turn until its morsel is drained, so in lockstep morsel m
+// is scanned whole, by worker m mod W, before morsel m+1 is touched.
+func (p *ParallelScan) scanStep(ctx *Ctx, w int, out *Batch) (turn, error) {
 	if p.curs[w] == nil {
 		m := int(p.nextMorsel.Add(1)) - 1
 		if m >= p.morsels {
-			slot.MarkDone()
 			return turnLast, nil
 		}
 		lo, hi := p.Src.AlignWindow(m, p.morsels)
@@ -391,39 +391,26 @@ func (p *ParallelScan) scanStep(ctx *Ctx, w int, slot *ledger.Slot, out *Batch) 
 		}
 		p.curs[w] = cur
 	}
-	t := turnHeld
-	var units int64
 	for want := ctx.chunkSize(); out.Len() < want; {
 		rows, u, err := p.curs[w].NextChunk(want - out.Len())
 		if err != nil {
-			return t, err
+			return turnHeld, err
 		}
-		units += u
+		out.units += u
 		if len(rows) == 0 {
 			p.curs[w].Close() // read-only cursor: nothing to lose
 			p.curs[w] = nil
-			t = turnOver
-			break
+			return turnOver, nil
 		}
 		out.Rows = append(out.Rows, rows...)
 	}
-	// Unlike a serial scan, a worker steps its delivered rows first and the
-	// chunk's read units after them.
-	if err := ctx.credit(slot, 0, out.Len()); err != nil {
-		return t, err
-	}
-	return t, ctx.credit(slot, units, 0)
+	return turnHeld, nil
 }
 
-// NextBatch implements Operator: hands out up to want rows of the current
-// worker batch with no additional accounting — the workers credited their
-// sub-slots when the rows were scanned, under the run's regime.
+// NextBatch implements Operator: hands out and credits up to want scanned
+// rows (see gather.next).
 func (p *ParallelScan) NextBatch(ctx *Ctx, b *Batch, want int) error {
-	b.Reset()
-	if ctx.canceled.Load() {
-		return ErrCanceled
-	}
-	return p.g.nextRows(b, want)
+	return p.g.next(ctx, &p.base, b, want)
 }
 
 // Close implements Operator: stops the workers, then closes any morsel

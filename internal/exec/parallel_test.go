@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sqlprogress/internal/expr"
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -53,7 +54,7 @@ func serialJoinOf(probe, build *schema.Relation, mode JoinMode) *HashJoin {
 }
 
 // TestParallelScanMatchesSerial: the morsel scan returns exactly the serial
-// scan's rows with identical aggregate node counters and identical plan-total
+// scan's rows with identical node counters and identical plan-total
 // calls, for any worker count, under both engines.
 func TestParallelScanMatchesSerial(t *testing.T) {
 	rel := seqRel("r", 9973)
@@ -77,7 +78,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 			sameRows(t, got, want, "morsel scan rows")
 			snap := NodeSnapshot(p)
 			if snap.Returned != rel.Cardinality() || snap.Delivered != rel.Cardinality() || !snap.Done {
-				t.Fatalf("workers=%d batch=%v: aggregate snapshot %+v, want %d/%d done",
+				t.Fatalf("workers=%d batch=%v: node snapshot %+v, want %d/%d done",
 					workers, batch, snap, rel.Cardinality(), rel.Cardinality())
 			}
 			if calls := ctx.Calls(); calls != rel.Cardinality() {
@@ -100,27 +101,19 @@ func TestParallelScanBounds(t *testing.T) {
 }
 
 // TestParallelScanLockstepDeterministic: two lockstep runs produce identical
-// row order and identical per-sub-slot occupancy; the aggregate equals a
-// concurrent run's aggregate.
+// row order; the node's counters equal a concurrent run's.
 func TestParallelScanLockstepDeterministic(t *testing.T) {
 	rel := seqRel("r", 9000)
 	var firstRows []schema.Row
-	var firstSlots []int64
 	for i := 0; i < 2; i++ {
 		p := NewParallelScan(rel, 3)
 		Lockstep(p)
-		led := EnsureLedger(p)
 		rows, err := RunBatch(NewCtx(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var slots []int64
-		id := p.progressBase().id
-		for w := 0; w < led.Workers(id); w++ {
-			slots = append(slots, led.WorkerSlot(id, w).Returned())
-		}
 		if i == 0 {
-			firstRows, firstSlots = rows, slots
+			firstRows = rows
 			continue
 		}
 		if len(rows) != len(firstRows) {
@@ -131,11 +124,8 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 				t.Fatalf("run %d: row %d differs (lockstep order not deterministic)", i, j)
 			}
 		}
-		if !reflect.DeepEqual(slots, firstSlots) {
-			t.Fatalf("run %d: sub-slot occupancy %v vs %v", i, slots, firstSlots)
-		}
 	}
-	// Aggregate counters match a concurrent run.
+	// The counters match a concurrent run's.
 	p := NewParallelScan(rel, 3)
 	if _, err := RunBatch(NewCtx(), p); err != nil {
 		t.Fatal(err)
@@ -146,12 +136,12 @@ func TestParallelScanLockstepDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := NodeSnapshot(p), NodeSnapshot(ls); a != b {
-		t.Fatalf("concurrent aggregate %+v != lockstep aggregate %+v", a, b)
+		t.Fatalf("concurrent counters %+v != lockstep counters %+v", a, b)
 	}
 }
 
 // TestParallelScanRescan: reopening accumulates counters and surfaces a
-// nonzero aggregate rescan count, voiding exactness as the protocol requires,
+// nonzero rescan count, voiding exactness as the protocol requires,
 // under either schedule.
 func TestParallelScanRescan(t *testing.T) {
 	rel := seqRel("r", 300)
@@ -171,7 +161,7 @@ func TestParallelScanRescan(t *testing.T) {
 		sameRows(t, second, first, "rescan rows")
 		snap := NodeSnapshot(p)
 		if snap.Rescans == 0 {
-			t.Fatalf("lockstep=%v: aggregate rescans = 0 after reopen", lockstep)
+			t.Fatalf("lockstep=%v: rescans = 0 after reopen", lockstep)
 		}
 		if snap.Returned != 2*rel.Cardinality() {
 			t.Fatalf("lockstep=%v: returned %d after rescan, want %d", lockstep, snap.Returned, 2*rel.Cardinality())
@@ -180,7 +170,7 @@ func TestParallelScanRescan(t *testing.T) {
 }
 
 // TestParallelScanErrorAndCancel: injected faults and cancellation surface
-// from worker goroutines exactly like the serial engine's errors.
+// from the reader's credits exactly like the serial engine's errors.
 func TestParallelScanErrorAndCancel(t *testing.T) {
 	rel := seqRel("r", 5000)
 	sentinel := errors.New("boom")
@@ -208,8 +198,8 @@ func TestParallelScanErrorAndCancel(t *testing.T) {
 }
 
 // TestParallelScanPagedWeightedUnits: against a disk-backed store with a
-// weighted read cost, the morsel workers credit physical read units to their
-// own sub-slots and the aggregate equals the serial scan's total exactly —
+// weighted read cost, each worker batch carries the physical read units its
+// pages charged, and the reader's total equals the serial scan's exactly —
 // every page is read once regardless of which worker claimed it.
 func TestParallelScanPagedWeightedUnits(t *testing.T) {
 	rel := seqRel("r", 4000)
@@ -258,12 +248,14 @@ func TestParallelScanPagedWeightedUnits(t *testing.T) {
 	}
 }
 
-// TestParallelScanPagedWorkerTrail pins the order a worker's counted calls
-// step in under a per-call hook: a chunk's delivered rows first, then the
-// weighted units of the pages read for it. Lockstep makes the trail
-// deterministic; it is written as runs of worker:kind×calls, D for a
+// TestParallelScanPagedReaderTrail pins the order the node's counted calls
+// step in under a per-call hook: a worker batch's weighted read units before
+// its rows, as in the serial Scan. The store charges one more unit on the
+// chunk that finds a morsel's window over, so each morsel ends in a batch
+// that carries only units, which must not end the scan. Lockstep makes the
+// trail deterministic; it is written as runs of kind×calls, D for a
 // delivered row and U for a read unit.
-func TestParallelScanPagedWorkerTrail(t *testing.T) {
+func TestParallelScanPagedReaderTrail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.heap")
 	if err := pager.WriteRelation(path, seqRel("r", 4000)); err != nil {
 		t.Fatal(err)
@@ -275,51 +267,65 @@ func TestParallelScanPagedWorkerTrail(t *testing.T) {
 	defer hf.Close()
 	pr := pager.NewPagedRelation(hf, pager.NewPool(4))
 	pr.SetReadCost(3)
-	p := NewParallelScan(pr, 2)
+	p := NewParallelScan(endCharge{pr}, 2)
 	Lockstep(p)
-	led := EnsureLedger(p)
-	id := p.progressBase().id
 
 	var runs []string
 	var last string
 	n := 0
-	prev := make([][2]int64, 2)
+	var delivered int64
 	ctx := NewCtx()
-	ctx.BatchSize = 300
+	ctx.BatchSize = 25 // divides both morsels' 1 825 and 2 175 rows
 	ctx.OnGetNext = func(int64) {
-		for w := range prev {
-			s := led.WorkerSlot(id, w)
-			r, d := s.Returned(), s.Delivered()
-			if r == prev[w][0] {
-				continue
-			}
-			step := fmt.Sprintf("%d:U", w)
-			if d != prev[w][1] {
-				step = fmt.Sprintf("%d:D", w)
-			}
-			prev[w] = [2]int64{r, d}
-			if step != last && n > 0 {
-				runs = append(runs, fmt.Sprintf("%s%d", last, n))
-				n = 0
-			}
-			last = step
-			n++
+		step := "U"
+		if d := NodeSnapshot(p).Delivered; d != delivered {
+			step, delivered = "D", d
 		}
+		if step != last && n > 0 {
+			runs = append(runs, fmt.Sprintf("%s%d", last, n))
+			n = 0
+		}
+		last = step
+		n++
 	}
-	if _, err := RunBatch(ctx, p); err != nil {
+	rows, err := RunBatch(ctx, p)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rows) != 4000 || !NodeSnapshot(p).Done {
+		t.Fatalf("%d rows, node %+v: want all 4000 and done", len(rows), NodeSnapshot(p))
 	}
 	runs = append(runs, fmt.Sprintf("%s%d", last, n))
 	got := strings.Join(runs, " ")
-	const want = "0:D300 0:U3 0:D900 0:U3 0:D625 1:D300 1:U3 1:D900 1:U3 1:D900 1:U3 1:D75"
+	// U4 is morsel 0's closing unit and morsel 1's first page read.
+	const want = "U3 D900 U3 D925 U4 D900 U3 D900 U3 D375 U1"
 	if got != want {
-		t.Fatalf("worker trail\n got %s\nwant %s", got, want)
+		t.Fatalf("reader trail\n got %s\nwant %s", got, want)
 	}
+}
+
+// endCharge is a store whose cursors charge one read unit on the chunk that
+// finds their window over.
+type endCharge struct{ schema.Store }
+
+func (s endCharge) OpenCursor(lo, hi int, cols []int) (schema.Cursor, error) {
+	c, err := s.Store.OpenCursor(lo, hi, cols)
+	return endChargeCursor{c}, err
+}
+
+type endChargeCursor struct{ schema.Cursor }
+
+func (c endChargeCursor) NextChunk(want int) ([]schema.Row, int64, error) {
+	rows, u, err := c.Cursor.NextChunk(want)
+	if len(rows) == 0 && err == nil {
+		u++
+	}
+	return rows, u, err
 }
 
 // TestParallelHashJoinMatchesSerial: for every join mode, the partitioned
 // join produces the serial HashJoin's multiset with identical plan-total
-// calls and an aggregate join-node snapshot equal to the serial node's.
+// calls and a join-node snapshot equal to the serial node's.
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	probe, build := joinInputs()
 	for _, mode := range []JoinMode{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
@@ -382,11 +388,11 @@ func TestParallelHashJoinBoundsMatchSerial(t *testing.T) {
 }
 
 // TestParallelHashJoinLockstepDeterministic: lockstep probing yields the same
-// row order and the same per-sub-slot counts run after run.
+// row order and the same per-node ledger run after run.
 func TestParallelHashJoinLockstepDeterministic(t *testing.T) {
 	probe, build := joinInputs()
 	var firstRows []schema.Row
-	var firstSlots []int64
+	var firstSlots []ledger.Snapshot
 	for i := 0; i < 2; i++ {
 		j := parallelJoinOf(probe, build, 3, InnerJoin, true)
 		led := EnsureLedger(j)
@@ -394,11 +400,7 @@ func TestParallelHashJoinLockstepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var slots []int64
-		id := j.progressBase().id
-		for w := 0; w < led.Workers(id); w++ {
-			slots = append(slots, led.WorkerSlot(id, w).Returned())
-		}
+		slots := led.SnapshotAll(nil)
 		if i == 0 {
 			firstRows, firstSlots = rows, slots
 			continue
@@ -412,7 +414,7 @@ func TestParallelHashJoinLockstepDeterministic(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(slots, firstSlots) {
-			t.Fatalf("run %d: sub-slot occupancy %v vs %v", i, slots, firstSlots)
+			t.Fatalf("run %d: ledger %v vs %v", i, slots, firstSlots)
 		}
 	}
 }
@@ -431,7 +433,7 @@ func TestParallelHashJoinRescan(t *testing.T) {
 	}
 	sameRows(t, second, first, "join rescan rows")
 	if snap := NodeSnapshot(j); snap.Rescans == 0 {
-		t.Fatalf("aggregate snapshot %+v, want nonzero rescans", snap)
+		t.Fatalf("node snapshot %+v, want nonzero rescans", snap)
 	}
 }
 

@@ -53,12 +53,19 @@ func TestSampleEveryFiresOncePerDueInstant(t *testing.T) {
 	}
 }
 
-// TestSampleEveryParallelScan: worker credits of a concurrent ParallelScan
-// race for each due instant, and the compare-and-swap hands it to one of
-// them: no two fires fall in the same period. Run it under -race.
+// TestSampleEveryParallelScan: the partition scans a parallel aggregate's
+// workers drain credit concurrently and race for each due instant, and the
+// compare-and-swap hands it to one of them: no two fires fall in the same
+// period. Run it under -race.
 func TestSampleEveryParallelScan(t *testing.T) {
 	const n, every = 50_000, 100
-	fires := runSampled(t, NewParallelScan(seqRel("r", n), 4), 64, every)
+	rel := seqRel("r", n)
+	parts := make([]Operator, 4)
+	for i := range parts {
+		parts[i] = NewStoreScanPartition(rel, i, len(parts))
+	}
+	agg := NewParallelHashAgg(parts, []expr.Expr{col(parts[0], "r", "b")}, []string{"b"}, []sqlval.Kind{sqlval.KindInt}, nil)
+	fires := runSampled(t, agg, 64, every)
 	if len(fires) == 0 || len(fires) > n/every {
 		t.Fatalf("%d fires over %d calls at every %d", len(fires), n, every)
 	}

@@ -104,7 +104,7 @@ func TestStoreScanNarrowed(t *testing.T) {
 			t.Errorf("%s: narrowed scan counted %d calls, full-width %d (4000 rows plus read units)",
 				run.name, narrowCtx.Calls(), fullCtx.Calls())
 		}
-		if g, w := NodeView(narrow).Snapshot(), NodeView(full).Snapshot(); g != w {
+		if g, w := NodeSnapshot(narrow), NodeSnapshot(full); g != w {
 			t.Errorf("%s: narrowed scan's ledger slot %+v, full-width %+v", run.name, g, w)
 		}
 		if g, w := narrow.FinalBounds(nil), full.FinalBounds(nil); g != w {

@@ -15,11 +15,10 @@
 //
 // # The single-writer-per-slot discipline
 //
-// Every slot has exactly one writer goroutine at any time. Under serial
-// execution that is the operator bound to the node; under a parallel
-// operator each worker writes only the slots of the partition subtree it
-// drains and its own per-worker sub-slot behind the shared node, so the
-// single-writer reasoning still applies per slot. Readers — samplers, the
+// Every slot has exactly one writer goroutine at any time: the one that
+// answers the node's GetNext calls. A parallel operator's slot is written by
+// its reader, which counts the rows it hands its parent; each worker writes
+// only the slots of the partition subtree it drains. Readers — samplers, the
 // bounds pass, the SSE streamer — are unrestricted and lock-free.
 //
 // # The snapshot load-ordering protocol

@@ -96,10 +96,9 @@ func (b *Builder) ScanOrdered(table string, order []int32) Node {
 }
 
 // ParallelScan builds a morsel-driven parallel scan of the table — one plan
-// node whose workers claim page-aligned row windows dynamically and count
-// into per-worker ledger sub-slots. Progress consumers see a single leaf
-// with the same final bounds as the serial Scan; the sub-slots aggregate
-// transparently under the snapshot protocol.
+// node whose workers claim page-aligned row windows dynamically and whose
+// reader counts the rows it hands out. Progress consumers see a single leaf
+// with the same final bounds as the serial Scan.
 func (b *Builder) ParallelScan(table string, workers int) Node {
 	st := b.cat.MustStore(table)
 	op := exec.NewParallelScan(st, workers)
@@ -124,8 +123,8 @@ func (b *Builder) partitionScans(table string, workers int) []exec.Operator {
 // (probe side) against build on probeCol = buildCol — the partitioned
 // parallel hash join. The build side is drained once and hash-partitioned
 // across workers at Open; each worker probes with its own probe partition,
-// counting into its own ledger sub-slot behind the join's NodeID. Linearity
-// detection and the cardinality model match the serial HashJoin.
+// and the join's reader counts the rows it hands out. Linearity detection
+// and the cardinality model match the serial HashJoin.
 func (b *Builder) ParallelHashJoin(probeTable string, workers int, build Node, probeCol, buildCol string, mode exec.JoinMode) Node {
 	parts := b.partitionScans(probeTable, workers)
 	probeSch := parts[0].Schema()

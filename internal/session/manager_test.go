@@ -359,9 +359,8 @@ func TestNodeProgressDeltaStream(t *testing.T) {
 }
 
 // TestNodeProgressParallelPlan streams a parallel (morsel-scan) plan through
-// a session and checks the aggregated per-node ledger counters account for
-// every row exactly once: the workers' sub-slots sum transparently behind the
-// scan's single NodeID.
+// a session and checks the per-node ledger counters account for every row
+// exactly once: the scan's reader counts every row its workers produced.
 func TestNodeProgressParallelPlan(t *testing.T) {
 	cat := testCatalog(t)
 	m := New(cat, Config{SampleInterval: 100 * time.Microsecond})

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqlprogress/internal/expr"
+	"sqlprogress/internal/plan"
 )
 
 func sampleDB(t *testing.T) *DB {
@@ -471,14 +474,15 @@ func TestRunWithProgressEndsAtCompletion(t *testing.T) {
 
 // TestProgressUpdateIsOneInstant: an update's node counters come from the
 // same ledger read as its Calls and bounds, so under a concurrent parallel
-// scan — workers counting while the update is built — the nodes' Calls sum
-// to the update's Calls on every update.
+// aggregate — workers counting their partitions while the update is built —
+// the nodes' Calls sum to the update's Calls on every update.
 func TestProgressUpdateIsOneInstant(t *testing.T) {
 	db := OpenTPCH(0.02, 1, 42)
 	const rounds = 10
 	updates, torn := 0, 0
 	for round := 0; round < rounds; round++ {
-		q := db.QueryPlan(db.Builder().ParallelScan("lineitem", 2))
+		count := plan.AggSpec{Kind: expr.AggCountStar, As: "n"}
+		q := db.QueryPlan(db.Builder().ParallelAgg("lineitem", 2, 0, []string{"l_suppkey"}, count))
 		_, err := q.RunWithProgress(ProgressOptions{Every: 500}, func(u ProgressUpdate) {
 			updates++
 			var sum int64
