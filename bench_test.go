@@ -11,7 +11,6 @@ import (
 	"sqlprogress/internal/datagen"
 	"sqlprogress/internal/evalmatrix"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/expr"
 	"sqlprogress/internal/plan"
 	"sqlprogress/internal/session"
 	"sqlprogress/internal/tpch"
@@ -587,58 +586,4 @@ func BenchmarkDemandCapAblation(b *testing.B) {
 	}
 	b.ReportMetric(float64(withCap.UB)/float64(withCap.LB), "ub/lb_capped")
 	b.ReportMetric(float64(withoutCap.UB)/float64(withoutCap.LB), "ub/lb_uncapped")
-}
-
-// BenchmarkParallelVsSerial measures the parallel engine CPU-bound, in
-// process: each shape runs serial and on one and two workers, under RunBatch
-// over TPC-H -sf 0.02 -z 1 in memory. agg is HashAgg(Scan(lineitem)) against
-// ParallelAgg; join is HashJoin(Scan(orders)) probed by Scan(lineitem)
-// against ParallelHashJoin. The parallel engine's keep rule compares w2 with
-// serial.
-func BenchmarkParallelVsSerial(b *testing.B) {
-	cat := OpenTPCH(0.02, 1, 42).Catalog()
-	count := plan.AggSpec{Kind: expr.AggCountStar, As: "n"}
-	shapes := []struct {
-		name     string
-		serial   func(*plan.Builder) plan.Node
-		parallel func(pb *plan.Builder, workers int) plan.Node
-	}{
-		{"agg",
-			func(pb *plan.Builder) plan.Node {
-				return pb.Scan("lineitem").HashAgg(0, []string{"l_suppkey"}, count)
-			},
-			func(pb *plan.Builder, w int) plan.Node {
-				return pb.ParallelAgg("lineitem", w, 0, []string{"l_suppkey"}, count)
-			}},
-		{"join",
-			func(pb *plan.Builder) plan.Node {
-				return pb.Scan("lineitem").HashJoin(pb.Scan("orders"), "l_orderkey", "o_orderkey", exec.InnerJoin)
-			},
-			func(pb *plan.Builder, w int) plan.Node {
-				return pb.ParallelHashJoin("lineitem", w, pb.Scan("orders"), "l_orderkey", "o_orderkey", exec.InnerJoin)
-			}},
-	}
-	for _, sh := range shapes {
-		for _, w := range []int{0, 1, 2} {
-			name := fmt.Sprintf("%s/w%d", sh.name, w)
-			if w == 0 {
-				name = sh.name + "/serial"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					pb := plan.NewBuilder(cat)
-					op := sh.serial(pb).Op
-					if w > 0 {
-						op = sh.parallel(pb, w).Op
-					}
-					b.StartTimer()
-					if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }

@@ -3,8 +3,11 @@ package compile
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +17,6 @@ import (
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/ledger"
-	"sqlprogress/internal/plan"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 )
@@ -555,72 +557,6 @@ func fuzzOrderInvariance(t *testing.T, seed int64) {
 	}
 }
 
-// fuzzParallelJoinAgg cross-validates the partitioned-parallel operators
-// against their serial counterparts over seed-random data: a ParallelHashJoin
-// (seed-chosen join mode and worker count) must produce the serial HashJoin's
-// result multiset with identical total counted calls and an identical
-// root-node snapshot — the reader counting exactly the serial node's
-// calls — and a ParallelAgg must reproduce HashAgg's
-// groups value-for-value (COUNT/SUM/MIN/MAX over ints: exact merge). Both
-// parallel plans then rerun under per-call sampling via
-// CheckProgressInvariants, proving monotone non-crossing bounds while the
-// workers write their partitions' ledger slots concurrently.
-func fuzzParallelJoinAgg(t *testing.T, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	db := newFuzzDB(r)
-	workers := 1 + r.Intn(4)
-	modes := []exec.JoinMode{exec.InnerJoin, exec.LeftOuterJoin, exec.SemiJoin, exec.AntiJoin}
-	mode := modes[r.Intn(len(modes))]
-	b := plan.NewBuilder(db.cat)
-
-	runPlan := func(label string, op exec.Operator) ([][]int64, int64, ledger.Snapshot) {
-		ctx := exec.NewCtx()
-		rows, err := exec.RunBatch(ctx, op)
-		if err != nil {
-			t.Fatalf("run %s: %v", label, err)
-		}
-		return resultToInts(t, rows), ctx.Calls(), exec.NodeSnapshot(op)
-	}
-
-	joinLabel := fmt.Sprintf("pjoin(mode=%v,w=%d)", mode, workers)
-	parJoin := func() exec.Operator {
-		return b.ParallelHashJoin("t1", workers, b.Scan("t2"), "a", "d", mode).Op
-	}
-	wantRows, wantCalls, wantSnap := runPlan(joinLabel,
-		b.Scan("t1").HashJoin(b.Scan("t2"), "a", "d", mode).Op)
-	gotRows, gotCalls, gotSnap := runPlan(joinLabel, parJoin())
-	compare(t, joinLabel, gotRows, wantRows)
-	if gotCalls != wantCalls {
-		t.Fatalf("%s: total calls %d, serial %d", joinLabel, gotCalls, wantCalls)
-	}
-	if gotSnap != wantSnap {
-		t.Fatalf("%s: root snapshot %+v, serial %+v", joinLabel, gotSnap, wantSnap)
-	}
-	coretest.CheckProgressInvariants(t, joinLabel, parJoin(), 1)
-
-	aggLabel := fmt.Sprintf("pagg(w=%d)", workers)
-	specs := []plan.AggSpec{
-		{Kind: expr.AggCountStar, As: "n"},
-		{Kind: expr.AggSum, Col: "c", As: "s"},
-		{Kind: expr.AggMin, Col: "c", As: "lo"},
-		{Kind: expr.AggMax, Col: "c", As: "hi"},
-	}
-	parAgg := func() exec.Operator {
-		return b.ParallelAgg("t1", workers, 0, []string{"b"}, specs...).Op
-	}
-	wantRows, wantCalls, wantSnap = runPlan(aggLabel,
-		b.Scan("t1").HashAgg(0, []string{"b"}, specs...).Op)
-	gotRows, gotCalls, gotSnap = runPlan(aggLabel, parAgg())
-	compare(t, aggLabel, gotRows, wantRows)
-	if gotCalls != wantCalls {
-		t.Fatalf("%s: total calls %d, serial %d", aggLabel, gotCalls, wantCalls)
-	}
-	if gotSnap != wantSnap {
-		t.Fatalf("%s: root snapshot %+v, serial %+v", aggLabel, gotSnap, wantSnap)
-	}
-	coretest.CheckProgressInvariants(t, aggLabel, parAgg(), 1)
-}
-
 // fuzzJoinPrune cross-validates join output pruning (the compiler hands each
 // hash join the names read above it): random 2–3-table inner and LEFT JOIN
 // statements over tables that share column names (qualified through
@@ -873,6 +809,14 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 		return
 	}
 	selectable := free()
+	if len(selectable) == 0 {
+		// Other clauses read every column: there is no strict subset to
+		// select, so check the rows under SELECT *.
+		sql := "SELECT *" + tail
+		got, _, _ := run(sql)
+		compare(t, sql, got, wide)
+		return
+	}
 	n := 1
 	if len(selectable) > 1 {
 		n += r.Intn(len(selectable) - 1) // a strict subset
@@ -1155,25 +1099,31 @@ func fuzzLimit(t *testing.T, seed int64) {
 	}
 }
 
-// fuzzFamilies dispatches a fuzz input's kind byte to one query family.
-var fuzzFamilies = []func(*testing.T, int64){
-	fuzzFilterProjection,
-	fuzzJoin,
-	fuzzGroupByAggregates,
-	fuzzJoinGroupBy,
-	fuzzSemiAntiJoin,
-	fuzzProgressInvariants,
-	fuzzParallelScanFilter,
-	fuzzBatchVsRow,
-	fuzzPagedVsMem,
-	fuzzOrderInvariance,
-	fuzzParallelJoinAgg,
-	fuzzJoinPrune,
-	fuzzLimit,
-	fuzzJoinSwap,
+// fuzzFamilies dispatches a fuzz input's kind byte to one query family, by
+// position: a checked-in input under testdata/fuzz/FuzzDifferential names its
+// family (seed-<family> or <family>-<case>), and TestFuzzCorpusKindsMatchNames
+// holds its kind byte to that family's position here. Removing a family
+// means remapping those bytes.
+var fuzzFamilies = []struct {
+	name string
+	run  func(*testing.T, int64)
+}{
+	{"filter-projection", fuzzFilterProjection},
+	{"join", fuzzJoin},
+	{"group-by-aggregates", fuzzGroupByAggregates},
+	{"join-group-by", fuzzJoinGroupBy},
+	{"semi-anti-join", fuzzSemiAntiJoin},
+	{"progress-invariants", fuzzProgressInvariants},
+	{"parallel-scan-filter", fuzzParallelScanFilter},
+	{"batch-vs-row", fuzzBatchVsRow},
+	{"paged-vs-mem", fuzzPagedVsMem},
+	{"order-invariance", fuzzOrderInvariance},
+	{"join-prune", fuzzJoinPrune},
+	{"limit", fuzzLimit},
+	{"join-swap", fuzzJoinSwap},
 }
 
-// FuzzDifferential is the native-fuzzing entry point over all fourteen
+// FuzzDifferential is the native-fuzzing entry point over all thirteen
 // differential families: the fuzzer explores (seed, family) pairs, every
 // one of which must produce results identical to the naive evaluator (and
 // clean progress invariants for the invariant families). The checked-in
@@ -1183,8 +1133,70 @@ func FuzzDifferential(f *testing.F) {
 		f.Add(int64(kind*100), byte(kind))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, kind byte) {
-		fuzzFamilies[int(kind)%len(fuzzFamilies)](t, seed)
+		fuzzFamilies[int(kind)%len(fuzzFamilies)].run(t, seed)
 	})
+}
+
+// TestFuzzCorpusKindsMatchNames reads every checked-in FuzzDifferential
+// input and requires its kind byte to dispatch to the family its file name
+// gives: the longest family name that is the name (less a "seed-" prefix)
+// or a "-"-separated prefix of it.
+func TestFuzzCorpusKindsMatchNames(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDifferential")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no inputs under %s", dir)
+	}
+	for _, file := range files {
+		name := strings.TrimPrefix(file.Name(), "seed-")
+		want := ""
+		for _, fam := range fuzzFamilies {
+			if (name == fam.name || strings.HasPrefix(name, fam.name+"-")) && len(fam.name) > len(want) {
+				want = fam.name
+			}
+		}
+		if want == "" {
+			t.Errorf("%s: names no family", file.Name())
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, file.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, err := fuzzKind(string(data))
+		if err != nil {
+			t.Fatalf("%s: %v", file.Name(), err)
+		}
+		if kind >= len(fuzzFamilies) || fuzzFamilies[kind].name != want {
+			got := "nothing"
+			if kind < len(fuzzFamilies) {
+				got = fuzzFamilies[kind].name
+			}
+			t.Errorf("%s: kind byte %d runs %s, want %s", file.Name(), kind, got, want)
+		}
+	}
+}
+
+// fuzzKind reads the kind byte of a FuzzDifferential corpus file: the
+// "go test fuzz v1" header, an int64 seed line, and a byte('...') line.
+func fuzzKind(file string) (int, error) {
+	lines := strings.Split(strings.TrimSpace(file), "\n")
+	if len(lines) != 3 || lines[0] != "go test fuzz v1" || !strings.HasPrefix(lines[1], "int64(") {
+		return 0, fmt.Errorf("not a (int64, byte) fuzz input: %q", file)
+	}
+	lit, pre := strings.CutPrefix(lines[2], "byte('")
+	lit, suf := strings.CutSuffix(lit, "')")
+	if !pre || !suf {
+		return 0, fmt.Errorf("no byte literal in %q", lines[2])
+	}
+	v, _, tail, err := strconv.UnquoteChar(lit, '\'')
+	if err != nil || tail != "" || v > 0xff {
+		return 0, fmt.Errorf("bad byte literal in %q", lines[2])
+	}
+	return int(v), nil
 }
 
 func TestFuzzFilterProjection(t *testing.T) {
@@ -1244,12 +1256,6 @@ func TestFuzzPagedVsMem(t *testing.T) {
 func TestFuzzOrderInvariance(t *testing.T) {
 	for seed := int64(900); seed < 912; seed++ {
 		fuzzOrderInvariance(t, seed)
-	}
-}
-
-func TestFuzzParallelJoinAgg(t *testing.T) {
-	for seed := int64(1000); seed < 1012; seed++ {
-		fuzzParallelJoinAgg(t, seed)
 	}
 }
 

@@ -103,12 +103,19 @@ func TestAsyncMonitorOnSample(t *testing.T) {
 
 // TestCaptureIsOneLedgerRead: a capture's Curr is the sum of its own node
 // view's Returned, so the frames built from it are single instants — held
-// here with the capture racing a concurrent parallel scan, and on every frame
-// the async sampler publishes, the final one (built after Stop) included.
+// here with the capture racing a run of TPC-H Q1 (a filtered lineitem scan
+// under an aggregate) on another goroutine, and on every frame the async
+// sampler publishes, the final one (built after Stop) included.
 func TestCaptureIsOneLedgerRead(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.01, Z: 1, Seed: 1})
-	scan := exec.NewParallelScan(cat.MustStore("lineitem"), 2)
-	m := NewAsyncMonitor(scan, 20*time.Microsecond, Dne{}, Pmax{}, Safe{})
+	q1 := func() exec.Operator {
+		op, err := tpch.BuildQuery(cat, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	m := NewAsyncMonitor(q1(), 20*time.Microsecond, Dne{}, Pmax{}, Safe{})
 	frames := 0
 	check := func(f Frame) {
 		frames++
@@ -130,7 +137,7 @@ func TestCaptureIsOneLedgerRead(t *testing.T) {
 		t.Fatalf("%d frames checked, want the initial, at least one sample and the final", frames)
 	}
 
-	op := exec.NewParallelScan(cat.MustStore("lineitem"), 2)
+	op := q1()
 	tr := NewTracker(op)
 	done := make(chan struct{})
 	go func() {

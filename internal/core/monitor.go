@@ -73,11 +73,11 @@ type SampleSet struct {
 	// OnSample, when non-nil, is invoked after each recorded sample with
 	// that sample, letting consumers stream observations live instead of
 	// reading Samples after the run; Frame shapes it for publishing. It runs
-	// wherever the sample is taken — inline on the crediting goroutine under
-	// Monitor (a worker's, under a concurrent parallel plan), on the sampler
-	// goroutine under AsyncMonitor, and on the goroutine calling Finish or
-	// Stop for the at-completion sample — one at a time, and must not block:
-	// a slow callback delays subsequent samples. Set before the run starts.
+	// wherever the sample is taken — inline on the run's goroutine under
+	// Monitor, on the sampler goroutine under AsyncMonitor, and on the
+	// goroutine calling Finish or Stop for the at-completion sample — one at
+	// a time, and must not block: a slow callback delays subsequent samples.
+	// Set before the run starts.
 	OnSample func(Sample)
 
 	tracker *Tracker
@@ -91,9 +91,9 @@ func newSampleSet(root exec.Operator, ests []Estimator) SampleSet {
 	return SampleSet{Estimators: ests, tracker: NewTracker(root), root: root}
 }
 
-// sample is every trigger's path — credit, tick, poke: an
-// instant not past the latest recorded sample (the run is idle, or a
-// concurrent capture overtook it) is skipped without a capture.
+// sample is every trigger's path — credit, tick, poke: an instant not past
+// the latest recorded sample (the run is idle, or the previous capture
+// already read past it) is skipped without a capture.
 func (ss *SampleSet) sample(calls int64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -113,9 +113,9 @@ func (ss *SampleSet) finish(total int64) {
 }
 
 // record captures the current instant and streams it to OnSample. The
-// sample is the captured Curr: under parallel plans other workers advance
-// the counters between a trigger and its capture, and the paper's
-// per-instant guarantees are stated against the captured Curr. A capture
+// sample is the captured Curr: under AsyncMonitor the run keeps crediting
+// between a tick and its capture, and the paper's per-instant guarantees are
+// stated against the captured Curr. A capture
 // whose Curr is not past the latest recorded sample's is the same instant
 // seen twice and is dropped, so the series is strictly increasing in Calls.
 // Caller holds mu.

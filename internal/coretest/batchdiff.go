@@ -37,7 +37,7 @@ func renderRows(rows []schema.Row, sorted bool) []string {
 // a per-call hook installed, and bulk, with none — and asserts:
 //
 //   - identical result rows (in order for serial plans, as a multiset for
-//     parallel ones — partition interleaving is the one nondeterminism),
+//     parallel ones — morsel interleaving is the one nondeterminism),
 //   - identical total GetNext calls,
 //   - identical per-node final ledger snapshots.
 //

@@ -148,8 +148,8 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	switch {
 	case pageErr:
 		// A physical page-read error is terminal, but it races the
-		// call-indexed faults (and, under parallel plans, sibling workers)
-		// for which terminal error surfaces first — any of the three is an
+		// call-indexed faults (and, under a parallel scan, the reader that
+		// counts the workers' rows) for which terminal error surfaces first — any of the three is an
 		// acceptable outcome, a clean completion or an unrelated error is
 		// not.
 		if runErr == nil {
@@ -157,33 +157,6 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 		}
 		if !errors.Is(runErr, fault.ErrPageFault) && !errors.Is(runErr, fault.ErrInjected) && !errors.Is(runErr, exec.ErrCanceled) {
 			return fmt.Errorf("page-read fault fired but run returned unrelated error %v", runErr)
-		}
-	case !serial:
-		// Parallel plans relax the exact-call accounting: a worker that
-		// triggers a terminal fault cannot stop its siblings' in-flight
-		// counted calls, so the run quiesces at or past the scheduled call,
-		// never before it. Which terminal error surfaces first is a race
-		// between the failing worker and the cancellation sweep, so either
-		// injected-error or canceled is an acceptable outcome when a
-		// terminal fault fired. Where the root stops early, an error fault
-		// may also land on work the finished query had already abandoned.
-		if errEv == nil && cancelEv == nil {
-			if runErr != nil {
-				return fmt.Errorf("no terminal fault fired but run returned %v", runErr)
-			}
-			break
-		}
-		if errEv != nil && runErr == nil && !entry.StopsEarly {
-			return fmt.Errorf("error fault fired at call %d but run completed cleanly", errEv.At)
-		}
-		if runErr != nil && !errors.Is(runErr, fault.ErrInjected) && !errors.Is(runErr, exec.ErrCanceled) {
-			return fmt.Errorf("terminal fault fired but run returned unrelated error %v", runErr)
-		}
-		if errEv != nil && total < errEv.At {
-			return fmt.Errorf("error fault at call %d but run stopped at %d calls", errEv.At, total)
-		}
-		if cancelEv != nil && total < cancelEv.At {
-			return fmt.Errorf("cancel fault at call %d but run stopped at %d calls", cancelEv.At, total)
 		}
 	case errEv != nil:
 		if !errors.Is(runErr, fault.ErrInjected) {
@@ -251,7 +224,7 @@ func RunChaosPaged(seed int64) error {
 	}
 
 	// The horizon comes from a fault-free run over a fresh cold pool: with
-	// page-aligned partitions every data page is read exactly once however
+	// page-aligned morsels every data page is read exactly once however
 	// the workers interleave, so the weighted total is deterministic and
 	// memoizable per label. runChaosSchedule finds this run under the same
 	// label and holds the faulted run to it.

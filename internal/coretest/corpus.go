@@ -19,12 +19,9 @@ type CorpusEntry struct {
 	Label string
 	Build func() exec.Operator
 	// StopsEarly marks parallel plans whose root has its rows while workers
-	// are still running (LIMIT over a parallel operator), so which rows come
-	// back differs from run to run. A parallel node counts only what its
-	// reader hands out, so a ParallelScan never counts abandoned work; the
-	// partition scans a parallel join's workers drain do, so how many calls
-	// they count before they are stopped differs too, and a fault scheduled
-	// on such a call may fire after the query has already completed.
+	// are still running (LIMIT over a parallel scan), so which rows come
+	// back differs from run to run. The scan's reader counts only what it
+	// hands out, so the workers' abandoned reads are never counted.
 	StopsEarly bool
 }
 
@@ -55,10 +52,10 @@ func corpusCatalog() *catalog.Catalog {
 // loops, hash join + aggregation, embedded-predicate scans under sort/top,
 // rescan-heavy nested loops (whose bounds legitimately never pin), merge
 // join, scalar aggregation, a hash join emitting a subset of its columns,
-// LIMIT abandoning a filtered scan directly and through a join, and LIMIT
-// over the two parallel operators whose workers produce the rows.
-// CheckProgressInvariants holds on every
-// entry; the chaos harness replays them under fault schedules.
+// LIMIT abandoning a filtered scan directly and through a join, a parallel
+// scan under an aggregate and a join, and LIMIT over a parallel scan whose
+// workers read ahead of it. CheckProgressInvariants holds on every entry;
+// the chaos harness replays them under fault schedules.
 func Corpus() []CorpusEntry {
 	lt := func(col string, v int64) plan.PredFn {
 		return func(sch *schema.Schema) expr.Expr {
@@ -118,24 +115,11 @@ func Corpus() []CorpusEntry {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelScan("r2", 3).HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op
 		}},
-		{Label: "parallel-hash-join", Build: func() exec.Operator {
-			b := plan.NewBuilder(corpusCatalog())
-			return b.ParallelHashJoin("r2", 3, b.Scan("r1"), "b", "a", exec.InnerJoin).Op
-		}},
-		{Label: "parallel-agg", Build: func() exec.Operator {
-			b := plan.NewBuilder(corpusCatalog())
-			return b.ParallelAgg("r2", 4, 0, []string{"b"}, count).Op
-		}},
 		{Label: "limit-parallel-scan", StopsEarly: true, Build: func() exec.Operator {
-			// LIMIT over parallel operators: the workers produce rows ahead
-			// of the reader, which counts only the rows the Top pulls; under
-			// the join the partition scans run ahead.
+			// LIMIT over a parallel scan: the workers read rows ahead of the
+			// reader, which counts only the rows the Top pulls.
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ParallelScan("r2", 4).Top(5).Op
-		}},
-		{Label: "limit-parallel-join", StopsEarly: true, Build: func() exec.Operator {
-			b := plan.NewBuilder(corpusCatalog())
-			return b.ParallelHashJoin("r2", 3, b.Scan("r1"), "b", "a", exec.InnerJoin).Top(5).Op
 		}},
 	}
 }

@@ -157,7 +157,7 @@ type PagedEntry struct {
 // paths that differ mechanically from in-memory scans: full and filtered
 // serial scans (cursor row path), scans under sort/top (NextChunk batch
 // path), joins driven by a paged outer, both-sides-paged merge join, and
-// page-aligned parallel partition scans.
+// parallel scans over page-aligned morsels.
 func PagedCorpus() []PagedEntry {
 	lt := func(col string, v int64) plan.PredFn {
 		return func(sch *schema.Schema) expr.Expr {
@@ -202,7 +202,7 @@ func PagedCorpus() []PagedEntry {
 //     parallel ones),
 //   - identical total GetNext calls,
 //   - identical per-node final ledger snapshots. A parallel scan's
-//     page-aligned partition windows differ from the in-memory n*i/parts
+//     page-aligned morsel windows differ from the in-memory n*i/parts
 //     split, but its reader counts the same rows either way.
 func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator) {
 	t.Helper()

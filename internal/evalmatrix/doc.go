@@ -4,10 +4,9 @@
 //
 //	{TPC-H zipf 0/1/2, SkyServer, adversarial skew}   5 datasets
 //	× {fresh, stale, absent statistics}               3 stats healths
-//	× {scan, join, mmjoin, agg, parallel scan,
-//	   parallel join, parallel agg, paged}            8 plan families
+//	× {scan, join, mmjoin, agg, hjoin, paged}         6 plan families
 //
-// for 120 cells, runs every registered matrix estimator (dne, pmax, safe,
+// for 90 cells, runs every registered matrix estimator (dne, pmax, safe,
 // lp-safe, combiner) in each cell on the executor's credit trigger
 // (core.Monitor.Run), and records each estimator's error trajectory: max
 // ratio error, mean L1 error, time-to-convergence, plus hard-bound soundness
@@ -26,15 +25,17 @@
 // cross product, while the l1/l2/l-infinity degree norms bound the true
 // fan-out product. It exists so that lp-safe has cells where it is strictly
 // tighter than safe — a property the accuracy gate requires of at least
-// one cell.
+// one cell. The hjoin family is its opposite: the fact table probing its
+// dimension's hash table on the foreign key, the matrix's only FK-linear
+// hash join.
 //
 // # Invariants the matrix itself asserts
 //
-//   - Determinism: all generation and mutation is seeded, every plan runs
-//     under exec.Lockstep (parallel workers scheduled round-robin on the
-//     reader), so the credit trigger fires at the same instants. Two runs
-//     produce byte-identical artifacts (TestMatrixDeterministic, and CI
-//     proves it on its own machine before gating).
+//   - Determinism: all generation and mutation is seeded and every plan
+//     runs on one goroutine, so the credit trigger fires at the same
+//     instants. Two runs produce byte-identical artifacts
+//     (TestMatrixDeterministic, and CI proves it on its own machine before
+//     gating).
 //   - Soundness: zero violations of LB <= total <= UBTight <= UB and zero
 //     bound regressions (LB falling, UB or UBTight rising) in any cell.
 //   - Ordering: safe <= dne and combiner <= min(dne, safe) by max ratio

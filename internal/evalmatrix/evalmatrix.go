@@ -225,9 +225,6 @@ func runCell(ds dataset, health stats.Health, fam familySpec, opts Options) (Sco
 	if err != nil {
 		return Scored{}, err
 	}
-	// Parallel operators run their workers in lockstep: the interleaving,
-	// and so every sampled instant, must be the same run after run.
-	exec.Lockstep(dry)
 	dctx := exec.NewCtx()
 	if _, err := exec.RunBatch(dctx, dry); err != nil {
 		return Scored{}, err
@@ -242,7 +239,6 @@ func runCell(ds dataset, health stats.Health, fam familySpec, opts Options) (Sco
 	if err != nil {
 		return Scored{}, err
 	}
-	exec.Lockstep(root)
 	ests := estimators(opts)
 	m := core.NewMonitor(root, every, ests...)
 	if _, err := m.Run(); err != nil {

@@ -85,8 +85,8 @@ func TestMatrixShapeAndSoundness(t *testing.T) {
 		}
 		cells[id][r.Estimator] = r
 	}
-	// 5 datasets x 3 healths x 8 families.
-	if want := 5 * 3 * 8; len(cells) != want {
+	// 5 datasets x 3 healths x 6 families.
+	if want := 5 * 3 * 6; len(cells) != want {
 		t.Fatalf("got %d cells, want %d", len(cells), want)
 	}
 	if len(cells) < 40 {
@@ -172,7 +172,6 @@ func TestMatrixTriggerAgreesWithExactRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				exec.Lockstep(root)
 				m := core.NewMonitor(root, 50, core.Safe{})
 				if i == 0 {
 					_, err = m.Run()

@@ -26,7 +26,6 @@ import (
 const (
 	pagedFrames   = 8
 	pagedReadCost = 4
-	matrixWorkers = 4
 )
 
 // dataset is one row of the matrix's data axis.
@@ -58,7 +57,7 @@ type familySpec struct {
 
 // scenario is one (dataset, stats health) cell group: a catalog holding the
 // (possibly drifted) data with the (possibly degraded) statistics, plus the
-// eight plan families over it. The mmjoin family is a genuinely
+// six plan families over it. The mmjoin family is a genuinely
 // many-to-many hash join over small base tables: the only family whose
 // classic fallback UB is the cross product, so it is where the pessimistic
 // degree-norm bound (UBTight) visibly tightens and where lp-safe separates
@@ -108,18 +107,10 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 				return b.Scan("lineitem").HashAgg(0, []string{"l_suppkey"},
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
-			familySpec{"parallel", func() (exec.Operator, error) {
-				return plan.NewBuilder(cat).ParallelScan("lineitem", matrixWorkers).Op, nil
-			}},
-			familySpec{"pjoin", func() (exec.Operator, error) {
+			familySpec{"hjoin", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelHashJoin("lineitem", matrixWorkers,
-					b.Scan("supplier"), "l_suppkey", "s_suppkey", exec.InnerJoin).Op, nil
-			}},
-			familySpec{"pagg", func() (exec.Operator, error) {
-				b := plan.NewBuilder(cat)
-				return b.ParallelAgg("lineitem", matrixWorkers, 0, []string{"l_suppkey"},
-					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
+				return b.Scan("lineitem").
+					HashJoin(b.Scan("supplier"), "l_suppkey", "s_suppkey", exec.InnerJoin).Op, nil
 			}},
 		)
 	case "skyserver":
@@ -151,18 +142,10 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 				return b.Scan("photoobj").HashAgg(4, []string{"type"},
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
-			familySpec{"parallel", func() (exec.Operator, error) {
-				return plan.NewBuilder(cat).ParallelScan("photoobj", matrixWorkers).Op, nil
-			}},
-			familySpec{"pjoin", func() (exec.Operator, error) {
+			familySpec{"hjoin", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelHashJoin("photoobj", matrixWorkers,
-					b.Scan("field"), "fieldid", "fieldid", exec.InnerJoin).Op, nil
-			}},
-			familySpec{"pagg", func() (exec.Operator, error) {
-				b := plan.NewBuilder(cat)
-				return b.ParallelAgg("photoobj", matrixWorkers, 4, []string{"type"},
-					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
+				return b.Scan("photoobj").
+					HashJoin(b.Scan("field"), "fieldid", "fieldid", exec.InnerJoin).Op, nil
 			}},
 		)
 	case "adversarial":
@@ -201,18 +184,9 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 				return b.Scan("r2").HashAgg(float64(opts.AdvKeys), []string{"b"},
 					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
 			}},
-			familySpec{"parallel", func() (exec.Operator, error) {
-				return plan.NewBuilder(cat).ParallelScan("r2", matrixWorkers).Op, nil
-			}},
-			familySpec{"pjoin", func() (exec.Operator, error) {
+			familySpec{"hjoin", func() (exec.Operator, error) {
 				b := plan.NewBuilder(cat)
-				return b.ParallelHashJoin("r2", matrixWorkers,
-					b.Scan("r1"), "b", "a", exec.InnerJoin).Op, nil
-			}},
-			familySpec{"pagg", func() (exec.Operator, error) {
-				b := plan.NewBuilder(cat)
-				return b.ParallelAgg("r2", matrixWorkers, float64(opts.AdvKeys), []string{"b"},
-					plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op, nil
+				return b.Scan("r2").HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op, nil
 			}},
 		)
 	}

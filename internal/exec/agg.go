@@ -80,11 +80,9 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 	return nil
 }
 
-// foldInto folds one row into a group table — HashAgg's accumulation step,
-// shared with ParallelHashAgg's per-worker pre-aggregation (each worker owns
-// a private table, so the function needs no synchronization). key is the
-// caller's scratch of len(groupBy) values, overwritten per row and copied
-// only when the row opens a new group.
+// foldInto folds one row into a group table — HashAgg's accumulation step.
+// key is the caller's scratch of len(groupBy) values, overwritten per row and
+// copied only when the row opens a new group.
 func foldInto(groups map[uint64][]*aggGroup, key []sqlval.Value, groupBy []expr.Expr, aggs []expr.Agg, row schema.Row) {
 	var h uint64 = 1469598103934665603
 	for i, g := range groupBy {

@@ -44,7 +44,7 @@ import (
 
 // DefaultBatchSize is the row-chunk size bulk pulls move between operators
 // when Ctx.BatchSize is zero. Large enough to amortize interface dispatch and
-// ledger credits to noise, small enough that per-partition progress never
+// ledger credits to noise, small enough that per-node progress never
 // lags the counters by more than a chunk.
 const DefaultBatchSize = 1024
 
@@ -88,9 +88,9 @@ func (c *Ctx) batchSize() int {
 	return c.chunkSize()
 }
 
-// chunkSize is Ctx.BatchSize, or DefaultBatchSize when it is zero. A parallel
-// worker fills one chunk per step in either regime, so a worker's call order
-// does not depend on the pull size.
+// chunkSize is Ctx.BatchSize, or DefaultBatchSize when it is zero. A
+// ParallelScan worker fills one chunk per step in either regime, so a
+// worker's reads do not depend on the pull size.
 func (c *Ctx) chunkSize() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
@@ -143,7 +143,8 @@ func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 		}
 	}
 	if c.onDue != nil {
-		if due := c.due.Load(); curr >= due && c.due.CompareAndSwap(due, curr-curr%c.every+c.every) {
+		if curr >= c.due {
+			c.due = curr - curr%c.every + c.every
 			c.onDue(curr)
 		}
 	}

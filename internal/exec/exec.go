@@ -66,10 +66,12 @@ type Ctx struct {
 	BatchSize int
 
 	// every and onDue are the sampling trigger SampleEvery installs; due is
-	// the next instant it fires at.
+	// the next instant it fires at. Only the run's goroutine credits — a
+	// ParallelScan's workers credit nothing; its reader counts what it hands
+	// out — so due is a plain field.
 	every int64
 	onDue func(curr int64)
-	due   atomic.Int64
+	due   int64
 
 	canceled atomic.Bool
 }
@@ -85,12 +87,11 @@ func (c *Ctx) Cancel() { c.canceled.Store(true) }
 // SampleEvery installs the run's sampling trigger: the credit that moves
 // Curr to or past the next multiple of every calls fn once with the new
 // Curr. Unlike OnGetNext it leaves the pull size alone, so a sample lands at
-// most one credit past its due instant. Worker credits race for each instant
-// through one compare-and-swap, so it fires at most once, but fn may run on
-// any worker, concurrently with itself. Set before the run starts.
+// most one credit past its due instant, and fn runs on the run's goroutine,
+// between two credits. Set before the run starts.
 func (c *Ctx) SampleEvery(every int64, fn func(curr int64)) {
 	c.every, c.onDue = max(every, 1), fn
-	c.due.Store(c.every)
+	c.due = c.every
 }
 
 // Canceled reports whether Cancel was called.
@@ -313,7 +314,7 @@ func Explain(op Operator) string {
 			strings.Repeat("  ", depth), o.Name(), rt.Returned, rt.Done, o.EstimatedCard(), tags)
 		hashJoin := false
 		switch o.(type) {
-		case *HashJoin, *ParallelHashJoin: // child 0 is the build side
+		case *HashJoin: // child 0 is the build side
 			hashJoin = true
 		}
 		for i, c := range o.Children() {

@@ -183,7 +183,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	if j.buildRows, err = drainAll(ctx, j.build, j.buildRows); err != nil {
 		return err
 	}
-	j.table.build(j.buildRows, 1)
+	j.table.build(j.buildRows)
 	j.pad = make(schema.Row, j.build.Schema().Len()) // zero Values are NULL
 	return j.probe.Open(ctx)
 }

@@ -2,14 +2,13 @@ package exec
 
 import (
 	"math/bits"
-	"sync"
 
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 )
 
-// joinTable is the hash table under HashJoin and ParallelHashJoin: the build
+// joinTable is the hash table under HashJoin: the build
 // rows laid out bucket-contiguous by a counting sort over a power-of-two slot
 // array — slot s holds rows[off[s]:off[s+1]], in build order — with one
 // 64-bit word per row beside them, so that a probe rejects a candidate
@@ -35,60 +34,34 @@ const slotMul = 0x9E3779B97F4A7C15
 
 func slotOf(word uint64, shift uint) uint64 { return word * slotMul >> shift }
 
-// build lays src out over a power of two of slots, at least two per row,
-// filling them on the given number of goroutines. It takes ownership of src,
-// which it compacts in place: a row with a NULL key matches nothing in any
-// join mode and is dropped here.
-func (t *joinTable) build(src []schema.Row, workers int) {
+// build lays src out over a power of two of slots, at least two per row. It
+// takes ownership of src, which it compacts in place: a row with a NULL key
+// matches nothing in any join mode and is dropped here.
+func (t *joinTable) build(src []schema.Row) {
 	words := t.keyWords(src)
 	t.src = src[:len(words)]
-	t.fill(words, 1<<bits.Len(uint(max(2*len(words), 1)-1)), workers)
+	t.fill(words, 1<<bits.Len(uint(max(2*len(words), 1)-1)))
 }
 
 // fill is the counting sort: count each slot's rows, turn the counts into
-// offsets, scatter in build order. Worker w owns a contiguous range of slots
-// and alone writes their counters and their stretch of rows and words, so
-// the passes need no locks and the layout does not depend on scheduling.
-func (t *joinTable) fill(words []uint64, slots, workers int) {
+// offsets, scatter in build order.
+func (t *joinTable) fill(words []uint64, slots int) {
 	t.shift = uint(64 - bits.TrailingZeros(uint(slots)))
 	// Slot s counts into off[s+2]; after the prefix sum off[s+1] is where
 	// slot s starts, and the scatter advances it to where slot s ends.
 	off := make([]int32, slots+2)
 	t.rows, t.words = make([]schema.Row, len(words)), make([]uint64, len(words))
-	each := func(pass func(lo, hi uint64)) {
-		if workers == 1 {
-			pass(0, uint64(slots))
-			return
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pass(uint64(w*slots/workers), uint64((w+1)*slots/workers))
-			}()
-		}
-		wg.Wait()
+	for _, w := range words {
+		off[slotOf(w, t.shift)+2]++
 	}
-	each(func(lo, hi uint64) {
-		for _, w := range words {
-			if s := slotOf(w, t.shift); lo <= s && s < hi {
-				off[s+2]++
-			}
-		}
-	})
 	for s := 2; s < len(off); s++ {
 		off[s] += off[s-1]
 	}
-	each(func(lo, hi uint64) {
-		for i, w := range words {
-			if s := slotOf(w, t.shift); lo <= s && s < hi {
-				at := &off[s+1]
-				t.rows[*at], t.words[*at] = t.src[i], w
-				*at++
-			}
-		}
-	})
+	for i, w := range words {
+		at := &off[slotOf(w, t.shift)+1]
+		t.rows[*at], t.words[*at] = t.src[i], w
+		*at++
+	}
 	t.off = off[:slots+1]
 }
 

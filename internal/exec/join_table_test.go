@@ -44,29 +44,24 @@ func tagsOf(rows []schema.Row) string {
 	return fmt.Sprint(tags)
 }
 
-// tablesOver builds the same rows three ways: on one goroutine, on three,
-// and into one slot for everything — where every bucket that matches at all
-// is mixed, so lookups take the match buffer.
+// tablesOver builds the same rows two ways: over the usual slots, and into
+// one slot for everything — where every bucket that matches at all is
+// mixed, so lookups take the match buffer.
 func tablesOver(build []schema.Row, nkeys int) map[string]*joinTable {
-	out := map[string]*joinTable{}
-	for name, workers := range map[string]int{"serial": 1, "three-workers": 3} {
-		tbl := &joinTable{buildKeys: keyCols(nkeys), probeKeys: keyCols(nkeys)}
-		tbl.build(append([]schema.Row(nil), build...), workers)
-		out[name] = tbl
-	}
 	tbl := &joinTable{buildKeys: keyCols(nkeys), probeKeys: keyCols(nkeys)}
+	tbl.build(append([]schema.Row(nil), build...))
+	one := &joinTable{buildKeys: keyCols(nkeys), probeKeys: keyCols(nkeys)}
 	src := append([]schema.Row(nil), build...)
-	words := tbl.keyWords(src)
-	tbl.src = src[:len(words)]
-	tbl.fill(words, 1, 3)
-	out["one-slot"] = tbl
-	return out
+	words := one.keyWords(src)
+	one.src = src[:len(words)]
+	one.fill(words, 1)
+	return map[string]*joinTable{"slots": tbl, "one-slot": one}
 }
 
 // TestJoinTableLookup holds lookup to the definition it replaces: the build
 // rows whose keys all sqlval.Compare equal to the probe's, none of them NULL,
-// in build order — on the integer path, the hashed path, across sub-tables
-// and through the match buffer.
+// in build order — on the integer path, the hashed path and through the
+// match buffer.
 func TestJoinTableLookup(t *testing.T) {
 	const two53 = int64(1) << 53
 	v := func(vs ...sqlval.Value) []sqlval.Value { return vs }
@@ -129,7 +124,7 @@ func TestJoinTableLookup(t *testing.T) {
 // lookup hands back the table's own storage and leaves the buffer alone.
 func TestJoinTableBucketIsReturnedWhole(t *testing.T) {
 	tbl := &joinTable{buildKeys: keyCols(1), probeKeys: keyCols(1)}
-	tbl.build(tagged([]sqlval.Value{vInt(9)}, []sqlval.Value{vInt(9)}), 1)
+	tbl.build(tagged([]sqlval.Value{vInt(9)}, []sqlval.Value{vInt(9)}))
 	var buf []schema.Row
 	got := tbl.lookup(schema.Row{vInt(9)}, &buf)
 	if tagsOf(got) != "[0 1]" || buf != nil || &got[0] != &tbl.rows[0] {
@@ -137,10 +132,10 @@ func TestJoinTableBucketIsReturnedWhole(t *testing.T) {
 	}
 }
 
-// TestJoinTableJoinsAgree runs the serial and the parallel hash join, both
-// engines, over inputs with duplicate, NULL, float and string keys and holds
-// every mode to a nested-loop reference: in particular an anti join emits the
-// NULL-keyed probe rows and a left outer join pads them.
+// TestJoinTableJoinsAgree runs the hash join, in both pull regimes, over
+// inputs with duplicate, NULL, float and string keys and holds every mode to
+// a nested-loop reference: in particular an anti join emits the NULL-keyed
+// probe rows and a left outer join pads them.
 func TestJoinTableJoinsAgree(t *testing.T) {
 	mixed := func(name, key string, keys ...sqlval.Value) *schema.Relation {
 		rel := relOf(name, []string{key, "id"}, nil)
@@ -195,22 +190,16 @@ func TestJoinTableJoinsAgree(t *testing.T) {
 					want = append(want, p)
 				}
 			}
-			for _, workers := range []int{0, 1, 3} {
-				for _, batch := range []bool{false, true} {
-					var j Operator = serialJoinOf(probe, build, mode)
-					if workers > 0 {
-						j = parallelJoinOf(probe, build, workers, mode, false)
-					}
-					run := runExact
-					if batch {
-						run = RunBatch
-					}
-					got, err := run(NewCtx(), j)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameRows(t, got, want, fmt.Sprintf("%s mode=%v workers=%d batch=%v", bname, mode, workers, batch))
+			for _, batch := range []bool{false, true} {
+				run := runExact
+				if batch {
+					run = RunBatch
 				}
+				got, err := run(NewCtx(), serialJoinOf(probe, build, mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRows(t, got, want, fmt.Sprintf("%s mode=%v batch=%v", bname, mode, batch))
 			}
 		}
 	}
@@ -235,4 +224,11 @@ func TestJoinTableBuildBufferSizedOnce(t *testing.T) {
 		}
 		j.Close()
 	}
+}
+
+func serialJoinOf(probe, build *schema.Relation, mode JoinMode) *HashJoin {
+	sp := NewScan(probe)
+	sb := NewScan(build)
+	return NewHashJoin(sb, sp,
+		[]expr.Expr{col(sb, "b", "k")}, []expr.Expr{col(sp, "p", "a")}, mode)
 }

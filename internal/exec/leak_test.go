@@ -7,37 +7,18 @@ import (
 	"sqlprogress/internal/coretest"
 	"sqlprogress/internal/datagen"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/expr"
-	"sqlprogress/internal/sqlval"
 )
 
-// TestParallelOperatorsLeakNoGoroutines: every operator on the gather
-// transport must be back to zero worker goroutines once Close returns,
-// however the run ended — drained, failed by an injected fault, canceled, or
-// closed by a reader that stopped pulling while workers were blocked sending.
+// TestParallelOperatorsLeakNoGoroutines: the parallel scan, the one operator
+// on the gather transport, must be back to zero worker goroutines once Close
+// returns, however the run ended — drained, failed by an injected fault,
+// canceled, or closed by a reader that stopped pulling while workers were
+// blocked sending.
 func TestParallelOperatorsLeakNoGoroutines(t *testing.T) {
 	const workers = 4
 	fact := datagen.IntRelation("fact", "k", datagen.ZipfValues(50, 20000, 1, 7))
-	dim := datagen.IntRelation("dim", "k", datagen.Sequence(50))
-	parts := func() []exec.Operator {
-		ps := make([]exec.Operator, workers)
-		for i := range ps {
-			ps[i] = exec.NewStoreScanPartition(fact, i, workers)
-		}
-		return ps
-	}
-	key := func(op exec.Operator) []expr.Expr { return []expr.Expr{expr.NewCol(op.Schema(), "", "k")} }
 	plans := map[string]func() exec.Operator{
 		"ParallelScan": func() exec.Operator { return exec.NewParallelScan(fact, workers) },
-		"ParallelHashJoin": func() exec.Operator {
-			build, ps := exec.NewScan(dim), parts()
-			return exec.NewParallelHashJoin(build, ps, key(build), key(ps[0]), exec.InnerJoin)
-		},
-		"ParallelHashAgg": func() exec.Operator {
-			ps := parts()
-			return exec.NewParallelHashAgg(ps, key(ps[0]), []string{"k"}, []sqlval.Kind{sqlval.KindInt},
-				[]expr.Agg{{Kind: expr.AggCountStar, Name: "n"}})
-		},
 	}
 	boom := errors.New("boom")
 	endings := map[string]func(t *testing.T, op exec.Operator){

@@ -8,43 +8,17 @@ import (
 	"sqlprogress/internal/schema"
 )
 
-// This file holds the machinery shared by the parallel operators
-// (ParallelScan, ParallelHashJoin, ParallelHashAgg): the worker→reader batch
-// transport and its two schedules, and the morsel-driven parallel scan
-// itself.
+// This file holds the one parallel operator, the morsel-driven ParallelScan,
+// and its worker→reader batch transport with the transport's two schedules.
 //
-// A parallel node's slot has one writer, its reader: a node's work is the
+// A ParallelScan's slot has one writer, its reader: a node's work is the
 // GetNext calls it answers, so the reader credits the rows it hands its
-// parent, and rows a worker produced that the parent never pulls are never
-// counted. Partition subtrees (the probe and fold inputs) are plan nodes of
-// their own, each counted by the one worker that drains it.
+// parent, and rows a worker read that the parent never pulls are never
+// counted. Workers touch no ledger slot.
 
-// pullChunk fills in with a parallel worker's next chunk of partition part:
-// one pull of the chunk size in bulk, or — in the exact regime, where every
-// row must be a GetNext of its own — one-row pulls until the chunk is full or
-// part ends. A worker's call order is thus the same in both regimes: chunk
-// by chunk, whatever the run's pull size.
-func pullChunk(ctx *Ctx, part Operator, in *Batch) error {
-	want := ctx.batchSize()
-	in.reserve(part, ctx.chunkSize())
-	if err := part.NextBatch(ctx, in, want); err != nil || want > 1 {
-		return err
-	}
-	var one Batch
-	for in.Len() > 0 && in.Len() < ctx.chunkSize() {
-		row, ok, err := pullOne(ctx, part, &one)
-		if err != nil || !ok {
-			return err
-		}
-		in.Append(row)
-	}
-	return nil
-}
-
-// gather is the worker→reader transport under every parallel operator
-// (ParallelScan, ParallelHashJoin, ParallelHashAgg). An operator
-// describes one worker as a resumable step; gather schedules the steps and
-// hands their output to the reader:
+// gather is ParallelScan's worker→reader transport. The scan describes one
+// worker as a resumable step; gather schedules the steps and hands their
+// output to the reader:
 //
 //   - concurrently (the default): one goroutine per worker loops its step,
 //     shipping whole batches to the reader over a channel and recycling
@@ -95,9 +69,10 @@ const (
 	turnLast             // the worker is finished
 )
 
-// Lockstep switches every parallel operator under root to the reader-driven
+// Lockstep switches every parallel scan under root to the reader-driven
 // deterministic schedule (see gather). Call it on a built plan before Open;
-// the evaluation matrix does, to keep parallel cells byte-reproducible.
+// the equivalence and torn-read checkers do, so that a parallel plan's
+// instants are the same run after run.
 func Lockstep(root Operator) {
 	Walk(root, func(op Operator) {
 		if g, ok := op.(interface{ transport() *gather }); ok {
@@ -177,12 +152,12 @@ func (g *gather) run(w int, open func(w int) (workerStep, error)) {
 	}
 }
 
-// fail records a worker's error; the first non-cancellation error wins, so
-// an injected fault surfaces over the cancellation sweep it triggers,
-// exactly as the serial executor would report it.
+// fail records a worker's error; the first one wins. A scan worker fails
+// only on a storage error: injected faults and cancellation reach the
+// reader's credits, never a worker.
 func (g *gather) fail(err error) {
 	g.errMu.Lock()
-	if g.firstErr == nil || (g.firstErr == ErrCanceled && err != ErrCanceled) {
+	if g.firstErr == nil {
 		g.firstErr = err
 	}
 	g.errMu.Unlock()
@@ -246,15 +221,15 @@ func (g *gather) recv() (*Batch, error) {
 	return nil, nil
 }
 
-// next is the NextBatch of a node whose workers produce its rows
-// (ParallelScan, ParallelHashJoin): it hands out up to want unread rows of
-// the current worker batch, or else of the next one (row headers only —
-// values are never copied, and the caller's buffer is never donated to the
-// free list: RunBatch may alias it to the result slice), and credits them on
-// n's slot. A worker batch's weighted read units are credited before its
-// first row, as a serial Scan credits a page's units before the rows read
-// from it; a batch that carries only units is passed over, so an empty b is
-// end of stream and marks the node done.
+// next is the NextBatch of a node whose workers produce its rows: it hands
+// out up to want unread rows of the current worker batch, or else of the
+// next one (row headers only — values are never copied, and the caller's
+// buffer is never donated to the free list: RunBatch may alias it to the
+// result slice), and credits them on n's slot. A worker batch's weighted
+// read units are credited before its first row, as a serial Scan credits a
+// page's units before the rows read from it; a batch that carries only
+// units is passed over, so an empty b is end of stream and marks the node
+// done.
 func (g *gather) next(ctx *Ctx, n *base, b *Batch, want int) error {
 	b.Reset()
 	if ctx.canceled.Load() {
@@ -299,17 +274,6 @@ func (g *gather) stop() {
 		g.quit = nil
 	}
 	g.buf = nil
-}
-
-// closeAll closes every operator, returning the first error.
-func closeAll(ops ...Operator) error {
-	var first error
-	for _, op := range ops {
-		if err := op.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // morselRows is the nominal morsel size: enough rows that claiming one

@@ -3,7 +3,6 @@ package exec
 import (
 	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
 
 	"sqlprogress/internal/expr"
@@ -18,13 +17,8 @@ func runSampled(t *testing.T, op Operator, batch int, every int64) []int64 {
 	t.Helper()
 	ctx := NewCtx()
 	ctx.BatchSize = batch
-	var mu sync.Mutex
 	var fires []int64
-	ctx.SampleEvery(every, func(curr int64) {
-		mu.Lock()
-		fires = append(fires, curr)
-		mu.Unlock()
-	})
+	ctx.SampleEvery(every, func(curr int64) { fires = append(fires, curr) })
 	if _, err := RunBatch(ctx, op); err != nil {
 		t.Fatal(err)
 	}
@@ -49,30 +43,6 @@ func TestSampleEveryFiresOncePerDueInstant(t *testing.T) {
 		got := runSampled(t, NewScan(seqRel("r", 1000)), tc.batch, tc.every)
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("batch %d every %d: fires at %v, want %v", tc.batch, tc.every, got, tc.want)
-		}
-	}
-}
-
-// TestSampleEveryParallelScan: the partition scans a parallel aggregate's
-// workers drain credit concurrently and race for each due instant, and the
-// compare-and-swap hands it to one of them: no two fires fall in the same
-// period. Run it under -race.
-func TestSampleEveryParallelScan(t *testing.T) {
-	const n, every = 50_000, 100
-	rel := seqRel("r", n)
-	parts := make([]Operator, 4)
-	for i := range parts {
-		parts[i] = NewStoreScanPartition(rel, i, len(parts))
-	}
-	agg := NewParallelHashAgg(parts, []expr.Expr{col(parts[0], "r", "b")}, []string{"b"}, []sqlval.Kind{sqlval.KindInt}, nil)
-	fires := runSampled(t, agg, 64, every)
-	if len(fires) == 0 || len(fires) > n/every {
-		t.Fatalf("%d fires over %d calls at every %d", len(fires), n, every)
-	}
-	slices.Sort(fires)
-	for i := 1; i < len(fires); i++ {
-		if fires[i]/every <= fires[i-1]/every {
-			t.Fatalf("fires at %d and %d share a period of %d", fires[i-1], fires[i], every)
 		}
 	}
 }

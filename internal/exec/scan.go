@@ -49,12 +49,8 @@ type Scan struct {
 	// outer relation has to be scanned once" accounting, while no separate
 	// sigma node inflates total(Q).
 	Pred expr.Expr
-	// part/parts describe the partition window this scan covers (parts == 0
-	// means the whole relation). A partitioned scan visits the store-aligned
-	// window AlignWindow(part, parts) of the (possibly permuted) store — one
-	// worker's input under ParallelHashJoin and ParallelHashAgg.
-	part, parts int
-	lo, hi      int
+	// hi is the store's row count: the scan ends when pos reaches it.
+	hi int
 }
 
 // NewScan builds a table scan over an in-memory relation.
@@ -91,45 +87,16 @@ func NewScanWithOrder(rel *schema.Relation, order []int32) *Scan {
 	return s
 }
 
-// NewStoreScanPartition builds a scan over partition `part` of `parts`
-// windows of a store's scan positions. Windows are aligned by the store —
-// row boundaries in memory, page boundaries on disk — and parts sibling
-// windows are disjoint and cover the store exactly, so the partitions
-// together deliver the same multiset of rows as one full Scan.
-func NewStoreScanPartition(st schema.Store, part, parts int) *Scan {
-	if parts < 1 || part < 0 || part >= parts {
-		panic(fmt.Sprintf("scan %s: invalid partition %d of %d", st.StoreName(), part, parts))
-	}
-	s := &Scan{Src: st, part: part, parts: parts}
-	if rel, ok := st.(*schema.Relation); ok {
-		s.Rel = rel
-	}
-	s.init(st.Schema())
-	return s
-}
-
-// window returns the scan-position window [lo, hi) this scan covers.
-func (s *Scan) window() (int, int) {
-	return s.Src.AlignWindow(s.part, s.parts)
-}
-
-// WholeStore reports whether the scan covers the entire store rather than a
-// partition window. Together with a nil Pred it certifies the scan delivers
-// every stored row — the property plan-time reasoning (e.g. key-FK join
-// bounds) needs from a driver.
-func (s *Scan) WholeStore() bool { return s.parts == 0 }
-
 // Open implements Operator.
 func (s *Scan) Open(*Ctx) error {
 	s.reopen()
-	s.lo, s.hi = s.window()
-	s.pos = s.lo
+	s.pos, s.hi = 0, int(s.Src.Cardinality())
 	if s.cur != nil {
 		s.cur.Close()
 		s.cur = nil
 	}
 	if s.Rel == nil {
-		cur, err := s.Src.OpenCursor(s.lo, s.hi, s.cols)
+		cur, err := s.Src.OpenCursor(0, s.hi, s.cols)
 		if err != nil {
 			return err
 		}
@@ -139,7 +106,7 @@ func (s *Scan) Open(*Ctx) error {
 }
 
 // NextBatch implements Operator: one pass over scan positions until want
-// rows are delivered or the window ends, crediting the rows read (plus any
+// rows are delivered or the store ends, crediting the rows read (plus any
 // weighted physical-read units the storage charged) as counted calls and the
 // predicate survivors as delivered. Rejected rows and read units are credited
 // as they are read, in pieces of at most want, and the delivered rows last:
@@ -211,7 +178,7 @@ func (s *Scan) NextBatch(ctx *Ctx, b *Batch, want int) error {
 	}
 	if b.Len() == 0 {
 		// Every remaining row failed the embedded predicate: the reads are
-		// counted and the window is exhausted.
+		// counted and the store is exhausted.
 		s.markDone()
 	}
 	return nil
@@ -231,39 +198,27 @@ func (s *Scan) Close() error {
 func (s *Scan) Children() []Operator { return nil }
 
 // Name implements Operator.
-func (s *Scan) Name() string {
-	if s.parts > 1 {
-		return fmt.Sprintf("Scan(%s[%d/%d])", s.Src.StoreName(), s.part, s.parts)
-	}
-	return fmt.Sprintf("Scan(%s)", s.Src.StoreName())
-}
+func (s *Scan) Name() string { return fmt.Sprintf("Scan(%s)", s.Src.StoreName()) }
 
-// FinalBounds implements Operator: a (partition) scan performs exactly one
-// GetNext per stored row of its window, plus — for stores that charge
-// weighted physical-read units — up to MaxReadUnits extra counted units
-// when every page of the window has to be read cold. The LB stays the row
-// count: a fully warm buffer pool serves the window with zero physical
-// reads. This widened interval is precisely the paper's I/O-bound caveat
-// made explicit: under cold cache the true total sits near the UB, and
-// estimators anchored on LB (dne before refinement, safe's geometric mean)
-// carry the corresponding error.
+// FinalBounds implements Operator: a scan performs exactly one GetNext per
+// stored row, plus — for stores that charge weighted physical-read units —
+// up to MaxReadUnits extra counted units when every page has to be read
+// cold. The LB stays the row count: a fully warm buffer pool serves the
+// scan with zero physical reads. This widened interval is precisely the
+// paper's I/O-bound caveat made explicit: under cold cache the true total
+// sits near the UB, and estimators anchored on LB (dne before refinement,
+// safe's geometric mean) carry the corresponding error.
 func (s *Scan) FinalBounds([]CardBounds) CardBounds {
-	lo, hi := s.window()
-	n := int64(hi - lo)
-	b := CardBounds{LB: n, UB: n}
-	if rc, ok := s.Src.(schema.ReadCoster); ok {
-		b.UB = SatAdd(b.UB, rc.MaxReadUnits(lo, hi))
-	}
-	return b
+	n := s.Src.Cardinality()
+	return CardBounds{LB: n, UB: SatAdd(n, s.MaxReadUnits())}
 }
 
 // MaxReadUnits implements WeightedLeaf: the most weighted physical-read
-// units this scan's window can charge on top of its per-row calls (0 for
-// in-memory and zero-cost stores) — every page read cold, once.
+// units this scan can charge on top of its per-row calls (0 for in-memory
+// and zero-cost stores) — every page read cold, once.
 func (s *Scan) MaxReadUnits() int64 {
 	if rc, ok := s.Src.(schema.ReadCoster); ok {
-		lo, hi := s.window()
-		return rc.MaxReadUnits(lo, hi)
+		return rc.MaxReadUnits(0, int(s.Src.Cardinality()))
 	}
 	return 0
 }
@@ -272,8 +227,7 @@ func (s *Scan) MaxReadUnits() int64 {
 // parent — always row-based, never including weighted read units (I/O work
 // inflates this node's call count, not its parent's input).
 func (s *Scan) DeliveredBounds() CardBounds {
-	lo, hi := s.window()
-	n := int64(hi - lo)
+	n := s.Src.Cardinality()
 	if s.Pred == nil {
 		return CardBounds{LB: n, UB: n}
 	}

@@ -20,37 +20,6 @@ func seqRel(name string, n int) *schema.Relation {
 	return relOf(name, []string{"a", "b"}, rows)
 }
 
-func TestScanPartitionsDisjointCover(t *testing.T) {
-	rel := seqRel("r", 97)
-	for _, parts := range []int{1, 2, 3, 4, 8, 97, 100} {
-		covered := make([]bool, len(rel.Rows))
-		var total int64
-		for p := 0; p < parts; p++ {
-			s := NewStoreScanPartition(rel, p, parts)
-			lo, hi := s.window()
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					t.Fatalf("parts=%d: position %d covered twice", parts, i)
-				}
-				covered[i] = true
-			}
-			b := s.FinalBounds(nil)
-			if b.LB != b.UB || b.LB != int64(hi-lo) {
-				t.Fatalf("parts=%d part=%d: bounds %+v != window size %d", parts, p, b, hi-lo)
-			}
-			total += b.LB
-		}
-		for i, c := range covered {
-			if !c {
-				t.Fatalf("parts=%d: position %d not covered", parts, i)
-			}
-		}
-		if total != rel.Cardinality() {
-			t.Fatalf("parts=%d: windows sum to %d, want %d", parts, total, rel.Cardinality())
-		}
-	}
-}
-
 // TestStoreScanNarrowed: a scan told which columns the plan reads emits
 // exactly those columns of exactly the rows the full-width scan emits, binds
 // its predicate against the narrowed schema, and — row engine or batch,

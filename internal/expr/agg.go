@@ -120,43 +120,6 @@ func (s *AggState) Add(row schema.Row) {
 	}
 }
 
-// Merge folds another accumulator of the same aggregate into s — the
-// combine step of parallel pre-aggregation. The merge is exact: COUNT adds
-// counts, SUM/AVG add sums (staying in int64 arithmetic while both partials
-// did), MIN/MAX keep the extremum. Callers merge partials in a fixed worker
-// order so float accumulation is deterministic run to run.
-func (s *AggState) Merge(o *AggState) {
-	switch s.agg.Kind {
-	case AggCountStar, AggCount:
-		s.n += o.n
-	case AggSum, AggAvg:
-		if s.isInt && o.isInt {
-			s.sumI += o.sumI
-		} else {
-			if s.isInt {
-				s.sumF = float64(s.sumI)
-				s.isInt = false
-			}
-			of := o.sumF
-			if o.isInt {
-				of = float64(o.sumI)
-			}
-			s.sumF += of
-		}
-		s.n += o.n
-	case AggMin:
-		if o.n > 0 && (s.n == 0 || sqlval.Compare(o.min, s.min) < 0) {
-			s.min = o.min
-		}
-		s.n += o.n
-	case AggMax:
-		if o.n > 0 && (s.n == 0 || sqlval.Compare(o.max, s.max) > 0) {
-			s.max = o.max
-		}
-		s.n += o.n
-	}
-}
-
 // Result returns the aggregate's final value.
 func (s *AggState) Result() sqlval.Value {
 	switch s.agg.Kind {

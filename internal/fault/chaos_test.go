@@ -52,12 +52,11 @@ func TestChaosInvariantsPaged(t *testing.T) {
 // TestBatchChaosExactMidBatch pins "a hook forces one-row pulls" with
 // hand-built schedules: error and cancel faults at call indices that fall
 // strictly inside what a hook-free run pulls as one batch (neither the first
-// nor a multiple of the batch size), on every corpus entry. For serial
-// entries the harness asserts the run stops at exactly the scheduled call,
-// and its inline monitor samples every call — a run that kept bulk pulls
-// under a hook would overshoot or sample states the iterator model never
-// reaches, and fail here; parallel entries are held to its at-or-past
-// verdict.
+// nor a multiple of the batch size), on every corpus entry. The harness
+// asserts the run stops at exactly the scheduled call, and on a serial entry
+// its inline monitor samples every call — a run that kept bulk pulls under a
+// hook would overshoot or sample states the iterator model never reaches,
+// and fail here.
 func TestBatchChaosExactMidBatch(t *testing.T) {
 	for _, entry := range coretest.Corpus() {
 		entry := entry

@@ -79,10 +79,10 @@ func NewInjector(s Schedule) *Injector {
 }
 
 // Arm installs the injector on ctx (via exec.Ctx.Inject). Must be called
-// before the run starts. Under parallel plans the hook fires concurrently
-// from several worker goroutines, so the event cursor is mutex-guarded;
-// stalls sleep outside the lock so one worker's latency spike never
-// serializes the other workers' counted calls.
+// before the run starts. The hook fires on the run's goroutine, which need
+// not be the one that reads Fired (a session runs its plan on a goroutine of
+// its own), so the event cursor is mutex-guarded; stalls sleep outside the
+// lock, so a reader never waits out a stall.
 func (in *Injector) Arm(ctx *exec.Ctx) {
 	ctx.Inject = func(calls int64) error {
 		var stall time.Duration

@@ -45,8 +45,6 @@ func TestServiceChaos(t *testing.T) {
 		inj   *fault.Injector
 		plan  fault.ConsumerPlan
 		entry coretest.CorpusEntry
-		// serial: the plan runs on one goroutine (exec.OnOneGoroutine).
-		serial bool
 	}
 	var all []admitted
 	consumerPlans := fault.GenerateConsumers(11, fault.ServiceProfile{
@@ -76,7 +74,7 @@ func TestServiceChaos(t *testing.T) {
 				}
 			},
 		})
-		return admitted{sess: sess, inj: inj, entry: entry, serial: exec.OnOneGoroutine(root)}, err
+		return admitted{sess: sess, inj: inj, entry: entry}, err
 	}
 
 	// Phase 1 — deterministic shed storm. Four gated sessions hold every
@@ -207,12 +205,6 @@ func TestServiceChaos(t *testing.T) {
 	}
 	wg.Wait()
 
-	// A serial plan stops exactly at a terminal fault's call; the workers of
-	// a parallel one legitimately count past it (see
-	// coretest.RunChaosSchedule): at or past it, never before.
-	stoppedAt := func(a admitted, calls, at int64) bool {
-		return calls == at || (!a.serial && calls > at)
-	}
 	for i, a := range all {
 		info := a.sess.Info()
 		// Terminal state must match what the injector actually fired.
@@ -228,13 +220,11 @@ func TestServiceChaos(t *testing.T) {
 			if info.State != session.StateFinished {
 				t.Errorf("%s [%s]: state %s with no terminal fault (err %v)", a.sess.ID(), a.sess.Text(), info.State, a.sess.Err())
 			}
-		case term.Kind == fault.ErrorFault && a.entry.StopsEarly && info.State == session.StateFinished:
-			// The fault landed on work the finished query had abandoned.
 		case term.Kind == fault.ErrorFault:
 			if info.State != session.StateFailed || !errors.Is(a.sess.Err(), fault.ErrInjected) {
 				t.Errorf("%s: state %s err %v after injected error", a.sess.ID(), info.State, a.sess.Err())
 			}
-			if !stoppedAt(a, info.Calls, term.At) {
+			if info.Calls != term.At {
 				t.Errorf("%s [%s]: calls %d, want exactly %d (error fault)", a.sess.ID(), a.sess.Text(), info.Calls, term.At)
 			}
 		case term.Kind == fault.CancelFault:
@@ -242,7 +232,7 @@ func TestServiceChaos(t *testing.T) {
 			if info.State != session.StateCanceled && info.State != session.StateFinished {
 				t.Errorf("%s: state %s after injected cancel", a.sess.ID(), info.State)
 			}
-			if !stoppedAt(a, info.Calls, term.At) {
+			if info.Calls != term.At {
 				t.Errorf("%s [%s]: calls %d, want exactly %d (cancel fault)", a.sess.ID(), a.sess.Text(), info.Calls, term.At)
 			}
 		}

@@ -15,11 +15,12 @@
 //
 // # The single-writer-per-slot discipline
 //
-// Every slot has exactly one writer goroutine at any time: the one that
-// answers the node's GetNext calls. A parallel operator's slot is written by
-// its reader, which counts the rows it hands its parent; each worker writes
-// only the slots of the partition subtree it drains. Readers — samplers, the
-// bounds pass, the SSE streamer — are unrestricted and lock-free.
+// Every slot has exactly one writer goroutine: the one that runs the plan and
+// answers the node's GetNext calls. A parallel scan's workers only read
+// storage; its reader, on that goroutine, counts the rows it hands out.
+// Readers — samplers, the bounds pass, the
+// SSE streamer — run on goroutines of their own, and are unrestricted and
+// lock-free.
 //
 // # The snapshot load-ordering protocol
 //

@@ -61,9 +61,9 @@ func TestSnapshotAllReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestConcurrentDisjointWriters is the parallel-worker contract: N writers
-// on disjoint slots, one reader summing; the race detector must
-// stay quiet and the final total must be exact.
+// TestConcurrentDisjointWriters: N writers on disjoint slots, one reader
+// summing; the race detector must stay quiet and the final total must be
+// exact.
 func TestConcurrentDisjointWriters(t *testing.T) {
 	const workers, per = 8, 10_000
 	l := New(workers)

@@ -106,55 +106,6 @@ func (b *Builder) ParallelScan(table string, workers int) Node {
 	return Node{b: b, Op: op, est: float64(st.Cardinality())}
 }
 
-// partitionScans builds `workers` disjoint store-aligned partition scans of
-// the table, each carrying its window size as its estimate.
-func (b *Builder) partitionScans(table string, workers int) []exec.Operator {
-	st := b.cat.MustStore(table)
-	parts := make([]exec.Operator, workers)
-	for i := range parts {
-		p := exec.NewStoreScanPartition(st, i, workers)
-		p.SetEstimatedCard(p.FinalBounds(nil).LB)
-		parts[i] = p
-	}
-	return parts
-}
-
-// ParallelHashJoin joins `workers` disjoint partition scans of probeTable
-// (probe side) against build on probeCol = buildCol — the partitioned
-// parallel hash join. The build side is drained once and hash-partitioned
-// across workers at Open; each worker probes with its own probe partition,
-// and the join's reader counts the rows it hands out. Linearity detection
-// and the cardinality model match the serial HashJoin.
-func (b *Builder) ParallelHashJoin(probeTable string, workers int, build Node, probeCol, buildCol string, mode exec.JoinMode) Node {
-	parts := b.partitionScans(probeTable, workers)
-	probeSch := parts[0].Schema()
-	op := exec.NewParallelHashJoin(build.Op, parts,
-		cols(build.Schema(), buildCol), cols(probeSch, probeCol), mode)
-	op.Linear = b.joinLinear(probeSch, probeCol, build.Schema(), buildCol)
-	// The probe partitions jointly scan the base table exactly once (nil op
-	// skips the scan-type guard for that side).
-	b.setLpJoinBound(op, mode, nil, probeSch, probeCol, build.Op, build.Schema(), buildCol)
-	probeEst := float64(b.cat.MustStore(probeTable).Cardinality())
-	return Node{b: b}.finish(op, joinEstimate(mode, probeEst, build.est, op.Linear))
-}
-
-// ParallelAgg builds a parallel pre-aggregation over `workers` disjoint
-// partition scans of the table: each worker folds its partition into a
-// private hash table, and the partials are merged exactly (in fixed worker
-// order) before emission. Grouping and aggregate semantics match HashAgg
-// over a Scan; groupsEst estimates the number of groups (0 = a tenth of
-// the input). Scalar (ungrouped) aggregation stays with ScalarAgg.
-func (b *Builder) ParallelAgg(table string, workers int, groupsEst float64, by []string, specs ...AggSpec) Node {
-	parts := b.partitionScans(table, workers)
-	pn := Node{b: b, Op: parts[0], est: float64(b.cat.MustStore(table).Cardinality())}
-	gb, names, kinds := pn.groupMeta(by)
-	op := exec.NewParallelHashAgg(parts, gb, names, kinds, pn.buildAggs(specs))
-	if groupsEst <= 0 {
-		groupsEst = pn.est / 10
-	}
-	return pn.finish(op, groupsEst)
-}
-
 // ScanFiltered builds a table scan with an embedded predicate (pushed
 // selection). sel is the selectivity estimate used for downstream
 // cardinality estimates; pass 0 for the default guess. keep is as for Scan;
@@ -254,11 +205,10 @@ func columnBase(sch *schema.Schema, name string) (table, col string) {
 // equi-join, for the pessimistic output bound (stats.JoinOutputUB). The
 // bound is sound only if the side delivers each base-table row at most once
 // — filtering shrinks degrees, but a join beneath can duplicate them — so
-// the side's operator must be a base-relation scan. Pass op == nil for
-// sides that are the base relation by construction (an INL probe index,
-// partition scans of a named table). Norms come from the column's histogram
-// (stale-widened via DegreeNorms); a declared-unique column needs no
-// synopsis, its degrees are uniform.
+// the side's operator must be a base-relation scan. Pass op == nil for a
+// side that is the base relation by construction (an INL probe index).
+// Norms come from the column's histogram (stale-widened via DegreeNorms); a
+// declared-unique column needs no synopsis, its degrees are uniform.
 func (b *Builder) sideDegreeNorms(op exec.Operator, sch *schema.Schema, col string) (stats.DegreeSeq, bool) {
 	if op != nil {
 		switch op.(type) {
@@ -419,7 +369,7 @@ func (n Node) INLJoin(innerTable, innerCol, outerCol string, mode exec.JoinMode)
 			if h := ts.Histogram(ci); h != nil && len(h.Buckets) > 0 {
 				re := h.EstimateRange(nil, nil, true, true)
 				sb := exec.CardBounds{LB: 0, UB: re.UB}
-				if sc, ok := n.Op.(*exec.Scan); ok && sc.Pred == nil && sc.WholeStore() &&
+				if sc, ok := n.Op.(*exec.Scan); ok && sc.Pred == nil &&
 					n.b.cat.HasForeignKey(innerTable, innerCol, ot, oc) {
 					sb.LB = re.LB
 				}

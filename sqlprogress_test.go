@@ -473,16 +473,16 @@ func TestRunWithProgressEndsAtCompletion(t *testing.T) {
 }
 
 // TestProgressUpdateIsOneInstant: an update's node counters come from the
-// same ledger read as its Calls and bounds, so under a concurrent parallel
-// aggregate — workers counting their partitions while the update is built —
-// the nodes' Calls sum to the update's Calls on every update.
+// same ledger read as its Calls and bounds, so on every update of a grouped
+// aggregate over lineitem — sampled mid-fold, the scan far ahead of the
+// aggregate's output — the nodes' Calls sum to the update's Calls.
 func TestProgressUpdateIsOneInstant(t *testing.T) {
 	db := OpenTPCH(0.02, 1, 42)
 	const rounds = 10
 	updates, torn := 0, 0
 	for round := 0; round < rounds; round++ {
 		count := plan.AggSpec{Kind: expr.AggCountStar, As: "n"}
-		q := db.QueryPlan(db.Builder().ParallelAgg("lineitem", 2, 0, []string{"l_suppkey"}, count))
+		q := db.QueryPlan(db.Builder().Scan("lineitem").HashAgg(0, []string{"l_suppkey"}, count))
 		_, err := q.RunWithProgress(ProgressOptions{Every: 500}, func(u ProgressUpdate) {
 			updates++
 			var sum int64
