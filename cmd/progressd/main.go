@@ -62,7 +62,7 @@ func main() {
 	// Re-measured on that footing, six alternating 25 s pairs on paged, with
 	// → without: query_p50_ms 23.1 → 27.5, query_p95_ms 40.5 → 55.3,
 	// queries_per_s 49.7 → 39.8 (worse in 6 of 6), peak_rss_mb 159.5 → 141.4
-	// (DESIGN §20). So it stays. The ballast is never written, so it costs
+	// (DESIGN §19). So it stays. The ballast is never written, so it costs
 	// address space and no resident memory of its own; it moves the heap
 	// goal from 2·live to 2·(live + 32 MiB), which only matters when live is
 	// small, and the ≈ 18 MB of RSS is the garbage that goal lets stand.

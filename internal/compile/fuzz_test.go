@@ -15,7 +15,6 @@ import (
 	"sqlprogress/internal/core"
 	"sqlprogress/internal/coretest"
 	"sqlprogress/internal/exec"
-	"sqlprogress/internal/expr"
 	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -311,38 +310,6 @@ func fuzzProgressInvariants(t *testing.T, seed int64) {
 		}
 		checkProgressInvariants(t, sql, op)
 	}
-}
-
-// fuzzParallelScanFilter cross-validates the parallel access path: a Filter
-// over a morsel-driven ParallelScan of t1 with a seed-random worker count
-// must produce exactly the serial evaluation's rows (order aside) — and the
-// progress invariants must hold while the workers run concurrently with the
-// reader that counts their rows.
-func fuzzParallelScanFilter(t *testing.T, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	db := newFuzzDB(r)
-	p := randPred(r)
-	workers := 1 + r.Intn(4)
-	rel := db.cat.MustRelation("t1")
-	ops := map[string]expr.CmpOp{"=": expr.EQ, "<>": expr.NE, "<": expr.LT, "<=": expr.LE, ">": expr.GT, ">=": expr.GE}
-	build := func() exec.Operator {
-		return exec.NewFilter(exec.NewParallelScan(rel, workers), expr.Compare(ops[p.op],
-			expr.NewCol(rel.Schema(), "", [3]string{"a", "b", "c"}[p.col]),
-			expr.Literal(sqlval.Int(p.val))))
-	}
-	label := fmt.Sprintf("parallel scan (w=%d) WHERE %s", workers, p.sql())
-	rows, err := exec.RunBatch(exec.NewCtx(), build())
-	if err != nil {
-		t.Fatalf("run %s: %v", label, err)
-	}
-	var want [][]int64
-	for _, row := range db.t1 {
-		if p.eval(row) {
-			want = append(want, []int64{row[0], row[1], row[2]})
-		}
-	}
-	compare(t, label, resultToInts(t, rows), want)
-	coretest.CheckProgressInvariants(t, label, build(), 1)
 }
 
 // fuzzBatchVsRow runs seed-random compiled queries in bulk pulls and in
@@ -1114,7 +1081,6 @@ var fuzzFamilies = []struct {
 	{"join-group-by", fuzzJoinGroupBy},
 	{"semi-anti-join", fuzzSemiAntiJoin},
 	{"progress-invariants", fuzzProgressInvariants},
-	{"parallel-scan-filter", fuzzParallelScanFilter},
 	{"batch-vs-row", fuzzBatchVsRow},
 	{"paged-vs-mem", fuzzPagedVsMem},
 	{"order-invariance", fuzzOrderInvariance},
@@ -1123,7 +1089,7 @@ var fuzzFamilies = []struct {
 	{"join-swap", fuzzJoinSwap},
 }
 
-// FuzzDifferential is the native-fuzzing entry point over all thirteen
+// FuzzDifferential is the native-fuzzing entry point over all twelve
 // differential families: the fuzzer explores (seed, family) pairs, every
 // one of which must produce results identical to the naive evaluator (and
 // clean progress invariants for the invariant families). The checked-in
@@ -1232,12 +1198,6 @@ func TestFuzzSemiAntiJoin(t *testing.T) {
 func TestFuzzProgressInvariantsOnRandomQueries(t *testing.T) {
 	for seed := int64(500); seed < 510; seed++ {
 		fuzzProgressInvariants(t, seed)
-	}
-}
-
-func TestFuzzParallelScanFilter(t *testing.T) {
-	for seed := int64(600); seed < 615; seed++ {
-		fuzzParallelScanFilter(t, seed)
 	}
 }
 

@@ -2,7 +2,6 @@ package coretest
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -18,7 +17,7 @@ import (
 // (torn.go). Its runs and their comparison are shared with the paged
 // differential (pageddiff.go) and the chaos harness (chaos.go).
 
-func renderRows(rows []schema.Row, sorted bool) []string {
+func renderRows(rows []schema.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		parts := make([]string, len(r))
@@ -27,22 +26,17 @@ func renderRows(rows []schema.Row, sorted bool) []string {
 		}
 		out[i] = strings.Join(parts, "|")
 	}
-	if sorted {
-		sort.Strings(out)
-	}
 	return out
 }
 
 // CheckBatchRowEquivalence runs build's plan in both regimes — exact, with
 // a per-call hook installed, and bulk, with none — and asserts:
 //
-//   - identical result rows (in order for serial plans, as a multiset for
-//     parallel ones — morsel interleaving is the one nondeterminism),
+//   - identical result rows, in order,
 //   - identical total GetNext calls,
 //   - identical per-node final ledger snapshots.
 //
-// A plan is serial when it runs on one goroutine (exec.OnOneGoroutine). The
-// whole check repeats across batch sizes, including degenerate one-row
+// The whole check repeats across batch sizes, including degenerate one-row
 // batches.
 func CheckBatchRowEquivalence(t testing.TB, label string, build func() exec.Operator) {
 	t.Helper()
@@ -57,14 +51,13 @@ func CheckBatchRowEquivalence(t testing.TB, label string, build func() exec.Oper
 }
 
 // planRun is one execution of a plan: its result rows, its total calls, its
-// final per-node ledger, whether it ran on one goroutine, and — when
-// recorded — one ledger read after every credit.
+// final per-node ledger and — when recorded — one ledger read after every
+// credit.
 type planRun struct {
-	rows   []schema.Row
-	calls  int64
-	final  []ledger.Snapshot
-	serial bool
-	reads  [][]ledger.Snapshot
+	rows  []schema.Row
+	calls int64
+	final []ledger.Snapshot
+	reads [][]ledger.Snapshot
 }
 
 // mustRun is execute without recording, failing t on a run error. what names
@@ -79,18 +72,18 @@ func mustRun(t testing.TB, what string, op exec.Operator, batchSize int, exact b
 }
 
 // execute runs op at batchSize — exact when a no-op per-call hook makes every
-// pull one GetNext, bulk otherwise. With record set and a plan on one
-// goroutine, it also reads the ledger after every credit through the credit
-// trigger at every = 1, which leaves the pull size alone.
+// pull one GetNext, bulk otherwise. With record set, it also reads the
+// ledger after every credit through the credit trigger at every = 1, which
+// leaves the pull size alone.
 func execute(op exec.Operator, batchSize int, exact, record bool) (planRun, error) {
-	run := planRun{serial: exec.OnOneGoroutine(op)}
+	var run planRun
 	led := exec.EnsureLedger(op)
 	ctx := exec.NewCtx()
 	ctx.BatchSize = batchSize
 	if exact {
 		ctx.OnGetNext = func(int64) {}
 	}
-	if record && run.serial {
+	if record {
 		ctx.SampleEvery(1, func(int64) { run.reads = append(run.reads, led.SnapshotAll(nil)) })
 	}
 	rows, err := exec.RunBatch(ctx, op)
@@ -101,12 +94,11 @@ func execute(op exec.Operator, batchSize int, exact, record bool) (planRun, erro
 	return run, nil
 }
 
-// compareRuns checks that sub ended as ref did: the same result rows (as a
-// multiset when parallel), the same total calls and the same final ledger.
-// subName and refName name the two runs in failures.
+// compareRuns checks that sub ended as ref did: the same result rows in the
+// same order, the same total calls and the same final ledger. subName and
+// refName name the two runs in failures.
 func compareRuns(label, subName, refName string, sub, ref planRun) error {
-	parallel := !ref.serial
-	got, want := renderRows(sub.rows, parallel), renderRows(ref.rows, parallel)
+	got, want := renderRows(sub.rows), renderRows(ref.rows)
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: %s produced %d rows, %s %d", label, subName, len(got), refName, len(want))
 	}

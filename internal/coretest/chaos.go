@@ -29,9 +29,9 @@ var cleanMem = struct {
 
 // cleanRun returns the entry's fault-free run in one-row pulls without a
 // hook, computed once per label: its total(Q) is the horizon schedule
-// generation needs so fault indices land inside the run, and for a serial
-// plan its ledger read after every credit is the iterator model's trail that
-// a hooked chaos run must follow (see runChaosSchedule).
+// generation needs so fault indices land inside the run, and its ledger
+// read after every credit is the iterator model's trail that a hooked chaos
+// run must follow (see runChaosSchedule).
 func cleanRun(entry CorpusEntry) (planRun, error) {
 	cleanMem.Lock()
 	defer cleanMem.Unlock()
@@ -91,9 +91,9 @@ func RunChaos(seed int64) error {
 //
 // The injector puts the run in the exact regime, so a fault or a
 // cancellation must land at precisely its scheduled GetNext count even where
-// that count falls inside what a hook-free run pulls as one batch. For a
-// serial plan the run is also held to the iterator model credit by credit:
-// up to where it stopped, the ledger read after each of its credits (the
+// that count falls inside what a hook-free run pulls as one batch. The run
+// is also held to the iterator model credit by credit: up to where it
+// stopped, the ledger read after each of its credits (the
 // inline monitor's samples) must be the entry's clean one-row-pull run's
 // (cleanRun), read for read.
 func RunChaosSchedule(entry CorpusEntry, sched fault.Schedule) error {
@@ -115,12 +115,9 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	// Attach sizes pulls for every = 1. Restore the default, so that only
 	// the injector's hook can force one-row pulls.
 	ctx.BatchSize = 0
-	serial := exec.OnOneGoroutine(root)
 	var reads [][]ledger.Snapshot
-	if serial {
-		led := exec.EnsureLedger(root)
-		mon.OnSample = func(core.Sample) { reads = append(reads, led.SnapshotAll(nil)) }
-	}
+	led := exec.EnsureLedger(root)
+	mon.OnSample = func(core.Sample) { reads = append(reads, led.SnapshotAll(nil)) }
 	async := core.NewAsyncMonitor(root, 50*time.Microsecond, chaosEstimators()...)
 	async.Start(ctx)
 	_, runErr := exec.RunBatch(ctx, root)
@@ -147,11 +144,9 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	}
 	switch {
 	case pageErr:
-		// A physical page-read error is terminal, but it races the
-		// call-indexed faults (and, under a parallel scan, the reader that
-		// counts the workers' rows) for which terminal error surfaces first — any of the three is an
-		// acceptable outcome, a clean completion or an unrelated error is
-		// not.
+		// A physical page-read error is terminal. A cancellation or an
+		// injected error may surface first, but never a clean completion
+		// or an unrelated error.
 		if runErr == nil {
 			return fmt.Errorf("page-read error fault fired but run completed cleanly")
 		}
@@ -223,11 +218,10 @@ func RunChaosPaged(seed int64) error {
 		return err
 	}
 
-	// The horizon comes from a fault-free run over a fresh cold pool: with
-	// page-aligned morsels every data page is read exactly once however
-	// the workers interleave, so the weighted total is deterministic and
-	// memoizable per label. runChaosSchedule finds this run under the same
-	// label and holds the faulted run to it.
+	// The horizon comes from a fault-free run over a fresh cold pool: every
+	// data page is read exactly once, so the weighted total is
+	// deterministic and memoizable per label. runChaosSchedule finds this
+	// run under the same label and holds the faulted run to it.
 	label := "paged-chaos/" + pe.Label
 	cleanEntry := CorpusEntry{Label: label, Build: func() exec.Operator {
 		cat, err := chaosPagedCatalog(f, nil, nil)

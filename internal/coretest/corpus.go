@@ -18,11 +18,6 @@ import (
 type CorpusEntry struct {
 	Label string
 	Build func() exec.Operator
-	// StopsEarly marks parallel plans whose root has its rows while workers
-	// are still running (LIMIT over a parallel scan), so which rows come
-	// back differs from run to run. The scan's reader counts only what it
-	// hands out, so the workers' abandoned reads are never counted.
-	StopsEarly bool
 }
 
 var corpusMem = struct {
@@ -52,9 +47,8 @@ func corpusCatalog() *catalog.Catalog {
 // loops, hash join + aggregation, embedded-predicate scans under sort/top,
 // rescan-heavy nested loops (whose bounds legitimately never pin), merge
 // join, scalar aggregation, a hash join emitting a subset of its columns,
-// LIMIT abandoning a filtered scan directly and through a join, a parallel
-// scan under an aggregate and a join, and LIMIT over a parallel scan whose
-// workers read ahead of it. CheckProgressInvariants holds on every entry;
+// and LIMIT abandoning a filtered scan directly and through a join.
+// CheckProgressInvariants holds on every entry;
 // the chaos harness replays them under fault schedules.
 func Corpus() []CorpusEntry {
 	lt := func(col string, v int64) plan.PredFn {
@@ -106,20 +100,6 @@ func Corpus() []CorpusEntry {
 			b := plan.NewBuilder(corpusCatalog())
 			return b.ScanFiltered("r2", 0.5, lt("b", 3)).
 				HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Top(5).Op
-		}},
-		{Label: "parallel-scan-agg", Build: func() exec.Operator {
-			b := plan.NewBuilder(corpusCatalog())
-			return b.ParallelScan("r2", 4).ScalarAgg(count).Op
-		}},
-		{Label: "parallel-scan-join", Build: func() exec.Operator {
-			b := plan.NewBuilder(corpusCatalog())
-			return b.ParallelScan("r2", 3).HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op
-		}},
-		{Label: "limit-parallel-scan", StopsEarly: true, Build: func() exec.Operator {
-			// LIMIT over a parallel scan: the workers read rows ahead of the
-			// reader, which counts only the rows the Top pulls.
-			b := plan.NewBuilder(corpusCatalog())
-			return b.ParallelScan("r2", 4).Top(5).Op
 		}},
 	}
 }

@@ -14,7 +14,7 @@ import (
 // on one plan, for both the default options and the demand-cap-disabled
 // variant. Both fold the same ledger read, so they must agree exactly —
 // same totals and the same per-node bounds in the same order — at every
-// instant, mid-run on a parallel plan included: anything else means a pass
+// instant: anything else means a pass
 // leaked state into the next, which is the one risk the evaluator's buffer
 // reuse introduces.
 type equivChecker struct {

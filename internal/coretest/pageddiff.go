@@ -44,7 +44,7 @@ func padRelation(name, col string, keys []int64) *schema.Relation {
 }
 
 // pagedTwinFrames keeps the shared pool much smaller than p2's page count,
-// so every serial cold scan misses and rescans evict.
+// so every cold scan misses and rescans evict.
 const pagedTwinFrames = 4
 
 // twinCatalogs returns two catalogs over identical data: in mem, tables p1
@@ -156,8 +156,7 @@ type PagedEntry struct {
 // PagedCorpus returns plans whose p1/p2 scans exercise the paged access
 // paths that differ mechanically from in-memory scans: full and filtered
 // serial scans (cursor row path), scans under sort/top (NextChunk batch
-// path), joins driven by a paged outer, both-sides-paged merge join, and
-// parallel scans over page-aligned morsels.
+// path), joins driven by a paged outer, and both-sides-paged merge join.
 func PagedCorpus() []PagedEntry {
 	lt := func(col string, v int64) plan.PredFn {
 		return func(sch *schema.Schema) expr.Expr {
@@ -184,13 +183,6 @@ func PagedCorpus() []PagedEntry {
 			b := plan.NewBuilder(cat)
 			return b.Scan("p1").Sort("a").MergeJoin(b.Scan("p2").Sort("b"), "a", "b").Op
 		}},
-		{Label: "paged-parallel-scan-agg", Build: func(cat *catalog.Catalog) exec.Operator {
-			return plan.NewBuilder(cat).ParallelScan("p2", 4).ScalarAgg(count).Op
-		}},
-		{Label: "paged-parallel-join", Build: func(cat *catalog.Catalog) exec.Operator {
-			b := plan.NewBuilder(cat)
-			return b.ParallelScan("p2", 3).HashJoin(b.Scan("r1"), "b", "a", exec.InnerJoin).Op
-		}},
 	}
 }
 
@@ -198,12 +190,9 @@ func PagedCorpus() []PagedEntry {
 // reference) and pagedCat (disk-backed subject) and asserts observational
 // equivalence in the exact regime and in bulk pulls (batch sizes 1 and 13):
 //
-//   - identical result rows (in order for serial plans, as a multiset for
-//     parallel ones),
+//   - identical result rows, in order,
 //   - identical total GetNext calls,
-//   - identical per-node final ledger snapshots. A parallel scan's
-//     page-aligned morsel windows differ from the in-memory n*i/parts
-//     split, but its reader counts the same rows either way.
+//   - identical per-node final ledger snapshots.
 func CheckPagedEquivalence(t testing.TB, label string, memCat, pagedCat *catalog.Catalog, build func(*catalog.Catalog) exec.Operator) {
 	t.Helper()
 	check := func(lbl, engine string, batchSize int, exact bool) {

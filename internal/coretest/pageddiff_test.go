@@ -90,9 +90,8 @@ func TestPagedWeightedInvariants(t *testing.T) {
 }
 
 // TestPagedCloseBeforeDrainLeavesNoPins abandons every paged plan after its
-// first row — workers of the parallel entries are mid-scan when Close stops
-// them — and demands that no frame stays pinned. (The other endings — drain,
-// page-read error, cancel — are checked after every paged chaos run.)
+// first row and demands that no frame stays pinned. (The other endings —
+// drain, page-read error, cancel — are checked after every paged chaos run.)
 func TestPagedCloseBeforeDrainLeavesNoPins(t *testing.T) {
 	_, paged := twinCatalogs(t)
 	for _, e := range PagedCorpus() {

@@ -18,9 +18,8 @@ import (
 // slot between its calls and its deliveries (Slot.Snapshot loads the two in
 // the order credit stores them, and a read can straddle both stores).
 //
-// It runs build's plan in bulk at batch sizes 0, 1 and 13 — a parallel plan
-// in lockstep (exec.Lockstep), so that it too runs on one goroutine —
-// reading the ledger before the run, after every credit and after the run.
+// It runs build's plan in bulk at batch sizes 0, 1 and 13, reading the
+// ledger before the run, after every credit and after the run.
 // Between each adjacent pair of reads it folds every read a sampler could
 // take: each node that changed taken from either read, and a credited slot
 // also torn both ways. Every read, recorded or torn, must have
@@ -35,7 +34,6 @@ func CheckTornReads(t testing.TB, label string, build func() exec.Operator) {
 	var reads, torn int
 	for _, bs := range []int{0, 1, 13} {
 		op := build()
-		exec.Lockstep(op)
 		tr := core.NewTracker(op)
 		run, err := execute(op, bs, false, true)
 		if err == nil {

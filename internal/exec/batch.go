@@ -55,13 +55,10 @@ const DefaultBatchSize = 1024
 // references into immutable base relations).
 type Batch struct {
 	Rows []schema.Row
-	// units are the weighted read units a ParallelScan worker's morsel
-	// charged for these rows, for the reader to credit (gather.next).
-	units int64
 }
 
 // Reset empties the batch, keeping its backing capacity.
-func (b *Batch) Reset() { b.Rows, b.units = b.Rows[:0], 0 }
+func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
 
 // reserve sizes an unused batch once for pulls of up to want rows from
 // child: no more than the child can deliver (capHint), so a pull from a
@@ -80,18 +77,12 @@ func (b *Batch) Len() int { return len(b.Rows) }
 func (b *Batch) Append(r schema.Row) { b.Rows = append(b.Rows, r) }
 
 // batchSize is the pull size of this run: 1 in the exact regime — a hook
-// installed — and the chunk size otherwise.
+// installed — and otherwise Ctx.BatchSize, or DefaultBatchSize when it is
+// zero.
 func (c *Ctx) batchSize() int {
 	if c.Inject != nil || c.OnGetNext != nil {
 		return 1
 	}
-	return c.chunkSize()
-}
-
-// chunkSize is Ctx.BatchSize, or DefaultBatchSize when it is zero. A
-// ParallelScan worker fills one chunk per step in either regime, so a
-// worker's reads do not depend on the pull size.
-func (c *Ctx) chunkSize() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
 	}

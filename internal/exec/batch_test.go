@@ -13,12 +13,10 @@ import (
 )
 
 // batchPlans is the pair-builder corpus: each entry constructs a fresh
-// operator tree so the row and batch engines never share state. serial
-// entries have deterministic row order; parallel ones are compared as sets.
+// operator tree so the row and batch engines never share state.
 func batchPlans() []struct {
-	name     string
-	build    func() Operator
-	parallel bool
+	name  string
+	build func() Operator
 } {
 	r := relOf("r", []string{"a", "x"}, [][]int64{
 		{1, 10}, {2, 20}, {2, 21}, {3, 30}, {4, 40}, {5, 50}, {5, 51}, {7, 70},
@@ -31,9 +29,8 @@ func batchPlans() []struct {
 		big.Append(schema.Row{sqlval.Int(i % 37), sqlval.Int(i)})
 	}
 	return []struct {
-		name     string
-		build    func() Operator
-		parallel bool
+		name  string
+		build func() Operator
 	}{
 		{name: "scan", build: func() Operator { return NewScan(big) }},
 		{name: "scan_pred", build: func() Operator {
@@ -107,9 +104,6 @@ func batchPlans() []struct {
 				expr.Compare(expr.EQ, expr.NewCol(scanR.Schema().Concat(scanS.Schema()), "r", "a"),
 					expr.NewCol(scanR.Schema().Concat(scanS.Schema()), "s", "b")))
 		}},
-		{name: "parallel_scan", parallel: true, build: func() Operator {
-			return NewParallelScan(big, 4)
-		}},
 	}
 }
 
@@ -147,16 +141,12 @@ func TestRunBatchMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.parallel {
-					sameRows(t, gotRows, wantRows, "batch vs row rows")
-				} else {
-					if len(gotRows) != len(wantRows) {
-						t.Fatalf("rows: got %d, want %d", len(gotRows), len(wantRows))
-					}
-					for i := range gotRows {
-						if !rowsEqual(gotRows[i], wantRows[i]) {
-							t.Fatalf("row %d: got %v, want %v", i, gotRows[i], wantRows[i])
-						}
+				if len(gotRows) != len(wantRows) {
+					t.Fatalf("rows: got %d, want %d", len(gotRows), len(wantRows))
+				}
+				for i := range gotRows {
+					if !rowsEqual(gotRows[i], wantRows[i]) {
+						t.Fatalf("row %d: got %v, want %v", i, gotRows[i], wantRows[i])
 					}
 				}
 				if gc, wc := batchCtx.Calls(), rowCtx.Calls(); gc != wc {
@@ -244,7 +234,6 @@ func TestNativeBatch(t *testing.T) {
 		"hash_join": true, "hash_join_leftouter": true, "inl_join": true,
 		"sort_top": false, "distinct": true, "hash_agg": true,
 		"scalar_agg": true, "merge_join": false, "nl_join": false,
-		"parallel_scan": true,
 	}
 	for _, tc := range plans {
 		if got := NativeBatch(tc.build()); got != want[tc.name] {

@@ -59,16 +59,15 @@ type Ctx struct {
 	// errors, and exact-call cancellations.
 	Inject func(calls int64) error
 
-	// BatchSize overrides DefaultBatchSize for bulk pulls and parallel
-	// worker chunks (zero means the default). Set before the run starts; it
-	// only affects chunk granularity, never accounting semantics, and a
-	// hooked run's pulls are one row whatever it says.
+	// BatchSize overrides DefaultBatchSize for bulk pulls (zero means the
+	// default). Set before the run starts; it only affects chunk
+	// granularity, never accounting semantics, and a hooked run's pulls are
+	// one row whatever it says.
 	BatchSize int
 
 	// every and onDue are the sampling trigger SampleEvery installs; due is
-	// the next instant it fires at. Only the run's goroutine credits — a
-	// ParallelScan's workers credit nothing; its reader counts what it hands
-	// out — so due is a plain field.
+	// the next instant it fires at. Only the run's goroutine credits, so
+	// due is a plain field.
 	every int64
 	onDue func(curr int64)
 	due   int64

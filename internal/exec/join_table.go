@@ -14,7 +14,7 @@ import (
 // 64-bit word per row beside them, so that a probe rejects a candidate
 // without dereferencing its row. How the build side is stored is invisible to
 // the paper's model of work: no GetNext call, ledger credit, batch boundary
-// or output position depends on it (DESIGN §21).
+// or output position depends on it (DESIGN §20).
 type joinTable struct {
 	buildKeys, probeKeys []expr.Expr
 	// exact reports the integer fast path: one bare-column key per side and

@@ -96,7 +96,7 @@ func (s *Scan) Open(*Ctx) error {
 		s.cur = nil
 	}
 	if s.Rel == nil {
-		cur, err := s.Src.OpenCursor(0, s.hi, s.cols)
+		cur, err := s.Src.OpenCursor(s.cols)
 		if err != nil {
 			return err
 		}
@@ -218,7 +218,7 @@ func (s *Scan) FinalBounds([]CardBounds) CardBounds {
 // and zero-cost stores) — every page read cold, once.
 func (s *Scan) MaxReadUnits() int64 {
 	if rc, ok := s.Src.(schema.ReadCoster); ok {
-		return rc.MaxReadUnits(0, int(s.Src.Cardinality()))
+		return rc.MaxReadUnits()
 	}
 	return 0
 }

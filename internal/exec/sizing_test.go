@@ -44,7 +44,7 @@ func TestArenaRowsAcrossSlabs(t *testing.T) {
 	}
 }
 
-// TestUnderestimatedPlansReturnEveryRow runs every serial corpus plan with
+// TestUnderestimatedPlansReturnEveryRow runs every corpus plan with
 // each node's estimate at one row, so every buffer sized from the plan is
 // sized from 2·est, far below the rows that pass through it. The bulk run
 // must still return the exact run's rows and reach its final ledger.
@@ -55,9 +55,6 @@ func TestUnderestimatedPlansReturnEveryRow(t *testing.T) {
 		return op
 	}
 	for _, tc := range batchPlans() {
-		if tc.parallel {
-			continue
-		}
 		for _, bs := range []int{0, 3, 64} {
 			t.Run(fmt.Sprintf("%s/bs=%d", tc.name, bs), func(t *testing.T) {
 				exactOp := underestimated(tc.build)

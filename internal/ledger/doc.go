@@ -13,14 +13,12 @@
 // node to its slot before the plan is opened and before any reader looks
 // at it; nothing counts anywhere else, so nothing is ever carried over.
 //
-// # The single-writer-per-slot discipline
+// # The single-writer discipline
 //
-// Every slot has exactly one writer goroutine: the one that runs the plan and
-// answers the node's GetNext calls. A parallel scan's workers only read
-// storage; its reader, on that goroutine, counts the rows it hands out.
-// Readers — samplers, the bounds pass, the
-// SSE streamer — run on goroutines of their own, and are unrestricted and
-// lock-free.
+// A ledger has one writer goroutine for all of its slots: the one that runs
+// the plan and answers its nodes' GetNext calls. Readers — samplers, the
+// bounds pass, the SSE streamer — run on goroutines of their own, and are
+// unrestricted and lock-free.
 //
 // # The snapshot load-ordering protocol
 //

@@ -12,11 +12,8 @@ const None NodeID = -1
 
 // Slot is one plan node's runtime progress state: GetNext counts, rows
 // delivered to the parent, rescan (re-open) count, and the EOF flag. All
-// fields are atomics written by the owning operator (exactly one writer
-// goroutine per slot at any time) and read by any number of samplers.
-//
-// The struct is padded to 64 bytes so adjacent slots written by different
-// goroutines never share a cache line.
+// fields are atomics written by the owning operator, on the goroutine that
+// runs the plan, and read by any number of samplers.
 type Slot struct {
 	// returned counts the node's counted GetNext calls (rows scanned or
 	// produced — the paper's unit of work).
@@ -28,7 +25,6 @@ type Slot struct {
 	rescans atomic.Int64
 	// done is the EOF flag.
 	done atomic.Bool
-	_    [64 - 3*8 - 4]byte
 }
 
 // Snapshot is a consistent-enough point-in-time view of one slot; see the

@@ -21,7 +21,7 @@ type Backend interface {
 }
 
 // FileBackend reads pages from an on-disk heap file via positional reads
-// (ReadAt), so concurrent workers' page reads need no seek coordination.
+// (ReadAt), so concurrent readers' page reads need no seek coordination.
 type FileBackend struct {
 	f     *os.File
 	pages uint32

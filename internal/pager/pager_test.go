@@ -67,7 +67,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 				t.Fatalf("schema %s != %s", got, want)
 			}
 			pr := NewPagedRelation(hf, NewPool(0))
-			cur, err := pr.OpenCursor(0, n, nil)
+			cur, err := pr.OpenCursor(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,77 +106,6 @@ func TestHeapFileMultiDirectoryPage(t *testing.T) {
 	}
 }
 
-func TestCursorWindows(t *testing.T) {
-	const n = 3000
-	rel := testRel(t, "w", n)
-	pr := NewPagedRelation(openTestFile(t, writeTestFile(t, rel)), NewPool(0))
-	for _, w := range [][2]int{{0, n}, {0, 0}, {17, 17}, {1, 2}, {500, 2500}, {2999, 3000}} {
-		lo, hi := w[0], w[1]
-		cur, err := pr.OpenCursor(lo, hi, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := 0
-		for {
-			rows, _, err := cur.NextChunk(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows) == 0 {
-				break
-			}
-			for _, row := range rows {
-				if !reflect.DeepEqual(row, rel.Rows[lo+got]) {
-					t.Fatalf("window [%d,%d) row %d mismatch", lo, hi, got)
-				}
-				got++
-			}
-		}
-		if got != hi-lo {
-			t.Fatalf("window [%d,%d): %d rows", lo, hi, got)
-		}
-		cur.Close()
-	}
-}
-
-func TestAlignWindowCoversExactly(t *testing.T) {
-	rel := testRel(t, "p", 4321)
-	pr := NewPagedRelation(openTestFile(t, writeTestFile(t, rel)), NewPool(0))
-	for _, parts := range []int{1, 2, 3, 8, 64} {
-		prev := 0
-		for part := 0; part < parts; part++ {
-			lo, hi := pr.AlignWindow(part, parts)
-			if lo != prev {
-				t.Fatalf("parts=%d part=%d: lo %d != prev hi %d", parts, part, lo, prev)
-			}
-			if hi < lo {
-				t.Fatalf("parts=%d part=%d: window [%d,%d)", parts, part, lo, hi)
-			}
-			// Page alignment: window edges must sit on page boundaries.
-			if parts > 1 {
-				onBoundary := func(pos int) bool {
-					if pos == 0 || int64(pos) == pr.Cardinality() {
-						return true
-					}
-					for _, c := range pr.hf.cum {
-						if c == int64(pos) {
-							return true
-						}
-					}
-					return false
-				}
-				if !onBoundary(lo) || !onBoundary(hi) {
-					t.Fatalf("parts=%d part=%d: window [%d,%d) not page aligned", parts, part, lo, hi)
-				}
-			}
-			prev = hi
-		}
-		if int64(prev) != pr.Cardinality() {
-			t.Fatalf("parts=%d: windows cover %d of %d rows", parts, prev, pr.Cardinality())
-		}
-	}
-}
-
 func TestPoolHitMissEviction(t *testing.T) {
 	rel := testRel(t, "e", 20000)
 	hf := openTestFile(t, writeTestFile(t, rel))
@@ -188,7 +117,7 @@ func TestPoolHitMissEviction(t *testing.T) {
 	pr := NewPagedRelation(hf, pool)
 
 	scan := func() {
-		cur, err := pr.OpenCursor(0, int(pr.Cardinality()), nil)
+		cur, err := pr.OpenCursor(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +156,7 @@ func TestPoolHitMissEviction(t *testing.T) {
 	warm := NewPool(pages + 1)
 	pr2 := NewPagedRelation(hf, warm)
 	read := func() {
-		cur, _ := pr2.OpenCursor(0, int(pr2.Cardinality()), nil)
+		cur, _ := pr2.OpenCursor(nil)
 		for {
 			rows, _, err := cur.NextChunk(1 << 20)
 			if err != nil {
@@ -350,20 +279,21 @@ func TestPoolFailedLoadRetries(t *testing.T) {
 	}
 }
 
+// TestPoolConcurrentReaders scans one store from eight goroutines at once
+// through one small pool, as the daemon's concurrent sessions share theirs.
 func TestPoolConcurrentReaders(t *testing.T) {
 	rel := testRel(t, "c", 30000)
 	hf := openTestFile(t, writeTestFile(t, rel))
 	pool := NewPool(8)
 	pr := NewPagedRelation(hf, pool)
-	const workers = 8
+	const readers = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
+	errs := make(chan error, readers)
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lo, hi := pr.AlignWindow(w, workers)
-			cur, err := pr.OpenCursor(lo, hi, nil)
+			cur, err := pr.OpenCursor(nil)
 			if err != nil {
 				errs <- err
 				return
@@ -381,8 +311,8 @@ func TestPoolConcurrentReaders(t *testing.T) {
 				}
 				n += len(rows)
 			}
-			if n != hi-lo {
-				errs <- fmt.Errorf("worker %d: %d rows, want %d", w, n, hi-lo)
+			if int64(n) != pr.Cardinality() {
+				errs <- fmt.Errorf("reader %d: %d rows, want %d", w, n, pr.Cardinality())
 			}
 		}(w)
 	}
@@ -399,19 +329,18 @@ func TestPoolConcurrentReaders(t *testing.T) {
 func TestMaxReadUnits(t *testing.T) {
 	rel := testRel(t, "u", 10000)
 	pr := NewPagedRelation(openTestFile(t, writeTestFile(t, rel)), NewPool(0))
-	if got := pr.MaxReadUnits(0, int(pr.Cardinality())); got != 0 {
+	if got := pr.MaxReadUnits(); got != 0 {
 		t.Fatalf("zero read cost charged %d units", got)
 	}
 	pr.SetReadCost(7)
 	want := 7 * int64(pr.hf.DataPages())
-	if got := pr.MaxReadUnits(0, int(pr.Cardinality())); got != want {
-		t.Fatalf("full window units %d, want %d", got, want)
+	if got := pr.MaxReadUnits(); got != want {
+		t.Fatalf("full scan units %d, want %d", got, want)
 	}
-	if got := pr.MaxReadUnits(0, 1); got != 7 {
-		t.Fatalf("single row units %d, want 7", got)
-	}
-	if got := pr.MaxReadUnits(5, 5); got != 0 {
-		t.Fatalf("empty window units %d", got)
+	empty := NewPagedRelation(openTestFile(t, writeTestFile(t, testRel(t, "u0", 0))), NewPool(0))
+	empty.SetReadCost(7)
+	if got := empty.MaxReadUnits(); got != 0 {
+		t.Fatalf("empty relation units %d", got)
 	}
 }
 
@@ -422,7 +351,7 @@ func TestCursorUnitsChargedOncePerPhysicalRead(t *testing.T) {
 	pr := NewPagedRelation(hf, pool)
 	pr.SetReadCost(3)
 	sum := func() int64 {
-		cur, err := pr.OpenCursor(0, int(pr.Cardinality()), nil)
+		cur, err := pr.OpenCursor(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

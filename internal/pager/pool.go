@@ -80,7 +80,7 @@ func (f *File) Backend() Backend { return f.b }
 // Pool is a shared buffer pool of page frames with pinning and CLOCK
 // eviction. It is safe for concurrent use; the mutex guards only the page
 // table and frame metadata — physical reads run outside the lock, so
-// parallel workers' cold reads overlap instead of serializing. A Get that
+// concurrent sessions' cold reads overlap instead of serializing. A Get that
 // finds every frame pinned waits for a Release: a cursor pins a page only
 // while it loads it, so a pin is always about to be released.
 type Pool struct {
@@ -158,7 +158,7 @@ func (p *Pool) Capacity() int { return p.cap }
 //
 // When another goroutine is already loading the page, Get counts a hit
 // (the read was not duplicated) and waits for that load; per-frame ready
-// channels make the wait per-page, so two workers faulting different pages
+// channels make the wait per-page, so two readers faulting different pages
 // never serialize each other's I/O. When every frame is pinned, Get waits
 // for a Release and looks again: the page may have been loaded meanwhile.
 func (p *Pool) Get(f *File, page uint32) (fr *Frame, miss bool, err error) {

@@ -95,17 +95,6 @@ func (b *Builder) ScanOrdered(table string, order []int32) Node {
 	return Node{b: b, Op: op, est: float64(rel.Cardinality())}
 }
 
-// ParallelScan builds a morsel-driven parallel scan of the table — one plan
-// node whose workers claim page-aligned row windows dynamically and whose
-// reader counts the rows it hands out. Progress consumers see a single leaf
-// with the same final bounds as the serial Scan.
-func (b *Builder) ParallelScan(table string, workers int) Node {
-	st := b.cat.MustStore(table)
-	op := exec.NewParallelScan(st, workers)
-	op.SetEstimatedCard(st.Cardinality())
-	return Node{b: b, Op: op, est: float64(st.Cardinality())}
-}
-
 // ScanFiltered builds a table scan with an embedded predicate (pushed
 // selection). sel is the selectivity estimate used for downstream
 // cardinality estimates; pass 0 for the default guess. keep is as for Scan;
@@ -212,7 +201,7 @@ func columnBase(sch *schema.Schema, name string) (table, col string) {
 func (b *Builder) sideDegreeNorms(op exec.Operator, sch *schema.Schema, col string) (stats.DegreeSeq, bool) {
 	if op != nil {
 		switch op.(type) {
-		case *exec.Scan, *exec.ParallelScan, *exec.RangeScan:
+		case *exec.Scan, *exec.RangeScan:
 		default:
 			return stats.DegreeSeq{}, false
 		}

@@ -13,9 +13,8 @@ import (
 // bottom of the dependency graph — because both storage implementations and
 // the executor need it, and the executor already depends on schema.
 
-// Store is a named, immutable bag of rows a Scan can iterate. Positions are
-// dense scan positions in [0, Cardinality()); a cursor visits a half-open
-// window of them in storage order.
+// Store is a named, immutable bag of rows a Scan can iterate. A cursor
+// visits every stored row once, in storage order.
 type Store interface {
 	// StoreName is the table name (a method, not a field, so in-memory and
 	// paged implementations can both satisfy the interface).
@@ -25,20 +24,14 @@ type Store interface {
 	// Cardinality is the exact stored row count (known from the catalog /
 	// file header, the paper's anchor for tight leaf bounds).
 	Cardinality() int64
-	// AlignWindow maps partition `part` of `parts` equal slices onto a
-	// storage-aligned scan-position window [lo, hi). The windows of parts
-	// sibling partitions are disjoint and cover [0, Cardinality()) exactly.
-	// In-memory stores split on row boundaries; paged stores split on page
-	// boundaries so parallel workers never share a page read.
-	AlignWindow(part, parts int) (lo, hi int)
-	// OpenCursor opens a cursor over scan positions [lo, hi). cols lists the
+	// OpenCursor opens a cursor over the whole store. cols lists the
 	// positions in Schema() of the columns the caller reads, strictly
 	// ascending: the cursor's rows hold exactly those values, in that order
 	// (none at all for an empty list). A nil cols means every column. A
 	// store that decodes its rows materialises only what is asked for; which
 	// columns a cursor carries never changes which rows it visits or what
 	// they cost.
-	OpenCursor(lo, hi int, cols []int) (Cursor, error)
+	OpenCursor(cols []int) (Cursor, error)
 }
 
 // CheckColumns reports whether cols is a valid column list for OpenCursor
@@ -52,14 +45,14 @@ func (s *Schema) CheckColumns(cols []int) error {
 	return nil
 }
 
-// Cursor iterates one scan window. Cursors are single-goroutine; rows they
+// Cursor iterates one store. Cursors are single-goroutine; rows they
 // return remain valid indefinitely (they reference immutable in-memory
 // storage or are freshly decoded copies of on-disk pages).
 type Cursor interface {
 	// NextChunk returns up to want rows in one step, plus the extra weighted
 	// GetNext units the storage charged for producing them — zero for
 	// in-memory rows and buffer-pool hits, the store's read cost for each
-	// page physically read (see ReadCoster). An empty chunk means the window
+	// page physically read (see ReadCoster). An empty chunk means the store
 	// is exhausted. The returned slice is only valid until the next cursor
 	// call; the rows it holds are valid indefinitely.
 	NextChunk(want int) (rows []Row, units int64, err error)
@@ -70,44 +63,34 @@ type Cursor interface {
 // ReadCoster is implemented by stores whose scans charge extra GetNext
 // units for physical I/O: a row served from a page that had to be read
 // from disk costs 1 + ReadCost units instead of 1. MaxReadUnits bounds the
-// extra units a full scan of window [lo, hi) can accrue (every page of the
-// window read physically); the lower bound is always zero — a fully warm
-// buffer pool serves the whole window without physical reads.
+// extra units a full scan can accrue (every page read physically); the
+// lower bound is always zero — a fully warm buffer pool serves the whole
+// store without physical reads.
 type ReadCoster interface {
-	MaxReadUnits(lo, hi int) int64
+	MaxReadUnits() int64
 }
 
 // StoreName implements Store.
 func (r *Relation) StoreName() string { return r.Name }
 
-// AlignWindow implements Store: in-memory relations split on row
-// boundaries.
-func (r *Relation) AlignWindow(part, parts int) (lo, hi int) {
-	n := len(r.Rows)
-	if parts <= 1 {
-		return 0, n
-	}
-	return n * part / parts, n * (part + 1) / parts
-}
-
 // OpenCursor implements Store.
-func (r *Relation) OpenCursor(lo, hi int, cols []int) (Cursor, error) {
+func (r *Relation) OpenCursor(cols []int) (Cursor, error) {
 	if err := r.Sch.CheckColumns(cols); err != nil {
 		return nil, err
 	}
-	return &memCursor{rows: r.Rows, pos: lo, hi: hi, cols: cols}, nil
+	return &memCursor{rows: r.Rows, cols: cols}, nil
 }
 
-// memCursor iterates a window of an in-memory relation. With no column
+// memCursor iterates an in-memory relation. With no column
 // list, NextChunk hands out subslices of the relation's own row-header
 // slice, so the bulk scan path copies nothing; with one, every row handed
 // out is a fresh copy of the listed values — there is nothing to decode, so
 // narrowing costs a copy here where it saves one on disk.
 type memCursor struct {
-	rows    []Row
-	pos, hi int
-	cols    []int
-	chunk   []Row // reused NextChunk result when cols != nil
+	rows  []Row
+	pos   int
+	cols  []int
+	chunk []Row // reused NextChunk result when cols != nil
 }
 
 // project copies the listed columns of the stored rows into one fresh slab.
@@ -126,12 +109,9 @@ func (c *memCursor) project(dst, src []Row) []Row {
 
 // NextChunk implements Cursor.
 func (c *memCursor) NextChunk(want int) ([]Row, int64, error) {
-	n := c.hi - c.pos
+	n := min(len(c.rows)-c.pos, want)
 	if n <= 0 {
 		return nil, 0, nil
-	}
-	if n > want {
-		n = want
 	}
 	out := c.rows[c.pos : c.pos+n]
 	if c.cols != nil {

@@ -358,16 +358,15 @@ func TestNodeProgressDeltaStream(t *testing.T) {
 	}
 }
 
-// TestNodeProgressParallelPlan streams a parallel (morsel-scan) plan through
-// a session and checks the per-node ledger counters account for every row
-// exactly once: the scan's reader counts every row its workers produced.
-func TestNodeProgressParallelPlan(t *testing.T) {
+// TestNodeProgressScanAgg streams a count over a scan through a session and
+// checks the per-node ledger counters account for every row exactly once.
+func TestNodeProgressScanAgg(t *testing.T) {
 	cat := testCatalog(t)
 	m := New(cat, Config{SampleInterval: 100 * time.Microsecond})
 	defer m.Close()
 	b := plan.NewBuilder(cat)
-	root := b.ParallelScan("lineitem", 4).ScalarAgg(plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op
-	s, err := m.SubmitPlan(root, "parallel count(lineitem)", SubmitOptions{})
+	root := b.Scan("lineitem").ScalarAgg(plan.AggSpec{Kind: expr.AggCountStar, As: "n"}).Op
+	s, err := m.SubmitPlan(root, "count(lineitem)", SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,13 +375,13 @@ func TestNodeProgressParallelPlan(t *testing.T) {
 	}
 	in := s.Info()
 	nodes := in.Progress.Nodes
-	// agg + morsel scan = 2 nodes; the scan's workers share one NodeID.
+	// agg + scan = 2 nodes.
 	if len(nodes) != 2 {
 		t.Fatalf("final event has %d nodes, want 2", len(nodes))
 	}
 	card := cat.MustRelation("lineitem").Cardinality()
 	if nodes[1].Calls != card {
-		t.Fatalf("scan calls sum to %d, want %d", nodes[1].Calls, card)
+		t.Fatalf("scan calls = %d, want %d", nodes[1].Calls, card)
 	}
 	if nodes[1].Delivered != card {
 		t.Fatalf("scan delivered %d, want %d", nodes[1].Delivered, card)

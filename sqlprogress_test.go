@@ -424,34 +424,6 @@ func TestProgressUpdateNodeCounters(t *testing.T) {
 	}
 }
 
-func TestParallelPlanWithProgress(t *testing.T) {
-	db := sampleDB(t)
-	b := db.Builder()
-	n := b.ParallelScan("events", 4)
-	q := db.QueryPlan(n)
-	updates := 0
-	res, err := q.RunWithProgress(ProgressOptions{Every: 16}, func(u ProgressUpdate) {
-		updates++
-		if u.Hi < u.Lo {
-			t.Fatalf("interval inverted: [%f, %f]", u.Lo, u.Hi)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 200 {
-		t.Fatalf("parallel scan returned %d rows, want 200", len(res.Rows))
-	}
-	if updates == 0 {
-		t.Fatal("no progress updates observed")
-	}
-	// One morsel-driven leaf: every row counted exactly once, no matter how
-	// many workers claimed morsels.
-	if res.TotalCalls != 200 {
-		t.Fatalf("total calls = %d, want 200", res.TotalCalls)
-	}
-}
-
 // TestRunWithProgressEndsAtCompletion: a completed run's last update is the
 // at-completion one, whatever the period: its Calls is the run's total.
 func TestRunWithProgressEndsAtCompletion(t *testing.T) {
