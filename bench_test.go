@@ -341,6 +341,30 @@ func TestBatchShortSessionAllocBudget(t *testing.T) {
 	runtime.KeepAlive(mgr)
 }
 
+// openTPCHLiveHeapBudget is the ceiling on the live heap OpenTPCH(0.02, 1,
+// 42) leaves behind: the generated tables, their statistics and the
+// catalog. It was 72.5 MB while a sqlval.Value was 32 bytes (lineitem alone
+// is 120 279 rows × 15 values); 38.9 MB at 16 bytes.
+const openTPCHLiveHeapBudget = 48_000_000
+
+// TestOpenTPCHLiveHeapBudget holds the resident database the daemon serves
+// to openTPCHLiveHeapBudget: the HeapAlloc delta around OpenTPCH, each side
+// read after a full collection. progressd's RSS follows its live heap.
+func TestOpenTPCHLiveHeapBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := OpenTPCH(0.02, 1, 42)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if live > openTPCHLiveHeapBudget {
+		t.Errorf("OpenTPCH(0.02, 1, 42) keeps %.1f MB live, budget %.1f MB", float64(live)/1e6, float64(openTPCHLiveHeapBudget)/1e6)
+	}
+	t.Logf("OpenTPCH(0.02, 1, 42) keeps %.1f MB live", float64(live)/1e6)
+	runtime.KeepAlive(db)
+}
+
 // The four statement classes the end-to-end benchmark's paged workload is
 // built from (benchmark/workload.go), one parameterisation each.
 var pagedVsMemClasses = []struct{ name, sql string }{

@@ -50,6 +50,26 @@ func rowsToStrings(rows []schema.Row) []string {
 	return out
 }
 
+// sameValue reports whether a and b have the same kind and content, which
+// String renders exactly. reflect.DeepEqual would compare where a string's
+// bytes live, not what they hold.
+func sameValue(a, b sqlval.Value) bool {
+	return a.Kind() == b.Kind() && a.String() == b.String()
+}
+
+// sameRow reports whether a and b hold the same values, by sameValue.
+func sameRow(a, b schema.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameValue(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func sameRows(t *testing.T, got, want []schema.Row, label string) {
 	t.Helper()
 	g, w := rowsToStrings(got), rowsToStrings(want)

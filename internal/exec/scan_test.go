@@ -2,7 +2,6 @@ package exec
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"sqlprogress/internal/expr"
@@ -65,7 +64,7 @@ func TestStoreScanNarrowed(t *testing.T) {
 			t.Fatalf("%s: narrowed scan delivered %d rows, full-width %d", run.name, len(got), len(want))
 		}
 		for i, row := range want {
-			if !reflect.DeepEqual(got[i], schema.Row{row[1]}) {
+			if !sameRow(got[i], schema.Row{row[1]}) {
 				t.Fatalf("%s: row %d = %v, want (%v)", run.name, i, got[i], row[1])
 			}
 		}

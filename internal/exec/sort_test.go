@@ -55,7 +55,7 @@ func TestSortLimit(t *testing.T) {
 					t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 				}
 				for i := range want {
-					if got[i][2] != want[i][2] {
+					if !sameValue(got[i][2], want[i][2]) {
 						t.Fatalf("%s: row %d is id %v, the stable sort has id %v", label, i, got[i][2], want[i][2])
 					}
 				}

@@ -46,12 +46,19 @@ func TestAggStateColArgMatchesExpr(t *testing.T) {
 		for _, k := range kinds {
 			byCol, byExpr := Agg{Kind: k, Arg: col}, Agg{Kind: k, Arg: opaque{col}}
 			for n := 0; n <= len(rows); n++ {
-				if got, want := aggregate(byCol, rows[:n]), aggregate(byExpr, rows[:n]); got != want {
+				if got, want := aggregate(byCol, rows[:n]), aggregate(byExpr, rows[:n]); !sameValue(got, want) {
 					t.Errorf("%s %s over %d rows: column read %v, Expr read %v", c.name, k, n, got, want)
 				}
 			}
 		}
 	}
+}
+
+// sameValue reports whether a and b have the same kind and content, which
+// String renders exactly. reflect.DeepEqual would compare where a string's
+// bytes live, not what they hold.
+func sameValue(a, b sqlval.Value) bool {
+	return a.Kind() == b.Kind() && a.String() == b.String()
 }
 
 func aggregate(a Agg, rows []schema.Row) sqlval.Value {

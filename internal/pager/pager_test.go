@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -52,6 +51,26 @@ func openTestFile(t *testing.T, path string) *HeapFile {
 	return hf
 }
 
+// sameValue reports whether a and b have the same kind and content, which
+// String renders exactly. reflect.DeepEqual would compare where a string's
+// bytes live, not what they hold.
+func sameValue(a, b sqlval.Value) bool {
+	return a.Kind() == b.Kind() && a.String() == b.String()
+}
+
+// sameRow reports whether a and b hold the same values, by sameValue.
+func sameRow(a, b schema.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameValue(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestHeapFileRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000, 5000} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -76,7 +95,7 @@ func TestHeapFileRoundTrip(t *testing.T) {
 				if err != nil || len(rows) != 1 {
 					t.Fatalf("row %d: %d rows, err=%v", i, len(rows), err)
 				}
-				if !reflect.DeepEqual(rows[0], rel.Rows[i]) {
+				if !sameRow(rows[0], rel.Rows[i]) {
 					t.Fatalf("row %d: got %v want %v", i, rows[0], rel.Rows[i])
 				}
 			}

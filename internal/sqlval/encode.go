@@ -10,8 +10,9 @@ import (
 // returns the extended slice. The format is stable and self-delimiting; it
 // is what the database snapshot writer uses.
 func (v Value) AppendBinary(buf []byte) []byte {
-	buf = append(buf, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	buf = append(buf, byte(k))
+	switch k {
 	case KindNull:
 	case KindInt, KindDate:
 		buf = binary.AppendVarint(buf, v.i)
@@ -22,8 +23,8 @@ func (v Value) AppendBinary(buf []byte) []byte {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.AsFloat()))
 		buf = append(buf, b[:]...)
 	case KindString:
-		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
-		buf = append(buf, v.s...)
+		buf = binary.AppendUvarint(buf, uint64(v.i))
+		buf = append(buf, v.str()...)
 	}
 	return buf
 }

@@ -3,9 +3,10 @@
 // workloads (integers, floats, strings, booleans and dates), together with
 // NULL, a total comparison order, hashing, and arithmetic helpers.
 //
-// Values are deliberately small (no pointers except the string payload) so
-// rows can be copied cheaply; the executor copies rows at pipeline
-// boundaries only.
+// A Value is 16 bytes — one pointer and one 64-bit payload — so rows copy
+// cheaply and the resident database is mostly payload. The pointer is the
+// kind tag for every kind but strings, where it is the string's data; see
+// Value. The executor copies rows at pipeline boundaries only.
 package sqlval
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types a Value may hold.
@@ -52,28 +54,55 @@ func (k Kind) String() string {
 
 // Value is a single SQL value. The zero Value is NULL.
 //
-// The numeric payload is a union: i holds the integer, bool, and date
-// payloads directly, and a float's IEEE-754 bits. Rows are copied in bulk at
-// every pipeline boundary, so Value stays as small as the string header
-// allows (32 bytes); the bits round-trip through math.Float64bits costs
-// nothing on modern hardware.
+// A Value is 16 bytes: a pointer p and a payload i. p == nil is NULL. For
+// the kinds held in i — Int, Bool (0/1), Date (days since the epoch) and
+// Float (its IEEE-754 bits) — p points at kindTags[kind]. Any other p is a
+// string's data pointer and i is its length; the empty string points at
+// emptyStr, so a string is never mistaken for NULL. Kind is therefore one
+// pointer-offset compare and a nil test, and a string costs no header beyond
+// the two words every Value has.
+//
+// Value is not comparable: == or a map key would compare string data
+// pointers, not contents, so the zero-length func array makes both a compile
+// error. Compare values with Equal or Compare.
 type Value struct {
-	kind Kind
-	i    int64 // int, bool (0/1), date (days), float64 bits
-	s    string
+	_ [0]func()
+	p unsafe.Pointer
+	i int64
 }
+
+// kindTags gives each kind held in the payload its own address: a Value of
+// such a kind k has p == &kindTags[k]. Nothing reads or writes the bytes.
+var kindTags [6]byte
+
+// emptyStr is the data pointer of every empty string Value.
+var emptyStr byte
+
+// tagged builds a Value of a payload-held kind.
+func tagged(k Kind, i int64) Value { return Value{p: unsafe.Pointer(&kindTags[k]), i: i} }
+
+// is reports whether v has the payload-held kind k.
+func (v Value) is(k Kind) bool { return v.p == unsafe.Pointer(&kindTags[k]) }
+
+// str returns the string payload of a value known to be a string.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.i)) }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return tagged(KindInt, v) }
 
 // Float returns a double-precision value.
-func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
+func Float(v float64) Value { return tagged(KindFloat, int64(math.Float64bits(v))) }
 
-// String returns a string value.
-func String(v string) Value { return Value{kind: KindString, s: v} }
+// String returns a string value. It shares v's bytes; strings are immutable.
+func String(v string) Value {
+	if len(v) == 0 {
+		return Value{p: unsafe.Pointer(&emptyStr)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), i: int64(len(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -81,11 +110,11 @@ func Bool(v bool) Value {
 	if v {
 		i = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return tagged(KindBool, i)
 }
 
 // Date returns a date value from days since the Unix epoch.
-func Date(days int64) Value { return Value{kind: KindDate, i: days} }
+func Date(days int64) Value { return tagged(KindDate, days) }
 
 // DateFromTime converts a time.Time (UTC date part) to a date value.
 func DateFromTime(t time.Time) Value {
@@ -103,63 +132,71 @@ func MustParseDate(s string) Value {
 }
 
 // Kind reports the runtime kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if off := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); off < uintptr(len(kindTags)) {
+		return Kind(off)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindString
+}
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // AsInt returns the integer payload. It panics when the kind is not
 // KindInt or KindDate.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt && v.kind != KindDate {
-		panic("sqlval: AsInt on " + v.kind.String())
+	if !v.is(KindInt) && !v.is(KindDate) {
+		panic("sqlval: AsInt on " + v.Kind().String())
 	}
 	return v.i
 }
 
 // AsFloat returns the value as float64, converting integers.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindFloat:
+	switch {
+	case v.is(KindFloat):
 		return math.Float64frombits(uint64(v.i))
-	case KindInt, KindDate:
+	case v.is(KindInt), v.is(KindDate):
 		return float64(v.i)
 	}
-	panic("sqlval: AsFloat on " + v.kind.String())
+	panic("sqlval: AsFloat on " + v.Kind().String())
 }
 
 // AsString returns the string payload. It panics on non-strings.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("sqlval: AsString on " + v.kind.String())
+	if k := v.Kind(); k != KindString {
+		panic("sqlval: AsString on " + k.String())
 	}
-	return v.s
+	return v.str()
 }
 
 // AsBool returns the boolean payload. It panics on non-booleans.
 func (v Value) AsBool() bool {
-	if v.kind != KindBool {
-		panic("sqlval: AsBool on " + v.kind.String())
+	if !v.is(KindBool) {
+		panic("sqlval: AsBool on " + v.Kind().String())
 	}
 	return v.i != 0
 }
 
 // DateDays returns the day count of a date value.
 func (v Value) DateDays() int64 {
-	if v.kind != KindDate {
-		panic("sqlval: DateDays on " + v.kind.String())
+	if !v.is(KindDate) {
+		panic("sqlval: DateDays on " + v.Kind().String())
 	}
 	return v.i
 }
 
 // Numeric reports whether the value participates in arithmetic.
 func (v Value) Numeric() bool {
-	return v.kind == KindInt || v.kind == KindFloat
+	return v.is(KindInt) || v.is(KindFloat)
 }
 
 // String renders the value for display and plan explanation.
 func (v Value) String() string {
-	switch v.kind {
+	switch k := v.Kind(); k {
 	case KindNull:
 		return "NULL"
 	case KindInt:
@@ -167,7 +204,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
-		return "'" + v.s + "'"
+		return "'" + v.str() + "'"
 	case KindBool:
 		if v.i != 0 {
 			return "TRUE"
@@ -176,7 +213,7 @@ func (v Value) String() string {
 	case KindDate:
 		return time.Unix(v.i*86400, 0).UTC().Format("2006-01-02")
 	default:
-		return fmt.Sprintf("Value(kind=%d)", v.kind)
+		return fmt.Sprintf("Value(kind=%d)", k)
 	}
 }
 
@@ -195,20 +232,22 @@ func Compare(a, b Value) int {
 		return 1
 	}
 	if a.Numeric() && b.Numeric() {
-		if a.kind == KindInt && b.kind == KindInt {
+		if a.is(KindInt) && b.is(KindInt) {
 			return cmpInt(a.i, b.i)
 		}
 		return cmpFloat(a.AsFloat(), b.AsFloat())
 	}
-	if a.kind != b.kind {
-		return cmpInt(int64(a.kind), int64(b.kind))
+	ak, bk := a.Kind(), b.Kind()
+	if ak != bk {
+		return cmpInt(int64(ak), int64(bk))
 	}
-	switch a.kind {
+	switch ak {
 	case KindString:
+		as, bs := a.str(), b.str()
 		switch {
-		case a.s < b.s:
+		case as < bs:
 			return -1
-		case a.s > b.s:
+		case as > bs:
 			return 1
 		}
 		return 0
@@ -255,8 +294,8 @@ func cmpFloat(a, b float64) int {
 // direct field comparison; only mixed numeric kinds fall back to the full
 // total-order comparison — Equal sits on the hash-lookup hot path.
 func Equal(a, b Value) bool {
-	if a.kind == b.kind {
-		switch a.kind {
+	if ak := a.Kind(); ak == b.Kind() {
+		switch ak {
 		case KindNull:
 			return true
 		case KindInt, KindBool, KindDate:
@@ -268,7 +307,7 @@ func Equal(a, b Value) bool {
 			af, bf := a.AsFloat(), b.AsFloat()
 			return af == bf || (math.IsNaN(af) && math.IsNaN(bf))
 		case KindString:
-			return a.s == b.s
+			return a.str() == b.str()
 		}
 	}
 	return Compare(a, b) == 0
@@ -291,9 +330,9 @@ type hashKey struct {
 // maphash.Comparable (the runtime's AES-based hasher) rather than a
 // streaming maphash.Hash: one fused call instead of per-byte writes.
 func Hash(v Value) uint64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		return maphash.String(hashSeed, v.s)
+		return maphash.String(hashSeed, v.str())
 	case KindInt:
 		// Ints hash through their float64 bits, matching Compare's
 		// cross-kind numeric equality (Int(5) == Float(5.0)).
@@ -343,7 +382,7 @@ func arith(a, b Value, fi func(int64, int64) int64, ff func(float64, float64) fl
 	if a.IsNull() || b.IsNull() {
 		return Null()
 	}
-	if a.kind == KindInt && b.kind == KindInt {
+	if a.is(KindInt) && b.is(KindInt) {
 		return Int(fi(a.i, b.i))
 	}
 	return Float(ff(a.AsFloat(), b.AsFloat()))

@@ -1,11 +1,16 @@
 package sqlval
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestZeroValueIsNull(t *testing.T) {
@@ -333,5 +338,222 @@ func TestSkipValueAgreesWithDecodeValue(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueIsSixteenBytes pins the layout: a tag-or-data pointer and a
+// 64-bit payload. Every table the engine holds is rows of Values, so a
+// wider Value widens the resident database in proportion.
+func TestValueIsSixteenBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+}
+
+// ref is a test-held reference for a Value: its kind and the Go value it
+// holds (int64 for ints and dates, float64, string, bool, nil for NULL).
+type ref struct {
+	k Kind
+	v any
+}
+
+func (r ref) value() Value {
+	switch r.k {
+	case KindInt:
+		return Int(r.v.(int64))
+	case KindFloat:
+		return Float(r.v.(float64))
+	case KindString:
+		return String(r.v.(string))
+	case KindBool:
+		return Bool(r.v.(bool))
+	case KindDate:
+		return Date(r.v.(int64))
+	}
+	return Null()
+}
+
+func (r ref) String() string {
+	switch r.k {
+	case KindInt:
+		return strconv.FormatInt(r.v.(int64), 10)
+	case KindFloat:
+		return strconv.FormatFloat(r.v.(float64), 'g', -1, 64)
+	case KindString:
+		return "'" + r.v.(string) + "'"
+	case KindBool:
+		if r.v.(bool) {
+			return "TRUE"
+		}
+		return "FALSE"
+	case KindDate:
+		return time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, int(r.v.(int64))).Format(time.DateOnly)
+	}
+	return "NULL"
+}
+
+// refCompare is the total order Compare documents, over references: NULL
+// first; ints exactly against ints; other numeric pairs as float64 (NaN
+// first, -0 = +0, which is cmp.Compare's float order); other kinds by tag,
+// then by content.
+func refCompare(a, b ref) int {
+	switch {
+	case a.k == KindNull || b.k == KindNull:
+		return cmp.Compare(boolInt(b.k == KindNull), boolInt(a.k == KindNull))
+	case a.k == KindInt && b.k == KindInt:
+		return cmp.Compare(a.v.(int64), b.v.(int64))
+	case a.numeric() && b.numeric():
+		return cmp.Compare(a.float(), b.float())
+	case a.k != b.k:
+		return cmp.Compare(a.k, b.k)
+	case a.k == KindString:
+		return strings.Compare(a.v.(string), b.v.(string))
+	case a.k == KindBool:
+		return cmp.Compare(boolInt(a.v.(bool)), boolInt(b.v.(bool)))
+	}
+	return cmp.Compare(a.v.(int64), b.v.(int64)) // dates
+}
+
+func (r ref) numeric() bool { return r.k == KindInt || r.k == KindFloat }
+
+func (r ref) float() float64 {
+	if r.k == KindInt {
+		return float64(r.v.(int64))
+	}
+	return r.v.(float64)
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// refEncode is the binary format, written out: the kind byte, then a
+// varint (int, date), one byte (bool), eight little-endian bytes (float)
+// or a uvarint length and the bytes (string).
+func refEncode(r ref) []byte {
+	b := []byte{byte(r.k)}
+	switch r.k {
+	case KindInt, KindDate:
+		b = binary.AppendVarint(b, r.v.(int64))
+	case KindFloat:
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.v.(float64)))
+	case KindString:
+		b = binary.AppendUvarint(b, uint64(len(r.v.(string))))
+		b = append(b, r.v.(string)...)
+	case KindBool:
+		b = append(b, byte(boolInt(r.v.(bool))))
+	}
+	return b
+}
+
+// referenceSet is the property test's value set: NULL; the empty string,
+// alone and as a zero-length substring; substrings that share one backing
+// array, among them equal contents at different addresses; NaN, -0,
+// MinInt64, MaxInt64 and the infinities; integral floats beside the ints
+// they equal; and seeded random values of every kind, the strings again
+// cut from one shared backing array.
+func referenceSet() []ref {
+	backing := strings.Repeat("abcé", 3)
+	negZero := math.Copysign(0, -1)
+	refs := []ref{
+		{KindNull, nil},
+		{KindString, ""}, {KindString, backing[4:4]},
+		{KindString, backing[:1]}, {KindString, backing[:2]}, {KindString, backing[:5]},
+		{KindString, backing[5:10]}, {KindString, backing[10:15]}, {KindString, backing[1:3]},
+		{KindString, string([]byte("abc"))},
+		{KindFloat, math.NaN()}, {KindFloat, negZero}, {KindFloat, 0.0}, {KindInt, int64(0)},
+		{KindInt, int64(math.MinInt64)}, {KindFloat, float64(math.MinInt64)}, {KindInt, int64(math.MinInt64 + 1)},
+		{KindInt, int64(math.MaxInt64)}, {KindFloat, math.Inf(1)}, {KindFloat, math.Inf(-1)},
+		{KindInt, int64(5)}, {KindFloat, 5.0}, {KindFloat, 5.5}, {KindInt, int64(-3)}, {KindFloat, -3.0},
+		{KindBool, false}, {KindBool, true},
+		{KindDate, int64(0)}, {KindDate, int64(5)}, {KindDate, int64(-1)}, {KindDate, int64(10_000)},
+	}
+	r := rand.New(rand.NewSource(1))
+	long := strings.Repeat("xyzzy", 8)
+	for range 200 {
+		var x ref
+		switch r.Intn(6) {
+		case 0:
+			x = ref{KindNull, nil}
+		case 1:
+			x = ref{KindInt, r.Int63n(20) - 10}
+		case 2:
+			if r.Intn(2) == 0 {
+				x = ref{KindFloat, float64(r.Int63n(20) - 10)}
+			} else {
+				x = ref{KindFloat, r.NormFloat64()}
+			}
+		case 3:
+			i := r.Intn(len(long))
+			x = ref{KindString, long[i : i+r.Intn(len(long)-i+1)]}
+		case 4:
+			x = ref{KindBool, r.Intn(2) == 0}
+		default:
+			x = ref{KindDate, r.Int63n(20) - 10}
+		}
+		refs = append(refs, x)
+	}
+	return refs
+}
+
+// TestValuesAgreeWithReference holds every accessor, the renderer, the
+// order, equality, hashing and the binary format to the test-held
+// reference, for every value of referenceSet and every pair of them.
+func TestValuesAgreeWithReference(t *testing.T) {
+	refs := referenceSet()
+	vals := make([]Value, len(refs))
+	for i, r := range refs {
+		v := r.value()
+		vals[i] = v
+		if v.Kind() != r.k || v.IsNull() != (r.k == KindNull) || v.Numeric() != r.numeric() {
+			t.Fatalf("%s: kind %v, IsNull %v, Numeric %v; want kind %v", r, v.Kind(), v.IsNull(), v.Numeric(), r.k)
+		}
+		ok := true
+		switch r.k {
+		case KindInt:
+			ok = v.AsInt() == r.v.(int64)
+		case KindFloat:
+			ok = math.Float64bits(v.AsFloat()) == math.Float64bits(r.v.(float64))
+		case KindString:
+			ok = v.AsString() == r.v.(string)
+		case KindBool:
+			ok = v.AsBool() == r.v.(bool)
+		case KindDate:
+			ok = v.DateDays() == r.v.(int64)
+		}
+		if !ok {
+			t.Errorf("%s: the payload accessor does not return the value it was built from", r)
+		}
+		if got, want := v.String(), r.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		enc := v.AppendBinary([]byte{0xEE})
+		if want := refEncode(r); string(enc[1:]) != string(want) {
+			t.Fatalf("%s encodes as %x, want %x", r, enc[1:], want)
+		}
+		dec, rest, err := DecodeValue(append(enc[1:], 0xEE))
+		if err != nil || len(rest) != 1 || rest[0] != 0xEE {
+			t.Fatalf("%s: decode error %v, %d bytes left", r, err, len(rest))
+		}
+		if dec.Kind() != r.k || dec.String() != r.String() || !Equal(dec, v) || Hash(dec) != Hash(v) {
+			t.Errorf("%s decodes to %s (kind %v)", r, dec, dec.Kind())
+		}
+	}
+	for i, a := range refs {
+		for j, b := range refs {
+			want := refCompare(a, b)
+			if got := Compare(vals[i], vals[j]); got != want {
+				t.Fatalf("Compare(%s, %s) = %d, want %d", a, b, got, want)
+			}
+			if got := Equal(vals[i], vals[j]); got != (want == 0) {
+				t.Fatalf("Equal(%s, %s) = %v, want %v", a, b, got, want == 0)
+			}
+			if want == 0 && Hash(vals[i]) != Hash(vals[j]) {
+				t.Fatalf("%s and %s are equal but hash apart", a, b)
+			}
+		}
 	}
 }
