@@ -510,11 +510,11 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncMonitorOverhead measures executor throughput with the
-// off-thread sampler attached: the execution goroutine pays only the atomic
-// counter updates, so this should sit within noise of the no-monitor
-// baseline regardless of sampling frequency.
-func BenchmarkAsyncMonitorOverhead(b *testing.B) {
+// BenchmarkClockMonitorOverhead measures executor throughput under the
+// wall-clock sampling rule: the run pays one clock read per credit and one
+// capture per period, which should sit within noise of the no-monitor
+// baseline at these periods.
+func BenchmarkClockMonitorOverhead(b *testing.B) {
 	const n = 20_000
 	for _, interval := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
 		b.Run(fmt.Sprintf("interval=%s", interval), func(b *testing.B) {

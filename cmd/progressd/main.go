@@ -1,7 +1,7 @@
 // Command progressd is the progress-estimation query daemon: it serves a
 // generated database over an HTTP/JSON API, running each submitted query as
 // a managed session — admission under a concurrency limit, FIFO queueing
-// with shedding, per-session deadlines — while an off-thread monitor
+// with shedding, per-session deadlines — while each run samples itself and
 // streams dne/pmax/safe progress estimates to clients over SSE.
 //
 // Quick start:

@@ -316,8 +316,7 @@ func fuzzProgressInvariants(t *testing.T, seed int64) {
 // one-row (exact) pulls and asserts they end alike — identical result rows
 // (in order), identical total GetNext calls, identical per-node final ledger
 // snapshots — and that every ledger read a sampler can take during a bulk
-// run, torn reads included, is within the paper's bounds
-// (coretest.CheckTornReads). The query set deliberately mixes native-batch
+// run is within the paper's bounds (coretest.CheckCreditReads). The query set deliberately mixes native-batch
 // shapes (filters, hash joins, aggregates) with row-pull operators (LIMIT,
 // anti-join rescans) so both execution regimes are exercised from the SQL
 // surface.
@@ -342,7 +341,7 @@ func fuzzBatchVsRow(t *testing.T, seed int64) {
 			return op
 		}
 		coretest.CheckBatchRowEquivalence(t, sql, build)
-		coretest.CheckTornReads(t, sql, build)
+		coretest.CheckCreditReads(t, sql, build)
 	}
 }
 
@@ -351,7 +350,7 @@ func fuzzBatchVsRow(t *testing.T, seed int64) {
 // file through a cold buffer pool — and asserts, via the paged differential,
 // identical result rows, total GetNext calls and final ledger snapshots in
 // one-row and in bulk pulls, and holds every ledger read a sampler can take
-// over either catalog to the paper's bounds (coretest.CheckTornReads). The
+// over either catalog to the paper's bounds (coretest.CheckCreditReads). The
 // paged side's scans decode only the columns each statement names while the
 // in-memory side's hand out whole rows, so the statements are chosen for how
 // they name columns: all of them (SELECT *), none (a bare COUNT(*)), one
@@ -388,7 +387,7 @@ func fuzzPagedVsMem(t *testing.T, seed int64) {
 			}
 			coretest.CheckPagedEquivalence(t, sql, mem, paged, build)
 			for _, cat := range []*catalog.Catalog{mem, paged} {
-				coretest.CheckTornReads(t, sql, func() exec.Operator { return build(cat) })
+				coretest.CheckCreditReads(t, sql, func() exec.Operator { return build(cat) })
 			}
 		}
 	}

@@ -11,8 +11,7 @@ import (
 // comes from the PlanShape once at construction; each pass is then a fold
 // of one read of the ledger (Ledger.SnapshotAll, indexed by NodeID) into
 // preallocated buffers, an allocation-free sweep, which is what lets a
-// monitor sample frequently (and off-thread) without throttling the
-// executor. No exec.Operator is touched and no ledger slot is read during
+// monitor sample frequently without throttling the executor. No exec.Operator is touched and no ledger slot is read during
 // the fold: every runtime fact comes from the one read, so the bounds
 // describe the same instant as the Curr summed from it. One-shot callers
 // (ComputeBounds) build a fresh evaluator and Compute once.
@@ -37,13 +36,11 @@ import (
 // upward. The tight track's result is the per-node UBTight; with no
 // pessimistic bounds in the plan both tracks are identical.
 //
-// The read it folds is taken under the ledger's per-node ordering protocol,
-// so a pass is safe from a goroutine other than the ones executing the plan,
-// and the bounds it derives are valid even against slightly-stale counters
-// (see DESIGN.md, "Concurrency model & monitoring overhead"). Because every
-// node's refined LB covers its own Returned in that read, the plan LB covers
-// the read's Curr. The evaluator is not reentrant: at most one goroutine may
-// run a pass at a time.
+// The read it folds is one instant of the run: a pass runs on the goroutine
+// that runs the plan (see DESIGN.md, "Concurrency model & monitoring
+// overhead"). Because every node's refined LB covers its own Returned in
+// that read, the plan LB covers the read's Curr. The evaluator is not
+// reentrant.
 type BoundsEvaluator struct {
 	opts BoundsOptions
 	led  *ledger.Ledger

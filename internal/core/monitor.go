@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"time"
 
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/ledger"
@@ -61,10 +61,9 @@ type NodeCount struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// SampleSet is the sampling core Monitor and AsyncMonitor share: the plan's
-// tracker, the capture path every trigger goes through, and the recorded
-// series with the API both expose. Either series is judged by the one
-// checker, Series.
+// SampleSet is Monitor's sampling core: the plan's tracker, the capture path
+// both due rules go through, and the recorded series with its API. A series
+// is judged by the one checker, Series.
 type SampleSet struct {
 	// Estimators are evaluated at every sample, in order.
 	Estimators []Estimator
@@ -73,17 +72,14 @@ type SampleSet struct {
 	// OnSample, when non-nil, is invoked after each recorded sample with
 	// that sample, letting consumers stream observations live instead of
 	// reading Samples after the run; Frame shapes it for publishing. It runs
-	// wherever the sample is taken — inline on the run's goroutine under
-	// Monitor, on the sampler goroutine under AsyncMonitor, and on the
-	// goroutine calling Finish or Stop for the at-completion sample — one at
-	// a time, and must not block: a slow callback delays subsequent samples.
-	// Set before the run starts.
+	// on the run's goroutine, at the credit that took the sample, or on the
+	// goroutine calling Finish for the at-completion sample; it must not
+	// block: the run waits for it. Set before the run starts.
 	OnSample func(Sample)
 
 	tracker *Tracker
 	root    exec.Operator
-	mu      sync.Mutex // serializes captures: Tracker.Capture is not reentrant
-	last    int64      // Calls of the latest recorded sample
+	last    int64 // Calls of the latest recorded sample
 	total   int64
 }
 
@@ -91,12 +87,9 @@ func newSampleSet(root exec.Operator, ests []Estimator) SampleSet {
 	return SampleSet{Estimators: ests, tracker: NewTracker(root), root: root}
 }
 
-// sample is every trigger's path — credit, tick, poke: an instant not past
-// the latest recorded sample (the run is idle, or the previous capture
-// already read past it) is skipped without a capture.
+// sample is the trigger's path: an instant not past the latest recorded
+// sample is skipped without a capture.
 func (ss *SampleSet) sample(calls int64) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	if calls <= ss.last {
 		return
 	}
@@ -106,19 +99,13 @@ func (ss *SampleSet) sample(calls int64) {
 // finish records total(Q), or the call count at which the run stopped, and
 // the at-completion sample, unless the run already sampled that instant.
 func (ss *SampleSet) finish(total int64) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	ss.total = total
 	ss.record()
 }
 
-// record captures the current instant and streams it to OnSample. The
-// sample is the captured Curr: under AsyncMonitor the run keeps crediting
-// between a tick and its capture, and the paper's per-instant guarantees are
-// stated against the captured Curr. A capture
+// record captures the current instant and streams it to OnSample. A capture
 // whose Curr is not past the latest recorded sample's is the same instant
 // seen twice and is dropped, so the series is strictly increasing in Calls.
-// Caller holds mu.
 func (ss *SampleSet) record() {
 	s := ss.tracker.Capture()
 	if len(ss.Samples) > 0 && s.Curr <= ss.last {
@@ -150,16 +137,16 @@ func (ss *SampleSet) Initial(ests ...Estimator) Sample {
 }
 
 // Mu returns the paper's mu for the completed execution, from the ledger
-// read of the at-completion capture (Finish or Stop). Like Samples, read it
-// once that capture has returned.
+// read of the at-completion capture (Finish). Like Samples, read it once
+// that capture has returned.
 func (ss *SampleSet) Mu() float64 { return ss.tracker.ev.mu(ss.tracker.nodes) }
 
 // Frame shapes s for publishing, naming its estimates after Estimators and
 // its nodes after the plan. The node rows come from the latest capture's
 // ledger read, so call it with the sample that capture produced: inside
 // OnSample, on the Initial sample before the run starts, or on the last
-// sample once Finish or Stop has returned (whose final capture read the same
-// Curr when it recorded nothing new).
+// sample once Finish has returned (whose final capture read the same Curr
+// when it recorded nothing new).
 func (ss *SampleSet) Frame(s Sample) Frame {
 	f := Frame{Calls: s.Calls, LB: s.LB, UB: s.UB, Estimates: make(map[string]float64, len(s.Estimates))}
 	if s.Calls > 0 {
@@ -218,14 +205,19 @@ func (ss *SampleSet) SeriesAt(i int) []Point {
 }
 
 // Monitor samples a set of estimators while a plan executes, inline on the
-// execution path: at the first credit past each multiple of Every. Read
+// run's goroutine, at a credit: under the call-count rule, at the first
+// credit past each multiple of Every; under the wall-clock rule, at the
+// first credit at least Interval after the previous sample. Every sample is
+// therefore one ledger read at one instant of the GetNext stream. Read
 // Series / errors after completion.
-// For sampling that does not run on the execution path, see AsyncMonitor.
 type Monitor struct {
 	SampleSet
 
 	// Every is the sampling period in GetNext calls.
 	Every int64
+	// Interval, when positive, replaces Every: the sampling period in
+	// wall-clock time.
+	Interval time.Duration
 }
 
 // NewMonitor builds a monitor for the plan rooted at root, sampling every
@@ -234,28 +226,44 @@ func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
 	return &Monitor{SampleSet: newSampleSet(root, ests), Every: max(every, 1)}
 }
 
-// Attach installs the monitor's sampling trigger on ctx, and pulls of
-// min(Every, exec.DefaultBatchSize) rows, so a sample lands within one pull
-// of its due instant.
+// NewAsyncMonitor builds a monitor for the plan rooted at root that samples
+// on the wall-clock rule, every interval (a non-positive interval samples at
+// every credit). It is named for the off-thread sampler it replaced, because
+// the end-to-end benchmark's traced run calls it by that name; it starts no
+// goroutine.
+func NewAsyncMonitor(root exec.Operator, interval time.Duration, ests ...Estimator) *Monitor {
+	return &Monitor{SampleSet: newSampleSet(root, ests), Interval: interval}
+}
+
+// Attach installs the monitor's sampling trigger on ctx. Under the
+// call-count rule it also sets pulls of min(Every, exec.DefaultBatchSize)
+// rows, so a sample lands within one pull of its due instant; the
+// wall-clock rule leaves the pull size alone.
 func (m *Monitor) Attach(ctx *exec.Ctx) {
+	if m.Interval > 0 {
+		ctx.SampleInterval(m.Interval, m.sample)
+		return
+	}
 	ctx.BatchSize = int(min(m.Every, exec.DefaultBatchSize))
 	ctx.SampleEvery(m.Every, m.sample)
 }
 
 // Finish records the at-completion sample (unless the run already sampled
-// that instant) and total(Q). Run calls it automatically; callers that
-// Attach by hand invoke it once the plan is drained.
+// that instant) and total(Q), or the call count at which a failed or
+// canceled run stopped. Run calls it automatically; callers that Attach by
+// hand invoke it once the run has returned.
 func (m *Monitor) Finish(total int64) { m.finish(total) }
 
 // Run executes the plan to completion under this monitor and returns the
-// root's output rows.
+// root's output rows. On error the partial samples, ended by the at-stop
+// one, remain readable.
 func (m *Monitor) Run() ([]schema.Row, error) {
 	ctx := exec.NewCtx()
 	m.Attach(ctx)
 	rows, err := exec.RunBatch(ctx, m.root)
+	m.Finish(ctx.Calls())
 	if err != nil {
 		return nil, err
 	}
-	m.Finish(ctx.Calls())
 	return rows, nil
 }

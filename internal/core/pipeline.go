@@ -15,7 +15,7 @@
 //     them (Section 2.5).
 //
 // All sampling consumes (PlanShape, *Ledger) — the static plan skeleton
-// plus the flat block of per-node atomic counters — never the operator
+// plus the flat block of per-node counters — never the operator
 // tree itself.
 package core
 

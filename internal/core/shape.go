@@ -55,10 +55,9 @@ type ShapeNode struct {
 
 	// Rule bounds the node's final GetNext-call count given bounds on its
 	// children's delivered rows — the operator narrowed to its FinalBounds
-	// method. It reads only static configuration, so samplers may call it
-	// from any goroutine. (An interface rather than a method value: rule
-	// dispatch is on the per-sample hot path, and a direct interface call
-	// skips the method-value wrapper hop.)
+	// method. It reads only static configuration. (An interface rather than
+	// a method value: rule dispatch is on the per-sample hot path, and a
+	// direct interface call skips the method-value wrapper hop.)
 	Rule FinalBounder
 	// Delivered is non-nil iff the operator's delivered-row count can lag
 	// its call count (exec.DeliveredBounder); same static-only contract.

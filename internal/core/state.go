@@ -106,9 +106,9 @@ func (s *State) MuRunning() float64 {
 // the ledger into a reused buffer, the incremental bounds pass folding that
 // read, and a sweep over the same read for Curr, the drivers, the leaves and
 // the pipelines — no per-capture maps, and no operator-tree access of any
-// kind on the sample path. Captures read ledger counters atomically and may
-// therefore run on a goroutine other than the executing ones (AsyncMonitor
-// does); Capture itself is not reentrant.
+// kind on the sample path. A capture runs on the goroutine that runs the
+// plan — at a credit, from the sampling trigger, or once the run has
+// returned — so its read is the whole plan at one instant.
 type Tracker struct {
 	shape     *PlanShape
 	led       *ledger.Ledger

@@ -13,8 +13,8 @@ import (
 // This file is the executable statement of the executor's equivalence
 // claim: bulk pulls and one-row (exact) pulls of the same plan produce
 // identical results and end with identical counters. What a sampler reads
-// during a bulk run is held to the paper's bounds by the torn-read check
-// (torn.go). Its runs and their comparison are shared with the paged
+// during a bulk run is held to the paper's bounds by the credit-read check
+// (credit.go). Its runs and their comparison are shared with the paged
 // differential (pageddiff.go) and the chaos harness (chaos.go).
 
 func renderRows(rows []schema.Row) []string {

@@ -47,9 +47,9 @@ func cleanRun(entry CorpusEntry) (planRun, error) {
 }
 
 // chaosProfile is the schedule shape RunChaos draws from: a handful of
-// short stalls (enough to shear the async sampler against the executor
-// without slowing the suite), and a terminal fault — injected operator
-// error or exact-call cancellation — on ~40% of schedules.
+// short stalls (enough to move wall-clock instants without slowing the
+// suite), and a terminal fault — injected operator error or exact-call
+// cancellation — on ~40% of schedules.
 func chaosProfile(horizon int64) fault.Profile {
 	return fault.Profile{
 		Horizon:   horizon,
@@ -81,13 +81,11 @@ func RunChaos(seed int64) error {
 	return nil
 }
 
-// RunChaosSchedule executes entry under the given fault schedule with two
-// monitors attached — the inline Monitor's credit trigger at every = 1,
-// sampling every credit (one call each, in the exact regime) on the
-// crediting goroutine, and an AsyncMonitor racing it from a sampler
-// goroutine every 50 µs of wall-clock — then cross-validates the outcome
-// against the faults that actually fired and holds both sample series to
-// every rule of core.Series, the UBTight rules included.
+// RunChaosSchedule executes entry under the given fault schedule with the
+// inline Monitor's credit trigger attached at every = 1, sampling every
+// credit (one call each, in the exact regime), then cross-validates the
+// outcome against the faults that actually fired and holds the sample
+// series to every rule of core.Series, the UBTight rules included.
 //
 // The injector puts the run in the exact regime, so a fault or a
 // cancellation must land at precisely its scheduled GetNext count even where
@@ -118,10 +116,7 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	var reads [][]ledger.Snapshot
 	led := exec.EnsureLedger(root)
 	mon.OnSample = func(core.Sample) { reads = append(reads, led.SnapshotAll(nil)) }
-	async := core.NewAsyncMonitor(root, 50*time.Microsecond, chaosEstimators()...)
-	async.Start(ctx)
 	_, runErr := exec.RunBatch(ctx, root)
-	async.Stop()
 	total := ctx.Calls()
 
 	// Cross-validate the outcome against the fired faults: a scheduled
@@ -185,16 +180,9 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	if runErr == nil {
 		mon.Finish(total)
 	}
-	for _, s := range []*core.Series{
-		core.SeriesOf(entry.Label+"/inline", &mon.SampleSet),
-		core.SeriesOf(entry.Label+"/async", &async.SampleSet),
-	} {
-		s.Completed, s.Total = runErr == nil, total
-		if err := s.Check(); err != nil {
-			return err
-		}
-	}
-	return nil
+	s := core.SeriesOf(entry.Label, &mon.SampleSet)
+	s.Completed, s.Total = runErr == nil, total
+	return s.Check()
 }
 
 // chaosPagedReadCost makes paged chaos runs charge weighted physical-read

@@ -19,8 +19,8 @@
 // GetNext), in bulk pulls (no hook) and over paged storage must produce the
 // identical result rows in order, total calls and final per-node ledger.
 // What a sampler reads during a bulk run is held to the paper's bounds by
-// CheckTornReads, which folds every ledger read a sampler can take between
-// two credits, torn reads included.
+// CheckCreditReads, which folds every ledger read a sampler can take: the
+// read after each credit.
 //
 // Production code must not import coretest.
 package coretest

@@ -9,7 +9,7 @@ import (
 
 // foldAllocBudget is what one Tracker.Fold may allocate: the State and its
 // Drivers and Pipelines slices, each made at its final size. Every sample a
-// monitor or a session takes pays for one Fold, and the torn-read check
+// monitor or a session takes pays for one Fold, and the credit-read check
 // folds tens of thousands over the corpus.
 const foldAllocBudget = 3
 

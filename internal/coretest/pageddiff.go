@@ -24,7 +24,7 @@ import (
 // relations, once against pager heap files behind a deliberately tiny
 // buffer pool — must produce identical results, identical total GetNext
 // calls and identical per-node ledger state, in both the exact and the bulk
-// regime; the torn-read check (torn.go) runs over both builds. Buffer pool
+// regime; the credit-read check (credit.go) runs over both builds. Buffer pool
 // hits, misses and evictions may differ run to run; none of it may leak into
 // the ledger.
 

@@ -200,8 +200,8 @@ func TestMatrixTriggerAgreesWithExactRun(t *testing.T) {
 // with its supplier keys in skew-last order, so the last few probe rows fan
 // out to most of the result. Pulled in bulk at 64 rows with the sampling
 // trigger at every = 1, Curr may move by at most one pull between fires:
-// the join credits a stride's output in pieces, or the trigger — and an
-// off-thread sampler — would see the fan-out land in one step.
+// the join credits a stride's output in pieces, or the trigger would see the
+// fan-out land in one step.
 func TestJoinFamilyCreditsAPullAtATime(t *testing.T) {
 	const want = 64
 	opts := testOptions().withDefaults()

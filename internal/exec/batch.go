@@ -2,6 +2,7 @@ package exec
 
 import (
 	"slices"
+	"time"
 
 	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
@@ -25,13 +26,13 @@ import (
 //
 //   - Bulk (no hook): operators move chunks of up to Ctx.BatchSize rows and
 //     credit their ledger slots in bulk — one interface dispatch and a
-//     handful of atomic adds per chunk instead of per row. Between two
-//     credits a child may be a chunk ahead of its parent, so the states a
-//     sampler reads are not the exact regime's; they are held to the
-//     paper's bounds instead: coretest's torn-read check records a ledger
-//     read after every credit of a bulk run and folds every read a sampler
-//     could take between two of them, and the two regimes must end with the
-//     same rows, calls and per-node ledger.
+//     handful of adds per chunk instead of per row. Between two credits a
+//     child may be a chunk ahead of its parent, so the states a sampler
+//     reads at a credit are not the exact regime's; they are held to the
+//     paper's bounds instead: coretest's credit-read check records a ledger
+//     read after every credit of a bulk run and holds each to the bounds,
+//     and the two regimes must end with the same rows, calls and per-node
+//     ledger.
 //
 // Who asks for how much: a streaming child is pulled with its parent's want,
 // and a blocking child is drained at ctx.batchSize(). Top, MergeJoin and
@@ -97,7 +98,8 @@ func (c *Ctx) batchSize() int {
 // OnGetNext see every exact count; with none it adds in bulk. Cancellation is
 // checked before each call (before the whole credit in bulk): a call counted
 // before the cancel stays counted, none after it is. Once the credit is
-// counted it checks the sampling trigger (SampleEvery).
+// counted it checks the sampling trigger's due rule (SampleEvery's call
+// count or SampleInterval's clock).
 func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 	n := undelivered + int64(delivered)
 	if n == 0 {
@@ -134,8 +136,13 @@ func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 		}
 	}
 	if c.onDue != nil {
-		if curr >= c.due {
-			c.due = curr - curr%c.every + c.every
+		if c.every > 0 {
+			if curr >= c.due {
+				c.due = curr - curr%c.every + c.every
+				c.onDue(curr)
+			}
+		} else if now := time.Now(); !now.Before(c.at) {
+			c.at = now.Add(c.interval)
 			c.onDue(curr)
 		}
 	}
@@ -145,8 +152,7 @@ func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 // creditPieces is credit in pieces of at most piece calls, undelivered ones
 // first: an operator that counts more than one pull's worth of work in one
 // step (a selective scan's rejected rows, a fan-out's output) moves Curr by
-// no more than a pull at a time, so the sampling trigger and an off-thread
-// sampler see it move.
+// no more than a pull at a time, so the sampling trigger sees it move.
 func (c *Ctx) creditPieces(s *ledger.Slot, undelivered int64, delivered, piece int) error {
 	for undelivered > 0 {
 		k := min(undelivered, int64(piece))

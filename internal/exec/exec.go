@@ -23,6 +23,7 @@ import (
 	"math"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
@@ -33,21 +34,21 @@ import (
 // estimate and deciding to terminate — needs a termination path.
 var ErrCanceled = errors.New("exec: query canceled")
 
-// Ctx carries per-execution state: the global GetNext counter and an optional
-// observation hook used by progress estimators to sample the execution.
+// Ctx carries per-execution state: the global GetNext counter, the optional
+// per-call hooks, and the run's sampling trigger.
 //
-// The call counter is updated atomically, so a monitoring goroutine may read
-// Calls while the plan runs on another goroutine (see AsyncMonitor in
-// internal/core).
+// A plan runs on one goroutine, and everything it calls back (hooks, the
+// trigger) runs there too. Only the call counter and the cancel flag are
+// atomic: a watchdog or a status read may read Calls, and Cancel may be
+// called, from another goroutine while the plan runs.
 type Ctx struct {
 	// calls is the total number of GetNext calls performed so far across all
 	// operators (the paper's Curr).
 	calls atomic.Int64
-	// OnGetNext, when non-nil, is invoked after every counted call. Progress
-	// monitors use it to sample estimates at regular points of the
-	// execution. It runs on the execution goroutine and must be set before
-	// the run starts. Like Inject, it puts the run in the exact regime:
-	// every pull is one GetNext (see batch.go).
+	// OnGetNext, when non-nil, is invoked after every counted call. It runs
+	// on the execution goroutine and must be set before the run starts.
+	// Like Inject, it puts the run in the exact regime: every pull is one
+	// GetNext (see batch.go).
 	OnGetNext func(calls int64)
 
 	// Inject, when non-nil, is invoked on every counted call (before
@@ -65,12 +66,16 @@ type Ctx struct {
 	// one row whatever it says.
 	BatchSize int
 
-	// every and onDue are the sampling trigger SampleEvery installs; due is
-	// the next instant it fires at. Only the run's goroutine credits, so
-	// due is a plain field.
-	every int64
-	onDue func(curr int64)
-	due   int64
+	// onDue is the sampling trigger SampleEvery or SampleInterval installs,
+	// under one of two due rules: every > 0 is the call-count rule, due the
+	// next instant it fires at; otherwise interval is the wall-clock rule,
+	// at the earliest time it fires at. Only the run's goroutine credits, so
+	// these are plain fields.
+	onDue    func(curr int64)
+	every    int64
+	due      int64
+	interval time.Duration
+	at       time.Time
 
 	canceled atomic.Bool
 }
@@ -83,14 +88,26 @@ func NewCtx() *Ctx { return &Ctx{} }
 // counted GetNext call with ErrCanceled.
 func (c *Ctx) Cancel() { c.canceled.Store(true) }
 
-// SampleEvery installs the run's sampling trigger: the credit that moves
-// Curr to or past the next multiple of every calls fn once with the new
-// Curr. Unlike OnGetNext it leaves the pull size alone, so a sample lands at
-// most one credit past its due instant, and fn runs on the run's goroutine,
-// between two credits. Set before the run starts.
+// SampleEvery installs the run's sampling trigger on the call-count rule:
+// the credit that moves Curr to or past the next multiple of every calls fn
+// once with the new Curr. Unlike OnGetNext it leaves the pull size alone, so
+// a sample lands at most one credit past its due instant, and fn runs on the
+// run's goroutine, between two credits. It replaces any trigger installed
+// before. Set before the run starts.
 func (c *Ctx) SampleEvery(every int64, fn func(curr int64)) {
-	c.every, c.onDue = max(every, 1), fn
+	c.onDue, c.every = fn, max(every, 1)
 	c.due = c.every
+}
+
+// SampleInterval installs the run's sampling trigger on the wall-clock rule:
+// the first credit at least d after the install, or after the trigger last
+// fired, calls fn once with the new Curr. The clock is read at each credit
+// only while this rule is installed. Like SampleEvery it leaves the pull
+// size alone, runs fn on the run's goroutine between two credits, and
+// replaces any trigger installed before.
+func (c *Ctx) SampleInterval(d time.Duration, fn func(curr int64)) {
+	c.onDue, c.every, c.interval = fn, 0, max(d, 1)
+	c.at = time.Now().Add(c.interval)
 }
 
 // Canceled reports whether Cancel was called.
@@ -100,9 +117,9 @@ func (c *Ctx) Canceled() bool { return c.canceled.Load() }
 // all operators (the paper's Curr). Safe to call from any goroutine.
 func (c *Ctx) Calls() int64 { return c.calls.Load() }
 
-// StatsSnapshot is a plain-value copy of a node's runtime counters, taken
-// with Snapshot's ordering guarantee: if Done && Rescans == 0, Returned and
-// Delivered are the node's exact final counts (see internal/ledger).
+// StatsSnapshot is a plain-value copy of a node's runtime counters: if
+// Done && Rescans == 0, Returned and Delivered are the node's exact final
+// counts.
 type StatsSnapshot = ledger.Snapshot
 
 // CardBounds is a closed interval bounding a node's final output cardinality
@@ -225,10 +242,9 @@ func (b *base) SetEstimatedCard(v int64) { b.est = v }
 // markDone sets the node's EOF flag.
 func (b *base) markDone() { b.slot.MarkDone() }
 
-// reopen resets the node's slot for a rescan. The rescan counter is bumped
-// *before* done is cleared: a concurrent Snapshot that still sees the
-// previous run's done=true will then see Rescans > 0 and refuse to pin the
-// node (see ledger.Slot.Snapshot).
+// reopen resets the node's slot for a rescan: a node re-opened after it
+// produced output counts a rescan, so the bounds pass no longer pins it at
+// its count, and its EOF flag clears.
 func (b *base) reopen() {
 	if b.slot.Done() || b.slot.Returned() > 0 {
 		b.slot.MarkRescan()
@@ -279,8 +295,8 @@ func Walk(op Operator, visit func(Operator)) {
 	}
 }
 
-// NodeSnapshot reads op's runtime counters from its ledger slot under the
-// snapshot ordering protocol; the plan must be bound (EnsureLedger).
+// NodeSnapshot reads op's runtime counters from its ledger slot; the plan
+// must be bound (EnsureLedger).
 func NodeSnapshot(op Operator) ledger.Snapshot { return op.progressBase().slot.Snapshot() }
 
 // TotalCalls sums Returned over the tree: the total GetNext calls performed

@@ -4,8 +4,10 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"sqlprogress/internal/expr"
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/pager"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -78,6 +80,57 @@ func TestSelectiveScanCreditsAPullAtATime(t *testing.T) {
 		}
 		if prev < n {
 			t.Fatalf("%s: last fire at %d, want the whole scan (>= %d)", name, prev, n)
+		}
+	}
+}
+
+// TestSampleIntervalClockRule: the wall-clock rule with a 24 h interval never
+// fires — though it replaced a call-count rule at every = 1 — and with a 1 ns
+// interval fires once at every credit, at the instants the call-count rule
+// at every = 1 fires at. Either way the run ends with the rows, calls and
+// final ledger of a run with no trigger. The plan is a hash join whose probe
+// rows fan out, pulled 64 rows at a time.
+func TestSampleIntervalClockRule(t *testing.T) {
+	run := func(install func(*Ctx, func(int64))) ([]schema.Row, int64, []ledger.Snapshot, []int64) {
+		t.Helper()
+		op := NewHashJoin(NewScan(seqRel("s", 50)), NewScan(seqRel("r", 1000)),
+			[]expr.Expr{expr.Col{Index: 1}}, []expr.Expr{expr.Col{Index: 1}}, InnerJoin)
+		led := EnsureLedger(op)
+		ctx := NewCtx()
+		ctx.BatchSize = 64
+		var fires []int64
+		if install != nil {
+			install(ctx, func(curr int64) { fires = append(fires, curr) })
+		}
+		rows, err := RunBatch(ctx, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, ctx.Calls(), led.SnapshotAll(nil), fires
+	}
+	rows, calls, final, _ := run(nil)
+	_, _, _, everyCredit := run(func(ctx *Ctx, fn func(int64)) { ctx.SampleEvery(1, fn) })
+	if len(everyCredit) < 2 {
+		t.Fatalf("every = 1 fired at %v: want a run of several credits", everyCredit)
+	}
+	for _, tc := range []struct {
+		label string
+		d     time.Duration
+		want  []int64
+	}{
+		{"24h", 24 * time.Hour, nil},
+		{"1ns", time.Nanosecond, everyCredit},
+	} {
+		r, c, f, fires := run(func(ctx *Ctx, fn func(int64)) {
+			ctx.SampleEvery(1, fn)
+			ctx.SampleInterval(tc.d, fn)
+		})
+		if !slices.Equal(fires, tc.want) {
+			t.Errorf("%s: fires at %v, want %v", tc.label, fires, tc.want)
+		}
+		sameRows(t, r, rows, tc.label)
+		if c != calls || !slices.Equal(f, final) {
+			t.Errorf("%s: ended at %d calls with ledger %+v, the unmonitored run at %d with %+v", tc.label, c, f, calls, final)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package ledger
 
-import "sync/atomic"
-
 // NodeID is a plan node's stable dense identifier: its pre-order position
 // in the plan tree, assigned once at ledger-binding time. IDs index
 // directly into the Ledger's slot array and into core's PlanShape.
@@ -11,24 +9,23 @@ type NodeID int32
 const None NodeID = -1
 
 // Slot is one plan node's runtime progress state: GetNext counts, rows
-// delivered to the parent, rescan (re-open) count, and the EOF flag. All
-// fields are atomics written by the owning operator, on the goroutine that
-// runs the plan, and read by any number of samplers.
+// delivered to the parent, rescan (re-open) count, and the EOF flag. The
+// owning operator writes it, and the sampler reads it, on the goroutine
+// that runs the plan.
 type Slot struct {
 	// returned counts the node's counted GetNext calls (rows scanned or
 	// produced — the paper's unit of work).
-	returned atomic.Int64
+	returned int64
 	// delivered counts rows actually handed to the parent; it diverges
 	// from returned only on scans with pushed predicates.
-	delivered atomic.Int64
+	delivered int64
 	// rescans counts re-opens (nested-loops inners).
-	rescans atomic.Int64
+	rescans int64
 	// done is the EOF flag.
-	done atomic.Bool
+	done bool
 }
 
-// Snapshot is a consistent-enough point-in-time view of one slot; see the
-// package comment for the exactness guarantee.
+// Snapshot is a point-in-time copy of one slot.
 type Snapshot struct {
 	Returned  int64
 	Delivered int64
@@ -37,55 +34,42 @@ type Snapshot struct {
 }
 
 // CountCall records one counted GetNext call.
-func (s *Slot) CountCall() { s.returned.Add(1) }
+func (s *Slot) CountCall() { s.returned++ }
 
-// CountCalls records n counted GetNext calls in one atomic add — the batch
-// executor's bulk credit. Samplers observe the counter jump by n at once,
-// which is indistinguishable from having missed the n-1 intermediate
-// instants of a row-at-a-time run; every bound derivation stays sound
-// because counters remain monotone and a child's rows are credited before
-// its parent credits what it made of them (coretest's torn-read check folds
-// every read a sampler can take between two credits).
-func (s *Slot) CountCalls(n int64) { s.returned.Add(n) }
+// CountCalls records n counted GetNext calls at once — the batch executor's
+// bulk credit. A sampler sees the counter jump by n, which is
+// indistinguishable from having missed the n-1 intermediate instants of a
+// row-at-a-time run; every bound derivation stays sound because counters
+// remain monotone and a child's rows are credited before its parent credits
+// what it made of them (coretest's credit-read check holds the read after
+// every credit to the bounds).
+func (s *Slot) CountCalls(n int64) { s.returned += n }
 
 // CountDelivered records one row delivered to the parent.
-func (s *Slot) CountDelivered() { s.delivered.Add(1) }
+func (s *Slot) CountDelivered() { s.delivered++ }
 
-// CountDeliveredN records n rows delivered to the parent in one atomic add
-// (the batch executor's bulk credit, paired with CountCalls).
-func (s *Slot) CountDeliveredN(n int64) { s.delivered.Add(n) }
+// CountDeliveredN records n rows delivered to the parent at once (the batch
+// executor's bulk credit, paired with CountCalls).
+func (s *Slot) CountDeliveredN(n int64) { s.delivered += n }
 
-// MarkDone sets the EOF flag. Counter increments from the finished run
-// happen-before this store (same goroutine, atomic release).
-func (s *Slot) MarkDone() { s.done.Store(true) }
+// MarkDone sets the EOF flag.
+func (s *Slot) MarkDone() { s.done = true }
 
-// MarkRescan records a re-open. It must be called before ClearDone so a
-// racing Snapshot can never observe done with the pre-rescan rescan count.
-func (s *Slot) MarkRescan() { s.rescans.Add(1) }
+// MarkRescan records a re-open.
+func (s *Slot) MarkRescan() { s.rescans++ }
 
-// ClearDone clears the EOF flag on re-open, after MarkRescan.
-func (s *Slot) ClearDone() { s.done.Store(false) }
+// ClearDone clears the EOF flag on re-open.
+func (s *Slot) ClearDone() { s.done = false }
 
 // Returned returns the counted GetNext calls so far.
-func (s *Slot) Returned() int64 { return s.returned.Load() }
-
-// Delivered returns the rows delivered to the parent so far.
-func (s *Slot) Delivered() int64 { return s.delivered.Load() }
-
-// Rescans returns the re-open count.
-func (s *Slot) Rescans() int64 { return s.rescans.Load() }
+func (s *Slot) Returned() int64 { return s.returned }
 
 // Done reports whether the node has reached EOF.
-func (s *Slot) Done() bool { return s.done.Load() }
+func (s *Slot) Done() bool { return s.done }
 
-// Snapshot reads the slot under the ordering protocol: done first,
-// rescans last.
+// Snapshot copies the slot.
 func (s *Slot) Snapshot() Snapshot {
-	done := s.done.Load()
-	ret := s.returned.Load()
-	del := s.delivered.Load()
-	res := s.rescans.Load()
-	return Snapshot{Returned: ret, Delivered: del, Rescans: res, Done: done}
+	return Snapshot{Returned: s.returned, Delivered: s.delivered, Rescans: s.rescans, Done: s.done}
 }
 
 // Ledger is the flat per-query block of slots, indexed by NodeID.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -16,13 +15,14 @@ import (
 // sampling out of the picture (a 24 h interval) and the run held first before
 // and then inside its first counted call: a client that attaches to a session
 // that has made no call yet is sent frame 0 at once; one that resumes with
-// Last-Event-ID: 1 is not sent it again, and the first frame it does get has
-// calls > 0 though no sampling interval has elapsed; a finished session
-// answers with done alone. (How many on-subscribe samples two attachments make
-// is pinned down where pokes can be seen served, in internal/session.)
+// Last-Event-ID: 1 is not sent it again, and attaching takes no sample — it
+// hears only heartbeats until the run is let go, then the at-stop frame and
+// done; a finished session answers with done alone.
 func TestFirstFrameOverSSE(t *testing.T) {
 	mgr := testManager(t, session.Config{SampleInterval: 24 * time.Hour})
-	ts := httptest.NewServer(New(mgr))
+	srv := New(mgr)
+	srv.KeepAlive = 5 * time.Millisecond
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	start, mid, atMid := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -53,7 +53,7 @@ func TestFirstFrameOverSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := readFrames(t, resp, func(evs []sseEvent) bool { return true })
+	first := progressOnly(readFrames(t, resp, func(evs []sseEvent) bool { return len(progressOnly(evs)) > 0 }))
 	resp.Body.Close()
 	if len(first) != 1 || first[0].name != "progress" || first[0].id != "1" {
 		t.Fatalf("first frame: %+v", first)
@@ -72,27 +72,21 @@ func TestFirstFrameOverSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	second := readFrames(t, resp2, func(evs []sseEvent) bool { return true })
-	if len(second) != 1 || second[0].name != "progress" || second[0].id != "2" || second[0].data["calls"] != 1.0 {
-		t.Fatalf("resumed stream's first frame: %+v", second)
+	// A heartbeat is sent only once the stream has subscribed, so the
+	// subscription is in place before the run goes on.
+	held := readFrames(t, resp2, func(evs []sseEvent) bool { return len(evs) > 0 })
+	if held[0].name != "heartbeat" || held[0].data["calls"] != 1.0 {
+		t.Fatalf("resumed stream while the run is held: %+v", held)
 	}
 	close(mid)
-	rest := readSSE(t, resp2)
-	if len(rest) < 2 || rest[len(rest)-1].name != "done" {
+	rest := progressOnly(readSSE(t, resp2))
+	if len(rest) != 2 || rest[1].name != "done" {
 		t.Fatalf("rest of the resumed stream: %+v", rest)
 	}
-	done, atStop := rest[len(rest)-1].data, rest[len(rest)-2]
+	atStop, done := rest[0], rest[1].data
 	total := done["calls"].(float64)
-	if atStop.name != "progress" || atStop.data["calls"] != total || done["final_estimate"] != 1.0 {
+	if atStop.name != "progress" || atStop.id != "2" || atStop.data["calls"] != total || done["final_estimate"] != 1.0 {
 		t.Fatalf("at-stop %+v, done %v", atStop, done)
-	}
-	lastID := 2
-	for _, ev := range rest[:len(rest)-1] {
-		if id, _ := strconv.Atoi(ev.id); ev.name != "progress" || id <= lastID {
-			t.Fatalf("frame %+v after id %d", ev, lastID)
-		} else {
-			lastID = id
-		}
 	}
 	if f0["lb"].(float64) > total || f0["ub"].(float64) < total {
 		t.Fatalf("frame 0's [%v, %v] does not hold the total %v", f0["lb"], f0["ub"], total)
@@ -105,4 +99,15 @@ func TestFirstFrameOverSSE(t *testing.T) {
 	if late := readSSE(t, resp3); len(late) != 1 || late[0].name != "done" {
 		t.Fatalf("stream of a finished session: %+v", late)
 	}
+}
+
+// progressOnly drops the heartbeats from evs.
+func progressOnly(evs []sseEvent) []sseEvent {
+	var out []sseEvent
+	for _, ev := range evs {
+		if ev.name != "heartbeat" {
+			out = append(out, ev)
+		}
+	}
+	return out
 }

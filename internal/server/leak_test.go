@@ -32,7 +32,7 @@ func (w *frameSignal) Write(b []byte) (int, error) {
 // TestSSEClientDisconnectLeaksNothing: a client that drops its progress
 // stream mid-query must cost nothing once it is gone — the handler returns,
 // its subscription is released, the session runs on, and after Close the
-// manager, executor and sampler goroutines are all gone too.
+// manager and executor goroutines are all gone too.
 func TestSSEClientDisconnectLeaksNothing(t *testing.T) {
 	testManager(t, session.Config{}) // generate the shared catalog up front
 	coretest.CheckNoGoroutineLeak(t, func() {

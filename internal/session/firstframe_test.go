@@ -47,10 +47,9 @@ func next(t *testing.T, ch <-chan Progress) Progress {
 
 // TestFirstFrameContract pins the stream a subscriber sees down, with periodic
 // sampling out of the picture (a 24 h interval): frame 0 the moment the
-// session runs, one sample because somebody subscribed once there is progress
-// to show, the at-stop sample, the final event — and nothing else. Every poke
-// the test causes is seen to have been served before the run is let go on, so
-// none is left to fire at an instant of the scheduler's choosing.
+// session runs, replayed to a subscriber that attaches later, the at-stop
+// sample, the final event — and nothing else: attaching takes no sample. The
+// run is held at gates, not timed, so every instant is the test's choice.
 func TestFirstFrameContract(t *testing.T) {
 	const rows = 500
 	m := New(nil, Config{MaxConcurrent: 1, SampleInterval: 24 * time.Hour})
@@ -65,8 +64,8 @@ func TestFirstFrameContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Attached while queued (nothing to replay, no sampler to poke): frame 0
-	// arrives when the session starts, before its first call.
+	// Attached while queued (nothing to replay): frame 0 arrives when the
+	// session starts, before its first call.
 	if p := s.Info().Progress; p != nil {
 		t.Fatalf("queued session has progress: %+v", p)
 	}
@@ -91,14 +90,9 @@ func TestFirstFrameContract(t *testing.T) {
 	if p := s.Info().Progress; p == nil || p.Seq != 1 {
 		t.Fatalf("Info().Progress of a session that has just started: %+v", p)
 	}
-	select {
-	case p := <-ch1:
-		t.Fatalf("event before the run made a call: %+v", p)
-	default:
-	}
 
 	// Held inside the first call: a second subscriber is replayed frame 0,
-	// and its attaching is what makes the sampler speak, to both.
+	// and its attaching publishes nothing, to either.
 	close(g.start)
 	<-g.atMid
 	ch2, unsub2 := s.Subscribe()
@@ -107,18 +101,20 @@ func TestFirstFrameContract(t *testing.T) {
 		t.Fatalf("replayed to the second subscriber: %+v", p)
 	}
 	for who, ch := range []<-chan Progress{ch1, ch2} {
-		if p := next(t, ch); p.Seq != 2 || p.Calls != 1 || p.Final || p.Lo <= 0 || p.Lo > p.Hi {
-			t.Fatalf("subscriber %d, on-subscribe sample: %+v", who+1, p)
+		select {
+		case p := <-ch:
+			t.Fatalf("subscriber %d, event while the run is held: %+v", who+1, p)
+		default:
 		}
 	}
 
 	close(g.mid)
 	for who, ch := range []<-chan Progress{ch1, ch2} {
 		atStop, final := next(t, ch), next(t, ch)
-		if atStop.Seq != 3 || atStop.Calls != rows || atStop.Final {
+		if atStop.Seq != 2 || atStop.Calls != rows || atStop.Final || atStop.Lo <= 0 || atStop.Lo > atStop.Hi {
 			t.Fatalf("subscriber %d, at-stop sample: %+v", who+1, atStop)
 		}
-		if final.Seq != 4 || final.Calls != rows || !final.Final || final.State != StateFinished {
+		if final.Seq != 3 || final.Calls != rows || !final.Final || final.State != StateFinished {
 			t.Fatalf("subscriber %d, final event: %+v", who+1, final)
 		}
 		if p, open := <-ch; open {
@@ -128,14 +124,14 @@ func TestFirstFrameContract(t *testing.T) {
 
 	// Frame 0 was a session event, not a monitor sample.
 	smp := s.Samples()
-	if len(smp) != 2 || smp[0].Calls != 1 || smp[1].Calls != rows {
+	if len(smp) != 1 || smp[0].Calls != rows {
 		t.Fatalf("samples: %+v", smp)
 	}
 
 	// A finished session still answers with its final event alone.
 	ch3, unsub3 := s.Subscribe()
 	defer unsub3()
-	if p, open := <-ch3; !open || !p.Final || p.Seq != 4 {
+	if p, open := <-ch3; !open || !p.Final || p.Seq != 3 {
 		t.Fatalf("late subscriber: %+v open=%v", p, open)
 	}
 	if p, open := <-ch3; open {

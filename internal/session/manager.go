@@ -34,8 +34,9 @@ type Config struct {
 	// MaxQueue bounds sessions waiting for a run slot; admission sheds
 	// (ErrShed) beyond it (default 64).
 	MaxQueue int
-	// SampleInterval is each session's AsyncMonitor wall-clock sampling
-	// period (default 2ms).
+	// SampleInterval is each session's wall-clock sampling period (default
+	// 2ms): the run samples itself at its first credit this long after the
+	// previous sample.
 	SampleInterval time.Duration
 	// DefaultDeadline caps each session's execution time unless the submit
 	// overrides it (0 = no deadline).
@@ -278,6 +279,7 @@ func (m *Manager) execute(s *Session) {
 	execCtx := exec.NewCtx()
 	s.execCtx = execCtx
 	mon := core.NewAsyncMonitor(s.root, m.cfg.SampleInterval, s.ests...)
+	mon.Attach(execCtx)
 	s.ests = nil
 	mon.OnSample = func(smp core.Sample) { s.onFrame(mon.Frame(smp)) }
 	s.mon = mon
@@ -293,11 +295,9 @@ func (m *Manager) execute(s *Session) {
 	instrument := s.instrument
 	s.mu.Unlock()
 
-	// Started before the instrument hook so a Subscribe's poke has a reader.
-	mon.Start(execCtx)
 	if instrument != nil {
 		// Fault injectors and test gates attach here, before the context is
-		// bound; the sampler reads only the call counter and the ledger.
+		// bound.
 		instrument(execCtx)
 	}
 
@@ -308,13 +308,14 @@ func (m *Manager) execute(s *Session) {
 		defer cancel()
 	}
 	release := execCtx.Bind(stdctx)
-	// Batch-at-a-time execution: the async monitor samples the ledger from
-	// its own goroutine, so hook-free sessions take the vectorized fast
-	// path; an instrument that installs Inject/OnGetNext automatically
-	// forces the exact row-sequence path.
+	// The monitor samples at credits, so hook-free sessions take the bulk
+	// path; an instrument that installs Inject/OnGetNext forces the exact
+	// row-sequence path.
 	rows, err := exec.RunBatch(execCtx, root)
 	bindErr := release()
-	mon.Stop() // joins the sampler; Samples are stable from here on
+	// The at-stop sample, on every outcome: a failed or canceled run's
+	// series ends where it stopped.
+	mon.Finish(execCtx.Calls())
 
 	s.mu.Lock()
 	m.finishLocked(s, rows, err, bindErr, execCtx.Calls())
@@ -468,8 +469,8 @@ func (m *Manager) Cancel(id, reason string) (*Session, error) {
 
 // Close shuts the manager down gracefully: admission stops, queued sessions
 // are canceled without running, running sessions are canceled via the shared
-// base context, and Close blocks until every run goroutine (and its monitor)
-// has exited. Safe to call more than once.
+// base context, and Close blocks until every run goroutine has exited. Safe
+// to call more than once.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {

@@ -1,8 +1,10 @@
 // Package session runs queries as managed sessions: a Manager admits work
 // under a concurrency limit (FIFO queue with a depth cap, shedding when
-// full), executes each admitted query on its own goroutine with an
-// off-thread core.AsyncMonitor attached, and keeps a registry of live and
-// finished sessions for inspection, streaming, and cancellation.
+// full), executes each admitted query on its own goroutine, which samples
+// its own progress at a credit every Config.SampleInterval (a core.Monitor
+// on the wall-clock rule) and publishes each sample as it takes it, and
+// keeps a registry of live and finished sessions for inspection, streaming,
+// and cancellation.
 //
 // This is the serving layer the paper's motivating scenario implies: many
 // queries in flight at once, each continuously observed by a progress
@@ -82,7 +84,7 @@ type Session struct {
 	state        State
 	root         exec.Operator
 	execCtx      *exec.Ctx
-	mon          *core.AsyncMonitor
+	mon          *core.Monitor
 	samples      []core.Sample // the monitor's series, kept past the run
 	estNames     []string
 	ests         []core.Estimator // built at admission, handed to the monitor at start
@@ -253,9 +255,8 @@ func (s *Session) summaryLocked() Info {
 }
 
 // Samples returns the monitor's recorded sample series: nil until the
-// session is terminal (the monitor goroutine is joined before the terminal
-// transition hands the series over), and for sessions canceled before
-// running.
+// session is terminal (the terminal transition hands the series over), and
+// for sessions canceled before running.
 func (s *Session) Samples() []core.Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,9 +270,8 @@ func (s *Session) Samples() []core.Sample {
 // and must be called when the consumer is done.
 //
 // A running session's stream is therefore: the latest event (frame 0, with
-// Calls = 0 and the static bounds, until a sample exists), one sample taken
-// because of this Subscribe (it pokes the sampler; dropped if Curr has not
-// moved since the last), the periodic samples, the final event.
+// Calls = 0 and the static bounds, until a sample exists), the periodic
+// samples, the at-stop sample, the final event.
 //
 // A subscriber that stops reading entirely is eventually evicted: its
 // channel closes without a Final-marked event. Because eviction only
@@ -293,9 +293,6 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 	id := s.nextSub
 	s.nextSub++
 	s.subs[id] = &subscriber{ch: ch}
-	if s.mon != nil {
-		s.mon.Poke()
-	}
 	return ch, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -307,7 +304,7 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 }
 
 // onFrame fans a monitor frame out as a Progress event. It runs on the
-// monitor's sampler goroutine.
+// session's run goroutine, at the credit that took the sample.
 func (s *Session) onFrame(f core.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 
 // TestStressConcurrentTPCHSessions is the subsystem's acceptance stress
 // test: ≥32 TPC-H queries in flight simultaneously through one Manager,
-// every session continuously sampled by its off-thread monitor, a random
+// every session continuously sampling itself, a random
 // subset canceled mid-flight, all under -race in CI.
 //
 // Every session's recorded series — finished, or canceled mid-run and judged

@@ -16,8 +16,9 @@ type ServeOptions struct {
 	// MaxQueue bounds queries waiting for a run slot; submissions beyond it
 	// are shed with HTTP 503 (default 64).
 	MaxQueue int
-	// SampleInterval is each session's off-thread progress sampling period
-	// (default 2ms).
+	// SampleInterval is each session's wall-clock progress sampling period
+	// (default 2ms): the run samples itself at its first credit this long
+	// after the previous sample.
 	SampleInterval time.Duration
 	// DefaultDeadline caps each query's execution time unless the request
 	// overrides it (0 = none).
@@ -46,7 +47,7 @@ func (o ServeOptions) sessionConfig() session.Config {
 // SessionServer is a database's query-session service: an http.Handler
 // speaking the progressd API (POST /query, GET /sessions, SSE progress
 // streams, /metrics) over a session manager that admits queries under a
-// concurrency limit and samples each one off-thread.
+// concurrency limit and samples each one as it runs.
 type SessionServer struct {
 	mgr *session.Manager
 	h   http.Handler

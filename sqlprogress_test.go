@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"sqlprogress/internal/coretest"
+	"sqlprogress/internal/exec"
 	"sqlprogress/internal/expr"
+	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/plan"
 )
 
@@ -444,36 +447,47 @@ func TestRunWithProgressEndsAtCompletion(t *testing.T) {
 	}
 }
 
-// TestProgressUpdateIsOneInstant: an update's node counters come from the
-// same ledger read as its Calls and bounds, so on every update of a grouped
-// aggregate over lineitem — sampled mid-fold, the scan far ahead of the
-// aggregate's output — the nodes' Calls sum to the update's Calls.
+// TestProgressUpdateIsOneInstant: an update's node counters are one ledger
+// read at a credit instant, the one its Calls and bounds come from. On a
+// grouped aggregate over lineitem — sampled mid-fold, the scan far ahead of
+// the aggregate's output — every update's Nodes must equal a read that a
+// hook-free twin run takes at the pull size Monitor.Attach sets (before the
+// run, after a credit, or after the run), the updates meeting those reads in
+// order, and the nodes' Calls must sum to the update's Calls.
 func TestProgressUpdateIsOneInstant(t *testing.T) {
 	db := OpenTPCH(0.02, 1, 42)
-	const rounds = 10
-	updates, torn := 0, 0
-	for round := 0; round < rounds; round++ {
+	const every = 500
+	build := func() *Query {
 		count := plan.AggSpec{Kind: expr.AggCountStar, As: "n"}
-		q := db.QueryPlan(db.Builder().Scan("lineitem").HashAgg(0, []string{"l_suppkey"}, count))
-		_, err := q.RunWithProgress(ProgressOptions{Every: 500}, func(u ProgressUpdate) {
-			updates++
-			var sum int64
-			for _, n := range u.Nodes {
-				sum += n.Calls
-			}
-			if sum != u.Calls {
-				if torn == 0 {
-					t.Errorf("round %d: nodes sum to %d calls, the update says %d", round, sum, u.Calls)
-				}
-				torn++
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		return db.QueryPlan(db.Builder().Scan("lineitem").HashAgg(0, []string{"l_suppkey"}, count))
 	}
-	if torn > 0 {
-		t.Errorf("%d of %d updates mix two instants", torn, updates)
+	reads, err := coretest.CreditReads(build().Plan(), int(min(every, exec.DefaultBatchSize)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates, at := 0, 0
+	_, err = build().RunWithProgress(ProgressOptions{Every: every}, func(u ProgressUpdate) {
+		updates++
+		node := make([]ledger.Snapshot, len(u.Nodes))
+		var sum int64
+		for i, n := range u.Nodes {
+			node[i] = ledger.Snapshot{Returned: n.Calls, Delivered: n.Delivered, Rescans: n.Rescans, Done: n.Done}
+			sum += n.Calls
+		}
+		if sum != u.Calls {
+			t.Fatalf("update %d: nodes sum to %d calls, the update says %d", updates, sum, u.Calls)
+		}
+		k := slices.IndexFunc(reads[at:], func(r []ledger.Snapshot) bool { return slices.Equal(r, node) })
+		if k < 0 {
+			t.Fatalf("update %d at %d calls: nodes %+v are no read the twin took at or after its read %d", updates, u.Calls, node, at)
+		}
+		at += k
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if updates < 3 {
+		t.Fatalf("%d updates, want several mid-run ones", updates)
 	}
 }
 
