@@ -324,7 +324,7 @@ func TestBatchShortSessionAllocBudget(t *testing.T) {
 		}
 		unsub()
 		if st := sess.State(); st != session.StateFinished {
-			t.Fatalf("query %d: state %s, err %v", i, st, sess.Err())
+			t.Fatalf("query %d: state %s, err %v", i, st, sess.Info().Error)
 		}
 	}
 	runtime.GC()
@@ -587,27 +587,4 @@ func BenchmarkHashJoinThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkDemandCapAblation quantifies the demand-capping bounds
-// refinement (core.BoundsOptions) on an ORDER BY ... LIMIT plan: it reports
-// the initial UB/LB ratio — which bounds safe's worst-case error as
-// sqrt(UB/LB) — with and without the refinement.
-func BenchmarkDemandCapAblation(b *testing.B) {
-	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
-	build := func() exec.Operator {
-		op, err := tpch.BuildQuery(cat, 10) // customer/orders/lineitem join, top 20
-		if err != nil {
-			b.Fatal(err)
-		}
-		return op
-	}
-	var withCap, withoutCap core.BoundsSnapshot
-	for i := 0; i < b.N; i++ {
-		op := build()
-		withCap = core.ComputeBounds(op)
-		withoutCap = core.ComputeBoundsOpt(op, core.BoundsOptions{DisableDemandCap: true})
-	}
-	b.ReportMetric(float64(withCap.UB)/float64(withCap.LB), "ub/lb_capped")
-	b.ReportMetric(float64(withoutCap.UB)/float64(withoutCap.LB), "ub/lb_uncapped")
 }

@@ -1,4 +1,4 @@
-// Command doclint is the documentation gate. It fails CI on two kinds of
+// Command doclint is the documentation gate. It fails CI on three kinds of
 // drift that ordinary tests cannot see:
 //
 //   - Undocumented exported symbols in the packages whose godoc is part of
@@ -13,7 +13,14 @@
 //     estimator without documenting it — or renaming one and leaving the
 //     handbook stale — fails the build.
 //
-// Usage:
+//   - Production code that only tests reach: an exported identifier under
+//     internal/ that no non-test file of the module names outside its own
+//     declaration (go/types, so a method is told apart from another of the
+//     same name). Such code belongs in a _test.go file beside the tests that
+//     need it, or goes with them. The coretest package and the
+//     unreachedAllow list, each entry with its reason, are exempt.
+//
+// Usage, from the module root:
 //
 //	go run ./cmd/doclint [-md ESTIMATORS.md] [pkgdir ...]
 package main
@@ -163,6 +170,12 @@ func main() {
 		os.Exit(1)
 	}
 	findings = append(findings, fs...)
+	fs, err = lintUnreached(".", unreachedAllow)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		os.Exit(1)
+	}
+	findings = append(findings, fs...)
 
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, "doclint: "+f)
@@ -171,5 +184,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doclint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-	fmt.Printf("doclint: %d package(s) and %s clean\n", len(pkgs), *md)
+	fmt.Printf("doclint: %d package(s), %s and internal/'s exports clean\n", len(pkgs), *md)
 }

@@ -148,3 +148,99 @@ func TestHandbookCoversRegistry(t *testing.T) {
 		t.Errorf("%s", f)
 	}
 }
+
+// writeModule lays out a module from path -> source pairs in a temp dir.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+func TestLintUnreachedFlagsTestOnlyExports(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixture\n\ngo 1.22\n",
+		"internal/p/p.go": `package p
+
+// Used is named by the command.
+func Used() { helper() }
+
+// OnlyTested is named only from p_test.go.
+func OnlyTested() { OnlyTested() }
+
+func helper() {}
+
+// T is an error the command returns.
+type T struct{}
+
+// Error implements error: reached through the interface.
+func (T) Error() string { return "t" }
+
+// M is named only from p_test.go.
+func (T) M() {}
+`,
+		"internal/p/p_test.go": `package p
+
+import "testing"
+
+func TestP(t *testing.T) { OnlyTested(); T{}.M() }
+`,
+		"internal/coretest/c.go": "package coretest\n\n// Exempt is test support.\nfunc Exempt() {}\n",
+		"cmd/main.go": `package main
+
+import "fixture/internal/p"
+
+func main() {
+	p.Used()
+	var err error = p.T{}
+	_ = err
+}
+`,
+	})
+	findings, err := lintUnreached(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(findings, "\n")
+	if len(findings) != 2 || !strings.Contains(joined, "p.OnlyTested ") || !strings.Contains(joined, "p.T.M ") {
+		t.Fatalf("want p.OnlyTested and p.T.M flagged, got:\n%s", joined)
+	}
+
+	// On the allow-list, the same identifiers pass.
+	findings, err = lintUnreached(root, map[string]string{"p.OnlyTested": "kept for a test", "p.T.M": "kept for a test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Fatalf("allow-listed identifiers flagged: %v", findings)
+	}
+
+	// An allow-list entry for a reached identifier is stale.
+	findings, err = lintUnreached(root, map[string]string{"p.OnlyTested": "kept", "p.T.M": "kept", "p.Used": "stale"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0], "entry p.Used") {
+		t.Fatalf("stale allow-list entry not reported: %v", findings)
+	}
+}
+
+// TestRepoHasNoUnreachedExports gates the repo itself from the test suite,
+// as TestGatedPackagesAreClean does for doc comments.
+func TestRepoHasNoUnreachedExports(t *testing.T) {
+	findings, err := lintUnreached(filepath.Join("..", ".."), unreachedAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}

@@ -151,17 +151,6 @@ func (c *Catalog) BuildOrderedIndex(table, column string) (*index.Ordered, error
 	return ix, nil
 }
 
-// HashIndex returns the hash index on table.column if one has been built.
-func (c *Catalog) HashIndex(table, column string) *index.Hash {
-	return c.hashIdx[key(table)][key(column)]
-}
-
-// OrderedIndex returns the ordered index on table.column if one has been
-// built.
-func (c *Catalog) OrderedIndex(table, column string) *index.Ordered {
-	return c.orderIdx[key(table)][key(column)]
-}
-
 // Stats returns the statistics for a table (nil when unknown).
 func (c *Catalog) Stats(table string) *stats.TableStats {
 	return c.tblStats[key(table)]
@@ -260,15 +249,4 @@ func (c *Catalog) SetStats(table string, ts *stats.TableStats) {
 		return
 	}
 	c.tblStats[k] = ts
-}
-
-// RefreshStats rebuilds the statistics for a table (after bulk loads done
-// outside AddRelation). It reports whether the table existed.
-func (c *Catalog) RefreshStats(name string) bool {
-	rel, ok := c.relations[key(name)]
-	if !ok {
-		return false
-	}
-	c.tblStats[key(name)] = c.generator.Generate(rel)
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlprogress/internal/index"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 	"sqlprogress/internal/stats"
@@ -78,8 +79,8 @@ func TestIndexesBuiltAndCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o1.Len() != 50 {
-		t.Errorf("ordered len = %d", o1.Len())
+	if r := o1.SeekRange(nil, nil, false, false); r.End-r.Start != 50 {
+		t.Errorf("ordered len = %d", r.End-r.Start)
 	}
 	if c.OrderedIndex("t", "id") != o1 || c.HashIndex("t", "v") != h1 {
 		t.Error("accessors should return built indexes")
@@ -184,25 +185,6 @@ func TestDropTable(t *testing.T) {
 	}
 }
 
-func TestRefreshStats(t *testing.T) {
-	c := New(nil)
-	rel := sampleRelation("t", 5)
-	c.AddRelation(rel)
-	rel.Append(schema.Row{sqlval.Int(99), sqlval.Int(0)})
-	if c.Stats("t").RowCount != 5 {
-		t.Fatal("stats should be stale before refresh")
-	}
-	if !c.RefreshStats("t") {
-		t.Fatal("refresh should succeed")
-	}
-	if c.Stats("t").RowCount != 6 {
-		t.Errorf("rowcount after refresh = %d", c.Stats("t").RowCount)
-	}
-	if c.RefreshStats("ghost") {
-		t.Error("refreshing a missing table should report false")
-	}
-}
-
 func TestSetStats(t *testing.T) {
 	c := New(nil)
 	c.AddRelation(sampleRelation("t", 100))
@@ -224,10 +206,15 @@ func TestSetStats(t *testing.T) {
 	if c.Stats("t") != nil {
 		t.Error("SetStats(nil) should remove the synopsis")
 	}
-	if !c.RefreshStats("t") {
-		t.Fatal("RefreshStats failed")
-	}
-	if ts := c.Stats("t"); ts == nil || ts.Histogram(0) == nil {
-		t.Error("RefreshStats should rebuild full statistics")
-	}
+}
+
+// HashIndex returns the hash index on table.column if one has been built.
+func (c *Catalog) HashIndex(table, column string) *index.Hash {
+	return c.hashIdx[key(table)][key(column)]
+}
+
+// OrderedIndex returns the ordered index on table.column if one has been
+// built.
+func (c *Catalog) OrderedIndex(table, column string) *index.Ordered {
+	return c.orderIdx[key(table)][key(column)]
 }

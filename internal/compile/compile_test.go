@@ -621,7 +621,7 @@ type joinRun struct {
 }
 
 func planBounds(op exec.Operator) [3]int64 {
-	b := core.ComputeBounds(op)
+	b := core.NewBoundsEvaluator(op).Compute()
 	return [3]int64{b.LB, b.UB, b.UBTight}
 }
 

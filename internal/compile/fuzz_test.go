@@ -474,7 +474,7 @@ func runOrderMark(t *testing.T, cat *catalog.Catalog, sql string) orderMark {
 	return orderMark{
 		rows:  resultToInts(t, rows),
 		calls: ctx.Calls(),
-		nodes: tracker.Ledger().SnapshotAll(nil),
+		nodes: exec.EnsureLedger(op).SnapshotAll(nil),
 		dne:   (core.Dne{}).Estimate(s),
 		pmax:  (core.Pmax{}).Estimate(s),
 		safe:  (core.Safe{}).Estimate(s),

@@ -37,7 +37,7 @@ func TestLimitBoundsReproductions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := core.ComputeBounds(op); snap.LB != 15 || snap.UB != 15 {
+	if snap := core.NewBoundsEvaluator(op).Compute(); snap.LB != 15 || snap.UB != 15 {
 		t.Fatalf("unfiltered LIMIT 5 before the run: bounds [%d,%d], want [15,15]", snap.LB, snap.UB)
 	}
 }

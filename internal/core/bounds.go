@@ -35,31 +35,10 @@ type BoundsSnapshot struct {
 	UBTight int64
 }
 
-// BoundsOptions tunes the bounds pass.
-type BoundsOptions struct {
-	// DisableDemandCap turns off the demand-capping refinement (for
-	// ablation): by default, a Top operator's limit caps the final
-	// emission of the one-to-one streaming chain beneath it (Top pulls at
-	// most K rows; a Project emits exactly what it is asked for), which
-	// tightens UB substantially on ORDER BY ... LIMIT plans.
-	DisableDemandCap bool
-}
-
-// ComputeBounds is one bounds pass over the plan at the current instant: a
-// fresh BoundsEvaluator (which documents the rules), computed once. Samplers
-// keep an evaluator instead; this is for one-off inspection.
-func ComputeBounds(root exec.Operator) BoundsSnapshot {
-	return ComputeBoundsOpt(root, BoundsOptions{})
-}
-
-// ComputeBoundsOpt is ComputeBounds with explicit options.
-func ComputeBoundsOpt(root exec.Operator, opts BoundsOptions) BoundsSnapshot {
-	return *NewBoundsEvaluatorOpt(root, opts).Compute()
-}
-
-// ScannedLeafCardinality sums the cardinalities of the plan's leaf nodes
-// that are scanned exactly once, in full — the denominator of the paper's
-// mu (Section 5.2). Leaves inside rescanned nested-loops inners are
+// scannedLeaves sums the cardinalities of the subtree's leaf nodes that are
+// scanned exactly once, in full — the denominator of the paper's mu
+// (Section 5.2) — its runtime facts from nodes, one read of the ledger
+// indexed by NodeID. Leaves inside rescanned nested-loops inners are
 // excluded, and so are leaves an ancestor may stop pulling before EOF (under
 // a LIMIT or a merge join): Theorem 5 needs LB to cover the denominator,
 // and the bounds pass promises no rows of those. For leaves whose exact
@@ -69,13 +48,6 @@ func ComputeBoundsOpt(root exec.Operator, opts BoundsOptions) BoundsSnapshot {
 // physical-read units) have their ledger count deflated by the worst-case
 // unit charge for the same reason: the denominator must never exceed the
 // rows actually scanned.
-func ScannedLeafCardinality(root exec.Operator) int64 {
-	ev := NewBoundsEvaluator(root)
-	return ev.root.scannedLeaves(ev.led.SnapshotAll(nil), false)
-}
-
-// scannedLeaves is ScannedLeafCardinality over the subtree at n, its
-// runtime facts from nodes, one read of the ledger indexed by NodeID.
 func (n *evalNode) scannedLeaves(nodes []ledger.Snapshot, underRescan bool) int64 {
 	if len(n.children) > 0 {
 		var total int64

@@ -21,15 +21,6 @@ func (LpSafe) Estimate(s *State) float64 {
 	return clampF(float64(s.Curr)/g, 0, 1)
 }
 
-// LpSafeErrorBound returns lp-safe's worst-case ratio-error guarantee at
-// this instant, sqrt(UBTight/LB).
-func LpSafeErrorBound(s *State) float64 {
-	if s.LB <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(float64(s.UBTight) / float64(s.LB))
-}
-
 // Combiner is the per-segment statistical combiner in the spirit of König,
 // Ding & Chaudhuri's "A Statistical Approach Towards Robust Progress
 // Estimation": it runs dne, pmax and safe side by side, maintains an online

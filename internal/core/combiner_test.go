@@ -206,3 +206,21 @@ func TestRegisteredEstimatorsUniqueAndFresh(t *testing.T) {
 		t.Fatal("NewEstimators accepted an unregistered name")
 	}
 }
+
+// SafeErrorBound returns safe's worst-case ratio-error guarantee at this
+// instant, sqrt(UB/LB).
+func SafeErrorBound(s *State) float64 {
+	if s.LB <= 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(float64(s.UB) / float64(s.LB))
+}
+
+// LpSafeErrorBound returns lp-safe's worst-case ratio-error guarantee at
+// this instant, sqrt(UBTight/LB).
+func LpSafeErrorBound(s *State) float64 {
+	if s.LB <= 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(float64(s.UBTight) / float64(s.LB))
+}

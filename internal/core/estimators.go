@@ -201,15 +201,6 @@ func (Safe) Estimate(s *State) float64 {
 	return clampF(float64(s.Curr)/g, 0, 1)
 }
 
-// SafeErrorBound returns safe's worst-case ratio-error guarantee at this
-// instant, sqrt(UB/LB).
-func SafeErrorBound(s *State) float64 {
-	if s.LB <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(float64(s.UB) / float64(s.LB))
-}
-
 // MuSwitch is the hybrid sketched in Section 6.4: play safe, but switch to
 // pmax when the running average work per input tuple is small (pmax's error
 // is bounded by mu, and small observed mu is evidence — though, per Theorem

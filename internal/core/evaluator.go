@@ -14,7 +14,7 @@ import (
 // monitor sample frequently without throttling the executor. No exec.Operator is touched and no ledger slot is read during
 // the fold: every runtime fact comes from the one read, so the bounds
 // describe the same instant as the Curr summed from it. One-shot callers
-// (ComputeBounds) build a fresh evaluator and Compute once.
+// build a fresh evaluator and Compute once.
 //
 // Every node's bounds combine its operator's static rule (FinalBounds over
 // the children's delivered-row bounds) with runtime feedback:
@@ -42,7 +42,6 @@ import (
 // that read, the plan LB covers the read's Curr. The evaluator is not
 // reentrant.
 type BoundsEvaluator struct {
-	opts BoundsOptions
 	led  *ledger.Ledger
 	root *evalNode
 	snap BoundsSnapshot
@@ -72,21 +71,16 @@ type evalNode struct {
 }
 
 // NewBoundsEvaluator prepares an incremental evaluator for the plan rooted
-// at root with default options, binding the plan's ledger if needed.
+// at root, binding the plan's ledger if needed.
 func NewBoundsEvaluator(root exec.Operator) *BoundsEvaluator {
-	return NewBoundsEvaluatorOpt(root, BoundsOptions{})
-}
-
-// NewBoundsEvaluatorOpt is NewBoundsEvaluator with explicit options.
-func NewBoundsEvaluatorOpt(root exec.Operator, opts BoundsOptions) *BoundsEvaluator {
 	shape, led := ShapeOf(root)
-	return newEvaluator(shape, led, opts)
+	return newEvaluator(shape, led)
 }
 
 // newEvaluator prepares an incremental evaluator over an already-derived
 // (PlanShape, *Ledger) pair.
-func newEvaluator(shape *PlanShape, led *ledger.Ledger, opts BoundsOptions) *BoundsEvaluator {
-	ev := &BoundsEvaluator{opts: opts, led: led, idx: make([]int, shape.Len())}
+func newEvaluator(shape *PlanShape, led *ledger.Ledger) *BoundsEvaluator {
+	ev := &BoundsEvaluator{led: led, idx: make([]int, shape.Len())}
 	ev.snap.Nodes = make([]NodeBounds, shape.Len())
 	ev.root = ev.build(shape, shape.Root().ID, -1, false)
 	return ev
@@ -113,7 +107,7 @@ func (ev *BoundsEvaluator) build(shape *PlanShape, id ledger.NodeID, demandCap i
 		pessUB:      sn.PessimisticUB,
 		id:          id,
 	}
-	caps := sn.demandCaps(demandCap, ev.opts, make([]int64, len(sn.Children)))
+	caps := sn.demandCaps(demandCap, make([]int64, len(sn.Children)))
 	stops := sn.earlyStops(mayStop, demandCap, caps, make([]bool, len(sn.Children)))
 	for i, c := range sn.Children {
 		if !sn.Rescanned[i] {

@@ -50,48 +50,6 @@ func AvgAbsError(pts []Point) float64 {
 	return sum / float64(len(pts))
 }
 
-// SatisfiesThreshold checks the paper's threshold requirement (Section 2.5)
-// over a series: whenever actual < tau-delta the estimate must be < tau,
-// and whenever actual > tau+delta the estimate must be > tau. Estimates in
-// the grey area are unconstrained.
-func SatisfiesThreshold(pts []Point, tau, delta float64) bool {
-	for _, p := range pts {
-		if p.Actual < tau-delta && p.Est >= tau {
-			return false
-		}
-		if p.Actual > tau+delta && p.Est <= tau {
-			return false
-		}
-	}
-	return true
-}
-
-// ThresholdFromRatio converts a ratio-error guarantee into the threshold
-// guarantee it implies: a ratio error of e satisfies any threshold tau with
-// delta = tau * max(1 - 1/e, e - 1) (Section 2.5).
-func ThresholdFromRatio(tau, e float64) (delta float64) {
-	a, b := 1-1/e, e-1
-	if a > b {
-		return tau * a
-	}
-	return tau * b
-}
-
-// OverestimateShare returns the fraction of samples where the estimate was
-// at or above the truth (pmax should be 1.0 by Property 4).
-func OverestimateShare(pts []Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	n := 0
-	for _, p := range pts {
-		if p.Est >= p.Actual-1e-12 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(pts))
-}
-
 // RatioErrorAfter returns the worst ratio error among samples with actual
 // progress >= frac (e.g. Figure 6 reads the error after 30% of execution).
 func RatioErrorAfter(pts []Point, frac float64) float64 {

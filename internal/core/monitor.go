@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"sqlprogress/internal/exec"
@@ -177,22 +176,6 @@ func (ss *SampleSet) Total() int64 { return ss.total }
 // Point pairs the true progress at a sample with an estimate.
 type Point struct {
 	Actual, Est float64
-}
-
-// Series returns (actual, estimate) points for the named estimator; valid
-// after the run completes.
-func (ss *SampleSet) Series(name string) ([]Point, error) {
-	idx := -1
-	for i, e := range ss.Estimators {
-		if e.Name() == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("monitor: no estimator %q", name)
-	}
-	return ss.SeriesAt(idx), nil
 }
 
 // SeriesAt returns the points for estimator index i.

@@ -46,7 +46,7 @@ func TestAsyncMonitorSamplesRunningTPCHPlan(t *testing.T) {
 
 // TestAsyncMonitorFinalSampleAlways: with an interval far longer than the
 // query, the clock rule never fires — Run must still record the at-EOF
-// observation so the series ends at progress 1.0 (and Series reads it back).
+// observation so the series ends at progress 1.0 (and SeriesAt reads it back).
 func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 	m := NewAsyncMonitor(example1Join(50), time.Hour, Dne{}, Safe{})
 	if _, err := m.Run(); err != nil {
@@ -56,10 +56,7 @@ func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 		t.Fatalf("samples = %d, want exactly the final one", len(m.Samples))
 	}
 	checkSeries(t, "final-only", m)
-	pts, err := m.Series("safe")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := m.SeriesAt(1) // safe
 	if got := pts[len(pts)-1]; got.Actual != 1 || got.Est != 1 {
 		t.Fatalf("final point = %+v, want (1,1)", got)
 	}

@@ -75,13 +75,3 @@ func Pipelines(shape *PlanShape) []Pipeline {
 	}
 	return res
 }
-
-// DriverNodes returns the drivers of every pipeline of the plan, the node
-// set over which dne aggregates.
-func DriverNodes(shape *PlanShape) []ledger.NodeID {
-	var out []ledger.NodeID
-	for _, p := range Pipelines(shape) {
-		out = append(out, p.Drivers...)
-	}
-	return out
-}

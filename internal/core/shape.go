@@ -76,11 +76,11 @@ func (n *ShapeNode) IsLeaf() bool { return len(n.Children) == 0 }
 
 // demandCaps fills caps (length len(n.Children)) with the per-child pull
 // bounds this node propagates from its own cap (-1 = unbounded).
-func (n *ShapeNode) demandCaps(selfCap int64, opts BoundsOptions, caps []int64) []int64 {
+func (n *ShapeNode) demandCaps(selfCap int64, caps []int64) []int64 {
 	for i := range caps {
 		caps[i] = -1
 	}
-	if opts.DisableDemandCap || len(caps) == 0 {
+	if len(caps) == 0 {
 		return caps
 	}
 	switch n.demand {

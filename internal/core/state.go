@@ -127,7 +127,7 @@ func NewTracker(root exec.Operator) *Tracker {
 	t := &Tracker{
 		shape:     shape,
 		led:       led,
-		ev:        newEvaluator(shape, led, BoundsOptions{}),
+		ev:        newEvaluator(shape, led),
 		nodes:     make([]ledger.Snapshot, shape.Len()),
 		pipelines: Pipelines(shape),
 	}
@@ -148,9 +148,6 @@ func NewTracker(root exec.Operator) *Tracker {
 	walk(shape.Root().ID, false)
 	return t
 }
-
-// Ledger returns the plan's progress ledger.
-func (t *Tracker) Ledger() *ledger.Ledger { return t.led }
 
 // Capture snapshots the current State from one read of the ledger: Fold
 // over Ledger.SnapshotAll.

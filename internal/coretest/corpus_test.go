@@ -41,7 +41,7 @@ func TestLedgerIsTheOnlyHome(t *testing.T) {
 				exec.Walk(op, func(o exec.Operator) {
 					if o.LedgerID() != id {
 						t.Errorf("%s: ledger id %d, want pre-order %d", o.Name(), o.LedgerID(), id)
-					} else if got, want := exec.NodeSnapshot(o), led.Slot(id).Snapshot(); got != want {
+					} else if got, want := exec.NodeSnapshot(o), *led.Slot(id); got != want {
 						t.Errorf("%s: node snapshot %+v, ledger slot %+v", o.Name(), got, want)
 					}
 					if top, ok := o.(*exec.Top); ok {

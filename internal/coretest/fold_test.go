@@ -23,7 +23,7 @@ func TestFoldAllocBudget(t *testing.T) {
 			if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 				t.Fatal(err)
 			}
-			read := tr.Ledger().SnapshotAll(nil)
+			read := exec.EnsureLedger(op).SnapshotAll(nil)
 			got := testing.AllocsPerRun(100, func() { tr.Fold(read) })
 			if got > foldAllocBudget {
 				t.Errorf("Tracker.Fold: %.0f allocs/op, budget %d", got, foldAllocBudget)

@@ -64,12 +64,14 @@ func newWeightedTwin(t *testing.T, frames int, readCost int64) *catalog.Catalog 
 		if err := pager.WriteRelation(path, rel); err != nil {
 			t.Fatal(err)
 		}
-		pr, err := cat.AttachHeapFile(path, pool)
+		hf, err := pager.OpenHeapFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { hf.Close() })
+		pr := pager.NewPagedRelation(hf, pool)
 		pr.SetReadCost(readCost)
-		t.Cleanup(func() { pr.HeapFile().Close() })
+		cat.AddStore(pr)
 	}
 	return cat
 }

@@ -104,8 +104,6 @@ type OrderKind string
 
 // Arrival orders used by the paper's experiments.
 const (
-	// OrderStored visits rows as stored.
-	OrderStored OrderKind = "stored"
 	// OrderSkewFirst visits the highest-fanout keys first (Figure 4).
 	OrderSkewFirst OrderKind = "skew-first"
 	// OrderSkewLast visits the highest-fanout keys last (Figure 5).
@@ -116,7 +114,8 @@ const (
 
 // Order builds a scan permutation of R1 for the pair: positions of R1 rows
 // in the desired arrival order. R1 row i holds key i, and Fanout is
-// descending in key, so skew-first is the identity.
+// descending in key, so skew-first is the identity, and so is any kind
+// not listed above: rows as stored.
 func (p *SkewPair) Order(kind OrderKind, seed int64) []int32 {
 	n := len(p.R1.Rows)
 	out := make([]int32, n)

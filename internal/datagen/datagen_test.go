@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -115,7 +116,7 @@ func TestSkewPair(t *testing.T) {
 
 func TestSkewPairOrders(t *testing.T) {
 	p := NewSkewPair(10, 100, 2.0, 3)
-	stored := p.Order(OrderStored, 0)
+	stored := p.Order("", 0)
 	first := p.Order(OrderSkewFirst, 0)
 	last := p.Order(OrderSkewLast, 0)
 	random := p.Order(OrderRandom, 5)
@@ -147,7 +148,7 @@ func TestAdversarialTwinsHistogramsIdentical(t *testing.T) {
 	gen := stats.HistogramGenerator{MaxBuckets: 32}
 	h1 := gen.Generate(tw.R11).Histogram(0)
 	h2 := gen.Generate(tw.R12).Histogram(0)
-	if !h1.Equal(h2) {
+	if fmt.Sprint(h1.Total, h1.NullCount, h1.Buckets) != fmt.Sprint(h2.Total, h2.NullCount, h2.Buckets) {
 		t.Fatal("Theorem 1 requires the twins to have identical histograms")
 	}
 	// The prefix before t must be byte-identical.

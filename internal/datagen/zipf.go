@@ -32,9 +32,6 @@ func NewZipf(r *rand.Rand, n int, z float64) *Zipf {
 	return &Zipf{cum: cum, r: r}
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // Next draws one key.
 func (z *Zipf) Next() int64 {
 	u := z.r.Float64()

@@ -199,13 +199,13 @@ func points(t *testing.T, cell, est string) []core.Point {
 // Figure 5's dne, under the worst-case order, fails even (0.5, 0.1): the
 // Theorem 1 regime.
 func TestThresholdRequirementAcrossScenarios(t *testing.T) {
-	if !core.SatisfiesThreshold(points(t, "fig3", "dne"), 0.5, 0.05) {
+	if !SatisfiesThreshold(points(t, "fig3", "dne"), 0.5, 0.05) {
 		t.Error("fig3: dne should satisfy the threshold requirement on Q1")
 	}
-	if !core.SatisfiesThreshold(points(t, "fig7", "dne"), 0.5, 0.02) {
+	if !SatisfiesThreshold(points(t, "fig7", "dne"), 0.5, 0.02) {
 		t.Error("fig7: near-exact dne should satisfy a tight threshold")
 	}
-	if core.SatisfiesThreshold(points(t, "fig5", "dne"), 0.5, 0.1) {
+	if SatisfiesThreshold(points(t, "fig5", "dne"), 0.5, 0.1) {
 		t.Error("fig5: dne should fail the threshold requirement under the worst-case order")
 	}
 }
@@ -253,4 +253,39 @@ func TestPagerPoolRegimes(t *testing.T) {
 			t.Errorf("%s: %d physical reads, want 0", c.name, reads)
 		}
 	}
+}
+
+func TestThresholdRequirement(t *testing.T) {
+	good := []core.Point{{Actual: 0.1, Est: 0.2}, {Actual: 0.9, Est: 0.8}}
+	if !SatisfiesThreshold(good, 0.5, 0.05) {
+		t.Error("good series should satisfy tau=0.5, delta=0.05")
+	}
+	bad := []core.Point{{Actual: 0.1, Est: 0.7}}
+	if SatisfiesThreshold(bad, 0.5, 0.05) {
+		t.Error("overestimate across the threshold should fail")
+	}
+	bad2 := []core.Point{{Actual: 0.9, Est: 0.3}}
+	if SatisfiesThreshold(bad2, 0.5, 0.05) {
+		t.Error("underestimate across the threshold should fail")
+	}
+	grey := []core.Point{{Actual: 0.52, Est: 0.4}}
+	if !SatisfiesThreshold(grey, 0.5, 0.05) {
+		t.Error("grey-area samples are unconstrained")
+	}
+}
+
+// SatisfiesThreshold checks the paper's threshold requirement (Section 2.5)
+// over a series: whenever actual < tau-delta the estimate must be < tau,
+// and whenever actual > tau+delta the estimate must be > tau. Estimates in
+// the grey area are unconstrained.
+func SatisfiesThreshold(pts []core.Point, tau, delta float64) bool {
+	for _, p := range pts {
+		if p.Actual < tau-delta && p.Est >= tau {
+			return false
+		}
+		if p.Actual > tau+delta && p.Est <= tau {
+			return false
+		}
+	}
+	return true
 }

@@ -145,45 +145,3 @@ func TestThm3RandomOrderUnbiased(t *testing.T) {
 		t.Errorf("zipf |err| should collapse near completion: mid %g, final %g", mid, last)
 	}
 }
-
-// TestThm4FractionAtLeastHalf is Section 4.2's predictive-order result: for
-// several per-tuple work distributions at least half of all arrival orders
-// are 2-predictive (Theorem 4), and under a 2-predictive order dne's ratio
-// error after half the input is about 2 at most (Property 2).
-func TestThm4FractionAtLeastHalf(t *testing.T) {
-	const n, trials = 5000, 300
-	uniform, oneHeavy := make([]int64, n), make([]int64, n)
-	for i := range uniform {
-		uniform[i], oneHeavy[i] = 2, 1
-	}
-	oneHeavy[0] = n * 10
-	workloads := []struct {
-		name string
-		work []int64
-	}{
-		{"uniform", uniform},
-		{"zipf z=1", datagen.ZipfFrequencies(n, 3*n, 1)},
-		{"zipf z=2", datagen.ZipfFrequencies(n, 3*n, 2)},
-		{"one-heavy", oneHeavy},
-	}
-	t.Logf("workload   frac 2-predictive  worst dne ratio err after half")
-	for _, w := range workloads {
-		frac := core.FractionCPredictive(w.work, 2, trials, paperSeed)
-		// The worst dne error over the sampled 2-predictive orders.
-		r := rand.New(rand.NewSource(paperSeed + 1))
-		worst := 1.0
-		for trial := 0; trial < trials; trial++ {
-			r.Shuffle(n, func(i, j int) { w.work[i], w.work[j] = w.work[j], w.work[i] })
-			if core.IsCPredictive(w.work, 2) {
-				worst = math.Max(worst, core.DneRatioErrorAfterHalf(w.work))
-			}
-		}
-		t.Logf("%-9s  %.3f              %.3f", w.name, frac, worst)
-		if frac < 0.5 {
-			t.Errorf("%s: 2-predictive fraction %.3f < 0.5 violates Theorem 4", w.name, frac)
-		}
-		if worst > 2+1e-9 {
-			t.Errorf("%s: dne ratio error %.3f after half a 2-predictive order violates Property 2", w.name, worst)
-		}
-	}
-}

@@ -100,7 +100,7 @@ func (c *Ctx) batchSize() int {
 // before the cancel stays counted, none after it is. Once the credit is
 // counted it checks the sampling trigger's due rule (SampleEvery's call
 // count or SampleInterval's clock).
-func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
+func (c *Ctx) credit(s *ledger.Snapshot, undelivered int64, delivered int) error {
 	n := undelivered + int64(delivered)
 	if n == 0 {
 		return nil
@@ -110,19 +110,17 @@ func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 		if c.canceled.Load() {
 			return ErrCanceled
 		}
-		s.CountCalls(n)
-		if delivered > 0 {
-			s.CountDeliveredN(int64(delivered))
-		}
+		s.Returned += n
+		s.Delivered += int64(delivered)
 		curr = c.calls.Add(n)
 	} else {
 		for i := int64(0); i < n; i++ {
 			if c.canceled.Load() {
 				return ErrCanceled
 			}
-			s.CountCall()
+			s.Returned++
 			if i >= undelivered {
-				s.CountDelivered()
+				s.Delivered++
 			}
 			curr = c.calls.Add(1)
 			if c.Inject != nil {
@@ -153,7 +151,7 @@ func (c *Ctx) credit(s *ledger.Slot, undelivered int64, delivered int) error {
 // first: an operator that counts more than one pull's worth of work in one
 // step (a selective scan's rejected rows, a fan-out's output) moves Curr by
 // no more than a pull at a time, so the sampling trigger sees it move.
-func (c *Ctx) creditPieces(s *ledger.Slot, undelivered int64, delivered, piece int) error {
+func (c *Ctx) creditPieces(s *ledger.Snapshot, undelivered int64, delivered, piece int) error {
 	for undelivered > 0 {
 		k := min(undelivered, int64(piece))
 		if err := c.credit(s, k, 0); err != nil {
@@ -404,7 +402,7 @@ func drain(ctx *Ctx, child Operator, sink func(rows []schema.Row)) error {
 // PlanRowBounds bounds the rows op delivers to its parent from the plan
 // alone, bottom-up: a DeliveredBounder's DeliveredBounds, else the node's
 // FinalBounds over its children's row bounds — rows, never a paged scan's
-// read units. It is the static half of what core.ComputeBounds refines with
+// read units. It is the static half of what core.BoundsEvaluator refines with
 // runtime counters, and what the SQL compiler compares to pick a hash join's
 // build side.
 func PlanRowBounds(op Operator) CardBounds {

@@ -10,47 +10,33 @@ import (
 // into this execution context: when stdctx is done, Cancel is called and the
 // run stops at its next counted GetNext call with ErrCanceled.
 //
-// Bind starts a watcher goroutine; the returned release function stops it
-// and must be called exactly once, after the run finishes (defer it).
-// release reports how the binding ended: nil if the watcher never fired, or
-// stdctx.Err() (context.Canceled / context.DeadlineExceeded) if the binding
-// is what canceled the execution — callers use it to distinguish a server
-// deadline or client disconnect from an explicit user Cancel.
+// Bind registers Cancel with context.AfterFunc; the returned release
+// function unregisters it and must be called exactly once, after the run
+// finishes (defer it). release reports how the binding ended: nil if Cancel
+// was never called for it, or stdctx.Err() (context.Canceled /
+// context.DeadlineExceeded) if the binding is what canceled the execution —
+// callers use it to distinguish a server deadline or client disconnect from
+// an explicit user Cancel.
 //
 // Binding a context with no cancellation path (Done() == nil, e.g.
-// context.Background()) is free: no goroutine is started.
+// context.Background()) is free: nothing is registered.
 func (c *Ctx) Bind(stdctx context.Context) (release func() error) {
 	if stdctx == nil || stdctx.Done() == nil {
 		return func() error { return nil }
 	}
 	if err := stdctx.Err(); err != nil {
 		// Already done: cancel synchronously so the run stops at its first
-		// counted call, instead of racing a watcher goroutine that may not
+		// counted call, instead of racing a callback goroutine that may not
 		// be scheduled for thousands of calls.
 		c.Cancel()
 		return func() error { return err }
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	fired := false
-	go func() {
-		defer close(done)
-		select {
-		case <-stdctx.Done():
-			fired = true
-			c.Cancel()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(stdctx, c.Cancel)
 	return func() error {
-		close(stop)
-		<-done
-		// fired is written before close(done) and read after <-done, so
-		// this is an ordinary happens-before read, no atomics needed.
-		if fired {
-			return stdctx.Err()
+		if stop() {
+			return nil
 		}
-		return nil
+		return stdctx.Err()
 	}
 }
 

@@ -86,7 +86,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 
 // TestBindAfterStartRace binds a context to an execution that is already
 // mid-flight — the session layer's attach order inverted — and cancels
-// through it. The watcher races the executor's tick loop; under -race this
+// through it. The AfterFunc callback races the executor; under -race this
 // verifies the binding is safe to attach late, and the stop must still be
 // reported as the binding's (context.Canceled), not an explicit cancel.
 func TestBindAfterStartRace(t *testing.T) {
@@ -166,8 +166,8 @@ func TestExplicitCancelBeatsLiveBinding(t *testing.T) {
 }
 
 func TestBindReleaseAfterCompletion(t *testing.T) {
-	// The watcher must exit promptly on release even though the context
-	// never fires.
+	// release must return promptly, and report no cancel, even though the
+	// context never fires.
 	stdctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ctx := NewCtx()

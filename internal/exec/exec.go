@@ -110,9 +110,6 @@ func (c *Ctx) SampleInterval(d time.Duration, fn func(curr int64)) {
 	c.at = time.Now().Add(c.interval)
 }
 
-// Canceled reports whether Cancel was called.
-func (c *Ctx) Canceled() bool { return c.canceled.Load() }
-
 // Calls returns the total number of GetNext calls performed so far across
 // all operators (the paper's Curr). Safe to call from any goroutine.
 func (c *Ctx) Calls() int64 { return c.calls.Load() }
@@ -211,7 +208,7 @@ type base struct {
 	// slot is the node's ledger slot, led.Slot(id), cached for the hot
 	// path. All three are set by EnsureLedger, before Open and
 	// before any reader; slot is nil until then.
-	slot *ledger.Slot
+	slot *ledger.Snapshot
 	id   ledger.NodeID
 	led  *ledger.Ledger
 	sch  *schema.Schema
@@ -240,16 +237,16 @@ func (b *base) EstimatedCard() int64 { return b.est }
 func (b *base) SetEstimatedCard(v int64) { b.est = v }
 
 // markDone sets the node's EOF flag.
-func (b *base) markDone() { b.slot.MarkDone() }
+func (b *base) markDone() { b.slot.Done = true }
 
 // reopen resets the node's slot for a rescan: a node re-opened after it
 // produced output counts a rescan, so the bounds pass no longer pins it at
 // its count, and its EOF flag clears.
 func (b *base) reopen() {
-	if b.slot.Done() || b.slot.Returned() > 0 {
-		b.slot.MarkRescan()
+	if b.slot.Done || b.slot.Returned > 0 {
+		b.slot.Rescans++
 	}
-	b.slot.ClearDone()
+	b.slot.Done = false
 }
 
 // EnsureLedger binds every node of the plan to one per-query ledger,
@@ -297,15 +294,7 @@ func Walk(op Operator, visit func(Operator)) {
 
 // NodeSnapshot reads op's runtime counters from its ledger slot; the plan
 // must be bound (EnsureLedger).
-func NodeSnapshot(op Operator) ledger.Snapshot { return op.progressBase().slot.Snapshot() }
-
-// TotalCalls sums Returned over the tree: the total GetNext calls performed
-// so far (Curr; after completion, total(Q)).
-func TotalCalls(op Operator) int64 {
-	var total int64
-	Walk(op, func(o Operator) { total += o.progressBase().slot.Returned() })
-	return total
-}
+func NodeSnapshot(op Operator) ledger.Snapshot { return *op.progressBase().slot }
 
 // Explain renders the operator tree with runtime counters, one node per
 // line, children indented. A scan that decodes k of its store's n columns

@@ -965,7 +965,7 @@ func TestCancellation(t *testing.T) {
 	if ctx.Calls() != 100 {
 		t.Errorf("calls at cancel = %d, want 100", ctx.Calls())
 	}
-	if !ctx.Canceled() {
+	if !ctx.canceled.Load() {
 		t.Error("Canceled() should report true")
 	}
 }
@@ -1081,4 +1081,12 @@ func TestErrorPropagation(t *testing.T) {
 			t.Errorf("%s: error not propagated, got %v", tc.name, err)
 		}
 	}
+}
+
+// TotalCalls sums Returned over the tree: the total GetNext calls performed
+// so far (Curr; after completion, total(Q)).
+func TotalCalls(op Operator) int64 {
+	var total int64
+	Walk(op, func(o Operator) { total += o.progressBase().slot.Returned })
+	return total
 }

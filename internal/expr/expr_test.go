@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -368,7 +369,7 @@ func TestFuncCallBuiltins(t *testing.T) {
 }
 
 func TestFuncCallDates(t *testing.T) {
-	d := Literal(sqlval.MustParseDate("1995-03-15"))
+	d := Literal(sqlval.DateFromTime(time.Date(1995, 3, 15, 0, 0, 0, 0, time.UTC)))
 	checks := []struct {
 		fn   string
 		want int64
@@ -404,8 +405,8 @@ func TestFuncCallErrors(t *testing.T) {
 	if _, _, err := NewFuncCall("SUBSTR", []Expr{Literal(sqlval.Null())}); err == nil {
 		t.Error("SUBSTR needs 2+ args")
 	}
-	if len(Builtins()) < 7 {
-		t.Errorf("builtins = %v", Builtins())
+	if len(builtins) < 7 {
+		t.Errorf("builtins = %d", len(builtins))
 	}
 }
 

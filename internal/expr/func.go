@@ -115,16 +115,6 @@ func NewFuncCall(name string, args []Expr) (FuncCall, sqlval.Kind, error) {
 	return FuncCall{FuncName: up, Args: args, impl: b.impl, keepNulls: b.keepNulls}, b.kind, nil
 }
 
-// Builtins lists the available function names (sorted by map iteration is
-// not guaranteed; callers sort if needed).
-func Builtins() []string {
-	out := make([]string, 0, len(builtins))
-	for k := range builtins {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Eval implements Expr.
 func (f FuncCall) Eval(row schema.Row) sqlval.Value {
 	vals := make([]sqlval.Value, len(f.Args))

@@ -102,14 +102,6 @@ func (p *PageBackend) NumPages() uint32 { return p.inner.NumPages() }
 // Close implements pager.Backend without closing the wrapped backend.
 func (p *PageBackend) Close() error { return nil }
 
-// Fired returns the faults that actually triggered, in firing order. Valid
-// once the run has finished.
-func (p *PageBackend) Fired() []PageFault {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]PageFault(nil), p.fired...)
-}
-
 // FiredError reports whether any failing fault triggered.
 func (p *PageBackend) FiredError() bool {
 	p.mu.Lock()

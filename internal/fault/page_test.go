@@ -82,3 +82,11 @@ func TestPageBackendStall(t *testing.T) {
 		t.Fatal("FiredError() = true for a stall-only fault")
 	}
 }
+
+// Fired returns the faults that actually triggered, in firing order. Valid
+// once the run has finished.
+func (p *PageBackend) Fired() []PageFault {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]PageFault(nil), p.fired...)
+}

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,7 +199,7 @@ func TestServiceChaos(t *testing.T) {
 	for _, a := range all {
 		for !a.sess.State().Terminal() {
 			if time.Now().After(deadline) {
-				t.Fatalf("session %s stuck in %s", a.sess.ID(), a.sess.State())
+				t.Fatalf("session %s stuck in %s", a.sess.Info().ID, a.sess.State())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -218,43 +219,43 @@ func TestServiceChaos(t *testing.T) {
 		switch {
 		case term == nil:
 			if info.State != session.StateFinished {
-				t.Errorf("%s [%s]: state %s with no terminal fault (err %v)", a.sess.ID(), a.sess.Text(), info.State, a.sess.Err())
+				t.Errorf("%s [%s]: state %s with no terminal fault (err %v)", info.ID, info.Text, info.State, info.Error)
 			}
 		case term.Kind == fault.ErrorFault:
-			if info.State != session.StateFailed || !errors.Is(a.sess.Err(), fault.ErrInjected) {
-				t.Errorf("%s: state %s err %v after injected error", a.sess.ID(), info.State, a.sess.Err())
+			if info.State != session.StateFailed || !strings.Contains(info.Error, fault.ErrInjected.Error()) {
+				t.Errorf("%s: state %s err %v after injected error", info.ID, info.State, info.Error)
 			}
 			if info.Calls != term.At {
-				t.Errorf("%s [%s]: calls %d, want exactly %d (error fault)", a.sess.ID(), a.sess.Text(), info.Calls, term.At)
+				t.Errorf("%s [%s]: calls %d, want exactly %d (error fault)", info.ID, info.Text, info.Calls, term.At)
 			}
 		case term.Kind == fault.CancelFault:
 			// A cancel landing on the run's final counted call completes it.
 			if info.State != session.StateCanceled && info.State != session.StateFinished {
-				t.Errorf("%s: state %s after injected cancel", a.sess.ID(), info.State)
+				t.Errorf("%s: state %s after injected cancel", info.ID, info.State)
 			}
 			if info.Calls != term.At {
-				t.Errorf("%s [%s]: calls %d, want exactly %d (cancel fault)", a.sess.ID(), a.sess.Text(), info.Calls, term.At)
+				t.Errorf("%s [%s]: calls %d, want exactly %d (cancel fault)", info.ID, info.Text, info.Calls, term.At)
 			}
 		}
 		// Every consumer — eager, slow, or frozen-then-reattached — must
 		// have observed the final event.
 		if !results[i].got || !results[i].last.Final {
-			t.Errorf("%s: consumer missed the final event (got=%v last=%+v)", a.sess.ID(), results[i].got, results[i].last)
+			t.Errorf("%s: consumer missed the final event (got=%v last=%+v)", info.ID, results[i].got, results[i].last)
 			continue
 		}
 		if !results[i].last.State.Terminal() {
-			t.Errorf("%s: final event state %s not terminal", a.sess.ID(), results[i].last.State)
+			t.Errorf("%s: final event state %s not terminal", info.ID, results[i].last.State)
 		}
 		if info.State == session.StateFinished {
 			if pm := results[i].last.Estimates["pmax"]; pm != 1.0 {
-				t.Errorf("%s: final pmax = %v, want 1.0", a.sess.ID(), pm)
+				t.Errorf("%s: final pmax = %v, want 1.0", info.ID, pm)
 			}
 		}
 		// The recorded sample series must satisfy every estimator
 		// invariant, fault-shortened or not.
 		if smps := a.sess.Samples(); len(smps) > 0 {
 			series := core.Series{
-				Label:     a.sess.ID() + "/" + a.sess.Text(),
+				Label:     info.ID + "/" + info.Text,
 				Names:     []string{"dne", "pmax", "safe"},
 				Samples:   smps,
 				Completed: info.State == session.StateFinished,

@@ -211,9 +211,6 @@ func BuildOrdered(name string, rel *schema.Relation, col int) *Ordered {
 	return o
 }
 
-// Len returns the number of indexed rows.
-func (o *Ordered) Len() int { return len(o.pos) }
-
 // At returns the i-th row position in index order.
 func (o *Ordered) At(i int) int32 { return o.pos[i] }
 
@@ -236,14 +233,6 @@ func (o *Ordered) UpperBound(v sqlval.Value) int {
 
 // Range describes a half-open [Start, End) span of index positions.
 type Range struct{ Start, End int }
-
-// Count returns the number of entries in the range.
-func (r Range) Count() int { return r.End - r.Start }
-
-// SeekEqual returns the span of positions whose key equals v.
-func (o *Ordered) SeekEqual(v sqlval.Value) Range {
-	return Range{Start: o.LowerBound(v), End: o.UpperBound(v)}
-}
 
 // SeekRange returns the span of positions in [lo, hi], where a nil bound is
 // open and the Incl flags control bound inclusivity.
@@ -271,22 +260,6 @@ func (o *Ordered) SeekRange(lo, hi *sqlval.Value, loIncl, hiIncl bool) Range {
 		end = start
 	}
 	return Range{Start: start, End: end}
-}
-
-// MaxFanout returns an upper bound on rows matching any single key.
-func (o *Ordered) MaxFanout() int64 {
-	best, run := int64(0), int64(0)
-	for i := 0; i < len(o.pos); i++ {
-		if i > 0 && sqlval.Compare(o.key(i), o.key(i-1)) == 0 {
-			run++
-		} else {
-			run = 1
-		}
-		if run > best {
-			best = run
-		}
-	}
-	return best
 }
 
 // String identifies the index in plan explanations.

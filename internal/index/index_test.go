@@ -66,7 +66,7 @@ func TestHashLookupPositionsPointIntoRelation(t *testing.T) {
 func TestOrderedSeekEqual(t *testing.T) {
 	rel := intRelation(5, 3, 5, 7, 5, 1)
 	o := BuildOrdered("ix", rel, 0)
-	r := o.SeekEqual(sqlval.Int(5))
+	r := seekEqual(o, sqlval.Int(5))
 	if r.Count() != 3 {
 		t.Errorf("SeekEqual(5).Count = %d, want 3", r.Count())
 	}
@@ -75,7 +75,7 @@ func TestOrderedSeekEqual(t *testing.T) {
 			t.Errorf("entry %d is %v, want 5", i, rel.Rows[o.At(i)][0])
 		}
 	}
-	if o.SeekEqual(sqlval.Int(4)).Count() != 0 {
+	if seekEqual(o, sqlval.Int(4)).Count() != 0 {
 		t.Error("SeekEqual(4) should be empty")
 	}
 }
@@ -121,16 +121,6 @@ func TestOrderedRangeSkipsNulls(t *testing.T) {
 	}
 }
 
-func TestOrderedMaxFanout(t *testing.T) {
-	o := BuildOrdered("ix", intRelation(1, 2, 2, 2, 3, 3), 0)
-	if got := o.MaxFanout(); got != 3 {
-		t.Errorf("MaxFanout = %d, want 3", got)
-	}
-	if got := BuildOrdered("ix", intRelation(), 0).MaxFanout(); got != 0 {
-		t.Errorf("empty MaxFanout = %d, want 0", got)
-	}
-}
-
 // Property: hash lookup agrees with a linear scan on random multisets.
 func TestHashMatchesScanQuick(t *testing.T) {
 	f := func(seed int64) bool {
@@ -167,7 +157,7 @@ func TestOrderedSortedPermutationQuick(t *testing.T) {
 		}
 		rel := intRelation(vals...)
 		o := BuildOrdered("ix", rel, 0)
-		if o.Len() != n {
+		if len(o.pos) != n {
 			return false
 		}
 		seen := make(map[int32]bool, n)
@@ -206,9 +196,15 @@ func TestOrderedSeekEqualMatchesScanQuick(t *testing.T) {
 				want++
 			}
 		}
-		return o.SeekEqual(sqlval.Int(probe)).Count() == want
+		return seekEqual(o, sqlval.Int(probe)).Count() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
+
+// Count returns the number of entries in the range.
+func (r Range) Count() int { return r.End - r.Start }
+
+// seekEqual is the span of positions whose key equals v: the point range.
+func seekEqual(o *Ordered, v sqlval.Value) Range { return o.SeekRange(&v, &v, true, true) }

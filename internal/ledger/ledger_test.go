@@ -7,21 +7,23 @@ func TestSlotCountersAndSnapshot(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
 	}
+	// A write through the slot pointer is what the ledger reads back, and
+	// the read is a copy.
 	s := l.Slot(1)
-	s.CountCall()
-	s.CountCall()
-	s.CountDelivered()
-	s.MarkDone()
-	snap := s.Snapshot()
-	if snap.Returned != 2 || snap.Delivered != 1 || snap.Rescans != 0 || !snap.Done {
-		t.Fatalf("snapshot = %+v", snap)
+	s.Returned += 2
+	s.Delivered++
+	s.Done = true
+	snap := l.SnapshotAll(nil)
+	if got := snap[1]; got != (Snapshot{Returned: 2, Delivered: 1, Done: true}) {
+		t.Fatalf("snapshot = %+v", got)
 	}
-	// Re-open: rescans before clearing done.
-	s.MarkRescan()
-	s.ClearDone()
-	snap = s.Snapshot()
-	if snap.Rescans != 1 || snap.Done {
-		t.Fatalf("post-rescan snapshot = %+v", snap)
+	s.Rescans++
+	s.Done = false
+	if snap[1].Rescans != 0 || !snap[1].Done {
+		t.Fatalf("earlier read changed under a later write: %+v", snap[1])
+	}
+	if got := l.SnapshotAll(nil)[1]; got.Rescans != 1 || got.Done {
+		t.Fatalf("post-rescan snapshot = %+v", got)
 	}
 	if got := curr(l); got != 2 {
 		t.Fatalf("Curr = %d", got)
@@ -40,7 +42,7 @@ func curr(l *Ledger) int64 {
 
 func TestSnapshotAllReusesCapacity(t *testing.T) {
 	l := New(4)
-	l.Slot(2).CountCall()
+	l.Slot(2).Returned++
 	buf := make([]Snapshot, 0, 4)
 	out := l.SnapshotAll(buf)
 	if len(out) != 4 || out[2].Returned != 1 {

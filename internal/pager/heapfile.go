@@ -272,13 +272,6 @@ func readHeapMeta(b *FileBackend) (*HeapFile, error) {
 	}, nil
 }
 
-// Name returns the relation name stored in the file.
-func (h *HeapFile) Name() string { return h.name }
-
-// Schema returns the stored schema, columns qualified with the relation
-// name.
-func (h *HeapFile) Schema() *schema.Schema { return h.sch }
-
 // Rows returns the stored row count.
 func (h *HeapFile) Rows() int64 { return h.rows }
 

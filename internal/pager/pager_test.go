@@ -76,13 +76,13 @@ func TestHeapFileRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			rel := testRel(t, "t", n)
 			hf := openTestFile(t, writeTestFile(t, rel))
-			if hf.Name() != "t" {
-				t.Fatalf("name %q", hf.Name())
+			if hf.name != "t" {
+				t.Fatalf("name %q", hf.name)
 			}
 			if hf.Rows() != int64(n) {
 				t.Fatalf("rows %d != %d", hf.Rows(), n)
 			}
-			if got, want := hf.Schema().String(), rel.Schema().String(); got != want {
+			if got, want := hf.sch.String(), rel.Schema().String(); got != want {
 				t.Fatalf("schema %s != %s", got, want)
 			}
 			pr := NewPagedRelation(hf, NewPool(0))

@@ -74,9 +74,6 @@ type File struct {
 	id   uint32
 }
 
-// Backend returns the registered backend.
-func (f *File) Backend() Backend { return f.b }
-
 // Pool is a shared buffer pool of page frames with pinning and CLOCK
 // eviction. It is safe for concurrent use; the mutex guards only the page
 // table and frame metadata — physical reads run outside the lock, so

@@ -53,9 +53,6 @@ func (p *PagedRelation) SetReadCost(w int64) {
 // Pool returns the buffer pool the relation reads through.
 func (p *PagedRelation) Pool() *Pool { return p.pool }
 
-// HeapFile returns the underlying heap file.
-func (p *PagedRelation) HeapFile() *HeapFile { return p.hf }
-
 // StoreName implements schema.Store.
 func (p *PagedRelation) StoreName() string { return p.hf.name }
 

@@ -27,9 +27,6 @@ type Builder struct {
 // NewBuilder returns a builder over the catalog.
 func NewBuilder(cat *catalog.Catalog) *Builder { return &Builder{cat: cat} }
 
-// Catalog exposes the underlying catalog.
-func (b *Builder) Catalog() *catalog.Catalog { return b.cat }
-
 // Node is one operator with builder context; all composition methods return
 // a new Node wrapping the composed operator.
 type Node struct {
@@ -484,9 +481,6 @@ func (n Node) ScalarAgg(specs ...AggSpec) Node {
 	op := exec.NewStreamAgg(n.Op, nil, nil, nil, n.buildAggs(specs))
 	return n.finish(op, 1)
 }
-
-// Col builds a column reference against this node's schema (for predicates).
-func (n Node) Col(name string) expr.Col { return expr.NewCol(n.Schema(), "", name) }
 
 // Wrap attaches a directly-constructed operator (typically one consuming
 // n.Op) to the builder context, with an output-row estimate (<= 0 inherits

@@ -207,16 +207,20 @@ func TestLpBoundOnManyToManyHashJoin(t *testing.T) {
 	if got := pb.PessimisticUB(); got != 320 {
 		t.Fatalf("PessimisticUB = %d, want 320 (l2*l2)", got)
 	}
-	snap := core.ComputeBounds(n.Op)
+	snap := core.NewBoundsEvaluator(n.Op).Compute()
 	if snap.UBTight >= snap.UB {
 		t.Fatalf("UBTight %d not tighter than UB %d", snap.UBTight, snap.UB)
 	}
 	preTight := snap.UBTight
-	rows := run(t, n)
+	ctx := exec.NewCtx()
+	rows, err := exec.RunBatch(ctx, n.Op)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 320 {
 		t.Fatalf("join output = %d, want 320", len(rows))
 	}
-	if total := exec.TotalCalls(n.Op); total > preTight {
+	if total := ctx.Calls(); total > preTight {
 		t.Fatalf("tight bound unsound: total %d > pre-run UBTight %d", total, preTight)
 	}
 }

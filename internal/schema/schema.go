@@ -186,12 +186,3 @@ func (r *Relation) Cardinality() int64 { return int64(len(r.Rows)) }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.Sch }
-
-// Column returns a fresh copy of all values of column i in row order.
-func (r *Relation) Column(i int) []sqlval.Value {
-	out := make([]sqlval.Value, len(r.Rows))
-	for j, row := range r.Rows {
-		out[j] = row[i]
-	}
-	return out
-}

@@ -112,10 +112,6 @@ func TestRelation(t *testing.T) {
 	if rel.Cardinality() != 2 {
 		t.Errorf("cardinality = %d", rel.Cardinality())
 	}
-	col := rel.Column(0)
-	if len(col) != 2 || col[1].AsInt() != 2 {
-		t.Errorf("Column(0) = %v", col)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("arity mismatch should panic")

@@ -44,10 +44,10 @@ func TestFirstFrameOverSSE(t *testing.T) {
 	for sess.State() != session.StateRunning {
 		time.Sleep(200 * time.Microsecond)
 	}
-	if _, info := getJSON(t, ts, "/sessions/"+sess.ID()); info["progress"] == nil {
+	if _, info := getJSON(t, ts, "/sessions/"+sess.Info().ID); info["progress"] == nil {
 		t.Fatalf("running session without progress: %v", info)
 	}
-	url := fmt.Sprintf("%s/sessions/%s/progress", ts.URL, sess.ID())
+	url := fmt.Sprintf("%s/sessions/%s/progress", ts.URL, sess.Info().ID)
 
 	resp, err := http.Get(url)
 	if err != nil {

@@ -46,7 +46,7 @@ func TestSSEClientDisconnectLeaksNothing(t *testing.T) {
 
 		ctx, disconnect := context.WithCancel(context.Background())
 		w := &frameSignal{httptest.NewRecorder(), make(chan struct{}, 1)}
-		req := httptest.NewRequest(http.MethodGet, "/sessions/"+sess.ID()+"/progress", nil)
+		req := httptest.NewRequest(http.MethodGet, "/sessions/"+sess.Info().ID+"/progress", nil)
 		handlerDone := make(chan struct{})
 		go func() {
 			defer close(handlerDone)

@@ -92,7 +92,7 @@ func TestFramesAreCreditReads(t *testing.T) {
 				}
 			}
 			if st := s.State(); st != StateFinished {
-				t.Fatalf("%s: %s: state = %s, err = %v", c.name, sql, st, s.Err())
+				t.Fatalf("%s: %s: state = %s, err = %v", c.name, sql, st, s.Info().Error)
 			}
 			t.Logf("%s: %s: %d events over %d twin reads", c.name, sql, events, len(reads))
 		}

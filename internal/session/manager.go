@@ -178,9 +178,6 @@ func (m *Manager) watchTick(s *Session, now time.Time) {
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Submit compiles sql and admits it as a session. It returns the session
 // immediately (queued or already running); compile errors and shedding are
 // reported synchronously.

@@ -46,7 +46,7 @@ func waitState(t *testing.T, s *Session, ok func(State) bool) State {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	t.Fatalf("session %s stuck in %s", s.ID(), s.State())
+	t.Fatalf("session %s stuck in %s", s.id, s.State())
 	return ""
 }
 
@@ -62,7 +62,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, s); st != StateFinished {
-		t.Fatalf("state = %s, err = %v", st, s.Err())
+		t.Fatalf("state = %s, err = %v", st, s.Info().Error)
 	}
 	in := s.Info()
 	if in.RowCount != 1 || len(in.Rows) != 1 {
@@ -105,7 +105,7 @@ func TestLimitQueriesFinishAtOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st := waitTerminal(t, s); st != StateFinished {
-			t.Fatalf("%s: state = %s, err = %v", sql, st, s.Err())
+			t.Fatalf("%s: state = %s, err = %v", sql, st, s.Info().Error)
 		}
 		in := s.Info()
 		p := in.Progress
@@ -160,17 +160,17 @@ func TestQueueingAndShedding(t *testing.T) {
 		t.Fatalf("gauges: %+v", mt)
 	}
 	// Cancel a runner; a queued session must take the freed slot.
-	if _, err := m.Cancel(all[0].ID(), ""); err != nil {
+	if _, err := m.Cancel(all[0].id, ""); err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, all[0])
 	waitState(t, all[2], func(st State) bool { return st == StateRunning || st.Terminal() })
 	for _, s := range all[1:] {
-		m.Cancel(s.ID(), "")
+		m.Cancel(s.id, "")
 	}
 	for _, s := range all {
 		if st := waitTerminal(t, s); st != StateCanceled {
-			t.Fatalf("%s: state %s", s.ID(), st)
+			t.Fatalf("%s: state %s", s.id, st)
 		}
 	}
 }
@@ -181,7 +181,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	defer m.Close()
 	running, _ := m.SubmitPlan(slowPlan(cat), "cross", SubmitOptions{})
 	queued, _ := m.SubmitPlan(slowPlan(cat), "cross", SubmitOptions{})
-	if _, err := m.Cancel(queued.ID(), "changed my mind"); err != nil {
+	if _, err := m.Cancel(queued.id, "changed my mind"); err != nil {
 		t.Fatal(err)
 	}
 	if st := queued.State(); st != StateCanceled {
@@ -191,7 +191,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	if in.Started != nil || in.CancelReason != "changed my mind" {
 		t.Fatalf("info: %+v", in)
 	}
-	m.Cancel(running.ID(), "")
+	m.Cancel(running.id, "")
 	waitTerminal(t, running)
 	if mt := m.Metrics(); mt.Canceled != 2 {
 		t.Fatalf("metrics: %+v", mt)
@@ -218,7 +218,7 @@ func TestDeadlineCancelsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, s); st != StateCanceled {
-		t.Fatalf("state = %s, err = %v", st, s.Err())
+		t.Fatalf("state = %s, err = %v", st, s.Info().Error)
 	}
 	if in := s.Info(); in.CancelReason != "deadline exceeded" {
 		t.Fatalf("reason = %q", in.CancelReason)
@@ -278,7 +278,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 	}
 	for _, s := range all {
 		if st := s.State(); !st.Terminal() {
-			t.Fatalf("%s not terminal after Close: %s", s.ID(), st)
+			t.Fatalf("%s not terminal after Close: %s", s.id, st)
 		}
 	}
 	// Admission is closed.
@@ -330,7 +330,7 @@ func TestNodeProgressDeltaStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, s); st != StateFinished {
-		t.Fatalf("state = %s, err = %v", st, s.Err())
+		t.Fatalf("state = %s, err = %v", st, s.Info().Error)
 	}
 	in := s.Info()
 	if in.Progress == nil || !in.Progress.Final {
@@ -371,7 +371,7 @@ func TestNodeProgressScanAgg(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, s); st != StateFinished {
-		t.Fatalf("state = %s, err = %v", st, s.Err())
+		t.Fatalf("state = %s, err = %v", st, s.Info().Error)
 	}
 	in := s.Info()
 	nodes := in.Progress.Nodes
@@ -452,7 +452,7 @@ func TestNodeDeltasAreOneInstant(t *testing.T) {
 			}
 		}
 		if st := s.State(); st != StateFinished {
-			t.Fatalf("round %d: state = %s, err = %v", round, st, s.Err())
+			t.Fatalf("round %d: state = %s, err = %v", round, st, s.Info().Error)
 		}
 	}
 	if torn > 0 {
@@ -486,7 +486,7 @@ func TestFinishedSessionsReleaseTheirPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st := waitTerminal(t, s); st != StateFinished {
-			t.Fatalf("state = %s, err = %v", st, s.Err())
+			t.Fatalf("state = %s, err = %v", st, s.Info().Error)
 		}
 		sessions = append(sessions, s)
 	}
@@ -497,19 +497,19 @@ func TestFinishedSessionsReleaseTheirPlan(t *testing.T) {
 	for _, s := range sessions {
 		in := s.Info()
 		if in.RowCount != 5 || len(in.Rows) != 3 || len(in.Rows[0]) != 2 || in.Rows[0][0] == "" {
-			t.Fatalf("%s: rows = %d / %v", s.ID(), in.RowCount, in.Rows)
+			t.Fatalf("%s: rows = %d / %v", s.id, in.RowCount, in.Rows)
 		}
 		smps := s.Samples()
 		if len(smps) == 0 || smps[len(smps)-1].Calls != in.Calls {
-			t.Fatalf("%s: %d samples, last not at total %d", s.ID(), len(smps), in.Calls)
+			t.Fatalf("%s: %d samples, last not at total %d", s.id, len(smps), in.Calls)
 		}
 		ch, unsub := s.Subscribe()
 		p, ok := <-ch
 		if !ok || !p.Final || p.Estimates["pmax"] != 1.0 {
-			t.Fatalf("%s: late subscribe got %+v (ok=%v)", s.ID(), p, ok)
+			t.Fatalf("%s: late subscribe got %+v (ok=%v)", s.id, p, ok)
 		}
 		if _, open := <-ch; open {
-			t.Fatalf("%s: late subscribe channel not closed after the final event", s.ID())
+			t.Fatalf("%s: late subscribe channel not closed after the final event", s.id)
 		}
 		unsub()
 	}

@@ -65,7 +65,7 @@ func TestShedOrderingUnderFullFIFO(t *testing.T) {
 	}
 
 	// Canceling a queued session frees exactly one queue slot.
-	if _, err := m.Cancel(qB.ID(), ""); err != nil {
+	if _, err := m.Cancel(qB.id, ""); err != nil {
 		t.Fatal(err)
 	}
 	qF, err := m.SubmitPlan(rowsPlan(8), "queued-f", SubmitOptions{})
@@ -79,7 +79,7 @@ func TestShedOrderingUnderFullFIFO(t *testing.T) {
 	close(gate)
 	for _, s := range []*Session{running, qC, qF} {
 		if st := waitTerminal(t, s); st != StateFinished {
-			t.Fatalf("%s: state %s, err %v", s.ID(), st, s.Err())
+			t.Fatalf("%s: state %s, err %v", s.id, st, s.Info().Error)
 		}
 	}
 	// FIFO: with one run slot, the earlier admission must have started
@@ -106,7 +106,7 @@ func TestCancelLatencyMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Cancel(queued.ID(), "never ran"); err != nil {
+	if _, err := m.Cancel(queued.id, "never ran"); err != nil {
 		t.Fatal(err)
 	}
 	if st := queued.State(); st != StateCanceled {
@@ -124,7 +124,7 @@ func TestCancelLatencyMetrics(t *testing.T) {
 	// landing before the executor attaches is the no-latency queued path),
 	// then cancel while it is blocked on the gate inside a counted call.
 	waitState(t, running, func(st State) bool { return st == StateRunning })
-	if _, err := m.Cancel(running.ID(), "mid-flight"); err != nil {
+	if _, err := m.Cancel(running.id, "mid-flight"); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)

@@ -130,24 +130,11 @@ type subscriber struct {
 // 16-slot buffer a reader only hits this by not reading at all.
 const evictAfter = 32
 
-// ID returns the session's registry identifier.
-func (s *Session) ID() string { return s.id }
-
-// Text returns the submitted SQL (or the plan label for SubmitPlan).
-func (s *Session) Text() string { return s.text }
-
 // State returns the current lifecycle state.
 func (s *Session) State() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
-}
-
-// Err returns the terminal error (nil for finished or still-live sessions).
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Info is a consistent point-in-time view of a session, shaped for JSON

@@ -51,7 +51,7 @@ func TestStressConcurrentTPCHSessions(t *testing.T) {
 	var toCancel []string
 	for _, s := range sessions {
 		if rng.Intn(4) == 0 {
-			toCancel = append(toCancel, s.ID())
+			toCancel = append(toCancel, s.id)
 		}
 	}
 	go func() {
@@ -76,16 +76,16 @@ func TestStressConcurrentTPCHSessions(t *testing.T) {
 		case StateFinished:
 			finished++
 			if len(s.Samples()) == 0 || in.Progress == nil || !in.Progress.Final {
-				t.Fatalf("%s: finished without samples or a final progress event", s.ID())
+				t.Fatalf("%s: finished without samples or a final progress event", s.id)
 			}
 		case StateCanceled:
 			canceled++
 		default:
 			t.Fatalf("%s (%s): unexpected terminal state %s (err %v)",
-				s.ID(), s.Text(), in.State, s.Err())
+				s.id, s.text, in.State, s.Info().Error)
 		}
 		series := core.Series{
-			Label:     s.ID() + "/" + s.Text(),
+			Label:     s.id + "/" + s.text,
 			Names:     s.estNames,
 			Samples:   s.Samples(),
 			Completed: in.State == StateFinished,

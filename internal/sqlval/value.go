@@ -121,16 +121,6 @@ func DateFromTime(t time.Time) Value {
 	return Date(t.UTC().Unix() / 86400)
 }
 
-// MustParseDate parses "YYYY-MM-DD" and panics on malformed input. It is
-// intended for literals in tests and generators.
-func MustParseDate(s string) Value {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		panic(fmt.Sprintf("sqlval: bad date literal %q: %v", s, err))
-	}
-	return DateFromTime(t)
-}
-
 // Kind reports the runtime kind of the value.
 func (v Value) Kind() Kind {
 	if off := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); off < uintptr(len(kindTags)) {

@@ -3,6 +3,7 @@ package sqlval
 import (
 	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -556,4 +557,14 @@ func TestValuesAgreeWithReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MustParseDate parses "YYYY-MM-DD" and panics on malformed input. It is
+// intended for literals in tests and generators.
+func MustParseDate(s string) Value {
+	t, err := time.Parse("2006-01-02", s)
+	if err != nil {
+		panic(fmt.Sprintf("sqlval: bad date literal %q: %v", s, err))
+	}
+	return DateFromTime(t)
 }

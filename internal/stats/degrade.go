@@ -42,7 +42,6 @@ func Degrade(ts *TableStats, h Health, changed int64) *TableStats {
 	out := &TableStats{
 		Table:    ts.Table,
 		RowCount: ts.RowCount,
-		Samples:  ts.Samples,
 	}
 	switch h {
 	case Stale:

@@ -1,7 +1,7 @@
 // Package stats implements relation statistics in the sense of the paper
 // (Section 2.3): a statistics Generator maps a relation to a compact, lossy
-// synopsis. Equi-depth single-column histograms are the deterministic
-// instance; reservoir samples are the randomized instance.
+// synopsis. Equi-depth single-column histograms are the instance built
+// here.
 //
 // The statistics serve three roles in progress estimation:
 //
@@ -28,7 +28,7 @@
 // and is sorted by Compare instead.
 //
 // Every column is then cut by one bucket-and-run cutter, generic over the
-// key type; BuildHistogram is its []sqlval.Value instantiation. A single
+// key type; cutValues is its []sqlval.Value instantiation. A single
 // walk over the sorted keys takes each equal-value run as one key's degree
 // and closes a bucket only between runs. Columns are sorted and cut on
 // GOMAXPROCS goroutines. Each column's histogram depends on that column's

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"cmp"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -18,7 +17,6 @@ type TableStats struct {
 	Table      string
 	RowCount   int64
 	Histograms []*Histogram // indexed by column position; nil when not built
-	Samples    []*Sample    // indexed by column position; nil when not built
 }
 
 // Histogram returns the histogram for column i, or nil.
@@ -27,14 +25,6 @@ func (ts *TableStats) Histogram(i int) *Histogram {
 		return nil
 	}
 	return ts.Histograms[i]
-}
-
-// Sample returns the sample for column i, or nil.
-func (ts *TableStats) Sample(i int) *Sample {
-	if ts == nil || i < 0 || i >= len(ts.Samples) {
-		return nil
-	}
-	return ts.Samples[i]
 }
 
 // Generator is the paper's single-relation statistics generator SG: it maps
@@ -204,63 +194,4 @@ func intValue(kind sqlval.Kind, x int64) sqlval.Value {
 		return sqlval.Bool(x != 0)
 	}
 	return sqlval.Int(x)
-}
-
-// Sample is a fixed-size uniform random sample of one column (the
-// randomized statistic of Section 2.3).
-type Sample struct {
-	Values []sqlval.Value
-	// Of is the population size the sample was drawn from.
-	Of int64
-}
-
-// EstimateEqualFraction estimates the fraction of rows equal to v.
-func (s *Sample) EstimateEqualFraction(v sqlval.Value) float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	m := 0
-	for _, sv := range s.Values {
-		if !sv.IsNull() && sqlval.Compare(sv, v) == 0 {
-			m++
-		}
-	}
-	return float64(m) / float64(len(s.Values))
-}
-
-// SampleGenerator draws per-column reservoir samples with a fixed seed
-// stream; it is the randomized statistics generator.
-type SampleGenerator struct {
-	Size int
-	Seed int64
-}
-
-// Name implements Generator.
-func (g SampleGenerator) Name() string { return "reservoir-sample" }
-
-// Generate implements Generator.
-func (g SampleGenerator) Generate(rel *schema.Relation) *TableStats {
-	size := g.Size
-	if size <= 0 {
-		size = 100
-	}
-	ts := &TableStats{
-		Table:    rel.Name,
-		RowCount: rel.Cardinality(),
-		Samples:  make([]*Sample, rel.Sch.Len()),
-	}
-	for c := 0; c < rel.Sch.Len(); c++ {
-		r := rand.New(rand.NewSource(g.Seed + int64(c)))
-		res := make([]sqlval.Value, 0, size)
-		for i, row := range rel.Rows {
-			v := row[c]
-			if i < size {
-				res = append(res, v)
-			} else if j := r.Intn(i + 1); j < size {
-				res[j] = v
-			}
-		}
-		ts.Samples[c] = &Sample{Values: res, Of: rel.Cardinality()}
-	}
-	return ts
 }

@@ -48,24 +48,6 @@ func (h *Histogram) DegreeNorms() (DegreeSeq, bool) {
 	return h.Degrees.Widen(h.Stale, h.Total), true
 }
 
-// BuildHistogram constructs an equi-depth histogram with at most maxBuckets
-// buckets over the given column values. It takes ownership of the slice:
-// values are compacted and sorted in place rather than copied, so callers
-// must pass a slice they no longer need.
-func BuildHistogram(values []sqlval.Value, maxBuckets int) *Histogram {
-	h := &Histogram{Total: int64(len(values))}
-	nonNull := values[:0]
-	for _, v := range values {
-		if v.IsNull() {
-			h.NullCount++
-		} else {
-			nonNull = append(nonNull, v)
-		}
-	}
-	cutValues(h, nonNull, maxBuckets)
-	return h
-}
-
 // cutValues sorts non-NULL values by sqlval.Compare and cuts them.
 func cutValues(h *Histogram, values []sqlval.Value, maxBuckets int) {
 	slices.SortFunc(values, sqlval.Compare)
@@ -111,28 +93,6 @@ func cutBuckets[K any](h *Histogram, keys []K, same func(a, b K) bool, value fun
 		}
 		runStart = i
 	}
-}
-
-// NonNullCount returns the number of non-NULL values summarised.
-func (h *Histogram) NonNullCount() int64 { return h.Total - h.NullCount }
-
-// EstimateEqual estimates the number of rows with column = v, using the
-// uniform-within-bucket assumption (count/distinct for the covering bucket).
-func (h *Histogram) EstimateEqual(v sqlval.Value) float64 {
-	if v.IsNull() {
-		return 0
-	}
-	est := 0.0
-	for _, b := range h.Buckets {
-		if sqlval.Compare(v, b.Lo) >= 0 && sqlval.Compare(v, b.Hi) <= 0 {
-			d := b.Distinct
-			if d < 1 {
-				d = 1
-			}
-			est += float64(b.Count) / float64(d)
-		}
-	}
-	return est
 }
 
 // RangeEstimate holds an estimate together with hard bounds derived from
@@ -249,32 +209,6 @@ func (h *Histogram) MinValue() sqlval.Value {
 		return sqlval.Null()
 	}
 	return h.Buckets[0].Lo
-}
-
-// DistinctEstimate returns the estimated number of distinct non-NULL values.
-func (h *Histogram) DistinctEstimate() int64 {
-	var d int64
-	for _, b := range h.Buckets {
-		d += b.Distinct
-	}
-	return d
-}
-
-// Equal reports structural equality of two histograms. It is what makes the
-// generator "lossy" in the paper's sense testable: two different relations
-// can produce Equal histograms.
-func (h *Histogram) Equal(other *Histogram) bool {
-	if h.Total != other.Total || h.NullCount != other.NullCount || len(h.Buckets) != len(other.Buckets) {
-		return false
-	}
-	for i, b := range h.Buckets {
-		o := other.Buckets[i]
-		if b.Count != o.Count || b.Distinct != o.Distinct ||
-			sqlval.Compare(b.Lo, o.Lo) != 0 || sqlval.Compare(b.Hi, o.Hi) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a compact description.

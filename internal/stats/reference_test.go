@@ -97,6 +97,15 @@ func DiffHistogram(got, want *Histogram) string {
 	return ""
 }
 
+// column returns a fresh copy of all values of column i of rel.
+func column(rel *schema.Relation, i int) []sqlval.Value {
+	out := make([]sqlval.Value, len(rel.Rows))
+	for j, row := range rel.Rows {
+		out[j] = row[i]
+	}
+	return out
+}
+
 // DiffGenerated checks every column of rel: the HistogramGenerator's
 // histogram against ReferenceHistogram over the column, at maxBuckets.
 // It returns one line per column that differs.
@@ -104,11 +113,11 @@ func DiffGenerated(rel *schema.Relation, maxBuckets int) []string {
 	ts := HistogramGenerator{MaxBuckets: maxBuckets}.Generate(rel)
 	var out []string
 	for i, col := range rel.Sch.Columns {
-		want := ReferenceHistogram(rel.Column(i), maxBuckets)
+		want := ReferenceHistogram(column(rel, i), maxBuckets)
 		if d := DiffHistogram(ts.Histogram(i), want); d != "" {
 			out = append(out, fmt.Sprintf("%s.%s (%d buckets): %s", rel.Name, col.Name, maxBuckets, d))
 		}
-		if d := DiffHistogram(BuildHistogram(rel.Column(i), maxBuckets), want); d != "" {
+		if d := DiffHistogram(BuildHistogram(column(rel, i), maxBuckets), want); d != "" {
 			out = append(out, fmt.Sprintf("%s.%s (%d buckets) via BuildHistogram: %s", rel.Name, col.Name, maxBuckets, d))
 		}
 	}

@@ -215,54 +215,79 @@ func TestHistogramGeneratorTableStats(t *testing.T) {
 		t.Error("out-of-range histogram lookup should be nil")
 	}
 	var nilStats *TableStats
-	if nilStats.Histogram(0) != nil || nilStats.Sample(0) != nil {
+	if nilStats.Histogram(0) != nil {
 		t.Error("nil TableStats lookups should be nil")
 	}
 }
 
-func TestSampleGenerator(t *testing.T) {
-	rel := schema.NewRelation("r", schema.New(schema.Column{Name: "a", Type: sqlval.KindInt}))
-	for v := int64(0); v < 1000; v++ {
-		rel.Append(schema.Row{sqlval.Int(v % 4)})
-	}
-	g := SampleGenerator{Size: 200, Seed: 42}
-	ts := g.Generate(rel)
-	s := ts.Sample(0)
-	if s == nil || len(s.Values) != 200 || s.Of != 1000 {
-		t.Fatalf("sample = %+v", s)
-	}
-	// Values 0..3 each occupy 25%; the sample estimate should be near that.
-	frac := s.EstimateEqualFraction(sqlval.Int(1))
-	if frac < 0.1 || frac > 0.4 {
-		t.Errorf("sampled fraction of value 1 = %g, want ≈0.25", frac)
-	}
-	// Determinism with a fixed seed.
-	ts2 := g.Generate(rel)
-	for i, v := range ts2.Sample(0).Values {
-		if sqlval.Compare(v, s.Values[i]) != 0 {
-			t.Fatal("sample generator must be deterministic for a fixed seed")
-		}
-	}
-}
-
-func TestSampleSmallPopulation(t *testing.T) {
-	rel := schema.NewRelation("r", schema.New(schema.Column{Name: "a", Type: sqlval.KindInt}))
-	rel.Append(schema.Row{sqlval.Int(9)})
-	s := SampleGenerator{Size: 100, Seed: 1}.Generate(rel).Sample(0)
-	if len(s.Values) != 1 {
-		t.Errorf("sample of 1-row table has %d values", len(s.Values))
-	}
-	if got := s.EstimateEqualFraction(sqlval.Int(9)); got != 1 {
-		t.Errorf("fraction = %g, want 1", got)
-	}
-	empty := &Sample{}
-	if got := empty.EstimateEqualFraction(sqlval.Int(9)); got != 0 {
-		t.Errorf("empty sample fraction = %g", got)
-	}
-}
-
 func TestGeneratorNames(t *testing.T) {
-	if (HistogramGenerator{}).Name() == "" || (SampleGenerator{}).Name() == "" {
+	if (HistogramGenerator{}).Name() == "" {
 		t.Error("generators must be named")
 	}
+}
+
+// BuildHistogram constructs an equi-depth histogram with at most maxBuckets
+// buckets over the given column values. It takes ownership of the slice:
+// values are compacted and sorted in place rather than copied, so callers
+// must pass a slice they no longer need.
+func BuildHistogram(values []sqlval.Value, maxBuckets int) *Histogram {
+	h := &Histogram{Total: int64(len(values))}
+	nonNull := values[:0]
+	for _, v := range values {
+		if v.IsNull() {
+			h.NullCount++
+		} else {
+			nonNull = append(nonNull, v)
+		}
+	}
+	cutValues(h, nonNull, maxBuckets)
+	return h
+}
+
+// NonNullCount returns the number of non-NULL values summarised.
+func (h *Histogram) NonNullCount() int64 { return h.Total - h.NullCount }
+
+// EstimateEqual estimates the number of rows with column = v, using the
+// uniform-within-bucket assumption (count/distinct for the covering bucket).
+func (h *Histogram) EstimateEqual(v sqlval.Value) float64 {
+	if v.IsNull() {
+		return 0
+	}
+	est := 0.0
+	for _, b := range h.Buckets {
+		if sqlval.Compare(v, b.Lo) >= 0 && sqlval.Compare(v, b.Hi) <= 0 {
+			d := b.Distinct
+			if d < 1 {
+				d = 1
+			}
+			est += float64(b.Count) / float64(d)
+		}
+	}
+	return est
+}
+
+// DistinctEstimate returns the estimated number of distinct non-NULL values.
+func (h *Histogram) DistinctEstimate() int64 {
+	var d int64
+	for _, b := range h.Buckets {
+		d += b.Distinct
+	}
+	return d
+}
+
+// Equal reports structural equality of two histograms. It is what makes the
+// generator "lossy" in the paper's sense testable: two different relations
+// can produce Equal histograms.
+func (h *Histogram) Equal(other *Histogram) bool {
+	if h.Total != other.Total || h.NullCount != other.NullCount || len(h.Buckets) != len(other.Buckets) {
+		return false
+	}
+	for i, b := range h.Buckets {
+		o := other.Buckets[i]
+		if b.Count != o.Count || b.Distinct != o.Distinct ||
+			sqlval.Compare(b.Lo, o.Lo) != 0 || sqlval.Compare(b.Hi, o.Hi) != 0 {
+			return false
+		}
+	}
+	return true
 }

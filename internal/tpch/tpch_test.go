@@ -153,7 +153,7 @@ func TestQ1ShapeMatchesPaper(t *testing.T) {
 	if mu < 1.7 || mu > 2.1 {
 		t.Errorf("Q1 mu = %.3f, want ≈1.98", mu)
 	}
-	pts, _ := m.Series("dne")
+	pts := m.SeriesAt(0)
 	if worst := core.MaxAbsError(pts); worst > 0.05 {
 		t.Errorf("Q1 dne max abs error = %.4f, want < 0.05 (paper: ~exact)", worst)
 	}
@@ -168,7 +168,7 @@ func TestQ21PmaxErrorDecays(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pts, _ := m.Series("pmax")
+	pts := m.SeriesAt(0)
 	mu := m.Mu()
 	early := core.RatioErrorAfter(pts, 0.1)
 	mid := core.RatioErrorAfter(pts, 0.5)
