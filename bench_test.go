@@ -441,35 +441,56 @@ func BenchmarkCompiledScanAgg(b *testing.B) {
 	}
 }
 
-// The ceilings on one filtercount statement over spilledTPCH: 120 000-odd
-// lineitem rows on ≈ 2 000 pages, two of fifteen columns read. Allocation is
-// two slices per page (row headers and an n × 2 value slab) plus the plan;
-// decoding all fifteen columns was 72 MB and 245 000 allocations, most of
-// them the strings of columns the statement never mentions.
+// The ceilings on one paged statement over spilledTPCH: 120 000-odd
+// lineitem rows on ≈ 2 000 pages. A page decodes into one value slab,
+// plus one slab for the bytes of the strings it keeps; the cursor reuses
+// its row headers from page to page.
+//
+// filtercount reads two numeric columns of fifteen, so it allocates one
+// slab per page and the plan. Decoding all fifteen columns was 72 MB and
+// 245 000 allocations; with fresh row headers per page, 4 186 and 7.4 MB.
+//
+// scanagg also keeps l_shipmode, so it allocates two slabs per page. One
+// heap string per kept string value was 124 541 allocations.
 const (
-	batchPagedScanAllocBudget = 6_000
-	batchPagedScanBytesBudget = 14_000_000
+	batchPagedScanAllocBudget    = 3_500
+	batchPagedScanBytesBudget    = 6_000_000
+	batchPagedScanAggAllocBudget = 5_000
+	batchPagedScanAggBytesBudget = 9_000_000
 )
 
-// TestBatchPagedScanAllocBudget holds a narrowed paged scan to both budgets.
-// Wall-clock is not checked.
+// TestBatchPagedScanAllocBudget holds paged filtercount, a narrowed scan of
+// numbers, to its budgets. Wall-clock is not checked.
 func TestBatchPagedScanAllocBudget(t *testing.T) {
+	checkPagedAllocBudget(t, pagedVsMemClasses[1], batchPagedScanAllocBudget, batchPagedScanBytesBudget)
+}
+
+// TestBatchPagedScanAggAllocBudget holds paged scanagg, a narrowed scan that
+// keeps a string column, to its budgets. Wall-clock is not checked.
+func TestBatchPagedScanAggAllocBudget(t *testing.T) {
+	checkPagedAllocBudget(t, pagedVsMemClasses[0], batchPagedScanAggAllocBudget, batchPagedScanAggBytesBudget)
+}
+
+// checkPagedAllocBudget runs one statement class over spilledTPCH and
+// holds its allocations and bytes per run to the given ceilings.
+func checkPagedAllocBudget(t *testing.T, class struct{ name, sql string }, allocs, bytes int64) {
+	t.Helper()
 	db := spilledTPCH(t)
-	sql := pagedVsMemClasses[1].sql
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runStatement(b, db, sql)
+			runStatement(b, db, class.sql)
 		}
 	})
 	if r.N == 0 {
 		t.Fatal("benchmark body failed")
 	}
-	if got := r.AllocsPerOp(); got > batchPagedScanAllocBudget {
-		t.Errorf("paged filtercount: %d allocs/op, budget %d", got, batchPagedScanAllocBudget)
+	if got := r.AllocsPerOp(); got > allocs {
+		t.Errorf("paged %s: %d allocs/op, budget %d", class.name, got, allocs)
 	}
-	if got := r.AllocedBytesPerOp(); got > batchPagedScanBytesBudget {
-		t.Errorf("paged filtercount: %d bytes/op, budget %d", got, batchPagedScanBytesBudget)
+	if got := r.AllocedBytesPerOp(); got > bytes {
+		t.Errorf("paged %s: %d bytes/op, budget %d", class.name, got, bytes)
 	}
+	t.Logf("paged %s: %d allocs/op, %d bytes/op", class.name, r.AllocsPerOp(), r.AllocedBytesPerOp())
 }
 
 // BenchmarkExecINLJoinNoMonitor measures raw executor throughput in bulk

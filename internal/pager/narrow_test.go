@@ -168,12 +168,12 @@ func TestDecodePageChecksUnreadColumns(t *testing.T) {
 			if tc.slot != nil {
 				tc.slot(page)
 			}
-			_, fullErr := decodePage(page, cols, nil)
+			_, fullErr := decodePage(nil, page, cols, nil)
 			if fullErr == nil || !strings.Contains(fullErr.Error(), tc.want) {
 				t.Fatalf("full decode: error %v, want one containing %q", fullErr, tc.want)
 			}
 			for _, keep := range [][]int{{0}, {}, {0, 3}} {
-				_, err := decodePage(page, cols, keep)
+				_, err := decodePage(nil, page, cols, keep)
 				if err == nil || err.Error() != fullErr.Error() {
 					t.Errorf("decode of columns %v: error %v, full decode gives %v", keep, err, fullErr)
 				}
@@ -183,7 +183,7 @@ func TestDecodePageChecksUnreadColumns(t *testing.T) {
 	// The undamaged page decodes, narrowed, to the kept values.
 	w := newPageWriter()
 	w.add(good)
-	rows, err := decodePage(w.finish(), cols, []int{0, 5})
+	rows, err := decodePage(nil, w.finish(), cols, []int{0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}

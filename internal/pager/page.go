@@ -88,23 +88,23 @@ func pageRowCount(page []byte) int {
 }
 
 // decodePage decodes every row of a page image, whose rows are cols values
-// wide on disk, into fresh rows holding the values at positions keep
-// (strictly ascending), or all cols of them when keep is nil. The columns in
-// between are stepped over, not trusted: sqlval.SkipValue makes every check
-// DecodeValue makes, so a damaged page fails the same way whichever columns
-// are read. Decoded values copy any variable-length payloads, so the
-// returned rows stay valid after the page buffer is unpinned or evicted. Row
-// storage is slab-allocated: one value slab per page, not one per row.
-func decodePage(page []byte, cols int, keep []int) ([]schema.Row, error) {
+// wide on disk, appending to rows[:0] one row per slot holding the values at
+// positions keep (strictly ascending), or all cols of them when keep is nil.
+// Each row is walked once by sqlval.DecodeRow, which checks the columns it
+// steps over as it checks the ones it keeps, so a damaged page fails the same
+// way whichever columns are read. The returned rows stay valid after the page
+// buffer is unpinned or evicted: their values live in one slab per page, and
+// the kept strings' bytes, read in place, are then copied into one more.
+func decodePage(rows []schema.Row, page []byte, cols int, keep []int) ([]schema.Row, error) {
+	rows = rows[:0]
 	n := pageRowCount(page)
 	if n == 0 {
-		return nil, nil
+		return rows, nil
 	}
 	width := cols
 	if keep != nil {
 		width = len(keep)
 	}
-	rows := make([]schema.Row, n)
 	slab := make([]sqlval.Value, n*width)
 	for i := 0; i < n; i++ {
 		slot := PageSize - pageSlotSize*(i+1)
@@ -113,25 +113,16 @@ func decodePage(page []byte, cols int, keep []int) ([]schema.Row, error) {
 		if off < pageHdrSize || off+length > PageSize {
 			return nil, fmt.Errorf("pager: corrupt slot %d: [%d,%d) outside page", i, off, off+length)
 		}
-		buf := page[off : off+length]
 		row := slab[i*width : (i+1)*width : (i+1)*width]
-		k := 0 // values of this row decoded so far
-		for c := 0; c < cols; c++ {
-			var err error
-			if keep == nil || (k < width && keep[k] == c) {
-				row[k], buf, err = sqlval.DecodeValue(buf)
-				k++
-			} else {
-				buf, err = sqlval.SkipValue(buf)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pager: row %d col %d: %w", i, c, err)
-			}
+		rest, c, err := sqlval.DecodeRow(row, page[off:off+length], cols, keep)
+		if err != nil {
+			return nil, fmt.Errorf("pager: row %d col %d: %w", i, c, err)
 		}
-		if len(buf) != 0 {
-			return nil, fmt.Errorf("pager: row %d: %d trailing bytes", i, len(buf))
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("pager: row %d: %d trailing bytes", i, len(rest))
 		}
-		rows[i] = row
+		rows = append(rows, row)
 	}
+	sqlval.Detach(slab)
 	return rows, nil
 }

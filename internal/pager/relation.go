@@ -79,8 +79,10 @@ func (p *PagedRelation) OpenCursor(cols []int) (schema.Cursor, error) {
 
 // pagedCursor iterates a paged relation page by page. It holds no pin
 // between calls: each data page is pinned, decoded into fresh rows in one
-// step, and released — decoded rows own their storage, so eviction never
-// invalidates a row already handed out.
+// step, and released — decoded rows own their storage (a value slab and at
+// most one string slab per page), so eviction never invalidates a row
+// already handed out. Only the slice of row headers is reused from page to
+// page, which the Cursor contract allows.
 type pagedCursor struct {
 	pr *PagedRelation
 	// cols lists the columns decoded into each row; nil means all of them.
@@ -102,7 +104,7 @@ func (c *pagedCursor) load() error {
 	if err != nil {
 		return err
 	}
-	rows, err := decodePage(fr.Data(), pr.hf.sch.Len(), c.cols)
+	rows, err := decodePage(c.rows, fr.Data(), pr.hf.sch.Len(), c.cols)
 	pr.pool.Release(fr)
 	if err != nil {
 		return fmt.Errorf("pager: %s data page %d: %w", pr.hf.name, c.page, err)

@@ -120,10 +120,13 @@ func (s *Schema) String() string {
 // points into; CloneRow detaches it.
 type Row []sqlval.Value
 
-// CloneRow returns a copy of r safe to retain.
+// CloneRow returns a copy of r safe to retain: its values and its strings'
+// bytes are its own, so it pins nothing r points into — no arena slab, no
+// page's string slab.
 func CloneRow(r Row) Row {
 	out := make(Row, len(r))
 	copy(out, r)
+	sqlval.Detach(out)
 	return out
 }
 

@@ -93,6 +93,26 @@ func TestRowHelpers(t *testing.T) {
 	if r[0].AsInt() != 1 {
 		t.Error("CloneRow must copy")
 	}
+	// A decoded row's strings read the encoded bytes in place; its clone
+	// must not change when those bytes are overwritten.
+	want := Row{sqlval.String("shipmode"), sqlval.Int(7), sqlval.String("é")}
+	var enc []byte
+	for _, v := range want {
+		enc = v.AppendBinary(enc)
+	}
+	decoded := make(Row, len(want))
+	if _, _, err := sqlval.DecodeRow(decoded, enc, len(want), nil); err != nil {
+		t.Fatal(err)
+	}
+	c = CloneRow(decoded)
+	for i := range enc {
+		enc[i] = 'x'
+	}
+	for i, v := range want {
+		if !sqlval.Equal(c[i], v) || c[i].Kind() != v.Kind() {
+			t.Errorf("clone value %d is %s after its source bytes were overwritten, want %s", i, c[i], v)
+		}
+	}
 	j := ConcatRows(Row{sqlval.Int(1)}, Row{sqlval.Int(2), sqlval.Int(3)})
 	if len(j) != 3 || j[2].AsInt() != 3 {
 		t.Errorf("ConcatRows = %v", j)

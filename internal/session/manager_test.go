@@ -234,14 +234,26 @@ func TestSubscribeStreamsAndCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub := s.Subscribe()
-	defer unsub()
+	// A reader descheduled for ≈ 10 ms (16 buffered events, then evictAfter
+	// forced drops, at 200 µs) is evicted; it reattaches as Subscribe
+	// documents and the SSE handler does.
 	var events []Progress
-	for p := range ch {
-		events = append(events, p)
+	reattached := 0
+	for {
+		ch, unsub := s.Subscribe()
+		for p := range ch {
+			events = append(events, p)
+		}
+		unsub()
+		if len(events) > 0 && events[len(events)-1].Final {
+			break
+		}
+		reattached++
 	}
-	if len(events) == 0 {
-		t.Fatal("no events")
+	if got := m.Metrics().SubscribersEvicted; got != int64(reattached) {
+		t.Fatalf("reattached %d times, %d subscribers evicted", reattached, got)
+	} else if got > 0 {
+		t.Logf("evicted and reattached %d times", got)
 	}
 	last := events[len(events)-1]
 	if !last.Final || last.State != StateFinished {

@@ -252,20 +252,24 @@ func (s *Session) Samples() []core.Sample {
 
 // Subscribe registers a progress listener. The returned channel receives
 // observations as they are sampled (primed with the latest one, when any)
-// and is closed after the final event; a slow consumer loses intermediate
-// observations, never the final one. The unsubscribe function is idempotent
-// and must be called when the consumer is done.
+// and is closed after the final event. A slow consumer loses intermediate
+// observations; one whose buffer is found full on more than evictAfter
+// consecutive publishes is evicted and must re-subscribe (below) to see the
+// final event. The unsubscribe function is idempotent and must be called
+// when the consumer is done.
 //
 // A running session's stream is therefore: the latest event (frame 0, with
 // Calls = 0 and the static bounds, until a sample exists), the periodic
 // samples, the at-stop sample, the final event.
 //
-// A subscriber that stops reading entirely is eventually evicted: its
-// channel closes without a Final-marked event. Because eviction only
-// happens on a live session, re-subscribing always works — and since
-// Subscribe primes the channel with the latest observation (the final one
-// included, for terminal sessions), an evicted-then-reattached consumer is
-// still guaranteed to observe the session's final event.
+// An evicted subscriber's channel closes without a Final-marked event. A
+// reader descheduled for about 50 sample intervals (a full 16-slot buffer,
+// then evictAfter forced drops) is evicted as surely as one that stopped
+// reading. Because eviction only happens on a live session, re-subscribing
+// always works — and since Subscribe primes the channel with the latest
+// observation (the final one included, for terminal sessions), an
+// evicted-then-reattached consumer is still guaranteed to observe the
+// session's final event.
 func (s *Session) Subscribe() (<-chan Progress, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // AppendBinary serializes the value into buf (kind tag + payload) and
@@ -29,86 +30,118 @@ func (v Value) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeValue reads one value from buf, returning it and the remaining
-// bytes.
-func DecodeValue(buf []byte) (Value, []byte, error) {
-	if len(buf) == 0 {
-		return Null(), nil, fmt.Errorf("sqlval: empty buffer")
+// DecodeRow decodes one encoded row — cols values in their AppendBinary
+// encodings, back to back — in a single pass. The values at positions keep
+// (strictly ascending) go to dst[:len(keep)], or all cols of them to
+// dst[:cols] when keep is nil; the others are stepped over without being
+// built, an integer's or a date's varint without computing its value. Every
+// value is checked the same way whether it is kept or not, so a damaged row
+// fails with the same error at the same column whichever values are kept. It
+// returns the bytes after the row's cols values; on error, col is the
+// position of the value that failed.
+//
+// A kept string shares buf's bytes, which the caller therefore may not
+// overwrite while the value is in use; Detach gives the strings their own.
+func DecodeRow(dst []Value, buf []byte, cols int, keep []int) (rest []byte, col int, err error) {
+	p, k := 0, 0 // the next byte of buf; values stored in dst so far
+	for c := 0; c < cols; c++ {
+		if p >= len(buf) {
+			return nil, c, fmt.Errorf("sqlval: empty buffer")
+		}
+		kind := Kind(buf[p])
+		p++
+		kept := keep == nil || (k < len(keep) && keep[k] == c)
+		var v Value
+		switch kind {
+		case KindNull:
+		case KindInt, KindDate:
+			if !kept {
+				n := varintLen(buf[p:])
+				if n <= 0 {
+					return nil, c, fmt.Errorf("sqlval: bad varint")
+				}
+				p += n
+				continue
+			}
+			i, n := binary.Varint(buf[p:])
+			if n <= 0 {
+				return nil, c, fmt.Errorf("sqlval: bad varint")
+			}
+			p += n
+			v = tagged(kind, i)
+		case KindBool:
+			if p >= len(buf) {
+				return nil, c, fmt.Errorf("sqlval: truncated bool")
+			}
+			v = Bool(buf[p] != 0)
+			p++
+		case KindFloat:
+			if len(buf)-p < 8 {
+				return nil, c, fmt.Errorf("sqlval: truncated float")
+			}
+			v = tagged(KindFloat, int64(binary.LittleEndian.Uint64(buf[p:])))
+			p += 8
+		case KindString:
+			l, n := binary.Uvarint(buf[p:])
+			if n <= 0 || uint64(len(buf)-p-n) < l {
+				return nil, c, fmt.Errorf("sqlval: truncated string")
+			}
+			p += n
+			if kept && l > 0 {
+				v = Value{p: unsafe.Pointer(&buf[p]), i: int64(l)}
+			} else {
+				v = String("")
+			}
+			p += int(l)
+		default:
+			return nil, c, fmt.Errorf("sqlval: unknown kind tag %d", kind)
+		}
+		if kept {
+			dst[k] = v
+			k++
+		}
 	}
-	kind := Kind(buf[0])
-	buf = buf[1:]
-	switch kind {
-	case KindNull:
-		return Null(), buf, nil
-	case KindInt, KindDate:
-		i, n := binary.Varint(buf)
-		if n <= 0 {
-			return Null(), nil, fmt.Errorf("sqlval: bad varint")
-		}
-		if kind == KindDate {
-			return Date(i), buf[n:], nil
-		}
-		return Int(i), buf[n:], nil
-	case KindBool:
-		if len(buf) < 1 {
-			return Null(), nil, fmt.Errorf("sqlval: truncated bool")
-		}
-		return Bool(buf[0] != 0), buf[1:], nil
-	case KindFloat:
-		if len(buf) < 8 {
-			return Null(), nil, fmt.Errorf("sqlval: truncated float")
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		return Float(f), buf[8:], nil
-	case KindString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
-			return Null(), nil, fmt.Errorf("sqlval: truncated string")
-		}
-		s := string(buf[n : n+int(l)])
-		return String(s), buf[n+int(l):], nil
-	default:
-		return Null(), nil, fmt.Errorf("sqlval: unknown kind tag %d", kind)
-	}
+	return buf[p:], cols, nil
 }
 
-// SkipValue steps over one encoded value without building it: it returns
-// the bytes after the value, having made every check DecodeValue makes (and
-// failing with the same error), but allocates nothing and copies no string
-// payload. It is how a reader that wants only some of a row's values gets
-// past the others.
-func SkipValue(buf []byte) ([]byte, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("sqlval: empty buffer")
+// varintLen is the n binary.Varint returns for buf — the varint's length, 0
+// when buf ends inside it, negative when it overflows 64 bits — without the
+// value.
+func varintLen(buf []byte) int {
+	for i, b := range buf {
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return -(i + 1)
+			}
+			return i + 1
+		}
+		if i == binary.MaxVarintLen64-1 {
+			return -(i + 1)
+		}
 	}
-	kind := Kind(buf[0])
-	buf = buf[1:]
-	switch kind {
-	case KindNull:
-		return buf, nil
-	case KindInt, KindDate:
-		_, n := binary.Varint(buf)
-		if n <= 0 {
-			return nil, fmt.Errorf("sqlval: bad varint")
+	return 0
+}
+
+// Detach copies the bytes of every string in vals into one new slab of
+// exactly their total size and points the values at it, so that vals share
+// no memory with whatever their strings pointed into before: a decoded page,
+// a row being cloned. Values of other kinds are left as they are.
+func Detach(vals []Value) {
+	n := 0
+	for _, v := range vals {
+		if v.Kind() == KindString {
+			n += int(v.i)
 		}
-		return buf[n:], nil
-	case KindBool:
-		if len(buf) < 1 {
-			return nil, fmt.Errorf("sqlval: truncated bool")
+	}
+	if n == 0 {
+		return
+	}
+	slab := make([]byte, n)
+	for j := range vals {
+		if v := &vals[j]; v.i > 0 && v.Kind() == KindString {
+			copy(slab, v.str())
+			v.p = unsafe.Pointer(&slab[0])
+			slab = slab[v.i:]
 		}
-		return buf[1:], nil
-	case KindFloat:
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("sqlval: truncated float")
-		}
-		return buf[8:], nil
-	case KindString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
-			return nil, fmt.Errorf("sqlval: truncated string")
-		}
-		return buf[n+int(l):], nil
-	default:
-		return nil, fmt.Errorf("sqlval: unknown kind tag %d", kind)
 	}
 }

@@ -271,74 +271,179 @@ func TestBinaryRoundTripQuick(t *testing.T) {
 			vals = append(vals, v)
 			buf = v.AppendBinary(buf)
 		}
-		for _, want := range vals {
-			var got Value
-			var err error
-			got, buf, err = DecodeValue(buf)
-			if err != nil {
-				return false
-			}
-			if got.Kind() != want.Kind() || Compare(got, want) != 0 {
-				return false
-			}
-		}
-		return len(buf) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeValueErrors(t *testing.T) {
-	if _, _, err := DecodeValue(nil); err == nil {
-		t.Error("empty buffer should error")
-	}
-	if _, _, err := DecodeValue([]byte{99}); err == nil {
-		t.Error("unknown kind tag should error")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KindFloat), 1, 2}); err == nil {
-		t.Error("truncated float should error")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KindString), 200}); err == nil {
-		t.Error("truncated string should error")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KindBool)}); err == nil {
-		t.Error("truncated bool should error")
-	}
-}
-
-// Property: SkipValue accepts exactly what DecodeValue accepts, consumes the
-// same bytes and fails with the same error — on sound encodings, on every
-// truncation of one, and with any single byte overwritten.
-func TestSkipValueAgreesWithDecodeValue(t *testing.T) {
-	agree := func(buf []byte) bool {
-		_, rest, derr := DecodeValue(buf)
-		skipped, serr := SkipValue(buf)
-		if (derr == nil) != (serr == nil) || len(rest) != len(skipped) {
+		got := make([]Value, n)
+		rest, _, err := DecodeRow(got, buf, n, nil)
+		if err != nil {
 			return false
 		}
-		return derr == nil || derr.Error() == serr.Error()
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		buf := randValue(r).AppendBinary(nil)
-		buf = randValue(r).AppendBinary(buf)
-		for cut := 0; cut <= len(buf); cut++ {
-			if !agree(buf[:cut]) {
+		for i, want := range vals {
+			if got[i].Kind() != want.Kind() || Compare(got[i], want) != 0 {
 				return false
 			}
 		}
-		for i := range buf {
-			mutated := append([]byte{}, buf...)
-			mutated[i] = byte(r.Intn(256))
-			if !agree(mutated) {
-				return false
-			}
-		}
-		return true
+		return len(rest) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeRowErrors gives DecodeRow one value cut short or ill-formed in
+// each of the ways it checks, and requires that check's error at column 0
+// whether the value is kept or stepped over.
+func TestDecodeRowErrors(t *testing.T) {
+	for _, tc := range []struct {
+		buf  []byte
+		want string
+	}{
+		{nil, "sqlval: empty buffer"},
+		{[]byte{99}, "sqlval: unknown kind tag 99"},
+		{[]byte{byte(KindFloat), 1, 2}, "sqlval: truncated float"},
+		{[]byte{byte(KindString), 200}, "sqlval: truncated string"},
+		{[]byte{byte(KindString), 5, 'a'}, "sqlval: truncated string"},
+		{[]byte{byte(KindBool)}, "sqlval: truncated bool"},
+		{[]byte{byte(KindInt), 0x80}, "sqlval: bad varint"},
+		{[]byte{byte(KindDate), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "sqlval: bad varint"},
+		{[]byte{byte(KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00}, "sqlval: bad varint"},
+	} {
+		for _, keep := range [][]int{nil, {0}, {}} {
+			var dst [1]Value
+			_, col, err := DecodeRow(dst[:], tc.buf, 1, keep)
+			if err == nil || err.Error() != tc.want || col != 0 {
+				t.Errorf("%x keeping %v: col %d error %v, want col 0 %q", tc.buf, keep, col, err, tc.want)
+			}
+		}
+	}
+}
+
+// sameDecoded reports whether two decoded values are the same value: the
+// same kind and payload bits, or the same string contents.
+func sameDecoded(a, b Value) bool {
+	if a.Kind() == KindString || b.Kind() == KindString {
+		return a.Kind() == b.Kind() && a.str() == b.str()
+	}
+	return a.p == b.p && a.i == b.i
+}
+
+// keepLists returns nil (every column) and every strictly ascending list of
+// positions below cols.
+func keepLists(cols int) [][]int {
+	lists := [][]int{nil}
+	for mask := 0; mask < 1<<cols; mask++ {
+		keep := []int{}
+		for c := 0; c < cols; c++ {
+			if mask&(1<<c) != 0 {
+				keep = append(keep, c)
+			}
+		}
+		lists = append(lists, keep)
+	}
+	return lists
+}
+
+// Property: a narrowed DecodeRow is the full decode projected onto its keep
+// list. Over seeded rows of one to six values drawn from referenceSet (every
+// kind, 1- to 10-byte varints, empty and multi-byte strings), every keep
+// list gets the full decode's values at its positions and the same rest. On
+// every truncation of a row's encoding, and on every single-bit flip and
+// 0x00 or 0xff overwrite of each of its bytes, every keep list fails
+// exactly when the full decode fails, at the same column with the same
+// error, and otherwise agrees with it as above.
+func TestDecodeRowKeepsAgreeWithFullDecode(t *testing.T) {
+	refs := referenceSet()
+	r := rand.New(rand.NewSource(7))
+	full := make([]Value, 6)
+	part := make([]Value, 6)
+	agree := func(buf []byte, cols int, lists [][]int) error {
+		fullRest, fullCol, fullErr := DecodeRow(full, buf, cols, nil)
+		for _, keep := range lists[1:] {
+			rest, col, err := DecodeRow(part, buf, cols, keep)
+			switch {
+			case (err == nil) != (fullErr == nil):
+				return fmt.Errorf("keep %v: error %v, full decode %v", keep, err, fullErr)
+			case err != nil && (err.Error() != fullErr.Error() || col != fullCol):
+				return fmt.Errorf("keep %v: col %d %v, full decode col %d %v", keep, col, err, fullCol, fullErr)
+			case err != nil:
+				continue
+			case len(rest) != len(fullRest):
+				return fmt.Errorf("keep %v: %d bytes left, full decode %d", keep, len(rest), len(fullRest))
+			}
+			for k, c := range keep {
+				if !sameDecoded(part[k], full[c]) {
+					return fmt.Errorf("keep %v: value %d is %s, full decode has %s at col %d", keep, k, part[k], full[c], c)
+				}
+			}
+		}
+		return nil
+	}
+	for range 300 {
+		cols := 1 + r.Intn(6)
+		lists := keepLists(cols)
+		row := make([]ref, cols)
+		var enc []byte
+		for c := range row {
+			row[c] = refs[r.Intn(len(refs))]
+			enc = row[c].value().AppendBinary(enc)
+		}
+		rest, _, err := DecodeRow(full, append(enc, 0xEE), cols, nil)
+		if err != nil || len(rest) != 1 {
+			t.Fatalf("%v: error %v, %d bytes left", row, err, len(rest))
+		}
+		for c, x := range row {
+			if !sameDecoded(full[c], x.value()) {
+				t.Fatalf("%v: col %d decodes to %s", row, c, full[c])
+			}
+		}
+		if err := agree(enc, cols, lists); err != nil {
+			t.Fatalf("%v: %v", row, err)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if err := agree(enc[:cut], cols, lists); err != nil {
+				t.Fatalf("%v cut to %d bytes: %v", row, cut, err)
+			}
+		}
+		damaged := make([]byte, len(enc))
+		for i := range enc {
+			for _, b := range []byte{1, 2, 4, 8, 16, 32, 64, 128, 0, 0xff} {
+				copy(damaged, enc)
+				if b == 0 || b == 0xff {
+					damaged[i] = b
+				} else {
+					damaged[i] ^= b
+				}
+				if err := agree(damaged, cols, lists); err != nil {
+					t.Fatalf("%v with byte %d set to %#x: %v", row, i, damaged[i], err)
+				}
+			}
+		}
+	}
+}
+
+// TestDetachCopiesStrings holds Detach to its contract: afterwards the
+// values read the same, share no byte with the buffer they were decoded
+// from, and every string's bytes sit in one slab in value order.
+func TestDetachCopiesStrings(t *testing.T) {
+	row := []Value{String("lineitem"), Int(-7), String(""), Null(), String("é"), Float(2.5)}
+	var buf []byte
+	for _, v := range row {
+		buf = v.AppendBinary(buf)
+	}
+	got := make([]Value, len(row))
+	if _, _, err := DecodeRow(got, buf, len(row), nil); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(got[0].AsString()) != &buf[2] {
+		t.Fatal("a decoded string does not read its buffer in place")
+	}
+	Detach(got)
+	clear(buf)
+	for i, v := range row {
+		if !sameDecoded(got[i], v) {
+			t.Errorf("value %d is %s after Detach, want %s", i, got[i], v)
+		}
+	}
+	if a, b := unsafe.StringData(got[0].AsString()), unsafe.StringData(got[4].AsString()); uintptr(unsafe.Pointer(b))-uintptr(unsafe.Pointer(a)) != 8 {
+		t.Error("the strings do not share one slab")
 	}
 }
 
@@ -535,7 +640,9 @@ func TestValuesAgreeWithReference(t *testing.T) {
 		if want := refEncode(r); string(enc[1:]) != string(want) {
 			t.Fatalf("%s encodes as %x, want %x", r, enc[1:], want)
 		}
-		dec, rest, err := DecodeValue(append(enc[1:], 0xEE))
+		out := make([]Value, 1)
+		rest, _, err := DecodeRow(out, append(enc[1:], 0xEE), 1, nil)
+		dec := out[0]
 		if err != nil || len(rest) != 1 || rest[0] != 0xEE {
 			t.Fatalf("%s: decode error %v, %d bytes left", r, err, len(rest))
 		}

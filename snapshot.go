@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"sqlprogress/internal/catalog"
 	"sqlprogress/internal/schema"
@@ -120,27 +121,25 @@ func Load(r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
+		var buf []byte // one row's encoding, reused: Detach copies its strings out
 		for i := uint64(0); i < nRows; i++ {
 			rowLen, err := readUvarint(br)
 			if err != nil {
 				return nil, err
 			}
-			buf := make([]byte, rowLen)
+			buf = slices.Grow(buf[:0], int(rowLen))[:rowLen]
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, err
 			}
-			row := make(schema.Row, 0, nCols)
-			for len(buf) > 0 {
-				v, rest, err := sqlval.DecodeValue(buf)
-				if err != nil {
-					return nil, fmt.Errorf("sqlprogress: table %s row %d: %w", name, i, err)
-				}
-				row = append(row, v)
-				buf = rest
+			row := make(schema.Row, nCols)
+			rest, c, err := sqlval.DecodeRow(row, buf, int(nCols), nil)
+			if err != nil {
+				return nil, fmt.Errorf("sqlprogress: table %s row %d col %d: %w", name, i, c, err)
 			}
-			if len(row) != int(nCols) {
-				return nil, fmt.Errorf("sqlprogress: table %s row %d: arity %d != %d", name, i, len(row), nCols)
+			if len(rest) != 0 {
+				return nil, fmt.Errorf("sqlprogress: table %s row %d: %d bytes past its %d values", name, i, len(rest), nCols)
 			}
+			sqlval.Detach(row)
 			rel.Append(row)
 		}
 		db.cat.AddRelation(rel)
