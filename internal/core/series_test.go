@@ -42,7 +42,7 @@ func TestSeriesCheckerRules(t *testing.T) {
 			t.Fatalf("%s series rejected: %v", s.Label, err)
 		}
 		if n := s.Count(allRules...); n != 0 {
-			t.Fatalf("%s series: %d samples counted", s.Label, n)
+			t.Fatalf("%s series: %d samples counted, want 0", s.Label, n)
 		}
 	}
 
@@ -76,10 +76,10 @@ func TestSeriesCheckerRules(t *testing.T) {
 			s := checkerSeries()
 			c.mutate(s)
 			if s.Check() == nil {
-				t.Fatal("series accepted")
+				t.Fatalf("series breaking %s accepted: total %d, mu %g, samples %+v", c.rule, s.Total, s.Mu, s.Samples)
 			}
 			if got := s.violations()[0].rule; got != c.rule {
-				t.Fatalf("first violation is %s: %v", got, s.Check())
+				t.Fatalf("first violation is %s, want %s: %v", got, c.rule, s.Check())
 			}
 			if n := s.Count(c.rule); n != 1 {
 				t.Fatalf("Count(%s) = %d, want 1", c.rule, n)

@@ -1,30 +1,27 @@
 package fault_test
 
 import (
-	"flag"
 	"testing"
 
 	"sqlprogress/internal/coretest"
 	"sqlprogress/internal/fault"
 )
 
-// chaosSchedules is the number of seeded fault schedules the chaos harness
-// replays the invariant corpus under. The full acceptance sweep is 500+;
-// CI's race job runs a reduced set (-chaos-schedules=96) to stay fast.
-var chaosSchedules = flag.Int("chaos-schedules", 500, "seeded fault schedules to run in TestChaosInvariants")
+// chaosSchedules is the number of seeded fault schedules each sweep
+// replays its corpus under, -race runs included.
+const chaosSchedules = 500
 
 // TestChaosInvariants is the chaos harness: it replays the coretest
 // invariant corpus under randomized-but-seeded fault schedules — operator
 // stalls, forced operator errors, exact-call cancellations — and asserts
-// the paper's guarantees at every recorded sample of both the inline and
-// the concurrent monitor. Every failure message embeds the seed and the
-// schedule's replay string; `coretest.RunChaos(seed)` reproduces it
-// exactly.
+// the paper's guarantees at every recorded sample of the inline monitor.
+// Every failure message embeds the seed and the schedule's replay string;
+// `coretest.RunChaos(seed)` reproduces it exactly.
 func TestChaosInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")
 	}
-	for seed := int64(1); seed <= int64(*chaosSchedules); seed++ {
+	for seed := int64(1); seed <= chaosSchedules; seed++ {
 		if err := coretest.RunChaos(seed); err != nil {
 			t.Fatalf("%v", err)
 		}
@@ -42,7 +39,7 @@ func TestChaosInvariantsPaged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")
 	}
-	for seed := int64(1); seed <= int64(*chaosSchedules); seed++ {
+	for seed := int64(1); seed <= chaosSchedules; seed++ {
 		if err := coretest.RunChaosPaged(seed); err != nil {
 			t.Fatalf("%v", err)
 		}

@@ -9,8 +9,9 @@
 // bound) are stated per instant of the GetNext stream — which means they
 // must survive an adversarial runtime that stretches, truncates, or kills
 // that stream. The chaos harness (coretest.RunChaos and its siblings,
-// driven by chaos_test.go) uses this package to create those conditions on
-// demand and verify the invariants at every observed sample.
+// driven by chaos_test.go's sweeps of 500 seeded schedules each, with or
+// without -race) uses this package to create those conditions on demand
+// and verify the invariants at every observed sample.
 //
 // Determinism is the package's contract: the same (schedule, seed, plan)
 // triple replays the identical fault sequence, so a chaos failure found in

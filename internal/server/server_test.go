@@ -135,6 +135,23 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyCap: a well-formed submission padded one byte past
+// maxSubmitBody is refused with 413 and admits nothing.
+func TestSubmitBodyCap(t *testing.T) {
+	mgr := testManager(t, session.Config{})
+	srv := New(mgr)
+	head, tail := `{"sql":"SELECT COUNT(*) FROM nation`, `"}`
+	body := head + strings.Repeat(" ", maxSubmitBody+1-len(head)-len(tail)) + tail
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413: %s", len(body), rec.Code, rec.Body.String())
+	}
+	if n := mgr.Metrics().Admitted; n != 0 {
+		t.Fatalf("%d-byte body: %d sessions admitted, want 0", len(body), n)
+	}
+}
+
 func TestShedReturns503(t *testing.T) {
 	ts := httptest.NewServer(New(testManager(t, session.Config{MaxConcurrent: 1, MaxQueue: 1})))
 	defer ts.Close()

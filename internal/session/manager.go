@@ -258,7 +258,6 @@ func (m *Manager) startLocked(s *Session) {
 	go func() {
 		defer m.wg.Done()
 		m.execute(s)
-		m.onDone()
 	}()
 }
 
@@ -267,8 +266,8 @@ func (m *Manager) execute(s *Session) {
 	s.mu.Lock()
 	if s.cancelAsked {
 		// Canceled between admission and start: never runs.
-		m.finishLocked(s, nil, exec.ErrCanceled, nil, 0)
 		s.mu.Unlock()
+		m.finish(s, nil, exec.ErrCanceled, nil, 0)
 		return
 	}
 	s.state = StateRunning
@@ -313,9 +312,15 @@ func (m *Manager) execute(s *Session) {
 	// The at-stop sample, on every outcome: a failed or canceled run's
 	// series ends where it stopped.
 	mon.Finish(execCtx.Calls())
+	m.finish(s, rows, err, bindErr, execCtx.Calls())
+}
 
+// finish frees a run's slot, then makes its session terminal: a Metrics read
+// that sees the session terminal no longer counts it Active.
+func (m *Manager) finish(s *Session, rows []schema.Row, runErr, bindErr error, calls int64) {
+	m.onDone()
 	s.mu.Lock()
-	m.finishLocked(s, rows, err, bindErr, execCtx.Calls())
+	m.finishLocked(s, rows, runErr, bindErr, calls)
 	s.mu.Unlock()
 }
 

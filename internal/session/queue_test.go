@@ -251,3 +251,36 @@ func TestFrozenSubscriberEvictedThenReattachedSeesFinal(t *testing.T) {
 		t.Fatalf("final publish counted as eviction: %d", evictions)
 	}
 }
+
+// TestTerminalSessionLeavesTheGauges hammers submit → terminal → Metrics
+// with one run slot and a second session queued behind the first: once a
+// subscriber has seen a session's final event, Metrics no longer counts it
+// Active, and the session queued behind it has left the queue.
+func TestTerminalSessionLeavesTheGauges(t *testing.T) {
+	m := New(nil, Config{MaxConcurrent: 1, SampleInterval: time.Millisecond})
+	defer m.Close()
+	waitFinal := func(s *Session) {
+		ch, unsub := s.Subscribe()
+		for range ch {
+		}
+		unsub()
+	}
+	for i := 0; i < 1000; i++ {
+		first, err := m.SubmitPlan(rowsPlan(1), "first", SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := m.SubmitPlan(rowsPlan(1), "second", SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFinal(first)
+		if mt := m.Metrics(); mt.Active > 1 || mt.Queued != 0 {
+			t.Fatalf("round %d, first session terminal: Active %d Queued %d, want <= 1 and 0", i, mt.Active, mt.Queued)
+		}
+		waitFinal(second)
+		if mt := m.Metrics(); mt.Active != 0 || mt.Queued != 0 {
+			t.Fatalf("round %d, both sessions terminal: Active %d Queued %d, want 0 and 0", i, mt.Active, mt.Queued)
+		}
+	}
+}

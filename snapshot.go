@@ -104,8 +104,9 @@ func Load(r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]schema.Column, nCols)
-		for i := range cols {
+		// Grown as columns arrive: nCols is read from the input, not trusted.
+		var cols []schema.Column
+		for i := uint64(0); i < nCols; i++ {
 			cn, err := readString(br)
 			if err != nil {
 				return nil, err
@@ -114,7 +115,7 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
-			cols[i] = schema.Column{Name: cn, Type: sqlval.Kind(kind)}
+			cols = append(cols, schema.Column{Name: cn, Type: sqlval.Kind(kind)})
 		}
 		rel := schema.NewRelation(name, schema.New(cols...))
 		nRows, err := readUvarint(br)
@@ -127,8 +128,7 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
-			buf = slices.Grow(buf[:0], int(rowLen))[:rowLen]
-			if _, err := io.ReadFull(br, buf); err != nil {
+			if buf, err = readFull(br, buf, rowLen); err != nil {
 				return nil, err
 			}
 			row := make(schema.Row, nCols)
@@ -199,9 +199,30 @@ func readString(r *bufio.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, l)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	buf, err := readFull(r, nil, l)
+	return string(buf), err
+}
+
+// readChunk is the most readFull allocates ahead of the bytes it has read.
+const readChunk = 64 << 10
+
+// readFull reads the n bytes a length prefix announces, reusing buf's
+// storage. It grows the buffer by at most readChunk ahead of the bytes that
+// arrive, so a corrupt prefix larger than the rest of the input is an
+// error, not an allocation of the prefix's size.
+func readFull(r io.Reader, buf []byte, n uint64) ([]byte, error) {
+	buf = buf[:0]
+	for uint64(len(buf)) < n {
+		k := int(min(n-uint64(len(buf)), readChunk))
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("sqlprogress: snapshot field of %d bytes ends after %d: %w", n, len(buf), err)
+		}
 	}
-	return string(buf), nil
+	return buf, nil
 }

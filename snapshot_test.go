@@ -2,6 +2,7 @@ package sqlprogress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +98,38 @@ func TestSnapshotBadInput(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated snapshot should fail")
+	}
+	// Length prefixes far past the bytes that follow: an error, not an
+	// allocation of the prefix's size.
+	// snap lays out a snapshot: the magic, then each int or Kind as a
+	// uvarint and each string as raw bytes.
+	snap := func(parts ...any) []byte {
+		b := []byte(snapshotMagic)
+		for _, p := range parts {
+			switch p := p.(type) {
+			case int:
+				b = binary.AppendUvarint(b, uint64(p))
+			case Kind:
+				b = binary.AppendUvarint(b, uint64(p))
+			case string:
+				b = append(b, p...)
+			}
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{
+		{"table name length 2^62", snap(1, 1<<62, "lineitem")},
+		{"column count 2^62", snap(1, 1, "t", 1<<62, 1, "a", Int)},
+		{"row length 2^62", snap(1, 1, "t", 1, 1, "a", Int, 1, 1<<62, "\x02\x04")},
+	} {
+		if _, err := Load(bytes.NewReader(c.in)); err == nil {
+			t.Errorf("%s: snapshot accepted", c.name)
+		} else {
+			t.Logf("%s: %v", c.name, err)
+		}
 	}
 }
 
