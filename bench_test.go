@@ -317,13 +317,12 @@ func TestBatchShortSessionAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch, unsub := sess.Subscribe()
+		var last session.Progress
 		for p := range ch {
-			if p.Final {
-				break
-			}
+			last = p
 		}
 		unsub()
-		if st := sess.State(); st != session.StateFinished {
+		if st := last.State; !last.Final || st != session.StateFinished {
 			t.Fatalf("query %d: state %s, err %v", i, st, sess.Info().Error)
 		}
 	}

@@ -45,7 +45,7 @@ func lintUnreached(root string, allow map[string]string) ([]string, error) {
 	}
 	l := &loader{
 		root: root, module: module, fset: token.NewFileSet(),
-		std:  importer.ForCompiler(token.NewFileSet(), "source", nil),
+		std:  importer.Default(),
 		pkgs: map[string]*types.Package{},
 		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
 		decl: map[types.Object]ast.Node{}, recv: map[*ast.Ident]bool{},
@@ -145,8 +145,8 @@ func implementsWith(t *types.Named, name string, ifaces []*types.Interface) bool
 }
 
 // loader type-checks the module's non-test packages from source, recording
-// in info every identifier they use, and the standard library through the
-// source importer.
+// in info every identifier they use, and reads the standard library from
+// its export data (importer.Default, through go list -export).
 type loader struct {
 	root, module string
 	fset         *token.FileSet

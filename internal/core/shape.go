@@ -35,11 +35,9 @@ type ShapeNode struct {
 	// Children); HasRescan is its disjunction.
 	Rescanned []bool
 	HasRescan bool
-	// Stream and Blocking are the child indexes executing in this node's
-	// pipeline and the ones fully consumed before it produces, as reported
-	// by the operator. FirstStream is Stream[0], or -1 when none.
+	// Stream is the child indexes executing in this node's pipeline, as
+	// reported by the operator. FirstStream is Stream[0], or -1 when none.
 	Stream      []int
-	Blocking    []int
 	FirstStream int
 	// EarlyStops lists child indexes the node may abandon before EOF
 	// (exec.EarlyStopper).
@@ -177,7 +175,6 @@ func ShapeOf(root exec.Operator) (*PlanShape, *ledger.Ledger) {
 			}
 		}
 		n.Stream = op.StreamChildren()
-		n.Blocking = op.BlockingChildren()
 		n.FirstStream = -1
 		if len(n.Stream) > 0 {
 			n.FirstStream = n.Stream[0]

@@ -18,7 +18,7 @@ import (
 //     [0, 1], the series ending at total(Q);
 //   - a BoundsEvaluator reused across the run agrees exactly with a freshly
 //     built one at every sample point (and at EOF), both folding the same
-//     ledger read, for both the default and demand-cap-disabled options.
+//     ledger read.
 //
 // It returns total(Q) so callers can chain further assertions.
 func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every int64) int64 {

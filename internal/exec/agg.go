@@ -179,9 +179,6 @@ func (a *HashAgg) FinalBounds(ch []CardBounds) CardBounds {
 // StreamChildren implements Operator.
 func (a *HashAgg) StreamChildren() []int { return nil }
 
-// BlockingChildren implements Operator.
-func (a *HashAgg) BlockingChildren() []int { return []int{0} }
-
 // StreamAgg aggregates an input already grouped (sorted) on the group-by
 // keys, emitting each group as it completes; with no group-by keys it is the
 // scalar aggregate, emitting exactly one row even for empty input.
@@ -346,6 +343,3 @@ func (s *StreamAgg) FinalBounds(ch []CardBounds) CardBounds {
 // StreamChildren implements Operator: grouped stream aggregation emits while
 // consuming, so its input shares the pipeline.
 func (s *StreamAgg) StreamChildren() []int { return []int{0} }
-
-// BlockingChildren implements Operator.
-func (s *StreamAgg) BlockingChildren() []int { return nil }

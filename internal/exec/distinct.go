@@ -96,6 +96,3 @@ func (d *Distinct) FinalBounds(ch []CardBounds) CardBounds {
 
 // StreamChildren implements Operator.
 func (d *Distinct) StreamChildren() []int { return []int{0} }
-
-// BlockingChildren implements Operator.
-func (d *Distinct) BlockingChildren() []int { return nil }

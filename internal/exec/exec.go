@@ -191,11 +191,9 @@ type Operator interface {
 	// SetEstimatedCard records the plan-time estimate.
 	SetEstimatedCard(int64)
 	// StreamChildren lists the child indexes executing in the same pipeline
-	// as this node (e.g. a hash join's probe side).
+	// as this node (e.g. a hash join's probe side). A child not listed (a
+	// hash join's build side, a sort's input) is its own pipeline.
 	StreamChildren() []int
-	// BlockingChildren lists the child indexes fully consumed before this
-	// node produces output (e.g. a hash join's build side, a sort's input).
-	BlockingChildren() []int
 
 	// progressBase exposes the embedded bookkeeping for ledger binding.
 	// All operators live in this package; wrappers elsewhere compose plans

@@ -807,15 +807,8 @@ func TestPipelineStructureMetadata(t *testing.T) {
 	scanR, scanS := NewScan(r), NewScan(s)
 	hj := NewHashJoin(scanS, scanR,
 		[]expr.Expr{col(scanS, "s", "b")}, []expr.Expr{col(scanR, "r", "a")}, InnerJoin)
-	if got := hj.BlockingChildren(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("hash join blocking children = %v", got)
-	}
 	if got := hj.StreamChildren(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("hash join stream children = %v", got)
-	}
-	srt := NewSort(scanR, nil)
-	if got := srt.BlockingChildren(); len(got) != 1 {
-		t.Errorf("sort blocking children = %v", got)
 	}
 	nl := NewNLJoin(scanR, scanS, nil)
 	var _ Rescanner = nl
@@ -1029,7 +1022,6 @@ func (f *faultOp) Children() []Operator                   { return []Operator{f.
 func (f *faultOp) Name() string                           { return "Fault" }
 func (f *faultOp) FinalBounds(ch []CardBounds) CardBounds { return ch[0] }
 func (f *faultOp) StreamChildren() []int                  { return []int{0} }
-func (f *faultOp) BlockingChildren() []int                { return nil }
 
 func TestErrorPropagation(t *testing.T) {
 	rel := relOf("r", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}, {5}})

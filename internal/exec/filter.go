@@ -63,9 +63,6 @@ func (f *Filter) FinalBounds(ch []CardBounds) CardBounds {
 // StreamChildren implements Operator.
 func (f *Filter) StreamChildren() []int { return []int{0} }
 
-// BlockingChildren implements Operator.
-func (f *Filter) BlockingChildren() []int { return nil }
-
 // Project computes one output expression per column (pi). It is one-to-one.
 type Project struct {
 	base
@@ -138,9 +135,6 @@ func (p *Project) FinalBounds(ch []CardBounds) CardBounds { return ch[0] }
 // StreamChildren implements Operator.
 func (p *Project) StreamChildren() []int { return []int{0} }
 
-// BlockingChildren implements Operator.
-func (p *Project) BlockingChildren() []int { return nil }
-
 // Top emits the first K rows of its input (LIMIT).
 type Top struct {
 	base
@@ -203,6 +197,3 @@ func (t *Top) FinalBounds(ch []CardBounds) CardBounds {
 
 // StreamChildren implements Operator.
 func (t *Top) StreamChildren() []int { return []int{0} }
-
-// BlockingChildren implements Operator.
-func (t *Top) BlockingChildren() []int { return nil }

@@ -252,9 +252,6 @@ func hashJoinBounds(mode JoinMode, linear bool, build, probe CardBounds) CardBou
 // StreamChildren implements Operator: the probe side shares this pipeline.
 func (j *HashJoin) StreamChildren() []int { return []int{1} }
 
-// BlockingChildren implements Operator: the build side is its own pipeline.
-func (j *HashJoin) BlockingChildren() []int { return []int{0} }
-
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

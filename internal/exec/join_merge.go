@@ -222,6 +222,3 @@ func (j *MergeJoin) StreamChildren() []int { return []int{0, 1} }
 // the join stops pulling the other, which may therefore end the query
 // short of EOF with rows still unread.
 func (j *MergeJoin) EarlyStopChildren() []int { return []int{0, 1} }
-
-// BlockingChildren implements Operator.
-func (j *MergeJoin) BlockingChildren() []int { return nil }

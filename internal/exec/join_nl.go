@@ -188,9 +188,6 @@ func (j *INLJoin) FinalBounds(ch []CardBounds) CardBounds {
 // StreamChildren implements Operator.
 func (j *INLJoin) StreamChildren() []int { return []int{0} }
 
-// BlockingChildren implements Operator.
-func (j *INLJoin) BlockingChildren() []int { return nil }
-
 // NLJoin is a naive nested loops join with an arbitrary predicate: the inner
 // subtree is re-opened for every outer row, and, unlike INLJoin's access
 // path, the inner is a counted subtree — its GetNext calls accumulate across
@@ -290,9 +287,6 @@ func (j *NLJoin) FinalBounds(ch []CardBounds) CardBounds {
 
 // StreamChildren implements Operator.
 func (j *NLJoin) StreamChildren() []int { return []int{0} }
-
-// BlockingChildren implements Operator.
-func (j *NLJoin) BlockingChildren() []int { return nil }
 
 // RescannedChildren reports that the inner subtree is re-opened per outer
 // row; the progress layer must scale its per-run bounds by the outer

@@ -237,9 +237,6 @@ func (s *Scan) DeliveredBounds() CardBounds {
 // StreamChildren implements Operator.
 func (s *Scan) StreamChildren() []int { return nil }
 
-// BlockingChildren implements Operator.
-func (s *Scan) BlockingChildren() []int { return nil }
-
 // RangeScan is a leaf that scans an ordered index over [Lo, Hi]. Its exact
 // cardinality is only discovered at Open; plan-time bounds come from
 // histogram bucket boundaries (Section 5.1, footnote 2) supplied by the
@@ -341,9 +338,6 @@ func (r *RangeScan) DeliveredBounds() CardBounds {
 // StreamChildren implements Operator.
 func (r *RangeScan) StreamChildren() []int { return nil }
 
-// BlockingChildren implements Operator.
-func (r *RangeScan) BlockingChildren() []int { return nil }
-
 // Values is a leaf producing a fixed set of rows (useful in tests and for
 // VALUES lists).
 type Values struct {
@@ -396,6 +390,3 @@ func (v *Values) FinalBounds([]CardBounds) CardBounds {
 
 // StreamChildren implements Operator.
 func (v *Values) StreamChildren() []int { return nil }
-
-// BlockingChildren implements Operator.
-func (v *Values) BlockingChildren() []int { return nil }

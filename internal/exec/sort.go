@@ -169,9 +169,6 @@ func (s *Sort) Name() string { return fmt.Sprintf("Sort(%d keys)", len(s.Keys)) 
 // FinalBounds implements Operator: exactly the child's cardinality.
 func (s *Sort) FinalBounds(ch []CardBounds) CardBounds { return ch[0] }
 
-// StreamChildren implements Operator.
-func (s *Sort) StreamChildren() []int { return nil }
-
-// BlockingChildren implements Operator: the input is fully consumed during
+// StreamChildren implements Operator: the input is fully consumed during
 // Open, ending its pipeline.
-func (s *Sort) BlockingChildren() []int { return []int{0} }
+func (s *Sort) StreamChildren() []int { return nil }

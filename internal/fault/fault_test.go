@@ -212,9 +212,6 @@ func TestGenerateConsumersDeterministic(t *testing.T) {
 		switch {
 		case a[i].FreezeAfter >= 0:
 			frozen++
-			if !a[i].Reattach {
-				t.Fatalf("frozen plan %d does not reattach: %+v", i, a[i])
-			}
 		case a[i].ReadDelay > 0:
 			slow++
 			if a[i].ReadDelay > p.MaxReadDelay {

@@ -58,16 +58,14 @@ func Parse(text string) (Schedule, error) {
 // ConsumerPlan is the service-level analogue of an executor schedule: it
 // scripts one progress subscriber's hostile behavior for the chaos harness.
 // Slow and frozen consumers exercise the session layer's lossy latest-wins
-// fan-out and its slow-subscriber eviction.
+// fan-out, which still ends every subscription with its final event.
 type ConsumerPlan struct {
 	// ReadDelay is slept between channel receives (0 = read eagerly).
 	ReadDelay time.Duration
 	// FreezeAfter stops reading after this many received events, leaving
-	// the subscription attached (< 0 = never freeze).
+	// the subscription attached until the session ends, then reads the
+	// rest (< 0 = never freeze).
 	FreezeAfter int
-	// Reattach re-subscribes after the frozen subscription is evicted (or
-	// the session ends), verifying the final event is still observable.
-	Reattach bool
 }
 
 // ServiceProfile shapes service-level chaos generation.
@@ -83,15 +81,14 @@ type ServiceProfile struct {
 }
 
 // GenerateConsumers derives one ConsumerPlan per burst slot, deterministic
-// in seed. Frozen consumers always reattach, so every generated plan ends
-// by observing the session's final event.
+// in seed.
 func GenerateConsumers(seed int64, p ServiceProfile) []ConsumerPlan {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]ConsumerPlan, p.Burst)
 	for i := range out {
 		switch draw := rng.Float64(); {
 		case draw < p.PFrozenConsumer:
-			out[i] = ConsumerPlan{FreezeAfter: rng.Intn(3), Reattach: true}
+			out[i] = ConsumerPlan{FreezeAfter: rng.Intn(3)}
 		case draw < p.PFrozenConsumer+p.PSlowConsumer:
 			out[i] = ConsumerPlan{
 				ReadDelay:   time.Duration(1 + rng.Int63n(int64(p.MaxReadDelay))),

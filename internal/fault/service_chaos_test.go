@@ -17,8 +17,9 @@ import (
 // TestServiceChaos drives the session service the way a hostile deployment
 // would: a shed-storm burst that overflows admission, per-session fault
 // injectors (stalls, forced errors, cancels), a watchdog-tripping stall,
-// and scripted hostile subscribers (slow readers, frozen readers that
-// reattach). It asserts the service-level guarantees the design promises:
+// and scripted hostile subscribers (slow readers, and frozen readers that
+// read again only once the session has ended). It asserts the
+// service-level guarantees the design promises:
 // deterministic shedding at capacity, terminal states that match the
 // injected faults, a final event observed by every consumer, estimator
 // invariants holding on every recorded sample series, and the watchdog
@@ -151,10 +152,13 @@ func TestServiceChaos(t *testing.T) {
 	}
 
 	// Consumers: one scripted subscriber per admitted session, concurrent
-	// with execution.
+	// with execution. A frozen one stops reading, still subscribed, until a
+	// second subscription has drained (the session has ended), then reads
+	// what its channel kept.
 	type observed struct {
 		last session.Progress
 		got  bool
+		kept int // events a frozen subscription held past its freeze
 	}
 	results := make([]observed, len(all))
 	var wg sync.WaitGroup
@@ -178,33 +182,28 @@ func TestServiceChaos(t *testing.T) {
 			if a.plan.FreezeAfter < 0 {
 				return
 			}
-			// Frozen: stop receiving entirely until the session ends, then
-			// reattach — the fresh subscription must still deliver the
-			// final event.
-			for !a.sess.State().Terminal() {
-				time.Sleep(200 * time.Microsecond)
+			end, unsubEnd := a.sess.Subscribe()
+			for range end {
 			}
-			unsub()
-			if a.plan.Reattach {
-				ch2, unsub2 := a.sess.Subscribe()
-				defer unsub2()
-				for p := range ch2 {
-					results[i] = observed{last: p, got: true}
-				}
+			unsubEnd()
+			for p := range ch {
+				results[i].last = p
+				results[i].kept++
 			}
 		}(i, a)
 	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for _, a := range all {
-		for !a.sess.State().Terminal() {
-			if time.Now().After(deadline) {
-				t.Fatalf("session %s stuck in %s", a.sess.Info().ID, a.sess.State())
+	allRead := make(chan struct{})
+	go func() { wg.Wait(); close(allRead) }()
+	select {
+	case <-allRead:
+	case <-time.After(30 * time.Second):
+		for _, a := range all {
+			if st := a.sess.Summary().State; !st.Terminal() {
+				t.Errorf("session %s stuck in %s", a.sess.Info().ID, st)
 			}
-			time.Sleep(time.Millisecond)
 		}
+		t.Fatal("consumers still reading after 30 s")
 	}
-	wg.Wait()
 
 	for i, a := range all {
 		info := a.sess.Info()
@@ -237,11 +236,15 @@ func TestServiceChaos(t *testing.T) {
 				t.Errorf("%s [%s]: calls %d, want exactly %d (cancel fault)", info.ID, info.Text, info.Calls, term.At)
 			}
 		}
-		// Every consumer — eager, slow, or frozen-then-reattached — must
-		// have observed the final event.
+		// Every consumer — eager, slow, or frozen — must have observed the
+		// final event, a frozen one from the at most 16 events its channel
+		// kept.
 		if !results[i].got || !results[i].last.Final {
 			t.Errorf("%s: consumer missed the final event (got=%v last=%+v)", info.ID, results[i].got, results[i].last)
 			continue
+		}
+		if results[i].kept > 16 {
+			t.Errorf("%s: frozen subscription kept %d events, want <= 16", info.ID, results[i].kept)
 		}
 		if !results[i].last.State.Terminal() {
 			t.Errorf("%s: final event state %s not terminal", info.ID, results[i].last.State)

@@ -41,9 +41,12 @@ func TestFirstFrameOverSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sess.State() != session.StateRunning {
-		time.Sleep(200 * time.Microsecond)
+	// Running: the first event is frame 0, published when the run starts.
+	ch, unsub := sess.Subscribe()
+	if p := <-ch; p.State != session.StateRunning || p.Seq != 1 {
+		t.Fatalf("first event: %+v", p)
 	}
+	unsub()
 	if _, info := getJSON(t, ts, "/sessions/"+sess.Info().ID); info["progress"] == nil {
 		t.Fatalf("running session without progress: %v", info)
 	}

@@ -59,7 +59,7 @@ func TestSSEClientDisconnectLeaksNothing(t *testing.T) {
 		}
 		disconnect()
 		<-handlerDone
-		if sess.State().Terminal() {
+		if sess.Summary().State.Terminal() {
 			t.Log("query finished at the moment of disconnect; the session-runs-on half went unobserved")
 		}
 		if err := mgr.Close(); err != nil {

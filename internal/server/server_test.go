@@ -35,6 +35,26 @@ func testManager(t *testing.T, cfg session.Config) *session.Manager {
 	return m
 }
 
+// waitTerminal drains a subscription to session id, which ends with the
+// session's final event, and returns that event's state.
+func waitTerminal(t *testing.T, mgr *session.Manager, id string) session.State {
+	t.Helper()
+	sess, err := mgr.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, unsub := sess.Subscribe()
+	defer unsub()
+	var last session.Progress
+	for p := range ch {
+		last = p
+	}
+	if !last.Final {
+		t.Fatalf("session %s: subscription ended without a final event: %+v", id, last)
+	}
+	return last.State
+}
+
 func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, map[string]any) {
 	t.Helper()
 	buf, _ := json.Marshal(body)
@@ -65,7 +85,8 @@ func getJSON(t *testing.T, ts *httptest.Server, path string) (*http.Response, ma
 }
 
 func TestSubmitAndFetchSession(t *testing.T) {
-	ts := httptest.NewServer(New(testManager(t, session.Config{})))
+	mgr := testManager(t, session.Config{})
+	ts := httptest.NewServer(New(mgr))
 	defer ts.Close()
 
 	resp, body := postJSON(t, ts, "/query", map[string]any{"sql": "SELECT COUNT(*) FROM lineitem"})
@@ -77,22 +98,12 @@ func TestSubmitAndFetchSession(t *testing.T) {
 		t.Fatalf("no id in %v", body)
 	}
 
-	// Poll until terminal.
-	deadline := time.Now().Add(10 * time.Second)
-	var info map[string]any
-	for {
-		_, info = getJSON(t, ts, "/sessions/"+id)
-		st, _ := info["state"].(string)
-		if st == "finished" {
-			break
-		}
-		if st == "failed" || st == "canceled" {
-			t.Fatalf("session ended %s: %v", st, info)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout, info %v", info)
-		}
-		time.Sleep(time.Millisecond)
+	if st := waitTerminal(t, mgr, id); st != session.StateFinished {
+		t.Fatalf("session ended %s", st)
+	}
+	_, info := getJSON(t, ts, "/sessions/"+id)
+	if info["state"] != "finished" {
+		t.Fatalf("info of a finished session: %v", info)
 	}
 	if rc, _ := info["row_count"].(float64); rc != 1 {
 		t.Fatalf("row_count = %v", info["row_count"])
@@ -178,7 +189,8 @@ func TestShedReturns503(t *testing.T) {
 }
 
 func TestCancelEndpoint(t *testing.T) {
-	ts := httptest.NewServer(New(testManager(t, session.Config{})))
+	mgr := testManager(t, session.Config{})
+	ts := httptest.NewServer(New(mgr))
 	defer ts.Close()
 
 	_, body := postJSON(t, ts, "/query", map[string]any{"sql": "SELECT COUNT(*) FROM orders, lineitem"})
@@ -192,16 +204,11 @@ func TestCancelEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status = %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, info := getJSON(t, ts, "/sessions/"+id)
-		if info["state"] == "canceled" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("not canceled: %v", info)
-		}
-		time.Sleep(time.Millisecond)
+	if st := waitTerminal(t, mgr, id); st != session.StateCanceled {
+		t.Fatalf("session ended %s", st)
+	}
+	if _, info := getJSON(t, ts, "/sessions/"+id); info["state"] != "canceled" {
+		t.Fatalf("not canceled: %v", info)
 	}
 }
 
@@ -292,13 +299,7 @@ func TestProgressStreamOnFinishedSession(t *testing.T) {
 
 	_, body := postJSON(t, ts, "/query", map[string]any{"sql": "SELECT COUNT(*) FROM supplier"})
 	id := body["id"].(string)
-	sess, err := mgr.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !sess.State().Terminal() {
-		time.Sleep(time.Millisecond)
-	}
+	waitTerminal(t, mgr, id)
 	resp, err := http.Get(fmt.Sprintf("%s/sessions/%s/progress", ts.URL, id))
 	if err != nil {
 		t.Fatal(err)

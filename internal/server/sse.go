@@ -43,11 +43,9 @@ type heartbeatEvent struct {
 //
 // Every progress frame carries the observation's sequence number as its
 // SSE id; a client reconnecting with Last-Event-ID is replayed only what
-// it has not seen, and — because the subscription primes with the latest
-// observation and the final event closes the channel — always observes a
-// terminal `done` frame, even if it reconnects after the session ended.
-// Subscribers evicted for not draining (frozen consumers) are silently
-// reattached.
+// it has not seen, and — because a subscription always ends with the
+// session's final event, primed with it when the session already ended —
+// always observes a terminal `done` frame.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.mgr.Get(r.PathValue("id"))
 	if err != nil {
@@ -78,7 +76,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 
 	out := newEventWriter(w, fl)
 	ch, unsub := sess.Subscribe()
-	defer func() { unsub() }()
+	defer unsub()
 	keepAlive := s.KeepAlive
 	if keepAlive <= 0 {
 		keepAlive = time.Second
@@ -96,22 +94,10 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			in := sess.Summary()
 			out.event(0, "heartbeat", heartbeatEvent{Calls: in.Calls, State: in.State})
 		case p, open := <-ch:
-			if !open {
-				if sess.State().Terminal() {
-					// Closed by the final event (delivered before we
-					// subscribed, or displaced): synthesize done from Info.
-					writeDone(out, sess, nil)
-					return
-				}
-				// Evicted as a slow subscriber while the session still
-				// runs: reattach. The fresh subscription primes with the
-				// latest observation, so the final event cannot be missed.
-				unsub()
-				ch, unsub = sess.Subscribe()
-				continue
-			}
-			if p.Final {
-				writeDone(out, sess, &p)
+			if !open || p.Final {
+				// The final event ends the stream. A closed channel only
+				// ever follows it, and must not spin the loop.
+				writeDone(out, sess)
 				return
 			}
 			if p.Seq <= lastID {
@@ -124,12 +110,9 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeDone writes the terminal frame from the session's summary (its kept
-// result rows are not part of it) and p, the final event if the stream has it.
-func writeDone(out *eventWriter, sess *session.Session, p *session.Progress) {
+// result rows are not part of it), whose progress is the final event.
+func writeDone(out *eventWriter, sess *session.Session) {
 	in := sess.Summary()
-	if p == nil {
-		p = in.Progress
-	}
 	ev := doneEvent{
 		ID:           in.ID,
 		State:        in.State,
@@ -140,7 +123,7 @@ func writeDone(out *eventWriter, sess *session.Session, p *session.Progress) {
 		CancelReason: in.CancelReason,
 	}
 	var seq int64
-	if p != nil {
+	if p := in.Progress; p != nil {
 		ev.Estimates = p.Estimates
 		ev.FinalEstimate = p.Hi
 		seq = p.Seq

@@ -91,7 +91,7 @@ func TestFramesAreCreditReads(t *testing.T) {
 					interior++
 				}
 			}
-			if st := s.State(); st != StateFinished {
+			if st := s.Summary().State; st != StateFinished {
 				t.Fatalf("%s: %s: state = %s, err = %v", c.name, sql, st, s.Info().Error)
 			}
 			t.Logf("%s: %s: %d events over %d twin reads", c.name, sql, events, len(reads))

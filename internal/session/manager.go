@@ -235,9 +235,8 @@ func (m *Manager) admit(root exec.Operator, text string, opt SubmitOptions) (*Se
 		ests:       ests,
 		keepRows:   m.cfg.KeepRows,
 		deadline:   deadline,
-		subs:       make(map[int]*subscriber),
+		subs:       make(map[int]chan Progress),
 		instrument: opt.Instrument,
-		onEvict:    func() { m.c.subsEvicted.Add(1) },
 		pool:       m.cfg.Pool,
 	}
 	m.sessions[s.id] = s

@@ -20,7 +20,6 @@ type counters struct {
 	cancelNs       atomic.Int64
 	cancelMaxNs    atomic.Int64
 	stallEvents    atomic.Int64
-	subsEvicted    atomic.Int64
 }
 
 // recordCancelLatency records one request-to-stop latency: the time from a
@@ -66,8 +65,9 @@ type Metrics struct {
 	// StallEvents counts watchdog stall detections (one per episode of a
 	// session's GetNext counter not advancing for StallAfter).
 	StallEvents int64 `json:"stall_events"`
-	// SubscribersEvicted counts progress subscribers closed for never
-	// draining their channel (frozen consumers).
+	// SubscribersEvicted is always 0: no subscriber is closed before its
+	// final event. It stays only because the benchmark harness still
+	// reads it, until that harness changes next.
 	SubscribersEvicted int64 `json:"subscribers_evicted"`
 }
 
@@ -77,19 +77,18 @@ func (m *Manager) Metrics() Metrics {
 	active, queued := m.running, len(m.queue)
 	m.mu.Unlock()
 	out := Metrics{
-		Admitted:           m.c.admitted.Load(),
-		Shed:               m.c.shed.Load(),
-		Rejected:           m.c.rejected.Load(),
-		Active:             active,
-		Queued:             queued,
-		Completed:          m.c.completed.Load(),
-		Canceled:           m.c.canceled.Load(),
-		Failed:             m.c.failed.Load(),
-		CancelRequests:     m.c.cancelRequests.Load(),
-		CancelObserved:     m.c.cancelObserved.Load(),
-		CancelLatencyMax:   time.Duration(m.c.cancelMaxNs.Load()),
-		StallEvents:        m.c.stallEvents.Load(),
-		SubscribersEvicted: m.c.subsEvicted.Load(),
+		Admitted:         m.c.admitted.Load(),
+		Shed:             m.c.shed.Load(),
+		Rejected:         m.c.rejected.Load(),
+		Active:           active,
+		Queued:           queued,
+		Completed:        m.c.completed.Load(),
+		Canceled:         m.c.canceled.Load(),
+		Failed:           m.c.failed.Load(),
+		CancelRequests:   m.c.cancelRequests.Load(),
+		CancelObserved:   m.c.cancelObserved.Load(),
+		CancelLatencyMax: time.Duration(m.c.cancelMaxNs.Load()),
+		StallEvents:      m.c.stallEvents.Load(),
 	}
 	if n := out.CancelObserved; n > 0 {
 		out.CancelLatencyAvg = time.Duration(m.c.cancelNs.Load() / n)

@@ -109,7 +109,7 @@ func TestCancelLatencyMetrics(t *testing.T) {
 	if _, err := m.Cancel(queued.id, "never ran"); err != nil {
 		t.Fatal(err)
 	}
-	if st := queued.State(); st != StateCanceled {
+	if st := queued.Summary().State; st != StateCanceled {
 		t.Fatalf("queued state = %s", st)
 	}
 	mt := m.Metrics()
@@ -123,7 +123,9 @@ func TestCancelLatencyMetrics(t *testing.T) {
 	// Mid-flight cancel: wait for the run to actually be underway (a cancel
 	// landing before the executor attaches is the no-latency queued path),
 	// then cancel while it is blocked on the gate inside a counted call.
-	waitState(t, running, func(st State) bool { return st == StateRunning })
+	if st := waitStarted(t, running); st != StateRunning {
+		t.Fatalf("gated session's first event: state %s", st)
+	}
 	if _, err := m.Cancel(running.id, "mid-flight"); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +147,7 @@ func TestCancelLatencyMetrics(t *testing.T) {
 // always includes the newest event — intermediate observations are
 // droppable, the latest is not.
 func TestPublishLatestWins(t *testing.T) {
-	s := &Session{state: StateRunning, subs: make(map[int]*subscriber)}
+	s := &Session{state: StateRunning, subs: make(map[int]chan Progress)}
 	ch, unsub := s.Subscribe()
 	defer unsub()
 
@@ -179,76 +181,44 @@ drain:
 	}
 }
 
-// TestFrozenSubscriberEvictedThenReattachedSeesFinal drives the fan-out's
-// slow-consumer defense end to end at the unit level: a subscriber that
-// never drains is evicted (closed without a final event, metrics counted),
-// and a reattach — primed with the latest observation — still observes the
-// session's final event.
-func TestFrozenSubscriberEvictedThenReattachedSeesFinal(t *testing.T) {
-	evictions := 0
-	s := &Session{
-		state:   StateRunning,
-		subs:    make(map[int]*subscriber),
-		onEvict: func() { evictions++ },
-	}
+// TestFrozenSubscriberKeepsItsFinalEvent drives the fan-out with a
+// subscriber that reads nothing across 1 000 running publishes and the
+// final one: it holds at most its 16 buffered events, stays subscribed, and
+// when it reads again finds the final event last, then the close.
+func TestFrozenSubscriberKeepsItsFinalEvent(t *testing.T) {
+	s := &Session{state: StateRunning, subs: make(map[int]chan Progress)}
 	ch, unsub := s.Subscribe()
 	defer unsub()
 
-	// Freeze: publish past buffer + eviction threshold without reading.
+	const running = 1000
 	s.mu.Lock()
-	i := 0
-	for ; len(s.subs) > 0; i++ {
-		if i > 1000 {
-			s.mu.Unlock()
-			t.Fatal("subscriber never evicted")
-		}
+	for i := 0; i < running; i++ {
 		s.publishLocked(Progress{Frame: core.Frame{Calls: int64(i + 1)}, State: StateRunning})
 	}
-	s.mu.Unlock()
-	if evictions != 1 {
-		t.Fatalf("evictions = %d", evictions)
-	}
-	// 16 buffered + 1 clean + evictAfter forced drops before eviction.
-	if i < 16+evictAfter {
-		t.Fatalf("evicted after only %d publishes", i)
-	}
-
-	// The evicted channel is closed; its buffered backlog must not contain
-	// a final event.
-	sawClose := false
-	for {
-		p, open := <-ch
-		if !open {
-			sawClose = true
-			break
-		}
-		if p.Final {
-			t.Fatalf("evicted subscriber got a final event: %+v", p)
-		}
-	}
-	if !sawClose {
-		t.Fatal("evicted channel not closed")
-	}
-
+	held, subscribed := len(ch), len(s.subs)
 	// Session ends (mirroring finishLocked's order: state first, then the
 	// final publish).
-	s.mu.Lock()
-	s.state = StateCanceled
-	s.publishLocked(Progress{Final: true, State: StateCanceled})
+	s.state = StateFinished
+	s.publishLocked(Progress{Final: true, State: StateFinished})
 	s.mu.Unlock()
+	if held > 16 || subscribed != 1 {
+		t.Fatalf("after %d unread publishes: %d events held, %d subscribers, want <= 16 and 1", running, held, subscribed)
+	}
 
-	// Reattach: the terminal session primes the final event and closes.
-	ch2, unsub2 := s.Subscribe()
-	defer unsub2()
-	p, open := <-ch2
-	if !open || !p.Final || p.State != StateCanceled {
-		t.Fatalf("reattached consumer: open=%v p=%+v", open, p)
+	var got []Progress
+	for p := range ch {
+		got = append(got, p)
 	}
-	if _, open := <-ch2; open {
-		t.Fatal("reattached channel not closed after final event")
+	if len(got) == 0 || len(got) > 16 {
+		t.Fatalf("frozen subscriber read %d events, want 1..16", len(got))
 	}
-	if evictions != 1 {
-		t.Fatalf("final publish counted as eviction: %d", evictions)
+	for _, p := range got[:len(got)-1] {
+		if p.Final {
+			t.Fatalf("final event before the last one: %+v", got)
+		}
+	}
+	if last := got[len(got)-1]; !last.Final || last.State != StateFinished || last.Seq != running+1 {
+		t.Fatalf("last event read: %+v, want the final one (seq %d)", last, running+1)
 	}
 }
 
@@ -259,12 +229,6 @@ func TestFrozenSubscriberEvictedThenReattachedSeesFinal(t *testing.T) {
 func TestTerminalSessionLeavesTheGauges(t *testing.T) {
 	m := New(nil, Config{MaxConcurrent: 1, SampleInterval: time.Millisecond})
 	defer m.Close()
-	waitFinal := func(s *Session) {
-		ch, unsub := s.Subscribe()
-		for range ch {
-		}
-		unsub()
-	}
 	for i := 0; i < 1000; i++ {
 		first, err := m.SubmitPlan(rowsPlan(1), "first", SubmitOptions{})
 		if err != nil {
@@ -274,11 +238,11 @@ func TestTerminalSessionLeavesTheGauges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFinal(first)
+		waitTerminal(t, first)
 		if mt := m.Metrics(); mt.Active > 1 || mt.Queued != 0 {
 			t.Fatalf("round %d, first session terminal: Active %d Queued %d, want <= 1 and 0", i, mt.Active, mt.Queued)
 		}
-		waitFinal(second)
+		waitTerminal(t, second)
 		if mt := m.Metrics(); mt.Active != 0 || mt.Queued != 0 {
 			t.Fatalf("round %d, both sessions terminal: Active %d Queued %d, want 0 and 0", i, mt.Active, mt.Queued)
 		}

@@ -104,10 +104,9 @@ type Session struct {
 	last         Progress
 	hasLast      bool
 	seq          int64
-	subs         map[int]*subscriber
+	subs         map[int]chan Progress
 	nextSub      int
 	instrument   func(*exec.Ctx)
-	onEvict      func()
 	pool         *pager.Pool
 	nodePrev     []core.NodeCount // the node rows as last published
 
@@ -115,26 +114,6 @@ type Session struct {
 	watchCalls   int64
 	watchAdvance time.Time
 	stalled      bool
-}
-
-// subscriber is one progress listener with its slow-consumer bookkeeping.
-type subscriber struct {
-	ch chan Progress
-	// dropStreak counts consecutive publishes that found the channel full
-	// and had to displace an observation; a clean send resets it.
-	dropStreak int
-}
-
-// evictAfter is the consecutive-forced-drop threshold beyond which a
-// subscriber is deemed frozen (not merely slow) and evicted. With a
-// 16-slot buffer a reader only hits this by not reading at all.
-const evictAfter = 32
-
-// State returns the current lifecycle state.
-func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
 }
 
 // Info is a consistent point-in-time view of a session, shaped for JSON
@@ -251,25 +230,19 @@ func (s *Session) Samples() []core.Sample {
 }
 
 // Subscribe registers a progress listener. The returned channel receives
-// observations as they are sampled (primed with the latest one, when any)
-// and is closed after the final event. A slow consumer loses intermediate
-// observations; one whose buffer is found full on more than evictAfter
-// consecutive publishes is evicted and must re-subscribe (below) to see the
-// final event. The unsubscribe function is idempotent and must be called
-// when the consumer is done.
+// observations as they are sampled (primed with the latest one, when any),
+// ends with exactly one Final-marked event, and is then closed. A slow
+// consumer loses intermediate observations, never the final one: the
+// channel holds the 16 latest events, so a reader that stops reading pins
+// at most 16 and still finds the final event last when it reads again. The
+// unsubscribe function is idempotent and must be called when the consumer
+// is done; a consumer that unsubscribes early gives up the final event.
 //
 // A running session's stream is therefore: the latest event (frame 0, with
 // Calls = 0 and the static bounds, until a sample exists), the periodic
-// samples, the at-stop sample, the final event.
-//
-// An evicted subscriber's channel closes without a Final-marked event. A
-// reader descheduled for about 50 sample intervals (a full 16-slot buffer,
-// then evictAfter forced drops) is evicted as surely as one that stopped
-// reading. Because eviction only happens on a live session, re-subscribing
-// always works — and since Subscribe primes the channel with the latest
-// observation (the final one included, for terminal sessions), an
-// evicted-then-reattached consumer is still guaranteed to observe the
-// session's final event.
+// samples, the at-stop sample, the final event. A queued session's stream
+// starts at frame 0, published when the run starts; a terminal session's
+// is the final event alone.
 func (s *Session) Subscribe() (<-chan Progress, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,7 +256,7 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 	}
 	id := s.nextSub
 	s.nextSub++
-	s.subs[id] = &subscriber{ch: ch}
+	s.subs[id] = ch
 	return ch, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -331,39 +304,33 @@ func (s *Session) progressLocked(f core.Frame, final bool) Progress {
 
 // publishLocked assigns the event its sequence number, stores it as the
 // latest observation, and fans it out to every subscriber. Sends are lossy
-// (latest-wins) for intermediate events; the final event closes all
-// subscriber channels, so it is always observed as the channel's last
-// value or its closure. A subscriber whose buffer is found full on
-// evictAfter consecutive publishes is evicted (closed without a final
-// event) so a frozen consumer cannot pin per-event work forever; see
-// Subscribe for the reattach guarantee.
+// (latest-wins): a full channel gives up its oldest observation to the new
+// one. The final event closes every subscriber channel after it is sent,
+// so it is always a channel's last value.
 func (s *Session) publishLocked(p Progress) {
 	s.seq++
 	p.Seq = s.seq
 	s.last = p
 	s.hasLast = true
-	for id, sub := range s.subs {
+	for id, ch := range s.subs {
 		select {
-		case sub.ch <- p:
-			sub.dropStreak = 0
+		case ch <- p:
 		default:
-			// Full buffer: drop one stale observation, then retry once.
-			sub.dropStreak++
+			// Full buffer: drop the oldest observation. Only the publisher
+			// sends, under s.mu, so the slot it frees stays free and the
+			// retry cannot fail.
 			select {
-			case <-sub.ch:
+			case <-ch:
 			default:
 			}
 			select {
-			case sub.ch <- p:
+			case ch <- p:
 			default:
 			}
 		}
-		if p.Final || sub.dropStreak > evictAfter {
-			if !p.Final && s.onEvict != nil {
-				s.onEvict()
-			}
+		if p.Final {
 			delete(s.subs, id)
-			close(sub.ch)
+			close(ch)
 		}
 	}
 }

@@ -80,7 +80,8 @@ func (db *DB) Save(w io.Writer) error {
 }
 
 // Load reads a snapshot written by Save, returning a fresh database with
-// statistics rebuilt.
+// statistics rebuilt. An error names the field it was reading (and its
+// table, inside one); input that ends early is io.ErrUnexpectedEOF.
 func Load(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -90,46 +91,49 @@ func Load(r io.Reader) (*DB, error) {
 	if string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("sqlprogress: not a snapshot (magic %q)", magic)
 	}
+	sr := &snapReader{r: br}
 	db := Open()
-	nTables, err := readUvarint(br)
+	nTables, err := sr.uvarint("table count")
 	if err != nil {
 		return nil, err
 	}
 	for t := uint64(0); t < nTables; t++ {
-		name, err := readString(br)
+		sr.table = ""
+		name, err := sr.string("table name")
 		if err != nil {
 			return nil, err
 		}
-		nCols, err := readUvarint(br)
+		sr.table = name
+		nCols, err := sr.uvarint("column count")
 		if err != nil {
 			return nil, err
 		}
 		// Grown as columns arrive: nCols is read from the input, not trusted.
 		var cols []schema.Column
 		for i := uint64(0); i < nCols; i++ {
-			cn, err := readString(br)
+			cn, err := sr.string("column name")
 			if err != nil {
 				return nil, err
 			}
-			kind, err := readUvarint(br)
+			kind, err := sr.uvarint("column kind")
 			if err != nil {
 				return nil, err
 			}
 			cols = append(cols, schema.Column{Name: cn, Type: sqlval.Kind(kind)})
 		}
 		rel := schema.NewRelation(name, schema.New(cols...))
-		nRows, err := readUvarint(br)
+		nRows, err := sr.uvarint("row count")
 		if err != nil {
 			return nil, err
 		}
 		var buf []byte // one row's encoding, reused: Detach copies its strings out
 		for i := uint64(0); i < nRows; i++ {
-			rowLen, err := readUvarint(br)
+			rowLen, err := sr.uvarint("row length")
 			if err != nil {
 				return nil, err
 			}
 			if buf, err = readFull(br, buf, rowLen); err != nil {
-				return nil, err
+				return nil, sr.fail(fmt.Sprintf("row %d", i), err)
 			}
 			row := make(schema.Row, nCols)
 			rest, c, err := sqlval.DecodeRow(row, buf, int(nCols), nil)
@@ -144,14 +148,15 @@ func Load(r io.Reader) (*DB, error) {
 		}
 		db.cat.AddRelation(rel)
 	}
-	nFKs, err := readUvarint(br)
+	sr.table = ""
+	nFKs, err := sr.uvarint("FK count")
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nFKs; i++ {
 		var parts [4]string
 		for j := range parts {
-			parts[j], err = readString(br)
+			parts[j], err = sr.string("FK")
 			if err != nil {
 				return nil, err
 			}
@@ -161,16 +166,16 @@ func Load(r io.Reader) (*DB, error) {
 			ParentTable: parts[2], ParentColumn: parts[3],
 		})
 	}
-	nUniq, err := readUvarint(br)
+	nUniq, err := sr.uvarint("unique count")
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nUniq; i++ {
-		tbl, err := readString(br)
+		tbl, err := sr.string("unique")
 		if err != nil {
 			return nil, err
 		}
-		col, err := readString(br)
+		col, err := sr.string("unique")
 		if err != nil {
 			return nil, err
 		}
@@ -190,17 +195,43 @@ func writeString(w *bufio.Writer, s string) {
 	w.WriteString(s)
 }
 
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(r)
+// snapReader reads a snapshot's fields past the magic. Each error names the
+// field, and the table when one is being read.
+type snapReader struct {
+	r     *bufio.Reader
+	table string
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	l, err := binary.ReadUvarint(r)
+// fail wraps err, read at field, turning an EOF into io.ErrUnexpectedEOF:
+// past the magic, the input always has more to come.
+func (sr *snapReader) fail(field string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if sr.table != "" {
+		return fmt.Errorf("sqlprogress: snapshot table %s %s: %w", sr.table, field, err)
+	}
+	return fmt.Errorf("sqlprogress: snapshot %s: %w", field, err)
+}
+
+func (sr *snapReader) uvarint(field string) (uint64, error) {
+	v, err := binary.ReadUvarint(sr.r)
+	if err != nil {
+		return 0, sr.fail(field, err)
+	}
+	return v, nil
+}
+
+func (sr *snapReader) string(field string) (string, error) {
+	l, err := sr.uvarint(field)
 	if err != nil {
 		return "", err
 	}
-	buf, err := readFull(r, nil, l)
-	return string(buf), err
+	buf, err := readFull(sr.r, nil, l)
+	if err != nil {
+		return "", sr.fail(field, err)
+	}
+	return string(buf), nil
 }
 
 // readChunk is the most readFull allocates ahead of the bytes it has read.
@@ -221,7 +252,7 @@ func readFull(r io.Reader, buf []byte, n uint64) ([]byte, error) {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, fmt.Errorf("sqlprogress: snapshot field of %d bytes ends after %d: %w", n, len(buf), err)
+			return nil, fmt.Errorf("%d bytes announced, %d read: %w", n, len(buf), err)
 		}
 	}
 	return buf, nil

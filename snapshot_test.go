@@ -3,6 +3,8 @@ package sqlprogress
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +131,33 @@ func TestSnapshotBadInput(t *testing.T) {
 			t.Errorf("%s: snapshot accepted", c.name)
 		} else {
 			t.Logf("%s: %v", c.name, err)
+		}
+	}
+	// One truncation per field: the error names the field (and the table,
+	// inside one) and is io.ErrUnexpectedEOF.
+	table := []any{1, 1, "t", 1, 1, "a", Int}
+	at := func(parts ...any) []byte { return snap(append(table[:len(table):len(table)], parts...)...) }
+	for _, c := range []struct {
+		want string
+		in   []byte
+	}{
+		{"snapshot table count", snap()},
+		{"snapshot table name", snap(1)},
+		{"snapshot table name", snap(1, 5, "li")},
+		{"table t column count", snap(1, 1, "t")},
+		{"table t column name", snap(1, 1, "t", 1)},
+		{"table t column kind", snap(1, 1, "t", 1, 1, "a")},
+		{"table t row count", at()},
+		{"table t row length", at(1)},
+		{"table t row 0", at(1, 2, "\x02")},
+		{"snapshot FK count", at(0)},
+		{"snapshot FK", at(0, 1, 1, "t")},
+		{"snapshot unique count", at(0, 0)},
+		{"snapshot unique", at(0, 0, 1, 1, "t")},
+	} {
+		_, err := Load(bytes.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%q truncated: err = %v, want %q and io.ErrUnexpectedEOF", c.in, err, c.want)
 		}
 	}
 }
