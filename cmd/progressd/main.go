@@ -18,11 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,8 +28,6 @@ import (
 	"time"
 
 	sqlprogress "sqlprogress"
-	"sqlprogress/internal/server"
-	"sqlprogress/internal/session"
 )
 
 func main() {
@@ -47,7 +43,7 @@ func main() {
 		interval   = flag.Duration("sample-interval", 2*time.Millisecond, "progress sampling period")
 		deadline   = flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 		keepRows   = flag.Int("keep-rows", 50, "result rows retained per session")
-		stallAfter = flag.Duration("stall-after", 0, "flag sessions whose call counter stops advancing for this long (0 = watchdog off)")
+		stallAfter = flag.Duration("stall-after", 0, "flag running sessions that publish no progress event for this long, and count each such gap in stall_events (0 = off; set it to several -sample-interval)")
 		spill      = flag.Bool("spill", false, "serve the dataset from disk-backed paged storage through a shared buffer pool")
 		poolFrames = flag.Int("pool-frames", 0, "buffer pool frames when spilled (0 = pager default)")
 		readCost   = flag.Int64("read-cost", 0, "extra GetNext units charged per physical page read (0 = pure row accounting)")
@@ -106,17 +102,6 @@ func main() {
 			db.BufferPool().Capacity(), *readCost)
 	}
 
-	mgr := session.New(db.Catalog(), session.Config{
-		MaxConcurrent:   *maxConc,
-		MaxQueue:        *maxQueue,
-		SampleInterval:  *interval,
-		DefaultDeadline: *deadline,
-		KeepRows:        *keepRows,
-		StallAfter:      *stallAfter,
-		Pool:            db.BufferPool(),
-	})
-	httpSrv := &http.Server{Handler: server.New(mgr)}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -125,27 +110,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
+	if err := db.Serve(ctx, ln, sqlprogress.ServeOptions{
+		MaxConcurrent:   *maxConc,
+		MaxQueue:        *maxQueue,
+		SampleInterval:  *interval,
+		DefaultDeadline: *deadline,
+		KeepRows:        *keepRows,
+		StallAfter:      *stallAfter,
+	}); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-	log.Printf("shutting down: draining sessions")
-	if err := mgr.Close(); err != nil {
-		log.Printf("manager close: %v", err)
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("serve: %v", err)
-	}
-	m := mgr.Metrics()
-	log.Printf("done: admitted=%d completed=%d canceled=%d failed=%d shed=%d",
-		m.Admitted, m.Completed, m.Canceled, m.Failed, m.Shed)
+	log.Printf("shut down: every session drained")
 }

@@ -1058,7 +1058,7 @@ func fuzzLimit(t *testing.T, seed int64) {
 				continue // LIMIT 0 over a streaming plan: nothing ran, nothing to bound
 			}
 			label := fmt.Sprintf("%s (batch=%v)", sql, batch)
-			if err := core.SeriesOf(label, &mon.SampleSet).Check(); err != nil {
+			if err := core.SeriesOf(label, mon).Check(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -60,10 +60,19 @@ type NodeCount struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// SampleSet is Monitor's sampling core: the plan's tracker, the capture path
-// both due rules go through, and the recorded series with its API. A series
-// is judged by the one checker, Series.
-type SampleSet struct {
+// Monitor samples a set of estimators while a plan executes, inline on the
+// run's goroutine, at a credit: under the call-count rule, at the first
+// credit past each multiple of Every; under the wall-clock rule, at the
+// first credit at least Interval after the previous sample. Every sample is
+// therefore one ledger read at one instant of the GetNext stream. It owns
+// the plan's tracker and the recorded series; a series is judged by the one
+// checker, Series (SeriesOf).
+type Monitor struct {
+	// Every is the sampling period in GetNext calls.
+	Every int64
+	// Interval, when positive, replaces Every: the sampling period in
+	// wall-clock time.
+	Interval time.Duration
 	// Estimators are evaluated at every sample, in order.
 	Estimators []Estimator
 	// Samples are the recorded observations, in capture order.
@@ -82,39 +91,65 @@ type SampleSet struct {
 	total   int64
 }
 
-func newSampleSet(root exec.Operator, ests []Estimator) SampleSet {
-	return SampleSet{Estimators: ests, tracker: NewTracker(root), root: root}
+// NewMonitor builds a monitor for the plan rooted at root, sampling every
+// `every` GetNext calls (minimum 1).
+func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
+	return &Monitor{Every: max(every, 1), Estimators: ests, tracker: NewTracker(root), root: root}
+}
+
+// NewAsyncMonitor builds a monitor for the plan rooted at root that samples
+// on the wall-clock rule, every interval (a non-positive interval samples at
+// every credit). It is named for the off-thread sampler it replaced, because
+// the end-to-end benchmark's traced run calls it by that name; it starts no
+// goroutine.
+func NewAsyncMonitor(root exec.Operator, interval time.Duration, ests ...Estimator) *Monitor {
+	return &Monitor{Interval: interval, Estimators: ests, tracker: NewTracker(root), root: root}
+}
+
+// Attach installs the monitor's sampling trigger on ctx. Under the
+// call-count rule it also sets pulls of min(Every, exec.DefaultBatchSize)
+// rows, so a sample lands within one pull of its due instant; the
+// wall-clock rule leaves the pull size alone.
+func (m *Monitor) Attach(ctx *exec.Ctx) {
+	if m.Interval > 0 {
+		ctx.SampleInterval(m.Interval, m.sample)
+		return
+	}
+	ctx.BatchSize = int(min(m.Every, exec.DefaultBatchSize))
+	ctx.SampleEvery(m.Every, m.sample)
 }
 
 // sample is the trigger's path: an instant not past the latest recorded
 // sample is skipped without a capture.
-func (ss *SampleSet) sample(calls int64) {
-	if calls <= ss.last {
+func (m *Monitor) sample(calls int64) {
+	if calls <= m.last {
 		return
 	}
-	ss.record()
+	m.record()
 }
 
-// finish records total(Q), or the call count at which the run stopped, and
-// the at-completion sample, unless the run already sampled that instant.
-func (ss *SampleSet) finish(total int64) {
-	ss.total = total
-	ss.record()
+// Finish records the at-completion sample (unless the run already sampled
+// that instant) and total(Q), or the call count at which a failed or
+// canceled run stopped. Run calls it automatically; callers that Attach by
+// hand invoke it once the run has returned.
+func (m *Monitor) Finish(total int64) {
+	m.total = total
+	m.record()
 }
 
 // record captures the current instant and streams it to OnSample. A capture
 // whose Curr is not past the latest recorded sample's is the same instant
 // seen twice and is dropped, so the series is strictly increasing in Calls.
-func (ss *SampleSet) record() {
-	s := ss.tracker.Capture()
-	if len(ss.Samples) > 0 && s.Curr <= ss.last {
+func (m *Monitor) record() {
+	s := m.tracker.Capture()
+	if len(m.Samples) > 0 && s.Curr <= m.last {
 		return
 	}
-	ss.last = s.Curr
-	sample := evaluate(s, ss.Estimators)
-	ss.Samples = append(ss.Samples, sample)
-	if ss.OnSample != nil {
-		ss.OnSample(sample)
+	m.last = s.Curr
+	sample := evaluate(s, m.Estimators)
+	m.Samples = append(m.Samples, sample)
+	if m.OnSample != nil {
+		m.OnSample(sample)
 	}
 }
 
@@ -131,14 +166,14 @@ func evaluate(s *State, ests []Estimator) Sample {
 // static bounds) without recording a sample. Pass estimators of their own,
 // not the monitor's: a stateful one (hybrid-var, combiner) keeps a history of
 // the instants it was asked about. Call it before the run starts.
-func (ss *SampleSet) Initial(ests ...Estimator) Sample {
-	return evaluate(ss.tracker.Capture(), ests)
+func (m *Monitor) Initial(ests ...Estimator) Sample {
+	return evaluate(m.tracker.Capture(), ests)
 }
 
 // Mu returns the paper's mu for the completed execution, from the ledger
 // read of the at-completion capture (Finish). Like Samples, read it once
 // that capture has returned.
-func (ss *SampleSet) Mu() float64 { return ss.tracker.ev.mu(ss.tracker.nodes) }
+func (m *Monitor) Mu() float64 { return m.tracker.ev.mu(m.tracker.nodes) }
 
 // Frame shapes s for publishing, naming its estimates after Estimators and
 // its nodes after the plan. The node rows come from the latest capture's
@@ -146,16 +181,16 @@ func (ss *SampleSet) Mu() float64 { return ss.tracker.ev.mu(ss.tracker.nodes) }
 // OnSample, on the Initial sample before the run starts, or on the last
 // sample once Finish has returned (whose final capture read the same Curr
 // when it recorded nothing new).
-func (ss *SampleSet) Frame(s Sample) Frame {
+func (m *Monitor) Frame(s Sample) Frame {
 	f := Frame{Calls: s.Calls, LB: s.LB, UB: s.UB, Estimates: make(map[string]float64, len(s.Estimates))}
 	if s.Calls > 0 {
 		f.Lo = float64(s.Calls) / float64(s.UB)
 		f.Hi = min(float64(s.Calls)/float64(s.LB), 1)
 	}
 	for i, v := range s.Estimates {
-		f.Estimates[ss.Estimators[i].Name()] = v
+		f.Estimates[m.Estimators[i].Name()] = v
 	}
-	t := ss.tracker
+	t := m.tracker
 	f.Nodes = make([]NodeCount, len(t.nodes))
 	for i, n := range t.nodes {
 		f.Nodes[i] = NodeCount{
@@ -171,7 +206,7 @@ func (ss *SampleSet) Frame(s Sample) Frame {
 }
 
 // Total returns total(Q) (valid after the run completes).
-func (ss *SampleSet) Total() int64 { return ss.total }
+func (m *Monitor) Total() int64 { return m.total }
 
 // Point pairs the true progress at a sample with an estimate.
 type Point struct {
@@ -179,63 +214,13 @@ type Point struct {
 }
 
 // SeriesAt returns the points for estimator index i.
-func (ss *SampleSet) SeriesAt(i int) []Point {
-	out := make([]Point, len(ss.Samples))
-	for j, s := range ss.Samples {
-		out[j] = Point{Actual: float64(s.Calls) / float64(ss.total), Est: s.Estimates[i]}
+func (m *Monitor) SeriesAt(i int) []Point {
+	out := make([]Point, len(m.Samples))
+	for j, s := range m.Samples {
+		out[j] = Point{Actual: float64(s.Calls) / float64(m.total), Est: s.Estimates[i]}
 	}
 	return out
 }
-
-// Monitor samples a set of estimators while a plan executes, inline on the
-// run's goroutine, at a credit: under the call-count rule, at the first
-// credit past each multiple of Every; under the wall-clock rule, at the
-// first credit at least Interval after the previous sample. Every sample is
-// therefore one ledger read at one instant of the GetNext stream. Read
-// Series / errors after completion.
-type Monitor struct {
-	SampleSet
-
-	// Every is the sampling period in GetNext calls.
-	Every int64
-	// Interval, when positive, replaces Every: the sampling period in
-	// wall-clock time.
-	Interval time.Duration
-}
-
-// NewMonitor builds a monitor for the plan rooted at root, sampling every
-// `every` GetNext calls (minimum 1).
-func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
-	return &Monitor{SampleSet: newSampleSet(root, ests), Every: max(every, 1)}
-}
-
-// NewAsyncMonitor builds a monitor for the plan rooted at root that samples
-// on the wall-clock rule, every interval (a non-positive interval samples at
-// every credit). It is named for the off-thread sampler it replaced, because
-// the end-to-end benchmark's traced run calls it by that name; it starts no
-// goroutine.
-func NewAsyncMonitor(root exec.Operator, interval time.Duration, ests ...Estimator) *Monitor {
-	return &Monitor{SampleSet: newSampleSet(root, ests), Interval: interval}
-}
-
-// Attach installs the monitor's sampling trigger on ctx. Under the
-// call-count rule it also sets pulls of min(Every, exec.DefaultBatchSize)
-// rows, so a sample lands within one pull of its due instant; the
-// wall-clock rule leaves the pull size alone.
-func (m *Monitor) Attach(ctx *exec.Ctx) {
-	if m.Interval > 0 {
-		ctx.SampleInterval(m.Interval, m.sample)
-		return
-	}
-	ctx.BatchSize = int(min(m.Every, exec.DefaultBatchSize))
-	ctx.SampleEvery(m.Every, m.sample)
-}
-
-// Finish records the at-completion sample (unless the run already sampled
-// that instant) and total(Q), or the call count at which a failed or
-// canceled run stopped. Run calls it automatically; callers that Attach by
-// hand invoke it once the run has returned.
-func (m *Monitor) Finish(total int64) { m.finish(total) }
 
 // Run executes the plan to completion under this monitor and returns the
 // root's output rows. On error the partial samples, ended by the at-stop

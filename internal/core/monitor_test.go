@@ -23,7 +23,7 @@ func checkSeries(t *testing.T, label string, m *Monitor) {
 	if len(m.Samples) == 0 {
 		t.Fatalf("%s: no samples", label)
 	}
-	if err := SeriesOf(label, &m.SampleSet).Check(); err != nil {
+	if err := SeriesOf(label, m).Check(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -29,14 +29,14 @@ type Series struct {
 }
 
 // SeriesOf wraps the samples a monitor recorded over a run that reached EOF
-// (ss.Total is total(Q)), ready for Check; Mu is the monitor's own
-// (SampleSet.Mu).
-func SeriesOf(label string, ss *SampleSet) *Series {
-	names := make([]string, len(ss.Estimators))
-	for i, e := range ss.Estimators {
+// (m.Total is total(Q)), ready for Check; Mu is the monitor's own
+// (Monitor.Mu).
+func SeriesOf(label string, m *Monitor) *Series {
+	names := make([]string, len(m.Estimators))
+	for i, e := range m.Estimators {
 		names[i] = e.Name()
 	}
-	return &Series{Label: label, Names: names, Samples: ss.Samples, Completed: true, Total: ss.Total(), Mu: ss.Mu()}
+	return &Series{Label: label, Names: names, Samples: m.Samples, Completed: true, Total: m.Total(), Mu: m.Mu()}
 }
 
 // Rule names one guarantee a Series is held to.

@@ -158,7 +158,7 @@ func (t *Tracker) Capture() *State {
 // Fold builds the State of one read of the plan's ledger, indexed by NodeID
 // (Ledger.SnapshotAll): the bounds pass folds the read, Curr is the sum of
 // its Returned counters, and the drivers, leaves and pipelines index into
-// it; a copy is kept as the capture's node view (what SampleSet.Frame
+// it; a copy is kept as the capture's node view (what Monitor.Frame
 // publishes). Nothing else is read, so bounds and Curr describe one instant:
 // every node's refined LB covers its own Returned, hence LB >= Curr, and
 // every driver's Total covers its Returned. Summing the bounds snapshot's

@@ -180,7 +180,7 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	if runErr == nil {
 		mon.Finish(total)
 	}
-	s := core.SeriesOf(entry.Label, &mon.SampleSet)
+	s := core.SeriesOf(entry.Label, mon)
 	s.Completed, s.Total = runErr == nil, total
 	return s.Check()
 }

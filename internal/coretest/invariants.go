@@ -37,7 +37,7 @@ func CheckProgressInvariants(t testing.TB, label string, op exec.Operator, every
 	if total == 0 {
 		return 0
 	}
-	if err := core.SeriesOf(label, &m.SampleSet).Check(); err != nil {
+	if err := core.SeriesOf(label, m).Check(); err != nil {
 		t.Fatal(err)
 	}
 	return total

@@ -247,7 +247,7 @@ func runCell(ds dataset, health stats.Health, fam familySpec, opts Options) (Sco
 
 	// The hard-bound counts come from the one series checker. Its estimator
 	// rules are not published: -perturb breaks estimators on purpose.
-	s := core.SeriesOf(fam.name, &m.SampleSet)
+	s := core.SeriesOf(fam.name, m)
 	lbReg, ubReg := s.Count(core.RuleLBMonotone), s.Count(core.RuleUBMonotone)
 	misses := s.Count(core.RuleCurrUB, core.RuleCurrLB, core.RuleLBTotal, core.RuleUBTotal)
 	tReg := s.Count(core.RuleUBTightMonotone)

@@ -39,8 +39,9 @@ var ErrCanceled = errors.New("exec: query canceled")
 //
 // A plan runs on one goroutine, and everything it calls back (hooks, the
 // trigger) runs there too. Only the call counter and the cancel flag are
-// atomic: a watchdog or a status read may read Calls, and Cancel may be
-// called, from another goroutine while the plan runs.
+// atomic: a status read (a session's Info, an SSE heartbeat) may read
+// Calls, and Cancel may be called, from another goroutine while the plan
+// runs.
 type Ctx struct {
 	// calls is the total number of GetNext calls performed so far across all
 	// operators (the paper's Curr).

@@ -8,7 +8,7 @@ import (
 
 // TestConcurrentSamplerCancelsMidQuery is the concurrency regression test
 // for what other goroutines may touch of a running plan: the context's call
-// counter (a watchdog or a status read) and Cancel. A goroutine reads Calls
+// counter (a status read: a session's Info, an SSE heartbeat) and Cancel. A goroutine reads Calls
 // continuously while the plan executes on the test goroutine, then cancels
 // the query mid-flight; under `go test -race` it must run clean and finish
 // with ErrCanceled. The ledger is not read here: it is read only on the run's

@@ -21,7 +21,7 @@ import (
 func TestFirstFrameOverSSE(t *testing.T) {
 	mgr := testManager(t, session.Config{SampleInterval: 24 * time.Hour})
 	srv := New(mgr)
-	srv.KeepAlive = 5 * time.Millisecond
+	srv.keepAlive = 5 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

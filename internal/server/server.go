@@ -16,8 +16,9 @@
 // observation's sequence number as its "id:" line and a JSON payload; the
 // stream ends with a single "event: done" carrying the terminal state and
 // the final estimates, after which the server closes the connection.
-// "event: heartbeat" frames (no id) are sent during idle gaps so proxies do
-// not reap quiet streams, and a "retry:" hint opens the stream. A client
+// An "event: heartbeat" frame (no id) with the live call counter is sent
+// every second, whether or not observations flowed since the last one, so
+// proxies do not reap quiet streams; a "retry:" hint opens the stream. A client
 // reconnecting with a Last-Event-ID header is only sent observations it
 // has not yet seen — and always observes the terminal done frame, even
 // when it reconnects after the session ended.
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -39,15 +41,15 @@ type Server struct {
 	mgr     *session.Manager
 	mux     *http.ServeMux
 	started time.Time
-
-	// KeepAlive is the idle period after which an SSE comment is sent
-	// (default 1s).
-	KeepAlive time.Duration
+	// keepAlive is the heartbeat period: every progress stream sends a
+	// heartbeat event on each tick, observations or not (1s; tests shorten
+	// it).
+	keepAlive time.Duration
 }
 
 // New builds the handler over mgr.
 func New(mgr *session.Manager) *Server {
-	s := &Server{mgr: mgr, mux: http.NewServeMux(), started: time.Now(), KeepAlive: time.Second}
+	s := &Server{mgr: mgr, mux: http.NewServeMux(), started: time.Now(), keepAlive: time.Second}
 	s.mux.HandleFunc("POST /query", s.handleSubmit)
 	s.mux.HandleFunc("GET /sessions", s.handleList)
 	s.mux.HandleFunc("GET /sessions/{id}", s.handleGet)
@@ -83,6 +85,10 @@ type submitRequest struct {
 	Estimators []string `json:"estimators,omitempty"`
 }
 
+// maxDeadlineMs is the largest deadline_ms whose nanoseconds fit a
+// time.Duration; a larger one is refused with 400 rather than wrapped.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // maxSubmitBody caps POST /query's body, a statement and its options; a
 // larger body is refused with 413 before anything is admitted.
 const maxSubmitBody = 1 << 20
@@ -105,9 +111,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("missing sql"))
 		return
 	}
-	opt := session.SubmitOptions{Estimators: req.Estimators}
-	if req.DeadlineMs != 0 {
-		opt.Deadline = time.Duration(req.DeadlineMs) * time.Millisecond
+	if req.DeadlineMs > maxDeadlineMs || req.DeadlineMs < -maxDeadlineMs {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("deadline_ms %d out of range: its magnitude is at most %d", req.DeadlineMs, int64(maxDeadlineMs)))
+		return
+	}
+	opt := session.SubmitOptions{
+		Estimators: req.Estimators,
+		Deadline:   time.Duration(req.DeadlineMs) * time.Millisecond,
 	}
 	sess, err := s.mgr.Submit(req.SQL, opt)
 	switch {

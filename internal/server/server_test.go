@@ -163,6 +163,40 @@ func TestSubmitBodyCap(t *testing.T) {
 	}
 }
 
+// TestSubmitDeadlineRange: a deadline_ms whose nanoseconds overflow int64
+// is refused with 400 and admits nothing; it is not wrapped into no deadline
+// (9223372036855) or a 448 µs one (18446744073710). The largest deadline
+// that fits is admitted.
+func TestSubmitDeadlineRange(t *testing.T) {
+	mgr := testManager(t, session.Config{})
+	srv := New(mgr)
+	submit := func(deadlineMs string) *httptest.ResponseRecorder {
+		body := `{"sql":"SELECT COUNT(*) FROM nation","deadline_ms":` + deadlineMs + `}`
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		return rec
+	}
+	for _, v := range []string{"9223372036855", "18446744073710", "-9223372036855"} {
+		if rec := submit(v); rec.Code != http.StatusBadRequest {
+			t.Errorf("deadline_ms %s: status %d, want 400: %s", v, rec.Code, rec.Body.String())
+		}
+	}
+	if n := mgr.Metrics().Admitted; n != 0 {
+		t.Fatalf("%d sessions admitted past out-of-range deadlines, want 0", n)
+	}
+	rec := submit("9223372036854")
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("deadline_ms 9223372036854: status %d, want 202: %s", rec.Code, rec.Body.String())
+	}
+	var in session.Info
+	if err := json.Unmarshal(rec.Body.Bytes(), &in); err != nil {
+		t.Fatal(err)
+	}
+	if want := 9223372036854 * time.Millisecond; in.Deadline != want {
+		t.Fatalf("deadline = %v, want %v", in.Deadline, want)
+	}
+}
+
 func TestShedReturns503(t *testing.T) {
 	ts := httptest.NewServer(New(testManager(t, session.Config{MaxConcurrent: 1, MaxQueue: 1})))
 	defer ts.Close()

@@ -77,11 +77,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	out := newEventWriter(w, fl)
 	ch, unsub := sess.Subscribe()
 	defer unsub()
-	keepAlive := s.KeepAlive
-	if keepAlive <= 0 {
-		keepAlive = time.Second
-	}
-	tick := time.NewTicker(keepAlive)
+	tick := time.NewTicker(s.keepAlive)
 	defer tick.Stop()
 
 	for {

@@ -118,7 +118,7 @@ func submitDirect(t *testing.T, srv *Server, sql string) (*http.Response, map[st
 func TestHeartbeatAndRetryHint(t *testing.T) {
 	mgr := testManager(t, session.Config{})
 	srv := New(mgr)
-	srv.KeepAlive = 2 * time.Millisecond
+	srv.keepAlive = 2 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

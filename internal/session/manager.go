@@ -52,11 +52,15 @@ type Config struct {
 	// its counters, so streaming clients see I/O behaviour (hit ratio,
 	// physical bytes) alongside the progress estimates.
 	Pool *pager.Pool
-	// StallAfter enables the per-session watchdog: a running session whose
-	// GetNext counter does not advance for this long is flagged stalled
-	// (Info.Stalled, Metrics.StallEvents). 0 disables the watchdog. The
-	// flag is advisory — a stall can be a lock wait or slow I/O, not only a
-	// wedged query — so nothing is canceled automatically.
+	// StallAfter flags a running session that has published no event for
+	// this long as stalled (Info.Stalled) and counts each such gap once it
+	// ends (Metrics.StallEvents). A run publishes at its first credit every
+	// SampleInterval, so a gap means no credit, that is no progress, for
+	// that long; the precision is one SampleInterval, and StallAfter should
+	// be several of them. 0 turns stall detection off. The flag is advisory
+	// — a stall can be slow I/O or a phase that credits nothing (a sort's
+	// sort), not only a wedged query — so nothing is canceled
+	// automatically.
 	StallAfter time.Duration
 }
 
@@ -112,69 +116,18 @@ type Manager struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	watchDone chan struct{}
-
 	c counters
 }
 
 // New returns a Manager serving queries over cat.
 func New(cat *catalog.Catalog, cfg Config) *Manager {
 	base, cancel := context.WithCancel(context.Background())
-	m := &Manager{
+	return &Manager{
 		cfg:        cfg.withDefaults(),
 		cat:        cat,
 		base:       base,
 		baseCancel: cancel,
 		sessions:   make(map[string]*Session),
-	}
-	if m.cfg.StallAfter > 0 {
-		m.watchDone = make(chan struct{})
-		go m.watchdog()
-	}
-	return m
-}
-
-// watchdog periodically sweeps running sessions and flags those whose
-// GetNext counter has stopped advancing for at least StallAfter. It exits
-// when the manager's base context is canceled (Close).
-func (m *Manager) watchdog() {
-	defer close(m.watchDone)
-	period := m.cfg.StallAfter / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.base.Done():
-			return
-		case now := <-tick.C:
-			for _, s := range m.List() {
-				m.watchTick(s, now)
-			}
-		}
-	}
-}
-
-// watchTick updates one session's stall state at the given sweep instant.
-func (m *Manager) watchTick(s *Session, now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != StateRunning || s.execCtx == nil {
-		return
-	}
-	calls := s.execCtx.Calls()
-	switch {
-	case calls != s.watchCalls || s.watchAdvance.IsZero():
-		s.watchCalls = calls
-		s.watchAdvance = now
-		s.stalled = false
-	case !s.stalled && now.Sub(s.watchAdvance) >= m.cfg.StallAfter:
-		// One StallEvent per stall episode: the flag clears (and the
-		// counter re-arms) only once the session advances again.
-		s.stalled = true
-		m.c.stallEvents.Add(1)
 	}
 }
 
@@ -238,6 +191,8 @@ func (m *Manager) admit(root exec.Operator, text string, opt SubmitOptions) (*Se
 		subs:       make(map[int]chan Progress),
 		instrument: opt.Instrument,
 		pool:       m.cfg.Pool,
+		stallAfter: m.cfg.StallAfter,
+		stalls:     &m.c.stallEvents,
 	}
 	m.sessions[s.id] = s
 	m.order = append(m.order, s)
@@ -476,9 +431,6 @@ func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		if m.watchDone != nil {
-			<-m.watchDone
-		}
 		m.wg.Wait()
 		return nil
 	}
@@ -498,9 +450,6 @@ func (m *Manager) Close() error {
 		s.mu.Unlock()
 	}
 	m.baseCancel()
-	if m.watchDone != nil {
-		<-m.watchDone
-	}
 	m.wg.Wait()
 	return nil
 }

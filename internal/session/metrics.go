@@ -62,8 +62,10 @@ type Metrics struct {
 	// latency over observed mid-flight cancels.
 	CancelLatencyAvg time.Duration `json:"cancel_latency_avg_ns"`
 	CancelLatencyMax time.Duration `json:"cancel_latency_max_ns"`
-	// StallEvents counts watchdog stall detections (one per episode of a
-	// session's GetNext counter not advancing for StallAfter).
+	// StallEvents counts stall episodes: gaps of at least StallAfter
+	// between a running session's consecutive events. An episode is counted
+	// when it ends, at the next event (the final one included), while
+	// Info.Stalled shows it as it happens.
 	StallEvents int64 `json:"stall_events"`
 	// SubscribersEvicted is always 0: no subscriber is closed before its
 	// final event. It stays only because the benchmark harness still

@@ -15,6 +15,7 @@ package session
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlprogress/internal/core"
@@ -108,12 +109,9 @@ type Session struct {
 	nextSub      int
 	instrument   func(*exec.Ctx)
 	pool         *pager.Pool
+	stallAfter   time.Duration    // Config.StallAfter
+	stalls       *atomic.Int64    // the manager's StallEvents counter
 	nodePrev     []core.NodeCount // the node rows as last published
-
-	// Watchdog state (maintained by the Manager's watchdog goroutine).
-	watchCalls   int64
-	watchAdvance time.Time
-	stalled      bool
 }
 
 // Info is a consistent point-in-time view of a session, shaped for JSON
@@ -132,9 +130,11 @@ type Info struct {
 	Deadline time.Duration `json:"deadline_ns,omitempty"`
 	// Calls is Curr — live for running sessions, total(Q) once finished.
 	Calls int64 `json:"calls"`
-	// Stalled marks a running session whose GetNext counter has not
-	// advanced for at least the manager's StallAfter window (watchdog
-	// flag; clears if the counter moves again).
+	// Stalled marks a running session that has published no event for at
+	// least the manager's StallAfter: Elapsed minus the latest event's
+	// Elapsed, read now. The run publishes at its first credit every
+	// SampleInterval, so the flag is accurate to one SampleInterval, and it
+	// clears at the next event.
 	Stalled bool `json:"stalled,omitempty"`
 	// CancelReason says why a canceled session was canceled.
 	CancelReason string `json:"cancel_reason,omitempty"`
@@ -187,7 +187,6 @@ func (s *Session) summaryLocked() Info {
 		CancelReason: s.cancelReason,
 		RowCount:     s.rowCount,
 		Mu:           s.workMu,
-		Stalled:      s.stalled,
 	}
 	if !s.started.IsZero() {
 		t := s.started
@@ -203,6 +202,7 @@ func (s *Session) summaryLocked() Info {
 			in.Elapsed = s.finished.Sub(s.started)
 		}
 	}
+	in.Stalled = s.stalledFor(in.Elapsed)
 	switch {
 	case s.state.Terminal():
 		in.Calls = s.totalCalls
@@ -302,12 +302,25 @@ func (s *Session) progressLocked(f core.Frame, final bool) Progress {
 	return p
 }
 
+// stalledFor reports whether the latest event is a running one published at
+// least StallAfter before the run's elapsed time. Only a running session's
+// latest event is a running one. Caller holds s.mu.
+func (s *Session) stalledFor(elapsed time.Duration) bool {
+	return s.stallAfter > 0 && s.hasLast && s.last.State == StateRunning &&
+		elapsed-s.last.Elapsed >= s.stallAfter
+}
+
 // publishLocked assigns the event its sequence number, stores it as the
-// latest observation, and fans it out to every subscriber. Sends are lossy
-// (latest-wins): a full channel gives up its oldest observation to the new
-// one. The final event closes every subscriber channel after it is sent,
-// so it is always a channel's last value.
+// latest observation, and fans it out to every subscriber. An event that
+// ends a stall, a gap of at least StallAfter after a running event, counts
+// one StallEvent. Sends are lossy (latest-wins): a full channel gives up
+// its oldest observation to the new one. The final event closes every
+// subscriber channel after it is sent, so it is always a channel's last
+// value.
 func (s *Session) publishLocked(p Progress) {
+	if s.stalledFor(p.Elapsed) {
+		s.stalls.Add(1)
+	}
 	s.seq++
 	p.Seq = s.seq
 	s.last = p

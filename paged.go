@@ -105,6 +105,6 @@ func (db *DB) PoolStats() (PoolStats, bool) {
 }
 
 // BufferPool exposes the shared buffer pool for advanced use (like
-// Catalog(): serving layers pass it to session.Config.Pool so progress
-// streams carry I/O counters). Nil until SpillToDisk creates it.
+// Catalog()); the session service reads its counters into every progress
+// event by itself. Nil until SpillToDisk creates it.
 func (db *DB) BufferPool() *pager.Pool { return db.pool }

@@ -2,6 +2,7 @@ package sqlprogress
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"time"
 
@@ -28,15 +29,25 @@ type ServeOptions struct {
 	// KeepRows caps result rows retained per finished session (0 = 50,
 	// negative = unlimited).
 	KeepRows int
+	// StallAfter flags a running query that has published no progress event
+	// for this long as stalled, and counts each such gap in the metrics'
+	// stall_events once it ends (0 = off). A run publishes at its first
+	// credit every SampleInterval, so set it to several SampleIntervals.
+	StallAfter time.Duration
 }
 
-func (o ServeOptions) sessionConfig() session.Config {
+// sessionConfig is the session manager's configuration for serving db. The
+// buffer pool comes from db: a spilled database's progress events carry its
+// counters.
+func (o ServeOptions) sessionConfig(db *DB) session.Config {
 	cfg := session.Config{
 		MaxConcurrent:   o.MaxConcurrent,
 		MaxQueue:        o.MaxQueue,
 		SampleInterval:  o.SampleInterval,
 		DefaultDeadline: o.DefaultDeadline,
 		KeepRows:        o.KeepRows,
+		StallAfter:      o.StallAfter,
+		Pool:            db.pool,
 	}
 	for _, k := range o.Estimators {
 		cfg.Estimators = append(cfg.Estimators, string(k))
@@ -54,10 +65,10 @@ type SessionServer struct {
 }
 
 // NewSessionServer builds the session service over db. Close it when done:
-// Close stops admission, cancels everything in flight, and joins all
-// session and monitor goroutines.
+// Close stops admission, cancels everything in flight, and joins every
+// session's run goroutine.
 func (db *DB) NewSessionServer(opts ServeOptions) *SessionServer {
-	mgr := session.New(db.cat, opts.sessionConfig())
+	mgr := session.New(db.cat, opts.sessionConfig(db))
 	return &SessionServer{mgr: mgr, h: server.New(mgr)}
 }
 
@@ -69,15 +80,17 @@ func (s *SessionServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Close shuts the session manager down gracefully (idempotent).
 func (s *SessionServer) Close() error { return s.mgr.Close() }
 
-// Serve runs the session service on addr until ctx is canceled, then shuts
-// down gracefully: the listener stops, in-flight queries are canceled, and
-// all goroutines are joined before Serve returns. The returned error is nil
-// after a clean ctx-triggered shutdown.
-func (db *DB) Serve(ctx context.Context, addr string, opts ServeOptions) error {
+// Serve runs the session service on ln until ctx is canceled, then shuts
+// down gracefully: in-flight queries are canceled, which ends their progress
+// streams with the final event, the listener closes, open connections drain
+// for up to 5 s, and every session goroutine is joined before Serve returns.
+// Serve closes ln. The returned error is nil after a clean ctx-triggered
+// shutdown.
+func (db *DB) Serve(ctx context.Context, ln net.Listener, opts ServeOptions) error {
 	ss := db.NewSessionServer(opts)
-	httpSrv := &http.Server{Addr: addr, Handler: ss}
+	httpSrv := &http.Server{Handler: ss}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		ss.Close()
@@ -92,6 +105,6 @@ func (db *DB) Serve(ctx context.Context, addr string, opts ServeOptions) error {
 	if shutErr := httpSrv.Shutdown(shutdownCtx); err == nil {
 		err = shutErr
 	}
-	<-errCh // ListenAndServe's http.ErrServerClosed
+	<-errCh // Serve's http.ErrServerClosed
 	return err
 }

@@ -2,9 +2,11 @@ package sqlprogress
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,6 +63,55 @@ func TestExplicitCancelStillErrCanceled(t *testing.T) {
 	}
 }
 
+// streamQuery submits sql to the session service at base and reads the
+// session's SSE progress stream to its done event. It returns every progress
+// event's payload and the done event's.
+func streamQuery(t *testing.T, base, sql string) (progress []map[string]any, done map[string]any) {
+	t.Helper()
+	body, _ := json.Marshal(map[string]string{"sql": sql})
+	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || sub.ID == "" {
+		t.Fatalf("submit %q: status %d, id %q, err %v", sql, resp.StatusCode, sub.ID, err)
+	}
+	stream, err := http.Get(base + "/sessions/" + sub.ID + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	event := ""
+	sc := bufio.NewScanner(stream.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "event: "); ok {
+			event = name
+			continue
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok || (event != "progress" && event != "done") {
+			continue
+		}
+		var v map[string]any
+		if err := json.Unmarshal([]byte(data), &v); err != nil {
+			t.Fatal(err)
+		}
+		if event == "done" {
+			return progress, v
+		}
+		progress = append(progress, v)
+	}
+	t.Fatalf("session %s: stream ended without a done event (%v)", sub.ID, sc.Err())
+	return nil, nil
+}
+
 // TestSessionServerEndToEnd drives the public session service the way
 // progressd's clients do: submit, stream SSE to completion, check metrics.
 func TestSessionServerEndToEnd(t *testing.T) {
@@ -74,57 +125,15 @@ func TestSessionServerEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(ss)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/query", "application/json",
-		strings.NewReader(`{"sql": "SELECT COUNT(*) FROM lineitem, supplier"}`))
-	if err != nil {
-		t.Fatal(err)
+	progress, done := streamQuery(t, ts.URL, "SELECT COUNT(*) FROM lineitem, supplier")
+	if len(progress) == 0 {
+		t.Fatal("no progress event before done")
 	}
-	var sub struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sub.ID == "" {
-		t.Fatal("no session id")
+	if done["state"] != "finished" || done["final_estimate"] != 1.0 {
+		t.Fatalf("done = %v", done)
 	}
 
-	stream, err := http.Get(ts.URL + "/sessions/" + sub.ID + "/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	var sawProgress, sawDone bool
-	sc := bufio.NewScanner(stream.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "event: progress") {
-			sawProgress = true
-		}
-		if strings.HasPrefix(line, "event: done") {
-			sawDone = true
-		}
-		if sawDone && strings.HasPrefix(line, "data: ") {
-			var done struct {
-				State         string  `json:"state"`
-				FinalEstimate float64 `json:"final_estimate"`
-			}
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &done); err != nil {
-				t.Fatal(err)
-			}
-			if done.State != "finished" || done.FinalEstimate != 1.0 {
-				t.Fatalf("done = %+v", done)
-			}
-			break
-		}
-	}
-	if !sawProgress || !sawDone {
-		t.Fatalf("sawProgress=%v sawDone=%v", sawProgress, sawDone)
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +150,55 @@ func TestSessionServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeGracefulShutdown exercises DB.Serve end to end: it binds a real
-// listener, serves one query, then shuts down cleanly on context cancel.
+// TestSessionServerPublishesPoolCounters: a session service over a spilled
+// database streams the buffer pool's counters on every progress event, the
+// same as progressd -spill, and its scans show up in them as page reads.
+func TestSessionServerPublishesPoolCounters(t *testing.T) {
+	db := OpenTPCH(0.002, 2, 42)
+	if err := db.SpillToDisk(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	ss := db.NewSessionServer(ServeOptions{SampleInterval: 200 * time.Microsecond})
+	defer ss.Close()
+	ts := httptest.NewServer(ss)
+	defer ts.Close()
+
+	progress, done := streamQuery(t, ts.URL, "SELECT COUNT(*) FROM lineitem, supplier")
+	if done["state"] != "finished" {
+		t.Fatalf("done = %v", done)
+	}
+	var gets float64
+	for i, p := range progress {
+		pool, ok := p["pool"].(map[string]any)
+		if !ok {
+			t.Fatalf("progress event %d (seq %v) carries no pool counters: %v", i, p["seq"], p)
+		}
+		gets = pool["hits"].(float64) + pool["misses"].(float64)
+	}
+	if gets == 0 {
+		t.Fatalf("last progress event's pool shows no page access over %d events", len(progress))
+	}
+}
+
+// TestServeGracefulShutdown exercises DB.Serve end to end: it serves one
+// query on its listener to the done event, then shuts down cleanly on
+// context cancel.
 func TestServeGracefulShutdown(t *testing.T) {
 	db := OpenTPCH(0.002, 2, 42)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	served := make(chan error, 1)
 	go func() {
-		served <- db.Serve(ctx, "127.0.0.1:0", ServeOptions{})
+		served <- db.Serve(ctx, ln, ServeOptions{})
 	}()
-	// We cannot easily learn the bound port from Serve; this test only
-	// asserts the shutdown path: cancel must end Serve promptly and cleanly.
-	time.Sleep(50 * time.Millisecond)
+	_, done := streamQuery(t, "http://"+ln.Addr().String(), "SELECT COUNT(*) FROM lineitem, supplier")
+	if done["state"] != "finished" || done["final_estimate"] != 1.0 {
+		t.Fatalf("done = %v", done)
+	}
 	cancel()
 	select {
 	case err := <-served:

@@ -52,21 +52,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotAllValueKinds(t *testing.T) {
+// allKindsDB is a database with a column of every kind, a row of NULLs, and
+// a foreign key (t.i references p.id).
+func allKindsDB(tb testing.TB) *DB {
+	tb.Helper()
 	db := Open()
 	if err := db.CreateTable("t", []Column{
 		{Name: "i", Type: Int}, {Name: "f", Type: Float},
 		{Name: "s", Type: String}, {Name: "b", Type: Bool}, {Name: "d", Type: Date},
 	}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := db.Insert("t",
 		[]interface{}{int64(-42), 3.25, "héllo", true, mustDate("1999-12-31")},
 		[]interface{}{nil, nil, nil, nil, nil},
 		[]interface{}{int64(1 << 40), -0.0, "", false, mustDate("1970-01-01")},
 	); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	if err := db.CreateTable("p", []Column{{Name: "id", Type: Int}}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Insert("p", []interface{}{int64(-42)}, []interface{}{int64(1 << 40)}); err != nil {
+		tb.Fatal(err)
+	}
+	db.DeclareForeignKey("t", "i", "p", "id")
+	return db
+}
+
+func TestSnapshotAllValueKinds(t *testing.T) {
+	db := allKindsDB(t)
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -82,6 +97,34 @@ func TestSnapshotAllValueKinds(t *testing.T) {
 			t.Errorf("row %d: %s vs %s", i, FormatRow(a.Rows[i]), FormatRow(b.Rows[i]))
 		}
 	}
+}
+
+// snap lays out a snapshot: the magic, then each int or Kind as a uvarint
+// and each string as raw bytes.
+func snap(parts ...any) []byte {
+	b := []byte(snapshotMagic)
+	for _, p := range parts {
+		switch p := p.(type) {
+		case int:
+			b = binary.AppendUvarint(b, uint64(p))
+		case Kind:
+			b = binary.AppendUvarint(b, uint64(p))
+		case string:
+			b = append(b, p...)
+		}
+	}
+	return b
+}
+
+// hugePrefixSnapshots each carry a length prefix of 2^62, far past the bytes
+// that follow it.
+var hugePrefixSnapshots = []struct {
+	name string
+	in   []byte
+}{
+	{"table name length 2^62", snap(1, 1<<62, "lineitem")},
+	{"column count 2^62", snap(1, 1, "t", 1<<62, 1, "a", Int)},
+	{"row length 2^62", snap(1, 1, "t", 1, 1, "a", Int, 1, 1<<62, "\x02\x04")},
 }
 
 func TestSnapshotBadInput(t *testing.T) {
@@ -103,30 +146,7 @@ func TestSnapshotBadInput(t *testing.T) {
 	}
 	// Length prefixes far past the bytes that follow: an error, not an
 	// allocation of the prefix's size.
-	// snap lays out a snapshot: the magic, then each int or Kind as a
-	// uvarint and each string as raw bytes.
-	snap := func(parts ...any) []byte {
-		b := []byte(snapshotMagic)
-		for _, p := range parts {
-			switch p := p.(type) {
-			case int:
-				b = binary.AppendUvarint(b, uint64(p))
-			case Kind:
-				b = binary.AppendUvarint(b, uint64(p))
-			case string:
-				b = append(b, p...)
-			}
-		}
-		return b
-	}
-	for _, c := range []struct {
-		name string
-		in   []byte
-	}{
-		{"table name length 2^62", snap(1, 1<<62, "lineitem")},
-		{"column count 2^62", snap(1, 1, "t", 1<<62, 1, "a", Int)},
-		{"row length 2^62", snap(1, 1, "t", 1, 1, "a", Int, 1, 1<<62, "\x02\x04")},
-	} {
+	for _, c := range hugePrefixSnapshots {
 		if _, err := Load(bytes.NewReader(c.in)); err == nil {
 			t.Errorf("%s: snapshot accepted", c.name)
 		} else {
@@ -160,6 +180,42 @@ func TestSnapshotBadInput(t *testing.T) {
 			t.Errorf("%q truncated: err = %v, want %q and io.ErrUnexpectedEOF", c.in, err, c.want)
 		}
 	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes, seeded with a saved database of every
+// kind, NULLs and a foreign key, and with hugePrefixSnapshots. No input may
+// panic, and on every input Load accepts, Save∘Load is idempotent: saving
+// the loaded database, loading those bytes and saving again gives the same
+// bytes.
+func FuzzLoad(f *testing.F) {
+	f.Add(saveBytes(f, allKindsDB(f)))
+	for _, c := range hugePrefixSnapshots {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		db, err := Load(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		once := saveBytes(t, db)
+		again, err := Load(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("Load of a saved snapshot: %v", err)
+		}
+		if twice := saveBytes(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("Save∘Load not idempotent:\n once  %q\n twice %q", once, twice)
+		}
+	})
+}
+
+// saveBytes is db.Save's output.
+func saveBytes(tb testing.TB, db *DB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func mustDate(s string) interface{} {
