@@ -64,8 +64,8 @@ func synthPlan(n int) exec.Operator {
 // batchINLJoinAllocBudget is the ceiling on allocs/op for the batch engine
 // running synthPlan(20 000). The count is deterministic (92 when the budget
 // was set), so growth past the budget is a real regression in the batch
-// engine's allocation discipline: arena, slab storage, dense index or
-// result collection.
+// engine's allocation discipline: arena, slab storage, the probe or result
+// collection. The join's table is built with the plan, outside the run.
 const batchINLJoinAllocBudget = 100
 
 // TestBatchINLJoinAllocBudget holds exec.RunBatch over the Section 5 INL

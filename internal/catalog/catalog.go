@@ -29,7 +29,6 @@ type ForeignKey struct {
 type Catalog struct {
 	relations map[string]*schema.Relation
 	stores    map[string]schema.Store              // disk-backed tables (no in-memory relation)
-	hashIdx   map[string]map[string]*index.Hash    // table -> column -> index
 	orderIdx  map[string]map[string]*index.Ordered // table -> column -> index
 	tblStats  map[string]*stats.TableStats
 	uniqueCol map[string]map[string]bool // table -> column -> declared unique
@@ -46,7 +45,6 @@ func New(gen stats.Generator) *Catalog {
 	return &Catalog{
 		relations: make(map[string]*schema.Relation),
 		stores:    make(map[string]schema.Store),
-		hashIdx:   make(map[string]map[string]*index.Hash),
 		orderIdx:  make(map[string]map[string]*index.Ordered),
 		tblStats:  make(map[string]*stats.TableStats),
 		uniqueCol: make(map[string]map[string]bool),
@@ -63,7 +61,6 @@ func (c *Catalog) AddRelation(rel *schema.Relation) {
 	k := key(rel.Name)
 	c.relations[k] = rel
 	delete(c.stores, k)
-	delete(c.hashIdx, k)
 	delete(c.orderIdx, k)
 	c.tblStats[k] = c.generator.Generate(rel)
 }
@@ -98,31 +95,6 @@ func (c *Catalog) TableNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// BuildHashIndex builds (or returns the cached) hash index on table.column.
-func (c *Catalog) BuildHashIndex(table, column string) (*index.Hash, error) {
-	rel, err := c.Relation(table)
-	if err != nil {
-		return nil, err
-	}
-	tk, ck := key(table), key(column)
-	if ix, ok := c.hashIdx[tk][ck]; ok {
-		return ix, nil
-	}
-	col, err := rel.Sch.ColIndex("", column)
-	if err != nil {
-		return nil, err
-	}
-	if col < 0 {
-		return nil, fmt.Errorf("catalog: table %s has no column %q", table, column)
-	}
-	ix := index.BuildHash(fmt.Sprintf("hx_%s_%s", table, column), rel, col)
-	if c.hashIdx[tk] == nil {
-		c.hashIdx[tk] = make(map[string]*index.Hash)
-	}
-	c.hashIdx[tk][ck] = ix
-	return ix, nil
 }
 
 // BuildOrderedIndex builds (or returns the cached) ordered index on
@@ -224,7 +196,6 @@ func (c *Catalog) DropTable(name string) bool {
 	}
 	delete(c.relations, k)
 	delete(c.stores, k)
-	delete(c.hashIdx, k)
 	delete(c.orderIdx, k)
 	delete(c.tblStats, k)
 	delete(c.uniqueCol, k)

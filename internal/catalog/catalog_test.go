@@ -64,28 +64,22 @@ func TestStatsBuiltOnAdd(t *testing.T) {
 func TestIndexesBuiltAndCached(t *testing.T) {
 	c := New(nil)
 	c.AddRelation(sampleRelation("t", 50))
-	h1, err := c.BuildHashIndex("t", "v")
+	o1, err := c.BuildOrderedIndex("t", "v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _ := c.BuildHashIndex("T", "V")
-	if h1 != h2 {
-		t.Error("hash index should be cached")
+	o2, _ := c.BuildOrderedIndex("T", "V")
+	if o1 != o2 {
+		t.Error("ordered index should be cached")
 	}
-	if got := len(h1.Lookup(sqlval.Int(3))); got != 7 { // i%7==3 for i in 0..49: 3,10,...,45
-		t.Errorf("lookup(3) = %d rows", got)
+	three := sqlval.Int(3)
+	if r := o1.SeekRange(&three, &three, true, true); r.End-r.Start != 7 { // i%7==3 for i in 0..49: 3,10,...,45
+		t.Errorf("seek(3) = %d rows", r.End-r.Start)
 	}
-	o1, err := c.BuildOrderedIndex("t", "id")
-	if err != nil {
-		t.Fatal(err)
+	if c.OrderedIndex("t", "v") != o1 {
+		t.Error("accessor should return the built index")
 	}
-	if r := o1.SeekRange(nil, nil, false, false); r.End-r.Start != 50 {
-		t.Errorf("ordered len = %d", r.End-r.Start)
-	}
-	if c.OrderedIndex("t", "id") != o1 || c.HashIndex("t", "v") != h1 {
-		t.Error("accessors should return built indexes")
-	}
-	if c.HashIndex("t", "id") != nil {
+	if c.OrderedIndex("t", "id") != nil {
 		t.Error("unbuilt index should be nil")
 	}
 }
@@ -93,11 +87,8 @@ func TestIndexesBuiltAndCached(t *testing.T) {
 func TestIndexErrors(t *testing.T) {
 	c := New(nil)
 	c.AddRelation(sampleRelation("t", 5))
-	if _, err := c.BuildHashIndex("ghost", "v"); err == nil {
+	if _, err := c.BuildOrderedIndex("ghost", "v"); err == nil {
 		t.Error("unknown table should error")
-	}
-	if _, err := c.BuildHashIndex("t", "ghostcol"); err == nil {
-		t.Error("unknown column should error")
 	}
 	if _, err := c.BuildOrderedIndex("t", "ghostcol"); err == nil {
 		t.Error("unknown column should error")
@@ -107,11 +98,11 @@ func TestIndexErrors(t *testing.T) {
 func TestReplaceRelationDropsIndexes(t *testing.T) {
 	c := New(nil)
 	c.AddRelation(sampleRelation("t", 5))
-	if _, err := c.BuildHashIndex("t", "v"); err != nil {
+	if _, err := c.BuildOrderedIndex("t", "v"); err != nil {
 		t.Fatal(err)
 	}
 	c.AddRelation(sampleRelation("t", 8))
-	if c.HashIndex("t", "v") != nil {
+	if c.OrderedIndex("t", "v") != nil {
 		t.Error("replacing a relation must drop its indexes")
 	}
 	if c.Cardinality("t") != 8 {
@@ -162,7 +153,7 @@ func TestDropTable(t *testing.T) {
 		ChildTable: "child", ChildColumn: "v",
 		ParentTable: "parent", ParentColumn: "id",
 	})
-	if _, err := c.BuildHashIndex("parent", "id"); err != nil {
+	if _, err := c.BuildOrderedIndex("parent", "id"); err != nil {
 		t.Fatal(err)
 	}
 	if !c.DropTable("PARENT") {
@@ -171,7 +162,7 @@ func TestDropTable(t *testing.T) {
 	if _, err := c.Relation("parent"); err == nil {
 		t.Error("relation should be gone")
 	}
-	if c.Stats("parent") != nil || c.HashIndex("parent", "id") != nil {
+	if c.Stats("parent") != nil || c.OrderedIndex("parent", "id") != nil {
 		t.Error("stats/indexes should be gone")
 	}
 	if len(c.ForeignKeys()) != 0 {
@@ -206,11 +197,6 @@ func TestSetStats(t *testing.T) {
 	if c.Stats("t") != nil {
 		t.Error("SetStats(nil) should remove the synopsis")
 	}
-}
-
-// HashIndex returns the hash index on table.column if one has been built.
-func (c *Catalog) HashIndex(table, column string) *index.Hash {
-	return c.hashIdx[key(table)][key(column)]
 }
 
 // OrderedIndex returns the ordered index on table.column if one has been

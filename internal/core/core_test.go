@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/index"
 	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -37,13 +36,12 @@ func seq(n int64) []int64 {
 // Scan(R1) -> Filter -> INLJoin(index on R2.B). The outer arrival order is
 // controlled by order (nil = stored order).
 func example1Plan(r1, r2 *schema.Relation, passPred expr.Expr, order []int32, linear bool) (*exec.INLJoin, *exec.Scan) {
-	ix := index.BuildHash("hx", r2, 0)
 	scan := exec.NewScanWithOrder(r1, order)
 	var outer exec.Operator = scan
 	if passPred != nil {
 		outer = exec.NewFilter(scan, passPred)
 	}
-	j := exec.NewINLJoin(outer, ix, expr.NewCol(outer.Schema(), r1.Name, "a"), exec.InnerJoin)
+	j := exec.NewINLJoin(outer, r2, 0, expr.NewCol(outer.Schema(), r1.Name, "a"), exec.InnerJoin)
 	j.Linear = linear
 	return j, scan
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/index"
 	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -60,9 +59,8 @@ func batchPlans() []struct {
 				LeftOuterJoin)
 		}},
 		{name: "inl_join", build: func() Operator {
-			ix := index.BuildHash("hx", s, 0)
 			scanR := NewScan(r)
-			return NewINLJoin(scanR, ix, col(scanR, "r", "a"), InnerJoin)
+			return NewINLJoin(scanR, s, 0, col(scanR, "r", "a"), InnerJoin)
 		}},
 		{name: "sort_top", build: func() Operator {
 			sc := NewScan(big)

@@ -373,9 +373,8 @@ func TestHashJoinLeftOuter(t *testing.T) {
 func TestINLJoinMatchesHashJoin(t *testing.T) {
 	r := relOf("r", []string{"a", "x"}, [][]int64{{1, 10}, {2, 20}, {2, 21}, {4, 40}, {7, 70}})
 	s := relOf("s", []string{"b", "y"}, [][]int64{{2, 200}, {2, 201}, {3, 300}, {4, 400}})
-	ix := index.BuildHash("hx", s, 0)
 	scanR := NewScan(r)
-	j := NewINLJoin(scanR, ix, col(scanR, "r", "a"), InnerJoin)
+	j := NewINLJoin(scanR, s, 0, col(scanR, "r", "a"), InnerJoin)
 	rows, err := RunBatch(NewCtx(), j)
 	if err != nil {
 		t.Fatal(err)
@@ -393,10 +392,9 @@ func TestINLJoinAccountingMatchesPaperExample(t *testing.T) {
 	}
 	r1 := relOf("r1", []string{"a"}, r1Rows)
 	r2 := relOf("r2", []string{"b"}, [][]int64{{3}, {3}, {3}, {3}, {9}})
-	ix := index.BuildHash("hx", r2, 0)
 	scan := NewScan(r1)
 	filter := NewFilter(scan, expr.Compare(expr.EQ, col(scan, "r1", "a"), intLit(3)))
-	join := NewINLJoin(filter, ix, expr.NewCol(filter.Schema(), "r1", "a"), InnerJoin)
+	join := NewINLJoin(filter, r2, 0, expr.NewCol(filter.Schema(), "r1", "a"), InnerJoin)
 	ctx := NewCtx()
 	rows, err := RunBatch(ctx, join)
 	if err != nil {
@@ -416,15 +414,14 @@ func TestINLJoinAccountingMatchesPaperExample(t *testing.T) {
 func TestINLJoinSemiAnti(t *testing.T) {
 	r := relOf("r", []string{"a"}, [][]int64{{1}, {2}, {3}})
 	s := relOf("s", []string{"b"}, [][]int64{{2}, {2}})
-	ix := index.BuildHash("hx", s, 0)
 	scanR := NewScan(r)
-	semi := NewINLJoin(scanR, ix, col(scanR, "r", "a"), SemiJoin)
+	semi := NewINLJoin(scanR, s, 0, col(scanR, "r", "a"), SemiJoin)
 	rows, err := RunBatch(NewCtx(), semi)
 	if err != nil || len(rows) != 1 || rows[0][0].AsInt() != 2 {
 		t.Errorf("INL semi = %v, %v", rowsToStrings(rows), err)
 	}
 	scanR2 := NewScan(r)
-	anti := NewINLJoin(scanR2, ix, col(scanR2, "r", "a"), AntiJoin)
+	anti := NewINLJoin(scanR2, s, 0, col(scanR2, "r", "a"), AntiJoin)
 	rows, err = RunBatch(NewCtx(), anti)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("INL anti = %v, %v", rowsToStrings(rows), err)
@@ -434,9 +431,8 @@ func TestINLJoinSemiAnti(t *testing.T) {
 func TestINLJoinLeftOuter(t *testing.T) {
 	r := relOf("r", []string{"a"}, [][]int64{{1}, {2}})
 	s := relOf("s", []string{"b"}, [][]int64{{2}})
-	ix := index.BuildHash("hx", s, 0)
 	scanR := NewScan(r)
-	j := NewINLJoin(scanR, ix, col(scanR, "r", "a"), LeftOuterJoin)
+	j := NewINLJoin(scanR, s, 0, col(scanR, "r", "a"), LeftOuterJoin)
 	rows, err := RunBatch(NewCtx(), j)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("INL left outer = %v, %v", rowsToStrings(rows), err)
@@ -708,9 +704,8 @@ func TestJoinAlgorithmsAgreeRandomized(t *testing.T) {
 		sameRows(t, hRows, want, fmt.Sprintf("hash seed=%d", seed))
 
 		// INL join.
-		ix := index.BuildHash("hx", s, 0)
 		scanR2 := NewScan(r)
-		inl := NewINLJoin(scanR2, ix, col(scanR2, "r", "a"), InnerJoin)
+		inl := NewINLJoin(scanR2, s, 0, col(scanR2, "r", "a"), InnerJoin)
 		iRows, err := RunBatch(NewCtx(), inl)
 		if err != nil {
 			t.Fatal(err)
@@ -771,10 +766,9 @@ func TestJoinFinalBounds(t *testing.T) {
 
 func TestINLBoundsUseIndexFanout(t *testing.T) {
 	s := relOf("s", []string{"b"}, [][]int64{{1}, {1}, {1}, {2}})
-	ix := index.BuildHash("hx", s, 0)
 	r := relOf("r", []string{"a"}, [][]int64{{1}, {2}})
 	scanR := NewScan(r)
-	j := NewINLJoin(scanR, ix, col(scanR, "r", "a"), InnerJoin)
+	j := NewINLJoin(scanR, s, 0, col(scanR, "r", "a"), InnerJoin)
 	b := j.FinalBounds([]CardBounds{{2, 2}})
 	// UB = outer * maxFanout = 2*3 = 6 (less than 2*4 = 8 via innerCard).
 	if b.UB != 6 {
@@ -783,6 +777,41 @@ func TestINLBoundsUseIndexFanout(t *testing.T) {
 	j.Linear = true
 	if b := j.FinalBounds([]CardBounds{{2, 2}}); b.UB != 4 {
 		t.Errorf("linear INL UB = %d, want max(2,4)=4", b.UB)
+	}
+
+	// Over a skewed inner column of any kind — dense or sparse integers, or
+	// strings — UB is the outer UB times the most inner rows one outer key
+	// finds. Inner keys that round to one float64 count together, since a
+	// float outer key finds them all.
+	const two53 = int64(1) << 53
+	ints := func(ks ...int64) []sqlval.Value {
+		vs := make([]sqlval.Value, len(ks))
+		for i, k := range ks {
+			vs[i] = sqlval.Int(k)
+		}
+		return vs
+	}
+	null, str := sqlval.Null(), sqlval.String
+	cases := []struct {
+		name  string
+		inner []sqlval.Value
+		most  int64
+	}{
+		{"dense-int", append(ints(1, 2, 1, 3, 1, 4, 1), null, null, null, null, null), 4},
+		{"sparse-int", ints(1e12, -5, 1e12, 7e15, 1e12, 42), 3},
+		{"string", []sqlval.Value{str("a"), str("b"), str("a"), str("c"), str("a"), str("a"), str("d")}, 4},
+		{"2^53", ints(two53+1, 5, two53, two53+1, 6, 7), 3},
+	}
+	const outerUB = 10
+	for _, c := range cases {
+		inner := relOf("s", []string{"b"}, nil)
+		for _, k := range c.inner {
+			inner.Append(schema.Row{k})
+		}
+		j := NewINLJoin(scanR, inner, 0, col(scanR, "r", "a"), InnerJoin)
+		if got := j.FinalBounds([]CardBounds{{0, outerUB}}).UB; got != outerUB*c.most {
+			t.Errorf("%s: UB = %d, want %d × %d", c.name, got, outerUB, c.most)
+		}
 	}
 }
 

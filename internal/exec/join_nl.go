@@ -4,33 +4,34 @@ import (
 	"fmt"
 
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/index"
 	"sqlprogress/internal/schema"
-	"sqlprogress/internal/sqlval"
 )
 
-// INLJoin is an index nested loops join: for every outer row it seeks an
-// index on the inner base relation. The inner lookup is an access path, not
+// INLJoin is an index nested loops join: for every outer row it seeks the
+// inner base relation's join column. The inner lookup is an access path, not
 // a counted plan node — only the join's own output counts, matching the
 // paper's Example 1 accounting. This is the paper's canonical nested-
 // iteration operator, the one that makes worst-case progress estimation
 // impossible (Section 3).
+//
+// The access path is the hash join's table (joinTable) over the inner
+// relation, built once when the plan is built: it outlives Open/Close, so a
+// rescan seeks the same table.
 type INLJoin struct {
 	base
 	stream   // over the outer side
 	outer    Operator
-	Idx      *index.Hash
-	OuterKey expr.Expr
+	inner    *schema.Relation
+	innerCol int
 	Mode     JoinMode
 	// Linear marks key–foreign-key joins (output at most the larger input).
 	Linear bool
 
-	pad schema.Row
-	// keyCol is OuterKey's column index when it is a bare column reference
-	// (-1 otherwise); the probe loop then reads the value directly instead
-	// of going through the Expr interface.
-	keyCol int
-	arena  rowArena // chunked backing storage for concatenated outputs
+	table     joinTable
+	maxFanout int64        // the most inner rows one outer key can match
+	matchBuf  []schema.Row // reused lookup result buffer
+	pad       schema.Row   // NULL padding for left outer
+	arena     rowArena     // chunked backing storage for concatenated outputs
 
 	static *CardBounds
 	pessimistic
@@ -42,17 +43,24 @@ type INLJoin struct {
 // refinement of the dynamic bounds is preserved.
 func (j *INLJoin) SetStaticBounds(b CardBounds) { j.static = &b }
 
-// NewINLJoin builds an index nested loops join probing idx with the value of
-// outerKey for each outer row.
-func NewINLJoin(outer Operator, idx *index.Hash, outerKey expr.Expr, mode JoinMode) *INLJoin {
+// NewINLJoin builds an index nested loops join seeking column innerCol of
+// inner with the value of outerKey for each outer row. It builds the lookup
+// table over a copy of inner's rows.
+func NewINLJoin(outer Operator, inner *schema.Relation, innerCol int, outerKey expr.Expr, mode JoinMode) *INLJoin {
 	var sch *schema.Schema
 	switch mode {
 	case SemiJoin, AntiJoin:
 		sch = outer.Schema()
 	default:
-		sch = outer.Schema().Concat(idx.Rel.Schema())
+		sch = outer.Schema().Concat(inner.Schema())
 	}
-	j := &INLJoin{outer: outer, Idx: idx, OuterKey: outerKey, Mode: mode}
+	j := &INLJoin{
+		outer: outer, inner: inner, innerCol: innerCol, Mode: mode,
+		table: joinTable{buildKeys: []expr.Expr{expr.Col{Index: innerCol}}, probeKeys: []expr.Expr{outerKey}},
+		pad:   make(schema.Row, inner.Schema().Len()), // zero Values are NULL
+	}
+	j.table.build(append([]schema.Row(nil), inner.Rows...))
+	j.maxFanout = j.table.maxFanout()
 	j.init(sch)
 	return j
 }
@@ -61,84 +69,17 @@ func NewINLJoin(outer Operator, idx *index.Hash, outerKey expr.Expr, mode JoinMo
 func (j *INLJoin) Open(ctx *Ctx) error {
 	j.reopen()
 	j.reset()
-	j.pad = make(schema.Row, j.Idx.Rel.Schema().Len())
-	j.keyCol = -1
-	if c, ok := j.OuterKey.(expr.Col); ok {
-		j.keyCol = c.Index
-	}
 	return j.outer.Open(ctx)
 }
 
-// NextBatch implements Operator: the inner index lookup is an uncounted
-// access path, so seeking it for a whole outer chunk at once (stream) moves
-// no counted work, and at want == 1 an outer row's further matches wait for
-// the next pulls.
+// NextBatch implements Operator: the inner lookup is an uncounted access
+// path, so seeking it for a whole outer chunk at once (stream) moves no
+// counted work, and at want == 1 an outer row's further matches wait for the
+// next pulls.
 func (j *INLJoin) NextBatch(ctx *Ctx, b *Batch, want int) error {
-	return j.pull(ctx, &j.base, j.outer, b, want, j.probeBatch)
-}
-
-// probeBatch probes the index with every outer row of in, appending join
-// output to b, and returns the number of rows emitted. When
-// the join is an inner equijoin on a bare column and the index built its
-// dense table, the probe loop inlines each lookup to a bounds check and two
-// slice indexings; every other shape takes the general Lookup path.
-func (j *INLJoin) probeBatch(in []schema.Row, b *Batch) int {
-	rows := j.Idx.Rel.Rows
-	if j.Mode == InnerJoin && j.keyCol >= 0 {
-		if off, pos, lo, ok := j.Idx.Dense(); ok {
-			emitted := 0
-			for _, outer := range in {
-				v := outer[j.keyCol]
-				var found []int32
-				if v.Kind() == sqlval.KindInt {
-					// Negative slots wrap to huge uint64s, so one compare
-					// rejects both out-of-range directions.
-					if slot := v.AsInt() - lo; uint64(slot) < uint64(len(off)-1) {
-						found = pos[off[slot]:off[slot+1]]
-					}
-				} else {
-					found = j.Idx.Lookup(v)
-				}
-				for _, idx := range found {
-					b.Append(j.arena.concat(outer, rows[idx]))
-				}
-				emitted += len(found)
-			}
-			return emitted
-		}
-	}
-	emitted := 0
-	for _, outer := range in {
-		found := j.Idx.Lookup(j.OuterKey.Eval(outer))
-		switch j.Mode {
-		case SemiJoin:
-			if len(found) > 0 {
-				b.Append(outer)
-				emitted++
-			}
-		case AntiJoin:
-			if len(found) == 0 {
-				b.Append(outer)
-				emitted++
-			}
-		case LeftOuterJoin:
-			if len(found) == 0 {
-				b.Append(j.arena.concat(outer, j.pad))
-				emitted++
-			} else {
-				for _, idx := range found {
-					b.Append(j.arena.concat(outer, rows[idx]))
-					emitted++
-				}
-			}
-		default:
-			for _, idx := range found {
-				b.Append(j.arena.concat(outer, rows[idx]))
-				emitted++
-			}
-		}
-	}
-	return emitted
+	return j.pull(ctx, &j.base, j.outer, b, want, func(in []schema.Row, out *Batch) int {
+		return j.table.probe(j.Mode, in, out, &j.matchBuf, j.pad, j.arena.concat)
+	})
 }
 
 // Close implements Operator.
@@ -149,15 +90,15 @@ func (j *INLJoin) Children() []Operator { return []Operator{j.outer} }
 
 // Name implements Operator.
 func (j *INLJoin) Name() string {
-	return fmt.Sprintf("INLJoin[%s%s](%s)", j.Mode, linTag(j.Linear), j.Idx)
+	return fmt.Sprintf("INLJoin[%s%s](hash(%s.%s))", j.Mode, linTag(j.Linear), j.inner.Name, j.inner.Sch.Columns[j.innerCol].Name)
 }
 
 // FinalBounds implements Operator. The inner relation is visible through the
-// index: its cardinality and maximum per-key fan-out bound the output. Any
-// static (histogram-derived) bounds are intersected in.
+// access path: its cardinality and maximum per-key fan-out bound the output.
+// Any static (histogram-derived) bounds are intersected in.
 func (j *INLJoin) FinalBounds(ch []CardBounds) CardBounds {
 	outer := ch[0]
-	innerCard := j.Idx.Rel.Cardinality()
+	innerCard := j.inner.Cardinality()
 	var b CardBounds
 	switch j.Mode {
 	case SemiJoin, AntiJoin:
@@ -165,14 +106,13 @@ func (j *INLJoin) FinalBounds(ch []CardBounds) CardBounds {
 	case LeftOuterJoin:
 		// Matched output obeys the inner-join bound; unmatched outer rows
 		// pad, so the outer side is added on top.
-		matched := minI64(SatMul(outer.UB, j.Idx.MaxFanout()), SatMul(outer.UB, innerCard))
+		matched := minI64(SatMul(outer.UB, j.maxFanout), SatMul(outer.UB, innerCard))
 		if j.Linear {
 			matched = minI64(matched, maxI64(outer.UB, innerCard))
 		}
 		return CardBounds{LB: outer.LB, UB: SatAdd(matched, outer.UB)}
 	default:
-		fan := j.Idx.MaxFanout()
-		ub := minI64(SatMul(outer.UB, fan), SatMul(outer.UB, innerCard))
+		ub := minI64(SatMul(outer.UB, j.maxFanout), SatMul(outer.UB, innerCard))
 		if j.Linear {
 			ub = minI64(ub, maxI64(outer.UB, innerCard))
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sqlprogress/internal/expr"
-	"sqlprogress/internal/index"
 	"sqlprogress/internal/ledger"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
@@ -75,7 +74,7 @@ func strideJoins(mode JoinMode, wide, cancel, misses bool) map[string]Operator {
 	return map[string]Operator{
 		"hash": NewHashJoin(build, hp,
 			[]expr.Expr{col(build, "s", "b")}, []expr.Expr{col(hp, "r", "a")}, mode),
-		"inl": NewINLJoin(ip, index.BuildHash("hx", inner, 0), col(ip, "r", "a"), mode),
+		"inl": NewINLJoin(ip, inner, 0, col(ip, "r", "a"), mode),
 	}
 }
 

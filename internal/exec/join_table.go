@@ -1,14 +1,16 @@
 package exec
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 
 	"sqlprogress/internal/expr"
 	"sqlprogress/internal/schema"
 	"sqlprogress/internal/sqlval"
 )
 
-// joinTable is the hash table under HashJoin: the build
+// joinTable is the hash table under HashJoin and INLJoin: the build
 // rows laid out bucket-contiguous by a counting sort over a power-of-two slot
 // array — slot s holds rows[off[s]:off[s+1]], in build order — with one
 // 64-bit word per row beside them, so that a probe rejects a candidate
@@ -63,6 +65,29 @@ func (t *joinTable) fill(words []uint64, slots int) {
 		*at++
 	}
 	t.off = off[:slots+1]
+}
+
+// maxFanout is the most build rows one probe can find: the longest run of
+// equal words. An integer word counts as its float64 image, the form
+// sqlval.Hash hashes an integer in: a float probe at or beyond 2^53 finds
+// every integer that rounds to it, and below 2^53 the image is the integer.
+func (t *joinTable) maxFanout() int64 {
+	words := slices.Clone(t.words)
+	if t.exact {
+		for i, w := range words {
+			words[i] = math.Float64bits(float64(int64(w)))
+		}
+	}
+	slices.Sort(words)
+	var most, run int64
+	for i := range words {
+		if i == 0 || words[i] != words[i-1] {
+			run = 0
+		}
+		run++
+		most = max(most, run)
+	}
+	return most
 }
 
 // release drops the table's storage.

@@ -132,11 +132,13 @@ func TestJoinTableBucketIsReturnedWhole(t *testing.T) {
 	}
 }
 
-// TestJoinTableJoinsAgree runs the hash join, in both pull regimes, over
-// inputs with duplicate, NULL, float and string keys and holds every mode to
-// a nested-loop reference: in particular an anti join emits the NULL-keyed
-// probe rows and a left outer join pads them.
+// TestJoinTableJoinsAgree runs the hash join and the INL join, in both pull
+// regimes, over inputs with duplicate, NULL, float and string keys and holds
+// every mode to a nested-loop reference: in particular an anti join emits
+// the NULL-keyed probe rows and a left outer join pads them, and
+// Float(2^53) finds both Int(2^53) and Int(2^53+1), which round to it.
 func TestJoinTableJoinsAgree(t *testing.T) {
+	const two53 = int64(1) << 53
 	mixed := func(name, key string, keys ...sqlval.Value) *schema.Relation {
 		rel := relOf(name, []string{key, "id"}, nil)
 		for i, k := range keys {
@@ -159,6 +161,7 @@ func TestJoinTableJoinsAgree(t *testing.T) {
 			probeKeys = append(probeKeys, vInt(int64(i%29)))
 		}
 	}
+	probeKeys = append(probeKeys, vFloat(float64(two53)), vInt(two53), vInt(two53+1))
 	intBuild := []sqlval.Value{vNull}
 	for i := 0; i < 70; i++ {
 		intBuild = append(intBuild, vInt(int64(i%23)))
@@ -167,6 +170,11 @@ func TestJoinTableJoinsAgree(t *testing.T) {
 		"int-build":   intBuild,
 		"mixed-build": append(append([]sqlval.Value{}, intBuild...), vStr("3"), vFloat(4), vStr("3"), vFloat(6.5)),
 		"empty-build": nil,
+		"2^53-build":  {vNull, vInt(two53), vInt(two53 + 1)},
+	}
+	joins := map[string]func(*schema.Relation, *schema.Relation, JoinMode) Operator{
+		"hash": func(p, b *schema.Relation, mode JoinMode) Operator { return serialJoinOf(p, b, mode) },
+		"inl":  func(p, b *schema.Relation, mode JoinMode) Operator { return inlJoinOf(p, b, mode) },
 	}
 	probe := mixed("p", "a", probeKeys...)
 	for bname, bkeys := range builds {
@@ -190,16 +198,18 @@ func TestJoinTableJoinsAgree(t *testing.T) {
 					want = append(want, p)
 				}
 			}
-			for _, batch := range []bool{false, true} {
-				run := runExact
-				if batch {
-					run = RunBatch
+			for jname, join := range joins {
+				for _, batch := range []bool{false, true} {
+					run := runExact
+					if batch {
+						run = RunBatch
+					}
+					got, err := run(NewCtx(), join(probe, build, mode))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameRows(t, got, want, fmt.Sprintf("%s %s mode=%v batch=%v", jname, bname, mode, batch))
 				}
-				got, err := run(NewCtx(), serialJoinOf(probe, build, mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, got, want, fmt.Sprintf("%s mode=%v batch=%v", bname, mode, batch))
 			}
 		}
 	}
@@ -224,6 +234,12 @@ func TestJoinTableBuildBufferSizedOnce(t *testing.T) {
 		}
 		j.Close()
 	}
+}
+
+// inlJoinOf is serialJoinOf as an INL join: build is the inner relation.
+func inlJoinOf(probe, build *schema.Relation, mode JoinMode) *INLJoin {
+	sp := NewScan(probe)
+	return NewINLJoin(sp, build, 0, col(sp, "p", "a"), mode)
 }
 
 func serialJoinOf(probe, build *schema.Relation, mode JoinMode) *HashJoin {

@@ -25,44 +25,6 @@ func relationWithNulls(vals []int64, nulls int) *schema.Relation {
 	return rel
 }
 
-func TestHashLookup(t *testing.T) {
-	rel := intRelation(5, 3, 5, 7, 5)
-	h := BuildHash("ix", rel, 0)
-	if got := len(h.Lookup(sqlval.Int(5))); got != 3 {
-		t.Errorf("lookup(5) found %d rows, want 3", got)
-	}
-	if got := len(h.Lookup(sqlval.Int(3))); got != 1 {
-		t.Errorf("lookup(3) found %d rows, want 1", got)
-	}
-	if got := len(h.Lookup(sqlval.Int(99))); got != 0 {
-		t.Errorf("lookup(99) found %d rows, want 0", got)
-	}
-	if got := len(h.Lookup(sqlval.Null())); got != 0 {
-		t.Errorf("lookup(NULL) found %d rows, want 0", got)
-	}
-	if h.MaxFanout() < 3 {
-		t.Errorf("MaxFanout = %d, want >= 3", h.MaxFanout())
-	}
-}
-
-func TestHashSkipsNulls(t *testing.T) {
-	rel := relationWithNulls([]int64{1, 2}, 3)
-	h := BuildHash("ix", rel, 0)
-	if got := len(h.Lookup(sqlval.Int(1))); got != 1 {
-		t.Errorf("lookup(1) = %d rows", got)
-	}
-}
-
-func TestHashLookupPositionsPointIntoRelation(t *testing.T) {
-	rel := intRelation(10, 20, 10)
-	h := BuildHash("ix", rel, 0)
-	for _, pos := range h.Lookup(sqlval.Int(10)) {
-		if rel.Rows[pos][0].AsInt() != 10 {
-			t.Errorf("position %d holds %v", pos, rel.Rows[pos][0])
-		}
-	}
-}
-
 func TestOrderedSeekEqual(t *testing.T) {
 	rel := intRelation(5, 3, 5, 7, 5, 1)
 	o := BuildOrdered("ix", rel, 0)
@@ -118,31 +80,6 @@ func TestOrderedRangeSkipsNulls(t *testing.T) {
 	o := BuildOrdered("ix", rel, 0)
 	if r := o.SeekRange(nil, nil, false, false); r.Count() != 3 {
 		t.Errorf("full open range count = %d, want 3 (NULLs excluded)", r.Count())
-	}
-}
-
-// Property: hash lookup agrees with a linear scan on random multisets.
-func TestHashMatchesScanQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(200)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = r.Int63n(20)
-		}
-		rel := intRelation(vals...)
-		h := BuildHash("ix", rel, 0)
-		probe := r.Int63n(25)
-		want := 0
-		for _, v := range vals {
-			if v == probe {
-				want++
-			}
-		}
-		return len(h.Lookup(sqlval.Int(probe))) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -168,7 +168,7 @@ func encodeMeta(name string, sch *schema.Schema, dataPages, dirPages uint32, row
 // HeapFile is an opened heap file: geometry and schema in memory, data
 // pages on disk behind the backend.
 type HeapFile struct {
-	backend *FileBackend
+	backend Backend
 	name    string
 	sch     *schema.Schema
 	rows    int64
@@ -197,7 +197,9 @@ func OpenHeapFile(path string) (*HeapFile, error) {
 	return hf, nil
 }
 
-func readHeapMeta(b *FileBackend) (*HeapFile, error) {
+// readHeapMeta reads and checks the meta and directory pages. Every count
+// it allocates by is held to the file's page count first.
+func readHeapMeta(b Backend) (*HeapFile, error) {
 	page := make([]byte, PageSize)
 	if err := b.ReadPage(0, page); err != nil {
 		return nil, err
@@ -240,11 +242,13 @@ func readHeapMeta(b *FileBackend) (*HeapFile, error) {
 		cols[i] = schema.Column{Table: name, Name: string(buf[n : n+int(l)]), Type: kind}
 		buf = buf[n+int(l):]
 	}
-	if wantDir := (dataPages + dirEntriesPerPage - 1) / dirEntriesPerPage; dirPages != wantDir {
+	// Both sums in 64 bits: in uint32 they can wrap, and a header naming
+	// billions of pages would pass against a one-page file.
+	if wantDir := (uint64(dataPages) + dirEntriesPerPage - 1) / dirEntriesPerPage; uint64(dirPages) != wantDir {
 		return nil, fmt.Errorf("directory size %d pages, expected %d", dirPages, wantDir)
 	}
-	if b.NumPages() != 1+dirPages+dataPages {
-		return nil, fmt.Errorf("file has %d pages, header says %d", b.NumPages(), 1+dirPages+dataPages)
+	if pages := 1 + uint64(dirPages) + uint64(dataPages); uint64(b.NumPages()) != pages {
+		return nil, fmt.Errorf("file has %d pages, header says %d", b.NumPages(), pages)
 	}
 	cum := make([]int64, dataPages+1)
 	for p := uint32(0); p < dirPages; p++ {
@@ -285,7 +289,7 @@ func (h *HeapFile) DataStart() uint32 { return h.dataStart }
 
 // Backend returns the file's backend (the seam fault wrappers interpose
 // on).
-func (h *HeapFile) Backend() *FileBackend { return h.backend }
+func (h *HeapFile) Backend() Backend { return h.backend }
 
 // Close closes the underlying file.
 func (h *HeapFile) Close() error { return h.backend.Close() }

@@ -14,7 +14,7 @@ import (
 
 // testRel builds an in-memory relation of n rows (a BIGINT, b VARCHAR,
 // c DOUBLE) with deterministic contents.
-func testRel(t *testing.T, name string, n int) *schema.Relation {
+func testRel(t testing.TB, name string, n int) *schema.Relation {
 	t.Helper()
 	rel := schema.NewRelation(name, schema.New(
 		schema.Column{Name: "a", Type: sqlval.KindInt},

@@ -192,7 +192,7 @@ func columnBase(sch *schema.Schema, name string) (table, col string) {
 // bound is sound only if the side delivers each base-table row at most once
 // — filtering shrinks degrees, but a join beneath can duplicate them — so
 // the side's operator must be a base-relation scan. Pass op == nil for a
-// side that is the base relation by construction (an INL probe index).
+// side that is the base relation by construction (an INL join's inner).
 // Norms come from the column's histogram (stale-widened via DegreeNorms); a
 // declared-unique column needs no synopsis, its degrees are uniform.
 func (b *Builder) sideDegreeNorms(op exec.Operator, sch *schema.Schema, col string) (stats.DegreeSeq, bool) {
@@ -326,19 +326,17 @@ func hashJoin(probe, build Node, probeCols, buildCols []string, mode exec.JoinMo
 	return probe.finish(op, joinEstimate(mode, probe.est, build.est, op.Linear))
 }
 
-// INLJoin joins n (outer) against an index on innerTable.innerCol, seeking
-// with outerCol's value — the paper's nested-iteration access path.
+// INLJoin joins n (outer) against innerTable, seeking innerCol with
+// outerCol's value — the paper's nested-iteration access path.
 func (n Node) INLJoin(innerTable, innerCol, outerCol string, mode exec.JoinMode) Node {
-	ix, err := n.b.cat.BuildHashIndex(innerTable, innerCol)
-	if err != nil {
-		panic(err)
-	}
-	op := exec.NewINLJoin(n.Op, ix, expr.NewCol(n.Schema(), "", outerCol), mode)
-	op.Linear = n.b.joinLinear(n.Schema(), outerCol, ix.Rel.Schema(), innerCol)
-	// The inner side is the indexed base relation by construction (nil op
-	// skips the scan-type guard).
-	n.b.setLpJoinBound(op, mode, n.Op, n.Schema(), outerCol, nil, ix.Rel.Schema(), innerCol)
-	innerEst := float64(ix.Rel.Cardinality())
+	inner := n.b.cat.MustRelation(innerTable)
+	ci := inner.Sch.MustColIndex("", innerCol)
+	op := exec.NewINLJoin(n.Op, inner, ci, expr.NewCol(n.Schema(), "", outerCol), mode)
+	op.Linear = n.b.joinLinear(n.Schema(), outerCol, inner.Schema(), innerCol)
+	// The inner side is the base relation by construction (nil op skips the
+	// scan-type guard).
+	n.b.setLpJoinBound(op, mode, n.Op, n.Schema(), outerCol, nil, inner.Schema(), innerCol)
+	innerEst := float64(inner.Cardinality())
 	// When the outer key is unique (a key-FK join driven from the key side),
 	// every inner row is emitted at most once, so inner rows with a non-NULL
 	// key are a hard output ceiling. The inner column's histogram counts them
@@ -351,7 +349,6 @@ func (n Node) INLJoin(innerTable, innerCol, outerCol string, mode exec.JoinMode)
 	// the staleness budget instead of abandoning it.
 	if ot, oc := columnBase(n.Schema(), outerCol); mode == exec.InnerJoin && ot != "" && n.b.cat.IsUnique(ot, oc) {
 		if ts := n.b.cat.Stats(innerTable); ts != nil {
-			ci, _ := ix.Rel.Sch.ColIndex("", innerCol)
 			if h := ts.Histogram(ci); h != nil && len(h.Buckets) > 0 {
 				re := h.EstimateRange(nil, nil, true, true)
 				sb := exec.CardBounds{LB: 0, UB: re.UB}

@@ -109,7 +109,7 @@ func TestRowHelpers(t *testing.T) {
 		enc[i] = 'x'
 	}
 	for i, v := range want {
-		if !sqlval.Equal(c[i], v) || c[i].Kind() != v.Kind() {
+		if sqlval.Compare(c[i], v) != 0 || c[i].Kind() != v.Kind() {
 			t.Errorf("clone value %d is %s after its source bytes were overwritten, want %s", i, c[i], v)
 		}
 	}

@@ -64,7 +64,7 @@ func (k Kind) String() string {
 //
 // Value is not comparable: == or a map key would compare string data
 // pointers, not contents, so the zero-length func array makes both a compile
-// error. Compare values with Equal or Compare.
+// error. Compare values with Compare.
 type Value struct {
 	_ [0]func()
 	p unsafe.Pointer
@@ -278,43 +278,18 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
-// Equal reports SQL equality treating NULL = NULL as true; use for grouping
-// and hashing (not WHERE semantics, where NULL = NULL is unknown — the
-// expression evaluator handles that distinction). Same-kind values take a
-// direct field comparison; only mixed numeric kinds fall back to the full
-// total-order comparison — Equal sits on the hash-lookup hot path.
-func Equal(a, b Value) bool {
-	if ak := a.Kind(); ak == b.Kind() {
-		switch ak {
-		case KindNull:
-			return true
-		case KindInt, KindBool, KindDate:
-			return a.i == b.i
-		case KindFloat:
-			// Via AsFloat, not payload bits: +0 and -0 differ in bits but
-			// compare equal; NaNs compare equal to each other under the
-			// total order.
-			af, bf := a.AsFloat(), b.AsFloat()
-			return af == bf || (math.IsNaN(af) && math.IsNaN(bf))
-		case KindString:
-			return a.str() == b.str()
-		}
-	}
-	return Compare(a, b) == 0
-}
-
 var hashSeed = maphash.MakeSeed()
 
 // hashKey is the canonical comparable form a value hashes through: a kind
 // tag plus the payload bits. Integers, floats holding integral values, and
-// bools/dates sharing a payload are tagged so that Equal values produce
-// equal keys.
+// bools/dates sharing a payload are tagged so that values that Compare
+// equal produce equal keys.
 type hashKey struct {
 	tag  uint8
 	bits uint64
 }
 
-// Hash returns a hash of the value consistent with Equal: integers and
+// Hash returns a hash of the value consistent with Compare: integers and
 // floats holding the same numeric value, and dates holding the same day,
 // hash alike when they compare equal. Hashing goes through
 // maphash.Comparable (the runtime's AES-based hasher) rather than a

@@ -77,7 +77,7 @@ func TestDateParsing(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 	tm := time.Date(1995, 3, 15, 13, 30, 0, 0, time.UTC)
-	if got, want := DateFromTime(tm), MustParseDate("1995-03-15"); !Equal(got, want) {
+	if got, want := DateFromTime(tm), MustParseDate("1995-03-15"); Compare(got, want) != 0 {
 		t.Errorf("DateFromTime = %v, want %v", got, want)
 	}
 	defer func() {
@@ -142,7 +142,7 @@ func randValue(r *rand.Rand) Value {
 }
 
 // Property: Compare is antisymmetric and transitive (spot-checked via sorted
-// triples), and Equal values hash identically.
+// triples), and values that Compare equal hash identically.
 func TestComparePropertyQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 2000}
 	antisym := func(seed int64) bool {
@@ -173,7 +173,7 @@ func TestComparePropertyQuick(t *testing.T) {
 	hashEq := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randValue(r), randValue(r)
-		if Equal(a, b) {
+		if Compare(a, b) == 0 {
 			return Hash(a) == Hash(b)
 		}
 		return true
@@ -193,19 +193,19 @@ func TestHashCrossKindNumericEquality(t *testing.T) {
 }
 
 func TestArithmetic(t *testing.T) {
-	if got := Add(Int(2), Int(3)); !Equal(got, Int(5)) {
+	if got := Add(Int(2), Int(3)); Compare(got, Int(5)) != 0 {
 		t.Errorf("2+3 = %v", got)
 	}
-	if got := Add(Int(2), Float(0.5)); !Equal(got, Float(2.5)) {
+	if got := Add(Int(2), Float(0.5)); Compare(got, Float(2.5)) != 0 {
 		t.Errorf("2+0.5 = %v", got)
 	}
-	if got := Sub(Int(2), Int(3)); !Equal(got, Int(-1)) {
+	if got := Sub(Int(2), Int(3)); Compare(got, Int(-1)) != 0 {
 		t.Errorf("2-3 = %v", got)
 	}
-	if got := Mul(Float(2), Float(3)); !Equal(got, Float(6)) {
+	if got := Mul(Float(2), Float(3)); Compare(got, Float(6)) != 0 {
 		t.Errorf("2*3 = %v", got)
 	}
-	if got := Div(Int(7), Int(2)); !Equal(got, Float(3.5)) {
+	if got := Div(Int(7), Int(2)); Compare(got, Float(3.5)) != 0 {
 		t.Errorf("7/2 = %v", got)
 	}
 	if got := Div(Int(1), Int(0)); !got.IsNull() {
@@ -646,7 +646,7 @@ func TestValuesAgreeWithReference(t *testing.T) {
 		if err != nil || len(rest) != 1 || rest[0] != 0xEE {
 			t.Fatalf("%s: decode error %v, %d bytes left", r, err, len(rest))
 		}
-		if dec.Kind() != r.k || dec.String() != r.String() || !Equal(dec, v) || Hash(dec) != Hash(v) {
+		if dec.Kind() != r.k || dec.String() != r.String() || Compare(dec, v) != 0 || Hash(dec) != Hash(v) {
 			t.Errorf("%s decodes to %s (kind %v)", r, dec, dec.Kind())
 		}
 	}
@@ -655,9 +655,6 @@ func TestValuesAgreeWithReference(t *testing.T) {
 			want := refCompare(a, b)
 			if got := Compare(vals[i], vals[j]); got != want {
 				t.Fatalf("Compare(%s, %s) = %d, want %d", a, b, got, want)
-			}
-			if got := Equal(vals[i], vals[j]); got != (want == 0) {
-				t.Fatalf("Equal(%s, %s) = %v, want %v", a, b, got, want == 0)
 			}
 			if want == 0 && Hash(vals[i]) != Hash(vals[j]) {
 				t.Fatalf("%s and %s are equal but hash apart", a, b)
