@@ -50,31 +50,40 @@ func BenchmarkPaper(b *testing.B) {
 
 // --- engine micro-benchmarks and ablations -----------------------------------------
 
-// synthPlan builds the Section 5 INL plan for overhead measurements.
-func synthPlan(n int) exec.Operator {
+// synthDB holds the Section 5 pair for overhead measurements, n rows a
+// side, with its relations and statistics: built once per benchmark, so an
+// iteration builds only its plan and leaves no relation garbage for the
+// timed runs to collect.
+func synthDB(n int) *DB {
 	pair := datagen.NewSkewPair(n, int64(n), 2, 1)
 	db := Open()
 	db.Catalog().AddRelation(pair.R1)
 	db.Catalog().AddRelation(pair.R2)
 	db.DeclareUnique("r1", "a")
+	return db
+}
+
+// synthPlan builds the Section 5 INL plan over synthDB's pair.
+func synthPlan(db *DB) exec.Operator {
 	b := plan.NewBuilder(db.Catalog())
 	return b.Scan("r1").INLJoin("r2", "b", "a", exec.InnerJoin).Op
 }
 
 // batchINLJoinAllocBudget is the ceiling on allocs/op for the batch engine
-// running synthPlan(20 000). The count is deterministic (92 when the budget
-// was set), so growth past the budget is a real regression in the batch
-// engine's allocation discipline: arena, slab storage, the probe or result
-// collection. The join's table is built with the plan, outside the run.
+// running synthPlan over synthDB(20 000). The count is deterministic (92
+// when the budget was set), so growth past the budget is a real regression
+// in the batch engine's allocation discipline: arena, slab storage, the
+// probe or result collection. The join's table is built with the plan, outside the run.
 const batchINLJoinAllocBudget = 100
 
 // TestBatchINLJoinAllocBudget holds exec.RunBatch over the Section 5 INL
 // join to batchINLJoinAllocBudget. Wall-clock is not checked.
 func TestBatchINLJoinAllocBudget(t *testing.T) {
+	db := synthDB(20_000)
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			op := synthPlan(20_000)
+			op := synthPlan(db)
 			b.StartTimer()
 			if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 				b.Fatal(err)
@@ -90,8 +99,9 @@ func TestBatchINLJoinAllocBudget(t *testing.T) {
 }
 
 // monitorRunAllocBudget is the ceiling on allocs/op for Monitor.Run over
-// synthPlan(20 000) at every = 100: about four per sample (the sample, its
-// estimates and the bounds pass's scratch) on top of the bulk run's.
+// synthPlan(synthDB(20 000)) at every = 100: about four per sample (the
+// sample, its estimates and the bounds pass's scratch) on top of the bulk
+// run's.
 const monitorRunAllocBudget = 1_800
 
 // TestMonitorRunSamplesEveryPeriod holds Monitor.Run to the two halves of
@@ -102,10 +112,11 @@ const monitorRunAllocBudget = 1_800
 func TestMonitorRunSamplesEveryPeriod(t *testing.T) {
 	const n, every = 20_000, 100
 	var samples int
+	db := synthDB(n)
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			m := core.NewMonitor(synthPlan(n), every, core.Dne{}, core.Pmax{}, core.Safe{})
+			m := core.NewMonitor(synthPlan(db), every, core.Dne{}, core.Pmax{}, core.Safe{})
 			b.StartTimer()
 			if _, err := m.Run(); err != nil {
 				b.Fatal(err)
@@ -494,13 +505,17 @@ func checkPagedAllocBudget(t *testing.T, class struct{ name, sql string }, alloc
 
 // BenchmarkExecINLJoinNoMonitor measures raw executor throughput in bulk
 // pulls, the run a user's Query.Run gets: the baseline for the
-// monitoring-overhead ablations.
+// monitoring-overhead ablations. Like them it builds each iteration's plan
+// and collects the previous runs' garbage with the timer stopped.
 func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 	const n = 20_000
+	db := synthDB(n)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		op := synthPlan(n)
+		op := synthPlan(db)
+		runtime.GC()
 		b.StartTimer()
 		if _, err := exec.RunBatch(exec.NewCtx(), op); err != nil {
 			b.Fatal(err)
@@ -514,13 +529,13 @@ func BenchmarkExecINLJoinNoMonitor(b *testing.B) {
 // to estimate". The per-sample cost is one incremental bounds pass; the
 // period also caps the pull size at min(every, exec.DefaultBatchSize).
 func BenchmarkMonitorOverhead(b *testing.B) {
-	const n = 20_000
+	db := synthDB(20_000)
 	for _, every := range []int64{100, 1_000, 10_000} {
 		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				op := synthPlan(n)
-				m := core.NewMonitor(op, every, core.Dne{}, core.Pmax{}, core.Safe{})
+				m := core.NewMonitor(synthPlan(db), every, core.Dne{}, core.Pmax{}, core.Safe{})
+				runtime.GC()
 				b.StartTimer()
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
@@ -535,13 +550,13 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 // capture per period, which should sit within noise of the no-monitor
 // baseline at these periods.
 func BenchmarkClockMonitorOverhead(b *testing.B) {
-	const n = 20_000
+	db := synthDB(20_000)
 	for _, interval := range []time.Duration{100 * time.Microsecond, time.Millisecond} {
 		b.Run(fmt.Sprintf("interval=%s", interval), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				op := synthPlan(n)
-				m := core.NewAsyncMonitor(op, interval, core.Dne{}, core.Pmax{}, core.Safe{})
+				m := core.NewAsyncMonitor(synthPlan(db), interval, core.Dne{}, core.Pmax{}, core.Safe{})
+				runtime.GC()
 				b.StartTimer()
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)

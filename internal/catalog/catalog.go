@@ -33,22 +33,17 @@ type Catalog struct {
 	tblStats  map[string]*stats.TableStats
 	uniqueCol map[string]map[string]bool // table -> column -> declared unique
 	fks       []ForeignKey
-	generator stats.Generator
 }
 
-// New returns an empty catalog whose statistics are produced by gen
-// (HistogramGenerator with defaults when nil).
-func New(gen stats.Generator) *Catalog {
-	if gen == nil {
-		gen = stats.HistogramGenerator{}
-	}
+// New returns an empty catalog whose statistics are produced by
+// stats.HistogramGenerator with its defaults.
+func New() *Catalog {
 	return &Catalog{
 		relations: make(map[string]*schema.Relation),
 		stores:    make(map[string]schema.Store),
 		orderIdx:  make(map[string]map[string]*index.Ordered),
 		tblStats:  make(map[string]*stats.TableStats),
 		uniqueCol: make(map[string]map[string]bool),
-		generator: gen,
 	}
 }
 
@@ -62,7 +57,7 @@ func (c *Catalog) AddRelation(rel *schema.Relation) {
 	c.relations[k] = rel
 	delete(c.stores, k)
 	delete(c.orderIdx, k)
-	c.tblStats[k] = c.generator.Generate(rel)
+	c.tblStats[k] = stats.HistogramGenerator{}.Generate(rel)
 }
 
 // Relation returns the named relation, or an error listing known tables.

@@ -22,7 +22,7 @@ func sampleRelation(name string, n int64) *schema.Relation {
 }
 
 func TestAddAndLookup(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("orders", 10))
 	rel, err := c.Relation("ORDERS") // case-insensitive
 	if err != nil || rel.Cardinality() != 10 {
@@ -40,7 +40,7 @@ func TestAddAndLookup(t *testing.T) {
 }
 
 func TestMustRelationPanics(t *testing.T) {
-	c := New(nil)
+	c := New()
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -50,7 +50,7 @@ func TestMustRelationPanics(t *testing.T) {
 }
 
 func TestStatsBuiltOnAdd(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("t", 100))
 	ts := c.Stats("t")
 	if ts == nil || ts.RowCount != 100 {
@@ -62,7 +62,7 @@ func TestStatsBuiltOnAdd(t *testing.T) {
 }
 
 func TestIndexesBuiltAndCached(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("t", 50))
 	o1, err := c.BuildOrderedIndex("t", "v")
 	if err != nil {
@@ -85,7 +85,7 @@ func TestIndexesBuiltAndCached(t *testing.T) {
 }
 
 func TestIndexErrors(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("t", 5))
 	if _, err := c.BuildOrderedIndex("ghost", "v"); err == nil {
 		t.Error("unknown table should error")
@@ -96,7 +96,7 @@ func TestIndexErrors(t *testing.T) {
 }
 
 func TestReplaceRelationDropsIndexes(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("t", 5))
 	if _, err := c.BuildOrderedIndex("t", "v"); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestReplaceRelationDropsIndexes(t *testing.T) {
 }
 
 func TestConstraints(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("parent", 5))
 	c.AddRelation(sampleRelation("child", 20))
 	c.DeclareForeignKey(ForeignKey{
@@ -136,7 +136,7 @@ func TestConstraints(t *testing.T) {
 }
 
 func TestTableNamesSorted(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("zeta", 1))
 	c.AddRelation(sampleRelation("alpha", 1))
 	names := c.TableNames()
@@ -146,7 +146,7 @@ func TestTableNamesSorted(t *testing.T) {
 }
 
 func TestDropTable(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("parent", 5))
 	c.AddRelation(sampleRelation("child", 10))
 	c.DeclareForeignKey(ForeignKey{
@@ -177,7 +177,7 @@ func TestDropTable(t *testing.T) {
 }
 
 func TestSetStats(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.AddRelation(sampleRelation("t", 100))
 	fresh := c.Stats("t")
 	if fresh == nil {

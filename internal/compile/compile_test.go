@@ -21,7 +21,7 @@ import (
 // testCatalog: dept(dkey unique, dname), emp(ekey, edept FK->dept, sal),
 // bonus(bkey, bemp).
 func testCatalog() *catalog.Catalog {
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	dept := schema.NewRelation("dept", schema.New(
 		schema.Column{Name: "dkey", Type: sqlval.KindInt},
 		schema.Column{Name: "dname", Type: sqlval.KindString},
@@ -237,7 +237,7 @@ func TestLeftJoinOnConjunctOnJoinedTable(t *testing.T) {
 // sharedNameCatalog: a(k, x) and b(k, x), the same column names in both.
 // a.x ascends with a.k and b.x descends with b.k.
 func sharedNameCatalog() *catalog.Catalog {
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	for _, name := range []string{"a", "b"} {
 		rel := schema.NewRelation(name, schema.New(
 			schema.Column{Name: "k", Type: sqlval.KindInt},
@@ -740,7 +740,7 @@ func TestJoinBuildsOnSmallerInput(t *testing.T) {
 // spilledCatalog returns a catalog serving cat's tables from heap files.
 func spilledCatalog(t *testing.T, cat *catalog.Catalog) *catalog.Catalog {
 	t.Helper()
-	out := catalog.New(nil)
+	out := catalog.New()
 	pool := pager.NewPool(8)
 	for _, name := range cat.TableNames() {
 		path := filepath.Join(t.TempDir(), name+".heap")

@@ -32,7 +32,7 @@ type fuzzDB struct {
 }
 
 func newFuzzDB(r *rand.Rand) *fuzzDB {
-	db := &fuzzDB{cat: catalog.New(nil)}
+	db := &fuzzDB{cat: catalog.New()}
 	n1, n2 := 30+r.Intn(120), 20+r.Intn(80)
 	rel1 := schema.NewRelation("t1", schema.New(
 		schema.Column{Name: "a", Type: sqlval.KindInt},
@@ -371,7 +371,7 @@ func fuzzPagedVsMem(t *testing.T, seed int64) {
 	for i, n := 0, 10+r.Intn(40); i < n; i++ {
 		t3.Append(schema.Row{sqlval.Int(r.Int63n(10)), sqlval.Int(r.Int63n(7))})
 	}
-	mem13 := catalog.New(nil)
+	mem13 := catalog.New()
 	mem13.AddRelation(db.cat.MustRelation("t1"))
 	mem13.AddRelation(t3)
 	paged12, paged13 := spilledCatalog(t, db.cat), spilledCatalog(t, mem13)
@@ -425,7 +425,7 @@ func fuzzPagedVsMem(t *testing.T, seed int64) {
 // from the shuffled relations, so everything downstream of the catalog —
 // histograms, indexes, compiled plans — derives from the permuted store.
 func permutedFuzzCatalog(db *fuzzDB, r *rand.Rand) *catalog.Catalog {
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	rel1 := schema.NewRelation("t1", schema.New(
 		schema.Column{Name: "a", Type: sqlval.KindInt},
 		schema.Column{Name: "b", Type: sqlval.KindInt},
@@ -553,7 +553,7 @@ func fuzzJoinPrune(t *testing.T, seed int64) {
 		{name: "p3", alias: "c", cols: []string{"j", "x", "z"}, max: []int64{8, 9, 50}},
 		{name: "p4", alias: "", cols: []string{"q"}, max: []int64{12}},
 	}
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	for _, tb := range tables {
 		cols := make([]schema.Column, len(tb.cols))
 		for i, c := range tb.cols {
@@ -858,7 +858,7 @@ func fuzzJoinSwap(t *testing.T, seed int64) {
 	if r.Intn(4) != 0 {
 		sizes[1] = 1 + r.Intn(40)
 	}
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	conds := []string{"s1.k = s2.k"}
 	for i, tb := range tabs {
 		rel := schema.NewRelation(tb.name, schema.New(

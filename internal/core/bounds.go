@@ -35,41 +35,37 @@ type BoundsSnapshot struct {
 	UBTight int64
 }
 
-// scannedLeaves sums the cardinalities of the subtree's leaf nodes that are
+// scannedLeaves sums the cardinalities of the plan's leaf nodes that are
 // scanned exactly once, in full — the denominator of the paper's mu
 // (Section 5.2) — its runtime facts from nodes, one read of the ledger
-// indexed by NodeID. Leaves inside rescanned nested-loops inners are
-// excluded, and so are leaves an ancestor may stop pulling before EOF (under
-// a LIMIT or a merge join): Theorem 5 needs LB to cover the denominator,
-// and the bounds pass promises no rows of those. For leaves whose exact
-// cardinality is not static (range scans without runtime completion), the
-// lower bound is used, keeping mu's guarantee direction intact (mu computed
-// this way can only over-estimate). Weighted leaves (paged scans charging
-// physical-read units) have their ledger count deflated by the worst-case
-// unit charge for the same reason: the denominator must never exceed the
-// rows actually scanned.
-func (n *evalNode) scannedLeaves(nodes []ledger.Snapshot, underRescan bool) int64 {
-	if len(n.children) > 0 {
-		var total int64
-		for i, c := range n.children {
-			total += c.scannedLeaves(nodes, underRescan || n.rescanned[i])
+// indexed by NodeID. Leaves inside rescanned nested-loops inners
+// (UnderRescan) are excluded, and so are leaves an ancestor may stop pulling
+// before EOF (MayStop, or under a LIMIT's DemandCap): Theorem 5 needs LB to
+// cover the denominator, and the bounds pass promises no rows of those. For
+// leaves whose exact cardinality is not static (range scans without runtime
+// completion), the lower bound is used, keeping mu's guarantee direction
+// intact (mu computed this way can only over-estimate). Weighted leaves
+// (paged scans charging physical-read units) have their ledger count
+// deflated by the worst-case unit charge for the same reason: the
+// denominator must never exceed the rows actually scanned.
+func scannedLeaves(shape *PlanShape, nodes []ledger.Snapshot) int64 {
+	var total int64
+	for id := range shape.Nodes {
+		n := &shape.Nodes[id]
+		if !n.IsLeaf() || n.UnderRescan || n.MayStop || n.DemandCap >= 0 {
+			continue
 		}
-		return total
-	}
-	if underRescan || n.mayStop || n.demandCap >= 0 {
-		return 0
-	}
-	lb := n.rule.FinalBounds(nil).LB
-	if rt := nodes[n.id]; rt.Done && rt.Rescans == 0 {
-		ret := rt.Returned
-		if wl, ok := n.rule.(exec.WeightedLeaf); ok {
-			ret -= wl.MaxReadUnits()
+		lb := n.Rule.FinalBounds(nil).LB
+		if rt := nodes[id]; rt.Done && rt.Rescans == 0 {
+			ret := rt.Returned
+			if wl, ok := n.Rule.(exec.WeightedLeaf); ok {
+				ret -= wl.MaxReadUnits()
+			}
+			lb = max(lb, ret)
 		}
-		if ret > lb {
-			lb = ret
-		}
+		total += lb
 	}
-	return lb
+	return total
 }
 
 // Mu computes the paper's mu for a completed execution: total(Q) divided by
@@ -84,7 +80,7 @@ func Mu(root exec.Operator) float64 {
 // mu is Mu over nodes, one read of the finished run's ledger: total(Q) is
 // the read's Curr.
 func (ev *BoundsEvaluator) mu(nodes []ledger.Snapshot) float64 {
-	total, leaves := curr(nodes), ev.root.scannedLeaves(nodes, false)
+	total, leaves := curr(nodes), scannedLeaves(ev.shape, nodes)
 	if leaves < 1 {
 		// No leaf counts (all under a LIMIT or a merge join, or empty).
 		return math.Max(1, float64(total))

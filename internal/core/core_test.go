@@ -944,6 +944,6 @@ func DriverNodes(shape *PlanShape) []ledger.NodeID {
 // ScannedLeafCardinality is mu's denominator for the plan at root, as Mu
 // computes it: scannedLeaves over one read of the plan's ledger.
 func ScannedLeafCardinality(root exec.Operator) int64 {
-	ev := NewBoundsEvaluator(root)
-	return ev.root.scannedLeaves(ev.led.SnapshotAll(nil), false)
+	shape, led := ShapeOf(root)
+	return scannedLeaves(shape, led.SnapshotAll(nil))
 }

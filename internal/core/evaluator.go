@@ -6,15 +6,16 @@ import (
 )
 
 // BoundsEvaluator is the bounds pass: the one implementation of the
-// per-node bounds arithmetic (Section 5.1). The plan's static structure —
-// child lists, rescan, demand-cap and early-stop topology, bounds rules —
-// comes from the PlanShape once at construction; each pass is then a fold
-// of one read of the ledger (Ledger.SnapshotAll, indexed by NodeID) into
-// preallocated buffers, an allocation-free sweep, which is what lets a
-// monitor sample frequently without throttling the executor. No exec.Operator is touched and no ledger slot is read during
-// the fold: every runtime fact comes from the one read, so the bounds
-// describe the same instant as the Curr summed from it. One-shot callers
-// build a fresh evaluator and Compute once.
+// per-node bounds arithmetic (Section 5.1). It reads the plan's static
+// structure — child lists, rescans, demand caps, may-stop flags, bounds
+// rules — from the PlanShape alone, and each pass folds PlanShape.Nodes by
+// NodeID over one read of the ledger (Ledger.SnapshotAll, indexed by
+// NodeID) into per-node scratch preallocated at construction, an
+// allocation-free sweep, which is what lets a monitor sample frequently
+// without throttling the executor. No exec.Operator is touched and no
+// ledger slot is read during the fold: every runtime fact comes from the one
+// read, so the bounds describe the same instant as the Curr summed from it.
+// One-shot callers build a fresh evaluator and Compute once.
 //
 // Every node's bounds combine its operator's static rule (FinalBounds over
 // the children's delivered-row bounds) with runtime feedback:
@@ -25,16 +26,22 @@ import (
 //     scaled by a bound on the number of rescans (the driving side's UB),
 //     and are never pinned at EOF;
 //   - every node's emission is bounded by its parent's demand where that
-//     demand is itself bounded (Top/Project chains);
-//   - nodes an ancestor may stop pulling early (ShapeNode.earlyStops) keep
-//     no static lower bound: the query may finish with them short of EOF,
-//     so only rows already returned bound them from below.
+//     demand is itself bounded (ShapeNode.DemandCap: Top/Project chains);
+//   - nodes an ancestor may stop pulling early (ShapeNode.MayStop) keep no
+//     static lower bound: the query may finish with them short of EOF, so
+//     only rows already returned bound them from below.
 //
-// The arithmetic runs twice per node: the classic track, and a tight track
-// that additionally intersects each node's pessimistic degree-norm bound
-// (ShapeNode.PessimisticUB) and propagates the tightened child bounds
-// upward. The tight track's result is the per-node UBTight; with no
-// pessimistic bounds in the plan both tracks are identical.
+// One track function, eval, runs the arithmetic. The classic track runs
+// first and records each node's Bounds and per-run bounds. When the plan
+// carries pessimistic degree-norm bounds (PlanShape.HasPessimistic) the
+// tight track runs the same function again, capping each pessimistic node's
+// rule at ShapeNode.PessimisticUB, propagating the tightened child bounds
+// upward, and clamping each node's total and per-run UB to what the classic
+// track recorded there; its totals are the per-node UBTight. It re-derives
+// only what a pessimistic bound can change: outside rescanned subtrees, a
+// subtree with no pessimistic bound (ShapeNode.PessimisticBelow), and a node
+// without one whose children's tight bounds are their classic ones, keep
+// their classic fold. Otherwise UBTight is a copy of UB.
 //
 // The read it folds is one instant of the run: a pass runs on the goroutine
 // that runs the plan (see DESIGN.md, "Concurrency model & monitoring
@@ -42,32 +49,12 @@ import (
 // that read, the plan LB covers the read's Curr. The evaluator is not
 // reentrant.
 type BoundsEvaluator struct {
-	led  *ledger.Ledger
-	root *evalNode
-	snap BoundsSnapshot
-	read []ledger.Snapshot // Compute's ledger read, reused
-	n    int               // node count
-	idx  []int             // NodeID -> position in snap.Nodes
-}
-
-// evalNode caches one node's static structure.
-type evalNode struct {
-	rule      FinalBounder
-	delivered exec.DeliveredBounder // non-nil iff node is a DeliveredBounder
-
-	children    []*evalNode
-	rescanned   []bool // parallel to children
-	hasRescan   bool
-	firstStream int // driving child's index in children, -1 if none
-
-	demandCap int64 // static pull bound reaching this node (-1 = unbounded)
-	mayStop   bool  // an ancestor may abandon this node before EOF
-	pessUB    int64 // pessimistic delivered-rows bound (-1 = none)
-
-	childBounds []exec.CardBounds // scratch, parallel to children
-	childTight  []exec.CardBounds // scratch for the tight track
-	snapIdx     int               // position in BoundsSnapshot.Nodes
-	id          ledger.NodeID
+	shape *PlanShape
+	led   *ledger.Ledger
+	snap  BoundsSnapshot      // Nodes indexed by NodeID
+	read  []ledger.Snapshot   // Compute's ledger read, reused
+	kids  [][]exec.CardBounds // per node: its children's per-run bounds, scratch
+	runs  []exec.CardBounds   // per node: the classic track's per-run bounds
 }
 
 // NewBoundsEvaluator prepares an incremental evaluator for the plan rooted
@@ -80,50 +67,16 @@ func NewBoundsEvaluator(root exec.Operator) *BoundsEvaluator {
 // newEvaluator prepares an incremental evaluator over an already-derived
 // (PlanShape, *Ledger) pair.
 func newEvaluator(shape *PlanShape, led *ledger.Ledger) *BoundsEvaluator {
-	ev := &BoundsEvaluator{led: led, idx: make([]int, shape.Len())}
-	ev.snap.Nodes = make([]NodeBounds, shape.Len())
-	ev.root = ev.build(shape, shape.Root().ID, -1, false)
+	n := shape.Len()
+	ev := &BoundsEvaluator{shape: shape, led: led, kids: make([][]exec.CardBounds, n), runs: make([]exec.CardBounds, n)}
+	ev.snap.Nodes = make([]NodeBounds, n)
+	scratch := make([]exec.CardBounds, n) // every node but the root is one child
+	for i := range shape.Nodes {
+		ev.snap.Nodes[i].ID = ledger.NodeID(i)
+		k := len(shape.Nodes[i].Children)
+		ev.kids[i], scratch = scratch[:k:k], scratch[k:]
+	}
 	return ev
-}
-
-// build derives the cached structure, assigning each node its slot in the
-// snapshot in evaluation order (non-rescanned subtrees, then rescanned
-// subtrees, then the node itself). demandCap bounds how many rows ancestors
-// will ever pull from this node (-1 = unbounded); mayStop marks nodes an
-// ancestor may abandon before EOF, voiding their static lower bounds.
-func (ev *BoundsEvaluator) build(shape *PlanShape, id ledger.NodeID, demandCap int64, mayStop bool) *evalNode {
-	sn := shape.Node(id)
-	n := &evalNode{
-		rule:        sn.Rule,
-		delivered:   sn.Delivered,
-		children:    make([]*evalNode, len(sn.Children)),
-		rescanned:   sn.Rescanned,
-		hasRescan:   sn.HasRescan,
-		childBounds: make([]exec.CardBounds, len(sn.Children)),
-		childTight:  make([]exec.CardBounds, len(sn.Children)),
-		firstStream: sn.FirstStream,
-		demandCap:   demandCap,
-		mayStop:     mayStop,
-		pessUB:      sn.PessimisticUB,
-		id:          id,
-	}
-	caps := sn.demandCaps(demandCap, make([]int64, len(sn.Children)))
-	stops := sn.earlyStops(mayStop, demandCap, caps, make([]bool, len(sn.Children)))
-	for i, c := range sn.Children {
-		if !sn.Rescanned[i] {
-			n.children[i] = ev.build(shape, c, caps[i], stops[i])
-		}
-	}
-	for i, c := range sn.Children {
-		if sn.Rescanned[i] {
-			n.children[i] = ev.build(shape, c, caps[i], stops[i])
-		}
-	}
-	n.snapIdx = ev.n
-	ev.idx[id] = ev.n
-	ev.snap.Nodes[ev.n].ID = id
-	ev.n++
-	return n
 }
 
 // Compute performs one bounds pass over one read of the ledger's current
@@ -139,79 +92,85 @@ func (ev *BoundsEvaluator) Compute() *BoundsSnapshot {
 // from it, so evaluators folding the same read agree exactly. The returned
 // snapshot is owned by the evaluator and overwritten by the next pass.
 func (ev *BoundsEvaluator) Fold(nodes []ledger.Snapshot) *BoundsSnapshot {
-	ev.snap.LB, ev.snap.UB, ev.snap.UBTight = 0, 0, 0
-	ev.eval(ev.root, nodes, 1, 1)
+	ev.snap.LB, ev.snap.UB = 0, 0
+	ev.eval(0, nodes, 1, false)
+	ev.snap.UBTight = ev.snap.UB
+	if ev.shape.HasPessimistic {
+		ev.eval(0, nodes, 1, true)
+		ev.snap.UBTight = 0
+		for i := range ev.snap.Nodes {
+			ev.snap.UBTight = exec.SatAdd(ev.snap.UBTight, ev.snap.Nodes[i].UBTight)
+		}
+	}
 	return &ev.snap
 }
 
 // bounds returns the latest pass's total-count bounds on node id.
 func (ev *BoundsEvaluator) bounds(id ledger.NodeID) exec.CardBounds {
-	return ev.snap.Nodes[ev.idx[id]].Bounds
+	return ev.snap.Nodes[id].Bounds
 }
 
-// eval returns per-run bounds on a node's *delivered* rows (what the
+// eval returns per-run bounds on node id's *delivered* rows (what the
 // parent's bounds rule expects) while recording bounds on its GetNext count
 // in the snapshot and folding them into the plan totals. The two differ only
 // for scans with embedded predicates. mult bounds how many times this
-// subtree may be re-opened (1 outside nested loops); multT is the tight
-// track's rescan multiplier (tight drive bounds can be smaller). nodes is
-// the read being folded.
-func (ev *BoundsEvaluator) eval(n *evalNode, nodes []ledger.Snapshot, mult, multT int64) (perRun, perRunT exec.CardBounds) {
-	if !n.hasRescan {
-		for i, c := range n.children {
-			n.childBounds[i], n.childTight[i] = ev.eval(c, nodes, mult, multT)
+// subtree may be re-opened (1 outside nested loops); nodes is the read being
+// folded. The classic track (tight false) records Bounds, LB, UB and the
+// per-run bounds; the tight track records UBTight, never looser than the
+// classic track at the same node.
+func (ev *BoundsEvaluator) eval(id ledger.NodeID, nodes []ledger.Snapshot, mult int64, tight bool) exec.CardBounds {
+	n, kids := &ev.shape.Nodes[id], ev.kids[id]
+	if tight && !n.PessimisticBelow && !n.UnderRescan {
+		// No pessimistic bound below, and the classic multiplier (1): the
+		// tight track would fold this subtree exactly as the classic one did.
+		return ev.runs[id]
+	}
+	for i, c := range n.Children {
+		if !n.Rescanned[i] {
+			kids[i] = ev.eval(c, nodes, mult, tight)
 		}
-	} else {
-		for i, c := range n.children {
-			if !n.rescanned[i] {
-				n.childBounds[i], n.childTight[i] = ev.eval(c, nodes, mult, multT)
-			}
+	}
+	if n.HasRescan {
+		var driveUB int64 = exec.Unbounded
+		if n.FirstStream >= 0 {
+			driveUB = kids[n.FirstStream].UB
 		}
-		var driveUB, driveUBT int64 = exec.Unbounded, exec.Unbounded
-		if n.firstStream >= 0 {
-			driveUB = n.childBounds[n.firstStream].UB
-			driveUBT = n.childTight[n.firstStream].UB
-		}
-		for i, c := range n.children {
-			if n.rescanned[i] {
-				n.childBounds[i], n.childTight[i] = ev.eval(c, nodes,
-					exec.SatMul(mult, driveUB), exec.SatMul(multT, driveUBT))
+		for i, c := range n.Children {
+			if n.Rescanned[i] {
+				kids[i] = ev.eval(c, nodes, exec.SatMul(mult, driveUB), tight)
 			}
 		}
 	}
 
-	rule := n.rule.FinalBounds(n.childBounds)
-	ruleT := n.rule.FinalBounds(n.childTight)
-	if n.pessUB >= 0 {
+	if tight && n.PessimisticUB < 0 && !n.UnderRescan && ev.classicKids(n, kids) {
+		// Nothing tightened below: this node folds as in the classic track.
+		return ev.runs[id]
+	}
+	rule := n.Rule.FinalBounds(kids)
+	if tight && n.PessimisticUB >= 0 {
 		// The pessimistic bound caps delivered rows; for the operators that
 		// carry one, counted calls equal delivered rows, so it caps both
 		// (capping the static LB too: two sound intervals cannot truly be
 		// disjoint, so the cap only bites where the LB was not).
-		ruleT = capBounds(ruleT, n.pessUB)
+		rule = capBounds(rule, n.PessimisticUB)
 	}
-	deliveredRule, deliveredRuleT := rule, ruleT
-	if n.delivered != nil {
-		deliveredRule = n.delivered.DeliveredBounds()
-		deliveredRuleT = deliveredRule
+	deliveredRule := rule
+	if n.Delivered != nil {
+		deliveredRule = n.Delivered.DeliveredBounds()
 	}
-	sameEmission, sameEmissionT := deliveredRule == rule, deliveredRuleT == ruleT
-	if n.mayStop {
+	sameEmission := deliveredRule == rule
+	if n.MayStop {
 		// An ancestor may stop pulling before this node reaches EOF: the
 		// static rules' lower bounds assume a full drain and are unsound
 		// here. refineWithRuntime restores LB = rows already returned.
 		rule.LB, deliveredRule.LB = 0, 0
-		ruleT.LB, deliveredRuleT.LB = 0, 0
 	}
-	if n.demandCap >= 0 && mult == 1 {
-		deliveredRule, rule = capToDemand(deliveredRule, rule, sameEmission, n.demandCap)
-	}
-	if n.demandCap >= 0 && multT == 1 {
-		deliveredRuleT, ruleT = capToDemand(deliveredRuleT, ruleT, sameEmissionT, n.demandCap)
-	}
-	rt := nodes[n.id]
-
-	var total, totalT exec.CardBounds
+	rt := nodes[id]
+	var total, perRun exec.CardBounds
 	if mult == 1 {
+		if n.DemandCap >= 0 {
+			deliveredRule, rule = capToDemand(deliveredRule, rule, sameEmission, n.DemandCap)
+		}
 		pinned := rt.Done && rt.Rescans == 0
 		total = refineWithRuntime(rule, rt.Returned, pinned)
 		perRun = refineWithRuntime(deliveredRule, rt.Delivered, pinned)
@@ -219,36 +178,20 @@ func (ev *BoundsEvaluator) eval(n *evalNode, nodes []ledger.Snapshot, mult, mult
 		// Under a rescanned subtree: per-run bounds stay static, totals
 		// accumulate across runs.
 		perRun = deliveredRule
-		total = exec.CardBounds{LB: rt.Returned, UB: exec.SatMul(rule.UB, mult)}
-		if total.UB < total.LB {
-			total.UB = total.LB
-		}
+		total = exec.CardBounds{LB: rt.Returned, UB: max(exec.SatMul(rule.UB, mult), rt.Returned)}
 	}
-	if multT == 1 {
-		pinned := rt.Done && rt.Rescans == 0
-		totalT = refineWithRuntime(ruleT, rt.Returned, pinned)
-		perRunT = refineWithRuntime(deliveredRuleT, rt.Delivered, pinned)
-	} else {
-		perRunT = deliveredRuleT
-		totalT = exec.CardBounds{LB: rt.Returned, UB: exec.SatMul(ruleT.UB, multT)}
-		if totalT.UB < totalT.LB {
-			totalT.UB = totalT.LB
-		}
+	nb := &ev.snap.Nodes[id]
+	if !tight {
+		nb.Bounds, nb.UBTight, ev.runs[id] = total, total.UB, perRun
+		ev.snap.LB = exec.SatAdd(ev.snap.LB, total.LB)
+		ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
+		return perRun
 	}
 	// The tight track never reports looser than the classic one (defensive
 	// against non-monotone bounds rules).
-	if totalT.UB > total.UB {
-		totalT.UB = total.UB
-	}
-	if perRunT.UB > perRun.UB {
-		perRunT.UB = perRun.UB
-	}
-	ev.snap.Nodes[n.snapIdx].Bounds = total
-	ev.snap.Nodes[n.snapIdx].UBTight = totalT.UB
-	ev.snap.LB = exec.SatAdd(ev.snap.LB, total.LB)
-	ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
-	ev.snap.UBTight = exec.SatAdd(ev.snap.UBTight, totalT.UB)
-	return perRun, perRunT
+	nb.UBTight = min(total.UB, nb.Bounds.UB)
+	perRun.UB = min(perRun.UB, ev.runs[id].UB)
+	return perRun
 }
 
 // capToDemand applies a demand cap: the parent will never pull more than
@@ -294,4 +237,15 @@ func refineWithRuntime(b exec.CardBounds, observed int64, pinned bool) exec.Card
 		b.UB = b.LB
 	}
 	return b
+}
+
+// classicKids reports whether the tight track's bounds on n's children,
+// kids, are the classic track's.
+func (ev *BoundsEvaluator) classicKids(n *ShapeNode, kids []exec.CardBounds) bool {
+	for i, c := range n.Children {
+		if kids[i] != ev.runs[c] {
+			return false
+		}
+	}
+	return true
 }

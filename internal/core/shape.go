@@ -1,19 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"sqlprogress/internal/exec"
 	"sqlprogress/internal/ledger"
-)
-
-// demandKind classifies how a node propagates demand caps to its input:
-// only operators that pull at most one input row per output row do (Top
-// pulls at most K; Project pulls exactly what it emits).
-type demandKind uint8
-
-const (
-	demandNone demandKind = iota
-	demandTop             // caps child 0 at min(K, this node's own cap)
-	demandPass            // passes this node's own cap through to child 0
 )
 
 // ShapeNode is the static, immutable description of one plan node: the
@@ -43,13 +34,28 @@ type ShapeNode struct {
 	// (exec.EarlyStopper).
 	EarlyStops []int
 
-	demand demandKind
-	topK   int64
+	// DemandCap bounds how many rows the node's ancestors will ever pull
+	// from it (-1 = unbounded): a Top pulls at most K rows from its input, a
+	// Project passes its own cap on, and no other operator propagates one.
+	DemandCap int64
+	// MayStop marks a node an ancestor may abandon before EOF at a point no
+	// demand cap describes, which voids its static lower bound. Three
+	// sources: the parent declares it (EarlyStops); the parent may itself be
+	// stopped so and pulls the node on demand; or — the LIMIT rule — the
+	// parent stops pulling at a cap (a Top, or a node a Top's cap reaches)
+	// and does not pass that cap on to this on-demand child.
+	MayStop bool
+	// UnderRescan marks a node inside a subtree some ancestor re-opens per
+	// driving row (a nested-loops inner).
+	UnderRescan bool
 
 	// PessimisticUB is the node's statistics-derived pessimistic bound on
 	// delivered rows (exec.PessimisticBounder), folded into the tight upper
 	// bound UBTight by the bounds pass; -1 when the operator carries none.
 	PessimisticUB int64
+	// PessimisticBelow reports whether the node or a descendant carries a
+	// PessimisticUB: elsewhere the tight track folds as the classic one.
+	PessimisticBelow bool
 
 	// Rule bounds the node's final GetNext-call count given bounds on its
 	// children's delivered rows — the operator narrowed to its FinalBounds
@@ -72,71 +78,16 @@ type FinalBounder interface {
 // IsLeaf reports whether the node has no plan-tree inputs.
 func (n *ShapeNode) IsLeaf() bool { return len(n.Children) == 0 }
 
-// demandCaps fills caps (length len(n.Children)) with the per-child pull
-// bounds this node propagates from its own cap (-1 = unbounded).
-func (n *ShapeNode) demandCaps(selfCap int64, caps []int64) []int64 {
-	for i := range caps {
-		caps[i] = -1
-	}
-	if len(caps) == 0 {
-		return caps
-	}
-	switch n.demand {
-	case demandTop:
-		c := n.topK
-		if selfCap >= 0 && selfCap < c {
-			c = selfCap
-		}
-		caps[0] = c
-	case demandPass:
-		caps[0] = selfCap
-	}
-	return caps
-}
-
-// earlyStops fills stops (length len(n.Children)) with the per-child
-// may-stop flags: whether the child may be abandoned before EOF at a point
-// no demand cap describes, which voids its static lower bound. Three
-// sources: this node declares it (exec.EarlyStopper); this node may itself
-// be stopped so and pulls the child on demand; or — the LIMIT rule — a Top
-// may abandon its input before EOF, so every node in the streaming chain
-// beneath it keeps only rows-already-returned as its LB, except where the
-// demand cap (caps, as filled by demandCaps) pins a same-emission node's
-// count to min(static, cap): a Top, or a node a Top's cap reaches, stops
-// pulling at the cap, and that is a stop at an unknown point for each
-// on-demand child the cap is not passed on to.
-func (n *ShapeNode) earlyStops(selfMayStop bool, selfCap int64, caps []int64, stops []bool) []bool {
-	for i := range stops {
-		stops[i] = false
-	}
-	for _, i := range n.EarlyStops {
-		stops[i] = true
-	}
-	stopsAtCap := n.demand == demandTop || selfCap >= 0
-	onDemand := func(i int) {
-		if selfMayStop || (stopsAtCap && caps[i] < 0) {
-			stops[i] = true
-		}
-	}
-	for _, i := range n.Stream {
-		onDemand(i)
-	}
-	for i, rescanned := range n.Rescanned {
-		if rescanned {
-			onDemand(i)
-		}
-	}
-	return stops
-}
-
 // PlanShape is the compile-time skeleton of a plan: one ShapeNode per plan
-// node, indexed by NodeID. Together with the plan's ledger it is everything
-// the bounds pass, pipeline decomposition, and estimators consume — the
-// operator tree never appears on the sample path.
+// node, indexed by NodeID (pre-order, so a parent precedes its children).
+// Together with the plan's ledger it is everything the bounds pass,
+// pipeline decomposition, and estimators consume — the bounds pass folds
+// Nodes directly, and the operator tree never appears on the sample path.
 type PlanShape struct {
 	Nodes []ShapeNode
 	// HasPessimistic reports whether any node carries a pessimistic UB; when
-	// false the tight bounds degenerate to the classic ones.
+	// false the tight bounds degenerate to the classic ones and the bounds
+	// pass skips its tight track.
 	HasPessimistic bool
 }
 
@@ -156,6 +107,7 @@ func (s *PlanShape) Node(id ledger.NodeID) *ShapeNode { return &s.Nodes[id] }
 func ShapeOf(root exec.Operator) (*PlanShape, *ledger.Ledger) {
 	led := exec.EnsureLedger(root)
 	shape := &PlanShape{Nodes: make([]ShapeNode, led.Len())}
+	shape.Nodes[0].DemandCap = -1
 	exec.Walk(root, func(op exec.Operator) {
 		id := op.LedgerID()
 		n := &shape.Nodes[id]
@@ -186,19 +138,44 @@ func ShapeOf(root exec.Operator) (*PlanShape, *ledger.Ledger) {
 		if pb, ok := op.(exec.PessimisticBounder); ok {
 			if ub := pb.PessimisticUB(); ub >= 0 {
 				n.PessimisticUB = ub
-				shape.HasPessimistic = true
 			}
-		}
-		switch t := op.(type) {
-		case *exec.Top:
-			n.demand, n.topK = demandTop, t.K
-		case *exec.Project:
-			n.demand = demandPass
 		}
 		n.Rule = op
 		if db, ok := op.(exec.DeliveredBounder); ok {
 			n.Delivered = db
 		}
+		// The walk is pre-order, so this node's own DemandCap, MayStop and
+		// UnderRescan are set; derive its children's.
+		firstCap, stopsAtCap := int64(-1), n.DemandCap >= 0
+		switch t := op.(type) {
+		case *exec.Top:
+			firstCap, stopsAtCap = t.K, true
+			if n.DemandCap >= 0 && n.DemandCap < firstCap {
+				firstCap = n.DemandCap
+			}
+		case *exec.Project:
+			firstCap = n.DemandCap
+		}
+		for i, id := range n.Children {
+			c := &shape.Nodes[id]
+			c.DemandCap = -1
+			if i == 0 {
+				c.DemandCap = firstCap
+			}
+			c.UnderRescan = n.UnderRescan || n.Rescanned[i]
+			onDemand := n.Rescanned[i] || slices.Contains(n.Stream, i)
+			c.MayStop = slices.Contains(n.EarlyStops, i) ||
+				onDemand && (n.MayStop || stopsAtCap && c.DemandCap < 0)
+		}
 	})
+	// A reverse sweep settles every child before its parent.
+	for id := len(shape.Nodes) - 1; id >= 0; id-- {
+		n := &shape.Nodes[id]
+		n.PessimisticBelow = n.PessimisticUB >= 0
+		for _, c := range n.Children {
+			n.PessimisticBelow = n.PessimisticBelow || shape.Nodes[c].PessimisticBelow
+		}
+	}
+	shape.HasPessimistic = shape.Nodes[0].PessimisticBelow
 	return shape, led
 }

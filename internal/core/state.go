@@ -134,18 +134,11 @@ func NewTracker(root exec.Operator) *Tracker {
 	for _, p := range t.pipelines {
 		t.drivers = append(t.drivers, p.Drivers...)
 	}
-	var walk func(id ledger.NodeID, underRescan bool)
-	walk = func(id ledger.NodeID, underRescan bool) {
-		n := shape.Node(id)
-		if n.IsLeaf() && !underRescan {
-			t.leaves = append(t.leaves, id)
-			return
-		}
-		for i, c := range n.Children {
-			walk(c, underRescan || n.Rescanned[i])
+	for id := range shape.Nodes {
+		if n := &shape.Nodes[id]; n.IsLeaf() && !n.UnderRescan {
+			t.leaves = append(t.leaves, ledger.NodeID(id))
 		}
 	}
-	walk(shape.Root().ID, false)
 	return t
 }
 

@@ -31,7 +31,7 @@ var corpusMem = struct {
 // the catalog is shared by every Build.
 func corpusCatalog() *catalog.Catalog {
 	corpusMem.once.Do(func() {
-		cat := catalog.New(nil)
+		cat := catalog.New()
 		cat.AddRelation(datagen.IntRelation("r1", "a", datagen.Sequence(80)))
 		cat.AddRelation(datagen.IntRelation("r2", "b", datagen.ZipfValues(80, 480, 1.5, 3)))
 		cat.AddRelation(datagen.IntRelation("r3", "c", datagen.Sequence(30)))

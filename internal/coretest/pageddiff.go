@@ -132,7 +132,7 @@ func buildFixture() (*pagedFixture, error) {
 // r1/r2 (index and build sides) with the twin key declarations.
 func corpusSideCatalog() (*catalog.Catalog, error) {
 	base := corpusCatalog()
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	for _, name := range []string{"r1", "r2"} {
 		rel, err := base.Relation(name)
 		if err != nil {

@@ -62,7 +62,7 @@ func (d *paperData) sky() *catalog.Catalog {
 func (d *paperData) skewPair() (*catalog.Catalog, *datagen.SkewPair) {
 	if d.pairCat == nil {
 		d.pair = datagen.NewSkewPair(paperSynthRows, paperSynthRows, paperZipf, paperSeed)
-		d.pairCat = catalog.New(nil)
+		d.pairCat = catalog.New()
 		d.pairCat.AddRelation(d.pair.R1)
 		d.pairCat.AddRelation(d.pair.R2)
 		d.pairCat.DeclareUnique("r1", "a")
@@ -111,7 +111,7 @@ func (d *paperData) pagerCat(warm bool) (*catalog.Catalog, error) {
 			return nil, err
 		}
 	}
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	cat.AddStore(pr)
 	cat.AddRelation(d.dim)
 	cat.DeclareUnique("dim", "dg")

@@ -150,7 +150,7 @@ func buildScenario(ds dataset, health stats.Health, opts Options) (scenario, err
 		)
 	case "adversarial":
 		pair := datagen.NewSkewPair(opts.AdvKeys, opts.AdvRows, 2, opts.Seed)
-		cat := catalog.New(nil)
+		cat := catalog.New()
 		cat.AddRelation(pair.R1)
 		cat.AddRelation(pair.R2)
 		cat.DeclareUnique("r1", "a")

@@ -34,7 +34,7 @@ func TestThm1Indistinguishability(t *testing.T) {
 	// measure returns each estimate when t is about to be read (pos GetNext
 	// calls in) and the true progress at that instant.
 	measure := func(r1 *schema.Relation) ([]float64, float64) {
-		cat := catalog.New(nil)
+		cat := catalog.New()
 		cat.AddRelation(r1)
 		cat.AddRelation(tw.R2)
 		// R1.A holds distinct values, so the join is linear: that keeps

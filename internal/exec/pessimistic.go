@@ -4,8 +4,9 @@ package exec
 // pessimistic (provably-sound) upper bound on their delivered row count,
 // derived from degree-sequence ℓp norms of the join columns (à la LpBound).
 // Unlike SetStaticBounds-style intersections, the pessimistic bound is kept
-// out of FinalBounds: the progress layer folds it into a *separate* tight
-// upper bound (BoundsSnapshot.UBTight) so estimators using the classic UB
+// out of FinalBounds: the bounds pass's tight track caps the node at it
+// after the classic track has run without it, folding a *separate* tight
+// upper bound (BoundsSnapshot.UBTight), so estimators using the classic UB
 // and ones using the ℓp-tightened UB can be compared on the same run.
 //
 // The contract requires that the operator's counted GetNext total equals its

@@ -14,7 +14,7 @@ import (
 )
 
 func testCatalog() *catalog.Catalog {
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	dept := schema.NewRelation("dept", schema.New(
 		schema.Column{Name: "dkey", Type: sqlval.KindInt},
 		schema.Column{Name: "dname", Type: sqlval.KindString},
@@ -262,7 +262,7 @@ func TestLpBoundOnNarrowedPagedScan(t *testing.T) {
 	if err := pager.WriteRelation(path, mem.MustRelation("emp")); err != nil {
 		t.Fatal(err)
 	}
-	cat := catalog.New(nil)
+	cat := catalog.New()
 	if _, err := cat.AttachHeapFile(path, pager.NewPool(4)); err != nil {
 		t.Fatal(err)
 	}

@@ -181,6 +181,84 @@ drain:
 	}
 }
 
+// crossFrame is the frame at step k of a ScalarAgg(Cross(outer, inner))
+// plan's run: the inner scan and the cross product advance every step, the
+// outer scan once every 20 steps, the aggregate not until the end. Most of
+// the delta stream's events therefore omit most node rows.
+func crossFrame(k int64) core.Frame {
+	calls := []int64{0, 10 * k, k / 20, 10 * k}
+	f := core.Frame{Nodes: make([]core.NodeCount, len(calls))}
+	for i, c := range calls {
+		f.Nodes[i] = core.NodeCount{ID: int32(i), Calls: c}
+		f.Calls += c
+	}
+	return f
+}
+
+// publishCrossFrames publishes crossFrame(k) for k in [from, to) as running
+// events, through the delta framing a session's samples take.
+func publishCrossFrames(s *Session, from, to int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := from; k < to; k++ {
+		s.publishLocked(s.progressLocked(crossFrame(k), false))
+	}
+}
+
+// accumulateCalls folds events' node rows by ID, as a delta-stream reader
+// does, and returns the rows' summed Calls and how many nodes have a row.
+func accumulateCalls(events []Progress) (sum int64, nodes int) {
+	rows := map[int32]int64{}
+	for _, p := range events {
+		for _, n := range p.Nodes {
+			rows[n.ID] = n.Calls
+		}
+	}
+	for _, c := range rows {
+		sum += c
+	}
+	return sum, len(rows)
+}
+
+// TestLateSubscriberGetsEveryNode attaches a subscriber after six events,
+// the latest of which lists only the two nodes that changed: the event it is
+// primed with lists all four, so its node rows sum to the event's Calls.
+func TestLateSubscriberGetsEveryNode(t *testing.T) {
+	s := &Session{state: StateRunning, subs: make(map[int]chan Progress)}
+	publishCrossFrames(s, 0, 6)
+	ch, unsub := s.Subscribe()
+	defer unsub()
+	first := <-ch
+	if sum, nodes := accumulateCalls([]Progress{first}); nodes != 4 || sum != first.Calls {
+		t.Fatalf("late subscriber's first event (seq %d) lists %d of 4 nodes, summing to %d calls; the event says %d",
+			first.Seq, nodes, sum, first.Calls)
+	}
+}
+
+// TestFallenBehindSubscriberKeepsEveryNode subscribes, then reads nothing
+// across 40 running events, so the 16-slot buffer drops the events that
+// carried the outer scan's and the aggregate's rows. Drained, the events it
+// kept still accumulate to one row per node, summing to the last event's
+// Calls.
+func TestFallenBehindSubscriberKeepsEveryNode(t *testing.T) {
+	s := &Session{state: StateRunning, subs: make(map[int]chan Progress)}
+	ch, unsub := s.Subscribe()
+	defer unsub()
+	publishCrossFrames(s, 0, 40)
+	var got []Progress
+	for len(ch) > 0 {
+		got = append(got, <-ch)
+	}
+	last := got[len(got)-1]
+	if last.Seq != 40 {
+		t.Fatalf("last event drained: seq %d, want 40", last.Seq)
+	}
+	if sum, nodes := accumulateCalls(got); nodes != 4 || sum != last.Calls {
+		t.Fatalf("%d events drained accumulate %d of 4 nodes, summing to %d calls; the last event says %d",
+			len(got), nodes, sum, last.Calls)
+	}
+}
+
 // TestFrozenSubscriberKeepsItsFinalEvent drives the fan-out with a
 // subscriber that reads nothing across 1 000 running publishes and the
 // final one: it holds at most its 16 buffered events, stays subscribed, and

@@ -14,6 +14,7 @@
 package session
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +55,12 @@ type Progress struct {
 	Seq int64 `json:"seq"`
 	// Frame is the observation. Its Nodes are the ledger-delta stream: the
 	// cumulative counters of every plan node whose counters changed since
-	// this session's previous published event (every node on the first and
-	// final events), all read at the frame's own instant — accumulated over
-	// the events, the nodes' Calls sum to the event's Calls.
+	// this session's previous published event, all read at the frame's own
+	// instant. Every node is listed on the session's first and final
+	// events, on a subscription's first event, and on an event a
+	// subscription receives in place of one it dropped, so accumulated over
+	// the events a subscription receives, the nodes' Calls sum to the
+	// event's Calls.
 	core.Frame
 	// Pool is a snapshot of the shared buffer-pool counters at the
 	// observation, present when the manager serves disk-backed tables
@@ -234,7 +238,9 @@ func (s *Session) Samples() []core.Sample {
 // ends with exactly one Final-marked event, and is then closed. A slow
 // consumer loses intermediate observations, never the final one: the
 // channel holds the 16 latest events, so a reader that stops reading pins
-// at most 16 and still finds the final event last when it reads again. The
+// at most 16 and still finds the final event last when it reads again.
+// Neither priming nor a loss costs node rows: the priming event and any
+// event sent in place of a dropped one list every node. The
 // unsubscribe function is idempotent and must be called when the consumer
 // is done; a consumer that unsubscribes early gives up the final event.
 //
@@ -248,7 +254,7 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 	defer s.mu.Unlock()
 	ch := make(chan Progress, 16)
 	if s.hasLast {
-		ch <- s.last
+		ch <- s.wholeLocked(s.last)
 	}
 	if s.state.Terminal() {
 		close(ch)
@@ -302,6 +308,16 @@ func (s *Session) progressLocked(f core.Frame, final bool) Progress {
 	return p
 }
 
+// wholeLocked returns p listing every node's cumulative row at p's instant,
+// which nodePrev holds while p is the latest event: what a subscriber that
+// missed earlier events needs in place of p's delta. Caller holds s.mu.
+func (s *Session) wholeLocked(p Progress) Progress {
+	if len(p.Nodes) < len(s.nodePrev) {
+		p.Nodes = slices.Clone(s.nodePrev)
+	}
+	return p
+}
+
 // stalledFor reports whether the latest event is a running one published at
 // least StallAfter before the run's elapsed time. Only a running session's
 // latest event is a running one. Caller holds s.mu.
@@ -331,13 +347,15 @@ func (s *Session) publishLocked(p Progress) {
 		default:
 			// Full buffer: drop the oldest observation. Only the publisher
 			// sends, under s.mu, so the slot it frees stays free and the
-			// retry cannot fail.
+			// retry cannot fail. The dropped event's node rows are lost to
+			// this subscriber, so the event taking its place lists every
+			// node.
 			select {
 			case <-ch:
 			default:
 			}
 			select {
-			case ch <- p:
+			case ch <- s.wholeLocked(p):
 			default:
 			}
 		}

@@ -49,7 +49,7 @@ var classes = []string{"GALAXY", "STAR", "QSO", "UNKNOWN"}
 func Generate(cfg Config) *catalog.Catalog {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
-	cat := catalog.New(nil)
+	cat := catalog.New()
 
 	nPhoto := cfg.PhotoObj
 	nField := nPhoto/200 + 1

@@ -1,5 +1,5 @@
 // Package stats implements relation statistics in the sense of the paper
-// (Section 2.3): a statistics Generator maps a relation to a compact, lossy
+// (Section 2.3): a statistics generator maps a relation to a compact, lossy
 // synopsis. Equi-depth single-column histograms are the instance built
 // here.
 //

@@ -11,8 +11,9 @@ import (
 	"sqlprogress/internal/sqlval"
 )
 
-// TableStats is the synopsis a Generator produces for one relation: the row
-// count plus one per-column statistic. It is the unit stored in the catalog.
+// TableStats is the synopsis HistogramGenerator produces for one relation:
+// the row count plus one per-column statistic. It is the unit stored in the
+// catalog.
 type TableStats struct {
 	Table      string
 	RowCount   int64
@@ -27,19 +28,11 @@ func (ts *TableStats) Histogram(i int) *Histogram {
 	return ts.Histograms[i]
 }
 
-// Generator is the paper's single-relation statistics generator SG: it maps
-// a relation instance to a synopsis. All provided generators are lossy —
-// sufficiently large relations admit single-tuple changes that leave the
-// synopsis unchanged — which is the hypothesis of the paper's Theorem 1.
-type Generator interface {
-	// Generate builds the synopsis for rel.
-	Generate(rel *schema.Relation) *TableStats
-	// Name identifies the generator.
-	Name() string
-}
-
-// HistogramGenerator builds equi-depth histograms on every column. It is
-// deterministic.
+// HistogramGenerator is the paper's single-relation statistics generator
+// SG: it maps a relation instance to a synopsis, equi-depth histograms on
+// every column. It is deterministic and lossy — sufficiently large relations
+// admit single-tuple changes that leave the synopsis unchanged — which is the
+// hypothesis of the paper's Theorem 1.
 type HistogramGenerator struct {
 	// MaxBuckets bounds each histogram's size; 0 means DefaultBuckets.
 	MaxBuckets int
@@ -49,10 +42,7 @@ type HistogramGenerator struct {
 // mirroring typical engine defaults (SQL Server uses up to 200 steps).
 const DefaultBuckets = 64
 
-// Name implements Generator.
-func (g HistogramGenerator) Name() string { return "equi-depth-histogram" }
-
-// Generate implements Generator. One pass over the rows pulls every
+// Generate builds the synopsis for rel. One pass over the rows pulls every
 // column's values into a typed key vector; the columns are then sorted and
 // cut on up to GOMAXPROCS goroutines, each writing only the histograms of
 // the columns it took.

@@ -220,12 +220,6 @@ func TestHistogramGeneratorTableStats(t *testing.T) {
 	}
 }
 
-func TestGeneratorNames(t *testing.T) {
-	if (HistogramGenerator{}).Name() == "" {
-		t.Error("generators must be named")
-	}
-}
-
 // BuildHistogram constructs an equi-depth histogram with at most maxBuckets
 // buckets over the given column values. It takes ownership of the slice:
 // values are compacted and sorted in place rather than copied, so callers

@@ -86,7 +86,7 @@ func Generate(cfg Config) *catalog.Catalog {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	sizes := cfg.Sizes()
-	cat := catalog.New(nil)
+	cat := catalog.New()
 
 	// region
 	region := schema.NewRelation("region", schema.New(intCol("r_regionkey"), strCol("r_name")))

@@ -67,7 +67,7 @@ type DB struct {
 }
 
 // Open returns an empty database.
-func Open() *DB { return &DB{cat: catalog.New(nil)} }
+func Open() *DB { return &DB{cat: catalog.New()} }
 
 // OpenTPCH generates the scaled, zipf-skewed TPC-H database used by the
 // paper's experiments (sf: scale factor, z: skew, deterministic per seed).
