@@ -132,6 +132,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("\rprogress 100.0%%%40s\n\n", "")
+	samples = samples[1:] // samples[0] is frame 0 (Calls 0): nothing to score yet
 
 	fmt.Printf("%d row(s); total GetNext calls = %d; mu = %.3f\n", len(res.Rows), res.TotalCalls, res.Mu)
 	if st, ok := db.PoolStats(); ok {

@@ -52,7 +52,7 @@ func ExampleQuery_RunWithProgress() {
 	fmt.Printf("count=%s after %d GetNext calls (%d progress updates)\n",
 		res.Rows[0][0], res.TotalCalls, updates)
 	// Output:
-	// count=500 after 1002 GetNext calls (5 progress updates)
+	// count=500 after 1002 GetNext calls (6 progress updates)
 }
 
 // Terminating a long query from its own progress callback — the paper's

@@ -75,6 +75,7 @@ func report(db *sqlprogress.DB, build func(*plan.Builder) plan.Node) {
 	if err != nil {
 		panic(err)
 	}
+	pts = pts[1:] // pts[0] is frame 0 (Calls 0): nothing to score yet
 	for _, k := range kinds {
 		var worst, sum float64
 		for _, p := range pts {

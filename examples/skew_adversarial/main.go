@@ -51,6 +51,7 @@ func runOrder(db *sqlprogress.DB, pair *datagen.SkewPair, order datagen.OrderKin
 	if err != nil {
 		panic(err)
 	}
+	samples = samples[1:] // samples[0] is frame 0 (Calls 0): nothing to score yet
 
 	fmt.Printf("--- arrival order: %s (mu = %.3f) ---\n", order, res.Mu)
 	fmt.Println("actual   dne    pmax   safe")

@@ -55,7 +55,7 @@ func main() {
 		fmt.Printf("Q%-4d %-7.3f", num, res.Mu)
 		for _, k := range kinds {
 			worst := 0.0
-			for _, p := range pts {
+			for _, p := range pts[1:] { // pts[0] is frame 0 (Calls 0): nothing to score yet
 				actual := float64(p.calls) / float64(res.TotalCalls)
 				d := p.ests[k] - actual
 				if d < 0 {

@@ -146,6 +146,30 @@ func (ev *BoundsEvaluator) eval(id ledger.NodeID, nodes []ledger.Snapshot, mult 
 		// Nothing tightened below: this node folds as in the classic track.
 		return ev.runs[id]
 	}
+	// Pinned (at EOF, never re-opened, outside rescans): the observed counts
+	// are exact, whatever the rule would say.
+	rt := nodes[id]
+	total, perRun := exec.CardBounds{LB: rt.Returned, UB: rt.Returned}, exec.CardBounds{LB: rt.Delivered, UB: rt.Delivered}
+	if mult != 1 || !rt.Done || rt.Rescans != 0 {
+		total, perRun = ruleBounds(n, kids, rt, mult, tight)
+	}
+	nb := &ev.snap.Nodes[id]
+	if !tight {
+		nb.Bounds, nb.UBTight, ev.runs[id] = total, total.UB, perRun
+		ev.snap.LB = exec.SatAdd(ev.snap.LB, total.LB)
+		ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
+		return perRun
+	}
+	// The tight track never reports looser than the classic one (defensive
+	// against non-monotone bounds rules).
+	nb.UBTight = min(total.UB, nb.Bounds.UB)
+	perRun.UB = min(perRun.UB, ev.runs[id].UB)
+	return perRun
+}
+
+// ruleBounds is eval's total and per-run bounds at a node the run has not
+// pinned: its static rule over kids, capped, refined with its counters rt.
+func ruleBounds(n *ShapeNode, kids []exec.CardBounds, rt ledger.Snapshot, mult int64, tight bool) (total, perRun exec.CardBounds) {
 	rule := n.Rule.FinalBounds(kids)
 	if tight && n.PessimisticUB >= 0 {
 		// The pessimistic bound caps delivered rows; for the operators that
@@ -165,33 +189,15 @@ func (ev *BoundsEvaluator) eval(id ledger.NodeID, nodes []ledger.Snapshot, mult 
 		// here. refineWithRuntime restores LB = rows already returned.
 		rule.LB, deliveredRule.LB = 0, 0
 	}
-	rt := nodes[id]
-	var total, perRun exec.CardBounds
 	if mult == 1 {
 		if n.DemandCap >= 0 {
 			deliveredRule, rule = capToDemand(deliveredRule, rule, sameEmission, n.DemandCap)
 		}
-		pinned := rt.Done && rt.Rescans == 0
-		total = refineWithRuntime(rule, rt.Returned, pinned)
-		perRun = refineWithRuntime(deliveredRule, rt.Delivered, pinned)
-	} else {
-		// Under a rescanned subtree: per-run bounds stay static, totals
-		// accumulate across runs.
-		perRun = deliveredRule
-		total = exec.CardBounds{LB: rt.Returned, UB: max(exec.SatMul(rule.UB, mult), rt.Returned)}
+		return refineWithRuntime(rule, rt.Returned), refineWithRuntime(deliveredRule, rt.Delivered)
 	}
-	nb := &ev.snap.Nodes[id]
-	if !tight {
-		nb.Bounds, nb.UBTight, ev.runs[id] = total, total.UB, perRun
-		ev.snap.LB = exec.SatAdd(ev.snap.LB, total.LB)
-		ev.snap.UB = exec.SatAdd(ev.snap.UB, total.UB)
-		return perRun
-	}
-	// The tight track never reports looser than the classic one (defensive
-	// against non-monotone bounds rules).
-	nb.UBTight = min(total.UB, nb.Bounds.UB)
-	perRun.UB = min(perRun.UB, ev.runs[id].UB)
-	return perRun
+	// Under a rescanned subtree: per-run bounds stay static, totals
+	// accumulate across runs.
+	return exec.CardBounds{LB: rt.Returned, UB: max(exec.SatMul(rule.UB, mult), rt.Returned)}, deliveredRule
 }
 
 // capToDemand applies a demand cap: the parent will never pull more than
@@ -225,13 +231,11 @@ func capBounds(b exec.CardBounds, cap int64) exec.CardBounds {
 }
 
 // refineWithRuntime tightens static bounds with execution feedback: at
-// least the observed count; exactly the observed count at EOF.
-func refineWithRuntime(b exec.CardBounds, observed int64, pinned bool) exec.CardBounds {
+// least the observed count (a pinned node's bounds are the count itself, see
+// eval).
+func refineWithRuntime(b exec.CardBounds, observed int64) exec.CardBounds {
 	if observed > b.LB {
 		b.LB = observed
-	}
-	if pinned {
-		b.LB, b.UB = observed, observed
 	}
 	if b.UB < b.LB {
 		b.UB = b.LB

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"sqlprogress/internal/exec"
@@ -66,9 +67,10 @@ type NodeCount struct {
 // first credit at least Interval after the previous sample. Every sample is
 // therefore one ledger read at one instant of the GetNext stream. It owns
 // the plan's tracker and the recorded series; a series is judged by the one
-// checker, Series (SeriesOf).
+// checker, Series (SeriesOf). RunContext is the one monitored run.
 type Monitor struct {
-	// Every is the sampling period in GetNext calls.
+	// Every is the sampling period in GetNext calls; a non-positive period
+	// is sized by RunContext to about 200 frames from frame 0's bounds.
 	Every int64
 	// Interval, when positive, replaces Every: the sampling period in
 	// wall-clock time.
@@ -77,12 +79,10 @@ type Monitor struct {
 	Estimators []Estimator
 	// Samples are the recorded observations, in capture order.
 	Samples []Sample
-	// OnSample, when non-nil, is invoked after each recorded sample with
-	// that sample, letting consumers stream observations live instead of
-	// reading Samples after the run; Frame shapes it for publishing. It runs
-	// on the run's goroutine, at the credit that took the sample, or on the
-	// goroutine calling Finish for the at-completion sample; it must not
-	// block: the run waits for it. Set before the run starts.
+	// OnSample, when non-nil, is invoked with frame 0 (Calls = 0, not
+	// recorded in Samples) before the first call, then with each recorded
+	// sample, the at-stop one last; Frame shapes it for publishing. It runs
+	// on the run's goroutine, which waits for it. Set before the run starts.
 	OnSample func(Sample)
 
 	tracker *Tracker
@@ -92,31 +92,67 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor for the plan rooted at root, sampling every
-// `every` GetNext calls (minimum 1).
+// `every` GetNext calls (non-positive: about 200 frames, see Every).
 func NewMonitor(root exec.Operator, every int64, ests ...Estimator) *Monitor {
-	return &Monitor{Every: max(every, 1), Estimators: ests, tracker: NewTracker(root), root: root}
+	return &Monitor{Every: every, Estimators: ests, tracker: NewTracker(root), root: root}
 }
 
 // NewAsyncMonitor builds a monitor for the plan rooted at root that samples
-// on the wall-clock rule, every interval (a non-positive interval samples at
+// on the wall-clock rule, every interval (at least 1 ns, which samples at
 // every credit). It is named for the off-thread sampler it replaced, because
 // the end-to-end benchmark's traced run calls it by that name; it starts no
 // goroutine.
 func NewAsyncMonitor(root exec.Operator, interval time.Duration, ests ...Estimator) *Monitor {
-	return &Monitor{Interval: interval, Estimators: ests, tracker: NewTracker(root), root: root}
+	return &Monitor{Interval: max(interval, 1), Estimators: ests, tracker: NewTracker(root), root: root}
 }
 
-// Attach installs the monitor's sampling trigger on ctx. Under the
-// call-count rule it also sets pulls of min(Every, exec.DefaultBatchSize)
-// rows, so a sample lands within one pull of its due instant; the
-// wall-clock rule leaves the pull size alone.
-func (m *Monitor) Attach(ctx *exec.Ctx) {
+// Run executes the plan to completion under this monitor, unbound to any
+// context: RunContext(context.Background(), exec.NewCtx()).
+func (m *Monitor) Run() ([]schema.Row, error) {
+	return m.RunContext(context.Background(), exec.NewCtx())
+}
+
+// RunContext executes the plan on ctx under this monitor and returns the
+// root's rows, honouring std like exec.RunBatchContext. It hands frame 0 to
+// OnSample (Curr = 0, the static bounds, estimates from fresh registry
+// instances of Estimators, so a stateful one's history holds sampled
+// instants only), sizes a non-positive Every to about 200 frames (UB/200,
+// LB/200 while UB is unbounded), installs the trigger — under Every a
+// hook-free ctx pulls min(Every, exec.DefaultBatchSize) rows, so a sample
+// lands within one pull of its due instant — and records the at-stop sample
+// and total(Q) on every outcome. Set ctx's hooks before the call or from
+// frame 0's OnSample.
+func (m *Monitor) RunContext(std context.Context, ctx *exec.Ctx) ([]schema.Row, error) {
+	names := make([]string, len(m.Estimators))
+	for i, e := range m.Estimators {
+		names[i] = e.Name()
+	}
+	fresh, err := NewEstimators(names...)
+	if err != nil {
+		return nil, err
+	}
+	s0 := evaluate(m.tracker.Capture(), fresh)
+	if m.Interval <= 0 && m.Every <= 0 {
+		m.Every = max(s0.UB/200, 1)
+		if s0.UB >= exec.Unbounded {
+			m.Every = max(s0.LB/200, 1)
+		}
+	}
+	if m.OnSample != nil {
+		m.OnSample(s0)
+	}
 	if m.Interval > 0 {
 		ctx.SampleInterval(m.Interval, m.sample)
-		return
+	} else {
+		if ctx.Inject == nil && ctx.OnGetNext == nil {
+			ctx.BatchSize = int(min(m.Every, exec.DefaultBatchSize))
+		}
+		ctx.SampleEvery(m.Every, m.sample)
 	}
-	ctx.BatchSize = int(min(m.Every, exec.DefaultBatchSize))
-	ctx.SampleEvery(m.Every, m.sample)
+	rows, err := exec.RunBatchContext(std, ctx, m.root)
+	m.total = ctx.Calls()
+	m.record()
+	return rows, err
 }
 
 // sample is the trigger's path: an instant not past the latest recorded
@@ -125,15 +161,6 @@ func (m *Monitor) sample(calls int64) {
 	if calls <= m.last {
 		return
 	}
-	m.record()
-}
-
-// Finish records the at-completion sample (unless the run already sampled
-// that instant) and total(Q), or the call count at which a failed or
-// canceled run stopped. Run calls it automatically; callers that Attach by
-// hand invoke it once the run has returned.
-func (m *Monitor) Finish(total int64) {
-	m.total = total
 	m.record()
 }
 
@@ -162,25 +189,17 @@ func evaluate(s *State, ests []Estimator) Sample {
 	return sample
 }
 
-// Initial evaluates ests on the plan's state before it has run (Curr = 0, the
-// static bounds) without recording a sample. Pass estimators of their own,
-// not the monitor's: a stateful one (hybrid-var, combiner) keeps a history of
-// the instants it was asked about. Call it before the run starts.
-func (m *Monitor) Initial(ests ...Estimator) Sample {
-	return evaluate(m.tracker.Capture(), ests)
-}
-
 // Mu returns the paper's mu for the completed execution, from the ledger
-// read of the at-completion capture (Finish). Like Samples, read it once
-// that capture has returned.
+// read of the at-stop capture. Like Samples, read it once RunContext has
+// returned.
 func (m *Monitor) Mu() float64 { return m.tracker.ev.mu(m.tracker.nodes) }
 
 // Frame shapes s for publishing, naming its estimates after Estimators and
 // its nodes after the plan. The node rows come from the latest capture's
 // ledger read, so call it with the sample that capture produced: inside
-// OnSample, on the Initial sample before the run starts, or on the last
-// sample once Finish has returned (whose final capture read the same Curr
-// when it recorded nothing new).
+// OnSample (frame 0 included), or on the last sample once RunContext has
+// returned (whose at-stop capture read the same Curr when it recorded
+// nothing new).
 func (m *Monitor) Frame(s Sample) Frame {
 	f := Frame{Calls: s.Calls, LB: s.LB, UB: s.UB, Estimates: make(map[string]float64, len(s.Estimates))}
 	if s.Calls > 0 {
@@ -220,18 +239,4 @@ func (m *Monitor) SeriesAt(i int) []Point {
 		out[j] = Point{Actual: float64(s.Calls) / float64(m.total), Est: s.Estimates[i]}
 	}
 	return out
-}
-
-// Run executes the plan to completion under this monitor and returns the
-// root's output rows. On error the partial samples, ended by the at-stop
-// one, remain readable.
-func (m *Monitor) Run() ([]schema.Row, error) {
-	ctx := exec.NewCtx()
-	m.Attach(ctx)
-	rows, err := exec.RunBatch(ctx, m.root)
-	m.Finish(ctx.Calls())
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -62,12 +62,18 @@ func TestAsyncMonitorFinalSampleAlways(t *testing.T) {
 	}
 }
 
-// TestAsyncMonitorInitial: Initial describes the plan before it runs — Curr
-// = 0, the static bounds, every registered estimator in [0, 1] — without
-// recording anything, and the run's total lies inside those bounds.
+// TestAsyncMonitorInitial: frame 0 describes the plan before it runs — Curr
+// = 0, the static bounds, every registered estimator in [0, 1] — and is
+// handed to OnSample first without being recorded, and the run's total lies
+// inside those bounds.
 func TestAsyncMonitorInitial(t *testing.T) {
-	m := NewAsyncMonitor(example1Join(50), time.Hour, Dne{}, Safe{})
-	first := m.Initial(RegisteredEstimators()...)
+	m := NewAsyncMonitor(example1Join(50), time.Hour, RegisteredEstimators()...)
+	var streamed []Sample
+	m.OnSample = func(s Sample) { streamed = append(streamed, s) }
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	first := streamed[0]
 	if first.Calls != 0 || first.LB < 1 || first.LB > first.UBTight || first.UBTight > first.UB {
 		t.Fatalf("initial sample %+v", first)
 	}
@@ -76,11 +82,8 @@ func TestAsyncMonitorInitial(t *testing.T) {
 			t.Fatalf("estimator %d at Curr = 0: %v", i, e)
 		}
 	}
-	if len(m.Samples) != 0 {
-		t.Fatalf("Initial recorded %d samples", len(m.Samples))
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
+	if len(m.Samples) != len(streamed)-1 || m.Samples[0].Calls == 0 {
+		t.Fatalf("frame 0 recorded: %d samples streamed, %d recorded, the first at %d calls", len(streamed), len(m.Samples), m.Samples[0].Calls)
 	}
 	if total := m.Total(); total < first.LB || total > first.UB {
 		t.Fatalf("total %d outside the initial [%d, %d]", total, first.LB, first.UB)
@@ -113,8 +116,8 @@ func TestMonitorFinalSampleAtCompletion(t *testing.T) {
 }
 
 // TestMonitorFinalSampleNotDuplicated: when the sampling period divides
-// total(Q) exactly, the hook already captured the at-EOF instant and Finish
-// must not record it twice.
+// total(Q) exactly, the hook already captured the at-EOF instant and the
+// at-stop capture must not record it twice.
 func TestMonitorFinalSampleNotDuplicated(t *testing.T) {
 	r := intRel("r", "a", seq(10))
 	sc := exec.NewScan(r)
@@ -137,9 +140,9 @@ func TestMonitorFinalSampleNotDuplicated(t *testing.T) {
 }
 
 // TestAsyncMonitorOnSample: under the wall-clock rule the streaming hook must
-// see every recorded sample, in order, including the final at-EOF one — it
-// is what lets a serving layer fan live estimates out to clients while the
-// query runs.
+// see frame 0 and then every recorded sample, in order, including the final
+// at-EOF one — it is what lets a serving layer fan live estimates out to
+// clients while the query runs.
 func TestAsyncMonitorOnSample(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Z: 2, Seed: 1})
 	op, err := tpch.BuildQuery(cat, 1)
@@ -152,8 +155,12 @@ func TestAsyncMonitorOnSample(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if len(streamed) == 0 || streamed[0].Calls != 0 {
+		t.Fatalf("first streamed sample %+v, want frame 0", streamed)
+	}
+	streamed = streamed[1:]
 	if len(streamed) != len(m.Samples) {
-		t.Fatalf("streamed %d samples, recorded %d", len(streamed), len(m.Samples))
+		t.Fatalf("streamed %d samples after frame 0, recorded %d", len(streamed), len(m.Samples))
 	}
 	for i := range streamed {
 		if streamed[i].Calls != m.Samples[i].Calls {

@@ -1,6 +1,7 @@
 package coretest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -109,14 +110,14 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 	inj.Arm(ctx)
 
 	mon := core.NewMonitor(root, 1, chaosEstimators()...)
-	mon.Attach(ctx)
-	// Attach sizes pulls for every = 1. Restore the default, so that only
-	// the injector's hook can force one-row pulls.
-	ctx.BatchSize = 0
 	var reads [][]ledger.Snapshot
 	led := exec.EnsureLedger(root)
-	mon.OnSample = func(core.Sample) { reads = append(reads, led.SnapshotAll(nil)) }
-	_, runErr := exec.RunBatch(ctx, root)
+	mon.OnSample = func(s core.Sample) {
+		if s.Calls > 0 { // Calls 0 is frame 0, or a run stopped before any credit
+			reads = append(reads, led.SnapshotAll(nil))
+		}
+	}
+	_, runErr := mon.RunContext(context.Background(), ctx)
 	total := ctx.Calls()
 
 	// Cross-validate the outcome against the fired faults: a scheduled
@@ -177,9 +178,6 @@ func runChaosSchedule(entry CorpusEntry, sched fault.Schedule, pages []*fault.Pa
 		}
 	}
 
-	if runErr == nil {
-		mon.Finish(total)
-	}
 	s := core.SeriesOf(entry.Label, mon)
 	s.Completed, s.Total = runErr == nil, total
 	return s.Check()

@@ -2,6 +2,7 @@ package evalmatrix
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"strings"
 	"sync"
@@ -177,10 +178,8 @@ func TestMatrixTriggerAgreesWithExactRun(t *testing.T) {
 					_, err = m.Run()
 				} else {
 					ctx := exec.NewCtx()
-					m.Attach(ctx)
 					ctx.OnGetNext = func(int64) {}
-					_, err = exec.RunBatch(ctx, root)
-					m.Finish(ctx.Calls())
+					_, err = m.RunContext(context.Background(), ctx)
 				}
 				if err != nil {
 					t.Fatalf("%s/%s: %v", ds.name, fam.name, err)

@@ -155,8 +155,7 @@ func (m *Manager) admit(root exec.Operator, text string, opt SubmitOptions) (*Se
 	if len(opt.Estimators) > 0 {
 		estNames = opt.Estimators
 	}
-	ests, err := core.NewEstimators(estNames...)
-	if err != nil {
+	if _, err := core.NewEstimators(estNames...); err != nil {
 		m.c.rejected.Add(1)
 		return nil, err
 	}
@@ -185,7 +184,6 @@ func (m *Manager) admit(root exec.Operator, text string, opt SubmitOptions) (*Se
 		state:      StateQueued,
 		root:       root,
 		estNames:   estNames,
-		ests:       ests,
 		keepRows:   m.cfg.KeepRows,
 		deadline:   deadline,
 		subs:       make(map[int]chan Progress),
@@ -215,76 +213,64 @@ func (m *Manager) startLocked(s *Session) {
 	}()
 }
 
-// execute runs one session to a terminal state.
+// execute runs one session to a terminal state: its monitor's RunContext
+// publishes frame 0 (the session turns running with it), each sample and the
+// at-stop sample, and the final event follows.
 func (m *Manager) execute(s *Session) {
 	s.mu.Lock()
 	if s.cancelAsked {
 		// Canceled between admission and start: never runs.
 		s.mu.Unlock()
-		m.finish(s, nil, exec.ErrCanceled, nil, 0)
+		m.finish(s, nil, exec.ErrCanceled)
 		return
 	}
-	s.state = StateRunning
-	s.started = time.Now()
 	execCtx := exec.NewCtx()
 	s.execCtx = execCtx
-	mon := core.NewAsyncMonitor(s.root, m.cfg.SampleInterval, s.ests...)
-	mon.Attach(execCtx)
-	s.ests = nil
-	mon.OnSample = func(smp core.Sample) { s.onFrame(mon.Frame(smp)) }
-	s.mon = mon
-	// Frame 0: the plan's static [LB, UB], every estimator at Curr = 0, every
-	// node, published before the run starts so a subscriber learns the size
-	// of the job when it attaches. A session event, not a monitor sample
-	// (Samples stays positive in Calls), on estimators of its own; the names
-	// were validated at admission.
-	ests0, _ := core.NewEstimators(s.estNames...)
-	s.publishLocked(s.progressLocked(mon.Frame(mon.Initial(ests0...)), false))
-	deadline := s.deadline
-	root := s.root
+	// The names were validated at admission.
+	ests, _ := core.NewEstimators(s.estNames...)
+	mon := core.NewMonitor(s.root, 0, ests...)
+	mon.Interval = m.cfg.SampleInterval
 	instrument := s.instrument
+	mon.OnSample = func(smp core.Sample) {
+		s.onFrame(mon.Frame(smp))
+		if instrument != nil {
+			// Fault injectors and test gates attach once frame 0 is
+			// published, before the first call.
+			instrument(execCtx)
+			instrument = nil
+		}
+	}
+	s.mon = mon
 	s.mu.Unlock()
 
-	if instrument != nil {
-		// Fault injectors and test gates attach here, before the context is
-		// bound.
-		instrument(execCtx)
-	}
-
 	stdctx := m.base
-	if deadline > 0 {
+	if s.deadline > 0 { // fixed at admission
 		var cancel context.CancelFunc
-		stdctx, cancel = context.WithTimeout(stdctx, deadline)
+		stdctx, cancel = context.WithTimeout(stdctx, s.deadline)
 		defer cancel()
 	}
-	release := execCtx.Bind(stdctx)
-	// The monitor samples at credits, so hook-free sessions take the bulk
-	// path; an instrument that installs Inject/OnGetNext forces the exact
-	// row-sequence path.
-	rows, err := exec.RunBatch(execCtx, root)
-	bindErr := release()
-	// The at-stop sample, on every outcome: a failed or canceled run's
-	// series ends where it stopped.
-	mon.Finish(execCtx.Calls())
-	m.finish(s, rows, err, bindErr, execCtx.Calls())
+	rows, err := mon.RunContext(stdctx, execCtx)
+	m.finish(s, rows, err)
 }
 
 // finish frees a run's slot, then makes its session terminal: a Metrics read
 // that sees the session terminal no longer counts it Active.
-func (m *Manager) finish(s *Session, rows []schema.Row, runErr, bindErr error, calls int64) {
+func (m *Manager) finish(s *Session, rows []schema.Row, runErr error) {
 	m.onDone()
 	s.mu.Lock()
-	m.finishLocked(s, rows, runErr, bindErr, calls)
+	m.finishLocked(s, rows, runErr)
 	s.mu.Unlock()
 }
 
 // finishLocked applies the terminal transition, records metrics, and
-// publishes the final progress event. Caller holds s.mu.
-func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr error, calls int64) {
+// publishes the final progress event. A run's error says why it was
+// canceled: exec.ErrCanceled for Cancel, context.DeadlineExceeded for the
+// session's deadline, context.Canceled for the manager's shutdown. Caller
+// holds s.mu.
+func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr error) {
 	s.finished = time.Now()
-	s.totalCalls = calls
 	if s.mon != nil {
-		s.workMu = s.mon.Mu()
+		s.totalCalls, s.workMu = s.mon.Total(), s.mon.Mu()
 	}
 	switch {
 	case runErr == nil:
@@ -304,16 +290,16 @@ func (m *Manager) finishLocked(s *Session, rows []schema.Row, runErr, bindErr er
 			s.rows[i] = schema.CloneRow(r)
 		}
 		m.c.completed.Add(1)
-	case errors.Is(runErr, exec.ErrCanceled):
+	case errors.Is(runErr, exec.ErrCanceled), errors.Is(runErr, context.DeadlineExceeded), errors.Is(runErr, context.Canceled):
 		s.state = StateCanceled
-		s.err = runErr
+		s.err = exec.ErrCanceled
 		switch {
 		case s.cancelAsked:
 			// reason recorded by RequestCancel / Close
-		case errors.Is(bindErr, context.DeadlineExceeded):
+		case errors.Is(runErr, context.DeadlineExceeded):
 			s.cancelReason = "deadline exceeded"
-			s.err = bindErr
-		case errors.Is(bindErr, context.Canceled):
+			s.err = runErr
+		case errors.Is(runErr, context.Canceled):
 			s.cancelReason = "server shutdown"
 		default:
 			s.cancelReason = "canceled"
@@ -412,7 +398,7 @@ func (m *Manager) Cancel(id, reason string) (*Session, error) {
 	m.c.cancelRequests.Add(1)
 	if inQueue {
 		// No goroutine owns it: finish it here.
-		m.finishLocked(s, nil, exec.ErrCanceled, nil, 0)
+		m.finishLocked(s, nil, exec.ErrCanceled)
 		return s, nil
 	}
 	if s.execCtx != nil {
@@ -445,7 +431,7 @@ func (m *Manager) Close() error {
 			s.cancelAsked = true
 			s.cancelReason = "server shutdown"
 			s.cancelAt = time.Now()
-			m.finishLocked(s, nil, exec.ErrCanceled, nil, 0)
+			m.finishLocked(s, nil, exec.ErrCanceled)
 		}
 		s.mu.Unlock()
 	}

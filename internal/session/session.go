@@ -92,7 +92,6 @@ type Session struct {
 	mon          *core.Monitor
 	samples      []core.Sample // the monitor's series, kept past the run
 	estNames     []string
-	ests         []core.Estimator // built at admission, handed to the monitor at start
 	keepRows     int
 	deadline     time.Duration
 	started      time.Time
@@ -274,10 +273,16 @@ func (s *Session) Subscribe() (<-chan Progress, func()) {
 }
 
 // onFrame fans a monitor frame out as a Progress event. It runs on the
-// session's run goroutine, at the credit that took the sample.
+// session's run goroutine, at the credit that took the sample. Frame 0, the
+// first, starts the session: it turns running with its first event, so no
+// reader sees it running without one.
 func (s *Session) onFrame(f core.Frame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.state == StateQueued {
+		s.state = StateRunning
+		s.started = time.Now()
+	}
 	s.publishLocked(s.progressLocked(f, false))
 }
 

@@ -161,15 +161,15 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.result(rows, q.ctx.Calls()), nil
+	return q.result(rows, q.ctx.Calls(), core.Mu(q.root)), nil
 }
 
-func (q *Query) result(rows []schema.Row, total int64) *Result {
+func (q *Query) result(rows []schema.Row, total int64, mu float64) *Result {
 	cols := make([]string, q.root.Schema().Len())
 	for i, c := range q.root.Schema().Columns {
 		cols[i] = c.Name
 	}
-	return &Result{Columns: cols, Rows: rows, TotalCalls: total, Mu: core.Mu(q.root)}
+	return &Result{Columns: cols, Rows: rows, TotalCalls: total, Mu: mu}
 }
 
 // ProgressOptions configures progress monitoring.
@@ -179,11 +179,12 @@ type ProgressOptions struct {
 	Estimator EstimatorKind
 	// Extra estimators additionally evaluated per update.
 	Extra []EstimatorKind
-	// Every is the sampling period in GetNext calls (default: ~200
-	// samples based on the plan's initial upper bound). An update lands at
-	// the first credit of work past each multiple of Every, and a completed
-	// run's final update lands at completion (Calls = Result.TotalCalls);
-	// the run pulls min(Every, 1024) rows at a time, so a shorter period
+	// Every is the sampling period in GetNext calls (default: about 200
+	// updates, sized from frame 0's bounds: UB/200, or LB/200 while UB is
+	// unbounded). Frame 0 comes first; an update then lands at the first
+	// credit of work past each multiple of Every, and the final update
+	// where the run stopped (Calls = Result.TotalCalls on completion); the
+	// run pulls min(Every, 1024) rows at a time, so a shorter period
 	// samples more precisely at the cost of smaller pulls.
 	Every int64
 }
@@ -201,8 +202,11 @@ type ProgressUpdate struct {
 	// Estimate is the headline estimator's progress estimate in [0, 1].
 	Estimate float64
 	// Lo and Hi are hard bounds on the true progress at this instant
-	// (Curr/UB and min(Curr/LB, 1)).
+	// (Curr/UB and min(Curr/LB, 1)); both are 0 on frame 0.
 	Lo, Hi float64
+	// LB and UB bound total(Q) at this instant; on frame 0 they are the
+	// plan's static bounds, the size of the job before it runs.
+	LB, UB int64
 	// Estimates holds every configured estimator's output by kind.
 	Estimates map[EstimatorKind]float64
 	// Nodes holds every plan node's runtime counters at this instant, in
@@ -225,9 +229,11 @@ type ProgressUpdate struct {
 	ETA time.Duration
 }
 
-// RunWithProgress executes the query, invoking cb at each sampling point and,
-// when the run completes, once more at completion. The callback runs
-// synchronously on the execution path — keep it cheap.
+// RunWithProgress executes the query, invoking cb with frame 0 before the
+// first GetNext call (Calls 0, Lo = Hi = 0, the plan's static LB and UB), at
+// each sampling point, and once more where the run stopped — at completion,
+// or at the call where an error or a cancellation ended it. The callback
+// runs synchronously on the execution path — keep it cheap.
 func (q *Query) RunWithProgress(opts ProgressOptions, cb func(ProgressUpdate)) (*Result, error) {
 	return q.RunWithProgressContext(context.Background(), opts, cb)
 }
@@ -252,15 +258,10 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 	if err != nil {
 		return nil, fmt.Errorf("sqlprogress: %w", err)
 	}
-	mon := core.NewMonitor(q.root, opts.Every, ests...)
-	if opts.Every <= 0 {
-		// About 200 updates, sized from frame 0's static bounds.
-		s0 := mon.Initial()
-		mon.Every = s0.UB / 200
-		if mon.Every < 1 || s0.UB >= exec.Unbounded {
-			mon.Every = max(s0.LB/200, 1)
-		}
+	if cb == nil {
+		cb = func(ProgressUpdate) {}
 	}
+	mon := core.NewMonitor(q.root, opts.Every, ests...)
 	q.ctx = exec.NewCtx()
 	start := time.Now()
 	mon.OnSample = func(s core.Sample) {
@@ -272,6 +273,8 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 			Estimate:  s.Estimates[0],
 			Lo:        f.Lo,
 			Hi:        f.Hi,
+			LB:        f.LB,
+			UB:        f.UB,
 			Estimates: make(map[EstimatorKind]float64, len(f.Estimates)),
 			Nodes:     f.Nodes,
 			Calls:     f.Calls,
@@ -289,17 +292,11 @@ func (q *Query) RunWithProgressContext(ctx context.Context, opts ProgressOptions
 		}
 		cb(u)
 	}
-	if cb != nil {
-		mon.Attach(q.ctx)
-	}
-	rows, err := exec.RunBatchContext(ctx, q.ctx, q.root)
+	rows, err := mon.RunContext(ctx, q.ctx)
 	if err != nil {
 		return nil, err
 	}
-	if cb != nil {
-		mon.Finish(q.ctx.Calls())
-	}
-	return q.result(rows, q.ctx.Calls()), nil
+	return q.result(rows, mon.Total(), mon.Mu()), nil
 }
 
 // FormatRow renders a result row for display.

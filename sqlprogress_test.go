@@ -451,7 +451,7 @@ func TestRunWithProgressEndsAtCompletion(t *testing.T) {
 // read at a credit instant, the one its Calls and bounds come from. On a
 // grouped aggregate over lineitem — sampled mid-fold, the scan far ahead of
 // the aggregate's output — every update's Nodes must equal a read that a
-// hook-free twin run takes at the pull size Monitor.Attach sets (before the
+// hook-free twin run takes at the pull size Monitor.RunContext sets (before the
 // run, after a credit, or after the run), the updates meeting those reads in
 // order, and the nodes' Calls must sum to the update's Calls.
 func TestProgressUpdateIsOneInstant(t *testing.T) {
